@@ -107,8 +107,8 @@ struct DataPathPoint {
 };
 
 /// Steady-state per-packet data path: a UDP echo pair exchanging pooled
-/// 64-byte payloads. After warm-up (pool blocks, flight slots, timer-wheel
-/// nodes at their high-water marks) the measured section must perform ZERO
+/// 64-byte payloads. After warm-up (pool blocks, flight slots, timer-heap
+/// storage at their high-water marks) the measured section must perform ZERO
 /// heap allocations — the CI smoke gate fails on any regression. The gate is
 /// count-based, not timing-based, so it is deterministic on 1-core runners.
 DataPathPoint measure_datapath(std::uint64_t packets) {
@@ -187,7 +187,7 @@ EventLoopPoint measure_eventloop(std::uint64_t events) {
       loop->schedule_after(ms(1), *this);
     }
   };
-  // Seed 64 concurrent chains so the wheel stays realistically populated.
+  // Seed 64 concurrent chains: a fuller timer heap than any cell holds.
   constexpr std::uint64_t chains = 64;
   std::uint64_t budgets[chains];
   const std::uint64_t spread = events / chains;
@@ -295,7 +295,8 @@ int main(int argc, char** argv) {
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
 
   testbed::LocalTestbed bed;
-  const auto specs = bed.cad_sweep_specs(profile, sweep, repetitions);
+  const campaign::SpecStream specs =
+      bed.cad_sweep_stream(profile, sweep, repetitions);
 
   // v2 path: the testbed's executors plug into a registry, and the bench
   // streams records through a callback sink (spec-order delivery), folding

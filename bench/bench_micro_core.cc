@@ -28,7 +28,7 @@ using namespace lazyeye;
 
 // ---- allocation counting (global operator-new proxy) -----------------------
 // The datapath benchmarks report heap allocations per delivered packet; the
-// pooled-buffer + flight-slot + timer-wheel path keeps it at exactly 0.
+// pooled-buffer + flight-slot + timer-heap path keeps it at exactly 0.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
@@ -114,14 +114,14 @@ BENCHMARK(BM_DnsDecodeInto);
 
 void BM_UdpEchoSteadyState(benchmark::State& state) {
   // The per-packet data path end to end: pooled payload -> flight slot ->
-  // timer wheel -> flat dispatch -> pooled echo reply (the shared
+  // timer heap -> flat dispatch -> pooled echo reply (the shared
   // simnet::UdpEchoHarness workload). Reports packets/sec
   // (items_per_second) and allocations per delivered packet, which the
   // pooled path keeps at exactly 0 after warm-up.
   simnet::Network net{1};
   simnet::UdpEchoHarness echo{net};
 
-  echo.run_rounds(256);  // warm-up: pool, flight slots, wheel nodes
+  echo.run_rounds(256);  // warm-up: pool, flight slots, timer heap
 
   const std::uint64_t alloc_before =
       g_allocations.load(std::memory_order_relaxed);

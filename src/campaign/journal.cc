@@ -1,10 +1,12 @@
 #include "campaign/journal.h"
 
+#include <cerrno>
 #include <cstring>
 #include <utility>
 
 #include "util/crc32.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -29,45 +31,6 @@ enum RecordType : std::uint8_t {
   kSnapshot = 3,
   kComplete = 4,
 };
-
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v >> 8));
-  out.push_back(static_cast<char>(v & 0xFF));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
-}
-
-std::uint16_t get_u16(std::string_view s, std::size_t at) {
-  return static_cast<std::uint16_t>(
-      (static_cast<unsigned char>(s[at]) << 8) |
-      static_cast<unsigned char>(s[at + 1]));
-}
-
-std::uint32_t get_u32(std::string_view s, std::size_t at) {
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    v = (v << 8) | static_cast<unsigned char>(s[at + i]);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(std::string_view s, std::size_t at) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    v = (v << 8) | static_cast<unsigned char>(s[at + i]);
-  }
-  return v;
-}
 
 std::string cat(std::initializer_list<std::string_view> parts) {
   std::string out;
@@ -125,16 +88,16 @@ JournalLoad load_journal(const std::string& path) {
   if (std::memcmp(view.data(), kMagic, sizeof kMagic) != 0) {
     fail(path, 0, "bad magic (not a campaign journal)");
   }
-  if (get_u16(view, 4) != kVersion) {
+  if (wire::get_u16(view, 4) != kVersion) {
     fail(path, 4, "unsupported journal version");
   }
-  const std::uint32_t header_crc = get_u32(view, kHeaderSize - 4);
+  const std::uint32_t header_crc = wire::get_u32(view, kHeaderSize - 4);
   if (util::crc32(view.substr(0, kHeaderSize - 4)) != header_crc) {
     fail(path, 0, "header CRC mismatch");
   }
-  load.identity = get_u64(view, 6);
-  load.cell_begin = get_u64(view, 14);
-  load.cell_end = get_u64(view, 22);
+  load.identity = wire::get_u64(view, 6);
+  load.cell_begin = wire::get_u64(view, 14);
+  load.cell_end = wire::get_u64(view, 22);
   if (load.cell_end < load.cell_begin) {
     fail(path, 14, "header cell range is inverted");
   }
@@ -149,7 +112,7 @@ JournalLoad load_journal(const std::string& path) {
     std::uint32_t len = 0;
     bool body_fits = false;
     if (frame_fits) {
-      len = get_u32(view, pos + 1);
+      len = wire::get_u32(view, pos + 1);
       body_fits = len <= kMaxRecordPayload &&
                   view.size() - pos - kRecordOverhead >= len;
     }
@@ -158,7 +121,7 @@ JournalLoad load_journal(const std::string& path) {
       break;
     }
     const std::string_view framed = view.substr(pos, 5 + len);
-    const std::uint32_t want_crc = get_u32(view, pos + 5 + len);
+    const std::uint32_t want_crc = wire::get_u32(view, pos + 5 + len);
     if (util::crc32(framed) != want_crc) {
       // Only the FINAL record may be damaged (torn mid-write). A bad CRC
       // with more records behind it means real corruption: refuse.
@@ -175,7 +138,7 @@ JournalLoad load_journal(const std::string& path) {
       case kCell: {
         if (len < 8) fail(path, pos, "cell record shorter than its index");
         JournalLoad::Cell cell;
-        cell.index = get_u64(payload, 0);
+        cell.index = wire::get_u64(payload, 0);
         cell.payload.assign(payload.substr(8));
         if (cell.index != load.resume_index()) {
           fail(path, pos,
@@ -188,9 +151,9 @@ JournalLoad load_journal(const std::string& path) {
       case kQuarantine: {
         if (len < 13) fail(path, pos, "quarantine record too short");
         JournalLoad::Cell cell;
-        cell.index = get_u64(payload, 0);
+        cell.index = wire::get_u64(payload, 0);
         cell.quarantined = true;
-        cell.attempts = static_cast<int>(get_u32(payload, 8));
+        cell.attempts = static_cast<int>(wire::get_u32(payload, 8));
         cell.timed_out = payload[12] != 0;
         cell.payload.assign(payload.substr(13));  // error text
         if (cell.index != load.resume_index()) {
@@ -201,7 +164,7 @@ JournalLoad load_journal(const std::string& path) {
       }
       case kSnapshot: {
         if (len < 8) fail(path, pos, "snapshot record too short");
-        load.snapshot_cells = get_u64(payload, 0);
+        load.snapshot_cells = wire::get_u64(payload, 0);
         load.snapshot_state.assign(payload.substr(8));
         if (load.snapshot_cells > load.cells.size()) {
           fail(path, pos, "snapshot claims more cells than journaled");
@@ -211,7 +174,7 @@ JournalLoad load_journal(const std::string& path) {
       }
       case kComplete: {
         if (len != 8) fail(path, pos, "complete record malformed");
-        if (get_u64(payload, 0) != load.cells.size() ||
+        if (wire::get_u64(payload, 0) != load.cells.size() ||
             load.resume_index() != load.cell_end) {
           fail(path, pos, "complete record disagrees with journaled cells");
         }
@@ -244,11 +207,11 @@ JournalWriter JournalWriter::create(const std::string& path,
   std::string header;
   header.reserve(kHeaderSize);
   header.append(kMagic, sizeof kMagic);
-  put_u16(header, kVersion);
-  put_u64(header, identity);
-  put_u64(header, cell_begin);
-  put_u64(header, cell_end);
-  put_u32(header, util::crc32(header));
+  wire::put_u16(header, kVersion);
+  wire::put_u64(header, identity);
+  wire::put_u64(header, cell_begin);
+  wire::put_u64(header, cell_end);
+  wire::put_u32(header, util::crc32(header));
   if (std::fwrite(header.data(), 1, header.size(), f) != header.size()) {
     std::fclose(f);
     throw JournalError(cat({"cannot write journal header to '", path, "'"}));
@@ -290,7 +253,7 @@ JournalWriter::JournalWriter(JournalWriter&& other) noexcept
 JournalWriter::~JournalWriter() {
   util::MutexLock lock{mutex_};
   if (file_ != nullptr) {
-    flush_locked(fsync_ != JournalFsync::kNone);
+    (void)flush_locked(fsync_ != JournalFsync::kNone);  // nowhere to report
     std::fclose(file_);
     file_ = nullptr;
   }
@@ -301,31 +264,37 @@ void JournalWriter::append_record(std::uint8_t type, std::string_view payload,
   std::string framed;
   framed.reserve(kRecordOverhead + payload.size());
   framed.push_back(static_cast<char>(type));
-  put_u32(framed, static_cast<std::uint32_t>(payload.size()));
+  wire::put_u32(framed, static_cast<std::uint32_t>(payload.size()));
   framed.append(payload);
-  put_u32(framed, util::crc32(framed));
+  wire::put_u32(framed, util::crc32(framed));
 
   util::MutexLock lock{mutex_};
   if (file_ == nullptr) throw JournalError("journal writer already closed");
   if (std::fwrite(framed.data(), 1, framed.size(), file_) != framed.size()) {
     throw JournalError("journal append failed (disk full?)");
   }
-  flush_locked(force_sync || fsync_ == JournalFsync::kEveryRecord);
+  if (!flush_locked(force_sync || fsync_ == JournalFsync::kEveryRecord)) {
+    throw JournalError(cat({"journal flush failed: ", std::strerror(errno)}));
+  }
 }
 
-void JournalWriter::flush_locked(bool want_fsync) {
-  std::fflush(file_);
+bool JournalWriter::flush_locked(bool want_fsync) {
+  // fwrite only fills the stdio buffer: ENOSPC / EIO surface here.
+  if (std::fflush(file_) != 0) return false;
 #if LAZYEYE_HAVE_FSYNC
-  if (want_fsync) fsync(fileno(file_));
+  // EINVAL means the file cannot be synced at all (a pipe or character
+  // device); the bytes still reached the OS, so that is not a failure.
+  if (want_fsync && fsync(fileno(file_)) != 0 && errno != EINVAL) return false;
 #else
   (void)want_fsync;
 #endif
+  return true;
 }
 
 void JournalWriter::append_cell(std::uint64_t index, std::string_view payload) {
   std::string body;
   body.reserve(8 + payload.size());
-  put_u64(body, index);
+  wire::put_u64(body, index);
   body.append(payload);
   append_record(kCell, body, /*force_sync=*/false);
 }
@@ -334,8 +303,8 @@ void JournalWriter::append_quarantine(std::uint64_t index, int attempts,
                                       bool timed_out, std::string_view error) {
   std::string body;
   body.reserve(13 + error.size());
-  put_u64(body, index);
-  put_u32(body, static_cast<std::uint32_t>(attempts));
+  wire::put_u64(body, index);
+  wire::put_u32(body, static_cast<std::uint32_t>(attempts));
   body.push_back(timed_out ? '\1' : '\0');
   body.append(error);
   append_record(kQuarantine, body, /*force_sync=*/false);
@@ -345,7 +314,7 @@ void JournalWriter::append_snapshot(std::uint64_t cells_delivered,
                                     std::string_view state) {
   std::string body;
   body.reserve(8 + state.size());
-  put_u64(body, cells_delivered);
+  wire::put_u64(body, cells_delivered);
   body.append(state);
   append_record(kSnapshot, body,
                 /*force_sync=*/fsync_ == JournalFsync::kSnapshot);
@@ -353,14 +322,16 @@ void JournalWriter::append_snapshot(std::uint64_t cells_delivered,
 
 void JournalWriter::append_complete(std::uint64_t cells_delivered) {
   std::string body;
-  put_u64(body, cells_delivered);
+  wire::put_u64(body, cells_delivered);
   append_record(kComplete, body,
                 /*force_sync=*/fsync_ != JournalFsync::kNone);
 }
 
 void JournalWriter::sync() {
   util::MutexLock lock{mutex_};
-  if (file_ != nullptr) flush_locked(true);
+  if (file_ != nullptr && !flush_locked(true)) {
+    throw JournalError(cat({"journal sync failed: ", std::strerror(errno)}));
+  }
 }
 
 }  // namespace lazyeye::campaign

@@ -132,6 +132,10 @@ class JournalWriter {
   void append_complete(std::uint64_t cells_delivered) EXCLUDES(mutex_);
 
   /// Flushes to the OS and fsyncs regardless of policy.
+  ///
+  /// sync(), every append_* and create() throw JournalError when the flush
+  /// or fsync fails (ENOSPC, EIO): a record is never reported durable when
+  /// it is not. Only the destructor swallows such errors.
   void sync() EXCLUDES(mutex_);
 
  private:
@@ -140,7 +144,8 @@ class JournalWriter {
 
   void append_record(std::uint8_t type, std::string_view payload,
                      bool force_sync) EXCLUDES(mutex_);
-  void flush_locked(bool want_fsync) REQUIRES(mutex_);
+  /// fflush (+ fsync when asked); false on failure with errno set.
+  [[nodiscard]] bool flush_locked(bool want_fsync) REQUIRES(mutex_);
 
   const JournalFsync fsync_;
   mutable util::Mutex mutex_;

@@ -30,12 +30,9 @@
 #include <vector>
 
 #include "campaign/sink.h"
+#include "util/wire.h"
 
 namespace lazyeye::campaign {
-
-namespace sketch_detail {
-struct StateReader;  // defined below (binary snapshot codec)
-}
 
 /// P² (piecewise-parabolic) online estimator for a single quantile
 /// (Jain & Chlamtac, CACM 1985). Constant state: five marker heights and
@@ -123,7 +120,7 @@ class P2Quantile {
   /// (bit-identical restore). p_ is NOT serialised — it is construction
   /// configuration, and restore must target an identically-built sketch.
   void save_binary(std::string& out) const;
-  bool load_binary(sketch_detail::StateReader& in);
+  bool load_binary(wire::Reader& in);
 
  private:
   double parabolic(int i, double s) const {
@@ -183,7 +180,7 @@ class MetricSketch {
 
   /// Binary state for journal snapshots (same coverage as fingerprint()).
   void save_binary(std::string& out) const;
-  bool load_binary(sketch_detail::StateReader& in);
+  bool load_binary(wire::Reader& in);
 
  private:
   std::uint64_t count_ = 0;
@@ -211,60 +208,6 @@ inline void append_hex_double(std::string& out, double v) {
   append_hex_u64(out, bits);
 }
 
-// Binary state codec for journal snapshots (sink.h save_state/restore_state).
-// Big-endian like the rest of the wire formats; doubles travel as their IEEE
-// bit patterns, so a restored sketch is bit-identical to the saved one.
-
-inline void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
-}
-
-inline void put_double(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-/// Bounds-checked sequential reader with a sticky error flag, mirroring
-/// util::ByteReader but over string_view and with u64/double reads.
-struct StateReader {
-  std::string_view data;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  std::uint64_t u64() {
-    if (!ok || data.size() - pos < 8) {
-      ok = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      v = (v << 8) | static_cast<unsigned char>(data[pos + i]);
-    }
-    pos += 8;
-    return v;
-  }
-
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  std::string_view view(std::size_t n) {
-    if (!ok || data.size() - pos < n) {
-      ok = false;
-      return {};
-    }
-    const std::string_view out = data.substr(pos, n);
-    pos += n;
-    return out;
-  }
-};
-
 }  // namespace sketch_detail
 
 inline void P2Quantile::append_state(std::string& out) const {
@@ -276,14 +219,14 @@ inline void P2Quantile::append_state(std::string& out) const {
 }
 
 inline void P2Quantile::save_binary(std::string& out) const {
-  sketch_detail::put_u64(out, count_);
-  for (double v : warmup_) sketch_detail::put_double(out, v);
-  for (double v : q_) sketch_detail::put_double(out, v);
-  for (double v : n_) sketch_detail::put_double(out, v);
-  for (double v : np_) sketch_detail::put_double(out, v);
+  wire::put_u64(out, count_);
+  for (double v : warmup_) wire::put_f64(out, v);
+  for (double v : q_) wire::put_f64(out, v);
+  for (double v : n_) wire::put_f64(out, v);
+  for (double v : np_) wire::put_f64(out, v);
 }
 
-inline bool P2Quantile::load_binary(sketch_detail::StateReader& in) {
+inline bool P2Quantile::load_binary(wire::Reader& in) {
   count_ = in.u64();
   for (double& v : warmup_) v = in.f64();
   for (double& v : q_) v = in.f64();
@@ -306,16 +249,16 @@ inline std::string MetricSketch::fingerprint() const {
 }
 
 inline void MetricSketch::save_binary(std::string& out) const {
-  sketch_detail::put_u64(out, count_);
-  sketch_detail::put_double(out, sum_);
-  sketch_detail::put_double(out, min_);
-  sketch_detail::put_double(out, max_);
+  wire::put_u64(out, count_);
+  wire::put_f64(out, sum_);
+  wire::put_f64(out, min_);
+  wire::put_f64(out, max_);
   p50_.save_binary(out);
   p95_.save_binary(out);
   p99_.save_binary(out);
 }
 
-inline bool MetricSketch::load_binary(sketch_detail::StateReader& in) {
+inline bool MetricSketch::load_binary(wire::Reader& in) {
   count_ = in.u64();
   sum_ = in.f64();
   min_ = in.f64();
@@ -372,10 +315,10 @@ class SketchSink final : public ResultSink<R> {
   /// metric's sketch, keyed by name so a drifted metric set is detected).
   bool save_state(std::string& out) const override {
     out.append("SKS1");
-    sketch_detail::put_u64(out, cells_seen_);
-    sketch_detail::put_u64(out, metrics_.size());
+    wire::put_u64(out, cells_seen_);
+    wire::put_u64(out, metrics_.size());
     for (const Metric& m : metrics_) {
-      sketch_detail::put_u64(out, m.name.size());
+      wire::put_u64(out, m.name.size());
       out.append(m.name);
       m.sketch.save_binary(out);
     }
@@ -383,7 +326,7 @@ class SketchSink final : public ResultSink<R> {
   }
 
   bool restore_state(std::string_view state) override {
-    sketch_detail::StateReader in{state};
+    wire::Reader in{state};
     if (in.view(4) != "SKS1") return false;
     const std::uint64_t cells = in.u64();
     if (in.u64() != metrics_.size()) return false;
@@ -437,15 +380,15 @@ class TeeSink final : public ResultSink<R> {
   bool save_state(std::string& out) const override {
     std::string a, b;
     if (!first_.save_state(a) || !second_.save_state(b)) return false;
-    sketch_detail::put_u64(out, a.size());
+    wire::put_u64(out, a.size());
     out.append(a);
-    sketch_detail::put_u64(out, b.size());
+    wire::put_u64(out, b.size());
     out.append(b);
     return true;
   }
 
   bool restore_state(std::string_view state) override {
-    sketch_detail::StateReader in{state};
+    wire::Reader in{state};
     const std::string_view a = in.view(static_cast<std::size_t>(in.u64()));
     if (!in.ok || !first_.restore_state(a)) return false;
     const std::string_view b = in.view(static_cast<std::size_t>(in.u64()));

@@ -2,7 +2,7 @@
 
 #include <cstddef>
 
-#include "conformance/wire.h"
+#include "util/wire.h"
 
 namespace lazyeye::conformance {
 

@@ -3,13 +3,13 @@
 #include <utility>
 
 #include "conformance/injector.h"
-#include "conformance/wire.h"
 #include "dns/auth_server.h"
 #include "dns/recursive_resolver.h"
 #include "simnet/event_loop.h"
 #include "transport/quic.h"
 #include "transport/tcp.h"
 #include "util/strings.h"
+#include "util/wire.h"
 
 namespace lazyeye::conformance {
 

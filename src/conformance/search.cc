@@ -8,8 +8,8 @@
 #include "campaign/journal.h"
 #include "campaign/runner.h"
 #include "conformance/record_codec.h"
-#include "conformance/wire.h"
 #include "util/strings.h"
+#include "util/wire.h"
 
 namespace lazyeye::conformance {
 

@@ -235,19 +235,6 @@ campaign::ScenarioSpec resolver_cell_at(const std::string& service_name,
 
 }  // namespace
 
-std::vector<campaign::ScenarioSpec> cell_specs(
-    const resolvers::ServiceProfile& service, const LabConfig& config) {
-  const std::size_t total = config.delay_grid.size() *
-                            static_cast<std::size_t>(config.repetitions);
-  std::vector<campaign::ScenarioSpec> specs;
-  specs.reserve(total);
-  for (std::size_t cell = 0; cell < total; ++cell) {
-    specs.push_back(resolver_cell_at(service.service, config.delay_grid,
-                                     config.repetitions, config.seed, cell));
-  }
-  return specs;
-}
-
 campaign::SpecStream cell_spec_stream(const resolvers::ServiceProfile& service,
                                       const LabConfig& config) {
   const std::size_t total = config.delay_grid.size() *
@@ -274,32 +261,15 @@ campaign::SpecStream cross_service_cell_spec_stream(
        repetitions = config.repetitions, seed = config.seed,
        per_service](std::size_t i) {
         // Service-major; each service's block keeps its solo seed sequence
-        // (see cross_service_cell_specs), ids dense across the joint matrix.
+        // (different services run different engines, so re-using the
+        // sequence across blocks is what makes the joint matrix reproduce
+        // every solo campaign exactly); ids dense across the joint matrix.
         campaign::ScenarioSpec spec =
             resolver_cell_at(names[i / per_service], grid, repetitions, seed,
                              i % per_service);
         spec.id = i;
         return spec;
       }};
-}
-
-std::vector<campaign::ScenarioSpec> cross_service_cell_specs(
-    const std::vector<resolvers::ServiceProfile>& services,
-    const LabConfig& config) {
-  std::vector<campaign::ScenarioSpec> specs;
-  specs.reserve(services.size() * config.delay_grid.size() *
-                static_cast<std::size_t>(config.repetitions));
-  std::uint64_t cell = 0;
-  for (const auto& service : services) {
-    // Each service keeps its solo seed sequence (different services run
-    // different engines, so re-using the sequence across blocks is what
-    // makes the joint matrix reproduce every solo campaign exactly).
-    for (campaign::ScenarioSpec& spec : cell_specs(service, config)) {
-      spec.id = cell++;
-      specs.push_back(std::move(spec));
-    }
-  }
-  return specs;
 }
 
 RunObservation run_cell(const resolvers::ServiceProfile& service,

@@ -76,27 +76,17 @@ struct ServiceMetrics {
 bool check_ipv6_only_capability(const resolvers::ServiceProfile& service,
                                 std::uint64_t seed = 7);
 
-/// Enumerates the service's (delay × repetition) matrix as campaign cells.
-/// Each cell's seed is config.seed + flat_index + 1 — the same sequence the
-/// original serial loop consumed, so measurements are reproducible across
-/// versions and worker counts.
-std::vector<campaign::ScenarioSpec> cell_specs(
-    const resolvers::ServiceProfile& service, const LabConfig& config);
+/// Enumerates the service's (delay × repetition) matrix as campaign cells,
+/// generated per claimed cell. Each cell's seed is config.seed + flat_index
+/// + 1 — the same sequence the original serial loop consumed, so
+/// measurements are reproducible across versions and worker counts.
+campaign::SpecStream cell_spec_stream(const resolvers::ServiceProfile& service,
+                                      const LabConfig& config);
 
 /// One joint matrix covering all `services` (service-major: service A's
 /// full delay × repetition block, then B's, ...). Each service's block
 /// keeps its own serial seed sequence, so per-service observations are
 /// identical to a solo campaign; ids are dense across the joint matrix.
-std::vector<campaign::ScenarioSpec> cross_service_cell_specs(
-    const std::vector<resolvers::ServiceProfile>& services,
-    const LabConfig& config);
-
-/// Lazy equivalent of cell_specs(): cell-for-cell identical specs (same
-/// seed sequence), generated per claimed cell.
-campaign::SpecStream cell_spec_stream(const resolvers::ServiceProfile& service,
-                                      const LabConfig& config);
-
-/// Lazy equivalent of cross_service_cell_specs().
 campaign::SpecStream cross_service_cell_spec_stream(
     const std::vector<resolvers::ServiceProfile>& services,
     const LabConfig& config);

@@ -9,7 +9,7 @@
 // order, rewind the bump pointer, keep the chunks for the next cell.
 //
 // The Arena is a std::pmr::memory_resource, so the world's containers
-// (EventLoop timer-wheel storage, Host tables, routing maps, captures) draw
+// (EventLoop timer heap, Host tables, routing maps, captures) draw
 // their nodes and growth from the same chunks via polymorphic allocators;
 // do_deallocate is a no-op, which is exactly right for storage whose
 // lifetime IS the cell.

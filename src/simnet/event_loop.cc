@@ -1,7 +1,6 @@
 #include "simnet/event_loop.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 namespace lazyeye::simnet {
@@ -11,24 +10,10 @@ namespace {
 // (e.g. two hosts retransmitting at each other forever). Large enough for the
 // heaviest bench sweep, small enough to fail fast in tests.
 constexpr std::uint64_t kRunawayCap = 200'000'000;
-
-bool event_before(SimTime a_when, std::uint64_t a_seq, SimTime b_when,
-                  std::uint64_t b_seq) {
-  if (a_when != b_when) return a_when < b_when;
-  return a_seq < b_seq;
-}
 }  // namespace
 
 EventLoop::EventLoop(std::pmr::memory_resource* memory)
-    : heap_{memory},
-      nodes_{memory},
-      free_nodes_{memory},
-      ready_{memory},
-      slots_{memory},
-      free_slots_{memory} {
-  l0_head_.fill(-1);
-  l1_head_.fill(-1);
-}
+    : heap_{memory}, slots_{memory}, free_slots_{memory} {}
 
 // ---------------------------------------------------------- liveness slots --
 
@@ -73,64 +58,14 @@ void EventLoop::retire(std::uint64_t packed) {
   free_slots_.push_back(slot);
 }
 
-// ------------------------------------------------------------- wheel nodes --
-
-std::int32_t EventLoop::acquire_node() {
-  if (!free_nodes_.empty()) {
-    const std::int32_t idx = free_nodes_.back();
-    free_nodes_.pop_back();
-    return idx;
-  }
-  const std::int32_t idx = static_cast<std::int32_t>(nodes_.size());
-  nodes_.emplace_back();
-  free_nodes_.reserve(nodes_.size());  // free_node below never reallocates
-  return idx;
-}
-
-void EventLoop::free_node(std::int32_t idx) {
-  nodes_[idx].cb = Callback{};
-  free_nodes_.push_back(idx);
-}
-
-void EventLoop::l0_set_bit(std::size_t slot) {
-  l0_bits_[slot >> 6] |= 1ULL << (slot & 63);
-  l0_summary_ |= 1ULL << (slot >> 6);
-}
-
-void EventLoop::l0_clear_bit(std::size_t slot) {
-  l0_bits_[slot >> 6] &= ~(1ULL << (slot & 63));
-  if (l0_bits_[slot >> 6] == 0) l0_summary_ &= ~(1ULL << (slot >> 6));
-}
-
-std::ptrdiff_t EventLoop::l0_find_from(std::size_t slot) const {
-  const std::size_t word = slot >> 6;
-  const std::uint64_t first = l0_bits_[word] & (~std::uint64_t{0} << (slot & 63));
-  if (first != 0) {
-    return static_cast<std::ptrdiff_t>((word << 6) +
-                                       std::countr_zero(first));
-  }
-  if (word + 1 >= l0_bits_.size()) return -1;
-  const std::uint64_t rest = l0_summary_ & (~std::uint64_t{0} << (word + 1));
-  if (rest == 0) return -1;
-  const std::size_t g = static_cast<std::size_t>(std::countr_zero(rest));
-  return static_cast<std::ptrdiff_t>((g << 6) +
-                                     std::countr_zero(l0_bits_[g]));
-}
-
-void EventLoop::push_l0(std::int64_t tick, std::int32_t node) {
-  const std::size_t slot = static_cast<std::size_t>(tick - w0_tick_);
-  nodes_[node].next = l0_head_[slot];
-  l0_head_[slot] = node;
-  l0_set_bit(slot);
-  ++l0_nodes_;
-}
-
 // --------------------------------------------------------------- schedule --
 
 TimerId EventLoop::schedule_at(SimTime when, Callback cb) {
   if (when < now_) when = now_;
   const std::uint64_t id = arm_slot();
-  insert_event(when, next_seq_++, id, std::move(cb));
+  heap_.push_back(Event{when, next_seq_++, id, std::move(cb)});
+  std::push_heap(heap_.begin(), heap_.end(), EventLater{});
+  ++heap_scheduled_;
   return TimerId{id};
 }
 
@@ -138,85 +73,9 @@ TimerId EventLoop::schedule_after(SimTime delay, Callback cb) {
   return schedule_at(now_ + delay, std::move(cb));
 }
 
-void EventLoop::insert_event(SimTime when, std::uint64_t seq, std::uint64_t id,
-                             Callback cb) {
-  const std::int64_t tick = when.count() >> kTickShift;
-
-  // The tick currently being drained/executed keeps exact order via a
-  // merge-insert into the staged queue (a callback scheduling "at now" must
-  // run within this same tick, after everything already staged before it).
-  if (tick == ready_tick_ && ready_pos_ < ready_.size()) {
-    const auto it = std::lower_bound(
-        ready_.begin() + static_cast<std::ptrdiff_t>(ready_pos_),
-        ready_.end(), std::pair{when, seq}, [](const Event& e, const auto& k) {
-          return event_before(e.when, e.seq, k.first, k.second);
-        });
-    ready_.insert(it, Event{when, seq, id, std::move(cb)});
-    ++wheel_scheduled_;
-    return;
-  }
-
-  // An event landing *before* the staged tick (a heap callback scheduling a
-  // short timer while a later wheel tick is staged): push the staged
-  // remainder back into the wheel so the next pop restages from the true
-  // earliest tick. Rare, and re-sorting on the restage keeps exact order.
-  if (ready_tick_ >= 0 && ready_pos_ < ready_.size() && tick < ready_tick_) {
-    std::vector<Event> remainder;
-    remainder.reserve(ready_.size() - ready_pos_);
-    for (std::size_t i = ready_pos_; i < ready_.size(); ++i) {
-      remainder.push_back(std::move(ready_[i]));
-    }
-    ready_.clear();
-    ready_pos_ = 0;
-    ready_tick_ = -1;
-    for (Event& e : remainder) {
-      --wheel_scheduled_;  // the re-insert below counts it again
-      insert_event(e.when, e.seq, e.id, std::move(e.cb));
-    }
-  }
-
-  // Empty wheel: pull the window up to now so the full horizon is usable.
-  if (l0_nodes_ + l1_nodes_ == 0) w0_tick_ = now_tick();
-
-  const std::int64_t delta = tick - w0_tick_;
-  if (delta >= 0 && delta < static_cast<std::int64_t>(kL0Slots)) {
-    const std::int32_t node = acquire_node();
-    WheelNode& n = nodes_[node];
-    n.when = when;
-    n.seq = seq;
-    n.id = id;
-    n.cb = std::move(cb);
-    push_l0(tick, node);
-    ++wheel_scheduled_;
-    return;
-  }
-  if (delta >= static_cast<std::int64_t>(kL0Slots) && delta < kHorizonTicks) {
-    const std::size_t k =
-        static_cast<std::size_t>(delta >> kL0Bits) - 1;
-    const std::size_t idx = (l1_base_ + k) & (kL1Slots - 1);
-    const std::int32_t node = acquire_node();
-    WheelNode& n = nodes_[node];
-    n.when = when;
-    n.seq = seq;
-    n.id = id;
-    n.cb = std::move(cb);
-    n.next = l1_head_[idx];
-    l1_head_[idx] = node;
-    ++l1_nodes_;
-    ++wheel_scheduled_;
-    return;
-  }
-
-  // Beyond the wheel horizon (or behind a window that cascaded ahead of
-  // now): the binary heap handles it with the same (when, seq) ordering.
-  heap_.push_back(Event{when, seq, id, std::move(cb)});
-  std::push_heap(heap_.begin(), heap_.end(), EventLater{});
-  ++heap_scheduled_;
-}
-
 bool EventLoop::cancel(TimerId id) {
   // Lazy deletion: the slot is disarmed here; the node is pruned (and the
-  // slot retired) when its container next touches it.
+  // slot retired) when it reaches the top of the heap.
   if (!id.valid() || !slot_armed(id.value)) return false;
   Slot& s = slots_[(id.value & kSlotMask) - 1];
   s.armed = false;
@@ -225,112 +84,6 @@ bool EventLoop::cancel(TimerId id) {
 }
 
 // -------------------------------------------------------------- execution --
-
-void EventLoop::drain_l0_slot(std::size_t slot) {
-  std::int32_t n = l0_head_[slot];
-  l0_head_[slot] = -1;
-  l0_clear_bit(slot);
-  while (n != -1) {
-    const std::int32_t next = nodes_[n].next;
-    --l0_nodes_;
-    if (slot_armed(nodes_[n].id)) {
-      ready_.push_back(Event{nodes_[n].when, nodes_[n].seq, nodes_[n].id,
-                             std::move(nodes_[n].cb)});
-    } else {
-      retire(nodes_[n].id);  // cancelled: prune
-    }
-    free_node(n);
-    n = next;
-  }
-}
-
-void EventLoop::purge_l0() {
-  // Every node left in L0 here is behind now(), i.e. cancelled: live events
-  // are executed in time order, so none can be stranded in the past.
-  while (l0_summary_ != 0) {
-    const std::size_t g =
-        static_cast<std::size_t>(std::countr_zero(l0_summary_));
-    const std::size_t slot =
-        (g << 6) + static_cast<std::size_t>(std::countr_zero(l0_bits_[g]));
-    std::int32_t n = l0_head_[slot];
-    l0_head_[slot] = -1;
-    l0_clear_bit(slot);
-    while (n != -1) {
-      const std::int32_t next = nodes_[n].next;
-      --l0_nodes_;
-      if (slot_armed(nodes_[n].id)) {
-        throw std::logic_error(
-            "EventLoop: live event stranded in a past wheel slot");
-      }
-      retire(nodes_[n].id);
-      free_node(n);
-      n = next;
-    }
-  }
-}
-
-bool EventLoop::advance_window() {
-  if (l1_nodes_ == 0) return false;
-  for (std::size_t k = 0; k < kL1Slots; ++k) {
-    const std::size_t idx = (l1_base_ + k) & (kL1Slots - 1);
-    if (l1_head_[idx] == -1) continue;
-    // Rebase L0 onto this L1 slot's window and cascade its nodes down.
-    w0_tick_ += static_cast<std::int64_t>(k + 1) << kL0Bits;
-    l1_base_ = (l1_base_ + k + 1) & (kL1Slots - 1);
-    std::int32_t n = l1_head_[idx];
-    l1_head_[idx] = -1;
-    while (n != -1) {
-      const std::int32_t next = nodes_[n].next;
-      --l1_nodes_;
-      if (slot_armed(nodes_[n].id)) {
-        push_l0(nodes_[n].when.count() >> kTickShift, n);
-      } else {
-        retire(nodes_[n].id);  // cancelled while parked in L1
-        free_node(n);
-      }
-      n = next;
-    }
-    return true;
-  }
-  return false;  // l1_nodes_ said otherwise, but stay safe
-}
-
-void EventLoop::ensure_ready() {
-  if (ready_pos_ < ready_.size()) return;
-  ready_.clear();
-  ready_pos_ = 0;
-  ready_tick_ = -1;
-  while (l0_nodes_ + l1_nodes_ > 0) {
-    std::int64_t r = now_tick() - w0_tick_;
-    if (r < 0) r = 0;
-    if (r >= static_cast<std::int64_t>(kL0Slots)) {
-      // now() ran past the whole L0 window (run_until over cancelled
-      // timers): discard the dead window and cascade the next one in.
-      purge_l0();
-      if (!advance_window()) break;
-      continue;
-    }
-    const std::ptrdiff_t slot = l0_find_from(static_cast<std::size_t>(r));
-    if (slot >= 0) {
-      drain_l0_slot(static_cast<std::size_t>(slot));
-      if (!ready_.empty()) {
-        std::sort(ready_.begin(), ready_.end(),
-                  [](const Event& a, const Event& b) {
-                    return event_before(a.when, a.seq, b.when, b.seq);
-                  });
-        ready_tick_ = w0_tick_ + slot;
-        return;
-      }
-      continue;  // slot held only cancelled nodes; keep scanning
-    }
-    // Nothing live ahead in L0; clear any stale dead slots behind now and
-    // bring the next occupied L1 window down.
-    purge_l0();
-    if (!advance_window()) break;
-  }
-  // Wheel fully empty: keep the window anchored at now for fresh inserts.
-  if (l0_nodes_ + l1_nodes_ == 0) w0_tick_ = now_tick();
-}
 
 void EventLoop::prune_heap_top() {
   while (!heap_.empty() && !slot_armed(heap_.front().id)) {
@@ -341,44 +94,19 @@ void EventLoop::prune_heap_top() {
 }
 
 bool EventLoop::pop_next(const SimTime* deadline) {
-  for (;;) {
-    prune_heap_top();
-    ensure_ready();
-    const bool have_wheel = ready_pos_ < ready_.size();
-    const bool have_heap = !heap_.empty();
-    if (!have_wheel && !have_heap) return false;
-
-    bool use_wheel = have_wheel;
-    if (have_wheel && have_heap) {
-      const Event& w = ready_[ready_pos_];
-      const Event& h = heap_.front();
-      use_wheel = event_before(w.when, w.seq, h.when, h.seq);
-    }
-
-    Event ev;
-    if (use_wheel) {
-      if (deadline != nullptr && ready_[ready_pos_].when > *deadline) {
-        return false;
-      }
-      ev = std::move(ready_[ready_pos_++]);
-      if (!slot_armed(ev.id)) {
-        retire(ev.id);  // cancelled between drain and execution
-        continue;
-      }
-    } else {
-      if (deadline != nullptr && heap_.front().when > *deadline) return false;
-      std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
-      ev = std::move(heap_.back());
-      heap_.pop_back();
-    }
-    // Retire before running: the callback may schedule new timers, which can
-    // then reuse this slot under a fresh generation without aliasing ev.id.
-    retire(ev.id);
-    now_ = ev.when;
-    ++processed_;
-    ev.cb();
-    return true;
-  }
+  prune_heap_top();
+  if (heap_.empty()) return false;
+  if (deadline != nullptr && heap_.front().when > *deadline) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
+  // Retire before running: the callback may schedule new timers, which can
+  // then reuse this slot under a fresh generation without aliasing ev.id.
+  retire(ev.id);
+  now_ = ev.when;
+  ++processed_;
+  ev.cb();
+  return true;
 }
 
 void EventLoop::run() {

@@ -4,22 +4,20 @@
 // This is the substrate every other module schedules against (DNS timeouts,
 // TCP retransmissions, HE connection-attempt delays, netem delivery...).
 //
-// The scheduling path is allocation-lean: callbacks are stored in
-// InlineCallback nodes (small captures never touch the heap), and liveness
-// is tracked by generation-tagged slots validated directly against the
-// stored nodes — no per-event hash-set insert/erase on the hot path.
+// Every timer lives in one binary min-heap over (when, seq). Cancellation is
+// lazy: cancel() only disarms the timer's liveness slot, and a disarmed node
+// is pruned when it reaches the top of the heap. Callbacks are stored in
+// InlineCallback nodes (small captures never touch the heap), and liveness is
+// tracked by generation-tagged slots — no per-event hash-set insert/erase on
+// the hot path.
 //
-// Near-future timers go through a two-level hierarchical timer wheel
-// (level 0: 4096 slots of 2^10 ns ≈ 1 µs covering ~4.2 ms; level 1: 512
-// slots of one level-0 window each, covering ~2.1 s) — O(1) insert/remove
-// for the dense same-delay bands (netem delivery, retransmit timers, HE
-// connection-attempt delays). Far-future timers (resolver overall timeouts
-// and the like) fall back to the binary heap. Execution merges both sources
-// by exact (when, seq), so the observable order — and therefore every
-// byte of measurement output — is identical to the heap-only loop.
+// There is deliberately no timer wheel. A measurement cell holds at most a
+// few dozen pending timers (Resolution Delay, Connection Attempt Delay, SYN
+// retransmits, DNS timeouts, netem delivery), and at that size a heap
+// push/pop is as cheap as a wheel's slot insert plus its tick staging and
+// cascades, while the heap's (when, seq) order is exact by construction.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory_resource>
 #include <vector>
@@ -46,10 +44,10 @@ class EventLoop {
  public:
   using Callback = InlineCallback;
 
-  /// All growable storage (heap, wheel nodes, liveness slots, ready stage)
-  /// draws from `memory`. A world-pooled Network passes its arena, so a
-  /// fresh per-cell loop reuses the previous cell's high-water-mark storage
-  /// without a single heap allocation; the default is the global resource.
+  /// All growable storage (heap, liveness slots) draws from `memory`. A
+  /// world-pooled Network passes its arena, so a fresh per-cell loop reuses
+  /// the previous cell's high-water-mark storage without a single heap
+  /// allocation; the default is the global resource.
   explicit EventLoop(
       std::pmr::memory_resource* memory = std::pmr::get_default_resource());
   EventLoop(const EventLoop&) = delete;
@@ -85,10 +83,11 @@ class EventLoop {
   /// Total callbacks executed since construction.
   std::uint64_t processed() const { return processed_; }
 
-  /// Observability: how many schedules landed in the timer wheel vs the
-  /// far-future binary heap (tests + benches assert the wheel is exercised).
-  std::uint64_t wheel_scheduled() const { return wheel_scheduled_; }
+  /// Observability: schedules issued since construction (every one goes
+  /// through the heap).
   std::uint64_t heap_scheduled() const { return heap_scheduled_; }
+  /// Always 0: kept only because perfbench/src/mirror.cc still reads it.
+  std::uint64_t wheel_scheduled() const { return 0; }
 
  private:
   // TimerId layout: low kSlotBits hold slot+1 (so value 0 stays invalid),
@@ -99,16 +98,6 @@ class EventLoop {
   static constexpr std::uint64_t kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ULL << kSlotBits) - 1;
   static constexpr std::uint64_t kGenMask = (~std::uint64_t{0}) >> kSlotBits;
-
-  // Wheel geometry. A tick is 2^kTickShift ns (shift, not divide, on the
-  // hot path); events within one tick keep exact sub-tick order because
-  // slots are sorted by (when, seq) when drained.
-  static constexpr int kTickShift = 10;                     // ~1 us ticks
-  static constexpr int kL0Bits = 12;
-  static constexpr std::size_t kL0Slots = 1u << kL0Bits;    // ~4.2 ms window
-  static constexpr std::size_t kL1Slots = 512;              // ~2.1 s horizon
-  static constexpr std::int64_t kHorizonTicks =
-      static_cast<std::int64_t>(kL0Slots) * (1 + kL1Slots);
 
   struct Event {
     SimTime when;
@@ -126,16 +115,6 @@ class EventLoop {
     }
   };
 
-  /// Wheel node: an Event plus an intrusive slot-list link. Nodes live in
-  /// nodes_ and recycle through free_nodes_.
-  struct WheelNode {
-    SimTime when;
-    std::uint64_t seq = 0;
-    std::uint64_t id = 0;
-    std::int32_t next = -1;
-    Callback cb;
-  };
-
   /// One recyclable liveness slot. `generation` is bumped when the slot is
   /// retired (its node ran or was pruned), invalidating every TimerId
   /// minted for an earlier use of the slot. Generations start at 1 so the
@@ -150,49 +129,15 @@ class EventLoop {
   bool slot_armed(std::uint64_t packed) const;  // id still live?
   void retire(std::uint64_t packed);            // bump generation, free slot
 
-  std::int64_t now_tick() const { return now_.count() >> kTickShift; }
-
-  // Wheel plumbing (definitions in the .cc).
-  void insert_event(SimTime when, std::uint64_t seq, std::uint64_t id,
-                    Callback cb);
-  std::int32_t acquire_node();
-  void free_node(std::int32_t idx);
-  void push_l0(std::int64_t tick, std::int32_t node);
-  void l0_set_bit(std::size_t slot);
-  void l0_clear_bit(std::size_t slot);
-  std::ptrdiff_t l0_find_from(std::size_t slot) const;  // -1 when none
-  void drain_l0_slot(std::size_t slot);  // live nodes -> ready_, dead retired
-  void purge_l0();                       // retire every remaining L0 node
-  bool advance_window();                 // cascade next non-empty L1 slot
-  void ensure_ready();                   // stage the earliest wheel tick
+  /// Pops cancelled nodes off the heap top, retiring their slots.
   void prune_heap_top();
-  /// Runs the earliest live event from wheel+heap; respects `deadline` when
-  /// non-null. Returns false if nothing (eligible) remains.
+  /// Runs the earliest live event; respects `deadline` when non-null.
+  /// Returns false if nothing (eligible) remains.
   bool pop_next(const SimTime* deadline);
 
-  /// Far-future events: binary min-heap over (when, seq). Cancellation is
-  /// lazy — a node whose liveness slot no longer matches is pruned when it
-  /// reaches the top.
+  /// Binary min-heap over (when, seq), cancelled nodes included until they
+  /// surface at the top.
   std::pmr::vector<Event> heap_;
-
-  // Wheel storage.
-  std::pmr::vector<WheelNode> nodes_;
-  std::pmr::vector<std::int32_t> free_nodes_;
-  std::array<std::int32_t, kL0Slots> l0_head_;
-  std::array<std::int32_t, kL1Slots> l1_head_;
-  std::array<std::uint64_t, kL0Slots / 64> l0_bits_{};
-  std::uint64_t l0_summary_ = 0;
-  std::int64_t w0_tick_ = 0;   // tick of L0 slot 0; L0 covers [w0, w0+4096)
-  std::size_t l1_base_ = 0;    // circular index of the L1 slot after L0
-  std::size_t l0_nodes_ = 0;   // nodes resident in L0 (incl. cancelled)
-  std::size_t l1_nodes_ = 0;   // nodes resident in L1 (incl. cancelled)
-
-  /// The earliest wheel tick, drained and sorted by (when, seq); consumed
-  /// from ready_pos_. Same-tick schedules issued while the tick executes are
-  /// merge-inserted so the global order stays exact.
-  std::pmr::vector<Event> ready_;
-  std::size_t ready_pos_ = 0;
-  std::int64_t ready_tick_ = -1;  // -1 = no tick staged
 
   std::pmr::vector<Slot> slots_;
   std::pmr::vector<std::uint32_t> free_slots_;
@@ -200,7 +145,6 @@ class EventLoop {
   SimTime now_{0};
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  std::uint64_t wheel_scheduled_ = 0;
   std::uint64_t heap_scheduled_ = 0;
 };
 

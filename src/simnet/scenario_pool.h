@@ -9,8 +9,8 @@
 //
 // The pool is thread-local: the campaign WorkerPool parks persistent
 // threads, so consecutive cells claimed by one worker lease the same
-// WorldMemory — warm arena chunks, warm payload blocks, warm timer-wheel
-// storage — and per-cell setup/teardown stops paying the allocator.
+// WorldMemory — warm arena chunks, warm payload blocks, a warm timer heap
+// — and per-cell setup/teardown stops paying the allocator.
 //
 // Usage (one cell):
 //   simnet::WorldLease lease;                    // acquire thread's memory

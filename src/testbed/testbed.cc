@@ -196,7 +196,7 @@ campaign::ScenarioSpec LocalTestbed::address_selection_spec(
 namespace {
 
 /// Pure per-index CAD cell builder — the single assembly point shared by
-/// the eager generator and the lazy stream factories, so the two can never
+/// both stream factories, so single- and multi-client matrices can never
 /// diverge field by field. Delay-major, repetition-minor, one seed per cell
 /// drawn from the counter range the caller reserved.
 campaign::ScenarioSpec cad_cell_at(const clients::ClientProfile& profile,
@@ -220,50 +220,14 @@ campaign::ScenarioSpec cad_cell_at(const clients::ClientProfile& profile,
 
 }  // namespace
 
-std::vector<campaign::ScenarioSpec> LocalTestbed::cad_sweep_specs(
-    const clients::ClientProfile& profile, const SweepSpec& sweep,
-    int repetitions) {
-  const auto values = sweep.values();
-  const std::size_t total =
-      values.size() * static_cast<std::size_t>(repetitions);
-  // Reserve the counter range the per-cell cad_spec() path would have
-  // consumed, then build every cell through the shared builder.
-  const std::uint64_t first_seed = run_counter_ + 1;
-  run_counter_ += total;
-  std::vector<campaign::ScenarioSpec> specs;
-  specs.reserve(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    specs.push_back(cad_cell_at(profile, values, repetitions, first_seed, i));
-  }
-  return specs;
-}
-
-std::vector<campaign::ScenarioSpec> LocalTestbed::multi_client_cad_specs(
-    const std::vector<clients::ClientProfile>& profiles, const SweepSpec& sweep,
-    int repetitions) {
-  std::vector<campaign::ScenarioSpec> specs;
-  std::uint64_t cell = 0;
-  for (const auto& profile : profiles) {
-    // Per-profile generation draws seeds from the shared counter, so the
-    // joint matrix reproduces exactly the worlds that generating each
-    // profile's sweep back to back would have produced.
-    for (campaign::ScenarioSpec& spec :
-         cad_sweep_specs(profile, sweep, repetitions)) {
-      spec.id = cell++;
-      specs.push_back(std::move(spec));
-    }
-  }
-  return specs;
-}
-
 campaign::SpecStream LocalTestbed::cad_sweep_stream(
     const clients::ClientProfile& profile, const SweepSpec& sweep,
     int repetitions) {
   auto values = sweep.values();
   const std::size_t total =
       values.size() * static_cast<std::size_t>(repetitions);
-  // Reserve the counter range the eager generator would have consumed, so
-  // lazy and materialised sweeps on one testbed stay interchangeable.
+  // Reserve the counter range the per-cell cad_spec() path would have
+  // consumed, so sweeps and one-off specs on one testbed never collide.
   const std::uint64_t first_seed = run_counter_ + 1;
   run_counter_ += total;
   return campaign::SpecStream{
@@ -285,7 +249,7 @@ campaign::SpecStream LocalTestbed::multi_client_cad_stream(
   return campaign::SpecStream{
       total, [profiles = std::move(profiles), values = std::move(values),
               repetitions, per_client, first_seed](std::size_t i) {
-        // Profile-major, same seed sequence as back-to-back eager sweeps;
+        // Profile-major, same seed sequence as back-to-back solo sweeps;
         // ids are dense across the joint matrix.
         campaign::ScenarioSpec spec =
             cad_cell_at(profiles[i / per_client], values, repetitions,

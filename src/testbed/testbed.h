@@ -109,33 +109,21 @@ class LocalTestbed {
       const clients::ClientProfile& profile, int per_family,
       int repetition = 0);
 
+  // ---- Lazy spec streams -------------------------------------------------
+  // Matrices are generated on demand per claimed cell, so a matrix of any
+  // size never sits in memory. Each factory reserves its whole run-counter
+  // range up front.
+
   /// The full delay × repetition CAD matrix (delay-major, repetition-minor —
   /// the same cell order the serial sweep used).
-  std::vector<campaign::ScenarioSpec> cad_sweep_specs(
-      const clients::ClientProfile& profile, const SweepSpec& sweep,
-      int repetitions = 1);
+  campaign::SpecStream cad_sweep_stream(const clients::ClientProfile& profile,
+                                        const SweepSpec& sweep,
+                                        int repetitions = 1);
 
   /// One CAD matrix batching several client profiles into a single campaign
   /// (profile-major, then delay-major, repetition-minor — the same counter
   /// sequence as generating each profile's sweep back to back). Ids are
   /// dense across the joint matrix.
-  std::vector<campaign::ScenarioSpec> multi_client_cad_specs(
-      const std::vector<clients::ClientProfile>& profiles,
-      const SweepSpec& sweep, int repetitions = 1);
-
-  // ---- Lazy spec streams -------------------------------------------------
-  // Cell-for-cell identical to the materialised generators above (same
-  // seeds, ids, labels), but generated on demand per claimed cell, so a
-  // matrix of any size never sits in memory. Each factory reserves its
-  // whole run-counter range up front, keeping the counter sequence exactly
-  // what the eager generator would have consumed.
-
-  /// Lazy equivalent of cad_sweep_specs().
-  campaign::SpecStream cad_sweep_stream(const clients::ClientProfile& profile,
-                                        const SweepSpec& sweep,
-                                        int repetitions = 1);
-
-  /// Lazy equivalent of multi_client_cad_specs().
   campaign::SpecStream multi_client_cad_stream(
       std::vector<clients::ClientProfile> profiles, const SweepSpec& sweep,
       int repetitions = 1);

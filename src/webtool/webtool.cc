@@ -58,18 +58,6 @@ campaign::ScenarioSpec repetition_cell(const std::string& client,
 
 }  // namespace
 
-std::vector<campaign::ScenarioSpec> WebTool::campaign_specs(
-    const clients::ClientProfile& profile, bool rd_mode,
-    dns::RrType delayed_type) const {
-  std::vector<campaign::ScenarioSpec> specs;
-  specs.reserve(config_.repetitions);
-  for (int rep = 0; rep < config_.repetitions; ++rep) {
-    specs.push_back(repetition_cell(profile.display_name(), config_.seed,
-                                    rd_mode, delayed_type, rep));
-  }
-  return specs;
-}
-
 campaign::SpecStream WebTool::campaign_spec_stream(
     const clients::ClientProfile& profile, bool rd_mode,
     dns::RrType delayed_type) const {

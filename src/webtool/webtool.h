@@ -95,15 +95,9 @@ class WebTool {
                             const std::string& os_version = "");
 
   /// One spec per repetition (the campaign cells run_cad_test/run_rd_test
-  /// shard across workers). `rd_mode` and `delayed_type` are recorded in
-  /// each cell's WebRepetitionCase payload, which is the single source of
-  /// truth the executor reads.
-  std::vector<campaign::ScenarioSpec> campaign_specs(
-      const clients::ClientProfile& profile, bool rd_mode,
-      dns::RrType delayed_type) const;
-
-  /// Lazy equivalent of campaign_specs(): cell-for-cell identical specs,
-  /// generated per claimed repetition instead of materialised up front.
+  /// shard across workers), generated per claimed repetition. `rd_mode` and
+  /// `delayed_type` are recorded in each cell's WebRepetitionCase payload,
+  /// which is the single source of truth the executor reads.
   campaign::SpecStream campaign_spec_stream(
       const clients::ClientProfile& profile, bool rd_mode,
       dns::RrType delayed_type) const;

@@ -39,6 +39,14 @@ std::vector<ScenarioSpec> numbered_specs(std::size_t n) {
   return specs;
 }
 
+/// Generates every cell of `stream`, for tests that need a vector.
+std::vector<ScenarioSpec> materialize(const SpecStream& stream) {
+  std::vector<ScenarioSpec> specs;
+  specs.reserve(stream.size());
+  for (std::size_t i = 0; i < stream.size(); ++i) specs.push_back(stream.at(i));
+  return specs;
+}
+
 CampaignRunner runner_with(int workers) {
   RunnerOptions options;
   options.workers = workers;
@@ -429,78 +437,18 @@ TEST(SpecStreamTest, ViewAndOwningAdaptersMatchTheVector) {
   }
 }
 
-TEST(SpecStreamTest, TestbedSweepStreamMatchesMaterialisedSpecs) {
+TEST(SpecStreamTest, TestbedSweepStreamReservesItsCounterRange) {
   const auto profile = clients::chromium_profile("Chrome", "130.0", "10-2024");
   const testbed::SweepSpec sweep{ms(0), ms(200), ms(50)};
 
-  testbed::LocalTestbed eager_bed;
-  const auto eager = eager_bed.cad_sweep_specs(profile, sweep, 3);
-  testbed::LocalTestbed lazy_bed;
-  const auto lazy = lazy_bed.cad_sweep_stream(profile, sweep, 3);
-
-  ASSERT_EQ(lazy.size(), eager.size());
-  for (std::size_t i = 0; i < eager.size(); ++i) {
-    EXPECT_EQ(envelope(lazy.at(i)), envelope(eager[i])) << "cell " << i;
-    EXPECT_EQ(lazy.at(i).get_if<CadCase>()->v6_delay,
-              eager[i].get_if<CadCase>()->v6_delay);
-  }
-  // The stream reserved its whole counter range: the next cell allocated on
-  // the lazy testbed continues where the eager one does.
-  EXPECT_EQ(lazy_bed.cad_spec(profile, ms(0)).seed,
-            eager_bed.cad_spec(profile, ms(0)).seed);
-}
-
-TEST(SpecStreamTest, TestbedMultiClientStreamMatchesMaterialisedSpecs) {
-  const std::vector<clients::ClientProfile> profiles{
-      clients::chromium_profile("Chrome", "130.0", "10-2024"),
-      clients::firefox_profile("132.0", "10-2024"),
-  };
-  const testbed::SweepSpec sweep{ms(0), ms(300), ms(150)};
-
-  testbed::LocalTestbed eager_bed;
-  const auto eager = eager_bed.multi_client_cad_specs(profiles, sweep, 2);
-  testbed::LocalTestbed lazy_bed;
-  const auto lazy = lazy_bed.multi_client_cad_stream(profiles, sweep, 2);
-
-  ASSERT_EQ(lazy.size(), eager.size());
-  for (std::size_t i = 0; i < eager.size(); ++i) {
-    EXPECT_EQ(envelope(lazy.at(i)), envelope(eager[i])) << "cell " << i;
-  }
-}
-
-TEST(SpecStreamTest, WebtoolAndResolverStreamsMatchMaterialisedSpecs) {
-  webtool::WebToolConfig web_config = webtool::WebToolConfig::paper_default();
-  web_config.repetitions = 5;
-  web_config.seed = 11;
-  const webtool::WebTool tool{web_config};
-  const auto web_profile = clients::safari_profile("17.6");
-  const auto web_eager =
-      tool.campaign_specs(web_profile, true, dns::RrType::kA);
-  const auto web_lazy =
-      tool.campaign_spec_stream(web_profile, true, dns::RrType::kA);
-  ASSERT_EQ(web_lazy.size(), web_eager.size());
-  for (std::size_t i = 0; i < web_eager.size(); ++i) {
-    EXPECT_EQ(envelope(web_lazy.at(i)), envelope(web_eager[i]));
-  }
-
-  const auto unbound = resolvers::find_service_profile("Unbound");
-  const auto bind = resolvers::find_service_profile("BIND");
-  ASSERT_TRUE(unbound);
-  ASSERT_TRUE(bind);
-  const std::vector<resolvers::ServiceProfile> services{*unbound, *bind};
-  resolverlab::LabConfig config;
-  config.delay_grid = {ms(0), ms(199), ms(799)};
-  config.repetitions = 3;
-  config.seed = 77;
-  const auto lab_eager = resolverlab::cross_service_cell_specs(services, config);
-  const auto lab_lazy =
-      resolverlab::cross_service_cell_spec_stream(services, config);
-  ASSERT_EQ(lab_lazy.size(), lab_eager.size());
-  for (std::size_t i = 0; i < lab_eager.size(); ++i) {
-    EXPECT_EQ(envelope(lab_lazy.at(i)), envelope(lab_eager[i]));
-    EXPECT_EQ(lab_lazy.at(i).get_if<ResolverCellCase>()->service,
-              lab_eager[i].get_if<ResolverCellCase>()->service);
-  }
+  testbed::LocalTestbed bed;
+  const std::uint64_t before = bed.cad_spec(profile, ms(0)).seed;
+  const SpecStream stream = bed.cad_sweep_stream(profile, sweep, 3);
+  ASSERT_EQ(stream.size(), 15u);  // 5 delays x 3 reps
+  EXPECT_EQ(stream.at(0).seed, before + 1);
+  EXPECT_EQ(stream.at(14).seed, before + 15);
+  // The next one-off spec continues after the whole reserved range.
+  EXPECT_EQ(bed.cad_spec(profile, ms(0)).seed, before + 16);
 }
 
 TEST(SpecStreamTest, StreamingRunMatchesVectorRunAtEveryWorkerCount) {
@@ -740,7 +688,8 @@ TEST(CampaignDeterminismTest, TestbedSweepIdenticalForOneAndFourWorkers) {
   const testbed::SweepSpec sweep{ms(0), ms(400), ms(50)};
 
   testbed::LocalTestbed bed;
-  const auto specs = bed.cad_sweep_specs(profile, sweep, /*repetitions=*/2);
+  const auto specs =
+      materialize(bed.cad_sweep_stream(profile, sweep, /*repetitions=*/2));
   ASSERT_EQ(specs.size(), 18u);  // 9 delays x 2 reps
 
   const auto serial = bed.run_campaign(profile, specs, runner_with(1));
@@ -755,7 +704,8 @@ TEST(CampaignDeterminismTest, TestbedSweepIdenticalAtEightWorkersForEveryCap) {
   const testbed::SweepSpec sweep{ms(0), ms(400), ms(100)};
 
   testbed::LocalTestbed bed;
-  const auto specs = bed.cad_sweep_specs(profile, sweep, /*repetitions=*/2);
+  const auto specs =
+      materialize(bed.cad_sweep_stream(profile, sweep, /*repetitions=*/2));
   const auto serial = bed.run_campaign(profile, specs, runner_with(1));
   for (const std::size_t cap : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
     RunnerOptions options;
@@ -797,14 +747,15 @@ TEST(CampaignDeterminismTest, MultiClientBatchMatchesPerClientSweeps) {
   std::vector<testbed::RunRecord> serial;
   for (const auto& profile : profiles) {
     for (const auto& rec : serial_bed.run_campaign(
-             profile, serial_bed.cad_sweep_specs(profile, sweep),
+             profile, materialize(serial_bed.cad_sweep_stream(profile, sweep)),
              runner_with(1))) {
       serial.push_back(rec);
     }
   }
 
   testbed::LocalTestbed batch_bed;
-  const auto specs = batch_bed.multi_client_cad_specs(profiles, sweep);
+  const auto specs =
+      materialize(batch_bed.multi_client_cad_stream(profiles, sweep));
   ASSERT_EQ(specs.size(), serial.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(specs[i].id, i);  // dense ids across the joint matrix
@@ -905,10 +856,11 @@ TEST(CampaignDeterminismTest, MixedKindMatrixIdenticalForOneAndFourWorkers) {
 
   auto run_matrix = [&](int workers) {
     testbed::LocalTestbed bed;
-    std::vector<ScenarioSpec> specs = bed.multi_client_cad_specs(
-        profiles, testbed::SweepSpec{ms(0), ms(300), ms(150)});
-    for (ScenarioSpec& spec :
-         resolverlab::cross_service_cell_specs(services, lab_config)) {
+    std::vector<ScenarioSpec> specs = materialize(bed.multi_client_cad_stream(
+        profiles, testbed::SweepSpec{ms(0), ms(300), ms(150)}));
+    const SpecStream lab =
+        resolverlab::cross_service_cell_spec_stream(services, lab_config);
+    for (ScenarioSpec& spec : materialize(lab)) {
       specs.push_back(std::move(spec));
     }
     for (std::size_t i = 0; i < specs.size(); ++i) specs[i].id = i;
@@ -973,7 +925,8 @@ TEST(CampaignDeterminismTest, ResolverCellSpecsUseTheSerialSeedSequence) {
   config.delay_grid = {ms(0), ms(100)};
   config.repetitions = 3;
   config.seed = 1000;
-  const auto specs = resolverlab::cell_specs(*service, config);
+  const auto specs =
+      materialize(resolverlab::cell_spec_stream(*service, config));
   ASSERT_EQ(specs.size(), 6u);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(specs[i].seed, 1000 + i + 1);

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -289,6 +290,22 @@ TEST(JournalRecoveryTest, CorruptHeaderCrcThrows) {
   write_file(path, bytes);
   EXPECT_THROW(load_journal(path), JournalError);
   std::remove(path.c_str());
+}
+
+TEST(JournalWriteErrorTest, FullDeviceThrowsInsteadOfReportingDurable) {
+  // Every write to /dev/full fails with ENOSPC, but only at the flush: the
+  // header's fwrite lands in the stdio buffer and succeeds.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(JournalWriter::create("/dev/full", 1, 0, 8), JournalError);
+}
+
+TEST(JournalWriteErrorTest, UnsyncableDeviceIsNotAnError) {
+  // fsync on /dev/null fails with EINVAL: nothing can be made durable there,
+  // and every byte was accepted, so a discarded journal still works.
+  if (!std::filesystem::exists("/dev/null")) GTEST_SKIP() << "no /dev/null";
+  JournalWriter writer = JournalWriter::create("/dev/null", 1, 0, 8);
+  writer.append_cell(0, "payload");
+  EXPECT_NO_THROW(writer.sync());
 }
 
 TEST(JournalRecoveryTest, MidFileCorruptionThrowsNeverSkips) {

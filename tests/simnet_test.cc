@@ -691,24 +691,11 @@ TEST(BufferTest, ClearKeepsStorageAndResizeZeroFills) {
   EXPECT_EQ(b[63], 0u);
 }
 
-// ---------------------------------------------------------- timer wheel ----
+// ------------------------------------------------------- timer ordering ----
 
-TEST(TimerWheelTest, NearTimersUseTheWheelFarTimersTheHeap) {
-  EventLoop loop;
-  int fired = 0;
-  loop.schedule_after(us(50), [&] { ++fired; });    // level 0
-  loop.schedule_after(ms(100), [&] { ++fired; });   // level 1
-  loop.schedule_after(sec(10), [&] { ++fired; });   // beyond the horizon
-  EXPECT_EQ(loop.wheel_scheduled(), 2u);
-  EXPECT_EQ(loop.heap_scheduled(), 1u);
-  loop.run();
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(loop.now(), sec(10));
-}
-
-TEST(TimerWheelTest, SubTickOrderIsExact) {
-  // Distinct nanosecond times inside one ~1 us wheel tick must still run in
-  // (when, seq) order.
+TEST(EventLoopTest, SubMicrosecondOrderIsExact) {
+  // Distinct nanosecond times less than a microsecond apart must still run
+  // in (when, seq) order.
   EventLoop loop;
   std::vector<int> order;
   loop.schedule_at(ns(900), [&] { order.push_back(2); });
@@ -718,9 +705,9 @@ TEST(TimerWheelTest, SubTickOrderIsExact) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(TimerWheelTest, OrderMatchesReferenceModelUnderChurn) {
-  // Fuzz schedule/cancel across every band (sub-tick, L0, L1, heap) and
-  // check the execution order against a (when, seq) reference sort.
+TEST(EventLoopTest, OrderMatchesReferenceModelUnderChurn) {
+  // Fuzz schedule/cancel over delays from nanoseconds to seconds and check
+  // the execution order against a (when, seq) reference sort.
   Rng rng{7};
   EventLoop loop;
   struct Expected {
@@ -750,8 +737,8 @@ TEST(TimerWheelTest, OrderMatchesReferenceModelUnderChurn) {
       expected.push_back(Expected{when, this_seq});
     }
   }
-  EXPECT_GT(loop.wheel_scheduled(), 0u);
-  EXPECT_GT(loop.heap_scheduled(), 0u);
+  EXPECT_EQ(loop.heap_scheduled(), 2000u);
+  EXPECT_EQ(loop.wheel_scheduled(), 0u);
   loop.run();
   std::sort(expected.begin(), expected.end(),
             [](const Expected& a, const Expected& b) {
@@ -764,20 +751,19 @@ TEST(TimerWheelTest, OrderMatchesReferenceModelUnderChurn) {
   }
 }
 
-TEST(TimerWheelTest, EventBeforeAStagedLaterTickRunsFirst) {
-  // Regression: run_until can leave a wheel tick staged; an event scheduled
-  // afterwards *before* that tick must still run first (the staged
-  // remainder is pushed back into the wheel).
+TEST(EventLoopTest, EventScheduledAfterRunUntilRunsBeforeLaterPending) {
+  // run_until stops just short of a pending event; an event scheduled
+  // afterwards at an earlier time must still run first.
   EventLoop loop;
   std::vector<int> order;
-  loop.schedule_after(sec(2), [&] { order.push_back(2); });  // level 1
-  loop.run_until(sec(2) - ms(1));  // cascades + stages the 2 s tick
+  loop.schedule_after(sec(2), [&] { order.push_back(2); });
+  loop.run_until(sec(2) - ms(1));
   loop.schedule_after(us(10), [&] { order.push_back(1); });
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(TimerWheelTest, CancelledTimersSurviveRunUntilJumps) {
+TEST(EventLoopTest, CancelledTimersSurviveRunUntilJumps) {
   EventLoop loop;
   int fired = 0;
   std::vector<TimerId> ids;
@@ -786,8 +772,8 @@ TEST(TimerWheelTest, CancelledTimersSurviveRunUntilJumps) {
   }
   for (const TimerId id : ids) EXPECT_TRUE(loop.cancel(id));
   EXPECT_EQ(loop.pending(), 0u);
-  // Jump far past every cancelled slot, then schedule fresh timers: the
-  // stale window is purged and the wheel re-anchors.
+  // Jump far past every cancelled timer, then schedule fresh ones: they run
+  // relative to the new now() and nothing cancelled fires.
   loop.run_until(sec(30));
   EXPECT_EQ(fired, 0);
   loop.schedule_after(ms(5), [&] { ++fired; });
@@ -797,7 +783,7 @@ TEST(TimerWheelTest, CancelledTimersSurviveRunUntilJumps) {
   EXPECT_EQ(loop.now(), sec(30) + ms(500));
 }
 
-TEST(TimerWheelTest, ChainedSameTickSchedulingRunsInOneTick) {
+TEST(EventLoopTest, ChainedZeroDelaySchedulingStaysAtOneInstant) {
   EventLoop loop;
   int depth = 0;
   struct Chain {
@@ -882,7 +868,7 @@ TEST(DataPathAllocationTest, SteadyStateUdpEchoAllocatesNothing) {
   Network net{1};
   UdpEchoHarness echo{net};  // same harness the CI smoke gate measures
 
-  // Warm-up: grows the buffer pool, flight-slot table, wheel node pool and
+  // Warm-up: grows the buffer pool, flight-slot table, timer heap and
   // dispatch tables to their steady-state high-water marks.
   echo.run_rounds(64);
 
