@@ -8,7 +8,7 @@
 // counting), which the InlineCallback small-buffer path should keep near 0.
 //
 // It also cross-checks the determinism contract on the way: every worker
-// count must produce byte-identical records — and the v2 streaming path
+// count must produce byte-identical records — and the streaming path
 // must deliver cells in spec order (the serialised bytes double as the
 // order check).
 //
@@ -298,7 +298,7 @@ int main(int argc, char** argv) {
   const campaign::SpecStream specs =
       bed.cad_sweep_stream(profile, sweep, repetitions);
 
-  // v2 path: the testbed's executors plug into a registry, and the bench
+  // The testbed's executors plug into a registry, and the bench
   // streams records through a callback sink (spec-order delivery), folding
   // them straight into the determinism fingerprint. Every worker count runs
   // on the same persistent pool — counts after the first reuse its threads.

@@ -6,11 +6,10 @@
 // '4' = IPv4 established, 'x' = failure; plus the observed CAD from the
 // packet capture.
 //
-// Campaign API v2: ALL client rows ride in ONE multi-client matrix — every
-// (client, delay) cell shares a single CampaignRunner pool via the executor
-// registry, and the collecting sink hands back records in spec order
-// (profile-major), so each row prints exactly what a per-client sweep
-// produced.
+// ALL client rows ride in ONE multi-client matrix — every (client, delay)
+// cell shares a single CampaignRunner pool via the executor registry, and
+// the collecting sink hands back records in spec order (profile-major), so
+// each row prints exactly what a per-client sweep produced.
 #include <cstdio>
 #include <map>
 
@@ -49,7 +48,8 @@ int main() {
   std::printf("\n");
   campaign::Registry<testbed::RunRecord> registry;
   testbed::register_executors(registry, bed, profiles);
-  const auto result = registry.run_collect(runner, specs);
+  campaign::CollectingSink<testbed::RunRecord> sink;
+  registry.run(runner, specs, sink);
 
   const std::size_t cells_per_client = sweep.values().size();
   std::map<std::string, SimTime> observed_cads;
@@ -57,7 +57,7 @@ int main() {
     std::printf("%-28s", profiles[p].figure_label().c_str());
     std::optional<SimTime> cad;
     for (std::size_t i = 0; i < cells_per_client; ++i) {
-      const auto& rec = result.outcomes[p * cells_per_client + i];
+      const auto& rec = sink.result().outcomes[p * cells_per_client + i];
       char symbol = 'x';
       if (rec.established_family == simnet::Family::kIpv6) symbol = '6';
       if (rec.established_family == simnet::Family::kIpv4) symbol = '4';

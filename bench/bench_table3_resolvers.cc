@@ -18,7 +18,7 @@ int main() {
   // need enough IPv6-choosing runs per delay bucket for the max-delay
   // estimate to stabilise (the simulation is cheap).
   config.repetitions = 40;
-  // Cross-service campaign (v2): ALL Table 3 rows share one worker pool —
+  // Cross-service campaign: ALL Table 3 rows share one worker pool —
   // every (service, delay, repetition) cell lands in a single matrix, so
   // fast services' leftover capacity drains slow services' cells. Rows are
   // identical to per-service serial runs.

@@ -1,10 +1,9 @@
-// Typed measurement-case payloads (campaign API v2).
+// Typed measurement-case payloads.
 //
 // Every experiment in this repo is a matrix of heterogeneous cells: the
 // testbed's CAD/RD/address-selection runs (Figure 2), the web tool's
 // repetition passes (Figure 4), the resolver lab's (delay, repetition)
-// cells (Table 3). v1 flattened them into one struct of knobs interpreted
-// per kind; v2 gives each case its own payload struct held in a
+// cells (Table 3). Each case has its own payload struct held in a
 // std::variant, so a cell carries exactly the parameters its executor
 // reads — and a matrix can mix kinds freely (a multi-client testbed batch
 // next to all Table 3 services in one worker pool).

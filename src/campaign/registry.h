@@ -1,11 +1,9 @@
 // campaign::Registry — pluggable executor table keyed by case payload type.
 //
-// v1 gave every measurement layer its own bespoke run loop (the testbed,
-// web tool and resolver lab each owned a runner.run<...> call that only
-// understood its own cells). v2 inverts this: layers *register* a typed
-// executor per case payload, and one Registry drives any matrix — including
-// mixed-kind matrices such as all Table 3 resolver services in one worker
-// pool, or a multi-client testbed batch next to resolver cells.
+// Layers *register* a typed executor per case payload, and one Registry
+// drives any matrix — including mixed-kind matrices such as all Table 3
+// resolver services in one worker pool, or a multi-client testbed batch
+// next to resolver cells.
 //
 // The Outcome parameter is what executors return. Single-layer campaigns
 // use the layer's record type directly (Registry<RunRecord>); mixed-kind
@@ -23,10 +21,10 @@
 #include <vector>
 
 #include "campaign/case.h"
-#include "campaign/result.h"
 #include "campaign/runner.h"
 #include "campaign/scenario.h"
 #include "campaign/sink.h"
+#include "campaign/spec_stream.h"
 
 namespace lazyeye::campaign {
 
@@ -81,10 +79,22 @@ class Registry {
     return executor(spec);
   }
 
-  /// Streams the whole matrix through `runner` into `sink` (spec-order
-  /// delivery; see sink.h). Every kind present in `specs` is checked for a
-  /// registered executor *before* the pool launches, so a misconfigured
-  /// campaign fails fast on the calling thread instead of mid-run.
+  /// Streams a lazy matrix through `runner` into `sink` (spec-order
+  /// delivery; see sink.h). There is no pre-launch executor check
+  /// (enumerating the stream would defeat its point): a cell whose kind has
+  /// no registered executor fails mid-run via execute()'s
+  /// std::invalid_argument.
+  void run(const CampaignRunner& runner, const SpecStream& specs,
+           ResultSink<Outcome>& sink) const {
+    runner.run_streaming<Outcome>(
+        specs, [this](const ScenarioSpec& spec) { return execute(spec); },
+        sink);
+  }
+
+  /// Materialised-matrix overload: every kind present in `specs` is checked
+  /// for a registered executor *before* the pool launches, so a
+  /// misconfigured campaign fails fast on the calling thread instead of
+  /// mid-run.
   void run(const CampaignRunner& runner, const std::vector<ScenarioSpec>& specs,
            ResultSink<Outcome>& sink) const {
     for (const ScenarioSpec& spec : specs) {
@@ -94,38 +104,7 @@ class Registry {
             case_name(spec.payload) + "' but no executor is registered");
       }
     }
-    runner.run_streaming<Outcome>(
-        specs, [this](const ScenarioSpec& spec) { return execute(spec); },
-        sink);
-  }
-
-  /// Streams a lazy matrix through `runner` into `sink`. Unlike the vector
-  /// overload there is no pre-launch executor check (enumerating the stream
-  /// would defeat its point): a cell whose kind has no registered executor
-  /// fails mid-run via execute()'s std::invalid_argument.
-  void run(const CampaignRunner& runner, const SpecStream& specs,
-           ResultSink<Outcome>& sink) const {
-    runner.run_streaming<Outcome>(
-        specs, [this](const ScenarioSpec& spec) { return execute(spec); },
-        sink);
-  }
-
-  /// Convenience: runs the matrix into a CollectingSink and returns the
-  /// materialised CampaignResult.
-  CampaignResult<Outcome> run_collect(const CampaignRunner& runner,
-                                      const std::vector<ScenarioSpec>& specs) const {
-    CollectingSink<Outcome> sink;
-    run(runner, specs, sink);
-    return std::move(sink).take();
-  }
-
-  /// Stream-input variant: the matrix stays lazy on the way in, only the
-  /// outcomes are materialised.
-  CampaignResult<Outcome> run_collect(const CampaignRunner& runner,
-                                      const SpecStream& specs) const {
-    CollectingSink<Outcome> sink;
-    run(runner, specs, sink);
-    return std::move(sink).take();
+    run(runner, SpecStream::view(specs), sink);
   }
 
  private:

@@ -69,21 +69,17 @@ struct RunnerOptions {
   std::function<void(std::size_t, std::size_t)> progress;
 
   // ---- Per-cell fault isolation -------------------------------------------
-  // With all four knobs at their defaults the runner behaves exactly as
-  // before: the first executor throw fails the whole campaign.
+  // With all three knobs at their defaults the first executor throw fails
+  // the whole campaign.
 
-  /// Extra executor attempts per cell after the first failure. Retries pace
-  /// out with exponential backoff (retry_backoff_ms * 2^attempt).
+  /// Extra executor attempts per cell after the first failure. Retries run
+  /// back to back.
   int max_cell_retries = 0;
 
   /// When a cell exhausts its retries: true quarantines it into a
   /// FailureReport (delivered to the sink via cell_failed(); campaign keeps
-  /// going), false rethrows the last error (fail-fast, the v2 behaviour).
+  /// going), false rethrows the last error (fail-fast).
   bool quarantine_failures = false;
-
-  /// Base wall-clock backoff before retry k (doubles each time; capped at
-  /// 20 doublings). 0 retries immediately.
-  std::uint64_t retry_backoff_ms = 0;
 
   /// Soft per-cell wall-clock budget: a cell whose executor RETURNS after
   /// more than this many milliseconds is treated as a failed attempt
@@ -162,9 +158,8 @@ class CampaignRunner {
       throw std::invalid_argument("run_range: cell range outside the stream");
     }
     // Streams backed by a materialised matrix (view()/of()) deliver specs
-    // straight out of that vector — no per-cell ScenarioSpec copy on the
-    // v1-style vector entry points. Only truly lazy streams generate and
-    // carry a spec per cell.
+    // straight out of that vector — no per-cell ScenarioSpec copy. Only
+    // truly lazy streams generate and carry a spec per cell.
     const std::vector<ScenarioSpec>* backed = specs.backing();
     ReorderBuffer<R> reorder{backed, first};
     ClaimGate gate{options_.max_reorder_ahead};
@@ -207,13 +202,7 @@ class CampaignRunner {
           bool timed_out = false;
           int attempts = 0;
           while (attempts < attempts_allowed) {
-            if (attempts > 0) {
-              ledger.on_retry();
-              if (options_.retry_backoff_ms > 0) {
-                util::sleep_for_ms(options_.retry_backoff_ms
-                                   << std::min(attempts - 1, 20));
-              }
-            }
+            if (attempts > 0) ledger.on_retry();
             ++attempts;
             const std::uint64_t start_ns =
                 options_.cell_timeout_ms > 0 ? util::monotonic_now_ns() : 0;
@@ -278,36 +267,6 @@ class CampaignRunner {
       stats_ = run_stats;
     }
     return run_stats;
-  }
-
-  /// Materialised-matrix overload: streams over a non-owning view (specs
-  /// are delivered by reference, never copied per cell).
-  template <typename R>
-  void run_streaming(const std::vector<ScenarioSpec>& specs,
-                     const std::function<R(const ScenarioSpec&)>& executor,
-                     ResultSink<R>& sink) const {
-    run_streaming<R>(SpecStream::view(specs), executor, sink);
-  }
-
-  /// Convenience wrapper: collects the streamed outcomes into a vector in
-  /// spec order. Prefer run_streaming with a sink when the aggregation can
-  /// fold cells incrementally.
-  template <typename R>
-  std::vector<R> run(const SpecStream& specs,
-                     const std::function<R(const ScenarioSpec&)>& executor) const {
-    std::vector<R> results;
-    results.reserve(specs.size());
-    CallbackSink<R> sink{[&results](const ScenarioSpec&, R outcome) {
-      results.push_back(std::move(outcome));
-    }};
-    run_streaming<R>(specs, executor, sink);
-    return results;
-  }
-
-  template <typename R>
-  std::vector<R> run(const std::vector<ScenarioSpec>& specs,
-                     const std::function<R(const ScenarioSpec&)>& executor) const {
-    return run<R>(SpecStream::view(specs), executor);
   }
 
  private:

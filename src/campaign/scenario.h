@@ -1,5 +1,5 @@
 // Declarative description of one measurement run (one cell of a scenario
-// matrix) — campaign API v2.
+// matrix).
 //
 // A ScenarioSpec is the shared envelope every cell carries — dense id,
 // per-cell seed, repetition, grid position, label, client — plus a typed

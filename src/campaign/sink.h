@@ -1,12 +1,10 @@
 // ResultSink: streaming per-cell delivery of campaign outcomes.
 //
-// v1's run() materialised every outcome vector before any aggregation could
-// start; v2 pushes each cell to a sink *in spec order* as soon as it (and
+// The runner pushes each cell to a sink *in spec order* as soon as it (and
 // all cells before it) completed. Aggregations that fold cells into running
 // counters (the web tool's per-bucket tallies, the resolver lab's Table 3
 // rows) never hold the full record vector; campaigns that do want the
-// materialised matrix use CollectingSink, which reproduces the v1
-// CampaignResult byte-for-byte.
+// materialised matrix use CollectingSink.
 //
 // Delivery contract (enforced by CampaignRunner::run_streaming):
 //   - begin(n) once, on the calling thread, before any cell.
@@ -25,9 +23,9 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "campaign/failure.h"
-#include "campaign/result.h"
 #include "campaign/scenario.h"
 
 namespace lazyeye::campaign {
@@ -72,11 +70,15 @@ class ResultSink {
   virtual void end() {}
 };
 
-/// Materialises the matrix into a CampaignResult — the v1 behaviour, now
-/// just one sink among others.
+/// Materialises the matrix: specs plus their outcomes, index-aligned.
 template <typename R>
 class CollectingSink final : public ResultSink<R> {
  public:
+  struct Result {
+    std::vector<ScenarioSpec> specs;
+    std::vector<R> outcomes;  // outcomes[i] belongs to specs[i]
+  };
+
   void begin(std::size_t cells_total) override {
     result_.specs.reserve(cells_total);
     result_.outcomes.reserve(cells_total);
@@ -87,11 +89,11 @@ class CollectingSink final : public ResultSink<R> {
     result_.outcomes.push_back(std::move(outcome));
   }
 
-  const CampaignResult<R>& result() const& { return result_; }
-  CampaignResult<R> take() && { return std::move(result_); }
+  const Result& result() const& { return result_; }
+  Result take() && { return std::move(result_); }
 
  private:
-  CampaignResult<R> result_;
+  Result result_;
 };
 
 /// Adapts a callable into a sink for on-the-fly aggregation.

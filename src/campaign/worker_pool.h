@@ -1,6 +1,6 @@
 // WorkerPool: persistent, lazily-started campaign worker threads.
 //
-// Every CampaignRunner::run / run_streaming used to spawn fresh
+// Every campaign used to spawn fresh
 // std::threads and join them at the end — cheap for one big matrix, but a
 // real tax on workloads that run many campaigns back to back (mixed
 // testbed + webtool + resolverlab batches, bench sweeps at several worker

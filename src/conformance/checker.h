@@ -4,7 +4,7 @@
 // attaches a FaultInjector for the cell's seeded FaultPlan to the server's
 // DNS and transport stacks, runs the client's fetch(es), and evaluates the
 // RFC 8305 rule set over the client-side capture. Cells ride the campaign
-// API v2 as ConformanceCase payloads, so a differential matrix — the same
+// engine as ConformanceCase payloads, so a differential matrix — the same
 // fault against every client profile — shards across the CampaignRunner
 // worker pool with byte-identical verdict tables at any worker count.
 //

@@ -1,12 +1,17 @@
 #include "conformance/search.h"
 
+#include <array>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "campaign/journal.h"
+#include "campaign/registry.h"
 #include "campaign/runner.h"
+#include "campaign/sink.h"
 #include "conformance/record_codec.h"
 #include "util/strings.h"
 #include "util/wire.h"
@@ -104,6 +109,15 @@ FaultSchedule mutate_schedule(const FaultSchedule& base, SplitMix64& rng,
     }
   }
   return m;
+}
+
+/// Parses a "<prefix><int>" corpus field; the digits must fill the token.
+bool parse_field(std::string_view token, std::string_view prefix, int& out) {
+  if (!starts_with(token, prefix)) return false;
+  const char* last = token.data() + token.size();
+  const auto [end, ec] =
+      std::from_chars(token.data() + prefix.size(), last, out);
+  return ec == std::errc{} && end == last;
 }
 
 }  // namespace
@@ -211,17 +225,26 @@ std::vector<ConformanceRecord> FaultHunt::evaluate(
   }
   campaign::RunnerOptions runner_options;
   runner_options.workers = options_.workers;
-  const campaign::CampaignRunner runner{runner_options};
-  const std::function<ConformanceRecord(const campaign::ScenarioSpec&)>
-      executor = [this](const campaign::ScenarioSpec& spec) {
-        for (const clients::ClientProfile& profile : profiles_) {
-          if (profile.display_name() == spec.client) {
-            return harness_.run_spec(profile, spec);
-          }
-        }
-        throw std::invalid_argument("FaultHunt: unknown client " + spec.client);
-      };
-  return runner.run<ConformanceRecord>(specs, executor);
+  std::vector<ConformanceRecord> records;
+  records.reserve(specs.size());
+  campaign::CallbackSink<ConformanceRecord> sink{
+      [&records](const campaign::ScenarioSpec&, ConformanceRecord record) {
+        records.push_back(std::move(record));
+      }};
+  campaign::CampaignRunner{runner_options}.run_streaming<ConformanceRecord>(
+      campaign::SpecStream::view(specs),
+      [this](const campaign::ScenarioSpec& spec) {
+        return harness_.run_spec(
+            campaign::find_registered(
+                profiles_, spec.client,
+                [](const clients::ClientProfile& p) {
+                  return p.display_name();
+                },
+                "FaultHunt"),
+            spec);
+      },
+      sink);
+  return records;
 }
 
 FaultSchedule FaultHunt::minimize(
@@ -534,7 +557,11 @@ std::vector<CorpusEntry> FaultHunt::load_corpus(const std::string& path) {
   while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
     text.append(buffer, got);
   }
+  const bool read_failed = std::ferror(file) != 0;
   std::fclose(file);
+  if (read_failed) {
+    throw std::runtime_error("load_corpus: read error on " + path);
+  }
 
   std::vector<CorpusEntry> corpus;
   std::size_t pos = 0;
@@ -546,17 +573,25 @@ std::vector<CorpusEntry> FaultHunt::load_corpus(const std::string& path) {
     pos = eol + 1;
     ++line_no;
     if (line.empty() || line.front() == '#') continue;
-    int violations = 0;
-    int minimized = 0;
-    char hex[4096] = {0};
-    const std::string owned{line};
-    if (std::sscanf(owned.c_str(), "entry violations=%d minimized=%d %4095s",
-                    &violations, &minimized, hex) != 3) {
+    // Exactly "entry violations=<n> minimized=<0|1> <hex>", one space apart.
+    std::array<std::string_view, 4> tokens;
+    std::size_t count = 0;
+    const bool fits = for_each_split(line, ' ', [&](std::string_view token) {
+      if (count == tokens.size()) return false;
+      tokens[count++] = token;
+      return true;
+    });
+    int violations = -1;
+    int minimized = -1;
+    if (!fits || count != tokens.size() || tokens[0] != "entry" ||
+        !parse_field(tokens[1], "violations=", violations) ||
+        !parse_field(tokens[2], "minimized=", minimized) || violations < 0 ||
+        (minimized != 0 && minimized != 1)) {
       throw std::runtime_error(lazyeye::str_format(
           "load_corpus: malformed line %d in %s", line_no, path.c_str()));
     }
-    auto schedule = schedule_from_hex(hex);
-    if (!schedule || minimized > 1 || violations < 0) {
+    auto schedule = schedule_from_hex(tokens[3]);
+    if (!schedule) {
       throw std::runtime_error(lazyeye::str_format(
           "load_corpus: undecodable schedule at line %d in %s", line_no,
           path.c_str()));

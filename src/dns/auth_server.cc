@@ -1,7 +1,6 @@
 #include "dns/auth_server.h"
 
 #include "dns/message_pool.h"
-#include "util/log.h"
 #include "util/strings.h"
 
 namespace lazyeye::dns {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/log.h"
 #include "util/strings.h"
 
 namespace lazyeye::dns {

@@ -6,7 +6,7 @@
 // IPv6 path, and evaluates resolvers *purely from the authoritative-side
 // query log* — the resolver engine is a black box to the measurement.
 //
-// Campaign API v2: each (delay, repetition) cell is a ScenarioSpec carrying
+// Each (delay, repetition) cell is a ScenarioSpec carrying
 // a ResolverCellCase payload that names the service, so cells of *different*
 // services can share one worker pool — measure_services() runs every
 // Table 3 row in a single campaign while keeping each service's serial seed

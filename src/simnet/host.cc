@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "simnet/network.h"
-#include "util/log.h"
 #include "util/strings.h"
 
 namespace lazyeye::simnet {
@@ -93,11 +92,6 @@ void Host::udp_send(const Endpoint& src, const Endpoint& dst,
   send_packet(std::move(p));
 }
 
-void Host::udp_send(const Endpoint& src, const Endpoint& dst,
-                    std::vector<std::uint8_t> payload) {
-  udp_send(src, dst, Buffer::adopt(std::move(payload)));
-}
-
 void Host::send_packet(Packet p) {
   if (!owns_address(p.src.addr)) {
     throw std::logic_error(str_format(
@@ -155,12 +149,8 @@ void Host::deliver(const Packet& p) {
           protocol_handlers_[static_cast<std::size_t>(p.proto)];
       handler) {
     handler(p);
-    return;
   }
-  log_trace([&] {
-    return str_format("%s: dropping unhandled packet %s", name_.c_str(),
-                      p.summary().c_str());
-  });
+  // No binding and no protocol handler: the packet is dropped.
 }
 
 void Host::notify_taps(const Packet& p, TapDirection dir) {

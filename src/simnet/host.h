@@ -59,10 +59,6 @@ class Host {
   void udp_unbind(std::uint16_t port);
   /// Sends a datagram. `src.addr` must be owned by this host.
   void udp_send(const Endpoint& src, const Endpoint& dst, Buffer payload);
-  /// Legacy vector entry point: adopts the vector as the payload block
-  /// (no copy, but no pooling either — hot paths pass a pooled Buffer).
-  void udp_send(const Endpoint& src, const Endpoint& dst,
-                std::vector<std::uint8_t> payload);
 
   // -- Raw packet plumbing (used by transport stacks) -----------------------
   void send_packet(Packet p);

@@ -2,8 +2,6 @@
 
 #include <new>
 
-#include "util/log.h"
-#include "util/strings.h"
 
 namespace lazyeye::simnet {
 
@@ -93,7 +91,6 @@ void Network::send(Host& from, Packet p) {
   if (target == nullptr) {
     // Unowned destination: silently blackholed (unresponsive address).
     ++stats_.packets_blackholed;
-    log_trace([&] { return str_format("blackhole: %s", p.summary().c_str()); });
     return;
   }
 

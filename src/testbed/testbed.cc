@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "campaign/sink.h"
 #include "dns/auth_server.h"
 #include "dns/test_params.h"
 #include "util/strings.h"
@@ -320,15 +321,6 @@ RunRecord LocalTestbed::run_spec(const clients::ClientProfile& profile,
   return analyze(profile, *sc, configured_delay, spec.repetition, fetch);
 }
 
-std::vector<RunRecord> LocalTestbed::run_campaign(
-    const clients::ClientProfile& profile,
-    const std::vector<campaign::ScenarioSpec>& specs,
-    const campaign::CampaignRunner& runner) const {
-  return runner.run<RunRecord>(specs, [&](const campaign::ScenarioSpec& spec) {
-    return run_spec(profile, spec);
-  });
-}
-
 RunRecord LocalTestbed::run_cad_case(const clients::ClientProfile& profile,
                                      SimTime v6_delay, int repetition) {
   return run_spec(profile, cad_spec(profile, v6_delay, repetition));
@@ -352,13 +344,23 @@ std::vector<RunRecord> LocalTestbed::sweep_cad(
     int repetitions, int workers) {
   campaign::RunnerOptions options;
   options.workers = workers;
-  // Lazy fast path: cells are generated as workers claim them, so the sweep
-  // never materialises its spec vector. Same cells, same records.
-  return campaign::CampaignRunner{options}.run<RunRecord>(
-      cad_sweep_stream(profile, sweep, repetitions),
+  // Cells are generated as workers claim them, so the sweep never
+  // materialises its spec vector; records arrive in spec order.
+  const campaign::SpecStream specs =
+      cad_sweep_stream(profile, sweep, repetitions);
+  std::vector<RunRecord> records;
+  records.reserve(specs.size());
+  campaign::CallbackSink<RunRecord> sink{
+      [&records](const campaign::ScenarioSpec&, RunRecord record) {
+        records.push_back(std::move(record));
+      }};
+  campaign::CampaignRunner{options}.run_streaming<RunRecord>(
+      specs,
       [this, &profile](const campaign::ScenarioSpec& spec) {
         return run_spec(profile, spec);
-      });
+      },
+      sink);
+  return records;
 }
 
 }  // namespace lazyeye::testbed

@@ -7,7 +7,7 @@
 // network and a fresh client ("drop and create a new container") so no
 // caching effects leak between configurations.
 //
-// Runs are described declaratively as campaign cells (v2 typed payloads:
+// Runs are described declaratively as campaign cells (typed payloads:
 // CadCase / ResolutionDelayCase / AddressSelectionCase): the spec
 // generators below allocate seeds, and run_spec() is a stateless executor
 // that builds the cell's isolated world — which is what lets whole delay ×
@@ -95,7 +95,7 @@ class LocalTestbed {
   RunRecord run_address_selection_case(const clients::ClientProfile& profile,
                                        int per_family, int repetition = 0);
 
-  // ---- Campaign API v2 ---------------------------------------------------
+  // ---- Campaign cells ----------------------------------------------------
   // Spec generators allocate each cell's run id (nonce + seed) from the
   // testbed's counter, so mixing one-off cases and sweeps never reuses a
   // world seed or a DNS nonce name.
@@ -133,12 +133,6 @@ class LocalTestbed {
   /// Thread-safe: concurrent calls on different specs never share state.
   RunRecord run_spec(const clients::ClientProfile& profile,
                      const campaign::ScenarioSpec& spec) const;
-
-  /// Shards `specs` across the runner's workers; results are in spec order.
-  std::vector<RunRecord> run_campaign(
-      const clients::ClientProfile& profile,
-      const std::vector<campaign::ScenarioSpec>& specs,
-      const campaign::CampaignRunner& runner) const;
 
   /// Sweeps the CAD case over a delay grid. `workers` feeds the campaign
   /// runner (0 = one per hardware thread); results are identical for any

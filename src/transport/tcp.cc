@@ -1,7 +1,5 @@
 #include "transport/tcp.h"
 
-#include "util/log.h"
-#include "util/strings.h"
 
 namespace lazyeye::transport {
 
@@ -229,9 +227,6 @@ void TcpStack::send_data(std::uint64_t conn_id,
 void TcpStack::send_data(std::uint64_t conn_id, simnet::Buffer payload) {
   const auto it = connections_.find(conn_id);
   if (it == connections_.end() || it->second.state != State::kEstablished) {
-    log_message(LogLevel::kWarn,
-                str_format("tcp send_data on unknown/closed conn %llu",
-                           static_cast<unsigned long long>(conn_id)));
     return;
   }
   send_flags(it->second.tuple, TcpFlags{.ack = true}, std::move(payload));

@@ -1,4 +1,4 @@
-// Campaign engine tests (API v2): typed payload dispatch through the
+// Campaign engine tests: typed payload dispatch through the
 // executor registry, streaming sink delivery order, runner sharding edge
 // semantics, and the core determinism contract — the same spec matrix with
 // the same seeds produces byte-identical aggregated results for 1 worker
@@ -15,7 +15,6 @@
 #include <variant>
 
 #include "campaign/registry.h"
-#include "campaign/result.h"
 #include "campaign/runner.h"
 #include "campaign/scenario.h"
 #include "campaign/sink.h"
@@ -53,6 +52,19 @@ CampaignRunner runner_with(int workers) {
   return CampaignRunner{options};
 }
 
+/// Runs every cell of `specs` and returns the outcomes in spec order.
+template <typename R>
+std::vector<R> collect(const CampaignRunner& runner,
+                       const std::vector<ScenarioSpec>& specs,
+                       const std::function<R(const ScenarioSpec&)>& executor) {
+  std::vector<R> outcomes;
+  CallbackSink<R> sink{[&outcomes](const ScenarioSpec&, R outcome) {
+    outcomes.push_back(std::move(outcome));
+  }};
+  runner.run_streaming<R>(SpecStream::view(specs), executor, sink);
+  return outcomes;
+}
+
 // ------------------------------------------------------------- payload ----
 
 TEST(CasePayloadTest, KindTracksAlternative) {
@@ -88,8 +100,8 @@ TEST(CasePayloadTest, NamesAreStableAndExhaustive) {
 
 TEST(CampaignRunnerTest, ResultsComeBackInSpecOrder) {
   const auto specs = numbered_specs(64);
-  const auto results = runner_with(4).run<std::uint64_t>(
-      specs, [](const ScenarioSpec& s) { return s.seed * 3; });
+  const auto results = collect<std::uint64_t>(
+      runner_with(4), specs, [](const ScenarioSpec& s) { return s.seed * 3; });
   ASSERT_EQ(results.size(), 64u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i], (100 + i) * 3);
@@ -99,7 +111,7 @@ TEST(CampaignRunnerTest, ResultsComeBackInSpecOrder) {
 TEST(CampaignRunnerTest, EveryCellRunsExactlyOnce) {
   const auto specs = numbered_specs(50);
   std::atomic<int> calls{0};
-  runner_with(4).run<int>(specs, [&](const ScenarioSpec& s) {
+  collect<int>(runner_with(4), specs, [&](const ScenarioSpec& s) {
     calls.fetch_add(1);
     return static_cast<int>(s.id);
   });
@@ -123,8 +135,8 @@ TEST(CampaignRunnerTest, ProgressCoversEveryCell) {
     last_total = total;
   };
   CampaignRunner runner{options};
-  runner.run<int>(numbered_specs(20),
-                  [](const ScenarioSpec& s) { return static_cast<int>(s.id); });
+  collect<int>(runner, numbered_specs(20),
+               [](const ScenarioSpec& s) { return static_cast<int>(s.id); });
   EXPECT_EQ(seen.size(), 20u);  // 1..20, serialised, no duplicates
   EXPECT_EQ(*seen.rbegin(), 20u);
   EXPECT_EQ(last_total, 20u);
@@ -141,8 +153,8 @@ TEST(CampaignRunnerTest, ProgressFiresExactlyCellsTotalTimesMonotonically) {
   };
   CampaignRunner runner{options};
   const std::size_t cells_total = 33;
-  runner.run<int>(numbered_specs(cells_total),
-                  [](const ScenarioSpec& s) { return static_cast<int>(s.id); });
+  collect<int>(runner, numbered_specs(cells_total),
+               [](const ScenarioSpec& s) { return static_cast<int>(s.id); });
   ASSERT_EQ(counts.size(), cells_total);  // exactly once per cell
   EXPECT_EQ(total_seen, cells_total);
   for (std::size_t i = 1; i < counts.size(); ++i) {
@@ -154,13 +166,11 @@ TEST(CampaignRunnerTest, ProgressFiresExactlyCellsTotalTimesMonotonically) {
 TEST(CampaignRunnerTest, ExecutorExceptionPropagates) {
   const auto specs = numbered_specs(16);
   EXPECT_THROW(
-      runner_with(4).run<int>(specs,
-                              [](const ScenarioSpec& s) {
-                                if (s.id == 7) {
-                                  throw std::runtime_error("cell 7 boom");
-                                }
-                                return 0;
-                              }),
+      collect<int>(runner_with(4), specs,
+                   [](const ScenarioSpec& s) {
+                     if (s.id == 7) throw std::runtime_error("cell 7 boom");
+                     return 0;
+                   }),
       std::runtime_error);
 }
 
@@ -170,7 +180,7 @@ TEST(CampaignRunnerTest, FirstExecutorExceptionRethrownOnCallingThread) {
   std::string caught;
   std::thread::id catcher;
   try {
-    runner_with(4).run<int>(specs, [](const ScenarioSpec& s) -> int {
+    collect<int>(runner_with(4), specs, [](const ScenarioSpec& s) -> int {
       throw std::runtime_error(
           lazyeye::str_format("cell %llu boom",
                               static_cast<unsigned long long>(s.id)));
@@ -203,7 +213,8 @@ TEST(CampaignRunnerTest, ResultsIdenticalForEveryReorderCap) {
         [&delivered](const ScenarioSpec&, std::uint64_t v) {
           delivered.push_back(v);
         }};
-    runner.run_streaming<std::uint64_t>(specs, executor, sink);
+    runner.run_streaming<std::uint64_t>(SpecStream::view(specs), executor,
+                                        sink);
     return delivered;
   };
 
@@ -240,7 +251,7 @@ TEST(CampaignRunnerTest, SlowHeadCellNeverOverflowsTheReorderCap) {
     CallbackSink<int> sink{[&delivered](const ScenarioSpec&, int v) {
       delivered.push_back(v);
     }};
-    runner.run_streaming<int>(specs, executor, sink);
+    runner.run_streaming<int>(SpecStream::view(specs), executor, sink);
 
     ASSERT_EQ(delivered.size(), 64u);
     for (std::size_t i = 0; i < delivered.size(); ++i) {
@@ -260,11 +271,11 @@ TEST(CampaignRunnerTest, GatedRunStillPropagatesExecutorExceptions) {
   options.max_reorder_ahead = 2;
   CampaignRunner runner{options};
   EXPECT_THROW(
-      runner.run<int>(specs,
-                      [](const ScenarioSpec& s) -> int {
-                        if (s.id == 5) throw std::runtime_error("head boom");
-                        return 0;
-                      }),
+      collect<int>(runner, specs,
+                   [](const ScenarioSpec& s) -> int {
+                     if (s.id == 5) throw std::runtime_error("head boom");
+                     return 0;
+                   }),
       std::runtime_error);
 }
 
@@ -279,10 +290,10 @@ TEST(CampaignRunnerTest, ThrowingProgressHookFailsTheCampaign) {
     };
     CampaignRunner runner{options};
     EXPECT_THROW(
-        runner.run<int>(numbered_specs(16),
-                        [](const ScenarioSpec& s) {
-                          return static_cast<int>(s.id);
-                        }),
+        collect<int>(runner, numbered_specs(16),
+                     [](const ScenarioSpec& s) {
+                       return static_cast<int>(s.id);
+                     }),
         std::runtime_error)
         << "workers=" << workers;
   }
@@ -301,21 +312,22 @@ TEST(WorkerPoolTest, NestedCampaignOnTheSamePoolDoesNotDeadlock) {
   outer_options.pool = &pool;
   CampaignRunner outer{outer_options};
 
-  const auto outer_totals = outer.run<std::uint64_t>(
-      numbered_specs(6), [&pool](const ScenarioSpec& outer_spec) {
+  const auto outer_totals = collect<std::uint64_t>(
+      outer, numbered_specs(6), [&pool](const ScenarioSpec& outer_spec) {
         RunnerOptions inner_options;
         inner_options.workers = 2;
         inner_options.pool = &pool;
-        const auto inner = CampaignRunner{inner_options}.run<std::uint64_t>(
-            numbered_specs(8),
+        const auto inner = collect<std::uint64_t>(
+            CampaignRunner{inner_options}, numbered_specs(8),
             [](const ScenarioSpec& s) { return s.seed; });
         std::uint64_t total = outer_spec.seed;
         for (const std::uint64_t v : inner) total += v;
         return total;
       });
 
-  const auto serial_inner = runner_with(1).run<std::uint64_t>(
-      numbered_specs(8), [](const ScenarioSpec& s) { return s.seed; });
+  const auto serial_inner =
+      collect<std::uint64_t>(runner_with(1), numbered_specs(8),
+                             [](const ScenarioSpec& s) { return s.seed; });
   std::uint64_t inner_sum = 0;
   for (const std::uint64_t v : serial_inner) inner_sum += v;
   for (std::size_t i = 0; i < outer_totals.size(); ++i) {
@@ -337,12 +349,14 @@ TEST(WorkerPoolTest, CrossPoolNestedCampaignDoesNotDeadlock) {
     return CampaignRunner{options};
   };
 
-  const auto totals = runner_on(pool_a).run<std::uint64_t>(
-      numbered_specs(4), [&](const ScenarioSpec& outer_spec) {
-        const auto mids = runner_on(pool_b).run<std::uint64_t>(
-            numbered_specs(3), [&](const ScenarioSpec& mid_spec) {
-              const auto inner = runner_on(pool_a).run<std::uint64_t>(
-                  numbered_specs(2),
+  const auto totals = collect<std::uint64_t>(
+      runner_on(pool_a), numbered_specs(4),
+      [&](const ScenarioSpec& outer_spec) {
+        const auto mids = collect<std::uint64_t>(
+            runner_on(pool_b), numbered_specs(3),
+            [&](const ScenarioSpec& mid_spec) {
+              const auto inner = collect<std::uint64_t>(
+                  runner_on(pool_a), numbered_specs(2),
                   [](const ScenarioSpec& s) { return s.seed; });
               std::uint64_t total = mid_spec.seed;
               for (const std::uint64_t v : inner) total += v;
@@ -372,11 +386,11 @@ TEST(WorkerPoolTest, ThreadsPersistAcrossCampaigns) {
   const std::function<std::uint64_t(const ScenarioSpec&)> executor =
       [](const ScenarioSpec& s) { return s.seed; };
 
-  const auto first = runner.run<std::uint64_t>(specs, executor);
+  const auto first = collect<std::uint64_t>(runner, specs, executor);
   const int threads_after_first = pool.threads_started();
   EXPECT_EQ(threads_after_first, 3);  // workers - 1 helpers, lazily started
 
-  const auto second = runner.run<std::uint64_t>(specs, executor);
+  const auto second = collect<std::uint64_t>(runner, specs, executor);
   EXPECT_EQ(pool.threads_started(), threads_after_first);  // reused, not respawned
   EXPECT_EQ(first, second);
   EXPECT_EQ(pool.jobs_run(), 2u);
@@ -394,7 +408,7 @@ TEST(WorkerPoolTest, GrowsLazilyToTheWidestCampaign) {
     RunnerOptions options;
     options.workers = workers;
     options.pool = &pool;
-    CampaignRunner{options}.run<int>(specs, executor);
+    collect<int>(CampaignRunner{options}, specs, executor);
   }
   EXPECT_EQ(pool.threads_started(), 5);  // widest campaign needed 5 helpers
   EXPECT_EQ(pool.jobs_run(), 3u);
@@ -406,8 +420,8 @@ TEST(WorkerPoolTest, SharedPoolServesMixedLayersDeterministically) {
   const auto specs = numbered_specs(24);
   const std::function<std::uint64_t(const ScenarioSpec&)> executor =
       [](const ScenarioSpec& s) { return s.seed * 7; };
-  const auto cold = runner_with(4).run<std::uint64_t>(specs, executor);
-  const auto warm = runner_with(4).run<std::uint64_t>(specs, executor);
+  const auto cold = collect<std::uint64_t>(runner_with(4), specs, executor);
+  const auto warm = collect<std::uint64_t>(runner_with(4), specs, executor);
   EXPECT_EQ(cold, warm);
   EXPECT_GE(WorkerPool::shared().threads_started(), 3);
 }
@@ -463,7 +477,8 @@ TEST(SpecStreamTest, StreamingRunMatchesVectorRunAtEveryWorkerCount) {
       [&from_vector](const ScenarioSpec&, std::uint64_t v) {
         from_vector.push_back(v);
       }};
-  runner_with(1).run_streaming<std::uint64_t>(specs, executor, vector_sink);
+  runner_with(1).run_streaming<std::uint64_t>(SpecStream::view(specs),
+                                              executor, vector_sink);
 
   for (const int workers : {1, 4, 8}) {
     const SpecStream stream{specs.size(), [](std::size_t i) {
@@ -525,7 +540,8 @@ TEST(ResultSinkTest, StreamingDeliveryIsInSpecOrderWithBeginAndEnd) {
 
   const std::function<std::uint64_t(const ScenarioSpec&)> executor =
       [](const ScenarioSpec& s) { return s.id * 7; };
-  runner_with(4).run_streaming<std::uint64_t>(specs, executor, sink);
+  runner_with(4).run_streaming<std::uint64_t>(SpecStream::view(specs),
+                                              executor, sink);
 
   EXPECT_EQ(begins, 1);
   EXPECT_EQ(ends, 1);
@@ -550,7 +566,8 @@ TEST(ResultSinkTest, EndSkippedWhenAnExecutorThrows) {
     if (s.id == 3) throw std::runtime_error("boom");
     return 0;
   };
-  EXPECT_THROW(runner_with(4).run_streaming<int>(specs, executor, sink),
+  EXPECT_THROW(runner_with(4).run_streaming<int>(SpecStream::view(specs),
+                                                 executor, sink),
                std::runtime_error);
   EXPECT_FALSE(ended);
 }
@@ -564,48 +581,12 @@ TEST(ResultSinkTest, SinkExceptionStopsDeliveryAndPropagates) {
   }};
   const std::function<int(const ScenarioSpec&)> executor =
       [](const ScenarioSpec& s) { return static_cast<int>(s.id); };
-  EXPECT_THROW(runner_with(4).run_streaming<int>(specs, executor, sink),
+  EXPECT_THROW(runner_with(4).run_streaming<int>(SpecStream::view(specs),
+                                                 executor, sink),
                std::runtime_error);
   // Cells before the failing one were delivered exactly once, in order;
   // nothing was re-delivered or delivered after the sink threw.
   EXPECT_EQ(delivered, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ResultSinkTest, StreamingAndCollectingSinksRenderIdenticalTables) {
-  auto specs = numbered_specs(12);
-  for (auto& spec : specs) {
-    spec.label = lazyeye::str_format(
-        "cell%llu", static_cast<unsigned long long>(spec.id));
-  }
-  const std::function<int(const ScenarioSpec&)> executor =
-      [](const ScenarioSpec& s) { return static_cast<int>(s.seed % 7); };
-  const std::vector<TableColumn<int>> columns{
-      {"Cell", TextTable::Align::kLeft,
-       [](const ScenarioSpec& s, const int&) { return s.label; }},
-      {"Value", TextTable::Align::kRight,
-       [](const ScenarioSpec&, const int& v) { return std::to_string(v); }}};
-
-  // Collecting path: materialise, then render.
-  CollectingSink<int> collecting;
-  runner_with(4).run_streaming<int>(specs, executor, collecting);
-  const std::string collected_table =
-      to_table<int>(collecting.result(), columns).render();
-
-  // Streaming path: build the same table row by row as cells arrive.
-  std::vector<std::string> headers;
-  for (const auto& c : columns) headers.push_back(c.header);
-  TextTable streamed{std::move(headers)};
-  for (std::size_t c = 0; c < columns.size(); ++c) {
-    streamed.set_align(c, columns[c].align);
-  }
-  CallbackSink<int> streaming{[&](const ScenarioSpec& spec, int outcome) {
-    std::vector<std::string> row;
-    for (const auto& c : columns) row.push_back(c.cell(spec, outcome));
-    streamed.add_row(std::move(row));
-  }};
-  runner_with(4).run_streaming<int>(specs, executor, streaming);
-
-  EXPECT_EQ(streamed.render(), collected_table);  // byte-identical
 }
 
 // ------------------------------------------------------------ registry ----
@@ -629,8 +610,10 @@ TEST(RegistryTest, DispatchesOnPayloadType) {
   specs[2].payload = CadCase{ms(50)};
   specs[3].payload = AddressSelectionCase{3};
 
-  const auto result = registry.run_collect(runner_with(2), specs);
-  ASSERT_EQ(result.size(), 4u);
+  CollectingSink<int> sink;
+  registry.run(runner_with(2), specs, sink);
+  const auto& result = sink.result();
+  ASSERT_EQ(result.specs.size(), 4u);
   EXPECT_EQ(result.outcomes, (std::vector<int>{250, 1010, 50, 1003}));
 }
 
@@ -655,6 +638,14 @@ TEST(RegistryTest, RejectsUnregisteredKindBeforeLaunchingThePool) {
 }
 
 // -------------------------------------------------------- determinism ----
+
+std::vector<testbed::RunRecord> run_cells(
+    const testbed::LocalTestbed& bed, const clients::ClientProfile& profile,
+    const std::vector<ScenarioSpec>& specs, const CampaignRunner& runner) {
+  return collect<testbed::RunRecord>(
+      runner, specs,
+      [&](const ScenarioSpec& spec) { return bed.run_spec(profile, spec); });
+}
 
 std::string serialize(const testbed::RunRecord& r) {
   std::string out = r.client;
@@ -692,8 +683,8 @@ TEST(CampaignDeterminismTest, TestbedSweepIdenticalForOneAndFourWorkers) {
       materialize(bed.cad_sweep_stream(profile, sweep, /*repetitions=*/2));
   ASSERT_EQ(specs.size(), 18u);  // 9 delays x 2 reps
 
-  const auto serial = bed.run_campaign(profile, specs, runner_with(1));
-  const auto parallel = bed.run_campaign(profile, specs, runner_with(4));
+  const auto serial = run_cells(bed, profile, specs, runner_with(1));
+  const auto parallel = run_cells(bed, profile, specs, runner_with(4));
   EXPECT_EQ(serialize(serial), serialize(parallel));
 }
 
@@ -706,13 +697,13 @@ TEST(CampaignDeterminismTest, TestbedSweepIdenticalAtEightWorkersForEveryCap) {
   testbed::LocalTestbed bed;
   const auto specs =
       materialize(bed.cad_sweep_stream(profile, sweep, /*repetitions=*/2));
-  const auto serial = bed.run_campaign(profile, specs, runner_with(1));
+  const auto serial = run_cells(bed, profile, specs, runner_with(1));
   for (const std::size_t cap : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
     RunnerOptions options;
     options.workers = 8;
     options.max_reorder_ahead = cap;
     const auto parallel =
-        bed.run_campaign(profile, specs, CampaignRunner{options});
+        run_cells(bed, profile, specs, CampaignRunner{options});
     EXPECT_EQ(serialize(serial), serialize(parallel)) << "cap=" << cap;
   }
 }
@@ -746,8 +737,9 @@ TEST(CampaignDeterminismTest, MultiClientBatchMatchesPerClientSweeps) {
   testbed::LocalTestbed serial_bed;
   std::vector<testbed::RunRecord> serial;
   for (const auto& profile : profiles) {
-    for (const auto& rec : serial_bed.run_campaign(
-             profile, materialize(serial_bed.cad_sweep_stream(profile, sweep)),
+    for (const auto& rec : run_cells(
+             serial_bed, profile,
+             materialize(serial_bed.cad_sweep_stream(profile, sweep)),
              runner_with(1))) {
       serial.push_back(rec);
     }
@@ -763,8 +755,9 @@ TEST(CampaignDeterminismTest, MultiClientBatchMatchesPerClientSweeps) {
 
   Registry<testbed::RunRecord> registry;
   testbed::register_executors(registry, batch_bed, profiles);
-  const auto batched = registry.run_collect(runner_with(4), specs);
-  EXPECT_EQ(serialize(serial), serialize(batched.outcomes));
+  CollectingSink<testbed::RunRecord> batched;
+  registry.run(runner_with(4), specs, batched);
+  EXPECT_EQ(serialize(serial), serialize(batched.result().outcomes));
 }
 
 std::string serialize(const resolverlab::RunObservation& run) {
@@ -834,8 +827,7 @@ TEST(CampaignDeterminismTest, CrossServiceCampaignMatchesSoloCampaigns) {
 
 TEST(CampaignDeterminismTest, MixedKindMatrixIdenticalForOneAndFourWorkers) {
   // One CampaignRunner pool executing testbed CAD cells for two client
-  // profiles *and* resolver-lab cells for two services, via one registry —
-  // the mixed-kind matrix the v1 per-layer run loops could not express.
+  // profiles *and* resolver-lab cells for two services, via one registry.
   using MixedOutcome =
       std::variant<testbed::RunRecord, resolverlab::RunObservation>;
 
@@ -937,41 +929,6 @@ TEST(CampaignDeterminismTest, ResolverCellSpecsUseTheSerialSeedSequence) {
   EXPECT_EQ(specs[0].get_if<ResolverCellCase>()->v6_delay, ms(0));
   EXPECT_EQ(specs[3].get_if<ResolverCellCase>()->v6_delay, ms(100));
   EXPECT_EQ(specs[4].repetition, 1);
-}
-
-// ------------------------------------------------------------- result ----
-
-TEST(CampaignResultTest, TableRendersOneRowPerCell) {
-  CampaignResult<int> result;
-  result.specs = numbered_specs(3);
-  for (auto& spec : result.specs) spec.label = "cell";
-  result.outcomes = {7, 8, 9};
-  const auto table = to_table<int>(
-      result, {{"Cell", TextTable::Align::kLeft,
-                [](const ScenarioSpec& s, const int&) { return s.label; }},
-               {"Value", TextTable::Align::kRight,
-                [](const ScenarioSpec&, const int& v) {
-                  return std::to_string(v);
-                }}});
-  const std::string rendered = table.render();
-  EXPECT_NE(rendered.find("Cell"), std::string::npos);
-  EXPECT_NE(rendered.find("7"), std::string::npos);
-  EXPECT_NE(rendered.find("9"), std::string::npos);
-}
-
-TEST(CampaignResultTest, GroupByKeepsFirstSeenOrder) {
-  CampaignResult<int> result;
-  result.specs = numbered_specs(6);
-  for (std::size_t i = 0; i < 6; ++i) {
-    result.specs[i].grid_index = static_cast<int>(i % 2);
-  }
-  result.outcomes = {0, 1, 2, 3, 4, 5};
-  const auto groups = result.group_by<int>(
-      [](const ScenarioSpec& s) { return s.grid_index; });
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0].first, 0);
-  EXPECT_EQ(groups[0].second, (std::vector<std::size_t>{0, 2, 4}));
-  EXPECT_EQ(groups[1].second, (std::vector<std::size_t>{1, 3, 5}));
 }
 
 }  // namespace

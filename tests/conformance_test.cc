@@ -488,8 +488,9 @@ TEST(HarnessTest, ReplayReproducesTheCampaignCell) {
 
   campaign::Registry<ConformanceRecord> registry;
   register_conformance_executor(registry, harness, profiles);
-  const auto result =
-      registry.run_collect(campaign::CampaignRunner{{.workers = 1}}, specs);
+  campaign::CollectingSink<ConformanceRecord> sink;
+  registry.run(campaign::CampaignRunner{{.workers = 1}}, specs, sink);
+  const auto& result = sink.result();
 
   // Every campaign cell replays bit-for-bit from its (seed, stream, index)
   // triple — the property the verdict table's repro lines rely on.

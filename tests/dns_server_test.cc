@@ -140,7 +140,8 @@ struct AuthFixture : ::testing::Test {
       responses.emplace_back(net.loop().now(), std::move(decoded).value());
     });
     const auto query = DnsMessage::make_query(next_id++, qname, type);
-    client_host.udp_send({src, port}, {dst, 53}, query.encode());
+    client_host.udp_send({src, port}, {dst, 53},
+                         simnet::Buffer::adopt(query.encode()));
   }
 
   simnet::Network net;
@@ -203,7 +204,7 @@ TEST_F(AuthFixture, UnresponsiveDropsButLogs) {
 TEST_F(AuthFixture, GarbagePayloadIgnored) {
   const auto src = *client_host.address(Family::kIpv4);
   client_host.udp_send({src, 4444}, {IpAddress::must_parse("10.0.0.53"), 53},
-                       {0xde, 0xad});
+                       simnet::Buffer::adopt({0xde, 0xad}));
   net.loop().run();
   EXPECT_TRUE(responses.empty());
   EXPECT_EQ(auth->queries_received(), 1u);

@@ -242,10 +242,26 @@ TEST(ScheduleCodecTest, CorpusFileRoundTripsAndRefusesDamage) {
     EXPECT_EQ(loaded[i].minimized, corpus[i].minimized);
   }
 
-  std::ofstream out{path, std::ios::app};
-  out << "entry violations=1 minimized=0 nothex!!\n";
-  out.close();
-  EXPECT_THROW(FaultHunt::load_corpus(path), std::runtime_error);
+  // One damaged line refuses the whole file.
+  const std::string intact = FaultHunt::corpus_text(corpus);
+  const std::string hex = schedule_to_hex(corpus[0].schedule);
+  for (const std::string& damaged : {
+           std::string{"entry violations=1 minimized=0 nothex!!"},
+           "entry violations=1 minimized=-1 " + hex,
+           "entry violations=1 minimized=0 " + hex + " trailing junk",
+           // Out of int range: must not wrap to 1.
+           "entry violations=4294967297 minimized=0 " + hex,
+       }) {
+    std::ofstream out{path, std::ios::trunc};
+    out << intact << damaged << "\n";
+    out.close();
+    EXPECT_THROW(FaultHunt::load_corpus(path), std::runtime_error) << damaged;
+  }
+
+  // A read error (reading a directory fails with EISDIR) is refused, not
+  // loaded as an empty corpus.
+  EXPECT_THROW(FaultHunt::load_corpus(::testing::TempDir()),
+               std::runtime_error);
 }
 
 // ----------------------------------------------- coverage signature units ----
@@ -348,7 +364,8 @@ TEST(ScheduleCellTest, CampaignVerdictsAreWorkerCountInvariant) {
     runner_options.workers = workers;
     const campaign::CampaignRunner runner{runner_options};
     VerdictTableSink sink;
-    runner.run_streaming<ConformanceRecord>(specs, executor, sink);
+    runner.run_streaming<ConformanceRecord>(campaign::SpecStream::view(specs),
+                                            executor, sink);
     if (reference.empty()) {
       reference = sink.text();
       ASSERT_FALSE(reference.empty());

@@ -229,7 +229,7 @@ TEST_F(FailureFixture, GarbageUdpToClientPortIsIgnored) {
   for (std::uint16_t port = 49152; port < 49160; ++port) {
     server_host.udp_send({IpAddress::must_parse("10.0.0.80"), 53},
                          {IpAddress::must_parse("10.0.0.2"), port},
-                         {0xde, 0xad, 0xbe, 0xef});
+                         simnet::Buffer::adopt({0xde, 0xad, 0xbe, 0xef}));
   }
   net.loop().run();
   EXPECT_TRUE(result.ok) << result.error;
@@ -251,7 +251,7 @@ TEST_F(FailureFixture, OffPathDnsResponseNotAccepted) {
           N("www.he.lab"), *simnet::Ipv6Address::parse("2001:db8::66")));
       attacker.udp_send({IpAddress::must_parse("10.0.0.66"), 53},
                         {IpAddress::must_parse("10.0.0.2"), port},
-                        fake.encode());
+                        simnet::Buffer::adopt(fake.encode()));
     }
   }
   const auto result = run_engine(he::HeOptions::rfc8305());

@@ -164,8 +164,8 @@ TEST(JournalCrashTest, KillNineMidCampaignThenResumeIsExact) {
   EXPECT_EQ(run.cells_run, kCells - kKillAfter);
 
   CollectingSink<std::uint64_t> reference;
-  runner_with(4).run_streaming<std::uint64_t>(specs, value_executor(),
-                                              reference);
+  runner_with(4).run_streaming<std::uint64_t>(SpecStream::view(specs),
+                                              value_executor(), reference);
   EXPECT_EQ(resumed.result().outcomes, reference.result().outcomes);
   ASSERT_EQ(resumed.result().specs.size(), kCells);
   for (std::size_t i = 0; i < kCells; ++i) {
@@ -435,8 +435,8 @@ TEST(JournaledRunTest, InterruptedRunResumesByteIdenticalAtAnyWorkerCount) {
   ASSERT_LT(partial.cells.size(), kCells);
 
   CollectingSink<std::uint64_t> reference;
-  runner_with(4).run_streaming<std::uint64_t>(specs, value_executor(),
-                                              reference);
+  runner_with(4).run_streaming<std::uint64_t>(SpecStream::view(specs),
+                                              value_executor(), reference);
 
   for (const int workers : {1, 2, 4, 8}) {
     const std::string path =
@@ -510,8 +510,8 @@ TEST(SnapshotResumeTest, SketchSinkResumesToIdenticalFingerprint) {
   const std::string path = tmp_path("sketch.journal");
 
   SketchSink<std::uint64_t> reference = make_sketch_sink();
-  runner_with(4).run_streaming<std::uint64_t>(specs, value_executor(),
-                                              reference);
+  runner_with(4).run_streaming<std::uint64_t>(SpecStream::view(specs),
+                                              value_executor(), reference);
 
   // Interrupted snapshot-mode run (no codec): state journaled every 16
   // cells, crash at cell 60.
@@ -606,7 +606,7 @@ TEST(FaultIsolationTest, QuarantineRetryCountersAndReplayLine) {
   };
 
   RecordingSink sink;
-  runner.run_streaming<std::uint64_t>(specs, flaky, sink);
+  runner.run_streaming<std::uint64_t>(SpecStream::view(specs), flaky, sink);
 
   // Delivery order intact, quarantined slot in place.
   ASSERT_EQ(sink.delivered.size(), 20u);
@@ -640,7 +640,8 @@ TEST(FaultIsolationTest, FailFastRemainsTheDefault) {
     return cell_value(s);
   };
   CollectingSink<std::uint64_t> sink;
-  EXPECT_THROW(runner_with(2).run_streaming<std::uint64_t>(specs, trap, sink),
+  EXPECT_THROW(runner_with(2).run_streaming<std::uint64_t>(
+                   SpecStream::view(specs), trap, sink),
                std::runtime_error);
 }
 
@@ -660,7 +661,7 @@ TEST(FaultIsolationTest, SoftTimeoutQuarantinesSlowCell) {
         return cell_value(s);
       };
   RecordingSink sink;
-  runner.run_streaming<std::uint64_t>(specs, slow, sink);
+  runner.run_streaming<std::uint64_t>(SpecStream::view(specs), slow, sink);
 
   const CampaignRunner::RunStats stats = runner.last_run_stats();
   EXPECT_EQ(stats.cells_quarantined, 1u);

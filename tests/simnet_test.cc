@@ -495,7 +495,7 @@ TEST(NetworkTest, UdpDelivery) {
   });
 
   a.udp_send({IpAddress::must_parse("10.0.0.1"), 5555},
-             {IpAddress::must_parse("10.0.0.2"), 53}, {1, 2, 3});
+             {IpAddress::must_parse("10.0.0.2"), 53}, Buffer::adopt({1, 2, 3}));
   net.loop().run();
 
   EXPECT_EQ(received, (std::vector<std::uint8_t>{1, 2, 3}));

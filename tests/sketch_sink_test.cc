@@ -74,7 +74,7 @@ TEST(SketchSinkTest, BitIdenticalStateAcrossWorkerCounts) {
     const CampaignRunner runner{options};
 
     SketchSink<double> sink = make_sink();
-    runner.run_streaming<double>(specs, executor, sink);
+    runner.run_streaming<double>(SpecStream::view(specs), executor, sink);
 
     EXPECT_EQ(sink.cells_seen(), specs.size());
     const std::string fingerprint = sink.fingerprint();
@@ -99,7 +99,7 @@ TEST(SketchSinkTest, MatchesCollectingSinkGroundTruth) {
   CollectingSink<double> collected;
   SketchSink<double> sketched = make_sink();
   TeeSink<double> tee{collected, sketched};
-  runner.run_streaming<double>(specs, executor, tee);
+  runner.run_streaming<double>(SpecStream::view(specs), executor, tee);
 
   const auto& outcomes = collected.result().outcomes;
   ASSERT_EQ(outcomes.size(), specs.size());
