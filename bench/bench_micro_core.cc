@@ -86,8 +86,8 @@ void BM_DnsEncodeInto(benchmark::State& state) {
   // Reuse-friendly entry point: pooled output buffer + retained compressor
   // (the DnsClient/AuthServer hot path), vs BM_DnsEncode's fresh buffers.
   const auto msg = sample_message();
-  lazyeye::BufferPool pool;
-  lazyeye::Buffer wire{&pool};
+  simnet::BufferPool pool;
+  simnet::Buffer wire{&pool};
   dns::NameCompressor compressor;
   const std::uint64_t alloc_before =
       g_allocations.load(std::memory_order_relaxed);

@@ -8,7 +8,7 @@
 // restart, the journal IS the set of finished cells, and the remaining work
 // is a contiguous tail.
 //
-// File layout (all integers big-endian, matching util/bytes.h):
+// File layout (all integers big-endian, written through util/wire.h):
 //
 //   header:  magic "LZYJ" | u16 version | u64 identity
 //          | u64 cell_begin | u64 cell_end | u32 crc(header bytes)

@@ -2,7 +2,7 @@
 // conformance campaigns (campaign/journal_sink.h) and the unit the sharded
 // driver's merge step decodes back into verdict tables.
 //
-// Big-endian framing via util::ByteWriter/ByteReader like the DNS codec.
+// Big-endian framing via util/wire.h, the codec the DNS wire also uses.
 // encode() is a pure function of the record, so two shards (or a crashed
 // run and its resume) that executed the same cell produce byte-identical
 // journal records — the property the kill-and-resume harness compares.

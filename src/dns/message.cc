@@ -7,43 +7,50 @@ namespace lazyeye::dns {
 namespace {
 constexpr std::uint16_t kClassIn = 1;
 
-void encode_record(const ResourceRecord& rr, ByteWriter& w,
+// Smallest wire form of a question (root name, type, class) and of a record
+// (root name, type, class, TTL, RDLENGTH): a section count above
+// remaining / minimum cannot be carried by the bytes that follow.
+constexpr std::size_t kMinQuestionBytes = 5;
+constexpr std::size_t kMinRecordBytes = 11;
+
+void encode_record(const ResourceRecord& rr, std::vector<std::uint8_t>& out,
                    NameCompressor* compression) {
-  rr.name.encode(w, compression);
-  w.u16(static_cast<std::uint16_t>(rr.type));
+  rr.name.encode(out, compression);
+  wire::put_u16(out, static_cast<std::uint16_t>(rr.type));
   if (rr.type == RrType::kOpt) {
     // For OPT the class field carries the advertised UDP payload size.
     const auto* opt = std::get_if<OptRdata>(&rr.rdata);
-    w.u16(opt != nullptr ? opt->udp_payload_size : 1232);
+    wire::put_u16(out, opt != nullptr ? opt->udp_payload_size : 1232);
   } else {
-    w.u16(kClassIn);
+    wire::put_u16(out, kClassIn);
   }
-  w.u32(rr.ttl);
-  const std::size_t len_at = w.size();
-  w.u16(0);  // placeholder rdlength
-  encode_rdata(rr, w, compression);
-  w.patch_u16(len_at, static_cast<std::uint16_t>(w.size() - len_at - 2));
+  wire::put_u32(out, rr.ttl);
+  const std::size_t len_at = out.size();
+  wire::put_u16(out, 0);  // placeholder rdlength
+  encode_rdata(rr, out, compression);
+  wire::set_u16(out, len_at,
+                static_cast<std::uint16_t>(out.size() - len_at - 2));
 }
 
-bool decode_record(ByteReader& r, ResourceRecord& rr) {
+bool decode_record(wire::Reader& r, ResourceRecord& rr) {
   DnsName::decode_into(r, rr.name);
   const std::uint16_t type = r.u16();
   const std::uint16_t klass = r.u16();
   rr.ttl = r.u32();
   const std::uint16_t rdlength = r.u16();
-  if (!r.ok()) return false;
-  const std::size_t end = r.pos() + rdlength;
+  if (!r.ok) return false;
+  const std::size_t end = r.pos + rdlength;
   rr.type = static_cast<RrType>(type);
   rr.rdata = decode_rdata(rr.type, rdlength, r);
   if (rr.type == RrType::kOpt) {
     std::get<OptRdata>(rr.rdata).udp_payload_size = klass;
   }
-  if (!r.ok()) return false;
+  if (!r.ok) return false;
   // Tolerate rdata decoders that did not consume exactly rdlength (e.g.
   // unknown trailing params) but never read past it.
-  if (r.pos() > end) return false;
+  if (r.pos > end) return false;
   r.seek(end);
-  return r.ok();
+  return r.ok;
 }
 
 }  // namespace
@@ -61,10 +68,10 @@ const char* rcode_name(Rcode rcode) {
 }
 
 std::vector<std::uint8_t> DnsMessage::encode() const {
-  ByteWriter w;
+  std::vector<std::uint8_t> out;
   NameCompressor compression;
-  encode_into(w, compression);
-  return w.take();
+  encode_into(out, compression);
+  return out;
 }
 
 void DnsMessage::encode_into(simnet::Buffer& out,
@@ -73,14 +80,14 @@ void DnsMessage::encode_into(simnet::Buffer& out,
   // + question), so serialise straight into the (pooled) heap block.
   std::vector<std::uint8_t>& storage = out.heap_storage();
   storage.clear();
-  ByteWriter w{storage};
-  encode_into(w, compression);
+  encode_into(storage, compression);
 }
 
-void DnsMessage::encode_into(ByteWriter& w, NameCompressor& compression) const {
+void DnsMessage::encode_into(std::vector<std::uint8_t>& out,
+                             NameCompressor& compression) const {
   compression.clear();
 
-  w.u16(header.id);
+  wire::put_u16(out, header.id);
   std::uint16_t flags = 0;
   if (header.qr) flags |= 0x8000;
   flags |= static_cast<std::uint16_t>((header.opcode & 0x0F) << 11);
@@ -89,34 +96,36 @@ void DnsMessage::encode_into(ByteWriter& w, NameCompressor& compression) const {
   if (header.rd) flags |= 0x0100;
   if (header.ra) flags |= 0x0080;
   flags |= static_cast<std::uint16_t>(header.rcode) & 0x0F;
-  w.u16(flags);
-  w.u16(static_cast<std::uint16_t>(questions.size()));
-  w.u16(static_cast<std::uint16_t>(answers.size()));
-  w.u16(static_cast<std::uint16_t>(authorities.size()));
-  w.u16(static_cast<std::uint16_t>(additionals.size()));
+  wire::put_u16(out, flags);
+  wire::put_u16(out, static_cast<std::uint16_t>(questions.size()));
+  wire::put_u16(out, static_cast<std::uint16_t>(answers.size()));
+  wire::put_u16(out, static_cast<std::uint16_t>(authorities.size()));
+  wire::put_u16(out, static_cast<std::uint16_t>(additionals.size()));
 
   for (const Question& q : questions) {
-    q.name.encode(w, &compression);
-    w.u16(static_cast<std::uint16_t>(q.type));
-    w.u16(kClassIn);
+    q.name.encode(out, &compression);
+    wire::put_u16(out, static_cast<std::uint16_t>(q.type));
+    wire::put_u16(out, kClassIn);
   }
-  for (const auto& rr : answers) encode_record(rr, w, &compression);
-  for (const auto& rr : authorities) encode_record(rr, w, &compression);
-  for (const auto& rr : additionals) encode_record(rr, w, &compression);
+  for (const auto& rr : answers) encode_record(rr, out, &compression);
+  for (const auto& rr : authorities) encode_record(rr, out, &compression);
+  for (const auto& rr : additionals) encode_record(rr, out, &compression);
 }
 
 namespace {
 
 /// Shared parse body; returns nullptr on success, an error literal on
 /// failure. Fills `msg` in place so callers can reuse its section capacity.
-const char* decode_message(std::span<const std::uint8_t> wire,
+const char* decode_message(std::span<const std::uint8_t> bytes,
                            DnsMessage& msg) {
-  ByteReader r{wire};
+  wire::Reader r{bytes};
   msg.header = DnsHeader{};
   // Sections are *resized* to the wire counts, not cleared: surviving
   // elements (and the name/label buffers inside them) are decoded into in
   // place, so a scratch DnsMessage parses packet after packet without
-  // allocating once its high-water capacity is reached.
+  // allocating once its high-water capacity is reached. Each count is first
+  // checked against the bytes left, so a lying header costs an error, never
+  // storage proportional to the count.
 
   msg.header.id = r.u16();
   const std::uint16_t flags = r.u16();
@@ -132,18 +141,20 @@ const char* decode_message(std::span<const std::uint8_t> wire,
   const std::uint16_t ancount = r.u16();
   const std::uint16_t nscount = r.u16();
   const std::uint16_t arcount = r.u16();
-  if (!r.ok()) return "truncated header";
+  if (!r.ok) return "truncated header";
 
+  if (qdcount > r.remaining() / kMinQuestionBytes) return "truncated question";
   msg.questions.resize(qdcount);
   for (Question& q : msg.questions) {
     DnsName::decode_into(r, q.name);
     q.type = static_cast<RrType>(r.u16());
     r.u16();  // class
-    if (!r.ok()) return "truncated question";
+    if (!r.ok) return "truncated question";
   }
 
   auto read_section = [&](std::vector<ResourceRecord>& out,
                           std::uint16_t count) -> bool {
+    if (count > r.remaining() / kMinRecordBytes) return false;
     out.resize(count);
     for (ResourceRecord& rr : out) {
       if (!decode_record(r, rr)) return false;

@@ -1,9 +1,12 @@
 // DNS message: header + sections, RFC 1035 wire encode/decode.
 //
-// The codec has reuse-friendly entry points for the hot send/receive paths:
-// encode_into() serialises into a caller-owned pooled Buffer (or external
-// ByteWriter) with a reusable NameCompressor, and decode_into() parses into
-// an existing message so section vectors keep their capacity across packets.
+// The codec reads through wire::Reader and writes through the wire::put_*
+// helpers (util/wire.h). Its reuse-friendly entry points serve the hot
+// send/receive paths: encode_into() serialises into a caller-owned pooled
+// Buffer with a reusable NameCompressor, and decode_into() parses into an
+// existing message so section vectors keep their capacity across packets.
+// Decoding is bounded by the input: a section count that the remaining
+// bytes cannot carry is rejected before any section storage grows.
 // encode()/decode() remain as one-shot conveniences on top of them.
 #pragma once
 
@@ -61,11 +64,11 @@ struct DnsMessage {
   /// Serialises to RFC 1035 wire format (with name compression).
   std::vector<std::uint8_t> encode() const;
 
-  /// Appends the wire form to `w` using `compression` as scratch (cleared
-  /// here). Hot paths hand in a writer over reused storage plus a retained
-  /// compressor so a steady-state encode performs no allocations beyond
-  /// first-use growth.
-  void encode_into(ByteWriter& w, NameCompressor& compression) const;
+  /// Appends the wire form to `out` using `compression` as scratch (cleared
+  /// here). Hot paths hand in reused storage plus a retained compressor so a
+  /// steady-state encode performs no allocations beyond first-use growth.
+  void encode_into(std::vector<std::uint8_t>& out,
+                   NameCompressor& compression) const;
 
   /// Serialises into `out` (cleared first). With a pool-backed Buffer the
   /// wire block recycles through the owning Network's BufferPool.

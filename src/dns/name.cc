@@ -133,31 +133,32 @@ void NameCompressor::record(const DnsName& name, std::size_t label_index,
       Entry{&name, static_cast<std::uint32_t>(label_index), offset});
 }
 
-void DnsName::encode(ByteWriter& w, NameCompressor* compression) const {
+void DnsName::encode(std::vector<std::uint8_t>& out,
+                     NameCompressor* compression) const {
   // Emit labels left to right; at each suffix, check for a prior occurrence.
   for (std::size_t i = 0; i < labels_.size(); ++i) {
     if (compression != nullptr) {
       if (const auto offset = compression->find(*this, i)) {
-        w.u16(static_cast<std::uint16_t>(0xC000 | *offset));
+        wire::put_u16(out, static_cast<std::uint16_t>(0xC000 | *offset));
         return;
       }
-      if (w.size() <= 0x3FFF) {
-        compression->record(*this, i, static_cast<std::uint16_t>(w.size()));
+      if (out.size() <= 0x3FFF) {
+        compression->record(*this, i, static_cast<std::uint16_t>(out.size()));
       }
     }
-    w.u8(static_cast<std::uint8_t>(labels_[i].size()));
-    w.bytes(std::string_view{labels_[i]});
+    wire::put_u8(out, static_cast<std::uint8_t>(labels_[i].size()));
+    wire::put_bytes(out, labels_[i]);
   }
-  w.u8(0);  // root
+  wire::put_u8(out, 0);  // root
 }
 
-DnsName DnsName::decode(ByteReader& r) {
+DnsName DnsName::decode(wire::Reader& r) {
   DnsName name;
   decode_into(r, name);
   return name;
 }
 
-void DnsName::decode_into(ByteReader& r, DnsName& out) {
+void DnsName::decode_into(wire::Reader& r, DnsName& out) {
   int jumps = 0;
   std::optional<std::size_t> resume;  // position after the first pointer
   std::size_t total = 0;
@@ -169,42 +170,41 @@ void DnsName::decode_into(ByteReader& r, DnsName& out) {
 
   for (;;) {
     const std::uint8_t len = r.u8();
-    if (!r.ok()) return fail();
+    if (!r.ok) return fail();
     if ((len & 0xC0) == 0xC0) {
       const std::uint8_t low = r.u8();
-      if (!r.ok()) return fail();
+      if (!r.ok) return fail();
       if (++jumps > kMaxPointerJumps) {
-        r.mark_bad();
+        r.ok = false;
         return fail();
       }
-      if (!resume) resume = r.pos();
+      if (!resume) resume = r.pos;
       r.seek(static_cast<std::size_t>((len & 0x3F) << 8 | low));
-      if (!r.ok()) return fail();
+      if (!r.ok) return fail();
       continue;
     }
     if ((len & 0xC0) != 0) {  // 0x40/0x80 label types are unsupported
-      r.mark_bad();
+      r.ok = false;
       return fail();
     }
     if (len == 0) break;
     total += 1 + len;
     if (total > kMaxName) {
-      r.mark_bad();
+      r.ok = false;
       return fail();
     }
     // Lower-case straight off the wire view — no intermediate std::string
     // temporaries (most labels then land in the stored string's SSO), and
     // existing label slots are assigned in place so their buffers recycle.
-    const std::span<const std::uint8_t> raw = r.view(len);
-    if (!r.ok()) return fail();
+    const std::string_view raw = r.view(len);
+    if (!r.ok) return fail();
     if (count == out.labels_.size()) out.labels_.emplace_back();
     std::string& label = out.labels_[count++];
     label.clear();
     label.reserve(raw.size());
-    for (const std::uint8_t c : raw) {
-      label.push_back(
-          c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a')
-                               : static_cast<char>(c));
+    for (const char c : raw) {
+      label.push_back(c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a')
+                                           : c);
     }
   }
   out.labels_.resize(count);

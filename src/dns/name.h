@@ -17,8 +17,8 @@
 #include <string_view>
 #include <vector>
 
-#include "util/bytes.h"
 #include "util/result.h"
+#include "util/wire.h"
 
 namespace lazyeye::dns {
 
@@ -90,20 +90,22 @@ class DnsName {
   /// <= src.label_count().
   void assign_tail(const DnsName& src, std::size_t skip);
 
-  /// Encodes at the current writer position. If `compression` is non-null,
-  /// uses/records pointer targets (offsets must fit 14 bits to be recorded);
-  /// the name must then outlive the compressor's current message.
-  void encode(ByteWriter& w, NameCompressor* compression) const;
+  /// Appends the wire form to `out`, whose start is the message start. If
+  /// `compression` is non-null, uses/records pointer targets (offsets must
+  /// fit 14 bits to be recorded); the name must then outlive the
+  /// compressor's current message.
+  void encode(std::vector<std::uint8_t>& out,
+              NameCompressor* compression) const;
 
   /// Decodes from the reader (follows compression pointers; caps the jump
   /// count to defeat pointer loops). On failure marks the reader bad.
-  static DnsName decode(ByteReader& r);
+  static DnsName decode(wire::Reader& r);
 
   /// Decodes into `out`, reusing its label storage (vector capacity and the
   /// per-label string buffers). Steady-state message parsing with a scratch
   /// DnsMessage decodes names without allocating. On failure marks the
   /// reader bad and leaves `out` empty.
-  static void decode_into(ByteReader& r, DnsName& out);
+  static void decode_into(wire::Reader& r, DnsName& out);
 
   auto operator<=>(const DnsName&) const = default;
 

@@ -1,6 +1,6 @@
 #include "dns/rr.h"
 
-#include <algorithm>
+#include <cstring>
 
 #include "util/strings.h"
 
@@ -38,42 +38,42 @@ std::optional<RrType> rr_type_from_name(std::string_view name) {
 // ------------------------------------------------------ SVCB parameters ----
 
 void SvcbRdata::set_alpn(const std::vector<std::string>& protocols) {
-  ByteWriter w;
+  std::vector<std::uint8_t> value;
   for (const auto& p : protocols) {
-    w.u8(static_cast<std::uint8_t>(p.size()));
-    w.bytes(std::string_view{p});
+    wire::put_u8(value, static_cast<std::uint8_t>(p.size()));
+    wire::put_bytes(value, p);
   }
-  params[static_cast<std::uint16_t>(SvcParamKey::kAlpn)] = w.take();
+  params[static_cast<std::uint16_t>(SvcParamKey::kAlpn)] = std::move(value);
 }
 
 std::vector<std::string> SvcbRdata::alpn() const {
   std::vector<std::string> out;
   const auto it = params.find(static_cast<std::uint16_t>(SvcParamKey::kAlpn));
   if (it == params.end()) return out;
-  ByteReader r{it->second};
-  while (r.ok() && r.remaining() > 0) {
+  wire::Reader r{it->second};
+  while (r.remaining() > 0) {
     const std::uint8_t len = r.u8();
-    out.push_back(r.str(len));
+    out.emplace_back(r.view(len));
   }
   return out;
 }
 
 void SvcbRdata::set_port(std::uint16_t port) {
-  ByteWriter w;
-  w.u16(port);
-  params[static_cast<std::uint16_t>(SvcParamKey::kPort)] = w.take();
+  std::vector<std::uint8_t> value;
+  wire::put_u16(value, port);
+  params[static_cast<std::uint16_t>(SvcParamKey::kPort)] = std::move(value);
 }
 
 std::optional<std::uint16_t> SvcbRdata::port() const {
   const auto it = params.find(static_cast<std::uint16_t>(SvcParamKey::kPort));
   if (it == params.end() || it->second.size() != 2) return std::nullopt;
-  return static_cast<std::uint16_t>(it->second[0] << 8 | it->second[1]);
+  return wire::Reader{it->second}.u16();
 }
 
 void SvcbRdata::set_ipv4_hints(const std::vector<simnet::Ipv4Address>& addrs) {
-  ByteWriter w;
-  for (const auto& a : addrs) w.u32(a.value);
-  params[static_cast<std::uint16_t>(SvcParamKey::kIpv4Hint)] = w.take();
+  std::vector<std::uint8_t> value;
+  for (const auto& a : addrs) wire::put_u32(value, a.value);
+  params[static_cast<std::uint16_t>(SvcParamKey::kIpv4Hint)] = std::move(value);
 }
 
 std::vector<simnet::Ipv4Address> SvcbRdata::ipv4_hints() const {
@@ -81,17 +81,17 @@ std::vector<simnet::Ipv4Address> SvcbRdata::ipv4_hints() const {
   const auto it =
       params.find(static_cast<std::uint16_t>(SvcParamKey::kIpv4Hint));
   if (it == params.end()) return out;
-  ByteReader r{it->second};
-  while (r.ok() && r.remaining() >= 4) {
+  wire::Reader r{it->second};
+  while (r.remaining() >= 4) {
     out.push_back(simnet::Ipv4Address{r.u32()});
   }
   return out;
 }
 
 void SvcbRdata::set_ipv6_hints(const std::vector<simnet::Ipv6Address>& addrs) {
-  ByteWriter w;
-  for (const auto& a : addrs) w.bytes(a.bytes);
-  params[static_cast<std::uint16_t>(SvcParamKey::kIpv6Hint)] = w.take();
+  std::vector<std::uint8_t> value;
+  for (const auto& a : addrs) wire::put_bytes(value, a.bytes);
+  params[static_cast<std::uint16_t>(SvcParamKey::kIpv6Hint)] = std::move(value);
 }
 
 std::vector<simnet::Ipv6Address> SvcbRdata::ipv6_hints() const {
@@ -99,12 +99,9 @@ std::vector<simnet::Ipv6Address> SvcbRdata::ipv6_hints() const {
   const auto it =
       params.find(static_cast<std::uint16_t>(SvcParamKey::kIpv6Hint));
   if (it == params.end()) return out;
-  ByteReader r{it->second};
-  while (r.ok() && r.remaining() >= 16) {
-    simnet::Ipv6Address a;
-    const auto bytes = r.bytes(16);
-    std::copy(bytes.begin(), bytes.end(), a.bytes.begin());
-    out.push_back(a);
+  wire::Reader r{it->second};
+  while (r.remaining() >= 16) {
+    std::memcpy(out.emplace_back().bytes.data(), r.view(16).data(), 16);
   }
   return out;
 }
@@ -196,57 +193,52 @@ std::string ResourceRecord::to_string() const {
 
 // --------------------------------------------------------- wire codecs ----
 
-void encode_rdata(const ResourceRecord& rr, ByteWriter& w,
+void encode_rdata(const ResourceRecord& rr, std::vector<std::uint8_t>& out,
                   NameCompressor* compression) {
   if (const auto* a = std::get_if<ARdata>(&rr.rdata)) {
-    w.u32(a->addr.value);
+    wire::put_u32(out, a->addr.value);
   } else if (const auto* aaaa = std::get_if<AaaaRdata>(&rr.rdata)) {
-    w.bytes(aaaa->addr.bytes);
+    wire::put_bytes(out, aaaa->addr.bytes);
   } else if (const auto* ns = std::get_if<NsRdata>(&rr.rdata)) {
-    ns->ns.encode(w, compression);
+    ns->ns.encode(out, compression);
   } else if (const auto* cn = std::get_if<CnameRdata>(&rr.rdata)) {
-    cn->target.encode(w, compression);
+    cn->target.encode(out, compression);
   } else if (const auto* soa = std::get_if<SoaRdata>(&rr.rdata)) {
-    soa->mname.encode(w, compression);
-    soa->rname.encode(w, compression);
-    w.u32(soa->serial);
-    w.u32(soa->refresh);
-    w.u32(soa->retry);
-    w.u32(soa->expire);
-    w.u32(soa->minimum);
+    soa->mname.encode(out, compression);
+    soa->rname.encode(out, compression);
+    wire::put_u32(out, soa->serial);
+    wire::put_u32(out, soa->refresh);
+    wire::put_u32(out, soa->retry);
+    wire::put_u32(out, soa->expire);
+    wire::put_u32(out, soa->minimum);
   } else if (const auto* txt = std::get_if<TxtRdata>(&rr.rdata)) {
     for (const auto& s : txt->strings) {
-      w.u8(static_cast<std::uint8_t>(s.size()));
-      w.bytes(std::string_view{s});
+      wire::put_u8(out, static_cast<std::uint8_t>(s.size()));
+      wire::put_bytes(out, s);
     }
   } else if (const auto* svcb = std::get_if<SvcbRdata>(&rr.rdata)) {
-    w.u16(svcb->priority);
-    svcb->target.encode(w, nullptr);  // RFC 9460: target is never compressed
+    wire::put_u16(out, svcb->priority);
+    svcb->target.encode(out, nullptr);  // RFC 9460: target is never compressed
     for (const auto& [key, value] : svcb->params) {
-      w.u16(key);
-      w.u16(static_cast<std::uint16_t>(value.size()));
-      w.bytes(value);
+      wire::put_u16(out, key);
+      wire::put_u16(out, static_cast<std::uint16_t>(value.size()));
+      wire::put_bytes(out, value);
     }
-  } else if (const auto* opt = std::get_if<OptRdata>(&rr.rdata)) {
-    (void)opt;  // OPT rdata is empty; udp size lives in the class field
   } else if (const auto* raw = std::get_if<RawRdata>(&rr.rdata)) {
-    w.bytes(raw->data);
+    wire::put_bytes(out, raw->data);
   }
+  // OPT rdata is empty; its UDP size lives in the class field.
 }
 
-Rdata decode_rdata(RrType type, std::uint16_t rdlength, ByteReader& r) {
-  const std::size_t end = r.pos() + rdlength;
+Rdata decode_rdata(RrType type, std::uint16_t rdlength, wire::Reader& r) {
+  const std::size_t end = r.pos + rdlength;
   switch (type) {
-    case RrType::kA: {
-      ARdata a{simnet::Ipv4Address{r.u32()}};
-      return a;
-    }
+    case RrType::kA:
+      return ARdata{simnet::Ipv4Address{r.u32()}};
     case RrType::kAaaa: {
       AaaaRdata a;
-      const auto bytes = r.bytes(16);
-      if (bytes.size() == 16) {
-        std::copy(bytes.begin(), bytes.end(), a.addr.bytes.begin());
-      }
+      const std::string_view bytes = r.view(16);
+      if (r.ok) std::memcpy(a.addr.bytes.data(), bytes.data(), 16);
       return a;
     }
     case RrType::kNs:
@@ -266,9 +258,9 @@ Rdata decode_rdata(RrType type, std::uint16_t rdlength, ByteReader& r) {
     }
     case RrType::kTxt: {
       TxtRdata txt;
-      while (r.ok() && r.pos() < end) {
+      while (r.ok && r.pos < end) {
         const std::uint8_t len = r.u8();
-        txt.strings.push_back(r.str(len));
+        txt.strings.emplace_back(r.view(len));
       }
       return txt;
     }
@@ -277,22 +269,19 @@ Rdata decode_rdata(RrType type, std::uint16_t rdlength, ByteReader& r) {
       SvcbRdata svcb;
       svcb.priority = r.u16();
       svcb.target = DnsName::decode(r);
-      while (r.ok() && r.pos() + 4 <= end) {
+      while (r.ok && r.pos + 4 <= end) {
         const std::uint16_t key = r.u16();
-        const std::uint16_t len = r.u16();
-        svcb.params[key] = r.bytes(len);
+        const std::string_view value = r.view(r.u16());
+        svcb.params[key].assign(value.begin(), value.end());
       }
       return svcb;
     }
-    case RrType::kOpt: {
+    case RrType::kOpt:
       r.skip(rdlength);
       return OptRdata{};
-    }
   }
-  RawRdata raw;
-  raw.type = static_cast<std::uint16_t>(type);
-  raw.data = r.bytes(rdlength);
-  return raw;
+  const std::string_view data = r.view(rdlength);
+  return RawRdata{static_cast<std::uint16_t>(type), {data.begin(), data.end()}};
 }
 
 }  // namespace lazyeye::dns

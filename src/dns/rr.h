@@ -142,11 +142,11 @@ struct ResourceRecord {
   std::optional<simnet::IpAddress> address() const;
 };
 
-/// Encodes the rdata portion (without the length prefix) of `rr`.
-void encode_rdata(const ResourceRecord& rr, ByteWriter& w,
+/// Appends the rdata portion (without the length prefix) of `rr`.
+void encode_rdata(const ResourceRecord& rr, std::vector<std::uint8_t>& out,
                   NameCompressor* compression);
 
 /// Decodes rdata given the already-parsed type and rdlength.
-Rdata decode_rdata(RrType type, std::uint16_t rdlength, ByteReader& r);
+Rdata decode_rdata(RrType type, std::uint16_t rdlength, wire::Reader& r);
 
 }  // namespace lazyeye::dns

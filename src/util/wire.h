@@ -1,8 +1,9 @@
-// Big-endian string-backed wire primitives shared by every string-framed
-// codec: the campaign journal, SketchSink snapshots, and the conformance
-// record, schedule and corpus codecs. Mirrors util/bytes.h, which is
-// vector<uint8_t>-based — journal payloads and corpus entries travel as
-// strings. Doubles travel as their IEEE bit patterns, so a decoded value is
+// Big-endian wire primitives: the repo's one byte codec. DNS packets, the
+// campaign journal, SketchSink snapshots, and the conformance record,
+// schedule and hunt-state codecs all read and write through it. The put_*
+// writers append to a std::string (journal payloads and corpus entries travel
+// as strings) or a std::vector<std::uint8_t> (packet payloads); Reader reads
+// either. Doubles travel as their IEEE bit patterns, so a decoded value is
 // bit-identical to the encoded one.
 //
 // Reader is forgiving in shape (`ok` latches false on underrun instead of
@@ -11,21 +12,29 @@
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace lazyeye::wire {
+
+/// The two buffer types the writers append to.
+template <typename Out>
+concept ByteBuffer = std::same_as<Out, std::string> ||
+                     std::same_as<Out, std::vector<std::uint8_t>>;
 
 namespace detail {
 
 /// Appends `v` as sizeof(T) big-endian bytes.
-template <typename T>
-void put_be(std::string& out, T v) {
+template <typename T, ByteBuffer Out>
+void put_be(Out& out, T v) {
   for (int shift = 8 * (static_cast<int>(sizeof(T)) - 1); shift >= 0;
        shift -= 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
+    out.push_back(static_cast<typename Out::value_type>((v >> shift) & 0xFF));
   }
 }
 
@@ -41,25 +50,41 @@ T get_be(std::string_view s, std::size_t at) {
 
 }  // namespace detail
 
-inline void put_u8(std::string& out, std::uint8_t v) {
-  detail::put_be(out, v);
-}
-inline void put_u16(std::string& out, std::uint16_t v) {
-  detail::put_be(out, v);
-}
-inline void put_u32(std::string& out, std::uint32_t v) {
-  detail::put_be(out, v);
-}
-inline void put_u64(std::string& out, std::uint64_t v) {
-  detail::put_be(out, v);
-}
-inline void put_f64(std::string& out, double v) {
+template <ByteBuffer Out>
+void put_u8(Out& out, std::uint8_t v) { detail::put_be(out, v); }
+template <ByteBuffer Out>
+void put_u16(Out& out, std::uint16_t v) { detail::put_be(out, v); }
+template <ByteBuffer Out>
+void put_u32(Out& out, std::uint32_t v) { detail::put_be(out, v); }
+template <ByteBuffer Out>
+void put_u64(Out& out, std::uint64_t v) { detail::put_be(out, v); }
+template <ByteBuffer Out>
+void put_f64(Out& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-inline void put_str(std::string& out, std::string_view s) {
+/// Appends raw bytes, without a length prefix.
+template <ByteBuffer Out>
+void put_bytes(Out& out, std::string_view bytes) {
+  out.insert(out.end(), bytes.begin(), bytes.end());
+}
+template <ByteBuffer Out>
+void put_bytes(Out& out, std::span<const std::uint8_t> bytes) {
+  out.insert(out.end(), bytes.begin(), bytes.end());
+}
+
+/// A u32 length prefix followed by the bytes (see Reader::str).
+template <ByteBuffer Out>
+void put_str(Out& out, std::string_view s) {
   put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
+  put_bytes(out, s);
+}
+
+/// Overwrites the u16 written at `offset` (e.g. a DNS RDLENGTH placeholder).
+template <ByteBuffer Out>
+void set_u16(Out& out, std::size_t offset, std::uint16_t v) {
+  out.at(offset) = static_cast<typename Out::value_type>(v >> 8);
+  out.at(offset + 1) = static_cast<typename Out::value_type>(v & 0xFF);
 }
 
 inline std::uint16_t get_u16(std::string_view s, std::size_t at) {
@@ -73,6 +98,10 @@ inline std::uint64_t get_u64(std::string_view s, std::size_t at) {
 }
 
 struct Reader {
+  explicit Reader(std::string_view bytes) : data{bytes} {}
+  explicit Reader(std::span<const std::uint8_t> bytes)
+      : data{reinterpret_cast<const char*>(bytes.data()), bytes.size()} {}
+
   std::string_view data;
   std::size_t pos = 0;
   bool ok = true;
@@ -83,7 +112,8 @@ struct Reader {
   std::uint64_t u64() { return take<std::uint64_t>(); }
   double f64() { return std::bit_cast<double>(u64()); }
 
-  /// The next `n` bytes, or an empty view (and ok = false) on underrun.
+  /// The next `n` bytes without copying, or an empty view (and ok = false)
+  /// on underrun.
   std::string_view view(std::size_t n) {
     if (!ok || data.size() - pos < n) {
       ok = false;
@@ -99,6 +129,21 @@ struct Reader {
     const std::uint32_t len = u32();
     return std::string{view(len)};
   }
+
+  void skip(std::size_t n) { view(n); }
+
+  /// Moves the cursor to absolute offset `at` (DNS compression pointers);
+  /// an offset past the end latches ok = false.
+  void seek(std::size_t at) {
+    if (at > data.size()) {
+      ok = false;
+    } else {
+      pos = at;
+    }
+  }
+
+  /// Unread bytes; 0 once a read has failed.
+  std::size_t remaining() const { return ok ? data.size() - pos : 0; }
 
   /// True only when every read succeeded AND the buffer is fully consumed.
   bool exhausted() const { return ok && pos == data.size(); }

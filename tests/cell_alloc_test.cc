@@ -6,9 +6,11 @@
 // PR 5 zero-alloc data-path check: global operator new counting, a warm-up
 // phase that fills the thread's scenario pool / buffer pools / DNS message
 // pools to their high-water marks, then a measured run of cells. The same
-// gate holds a single-fault conformance cell and a compound-schedule cell.
-// Counting (not timing) keeps the gates deterministic on 1-core CI runners
-// and under sanitizers.
+// gate holds a single-fault conformance cell and compound-schedule cells,
+// with and without malformed DNS wire. A byte counter beside the call counter
+// also bounds what decoding malformed DNS wire may allocate. Counting (not
+// timing) keeps the gates deterministic on 1-core CI runners and under
+// sanitizers.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -22,14 +24,18 @@
 #include "conformance/checker.h"
 #include "conformance/fault.h"
 #include "conformance/schedule.h"
+#include "dns/message.h"
 #include "testbed/testbed.h"
+#include "util/rng.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc{};
 }
@@ -49,19 +55,29 @@ namespace {
 constexpr std::uint64_t kSlack = 1;
 
 // 5x under the ~406-allocation baseline the overhaul started from. A warm
-// CAD cell measures 80.
-constexpr std::uint64_t kCadCellBudget = 80 + kSlack;
+// CAD cell measures 74.
+constexpr std::uint64_t kCadCellBudget = 74 + kSlack;
 
 // A single-fault conformance cell (kTcpReset on Chrome, two fetches)
-// measures 151 warm (Debug and Release) on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kFaultCellBudget = 151 + kSlack;
+// measures 139 warm (Debug, Release and ASan+UBSan) on GCC 12.2 / libstdc++.
+constexpr std::uint64_t kFaultCellBudget = 139 + kSlack;
 
 // A compound-schedule cell (generated schedules without malformed-DNS
-// entries, two fetches on Chrome) measures 161 warm (Debug and Release) on
-// GCC 12.2 / libstdc++.
-// Cells that decode truncated or corrupt DNS wire are not gated yet: the
-// decoder still sizes sections from header counts.
-constexpr std::uint64_t kScheduleCellBudget = 161 + kSlack;
+// entries, two fetches on Chrome) measures 149 warm (Debug, Release and
+// ASan+UBSan) on GCC 12.2 / libstdc++.
+constexpr std::uint64_t kScheduleCellBudget = 149 + kSlack;
+
+// A compound-schedule cell whose schedule truncates or corrupts DNS wire
+// (same generator, same client) measures 157 warm (Debug, Release and
+// ASan+UBSan) on GCC 12.2 / libstdc++.
+constexpr std::uint64_t kMalformedDnsCellBudget = 157 + kSlack;
+
+// Decoding one malformed wire into a fresh DnsMessage may allocate at most
+// this many bytes per wire byte; the seeded corpus below peaks at 23.5
+// (2,234 bytes for a 95-byte corrupt referral).
+// A decoder that sizes storage from header counts instead of input length
+// blows through it by orders of magnitude.
+constexpr std::uint64_t kDecodeBytesPerWireByte = 24;
 
 constexpr int kWarmupCells = 16;
 constexpr int kMeasuredCells = 32;
@@ -80,23 +96,91 @@ std::uint64_t warm_allocations_per_cell(Cell&& cell) {
   return (after - before) / kMeasuredCells;
 }
 
-/// Generated hunt-style schedules whose entries never truncate or corrupt
-/// DNS wire, in index order.
-std::vector<conformance::FaultSchedule> well_formed_dns_schedules(
-    std::size_t count) {
+/// The first `count` generated hunt-style schedules, in index order, that
+/// truncate or corrupt DNS wire (`malformed_dns`) or never do.
+std::vector<conformance::FaultSchedule> generated_schedules(
+    std::size_t count, bool malformed_dns) {
   std::vector<conformance::FaultSchedule> schedules;
   for (std::uint32_t index = 0; schedules.size() < count; ++index) {
     conformance::FaultSchedule schedule =
         conformance::FaultSchedule::generate(7, 0, index);
-    const bool malformed_dns = std::any_of(
+    const bool malformed = std::any_of(
         schedule.entries.begin(), schedule.entries.end(),
         [](const conformance::TimedFault& entry) {
           return entry.plan.kind == conformance::FaultKind::kDnsTruncate ||
                  entry.plan.kind == conformance::FaultKind::kDnsCorrupt;
         });
-    if (!malformed_dns) schedules.push_back(std::move(schedule));
+    if (malformed == malformed_dns) schedules.push_back(std::move(schedule));
   }
   return schedules;
+}
+
+/// Warm allocations per replayed schedule cell on Chrome.
+std::uint64_t warm_schedule_cell_allocations(bool malformed_dns) {
+  const auto profile = clients::chromium_profile("Chrome", "130.0", "10-2024");
+  const conformance::ConformanceHarness harness;
+  const auto schedules =
+      generated_schedules(kWarmupCells + kMeasuredCells, malformed_dns);
+  return warm_allocations_per_cell([&](int i) {
+    harness.replay_schedule(profile, schedules[static_cast<std::size_t>(i)]);
+  });
+}
+
+/// Pristine responses of the shapes the lab serves: an A answer, an AAAA
+/// answer, an HTTPS record with hints, and a referral with glue.
+std::vector<std::vector<std::uint8_t>> pristine_responses() {
+  using dns::DnsMessage;
+  using dns::DnsName;
+  using dns::ResourceRecord;
+  using dns::RrType;
+  const DnsName name = DnsName::must_parse("www.he-test.lab");
+  const DnsName zone = DnsName::must_parse("he-test.lab");
+  const DnsName ns = DnsName::must_parse("ns1.he-test.lab");
+  const auto v4 = *simnet::Ipv4Address::parse("192.0.2.80");
+  const auto v6 = *simnet::Ipv6Address::parse("2001:db8::80");
+  const auto response = [&](RrType type) {
+    return DnsMessage::make_response(DnsMessage::make_query(1, name, type));
+  };
+
+  DnsMessage a = response(RrType::kA);
+  a.answers.push_back(ResourceRecord::a(name, v4));
+  DnsMessage aaaa = response(RrType::kAaaa);
+  aaaa.answers.push_back(ResourceRecord::aaaa(name, v6));
+  DnsMessage https = response(RrType::kHttps);
+  dns::SvcbRdata svcb;
+  svcb.set_alpn({"h3", "h2"});
+  svcb.set_ipv4_hints({v4});
+  svcb.set_ipv6_hints({v6});
+  https.answers.push_back(ResourceRecord::svcb(name, svcb, /*https=*/true));
+  DnsMessage referral = response(RrType::kA);
+  referral.authorities.push_back(ResourceRecord::ns(zone, ns));
+  referral.additionals.push_back(ResourceRecord::a(ns, v4));
+  referral.additionals.push_back(ResourceRecord::aaaa(ns, v6));
+  return {a.encode(), aaaa.encode(), https.encode(), referral.encode()};
+}
+
+/// The seeded malformed-DNS corpus: truncations and corruptions of every
+/// pristine response (the conformance injector's mutators and seeds) plus
+/// random garbage.
+std::vector<std::vector<std::uint8_t>> malformed_dns_corpus() {
+  std::vector<std::vector<std::uint8_t>> corpus;
+  SplitMix64 truncate{
+      conformance::FaultPlan{conformance::FaultKind::kDnsTruncate}.rng_seed()};
+  SplitMix64 corrupt{
+      conformance::FaultPlan{conformance::FaultKind::kDnsCorrupt}.rng_seed()};
+  for (const auto& pristine : pristine_responses()) {
+    for (int i = 0; i < 100; ++i) {
+      corpus.push_back(pristine);
+      conformance::truncate_wire(corpus.back(), truncate);
+      corpus.push_back(pristine);
+      conformance::corrupt_wire(corpus.back(), corrupt);
+    }
+  }
+  SplitMix64 garbage{12345};
+  for (int i = 0; i < 400; ++i) {
+    corpus.push_back(conformance::garbage_wire(garbage));
+  }
+  return corpus;
 }
 
 TEST(CellAllocTest, WarmSmallCellStaysUnderBudget) {
@@ -124,16 +208,36 @@ TEST(CellAllocTest, WarmSingleFaultCellStaysUnderBudget) {
 }
 
 TEST(CellAllocTest, WarmScheduleCellStaysUnderBudget) {
-  const auto profile = clients::chromium_profile("Chrome", "130.0", "10-2024");
-  const conformance::ConformanceHarness harness;
-  const auto schedules =
-      well_formed_dns_schedules(kWarmupCells + kMeasuredCells);
-  const std::uint64_t per_cell = warm_allocations_per_cell([&](int i) {
-    harness.replay_schedule(profile, schedules[static_cast<std::size_t>(i)]);
-  });
+  const std::uint64_t per_cell =
+      warm_schedule_cell_allocations(/*malformed_dns=*/false);
   EXPECT_LE(per_cell, kScheduleCellBudget)
       << "warm schedule cell allocations regressed: " << per_cell
       << " > budget " << kScheduleCellBudget;
+}
+
+TEST(CellAllocTest, WarmMalformedDnsScheduleCellStaysUnderBudget) {
+  const std::uint64_t per_cell =
+      warm_schedule_cell_allocations(/*malformed_dns=*/true);
+  EXPECT_LE(per_cell, kMalformedDnsCellBudget)
+      << "warm malformed-DNS schedule cell allocations regressed: "
+      << per_cell << " > budget " << kMalformedDnsCellBudget;
+}
+
+TEST(CellAllocTest, MalformedDnsDecodeIsBoundedByWireLength) {
+  const auto corpus = malformed_dns_corpus();
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const std::vector<std::uint8_t>& wire = corpus[i];
+    const std::uint64_t before =
+        g_allocated_bytes.load(std::memory_order_relaxed);
+    {
+      dns::DnsMessage fresh;
+      (void)dns::DnsMessage::decode_into(wire, fresh);
+    }
+    const std::uint64_t bytes =
+        g_allocated_bytes.load(std::memory_order_relaxed) - before;
+    EXPECT_LE(bytes, kDecodeBytesPerWireByte * wire.size())
+        << "corpus wire " << i << " (" << wire.size() << " bytes)";
+  }
 }
 
 // The run itself must still mean something: a cell that silently stopped

@@ -10,6 +10,7 @@
 #include "dns/rr.h"
 #include "dns/test_params.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace lazyeye::dns {
 namespace {
@@ -75,45 +76,45 @@ TEST(DnsNameTest, ParentAndPrepend) {
 
 TEST(DnsNameTest, WireRoundTripNoCompression) {
   const auto name = DnsName::must_parse("ns1.z250.lab");
-  ByteWriter w;
-  name.encode(w, nullptr);
-  EXPECT_EQ(w.size(), name.wire_length());
-  ByteReader r{w.data()};
+  std::vector<std::uint8_t> out;
+  name.encode(out, nullptr);
+  EXPECT_EQ(out.size(), name.wire_length());
+  wire::Reader r{out};
   EXPECT_EQ(DnsName::decode(r), name);
-  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(DnsNameTest, CompressionProducesPointer) {
   NameCompressor map;
-  ByteWriter w;
+  std::vector<std::uint8_t> out;
   const auto a = DnsName::must_parse("www.example.com");
   const auto b = DnsName::must_parse("mail.example.com");
-  a.encode(w, &map);
-  const std::size_t first_len = w.size();
-  b.encode(w, &map);
+  a.encode(out, &map);
+  const std::size_t first_len = out.size();
+  b.encode(out, &map);
   // "mail" label (5 bytes) + 2-byte pointer to "example.com".
-  EXPECT_EQ(w.size(), first_len + 5 + 2);
+  EXPECT_EQ(out.size(), first_len + 5 + 2);
 
   // Both decode correctly from the shared buffer.
-  ByteReader r{w.data()};
+  wire::Reader r{out};
   EXPECT_EQ(DnsName::decode(r), a);
   EXPECT_EQ(DnsName::decode(r), b);
-  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(DnsNameTest, DecodeRejectsPointerLoop) {
   // A name that points to itself: 0xC000 at offset 0.
-  const std::vector<std::uint8_t> wire{0xC0, 0x00};
-  ByteReader r{wire};
+  const std::vector<std::uint8_t> bytes{0xC0, 0x00};
+  wire::Reader r{bytes};
   DnsName::decode(r);
-  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.ok);
 }
 
 TEST(DnsNameTest, DecodeRejectsTruncated) {
-  const std::vector<std::uint8_t> wire{0x05, 'a', 'b'};
-  ByteReader r{wire};
+  const std::vector<std::uint8_t> bytes{0x05, 'a', 'b'};
+  wire::Reader r{bytes};
   DnsName::decode(r);
-  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.ok);
 }
 
 // ---------------------------------------------------------------- rdata ----
@@ -253,24 +254,50 @@ TEST(DnsMessageTest, DecodeRejectsGarbage) {
   EXPECT_FALSE(DnsMessage::decode(lying).ok());
 }
 
+TEST(DnsMessageTest, SectionCountsAreBoundedByTheWire) {
+  // A bare 12-byte header claiming 0xFFFF entries in every section. Decoding
+  // it must fail without growing any section to the claimed count.
+  const std::vector<std::uint8_t> lying{0x00, 0x01, 0x81, 0x80, 0xFF, 0xFF,
+                                        0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
+  DnsMessage fresh;
+  EXPECT_FALSE(DnsMessage::decode_into(lying, fresh));
+  const std::size_t bound = lying.size() / 5;
+  EXPECT_LE(fresh.questions.capacity(), bound);
+  EXPECT_LE(fresh.answers.capacity(), bound);
+  EXPECT_LE(fresh.authorities.capacity(), bound);
+  EXPECT_LE(fresh.additionals.capacity(), bound);
+
+  // Each section still reports its own error.
+  const auto claim = [](int section, std::size_t trailing) {
+    std::vector<std::uint8_t> wire(12 + trailing, 0);
+    wire[4 + 2 * section] = 0xFF;
+    wire[5 + 2 * section] = 0xFF;
+    return DnsMessage::decode(wire).error();
+  };
+  EXPECT_EQ(claim(0, 4), "truncated question");
+  EXPECT_EQ(claim(1, 10), "truncated answer section");
+  EXPECT_EQ(claim(2, 10), "truncated authority section");
+  EXPECT_EQ(claim(3, 10), "truncated additional section");
+}
+
 TEST(DnsMessageTest, DecodeToleratesUnknownRrType) {
   // Hand-craft a message with an unknown type 99 record.
-  ByteWriter w;
-  w.u16(1);       // id
-  w.u16(0x8000);  // qr
-  w.u16(0);       // qd
-  w.u16(1);       // an
-  w.u16(0);
-  w.u16(0);
-  DnsName::must_parse("x.lab").encode(w, nullptr);
-  w.u16(99);  // type
-  w.u16(1);   // class
-  w.u32(60);  // ttl
-  w.u16(3);   // rdlength
-  w.u8(0xaa);
-  w.u8(0xbb);
-  w.u8(0xcc);
-  const auto decoded = DnsMessage::decode(w.data());
+  std::vector<std::uint8_t> out;
+  wire::put_u16(out, 1);       // id
+  wire::put_u16(out, 0x8000);  // qr
+  wire::put_u16(out, 0);       // qd
+  wire::put_u16(out, 1);       // an
+  wire::put_u16(out, 0);
+  wire::put_u16(out, 0);
+  DnsName::must_parse("x.lab").encode(out, nullptr);
+  wire::put_u16(out, 99);  // type
+  wire::put_u16(out, 1);   // class
+  wire::put_u32(out, 60);  // ttl
+  wire::put_u16(out, 3);   // rdlength
+  wire::put_u8(out, 0xaa);
+  wire::put_u8(out, 0xbb);
+  wire::put_u8(out, 0xcc);
+  const auto decoded = DnsMessage::decode(out);
   ASSERT_TRUE(decoded.ok()) << decoded.error();
   const auto* raw = std::get_if<RawRdata>(&decoded.value().answers[0].rdata);
   ASSERT_NE(raw, nullptr);
@@ -428,8 +455,8 @@ TEST(DnsMessageTest, EncodeIntoBufferMatchesLegacyEncode) {
   const DnsMessage msg = sample_referral();
   const std::vector<std::uint8_t> legacy = msg.encode();
 
-  lazyeye::BufferPool pool;
-  lazyeye::Buffer buffer{&pool};
+  simnet::BufferPool pool;
+  simnet::Buffer buffer{&pool};
   NameCompressor compressor;
   msg.encode_into(buffer, compressor);
   ASSERT_EQ(buffer.size(), legacy.size());
@@ -468,8 +495,8 @@ TEST(DnsMessageTest, DecodeIntoReusesTheScratchMessage) {
 
 TEST(DnsMessageTest, BufferRoundTripThroughWireAndBack) {
   const DnsMessage msg = sample_referral();
-  lazyeye::BufferPool pool;
-  lazyeye::Buffer wire{&pool};
+  simnet::BufferPool pool;
+  simnet::Buffer wire{&pool};
   NameCompressor compressor;
   msg.encode_into(wire, compressor);
 
@@ -551,17 +578,15 @@ TEST(DnsMessageTest, MutatorsAreSeedDeterministic) {
 
 TEST(DnsNameTest, DecodePreservesCaseInsensitivity) {
   // Mixed-case labels on the wire land lowercased (in-place decode path).
-  ByteWriter w;
-  w.u8(3);
-  w.bytes(std::string_view{"WwW"});
-  w.u8(7);
-  w.bytes(std::string_view{"ExAmPlE"});
-  w.u8(3);
-  w.bytes(std::string_view{"LaB"});
-  w.u8(0);
-  ByteReader r{w.data()};
+  std::vector<std::uint8_t> out;
+  for (const std::string_view label : {"WwW", "ExAmPlE", "LaB"}) {
+    wire::put_u8(out, static_cast<std::uint8_t>(label.size()));
+    wire::put_bytes(out, label);
+  }
+  wire::put_u8(out, 0);
+  wire::Reader r{out};
   EXPECT_EQ(DnsName::decode(r), DnsName::must_parse("www.example.lab"));
-  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.exhausted());
 }
 
 }  // namespace

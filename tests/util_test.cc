@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
-#include "util/bytes.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "util/time.h"
+#include "util/wire.h"
 
 namespace lazyeye {
 namespace {
@@ -134,70 +138,97 @@ TEST(RngTest, ForkIndependentStreams) {
   EXPECT_NE(child.next_u64(), parent.next_u64());
 }
 
-// --------------------------------------------------------------- bytes ----
+// ---------------------------------------------------------------- wire ----
+// Every case runs over both buffer types the writers append to: strings
+// (journal and corpus payloads) and byte vectors (DNS packets).
 
-TEST(BytesTest, WriterBigEndian) {
-  ByteWriter w;
-  w.u8(0x01);
-  w.u16(0x0203);
-  w.u32(0x04050607);
-  const auto& d = w.data();
-  ASSERT_EQ(d.size(), 7u);
-  EXPECT_EQ(d[0], 0x01);
-  EXPECT_EQ(d[1], 0x02);
-  EXPECT_EQ(d[2], 0x03);
-  EXPECT_EQ(d[3], 0x04);
-  EXPECT_EQ(d[6], 0x07);
+template <typename Buf>
+class WireTest : public ::testing::Test {};
+using WireBuffers = ::testing::Types<std::string, std::vector<std::uint8_t>>;
+TYPED_TEST_SUITE(WireTest, WireBuffers);
+
+/// Byte `i` of `buf` as an unsigned value, whatever the element type.
+template <typename Buf>
+unsigned byte_at(const Buf& buf, std::size_t i) {
+  return static_cast<std::uint8_t>(buf[i]);
 }
 
-TEST(BytesTest, ReaderRoundTrip) {
-  ByteWriter w;
-  w.u16(0xbeef);
-  w.u32(0xdeadc0de);
-  w.bytes(std::string_view{"abc"});
-  const auto buf = w.take();
+TYPED_TEST(WireTest, WritersAreBigEndian) {
+  TypeParam buf;
+  wire::put_u8(buf, 0x01);
+  wire::put_u16(buf, 0x0203);
+  wire::put_u32(buf, 0x04050607);
+  wire::put_u64(buf, 0x08090a0b0c0d0e0f);
+  ASSERT_EQ(buf.size(), 15u);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    EXPECT_EQ(byte_at(buf, i), i + 1) << "byte " << i;
+  }
+}
 
-  ByteReader r{buf};
+TYPED_TEST(WireTest, ReaderRoundTrip) {
+  TypeParam buf;
+  wire::put_u16(buf, 0xbeef);
+  wire::put_u32(buf, 0xdeadc0de);
+  wire::put_f64(buf, -0.1);
+  wire::put_str(buf, "abc");
+  wire::put_bytes(buf, "xy");
+
+  wire::Reader r{buf};
   EXPECT_EQ(r.u16(), 0xbeef);
   EXPECT_EQ(r.u32(), 0xdeadc0deu);
-  EXPECT_EQ(r.str(3), "abc");
-  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.f64(), -0.1);
+  EXPECT_EQ(r.str(), "abc");
+  EXPECT_EQ(r.remaining(), 2u);
+  EXPECT_EQ(r.view(2), "xy");
+  EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(r.remaining(), 0u);
 }
 
-TEST(BytesTest, ReaderOutOfBoundsSticks) {
-  const std::vector<std::uint8_t> buf{0x01};
-  ByteReader r{buf};
+TYPED_TEST(WireTest, ReaderOutOfBoundsSticks) {
+  TypeParam buf;
+  wire::put_u8(buf, 0x01);
+  wire::put_u8(buf, 0x02);
+  wire::Reader r{buf};
   EXPECT_EQ(r.u8(), 0x01);
   EXPECT_EQ(r.u16(), 0);  // out of bounds
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.u8(), 0);  // still failing
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.u8(), 0);  // still failing, though one byte is left
+  EXPECT_EQ(r.view(1), "");
   EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_FALSE(r.exhausted());
 }
 
-TEST(BytesTest, ReaderSeekForCompressionPointers) {
-  const std::vector<std::uint8_t> buf{0xaa, 0xbb, 0xcc};
-  ByteReader r{buf};
+TYPED_TEST(WireTest, ReaderSkipAndSeek) {
+  TypeParam buf;
+  for (const std::uint8_t b : {0xaa, 0xbb, 0xcc}) wire::put_u8(buf, b);
+  wire::Reader r{buf};
   r.skip(2);
-  r.seek(1);
+  EXPECT_EQ(r.pos, 2u);
+  r.seek(1);  // back, as a DNS compression pointer does
   EXPECT_EQ(r.u8(), 0xbb);
+  r.seek(3);  // one past the last byte is the end, not an error
+  EXPECT_TRUE(r.exhausted());
   r.seek(17);
-  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.ok);
+  r.seek(0);  // a later seek does not clear the latch
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.u8(), 0);
+
+  wire::Reader s{buf};
+  s.skip(4);
+  EXPECT_FALSE(s.ok);
 }
 
-TEST(BytesTest, PatchU16) {
-  ByteWriter w;
-  w.u16(0);
-  w.u8(0x42);
-  w.patch_u16(0, 0x1234);
-  EXPECT_EQ(w.data()[0], 0x12);
-  EXPECT_EQ(w.data()[1], 0x34);
-  EXPECT_EQ(w.data()[2], 0x42);
-}
-
-TEST(BytesTest, ToHex) {
-  const std::vector<std::uint8_t> buf{0x0a, 0xff, 0x00};
-  EXPECT_EQ(to_hex(buf), "0a ff 00");
+TYPED_TEST(WireTest, SetU16PatchesInPlace) {
+  TypeParam buf;
+  wire::put_u16(buf, 0);
+  wire::put_u8(buf, 0x42);
+  wire::set_u16(buf, 0, 0x1234);
+  ASSERT_EQ(buf.size(), 3u);
+  EXPECT_EQ(byte_at(buf, 0), 0x12u);
+  EXPECT_EQ(byte_at(buf, 1), 0x34u);
+  EXPECT_EQ(byte_at(buf, 2), 0x42u);
+  EXPECT_THROW(wire::set_u16(buf, 2, 0), std::out_of_range);
 }
 
 // -------------------------------------------------------------- result ----
