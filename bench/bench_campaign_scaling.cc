@@ -30,7 +30,6 @@
 #include "campaign/registry.h"
 #include "campaign/runner.h"
 #include "campaign/sink.h"
-#include "campaign/sketch.h"
 #include "campaign/worker_pool.h"
 #include "clients/profiles.h"
 #include "simnet/event_loop.h"
@@ -317,7 +316,6 @@ int main(int argc, char** argv) {
   std::vector<WorkerPoint> points;
   double serial_seconds = 0.0;
   std::string serial_bytes;
-  std::string serial_sketch;
   for (const int workers : worker_counts) {
     campaign::RunnerOptions options;
     options.workers = workers;
@@ -326,24 +324,10 @@ int main(int argc, char** argv) {
 
     std::string bytes;
     bytes.reserve(specs.size() * 48);
-    campaign::CallbackSink<testbed::RunRecord> record_sink{
+    campaign::CallbackSink<testbed::RunRecord> sink{
         [&bytes](const campaign::ScenarioSpec&, testbed::RunRecord record) {
           serialize(record, bytes);
         }};
-    // The streaming sketch folds alongside the byte serialisation in the
-    // same pass; its state doubles as a second determinism witness (bit-
-    // identical P² marker state required at every worker count).
-    campaign::SketchSink<testbed::RunRecord> sketch;
-    sketch.add_metric(
-        "completion_ms",
-        [](const campaign::ScenarioSpec&, const testbed::RunRecord& r) {
-          return std::optional<double>{static_cast<double>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  r.completion_time)
-                  .count()) /
-                                       1000.0};
-        });
-    campaign::TeeSink<testbed::RunRecord> sink{record_sink, sketch};
 
     const auto start = std::chrono::steady_clock::now();
     registry.run(runner, specs, sink);
@@ -354,12 +338,8 @@ int main(int argc, char** argv) {
     if (workers == 1) {
       serial_seconds = seconds;
       serial_bytes = bytes;
-      serial_sketch = sketch.fingerprint();
     } else if (bytes != serial_bytes) {
       std::printf("DETERMINISM VIOLATION at %d workers!\n", workers);
-      return 1;
-    } else if (sketch.fingerprint() != serial_sketch) {
-      std::printf("SKETCH DETERMINISM VIOLATION at %d workers!\n", workers);
       return 1;
     }
 
@@ -381,8 +361,7 @@ int main(int argc, char** argv) {
                 point.cells_quarantined);
   }
 
-  std::printf("\nAll worker counts produced byte-identical records and "
-              "bit-identical sketches "
+  std::printf("\nAll worker counts produced byte-identical records "
               "(pool threads started: %d, campaigns served: %llu).\n",
               pool.threads_started(),
               static_cast<unsigned long long>(pool.jobs_run()));

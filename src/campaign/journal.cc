@@ -104,7 +104,6 @@ JournalLoad load_journal(const std::string& path) {
 
   std::size_t pos = kHeaderSize;
   load.valid_bytes = pos;
-  load.snapshot_valid_bytes = pos;
   while (pos < view.size()) {
     // A record that does not fully fit — length frame or declared payload
     // running past EOF — can only be the torn tail of a crashed append.
@@ -169,7 +168,6 @@ JournalLoad load_journal(const std::string& path) {
         if (load.snapshot_cells > load.cells.size()) {
           fail(path, pos, "snapshot claims more cells than journaled");
         }
-        load.snapshot_valid_bytes = pos + kRecordOverhead + len;
         break;
       }
       case kComplete: {
@@ -198,8 +196,7 @@ JournalLoad load_journal(const std::string& path) {
 JournalWriter JournalWriter::create(const std::string& path,
                                     std::uint64_t identity,
                                     std::uint64_t cell_begin,
-                                    std::uint64_t cell_end,
-                                    JournalFsync fsync) {
+                                    std::uint64_t cell_end) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     throw JournalError(cat({"cannot create journal '", path, "'"}));
@@ -216,14 +213,13 @@ JournalWriter JournalWriter::create(const std::string& path,
     std::fclose(f);
     throw JournalError(cat({"cannot write journal header to '", path, "'"}));
   }
-  JournalWriter writer{f, fsync};
+  JournalWriter writer{f};
   writer.sync();  // the header must be durable before any cell runs
   return writer;
 }
 
 JournalWriter JournalWriter::append(const std::string& path,
-                                    std::uint64_t valid_bytes,
-                                    JournalFsync fsync) {
+                                    std::uint64_t valid_bytes) {
   std::FILE* f = std::fopen(path.c_str(), "r+b");
   if (f == nullptr) {
     throw JournalError(cat({"cannot reopen journal '", path, "'"}));
@@ -240,11 +236,10 @@ JournalWriter JournalWriter::append(const std::string& path,
     std::fclose(f);
     throw JournalError(cat({"cannot seek to append position in '", path, "'"}));
   }
-  return JournalWriter{f, fsync};
+  return JournalWriter{f};
 }
 
-JournalWriter::JournalWriter(JournalWriter&& other) noexcept
-    : fsync_{other.fsync_} {
+JournalWriter::JournalWriter(JournalWriter&& other) noexcept {
   util::MutexLock lock{other.mutex_};
   file_ = other.file_;
   other.file_ = nullptr;
@@ -253,7 +248,7 @@ JournalWriter::JournalWriter(JournalWriter&& other) noexcept
 JournalWriter::~JournalWriter() {
   util::MutexLock lock{mutex_};
   if (file_ != nullptr) {
-    (void)flush_locked(fsync_ != JournalFsync::kNone);  // nowhere to report
+    (void)flush_locked(/*want_fsync=*/true);  // nowhere to report
     std::fclose(file_);
     file_ = nullptr;
   }
@@ -273,7 +268,7 @@ void JournalWriter::append_record(std::uint8_t type, std::string_view payload,
   if (std::fwrite(framed.data(), 1, framed.size(), file_) != framed.size()) {
     throw JournalError("journal append failed (disk full?)");
   }
-  if (!flush_locked(force_sync || fsync_ == JournalFsync::kEveryRecord)) {
+  if (!flush_locked(force_sync)) {
     throw JournalError(cat({"journal flush failed: ", std::strerror(errno)}));
   }
 }
@@ -316,15 +311,13 @@ void JournalWriter::append_snapshot(std::uint64_t cells_delivered,
   body.reserve(8 + state.size());
   wire::put_u64(body, cells_delivered);
   body.append(state);
-  append_record(kSnapshot, body,
-                /*force_sync=*/fsync_ == JournalFsync::kSnapshot);
+  append_record(kSnapshot, body, /*force_sync=*/true);
 }
 
 void JournalWriter::append_complete(std::uint64_t cells_delivered) {
   std::string body;
   wire::put_u64(body, cells_delivered);
-  append_record(kComplete, body,
-                /*force_sync=*/fsync_ != JournalFsync::kNone);
+  append_record(kComplete, body, /*force_sync=*/true);
 }
 
 void JournalWriter::sync() {

@@ -15,9 +15,10 @@
 //   record:  u8 type | u32 payload_len | payload | u32 crc(type|len|payload)
 //
 // Record types:
-//   kCell        u64 index | result bytes   (empty in snapshot-only mode)
+//   kCell        u64 index | encoded result bytes
 //   kQuarantine  u64 index | u32 attempts | u8 timed_out | error text
-//   kSnapshot    u64 cells_delivered | opaque sink-state blob
+//   kSnapshot    u64 cells_delivered | opaque state blob (FaultHunt's
+//                search state; run_journaled writes none)
 //   kComplete    u64 cells_delivered       (the range finished cleanly)
 //
 // `identity` fingerprints the spec stream (journal_identity() hashes the
@@ -55,12 +56,6 @@ class JournalError : public std::runtime_error {
 std::uint64_t journal_identity(std::string_view stream_id, std::uint64_t cells,
                                std::uint64_t seed);
 
-enum class JournalFsync : std::uint8_t {
-  kNone,      // fflush only: survives process death (SIGKILL), not power loss
-  kSnapshot,  // + fsync on snapshot/complete records (default)
-  kEveryRecord,
-};
-
 /// Parsed journal contents (load_journal).
 struct JournalLoad {
   bool exists = false;  // false: no file — fresh campaign, nothing else set
@@ -70,7 +65,7 @@ struct JournalLoad {
 
   struct Cell {
     std::uint64_t index = 0;
-    std::string payload;  // encoded result ("" in snapshot-only mode)
+    std::string payload;  // encoded result, or the quarantine error text
     bool quarantined = false;
     int attempts = 0;      // quarantine records only
     bool timed_out = false;
@@ -81,10 +76,6 @@ struct JournalLoad {
   /// Latest snapshot record, if any.
   std::string snapshot_state;
   std::uint64_t snapshot_cells = 0;
-  /// File offset just past the last snapshot record (== end of header when
-  /// none). Snapshot-mode resume truncates here: cell records past the
-  /// snapshot carry no payload, so their cells re-run from restored state.
-  std::uint64_t snapshot_valid_bytes = 0;
 
   bool complete = false;   // a kComplete record was present
   bool torn_tail = false;  // a partial/corrupt FINAL record was dropped
@@ -104,18 +95,20 @@ JournalLoad load_journal(const std::string& path);
 /// Appends CRC-framed records to a journal file. Writes are serialised by
 /// an internal mutex (the ordered delivery path already serialises callers,
 /// but the annotation makes the contract checkable and TSan-visible).
+///
+/// Durability: every record is fflushed, so it survives process death
+/// (SIGKILL); snapshot and complete records are also fsynced, as are the
+/// header and the destructor's final flush.
 class JournalWriter {
  public:
   /// Creates/truncates `path` and writes a fresh header.
   static JournalWriter create(const std::string& path, std::uint64_t identity,
-                              std::uint64_t cell_begin, std::uint64_t cell_end,
-                              JournalFsync fsync = JournalFsync::kSnapshot);
+                              std::uint64_t cell_begin, std::uint64_t cell_end);
 
   /// Reopens an existing journal for appending, truncating a torn tail
   /// first (`valid_bytes` from load_journal).
   static JournalWriter append(const std::string& path,
-                              std::uint64_t valid_bytes,
-                              JournalFsync fsync = JournalFsync::kSnapshot);
+                              std::uint64_t valid_bytes);
 
   JournalWriter(JournalWriter&& other) noexcept;
   JournalWriter& operator=(JournalWriter&&) = delete;
@@ -131,7 +124,7 @@ class JournalWriter {
       EXCLUDES(mutex_);
   void append_complete(std::uint64_t cells_delivered) EXCLUDES(mutex_);
 
-  /// Flushes to the OS and fsyncs regardless of policy.
+  /// Flushes to the OS and fsyncs.
   ///
   /// sync(), every append_* and create() throw JournalError when the flush
   /// or fsync fails (ENOSPC, EIO): a record is never reported durable when
@@ -139,15 +132,13 @@ class JournalWriter {
   void sync() EXCLUDES(mutex_);
 
  private:
-  JournalWriter(std::FILE* file, JournalFsync fsync)
-      : fsync_{fsync}, file_{file} {}
+  explicit JournalWriter(std::FILE* file) : file_{file} {}
 
   void append_record(std::uint8_t type, std::string_view payload,
                      bool force_sync) EXCLUDES(mutex_);
   /// fflush (+ fsync when asked); false on failure with errno set.
   [[nodiscard]] bool flush_locked(bool want_fsync) REQUIRES(mutex_);
 
-  const JournalFsync fsync_;
   mutable util::Mutex mutex_;
   std::FILE* file_ GUARDED_BY(mutex_) = nullptr;
 };

@@ -3,24 +3,14 @@
 // run_journaled() wraps any CampaignRunner campaign in a CellJournal
 // (journal.h): every delivered cell appends one record through the ordered
 // delivery path, so the journal is always an in-order prefix of the cell
-// range and a crashed run resumes from "first unjournaled cell". Two resume
-// modes, picked by whether a codec is supplied:
+// range and a crashed run resumes from "first unjournaled cell".
 //
-//   codec mode    cell records carry the encoded result; resume replays the
-//                 decoded results into a fresh sink before running the tail.
-//                 Exact for every sink (the sink sees the same cell stream
-//                 an uninterrupted run would deliver).
-//   snapshot mode no codec; cell records are empty markers and the sink's
-//                 save_state() blob is journaled every snapshot_every cells.
-//                 Resume restores the latest snapshot and re-runs the cells
-//                 after it (deterministic executors make this exact too).
-//                 Right for sinks whose state is tiny next to the results —
-//                 SketchSink journals O(metrics) bytes per snapshot instead
-//                 of O(cells) result records.
-//
-// Either way the aggregate output — CollectingSink bytes, SketchSink
-// fingerprint — is identical to an uninterrupted run at any worker count:
-// delivery order is spec order regardless of where the crash fell.
+// Resume is codec replay: each cell record carries the result encoded by
+// the campaign's JournalCodec, and a resumed run decodes and re-delivers
+// every journaled cell to a fresh sink before running the tail. The sink
+// therefore sees exactly the cell stream an uninterrupted run would
+// deliver, so its output (CollectingSink bytes, a verdict table, running
+// totals) is identical at any worker count, wherever the crash fell.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +29,7 @@
 
 namespace lazyeye::campaign {
 
-/// Result byte codec for codec-mode journaling. encode() must be a pure
+/// Result byte codec for journaled campaigns. encode() must be a pure
 /// function of (spec, outcome); decode() returns nullopt on malformed bytes
 /// (which fails the resume loudly — never silently skips a cell).
 template <typename R>
@@ -57,10 +47,6 @@ struct JournalOptions {
   /// sub-range (shard.h).
   std::uint64_t cell_begin = 0;
   std::uint64_t cell_end = 0;
-  /// Snapshot cadence in delivered cells (snapshot mode); 0 disables
-  /// periodic snapshots (a final one is still written before kComplete).
-  std::uint64_t snapshot_every = 0;
-  JournalFsync fsync = JournalFsync::kSnapshot;
 };
 
 /// What a journaled run did.
@@ -80,14 +66,8 @@ template <typename R>
 class JournalingSink final : public ResultSink<R> {
  public:
   JournalingSink(ResultSink<R>& inner, JournalWriter& writer,
-                 const JournalCodec<R>* codec, std::uint64_t cell_begin,
-                 std::uint64_t next_index, std::uint64_t snapshot_every)
-      : inner_{inner},
-        writer_{writer},
-        codec_{codec},
-        cell_begin_{cell_begin},
-        next_index_{next_index},
-        snapshot_every_{snapshot_every} {}
+                 const JournalCodec<R>& codec, std::uint64_t next_index)
+      : inner_{inner}, writer_{writer}, codec_{codec}, next_index_{next_index} {}
 
   /// begin()/end() are driven by run_journaled on the wrapped sink directly
   /// (replay happens between begin() and the tail run).
@@ -95,11 +75,9 @@ class JournalingSink final : public ResultSink<R> {
   void end() override {}
 
   void cell(const ScenarioSpec& spec, R outcome) override {
-    std::string payload;  // empty in snapshot mode
-    if (codec_ != nullptr) payload = codec_->encode(spec, outcome);
+    const std::string payload = codec_.encode(spec, outcome);
     inner_.cell(spec, std::move(outcome));
     writer_.append_cell(next_index_++, payload);
-    maybe_snapshot();
   }
 
   void cell_failed(const ScenarioSpec& spec,
@@ -107,24 +85,13 @@ class JournalingSink final : public ResultSink<R> {
     inner_.cell_failed(spec, report);
     writer_.append_quarantine(next_index_++, report.attempts,
                               report.timed_out, report.error);
-    maybe_snapshot();
   }
 
  private:
-  void maybe_snapshot() {
-    if (snapshot_every_ == 0) return;
-    const std::uint64_t cells = next_index_ - cell_begin_;
-    if (cells % snapshot_every_ != 0) return;
-    std::string state;
-    if (inner_.save_state(state)) writer_.append_snapshot(cells, state);
-  }
-
   ResultSink<R>& inner_;
   JournalWriter& writer_;
-  const JournalCodec<R>* codec_;
-  const std::uint64_t cell_begin_;
+  const JournalCodec<R>& codec_;
   std::uint64_t next_index_;
-  const std::uint64_t snapshot_every_;
 };
 
 namespace journal_detail {
@@ -144,8 +111,8 @@ FailureReport report_from(const JournalLoad::Cell& cell,
   return report;
 }
 
-/// Codec-mode replay: re-delivers every journaled cell to the sink, exactly
-/// as the original run did. Throws JournalError on undecodable bytes.
+/// Re-delivers every journaled cell to the sink, exactly as the original
+/// run did. Throws JournalError on undecodable bytes.
 template <typename R>
 std::uint64_t replay_journal(const JournalLoad& load, const SpecStream& specs,
                              ResultSink<R>& sink,
@@ -176,15 +143,15 @@ std::uint64_t replay_journal(const JournalLoad& load, const SpecStream& specs,
 }  // namespace journal_detail
 
 /// Runs cells [cell_begin, cell_end) of the stream with a crash journal at
-/// options.path, resuming any intact journal found there. See the header
-/// comment for the two resume modes. The wrapped sink receives the full
-/// begin / cells-in-order / end lifecycle whether or not a resume happened.
+/// options.path, resuming any intact journal found there by codec replay.
+/// The wrapped sink receives the full begin / cells-in-order / end
+/// lifecycle whether or not a resume happened.
 template <typename R>
 JournaledRun run_journaled(const CampaignRunner& runner,
                            const SpecStream& specs,
                            const std::function<R(const ScenarioSpec&)>& executor,
                            ResultSink<R>& sink, const JournalOptions& options,
-                           const JournalCodec<R>* codec = nullptr) {
+                           const JournalCodec<R>& codec) {
   const std::uint64_t cell_begin = options.cell_begin;
   const std::uint64_t cell_end =
       options.cell_end == 0 ? specs.size() : options.cell_end;
@@ -194,7 +161,7 @@ JournaledRun run_journaled(const CampaignRunner& runner,
   const std::uint64_t range = cell_end - cell_begin;
 
   JournaledRun out;
-  JournalLoad load = load_journal(options.path);
+  const JournalLoad load = load_journal(options.path);
   if (load.exists) {
     if (load.identity != options.identity) {
       throw JournalError(
@@ -212,67 +179,31 @@ JournaledRun run_journaled(const CampaignRunner& runner,
   sink.begin(static_cast<std::size_t>(range));
 
   std::uint64_t resume = cell_begin;
-  std::uint64_t keep_bytes = load.valid_bytes;
   if (load.exists) {
-    if (codec != nullptr) {
-      out.cells_replayed =
-          journal_detail::replay_journal<R>(load, specs, sink, *codec);
-      resume = load.resume_index();
-    } else {
-      // Snapshot mode: cells past the latest snapshot have no payload to
-      // replay, so restore the snapshot and re-run everything after it
-      // (truncating their marker records keeps the prefix invariant).
-      if (load.snapshot_cells > 0 || !load.snapshot_state.empty()) {
-        if (!sink.restore_state(load.snapshot_state)) {
-          throw JournalError(
-              "sink rejected the journal snapshot (sink configuration "
-              "changed?); refusing to resume");
-        }
-        out.cells_replayed = load.snapshot_cells;
-      }
-      resume = cell_begin + out.cells_replayed;
-      keep_bytes = load.snapshot_valid_bytes;
-    }
+    out.cells_replayed =
+        journal_detail::replay_journal<R>(load, specs, sink, codec);
+    resume = load.resume_index();
   }
 
   if (load.complete) {
-    // Codec mode replayed everything above; snapshot mode wrote a final
-    // full-state snapshot just before kComplete, so resume == cell_end.
-    if (resume != cell_end) {
-      throw JournalError(
-          "journal marked complete but its cells cannot be reproduced "
-          "(snapshot-mode journal without a full-state snapshot); refusing "
-          "to hand back partial output");
-    }
     out.already_complete = true;
     sink.end();
     return out;
   }
 
   JournalWriter writer =
-      load.exists
-          ? JournalWriter::append(options.path, keep_bytes, options.fsync)
-          : JournalWriter::create(options.path, options.identity, cell_begin,
-                                  cell_end, options.fsync);
+      load.exists ? JournalWriter::append(options.path, load.valid_bytes)
+                  : JournalWriter::create(options.path, options.identity,
+                                          cell_begin, cell_end);
 
   if (resume < cell_end) {
-    JournalingSink<R> journaling{sink,   writer, codec,
-                                 cell_begin, resume, options.snapshot_every};
+    JournalingSink<R> journaling{sink, writer, codec, resume};
     runner.run_range<R>(specs, static_cast<std::size_t>(resume),
                         static_cast<std::size_t>(cell_end), executor,
                         journaling);
     out.cells_run = cell_end - resume;
   }
 
-  if (codec == nullptr) {
-    // Final snapshot: makes a completed snapshot-mode journal replayable
-    // without re-running anything (merge/inspect tooling, and the
-    // already_complete path above).
-    std::string state;
-    if (sink.save_state(state)) {
-      writer.append_snapshot(range, state);
-    }
-  }
   writer.append_complete(range);
   sink.end();
   return out;

@@ -5,7 +5,7 @@
 // invariant: complete() parks the finished cell, then drains every
 // consecutively-ready cell to the sink while holding the buffer mutex — so
 // the mutex doubles as the sink's serialisation capability. Sinks
-// (SketchSink, CollectingSink, ...) stay lock-free because every cell()
+// (CollectingSink, JournalingSink, ...) stay lock-free because every cell()
 // call happens under this one lock.
 //
 // Extracted from CampaignRunner::run_streaming so the pending map, emit

@@ -29,24 +29,8 @@ int CampaignRunner::run_indexed(std::size_t count,
   if (count == 0) return 0;
   const int workers = resolved_workers(count);
 
-  // Cells completing with no hook installed touch neither the counter nor
-  // the mutex. With a hook, the count is claimed and the hook invoked under
-  // one lock: the contract promises serialised, monotonically increasing
-  // (done, total) calls, so the claim cannot move outside it — which also
-  // means a plain counter under the mutex is all the synchronisation left.
-  std::size_t done = 0;
-  util::Mutex progress_mutex;
-  const bool report = static_cast<bool>(options_.progress);
-  auto report_progress = [&] {
-    util::MutexLock lock{progress_mutex};
-    options_.progress(++done, count);
-  };
-
   if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      job(i);
-      if (report) report_progress();
-    }
+    for (std::size_t i = 0; i < count; ++i) job(i);
     return workers;
   }
 
@@ -64,9 +48,6 @@ int CampaignRunner::run_indexed(std::size_t count,
       if (gate != nullptr && !gate->wait_for_claim(i)) return;
       try {
         job(i);
-        // Inside the try: a throwing user hook must fail the campaign, not
-        // unwind through the pool while other workers still run.
-        if (report) report_progress();
       } catch (...) {
         {
           util::MutexLock lock{error_mutex};

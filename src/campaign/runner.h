@@ -62,12 +62,6 @@ struct RunnerOptions {
   /// cell — at private pools.
   WorkerPool* pool = nullptr;
 
-  /// Optional progress hook, invoked after each completed cell with
-  /// (cells_done, cells_total) in completion order. May be called from any
-  /// worker; calls are serialised by the runner. A throwing hook fails the
-  /// campaign like a throwing executor (first exception rethrown).
-  std::function<void(std::size_t, std::size_t)> progress;
-
   // ---- Per-cell fault isolation -------------------------------------------
   // With all three knobs at their defaults the first executor throw fails
   // the whole campaign.

@@ -14,14 +14,16 @@
 //
 // The serialisation is concrete, not just documented: every cell() call is
 // made while holding the ReorderBuffer's mutex (reorder.h), so sink state
-// (SketchSink's sketches, CollectingSink's vectors) needs no locking of its
-// own — the reorder mutex is the sink's capability.
+// (CollectingSink's vectors, a verdict table's rows) needs no locking of
+// its own — the reorder mutex is the sink's capability.
+//
+// A sink has no save/restore hook: a resumed journaled campaign
+// (journal_sink.h) replays every journaled cell through cell(), so a sink
+// rebuilds its state, running totals included, from the cell stream alone.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -47,23 +49,6 @@ class ResultSink {
                            const FailureReport& report) {
     (void)spec;
     (void)report;
-  }
-
-  /// Snapshot hook for journaled campaigns (journal_sink.h): serialise all
-  /// state accumulated by cell() calls so far into `out` and return true.
-  /// Sinks without a compact state (or none at all) return false — the
-  /// journal then resumes by replay instead of by restore. Called under the
-  /// same serialisation as cell().
-  virtual bool save_state(std::string& out) const {
-    (void)out;
-    return false;
-  }
-
-  /// Inverse of save_state: restore from a snapshot taken after the same
-  /// number of cells. Returns false when the blob is not recognised.
-  virtual bool restore_state(std::string_view state) {
-    (void)state;
-    return false;
   }
 
   /// Called once after the last cell (not called when the campaign throws).

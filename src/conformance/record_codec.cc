@@ -6,6 +6,14 @@
 
 namespace lazyeye::conformance {
 
+namespace {
+
+/// The smallest encoded verdict: an empty rule and evidence, i.e. two u32
+/// length prefixes and the outcome byte.
+constexpr std::size_t kMinVerdictBytes = 4 + 1 + 4;
+
+}  // namespace
+
 void encode_record(const ConformanceRecord& record, std::string& out) {
   wire::put_str(out, record.client);
   wire::put_u8(out, static_cast<std::uint8_t>(record.fault.kind));
@@ -60,7 +68,12 @@ std::optional<ConformanceRecord> decode_record(std::string_view bytes) {
   record.fetch_ok = in.u8() != 0;
   record.first_fetch_ok = in.u8() != 0;
   const std::uint32_t verdict_count = in.u32();
-  if (!in.ok || verdict_count > 1024) return std::nullopt;
+  // A verdict takes at least kMinVerdictBytes, so the bytes left bound the
+  // count before anything is reserved.
+  if (!in.ok || verdict_count > 1024 ||
+      verdict_count > in.remaining() / kMinVerdictBytes) {
+    return std::nullopt;
+  }
   record.verdicts.reserve(verdict_count);
   for (std::uint32_t i = 0; i < verdict_count; ++i) {
     Verdict verdict;

@@ -111,6 +111,10 @@ namespace {
 /// corrupt bytes, not a big schedule.
 constexpr std::uint32_t kMaxScheduleEntries = 64;
 
+/// One encoded entry: kind, plan seed/stream/index, family, spike, window
+/// start and duration, trigger.
+constexpr std::size_t kEntryBytes = 1 + 8 + 4 + 4 + 1 + 8 + 8 + 8 + 1;
+
 }  // namespace
 
 void encode_schedule(const FaultSchedule& schedule, std::string& out) {
@@ -138,7 +142,12 @@ std::optional<FaultSchedule> decode_schedule(std::string_view bytes) {
   s.stream = in.u32();
   s.index = in.u32();
   const std::uint32_t count = in.u32();
-  if (!in.ok || count > kMaxScheduleEntries) return std::nullopt;
+  // Entries have a fixed size, so the bytes left bound the count before
+  // anything is reserved.
+  if (!in.ok || count > kMaxScheduleEntries ||
+      count > in.remaining() / kEntryBytes) {
+    return std::nullopt;
+  }
   s.entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     TimedFault entry;

@@ -1,17 +1,14 @@
 // Big-endian wire primitives: the repo's one byte codec. DNS packets, the
-// campaign journal, SketchSink snapshots, and the conformance record,
-// schedule and hunt-state codecs all read and write through it. The put_*
-// writers append to a std::string (journal payloads and corpus entries travel
-// as strings) or a std::vector<std::uint8_t> (packet payloads); Reader reads
-// either. Doubles travel as their IEEE bit patterns, so a decoded value is
-// bit-identical to the encoded one.
+// campaign journal, and the conformance record, schedule and hunt-state
+// codecs all read and write through it. The put_* writers append to a
+// std::string (journal payloads and corpus entries travel as strings) or a
+// std::vector<std::uint8_t> (packet payloads); Reader reads either.
 //
 // Reader is forgiving in shape (`ok` latches false on underrun instead of
 // throwing) so decoders can read a whole struct and validate once at the
 // end, including the exact-length check that rejects trailing garbage.
 #pragma once
 
-#include <bit>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -58,10 +55,6 @@ template <ByteBuffer Out>
 void put_u32(Out& out, std::uint32_t v) { detail::put_be(out, v); }
 template <ByteBuffer Out>
 void put_u64(Out& out, std::uint64_t v) { detail::put_be(out, v); }
-template <ByteBuffer Out>
-void put_f64(Out& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
 
 /// Appends raw bytes, without a length prefix.
 template <ByteBuffer Out>
@@ -110,7 +103,6 @@ struct Reader {
   std::uint16_t u16() { return take<std::uint16_t>(); }
   std::uint32_t u32() { return take<std::uint32_t>(); }
   std::uint64_t u64() { return take<std::uint64_t>(); }
-  double f64() { return std::bit_cast<double>(u64()); }
 
   /// The next `n` bytes without copying, or an empty view (and ok = false)
   /// on underrun.

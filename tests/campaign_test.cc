@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <variant>
@@ -123,44 +122,6 @@ TEST(CampaignRunnerTest, ResolvedWorkersClampsToJobAndHardware) {
   EXPECT_EQ(runner_with(2).resolved_workers(100), 2);
   EXPECT_GE(runner_with(0).resolved_workers(100), 1);  // auto
   EXPECT_EQ(runner_with(4).resolved_workers(0), 1);
-}
-
-TEST(CampaignRunnerTest, ProgressCoversEveryCell) {
-  RunnerOptions options;
-  options.workers = 4;
-  std::set<std::size_t> seen;
-  std::size_t last_total = 0;
-  options.progress = [&](std::size_t done, std::size_t total) {
-    seen.insert(done);
-    last_total = total;
-  };
-  CampaignRunner runner{options};
-  collect<int>(runner, numbered_specs(20),
-               [](const ScenarioSpec& s) { return static_cast<int>(s.id); });
-  EXPECT_EQ(seen.size(), 20u);  // 1..20, serialised, no duplicates
-  EXPECT_EQ(*seen.rbegin(), 20u);
-  EXPECT_EQ(last_total, 20u);
-}
-
-TEST(CampaignRunnerTest, ProgressFiresExactlyCellsTotalTimesMonotonically) {
-  RunnerOptions options;
-  options.workers = 4;
-  std::vector<std::size_t> counts;
-  std::size_t total_seen = 0;
-  options.progress = [&](std::size_t done, std::size_t total) {
-    counts.push_back(done);  // calls are serialised by the runner
-    total_seen = total;
-  };
-  CampaignRunner runner{options};
-  const std::size_t cells_total = 33;
-  collect<int>(runner, numbered_specs(cells_total),
-               [](const ScenarioSpec& s) { return static_cast<int>(s.id); });
-  ASSERT_EQ(counts.size(), cells_total);  // exactly once per cell
-  EXPECT_EQ(total_seen, cells_total);
-  for (std::size_t i = 1; i < counts.size(); ++i) {
-    EXPECT_GE(counts[i], counts[i - 1]);  // monotonically non-decreasing
-  }
-  EXPECT_EQ(counts.back(), cells_total);
 }
 
 TEST(CampaignRunnerTest, ExecutorExceptionPropagates) {
@@ -277,26 +238,6 @@ TEST(CampaignRunnerTest, GatedRunStillPropagatesExecutorExceptions) {
                      return 0;
                    }),
       std::runtime_error);
-}
-
-TEST(CampaignRunnerTest, ThrowingProgressHookFailsTheCampaign) {
-  // A hook exception must surface like an executor exception (and must not
-  // unwind through the pool while workers still run the campaign's locals).
-  for (const int workers : {1, 4}) {
-    RunnerOptions options;
-    options.workers = workers;
-    options.progress = [](std::size_t done, std::size_t) {
-      if (done == 3) throw std::runtime_error("hook boom");
-    };
-    CampaignRunner runner{options};
-    EXPECT_THROW(
-        collect<int>(runner, numbered_specs(16),
-                     [](const ScenarioSpec& s) {
-                       return static_cast<int>(s.id);
-                     }),
-        std::runtime_error)
-        << "workers=" << workers;
-  }
 }
 
 // --------------------------------------------------------- worker pool ----

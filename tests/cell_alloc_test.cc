@@ -8,7 +8,8 @@
 // pools to their high-water marks, then a measured run of cells. The same
 // gate holds a single-fault conformance cell and compound-schedule cells,
 // with and without malformed DNS wire. A byte counter beside the call counter
-// also bounds what decoding malformed DNS wire may allocate. Counting (not
+// also bounds what decoding malformed DNS wire, conformance records and
+// fault schedules may allocate. Counting (not
 // timing) keeps the gates deterministic on 1-core CI runners and under
 // sanitizers.
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,10 +25,12 @@
 #include "clients/profiles.h"
 #include "conformance/checker.h"
 #include "conformance/fault.h"
+#include "conformance/record_codec.h"
 #include "conformance/schedule.h"
 #include "dns/message.h"
 #include "testbed/testbed.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -76,7 +80,9 @@ constexpr std::uint64_t kMalformedDnsCellBudget = 157 + kSlack;
 // this many bytes per wire byte; the seeded corpus below peaks at 23.5
 // (2,234 bytes for a 95-byte corrupt referral).
 // A decoder that sizes storage from header counts instead of input length
-// blows through it by orders of magnitude.
+// blows through it by orders of magnitude. The conformance record and fault
+// schedule decoders are held to the same bound; their corpus peaks at 5.4
+// (records) and 1.3 (schedules).
 constexpr std::uint64_t kDecodeBytesPerWireByte = 24;
 
 constexpr int kWarmupCells = 16;
@@ -113,6 +119,15 @@ std::vector<conformance::FaultSchedule> generated_schedules(
     if (malformed == malformed_dns) schedules.push_back(std::move(schedule));
   }
   return schedules;
+}
+
+/// Bytes allocated while `fn` runs.
+template <typename Fn>
+std::uint64_t allocated_bytes(Fn&& fn) {
+  const std::uint64_t before =
+      g_allocated_bytes.load(std::memory_order_relaxed);
+  fn();
+  return g_allocated_bytes.load(std::memory_order_relaxed) - before;
 }
 
 /// Warm allocations per replayed schedule cell on Chrome.
@@ -183,6 +198,61 @@ std::vector<std::vector<std::uint8_t>> malformed_dns_corpus() {
   return corpus;
 }
 
+/// Malformed inputs for the record and schedule codecs.
+struct CodecCorpus {
+  std::vector<std::string> records;
+  std::vector<std::string> schedules;
+};
+
+/// Seeded truncations and corruptions (the DNS corpus's mutators) of the
+/// encodings of real cells, plus a record and a schedule that end right
+/// after a count claiming the most entries each decoder accepts.
+CodecCorpus malformed_codec_corpus() {
+  using conformance::FaultKind;
+  const auto profile = clients::chromium_profile("Chrome", "130.0", "10-2024");
+  const conformance::ConformanceHarness harness;
+  std::vector<std::string> records;
+  std::vector<std::string> schedules;
+  for (const FaultKind kind :
+       {FaultKind::kNone, FaultKind::kDnsCorrupt, FaultKind::kTcpReset}) {
+    records.push_back(conformance::encode_record(
+        harness.replay(profile, conformance::FaultPlan{kind})));
+  }
+  for (std::uint32_t index = 0; index < 4; ++index) {
+    const auto schedule = conformance::FaultSchedule::generate(7, 0, index);
+    schedules.push_back(conformance::encode_schedule(schedule));
+    records.push_back(conformance::encode_record(
+        harness.replay_schedule(profile, schedule)));
+  }
+
+  SplitMix64 rng{2024};
+  const auto mutate = [&rng](const std::vector<std::string>& pristine) {
+    std::vector<std::string> out;
+    for (const std::string& bytes : pristine) {
+      for (int i = 0; i < 100; ++i) {
+        for (const auto mutator :
+             {conformance::truncate_wire, conformance::corrupt_wire}) {
+          std::vector<std::uint8_t> wire(bytes.begin(), bytes.end());
+          mutator(wire, rng);
+          out.emplace_back(wire.begin(), wire.end());
+        }
+      }
+    }
+    return out;
+  };
+  CodecCorpus corpus{mutate(records), mutate(schedules)};
+
+  std::string record = conformance::encode_record({});
+  record.resize(record.size() - 4);
+  wire::put_u32(record, 1024);
+  corpus.records.push_back(record);
+  std::string schedule = conformance::encode_schedule({});
+  schedule.resize(schedule.size() - 4);
+  wire::put_u32(schedule, 64);
+  corpus.schedules.push_back(schedule);
+  return corpus;
+}
+
 TEST(CellAllocTest, WarmSmallCellStaysUnderBudget) {
   const auto profile = clients::chromium_profile("Chrome", "130.0", "10-2024");
   testbed::LocalTestbed bed;
@@ -227,16 +297,33 @@ TEST(CellAllocTest, MalformedDnsDecodeIsBoundedByWireLength) {
   const auto corpus = malformed_dns_corpus();
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     const std::vector<std::uint8_t>& wire = corpus[i];
-    const std::uint64_t before =
-        g_allocated_bytes.load(std::memory_order_relaxed);
-    {
+    const std::uint64_t bytes = allocated_bytes([&] {
       dns::DnsMessage fresh;
       (void)dns::DnsMessage::decode_into(wire, fresh);
-    }
-    const std::uint64_t bytes =
-        g_allocated_bytes.load(std::memory_order_relaxed) - before;
+    });
     EXPECT_LE(bytes, kDecodeBytesPerWireByte * wire.size())
         << "corpus wire " << i << " (" << wire.size() << " bytes)";
+  }
+}
+
+TEST(CellAllocTest, MalformedRecordAndScheduleDecodeIsBoundedByInputLength) {
+  const CodecCorpus corpus = malformed_codec_corpus();
+  // The two count-only inputs: no verdict or entry bytes follow the count.
+  ASSERT_EQ(corpus.records.back().size(), 41u);
+  ASSERT_EQ(corpus.schedules.back().size(), 20u);
+  for (std::size_t i = 0; i < corpus.records.size(); ++i) {
+    const std::string& bytes = corpus.records[i];
+    const std::uint64_t allocated =
+        allocated_bytes([&] { (void)conformance::decode_record(bytes); });
+    EXPECT_LE(allocated, kDecodeBytesPerWireByte * bytes.size())
+        << "corpus record " << i << " (" << bytes.size() << " bytes)";
+  }
+  for (std::size_t i = 0; i < corpus.schedules.size(); ++i) {
+    const std::string& bytes = corpus.schedules[i];
+    const std::uint64_t allocated =
+        allocated_bytes([&] { (void)conformance::decode_schedule(bytes); });
+    EXPECT_LE(allocated, kDecodeBytesPerWireByte * bytes.size())
+        << "corpus schedule " << i << " (" << bytes.size() << " bytes)";
   }
 }
 

@@ -32,7 +32,6 @@
 #include "campaign/scenario.h"
 #include "campaign/shard.h"
 #include "campaign/sink.h"
-#include "campaign/sketch.h"
 #include "campaign/spec_stream.h"
 #include "util/rng.h"
 
@@ -134,7 +133,7 @@ TEST(JournalCrashTest, KillNineMidCampaignThenResumeIsExact) {
     CollectingSink<std::uint64_t> sink;
     const JournalCodec<std::uint64_t> codec = u64_codec();
     run_journaled<std::uint64_t>(runner_with(1), SpecStream::view(specs),
-                                 executor, sink, options, &codec);
+                                 executor, sink, options, codec);
     _exit(7);  // not reached: the campaign must die before finishing
   }
 
@@ -158,7 +157,7 @@ TEST(JournalCrashTest, KillNineMidCampaignThenResumeIsExact) {
   const JournalCodec<std::uint64_t> codec = u64_codec();
   const JournaledRun run = run_journaled<std::uint64_t>(
       runner_with(4), SpecStream::view(specs), value_executor(), resumed,
-      options, &codec);
+      options, codec);
   EXPECT_TRUE(run.resumed);
   EXPECT_EQ(run.cells_replayed, kKillAfter);
   EXPECT_EQ(run.cells_run, kCells - kKillAfter);
@@ -348,13 +347,13 @@ TEST(JournaledRunTest, IdentityMismatchRefusesLoudly) {
   options.identity = journal_identity("stream-a", specs.size(), 1);
   CollectingSink<std::uint64_t> sink;
   run_journaled<std::uint64_t>(runner_with(2), SpecStream::view(specs),
-                               value_executor(), sink, options, &codec);
+                               value_executor(), sink, options, codec);
 
   options.identity = journal_identity("stream-b", specs.size(), 1);
   CollectingSink<std::uint64_t> sink2;
   EXPECT_THROW(
       run_journaled<std::uint64_t>(runner_with(2), SpecStream::view(specs),
-                                   value_executor(), sink2, options, &codec),
+                                   value_executor(), sink2, options, codec),
       JournalError);
   std::remove(path.c_str());
 }
@@ -368,14 +367,14 @@ TEST(JournaledRunTest, CellRangeMismatchRefusesLoudly) {
   options.identity = journal_identity("range", specs.size(), 1);
   CollectingSink<std::uint64_t> sink;
   run_journaled<std::uint64_t>(runner_with(2), SpecStream::view(specs),
-                               value_executor(), sink, options, &codec);
+                               value_executor(), sink, options, codec);
 
   options.cell_begin = 2;
   options.cell_end = 8;
   CollectingSink<std::uint64_t> sink2;
   EXPECT_THROW(
       run_journaled<std::uint64_t>(runner_with(2), SpecStream::view(specs),
-                                   value_executor(), sink2, options, &codec),
+                                   value_executor(), sink2, options, codec),
       JournalError);
   std::remove(path.c_str());
 }
@@ -389,7 +388,7 @@ TEST(JournaledRunTest, UndecodableRecordRefusesResume) {
   options.identity = journal_identity("undecodable", specs.size(), 1);
   CollectingSink<std::uint64_t> sink;
   run_journaled<std::uint64_t>(runner_with(2), SpecStream::view(specs),
-                               value_executor(), sink, options, &codec);
+                               value_executor(), sink, options, codec);
 
   // A codec whose schema "changed" decodes nothing: the resume must throw,
   // not silently skip journaled cells.
@@ -400,7 +399,7 @@ TEST(JournaledRunTest, UndecodableRecordRefusesResume) {
   CollectingSink<std::uint64_t> sink2;
   EXPECT_THROW(
       run_journaled<std::uint64_t>(runner_with(2), SpecStream::view(specs),
-                                   value_executor(), sink2, options, &broken),
+                                   value_executor(), sink2, options, broken),
       JournalError);
   std::remove(path.c_str());
 }
@@ -426,7 +425,7 @@ TEST(JournaledRunTest, InterruptedRunResumesByteIdenticalAtAnyWorkerCount) {
     CollectingSink<std::uint64_t> sink;
     EXPECT_THROW(run_journaled<std::uint64_t>(runner_with(2),
                                               SpecStream::view(specs), trap,
-                                              sink, options, &codec),
+                                              sink, options, codec),
                  std::runtime_error);
   }
   const JournalLoad partial = load_journal(master);
@@ -449,7 +448,7 @@ TEST(JournaledRunTest, InterruptedRunResumesByteIdenticalAtAnyWorkerCount) {
     CollectingSink<std::uint64_t> resumed;
     const JournaledRun run = run_journaled<std::uint64_t>(
         runner_with(workers), SpecStream::view(specs), value_executor(),
-        resumed, options, &codec);
+        resumed, options, codec);
     EXPECT_TRUE(run.resumed);
     EXPECT_EQ(run.cells_replayed, partial.cells.size());
     EXPECT_EQ(run.cells_replayed + run.cells_run, kCells);
@@ -470,7 +469,7 @@ TEST(JournaledRunTest, CompleteJournalShortCircuitsAndReplays) {
 
   CollectingSink<std::uint64_t> first;
   run_journaled<std::uint64_t>(runner_with(2), SpecStream::view(specs),
-                               value_executor(), first, options, &codec);
+                               value_executor(), first, options, codec);
 
   // Second run: nothing executes; the sink is fed purely from the journal.
   std::atomic<int> executed{0};
@@ -482,87 +481,11 @@ TEST(JournaledRunTest, CompleteJournalShortCircuitsAndReplays) {
   CollectingSink<std::uint64_t> second;
   const JournaledRun run = run_journaled<std::uint64_t>(
       runner_with(2), SpecStream::view(specs), counting, second, options,
-      &codec);
+      codec);
   EXPECT_TRUE(run.already_complete);
   EXPECT_EQ(run.cells_run, 0u);
   EXPECT_EQ(executed.load(), 0);
   EXPECT_EQ(second.result().outcomes, first.result().outcomes);
-  std::remove(path.c_str());
-}
-
-// ------------------------------------------------------ snapshot mode ----
-
-SketchSink<std::uint64_t> make_sketch_sink() {
-  SketchSink<std::uint64_t> sink;
-  sink.add_metric("value_mod", [](const ScenarioSpec&, const std::uint64_t& v) {
-    return std::optional<double>{static_cast<double>(v % 100000)};
-  });
-  sink.add_metric("seed", [](const ScenarioSpec& s, const std::uint64_t&) {
-    return std::optional<double>{static_cast<double>(s.seed)};
-  });
-  return sink;
-}
-
-TEST(SnapshotResumeTest, SketchSinkResumesToIdenticalFingerprint) {
-  constexpr std::size_t kCells = 100;
-  const auto specs = numbered_specs(kCells);
-  const std::uint64_t identity = journal_identity("sketch", kCells, 1);
-  const std::string path = tmp_path("sketch.journal");
-
-  SketchSink<std::uint64_t> reference = make_sketch_sink();
-  runner_with(4).run_streaming<std::uint64_t>(SpecStream::view(specs),
-                                              value_executor(), reference);
-
-  // Interrupted snapshot-mode run (no codec): state journaled every 16
-  // cells, crash at cell 60.
-  {
-    const std::function<std::uint64_t(const ScenarioSpec&)> trap =
-        [](const ScenarioSpec& s) -> std::uint64_t {
-      if (s.id == 60) throw std::runtime_error("interrupt");
-      return cell_value(s);
-    };
-    JournalOptions options;
-    options.path = path;
-    options.identity = identity;
-    options.snapshot_every = 16;
-    SketchSink<std::uint64_t> sink = make_sketch_sink();
-    EXPECT_THROW(run_journaled<std::uint64_t>(runner_with(2),
-                                              SpecStream::view(specs), trap,
-                                              sink, options),
-                 std::runtime_error);
-  }
-  const JournalLoad partial = load_journal(path);
-  ASSERT_TRUE(partial.exists);
-  EXPECT_GT(partial.snapshot_cells, 0u);
-  EXPECT_EQ(partial.snapshot_cells % 16, 0u);
-
-  // Resume: restore the snapshot, re-run the tail, compare the fold.
-  JournalOptions options;
-  options.path = path;
-  options.identity = identity;
-  options.snapshot_every = 16;
-  SketchSink<std::uint64_t> resumed = make_sketch_sink();
-  const JournaledRun run = run_journaled<std::uint64_t>(
-      runner_with(4), SpecStream::view(specs), value_executor(), resumed,
-      options);
-  EXPECT_TRUE(run.resumed);
-  EXPECT_EQ(run.cells_replayed, partial.snapshot_cells);
-  EXPECT_EQ(resumed.cells_seen(), kCells);
-  EXPECT_EQ(resumed.fingerprint(), reference.fingerprint());
-
-  // A completed snapshot-mode journal restores fully without re-running.
-  SketchSink<std::uint64_t> restored = make_sketch_sink();
-  std::atomic<int> executed{0};
-  const std::function<std::uint64_t(const ScenarioSpec&)> counting =
-      [&executed](const ScenarioSpec& s) {
-        executed.fetch_add(1);
-        return cell_value(s);
-      };
-  const JournaledRun again = run_journaled<std::uint64_t>(
-      runner_with(2), SpecStream::view(specs), counting, restored, options);
-  EXPECT_TRUE(again.already_complete);
-  EXPECT_EQ(executed.load(), 0);
-  EXPECT_EQ(restored.fingerprint(), reference.fingerprint());
   std::remove(path.c_str());
 }
 
@@ -732,7 +655,7 @@ TEST(ShardMergeTest, MergeReestablishesSpecOrderWithQuarantine) {
       CallbackSink<std::uint64_t> drop{[](const ScenarioSpec&,
                                           std::uint64_t) {}};
       run_journaled<std::uint64_t>(shard_runner, SpecStream::view(specs),
-                                   executor, drop, options, &codec);
+                                   executor, drop, options, codec);
     }
 
     std::vector<std::uint64_t> merged_indices;

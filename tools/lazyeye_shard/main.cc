@@ -191,12 +191,11 @@ int run_shard(const Args& args, const Matrix& matrix) {
   journal.cell_begin = range.begin;
   journal.cell_end = range.end;
 
-  const auto codec = record_codec();
   NullSink sink;
   const campaign::SpecStream stream = campaign::SpecStream::view(matrix.specs);
   const campaign::JournaledRun result = campaign::run_journaled<
       conformance::ConformanceRecord>(runner, stream, executor, sink, journal,
-                                      &codec);
+                                      record_codec());
   std::printf("shard %d: cells [%llu, %llu) %s (replayed %llu, ran %llu)\n",
               args.shard, static_cast<unsigned long long>(range.begin),
               static_cast<unsigned long long>(range.end),
