@@ -7,9 +7,9 @@
 // Every timer lives in one binary min-heap over (when, seq). Cancellation is
 // lazy: cancel() only disarms the timer's liveness slot, and a disarmed node
 // is pruned when it reaches the top of the heap. Callbacks are stored in
-// InlineCallback nodes (small captures never touch the heap), and liveness is
-// tracked by generation-tagged slots — no per-event hash-set insert/erase on
-// the hot path.
+// InlineFunction<void()> nodes (small captures never touch the heap), and
+// liveness is tracked by generation-tagged slots — no per-event hash-set
+// insert/erase on the hot path.
 //
 // There is deliberately no timer wheel. A measurement cell holds at most a
 // few dozen pending timers (Resolution Delay, Connection Attempt Delay, SYN
@@ -42,7 +42,7 @@ struct TimerId {
 
 class EventLoop {
  public:
-  using Callback = InlineCallback;
+  using Callback = InlineFunction<void()>;
 
   /// All growable storage (heap, liveness slots) draws from `memory`. A
   /// world-pooled Network passes its arena, so a fresh per-cell loop reuses
@@ -104,7 +104,7 @@ class EventLoop {
     std::uint64_t seq;
     std::uint64_t id;  // packed (generation, slot) — see TimerId
     // The callback lives in the node itself; small captures are stored
-    // inline (InlineCallback), so scheduling typically allocates nothing.
+    // inline (InlineFunction), so scheduling typically allocates nothing.
     Callback cb;
   };
   struct EventLater {

@@ -7,7 +7,7 @@
 // scheduled event. InlineFunction<Sig> stores any callable up to
 // kInlineBytes (and nothrow-movable) in place; larger callables fall back to
 // a single heap allocation, so no caller ever has to care about capture
-// size. The event loop uses InlineCallback = InlineFunction<void()>; Host
+// size. The event loop stores InlineFunction<void()> callbacks; Host
 // packet dispatch uses InlineFunction<void(const Packet&)> for its flat
 // handler tables.
 #pragma once
@@ -145,8 +145,5 @@ class InlineFunction<R(Args...)> {
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
-
-/// The event-loop callback type (kept under its historical name).
-using InlineCallback = InlineFunction<void()>;
 
 }  // namespace lazyeye::simnet

@@ -95,7 +95,7 @@ void Network::send(Host& from, Packet p) {
   }
 
   // Park the packet in a recycled slot; the closure captures 20 bytes and
-  // stays inside the InlineCallback small-buffer storage, so the hottest
+  // stays inside the EventLoop callback's small-buffer storage, so the hottest
   // callback in the system schedules without touching the heap.
   const std::uint32_t slot = acquire_flight_slot();
   flight_[slot] = std::move(p);

@@ -8,7 +8,7 @@
 // The per-packet path is allocation-free in steady state: payload bytes
 // recycle through a per-Network BufferPool, and in-flight packets park in a
 // free-listed slot table so the delivery closure captures only
-// {network, target, slot} — small enough for the EventLoop's InlineCallback
+// {network, target, slot} — small enough for the EventLoop callback's
 // small-buffer storage, where it used to be the hottest heap-spilling
 // callback in the system.
 #pragma once

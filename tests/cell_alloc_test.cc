@@ -9,9 +9,9 @@
 // gate holds a single-fault conformance cell and compound-schedule cells,
 // with and without malformed DNS wire. A byte counter beside the call counter
 // also bounds what decoding malformed DNS wire, conformance records and
-// fault schedules may allocate. Counting (not
-// timing) keeps the gates deterministic on 1-core CI runners and under
-// sanitizers.
+// fault schedules may allocate, and a warm DNS encode into a pooled buffer
+// must allocate nothing at all. Counting (not timing) keeps the gates
+// deterministic on 1-core CI runners and under sanitizers.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -28,6 +28,8 @@
 #include "conformance/record_codec.h"
 #include "conformance/schedule.h"
 #include "dns/message.h"
+#include "dns/name.h"
+#include "simnet/buffer.h"
 #include "testbed/testbed.h"
 #include "util/rng.h"
 #include "util/wire.h"
@@ -325,6 +327,44 @@ TEST(CellAllocTest, MalformedRecordAndScheduleDecodeIsBoundedByInputLength) {
     EXPECT_LE(allocated, kDecodeBytesPerWireByte * bytes.size())
         << "corpus schedule " << i << " (" << bytes.size() << " bytes)";
   }
+}
+
+TEST(CellAllocTest, WarmDnsEncodeIntoAllocatesNothing) {
+  // A lab-shaped response: 1 question, 2 AAAA answers, 1 NS authority.
+  dns::DnsMessage msg;
+  msg.header.id = 0x4242;
+  msg.header.qr = true;
+  const auto name = dns::DnsName::must_parse("www.he-test.lab");
+  msg.questions.push_back({name, dns::RrType::kAaaa});
+  msg.answers.push_back(dns::ResourceRecord::aaaa(
+      name, *simnet::Ipv6Address::parse("2001:db8::80")));
+  msg.answers.push_back(dns::ResourceRecord::aaaa(
+      name, *simnet::Ipv6Address::parse("2001:db8::81")));
+  msg.authorities.push_back(dns::ResourceRecord::ns(
+      dns::DnsName::must_parse("he-test.lab"),
+      dns::DnsName::must_parse("ns1.he-test.lab")));
+  const std::vector<std::uint8_t> expected = msg.encode();
+
+  // The DnsClient/AuthServer hot path: a pooled output buffer and a
+  // retained compressor. The first encode grows both.
+  simnet::BufferPool pool;
+  simnet::Buffer wire{&pool};
+  dns::NameCompressor compressor;
+  msg.encode_into(wire, compressor);
+
+  constexpr int kEncodes = 1000;
+  bool identical = true;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kEncodes; ++i) {
+    msg.encode_into(wire, compressor);
+    identical = identical && std::equal(wire.span().begin(), wire.span().end(),
+                                        expected.begin(), expected.end());
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(identical) << "encode_into wire differs from encode()";
+  EXPECT_EQ(after - before, 0u)
+      << "warm encode_into touched the heap (" << (after - before)
+      << " allocations over " << kEncodes << " encodes)";
 }
 
 // The run itself must still mean something: a cell that silently stopped

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -16,12 +17,11 @@
 #include "simnet/ip.h"
 #include "simnet/netem.h"
 #include "simnet/network.h"
-#include "simnet/udp_echo.h"
 #include "util/rng.h"
 
-// ---- global operator-new counting proxy (same technique as the benches) ----
-// Lets the data-path regression test below assert that a steady-state UDP
-// round trip performs zero heap allocations.
+// ---- global operator-new counting proxy -----------------------------------
+// Lets the allocation regression tests below assert that steady-state event
+// dispatch and a steady-state UDP round trip perform zero heap allocations.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
@@ -245,7 +245,7 @@ TEST(EventLoopTest, CancelDuringCallbackOfSameTimestampBatch) {
 
 TEST(InlineCallbackTest, SmallCapturesStayInline) {
   int counter = 0;
-  InlineCallback cb{[&counter] { ++counter; }};
+  InlineFunction<void()> cb{[&counter] { ++counter; }};
   EXPECT_TRUE(static_cast<bool>(cb));
   EXPECT_TRUE(cb.is_inline());
   cb();
@@ -259,7 +259,7 @@ TEST(InlineCallbackTest, LargeCapturesFallBackToHeapAndStillRun) {
   } big{};
   big.bytes[0] = 42;
   int seen = 0;
-  InlineCallback cb{[big, &seen] { seen = big.bytes[0]; }};
+  InlineFunction<void()> cb{[big, &seen] { seen = big.bytes[0]; }};
   EXPECT_FALSE(cb.is_inline());
   cb();
   EXPECT_EQ(seen, 42);
@@ -267,13 +267,13 @@ TEST(InlineCallbackTest, LargeCapturesFallBackToHeapAndStillRun) {
 
 TEST(InlineCallbackTest, MovePreservesCallableAndEmptiesSource) {
   int counter = 0;
-  InlineCallback a{[&counter] { ++counter; }};
-  InlineCallback b{std::move(a)};
+  InlineFunction<void()> a{[&counter] { ++counter; }};
+  InlineFunction<void()> b{std::move(a)};
   EXPECT_FALSE(static_cast<bool>(a));  // NOLINT: testing moved-from state
   b();
   EXPECT_EQ(counter, 1);
 
-  InlineCallback c;
+  InlineFunction<void()> c;
   c = std::move(b);
   c();
   EXPECT_EQ(counter, 2);
@@ -282,11 +282,12 @@ TEST(InlineCallbackTest, MovePreservesCallableAndEmptiesSource) {
 TEST(InlineCallbackTest, DestructorRunsForBothStorageModes) {
   auto tracker = std::make_shared<int>(0);
   {
-    InlineCallback small{[tracker] { ++*tracker; }};
+    InlineFunction<void()> small{[tracker] { ++*tracker; }};
     struct Big {
       char pad[100];
     };
-    InlineCallback big{[tracker, pad = Big{}] { (void)pad; ++*tracker; }};
+    InlineFunction<void()> big{
+        [tracker, pad = Big{}] { (void)pad; ++*tracker; }};
     EXPECT_EQ(tracker.use_count(), 3);
   }
   EXPECT_EQ(tracker.use_count(), 1);  // both captures destroyed
@@ -862,11 +863,123 @@ TEST(NetworkTest, ThrowingHandlerDoesNotWedgeDispatch) {
   EXPECT_EQ(got, 1);
 }
 
+// ------------------------------------- event-loop allocation regression ----
+
+TEST(EventLoopAllocationTest, WarmTimerChainsAndCancelChurnAllocateNothing) {
+  // Each callback schedules its successor, the pattern of HE attempt and
+  // retransmit timers; 64 concurrent chains hold a fuller heap than any
+  // cell does.
+  struct Chain {
+    EventLoop* loop;
+    std::uint64_t* remaining;
+    void operator()() const {
+      if (--*remaining > 0) loop->schedule_after(ms(1), *this);
+    }
+  };
+  constexpr std::size_t kChains = 64;
+  constexpr std::uint64_t kEventsPerChain = 1000;
+  EventLoop loop;
+  std::uint64_t remaining[kChains];
+  const auto run_chains = [&] {
+    for (std::size_t c = 0; c < kChains; ++c) {
+      remaining[c] = kEventsPerChain;
+      loop.schedule_after(ms(static_cast<std::int64_t>(c)),
+                          Chain{&loop, &remaining[c]});
+    }
+    loop.run();
+  };
+
+  // Warm-up: grows the heap and the liveness slots to their high-water
+  // marks.
+  run_chains();
+
+  std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t processed_before = loop.processed();
+  run_chains();
+  std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(loop.processed() - processed_before, kChains * kEventsPerChain);
+  EXPECT_EQ(after - before, 0u)
+      << "warm timer chains touched the heap (" << (after - before)
+      << " allocations over " << kChains * kEventsPerChain << " events)";
+
+  // Schedule/cancel churn: arm two timers, cancel both before they fire and
+  // prune the dead nodes. Slots recycle with a bumped generation.
+  constexpr int kChurnRounds = 10'000;
+  int fired = 0;
+  int cancelled = 0;
+  before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kChurnRounds; ++i) {
+    const TimerId sooner = loop.schedule_after(ms(5), [&fired] { ++fired; });
+    const TimerId later = loop.schedule_after(ms(10), [&fired] { ++fired; });
+    cancelled += loop.cancel(later) ? 1 : 0;
+    cancelled += loop.cancel(sooner) ? 1 : 0;
+    loop.run_for(ms(0));
+  }
+  after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(cancelled, 2 * kChurnRounds);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_EQ(after - before, 0u)
+      << "schedule/cancel churn touched the heap (" << (after - before)
+      << " allocations over " << kChurnRounds << " rounds)";
+}
+
 // -------------------------------------- data-path allocation regression ----
+
+/// Deterministic UDP echo workload over one Network: a client/server pair
+/// bouncing a pooled payload back and forth.
+class UdpEchoHarness {
+ public:
+  /// Large enough to need a pooled block (not the Buffer's inline storage),
+  /// so every hop exercises the BufferPool recycle path.
+  static constexpr std::size_t kPayloadBytes = 64;
+
+  /// Adds the echo client/server host pair to `net` and binds both ports.
+  /// The harness must not outlive the network.
+  explicit UdpEchoHarness(Network& net)
+      : net_{net},
+        client_{net.add_host("echo-client")},
+        server_{net.add_host("echo-server")} {
+    client_.add_address(client_ep_.addr);
+    server_.add_address(server_ep_.addr);
+    server_.udp_bind(server_ep_.port, [this](const Packet& p) {
+      Buffer reply{&net_.buffer_pool()};
+      reply.append(p.payload.span());
+      server_.udp_send(p.dst, p.src, std::move(reply));
+    });
+    client_.udp_bind(client_ep_.port, [this](const Packet& p) {
+      if (--remaining_ == 0) return;
+      Buffer next{&net_.buffer_pool()};
+      next.append(p.payload.span());
+      client_.udp_send(p.dst, p.src, std::move(next));
+    });
+  }
+
+  /// Runs `rounds` echo round trips (two delivered packets each) to
+  /// completion on the network's event loop.
+  void run_rounds(std::uint64_t rounds) {
+    if (rounds == 0) return;
+    remaining_ = rounds;
+    Buffer first{&net_.buffer_pool()};
+    for (std::size_t i = 0; i < kPayloadBytes; ++i) {
+      first.push_back(static_cast<std::uint8_t>(i));
+    }
+    client_.udp_send(client_ep_, server_ep_, std::move(first));
+    net_.loop().run();
+  }
+
+ private:
+  Network& net_;
+  Host& client_;
+  Host& server_;
+  Endpoint client_ep_{IpAddress::must_parse("10.0.0.1"), 9000};
+  Endpoint server_ep_{IpAddress::must_parse("10.0.0.2"), 7};
+  std::uint64_t remaining_ = 0;
+};
 
 TEST(DataPathAllocationTest, SteadyStateUdpEchoAllocatesNothing) {
   Network net{1};
-  UdpEchoHarness echo{net};  // same harness the CI smoke gate measures
+  UdpEchoHarness echo{net};
 
   // Warm-up: grows the buffer pool, flight-slot table, timer heap and
   // dispatch tables to their steady-state high-water marks.
