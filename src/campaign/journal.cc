@@ -25,9 +25,9 @@ constexpr std::size_t kHeaderSize = 34;
 constexpr std::size_t kRecordOverhead = 9;
 constexpr std::uint32_t kMaxRecordPayload = 1u << 28;  // 256 MiB sanity cap
 
+// Existing journals fix these numbers; type 2 is retired (journal.h).
 enum RecordType : std::uint8_t {
   kCell = 1,
-  kQuarantine = 2,
   kSnapshot = 3,
   kComplete = 4,
 };
@@ -143,20 +143,6 @@ JournalLoad load_journal(const std::string& path) {
           fail(path, pos,
                "cell record out of order (journal must be an in-order "
                "prefix; refusing to resume)");
-        }
-        load.cells.push_back(std::move(cell));
-        break;
-      }
-      case kQuarantine: {
-        if (len < 13) fail(path, pos, "quarantine record too short");
-        JournalLoad::Cell cell;
-        cell.index = wire::get_u64(payload, 0);
-        cell.quarantined = true;
-        cell.attempts = static_cast<int>(wire::get_u32(payload, 8));
-        cell.timed_out = payload[12] != 0;
-        cell.payload.assign(payload.substr(13));  // error text
-        if (cell.index != load.resume_index()) {
-          fail(path, pos, "quarantine record out of order");
         }
         load.cells.push_back(std::move(cell));
         break;
@@ -292,17 +278,6 @@ void JournalWriter::append_cell(std::uint64_t index, std::string_view payload) {
   wire::put_u64(body, index);
   body.append(payload);
   append_record(kCell, body, /*force_sync=*/false);
-}
-
-void JournalWriter::append_quarantine(std::uint64_t index, int attempts,
-                                      bool timed_out, std::string_view error) {
-  std::string body;
-  body.reserve(13 + error.size());
-  wire::put_u64(body, index);
-  wire::put_u32(body, static_cast<std::uint32_t>(attempts));
-  body.push_back(timed_out ? '\1' : '\0');
-  body.append(error);
-  append_record(kQuarantine, body, /*force_sync=*/false);
 }
 
 void JournalWriter::append_snapshot(std::uint64_t cells_delivered,

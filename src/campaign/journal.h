@@ -16,10 +16,12 @@
 //
 // Record types:
 //   kCell        u64 index | encoded result bytes
-//   kQuarantine  u64 index | u32 attempts | u8 timed_out | error text
 //   kSnapshot    u64 cells_delivered | opaque state blob (FaultHunt's
 //                search state; run_journaled writes none)
 //   kComplete    u64 cells_delivered       (the range finished cleanly)
+//
+// Type 2 is retired and never reassigned: like any unknown type, a record
+// carrying it makes load_journal throw rather than skip a cell.
 //
 // `identity` fingerprints the spec stream (journal_identity() hashes the
 // stream id, grid shape, and seed); a journal is only ever resumed against
@@ -65,10 +67,7 @@ struct JournalLoad {
 
   struct Cell {
     std::uint64_t index = 0;
-    std::string payload;  // encoded result, or the quarantine error text
-    bool quarantined = false;
-    int attempts = 0;      // quarantine records only
-    bool timed_out = false;
+    std::string payload;  // encoded result bytes
   };
   /// In journal order == spec order; indices are contiguous from cell_begin.
   std::vector<Cell> cells;
@@ -118,8 +117,6 @@ class JournalWriter {
 
   void append_cell(std::uint64_t index, std::string_view payload)
       EXCLUDES(mutex_);
-  void append_quarantine(std::uint64_t index, int attempts, bool timed_out,
-                         std::string_view error) EXCLUDES(mutex_);
   void append_snapshot(std::uint64_t cells_delivered, std::string_view state)
       EXCLUDES(mutex_);
   void append_complete(std::uint64_t cells_delivered) EXCLUDES(mutex_);

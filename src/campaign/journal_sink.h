@@ -80,13 +80,6 @@ class JournalingSink final : public ResultSink<R> {
     writer_.append_cell(next_index_++, payload);
   }
 
-  void cell_failed(const ScenarioSpec& spec,
-                   const FailureReport& report) override {
-    inner_.cell_failed(spec, report);
-    writer_.append_quarantine(next_index_++, report.attempts,
-                              report.timed_out, report.error);
-  }
-
  private:
   ResultSink<R>& inner_;
   JournalWriter& writer_;
@@ -95,21 +88,6 @@ class JournalingSink final : public ResultSink<R> {
 };
 
 namespace journal_detail {
-
-template <typename R>
-FailureReport report_from(const JournalLoad::Cell& cell,
-                          const ScenarioSpec& spec) {
-  FailureReport report;
-  report.index = cell.index;
-  report.spec_id = spec.id;
-  report.seed = spec.seed;
-  report.label = spec.label;
-  report.client = spec.client;
-  report.attempts = cell.attempts;
-  report.timed_out = cell.timed_out;
-  report.error = cell.payload;
-  return report;
-}
 
 /// Re-delivers every journaled cell to the sink, exactly as the original
 /// run did. Throws JournalError on undecodable bytes.
@@ -124,17 +102,13 @@ std::uint64_t replay_journal(const JournalLoad& load, const SpecStream& specs,
     if (backed == nullptr) generated = specs.at(cell.index);
     const ScenarioSpec& spec =
         backed != nullptr ? (*backed)[cell.index] : generated;
-    if (cell.quarantined) {
-      sink.cell_failed(spec, report_from<R>(cell, spec));
-    } else {
-      std::optional<R> outcome = codec.decode(cell.payload);
-      if (!outcome.has_value()) {
-        throw JournalError(
-            "journal cell record failed to decode (result schema changed?); "
-            "refusing to resume");
-      }
-      sink.cell(spec, std::move(*outcome));
+    std::optional<R> outcome = codec.decode(cell.payload);
+    if (!outcome.has_value()) {
+      throw JournalError(
+          "journal cell record failed to decode (result schema changed?); "
+          "refusing to resume");
     }
+    sink.cell(spec, std::move(*outcome));
     ++replayed;
   }
   return replayed;

@@ -16,11 +16,9 @@
 
 #include <cstddef>
 #include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
-#include "campaign/failure.h"
 #include "campaign/scenario.h"
 #include "campaign/sink.h"
 #include "util/mutex.h"
@@ -49,19 +47,25 @@ class ReorderBuffer {
   /// moved-from cell) and the exception propagates to the caller.
   std::size_t complete(std::size_t index, ScenarioSpec spec, R outcome,
                        ResultSink<R>& sink) EXCLUDES(mutex_) {
-    return park(index,
-                PendingCell{std::move(spec), std::move(outcome), std::nullopt},
-                sink);
-  }
-
-  /// Quarantine variant: cell `index` produced no outcome; the sink sees
-  /// cell_failed(spec, report) in its spec-order slot instead of cell().
-  std::size_t complete_failed(std::size_t index, ScenarioSpec spec,
-                              FailureReport report, ResultSink<R>& sink)
-      EXCLUDES(mutex_) {
-    return park(index,
-                PendingCell{std::move(spec), std::nullopt, std::move(report)},
-                sink);
+    util::MutexLock lock{mutex_};
+    pending_.emplace(index, PendingCell{std::move(spec), std::move(outcome)});
+    while (!delivery_failed_) {
+      const auto ready = pending_.find(next_to_emit_);
+      if (ready == pending_.end()) break;
+      PendingCell cell = std::move(ready->second);
+      pending_.erase(ready);
+      const std::size_t i = next_to_emit_++;
+      const ScenarioSpec& cell_spec =
+          backed_ != nullptr ? (*backed_)[i] : cell.spec;
+      try {
+        sink.cell(cell_spec, std::move(cell.outcome));
+      } catch (...) {
+        delivery_failed_ = true;
+        throw;
+      }
+    }
+    if (pending_.size() > high_water_) high_water_ = pending_.size();
+    return next_to_emit_;
   }
 
   /// Max completed cells ever parked awaiting an earlier one. Call after
@@ -74,37 +78,9 @@ class ReorderBuffer {
 
  private:
   struct PendingCell {
-    ScenarioSpec spec;         // empty for backed streams
-    std::optional<R> outcome;  // nullopt: quarantined, report is set
-    std::optional<FailureReport> report;
+    ScenarioSpec spec;  // empty for backed streams
+    R outcome;
   };
-
-  std::size_t park(std::size_t index, PendingCell parked, ResultSink<R>& sink)
-      EXCLUDES(mutex_) {
-    util::MutexLock lock{mutex_};
-    pending_.emplace(index, std::move(parked));
-    while (!delivery_failed_) {
-      const auto ready = pending_.find(next_to_emit_);
-      if (ready == pending_.end()) break;
-      PendingCell cell = std::move(ready->second);
-      pending_.erase(ready);
-      const std::size_t i = next_to_emit_++;
-      const ScenarioSpec& spec =
-          backed_ != nullptr ? (*backed_)[i] : cell.spec;
-      try {
-        if (cell.outcome.has_value()) {
-          sink.cell(spec, std::move(*cell.outcome));
-        } else {
-          sink.cell_failed(spec, *cell.report);
-        }
-      } catch (...) {
-        delivery_failed_ = true;
-        throw;
-      }
-    }
-    if (pending_.size() > high_water_) high_water_ = pending_.size();
-    return next_to_emit_;
-  }
 
   const std::vector<ScenarioSpec>* const backed_;
   mutable util::Mutex mutex_;

@@ -17,25 +17,26 @@
 //     matrix behind it.
 //   - Matrices can be lazy (SpecStream): specs are generated per claimed
 //     cell, so matrix size never dictates memory high-water.
+//
+// Failure policy: the first executor throw fails the campaign. No cell is
+// retried or set aside in process — a cell's world derives from its spec
+// alone, so a retried cell fails the same way again, and nothing here reads
+// a wall clock. A cell that crashes or wedges its process is the shard
+// layer's problem (shard.h): the shard process is killed and resumed from
+// its journal.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "campaign/failure.h"
 #include "campaign/reorder.h"
 #include "campaign/scenario.h"
 #include "campaign/sink.h"
 #include "campaign/spec_stream.h"
 #include "campaign/worker_pool.h"
-#include "util/clock.h"
 #include "util/mutex.h"
 
 namespace lazyeye::campaign {
@@ -61,28 +62,6 @@ struct RunnerOptions {
   /// must overlap — or whose executors block on anything outside their own
   /// cell — at private pools.
   WorkerPool* pool = nullptr;
-
-  // ---- Per-cell fault isolation -------------------------------------------
-  // With all three knobs at their defaults the first executor throw fails
-  // the whole campaign.
-
-  /// Extra executor attempts per cell after the first failure. Retries run
-  /// back to back.
-  int max_cell_retries = 0;
-
-  /// When a cell exhausts its retries: true quarantines it into a
-  /// FailureReport (delivered to the sink via cell_failed(); campaign keeps
-  /// going), false rethrows the last error (fail-fast).
-  bool quarantine_failures = false;
-
-  /// Soft per-cell wall-clock budget: a cell whose executor RETURNS after
-  /// more than this many milliseconds is treated as a failed attempt
-  /// (retried, then quarantined) instead of delivered — its world overran
-  /// the host budget, so its result is suspect and the grid should record
-  /// that loudly. 0 disables. NOTE: this cannot interrupt a cell that never
-  /// returns; truly hung cells are the multi-process shard layer's problem
-  /// (kill the shard, resume from its journal).
-  std::uint64_t cell_timeout_ms = 0;
 };
 
 class CampaignRunner {
@@ -98,13 +77,6 @@ class CampaignRunner {
     std::size_t reorder_high_water = 0;
     std::size_t cells = 0;
     int workers_used = 0;
-
-    /// Fault-isolation counters (all zero with isolation off).
-    std::size_t cells_failed = 0;       // failed executor attempts (incl. timeouts)
-    std::size_t cells_retried = 0;      // retry attempts performed
-    std::size_t cells_quarantined = 0;  // cells delivered as FailureReports
-    /// One replayable report per quarantined cell, in spec order.
-    std::vector<FailureReport> failures;
   };
 
   explicit CampaignRunner(RunnerOptions options = {});
@@ -157,12 +129,8 @@ class CampaignRunner {
     const std::vector<ScenarioSpec>* backed = specs.backing();
     ReorderBuffer<R> reorder{backed, first};
     ClaimGate gate{options_.max_reorder_ahead};
-    FaultLedger ledger;
     RunStats run_stats;  // published to stats_ only when the run completes
     run_stats.cells = last - first;
-    const bool isolate =
-        options_.quarantine_failures || options_.max_cell_retries > 0 ||
-        options_.cell_timeout_ms > 0;
 
     run_stats.workers_used = run_indexed(
         last - first,
@@ -175,87 +143,17 @@ class CampaignRunner {
           const ScenarioSpec& cell_spec =
               backed != nullptr ? (*backed)[i] : spec;
 
-          if (!isolate) {
-            R outcome = executor(cell_spec);
-            // complete() drains every ready cell to the sink under the
-            // reorder mutex and hands back the new emit cursor. advance()
-            // is monotonic, so pacing the gate with a value read outside
-            // the reorder lock is safe — a stale (smaller) cursor is
-            // ignored.
-            gate.advance(reorder.complete(i, std::move(spec),
-                                          std::move(outcome), sink) -
-                         first);
-            return;
-          }
-
-          // Fault-isolated path: bounded retries, then quarantine (or
-          // rethrow when quarantine_failures is off).
-          const int attempts_allowed = 1 + std::max(0, options_.max_cell_retries);
-          std::exception_ptr last_error;
-          std::string error_text;
-          bool timed_out = false;
-          int attempts = 0;
-          while (attempts < attempts_allowed) {
-            if (attempts > 0) ledger.on_retry();
-            ++attempts;
-            const std::uint64_t start_ns =
-                options_.cell_timeout_ms > 0 ? util::monotonic_now_ns() : 0;
-            try {
-              R outcome = executor(cell_spec);
-              if (options_.cell_timeout_ms > 0) {
-                const std::uint64_t elapsed_ms =
-                    (util::monotonic_now_ns() - start_ns) / 1000000u;
-                if (elapsed_ms > options_.cell_timeout_ms) {
-                  ledger.on_failed_attempt();
-                  timed_out = true;
-                  last_error = nullptr;
-                  error_text = "cell overran cell_timeout_ms=";
-                  error_text.append(
-                      std::to_string(options_.cell_timeout_ms));
-                  error_text.append(" (took ");
-                  error_text.append(std::to_string(elapsed_ms));
-                  error_text.append(" ms)");
-                  continue;
-                }
-              }
-              gate.advance(reorder.complete(i, std::move(spec),
-                                            std::move(outcome), sink) -
-                           first);
-              return;
-            } catch (const std::exception& e) {
-              ledger.on_failed_attempt();
-              timed_out = false;
-              error_text = e.what();
-              last_error = std::current_exception();
-            } catch (...) {
-              ledger.on_failed_attempt();
-              timed_out = false;
-              error_text = "non-standard exception";
-              last_error = std::current_exception();
-            }
-          }
-
-          if (!options_.quarantine_failures) {
-            if (last_error) std::rethrow_exception(last_error);
-            throw std::runtime_error(error_text);  // timeout, fail-fast mode
-          }
-          FailureReport report;
-          report.index = i;
-          report.spec_id = cell_spec.id;
-          report.seed = cell_spec.seed;
-          report.label = cell_spec.label;
-          report.client = cell_spec.client;
-          report.attempts = attempts;
-          report.timed_out = timed_out;
-          report.error = error_text;
-          ledger.on_quarantine(report);
-          gate.advance(reorder.complete_failed(i, std::move(spec),
-                                               std::move(report), sink) -
+          R outcome = executor(cell_spec);
+          // complete() drains every ready cell to the sink under the
+          // reorder mutex and hands back the new emit cursor. advance() is
+          // monotonic, so pacing the gate with a value read outside the
+          // reorder lock is safe — a stale (smaller) cursor is ignored.
+          gate.advance(reorder.complete(i, std::move(spec), std::move(outcome),
+                                        sink) -
                        first);
         },
         &gate);
     run_stats.reorder_high_water = reorder.high_water();
-    ledger.fold_into(run_stats);
     {
       util::MutexLock lock{stats_mutex_};
       stats_ = run_stats;
@@ -264,49 +162,6 @@ class CampaignRunner {
   }
 
  private:
-  /// Aggregates fault-isolation counters and quarantine reports across
-  /// workers. One mutex guards everything; contention is negligible (only
-  /// failing cells touch it).
-  class FaultLedger {
-   public:
-    void on_failed_attempt() EXCLUDES(mutex_) {
-      util::MutexLock lock{mutex_};
-      ++failed_;
-    }
-
-    void on_retry() EXCLUDES(mutex_) {
-      util::MutexLock lock{mutex_};
-      ++retried_;
-    }
-
-    void on_quarantine(FailureReport report) EXCLUDES(mutex_) {
-      util::MutexLock lock{mutex_};
-      ++quarantined_;
-      failures_.push_back(std::move(report));
-    }
-
-    /// Copies the counters into `stats`, failure reports sorted into spec
-    /// order (workers quarantine in completion order).
-    void fold_into(RunStats& stats) EXCLUDES(mutex_) {
-      util::MutexLock lock{mutex_};
-      stats.cells_failed = failed_;
-      stats.cells_retried = retried_;
-      stats.cells_quarantined = quarantined_;
-      std::sort(failures_.begin(), failures_.end(),
-                [](const FailureReport& a, const FailureReport& b) {
-                  return a.index < b.index;
-                });
-      stats.failures = failures_;
-    }
-
-   private:
-    mutable util::Mutex mutex_;
-    std::size_t failed_ GUARDED_BY(mutex_) = 0;
-    std::size_t retried_ GUARDED_BY(mutex_) = 0;
-    std::size_t quarantined_ GUARDED_BY(mutex_) = 0;
-    std::vector<FailureReport> failures_ GUARDED_BY(mutex_);
-  };
-
   /// Paces the claim cursor against the emit cursor. Workers claim cell
   /// indices in order, then wait here until their index enters the window
   /// [0, next_to_emit + max_ahead]; every emit advances the window. The

@@ -37,18 +37,15 @@ std::string shard_journal_path(std::string_view base, int shard) {
   return cat({base, ".shard", std::to_string(shard), ".journal"});
 }
 
-ShardMergeStats merge_shard_journals(
+void merge_shard_journals(
     std::string_view base, int shards, std::uint64_t identity,
     std::uint64_t cells,
-    const std::function<void(std::uint64_t, std::string_view)>& on_cell,
-    const std::function<void(std::uint64_t, const JournalLoad::Cell&)>&
-        on_quarantine) {
-  const std::vector<ShardRange> plan = shard_plan(cells, shards);
-  ShardMergeStats stats;
+    const std::function<void(std::uint64_t, std::string_view)>& on_cell) {
   // Shards are contiguous ranges in plan order, and each journal's cells
   // are in-order and contiguous from its cell_begin (load_journal enforces
-  // both), so walking the plan IS spec order.
-  for (const ShardRange& range : plan) {
+  // both), so walking the plan IS spec order. A complete journal holds
+  // every cell of its range, so the plan's ranges cover [0, cells).
+  for (const ShardRange& range : shard_plan(cells, shards)) {
     const std::string path = shard_journal_path(base, range.shard);
     const JournalLoad load = load_journal(path);
     if (!load.exists) {
@@ -71,26 +68,9 @@ ShardMergeStats merge_shard_journals(
                path}));
     }
     for (const JournalLoad::Cell& cell : load.cells) {
-      if (cell.quarantined) {
-        if (!on_quarantine) {
-          throw JournalError(
-              cat({"shard journal holds a quarantined cell and the merge "
-                   "accepts none: ",
-                   path}));
-        }
-        on_quarantine(cell.index, cell);
-        ++stats.quarantined;
-      } else {
-        on_cell(cell.index, cell.payload);
-      }
-      ++stats.cells;
+      on_cell(cell.index, cell.payload);
     }
   }
-  if (stats.cells != cells) {
-    throw JournalError(
-        "merged shard journals do not cover the full cell range");
-  }
-  return stats;
 }
 
 }  // namespace lazyeye::campaign

@@ -3,13 +3,15 @@
 //
 // A shard is a contiguous cell range [begin, end) of one spec stream, run
 // as its own journaled campaign (journal_sink.h) in its own OS process with
-// its own WorkerPool — the isolation unit the in-process fault machinery
-// cannot provide (a wedged or crashed cell takes down only its shard, and
-// the shard resumes from its journal). Because every cell's world derives
-// from its spec alone and delivery within a shard is in spec order, the
-// concatenation of the shard journals in plan order reproduces exactly the
-// cell stream a single-process run would deliver: merge then re-establishes
-// spec order by walking the shards' (already in-order, contiguous) records.
+// its own WorkerPool. The shard process is the campaign's only isolation
+// unit: the runner fails a campaign on the first executor throw (runner.h),
+// so a throwing, wedged or crashed cell takes down only its shard, which
+// leaves an incomplete journal behind and resumes from it once rerun.
+// Because every cell's world derives from its spec alone and delivery
+// within a shard is in spec order, the concatenation of the shard journals
+// in plan order reproduces exactly the cell stream a single-process run
+// would deliver: merge then re-establishes spec order by walking the
+// shards' (already in-order, contiguous) records.
 //
 // The driver lives in tools/lazyeye_shard; this header is the
 // process-agnostic core (partitioning, paths, merge) so tests can exercise
@@ -42,23 +44,15 @@ std::vector<ShardRange> shard_plan(std::uint64_t cells, int shards);
 /// Journal path for one shard: "<base>.shard<k>.journal".
 std::string shard_journal_path(std::string_view base, int shard);
 
-struct ShardMergeStats {
-  std::uint64_t cells = 0;
-  std::uint64_t quarantined = 0;
-};
-
 /// Validates and merges the per-shard journals of a completed sharded run,
 /// emitting every cell in global spec order. Each journal must exist, be
 /// complete, match `identity`, and cover exactly its planned range —
 /// anything else throws JournalError (a merge must never fabricate or skip
-/// cells). `on_cell(index, payload)` receives result bytes for delivered
-/// cells; `on_quarantine(index, cell)` receives quarantined ones (may be
-/// null to reject any quarantine as an error).
-ShardMergeStats merge_shard_journals(
+/// cells). `on_cell(index, payload)` receives the result bytes of every
+/// cell.
+void merge_shard_journals(
     std::string_view base, int shards, std::uint64_t identity,
     std::uint64_t cells,
-    const std::function<void(std::uint64_t, std::string_view)>& on_cell,
-    const std::function<void(std::uint64_t, const JournalLoad::Cell&)>&
-        on_quarantine);
+    const std::function<void(std::uint64_t, std::string_view)>& on_cell);
 
 }  // namespace lazyeye::campaign

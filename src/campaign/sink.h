@@ -27,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "campaign/failure.h"
 #include "campaign/scenario.h"
 
 namespace lazyeye::campaign {
@@ -42,14 +41,6 @@ class ResultSink {
 
   /// Called once per cell, in spec order, calls serialised.
   virtual void cell(const ScenarioSpec& spec, R outcome) = 0;
-
-  /// Called in place of cell() for a quarantined cell (fault isolation,
-  /// runner.h), same order/serialisation guarantees. Default: drop.
-  virtual void cell_failed(const ScenarioSpec& spec,
-                           const FailureReport& report) {
-    (void)spec;
-    (void)report;
-  }
 
   /// Called once after the last cell (not called when the campaign throws).
   virtual void end() {}

@@ -28,6 +28,10 @@ constexpr std::uint32_t kHuntStream = 0xFA;
 /// slots allow 16; see FaultSchedule::generate).
 constexpr std::size_t kMaxMutatedEntries = 8;
 
+/// Smallest encoded corpus entry in a hunt snapshot: an empty schedule
+/// string (4) + violations (4) + minimized flag (1) + empty novelty (4).
+constexpr std::size_t kMinCorpusEntryBytes = 4 + 4 + 1 + 4;
+
 int total_violations(const std::vector<ConformanceRecord>& records) {
   int n = 0;
   for (const ConformanceRecord& record : records) n += record.violations();
@@ -349,15 +353,20 @@ FaultHunt::State FaultHunt::decode_state(std::string_view bytes) const {
   State state;
   state.rng = SplitMix64{in.u64()};
   state.violating = static_cast<int>(in.u32());
+  // Every coverage element is a u32-length string and every corpus entry
+  // takes at least kMinCorpusEntryBytes, so the bytes left bound each count
+  // before its loop runs.
   const std::uint32_t coverage_count = in.u32();
-  if (!in.ok || coverage_count > 1u << 24) {
+  if (!in.ok || coverage_count > 1u << 24 ||
+      coverage_count > in.remaining() / 4) {
     throw campaign::JournalError("hunt snapshot: malformed coverage set");
   }
   for (std::uint32_t i = 0; i < coverage_count; ++i) {
     state.coverage.insert(in.str());
   }
   const std::uint32_t corpus_count = in.u32();
-  if (!in.ok || corpus_count > 1u << 20) {
+  if (!in.ok || corpus_count > 1u << 20 ||
+      corpus_count > in.remaining() / kMinCorpusEntryBytes) {
     throw campaign::JournalError("hunt snapshot: malformed corpus");
   }
   for (std::uint32_t i = 0; i < corpus_count; ++i) {

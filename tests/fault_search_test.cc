@@ -28,7 +28,9 @@
 #include "conformance/checker.h"
 #include "conformance/schedule.h"
 #include "conformance/search.h"
+#include "util/crc32.h"
 #include "util/time.h"
+#include "util/wire.h"
 
 namespace lazyeye::conformance {
 namespace {
@@ -170,6 +172,59 @@ TEST(FaultSearchCrashTest, JournalIdentityMismatchRefused) {
 }
 
 #endif  // unix
+
+/// Resumes a hunt whose journal is the real header of `path` followed by
+/// one CRC-valid snapshot record carrying `state`; returns the refusal.
+std::string resume_with_snapshot(const std::string& path,
+                                 const std::string& state) {
+  constexpr std::size_t kHeaderSize = 34;
+  std::string bytes = read_file(path).substr(0, kHeaderSize);
+  std::string record;
+  wire::put_u8(record, 3);  // snapshot
+  wire::put_u32(record, static_cast<std::uint32_t>(8 + state.size()));
+  wire::put_u64(record, 0);  // cells delivered
+  record.append(state);
+  wire::put_u32(record, util::crc32(record));
+  bytes.append(record);
+  std::ofstream{path, std::ios::binary | std::ios::trunc}
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
+  FaultHunt resumed{hunt_options(path), hunt_profiles()};
+  try {
+    resumed.run();
+  } catch (const campaign::JournalError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(FaultSearchJournalTest, SnapshotCountsAreBoundedByTheirBytes) {
+  const std::string path = tmp_path("hunt_snapshot_bound.journal");
+  FaultHunt first{hunt_options(path), hunt_profiles()};
+  first.run();
+
+  // 16 bytes claiming 2^24 coverage elements: refused before the loop, not
+  // after inserting 2^24 strings read past the end of the body.
+  std::string coverage_bomb;
+  wire::put_u64(coverage_bomb, 1);         // rng state
+  wire::put_u32(coverage_bomb, 0);         // violating candidates
+  wire::put_u32(coverage_bomb, 1u << 24);  // coverage elements, no bytes
+  const std::string coverage_refusal =
+      resume_with_snapshot(path, coverage_bomb);
+  EXPECT_NE(coverage_refusal.find("coverage set"), std::string::npos)
+      << coverage_refusal;
+
+  // 2^20 corpus entries in 0 bytes: each takes at least 13.
+  std::string corpus_bomb;
+  wire::put_u64(corpus_bomb, 1);
+  wire::put_u32(corpus_bomb, 0);
+  wire::put_u32(corpus_bomb, 0);         // empty coverage set
+  wire::put_u32(corpus_bomb, 1u << 20);  // corpus entries, no bytes
+  const std::string corpus_refusal = resume_with_snapshot(path, corpus_bomb);
+  EXPECT_NE(corpus_refusal.find("malformed corpus"), std::string::npos)
+      << corpus_refusal;
+  std::remove(path.c_str());
+}
 
 // -------------------------------------------------------- schedule codec ----
 

@@ -1,5 +1,5 @@
-// Crash-safety tests: cell journaling, exact resume, per-cell fault
-// isolation, and shard planning/merge.
+// Crash-safety tests: cell journaling, exact resume, the fail-fast
+// failure policy, and shard planning/merge.
 //
 // The kill(SIGKILL) test runs FIRST in this binary: it forks, and fork()
 // is only safe here while no WorkerPool threads exist yet (the child runs
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -17,7 +16,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -33,7 +31,9 @@
 #include "campaign/shard.h"
 #include "campaign/sink.h"
 #include "campaign/spec_stream.h"
+#include "util/crc32.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace lazyeye::campaign {
 namespace {
@@ -182,7 +182,7 @@ TEST(JournalFormatTest, RoundTripsAllRecordTypes) {
     JournalWriter writer = JournalWriter::create(path, 0xABCD, 0, 4);
     writer.append_cell(0, "alpha");
     writer.append_cell(1, "");
-    writer.append_quarantine(2, 3, true, "it hung");
+    writer.append_cell(2, "beta");
     writer.append_cell(3, "omega");
     writer.append_snapshot(4, "sink-state");
     writer.append_complete(4);
@@ -194,11 +194,9 @@ TEST(JournalFormatTest, RoundTripsAllRecordTypes) {
   EXPECT_EQ(load.cell_end, 4u);
   ASSERT_EQ(load.cells.size(), 4u);
   EXPECT_EQ(load.cells[0].payload, "alpha");
-  EXPECT_FALSE(load.cells[0].quarantined);
-  EXPECT_TRUE(load.cells[2].quarantined);
-  EXPECT_EQ(load.cells[2].attempts, 3);
-  EXPECT_TRUE(load.cells[2].timed_out);
-  EXPECT_EQ(load.cells[2].payload, "it hung");
+  EXPECT_EQ(load.cells[1].payload, "");
+  EXPECT_EQ(load.cells[2].index, 2u);
+  EXPECT_EQ(load.cells[2].payload, "beta");
   EXPECT_EQ(load.snapshot_state, "sink-state");
   EXPECT_EQ(load.snapshot_cells, 4u);
   EXPECT_TRUE(load.complete);
@@ -322,6 +320,56 @@ TEST(JournalRecoveryTest, MidFileCorruptionThrowsNeverSkips) {
   bytes[offset] = static_cast<char>(bytes[offset] ^ 0x01);
   write_file(path, bytes);
   EXPECT_THROW(load_journal(path), JournalError);
+  std::remove(path.c_str());
+}
+
+/// One CRC-framed record exactly as JournalWriter frames it: u8 type |
+/// u32 payload_len | payload | u32 crc(type|len|payload).
+std::string framed_record(std::uint8_t type, const std::string& payload) {
+  std::string out;
+  wire::put_u8(out, type);
+  wire::put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  out.append(payload);
+  wire::put_u32(out, util::crc32(out));
+  return out;
+}
+
+TEST(JournalRecoveryTest, RetiredQuarantineTagAndUnknownTypesAreRefused) {
+  // Type 2 once held in-process quarantine records. A CRC-valid record of
+  // that type, or of any type never assigned, is refused wherever it sits:
+  // skipping it would silently drop a cell from the resumed stream.
+  const std::string path = tmp_path("unknown_type.journal");
+  {
+    JournalWriter writer = JournalWriter::create(path, 1, 0, 8);
+    writer.append_cell(0, "a");
+  }
+  const std::string prefix = read_file(path);
+  std::string retired_body;
+  wire::put_u64(retired_body, 1);    // index
+  wire::put_u32(retired_body, 3);    // attempts
+  wire::put_u8(retired_body, 0);     // timed-out flag
+  retired_body.append("it failed");  // error text
+  std::string next_cell;
+  wire::put_u64(next_cell, 1);
+  next_cell.append("b");
+
+  for (const std::uint8_t type : {std::uint8_t{2}, std::uint8_t{0x7E}}) {
+    const std::string record = framed_record(type, retired_body);
+    for (const bool final_record : {true, false}) {
+      std::string bytes = prefix + record;
+      if (!final_record) bytes += framed_record(1, next_cell);
+      write_file(path, bytes);
+      try {
+        load_journal(path);
+        ADD_FAILURE() << "type " << int{type} << " accepted (final="
+                      << final_record << ")";
+      } catch (const JournalError& e) {
+        EXPECT_NE(std::string{e.what()}.find("unknown record type"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -489,111 +537,32 @@ TEST(JournaledRunTest, CompleteJournalShortCircuitsAndReplays) {
   std::remove(path.c_str());
 }
 
-// ---------------------------------------------------- fault isolation ----
+// ----------------------------------------------------- failure policy ----
 
-/// Records the delivery sequence, including quarantined slots.
-class RecordingSink final : public ResultSink<std::uint64_t> {
- public:
-  void cell(const ScenarioSpec& spec, std::uint64_t) override {
-    delivered.push_back(spec.id);
-  }
-  void cell_failed(const ScenarioSpec& spec,
-                   const FailureReport& report) override {
-    failed.push_back(spec.id);
-    delivered.push_back(spec.id);
-    reports.push_back(report);
-  }
-
-  std::vector<std::uint64_t> delivered;
-  std::vector<std::uint64_t> failed;
-  std::vector<FailureReport> reports;
-};
-
-TEST(FaultIsolationTest, QuarantineRetryCountersAndReplayLine) {
-  const auto specs = numbered_specs(20);
-  RunnerOptions options;
-  options.workers = 2;
-  options.max_cell_retries = 2;
-  options.quarantine_failures = true;
-  CampaignRunner runner{options};
-
-  // Cell 5 always fails; cell 9 fails on its first attempt only.
-  std::atomic<int> cell9_attempts{0};
-  const std::function<std::uint64_t(const ScenarioSpec&)> flaky =
-      [&cell9_attempts](const ScenarioSpec& s) -> std::uint64_t {
-    if (s.id == 5) throw std::runtime_error("boom id=5");
-    if (s.id == 9 && cell9_attempts.fetch_add(1) == 0) {
-      throw std::runtime_error("transient id=9");
+TEST(FailurePolicyTest, FailFastIsTheOnlyPolicy) {
+  // The first executor throw fails the campaign, and the cell is not run
+  // again: its world derives from its spec alone, so a retry would fail the
+  // same way. The shard process is the isolation unit (shard.h).
+  const auto specs = numbered_specs(10);
+  std::atomic<int> cell4_attempts{0};
+  const std::function<std::uint64_t(const ScenarioSpec&)> trap =
+      [&cell4_attempts](const ScenarioSpec& s) -> std::uint64_t {
+    if (s.id == 4) {
+      ++cell4_attempts;
+      throw std::runtime_error("boom");
     }
     return cell_value(s);
   };
-
-  RecordingSink sink;
-  runner.run_streaming<std::uint64_t>(SpecStream::view(specs), flaky, sink);
-
-  // Delivery order intact, quarantined slot in place.
-  ASSERT_EQ(sink.delivered.size(), 20u);
-  for (std::size_t i = 0; i < 20; ++i) EXPECT_EQ(sink.delivered[i], i);
-  ASSERT_EQ(sink.failed.size(), 1u);
-  EXPECT_EQ(sink.failed[0], 5u);
-
-  const CampaignRunner::RunStats stats = runner.last_run_stats();
-  EXPECT_EQ(stats.cells_quarantined, 1u);
-  EXPECT_EQ(stats.cells_retried, 3u);  // 2 for cell 5, 1 for cell 9
-  EXPECT_EQ(stats.cells_failed, 4u);   // 3 attempts on cell 5, 1 on cell 9
-  ASSERT_EQ(stats.failures.size(), 1u);
-  const FailureReport& report = stats.failures[0];
-  EXPECT_EQ(report.index, 5u);
-  EXPECT_EQ(report.attempts, 3);
-  EXPECT_FALSE(report.timed_out);
-  const std::string line = report.replay_line();
-  EXPECT_NE(line.find("replay:"), std::string::npos) << line;
-  EXPECT_NE(line.find("index=5"), std::string::npos) << line;
-  EXPECT_NE(line.find("seed=" + std::to_string(specs[5].seed)),
-            std::string::npos)
-      << line;
-  EXPECT_NE(line.find("boom id=5"), std::string::npos) << line;
-}
-
-TEST(FaultIsolationTest, FailFastRemainsTheDefault) {
-  const auto specs = numbered_specs(10);
-  const std::function<std::uint64_t(const ScenarioSpec&)> trap =
-      [](const ScenarioSpec& s) -> std::uint64_t {
-    if (s.id == 4) throw std::runtime_error("boom");
-    return cell_value(s);
-  };
   CollectingSink<std::uint64_t> sink;
-  EXPECT_THROW(runner_with(2).run_streaming<std::uint64_t>(
-                   SpecStream::view(specs), trap, sink),
-               std::runtime_error);
-}
-
-TEST(FaultIsolationTest, SoftTimeoutQuarantinesSlowCell) {
-  const auto specs = numbered_specs(8);
-  RunnerOptions options;
-  options.workers = 2;
-  options.quarantine_failures = true;
-  options.cell_timeout_ms = 5;
-  CampaignRunner runner{options};
-
-  const std::function<std::uint64_t(const ScenarioSpec&)> slow =
-      [](const ScenarioSpec& s) {
-        if (s.id == 3) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(40));
-        }
-        return cell_value(s);
-      };
-  RecordingSink sink;
-  runner.run_streaming<std::uint64_t>(SpecStream::view(specs), slow, sink);
-
-  const CampaignRunner::RunStats stats = runner.last_run_stats();
-  EXPECT_EQ(stats.cells_quarantined, 1u);
-  ASSERT_EQ(stats.failures.size(), 1u);
-  EXPECT_EQ(stats.failures[0].index, 3u);
-  EXPECT_TRUE(stats.failures[0].timed_out);
-  EXPECT_NE(stats.failures[0].error.find("overran"), std::string::npos);
-  ASSERT_EQ(sink.failed.size(), 1u);
-  EXPECT_EQ(sink.failed[0], 3u);
+  try {
+    runner_with(2).run_streaming<std::uint64_t>(SpecStream::view(specs), trap,
+                                                sink);
+    ADD_FAILURE() << "a throwing cell did not fail the campaign";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
+  }
+  EXPECT_EQ(cell4_attempts.load(), 1);
+  EXPECT_LE(sink.result().outcomes.size(), 4u);  // never past the hole
 }
 
 // ----------------------------------------------------------- sharding ----
@@ -625,80 +594,114 @@ TEST(ShardPlanTest, JournalPathsAreDistinct) {
   EXPECT_EQ(shard_journal_path("/tmp/base", 3), "/tmp/base.shard3.journal");
 }
 
-TEST(ShardMergeTest, MergeReestablishesSpecOrderWithQuarantine) {
+/// Runs one shard of `specs` as its own journaled campaign (in process —
+/// the fork/kill variant is the lazyeye_shard crashtest).
+JournaledRun run_shard(
+    const std::vector<ScenarioSpec>& specs, const std::string& base,
+    std::uint64_t identity, const ShardRange& range,
+    const std::function<std::uint64_t(const ScenarioSpec&)>& executor) {
+  JournalOptions options;
+  options.path = shard_journal_path(base, range.shard);
+  options.identity = identity;
+  options.cell_begin = range.begin;
+  options.cell_end = range.end;
+  CallbackSink<std::uint64_t> drop{[](const ScenarioSpec&, std::uint64_t) {}};
+  return run_journaled<std::uint64_t>(runner_with(2), SpecStream::view(specs),
+                                      executor, drop, options, u64_codec());
+}
+
+/// Merges the shard journals and checks every cell arrives in spec order
+/// with the value an uninterrupted run computes.
+void expect_merged_in_spec_order(const std::vector<ScenarioSpec>& specs,
+                                 const std::string& base, int shards,
+                                 std::uint64_t identity) {
+  const JournalCodec<std::uint64_t> codec = u64_codec();
+  std::vector<std::uint64_t> merged_indices;
+  std::vector<std::uint64_t> merged_values;
+  merge_shard_journals(base, shards, identity, specs.size(),
+                       [&](std::uint64_t index, std::string_view payload) {
+                         merged_indices.push_back(index);
+                         const auto value = codec.decode(payload);
+                         ASSERT_TRUE(value.has_value());
+                         merged_values.push_back(*value);
+                       });
+  ASSERT_EQ(merged_indices.size(), specs.size()) << "shards=" << shards;
+  ASSERT_EQ(merged_values.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(merged_indices[i], i);
+    EXPECT_EQ(merged_values[i], cell_value(specs[i]));
+  }
+}
+
+void remove_shard_journals(const std::string& base, int shards) {
+  for (int k = 0; k < shards; ++k) {
+    std::remove(shard_journal_path(base, k).c_str());
+  }
+}
+
+TEST(ShardMergeTest, MergeReestablishesSpecOrder) {
   constexpr std::size_t kCells = 40;
   const auto specs = numbered_specs(kCells);
-  const JournalCodec<std::uint64_t> codec = u64_codec();
 
   for (const int shards : {2, 4}) {
     const std::uint64_t identity =
         journal_identity("merge", kCells, static_cast<std::uint64_t>(shards));
     const std::string base = tmp_path("merge" + std::to_string(shards));
-
-    // Run each shard as its own journaled campaign (sequentially, in
-    // process — the fork/kill variant is the lazyeye_shard crashtest).
-    RunnerOptions shard_options;
-    shard_options.workers = 2;
-    shard_options.quarantine_failures = true;
-    const CampaignRunner shard_runner{shard_options};
-    const std::function<std::uint64_t(const ScenarioSpec&)> executor =
-        [](const ScenarioSpec& s) -> std::uint64_t {
-      if (s.id == 13) throw std::runtime_error("cell 13 is cursed");
-      return cell_value(s);
-    };
     for (const ShardRange& range : shard_plan(kCells, shards)) {
-      JournalOptions options;
-      options.path = shard_journal_path(base, range.shard);
-      options.identity = identity;
-      options.cell_begin = range.begin;
-      options.cell_end = range.end;
-      CallbackSink<std::uint64_t> drop{[](const ScenarioSpec&,
-                                          std::uint64_t) {}};
-      run_journaled<std::uint64_t>(shard_runner, SpecStream::view(specs),
-                                   executor, drop, options, codec);
+      run_shard(specs, base, identity, range, value_executor());
     }
-
-    std::vector<std::uint64_t> merged_indices;
-    std::vector<std::uint64_t> merged_values;
-    std::vector<std::uint64_t> quarantined;
-    const ShardMergeStats stats = merge_shard_journals(
-        base, shards, identity, kCells,
-        [&](std::uint64_t index, std::string_view payload) {
-          merged_indices.push_back(index);
-          const auto value = codec.decode(payload);
-          ASSERT_TRUE(value.has_value());
-          merged_values.push_back(*value);
-        },
-        [&](std::uint64_t index, const JournalLoad::Cell&) {
-          merged_indices.push_back(index);
-          quarantined.push_back(index);
-        });
-
-    EXPECT_EQ(stats.cells, kCells) << "shards=" << shards;
-    EXPECT_EQ(stats.quarantined, 1u);
-    ASSERT_EQ(quarantined.size(), 1u);
-    EXPECT_EQ(quarantined[0], 13u);
-    ASSERT_EQ(merged_indices.size(), kCells);
-    for (std::size_t i = 0; i < kCells; ++i) {
-      EXPECT_EQ(merged_indices[i], i);
-    }
-    std::size_t at = 0;
-    for (std::size_t i = 0; i < kCells; ++i) {
-      if (i == 13) continue;
-      EXPECT_EQ(merged_values[at++], cell_value(specs[i]));
-    }
+    expect_merged_in_spec_order(specs, base, shards, identity);
 
     // A missing shard journal must fail the merge, never fabricate cells.
     std::remove(shard_journal_path(base, 0).c_str());
-    EXPECT_THROW(merge_shard_journals(
-                     base, shards, identity, kCells,
-                     [](std::uint64_t, std::string_view) {},
-                     [](std::uint64_t, const JournalLoad::Cell&) {}),
+    EXPECT_THROW(merge_shard_journals(base, shards, identity, kCells,
+                                      [](std::uint64_t, std::string_view) {}),
                  JournalError);
-    for (int k = 1; k < shards; ++k) {
-      std::remove(shard_journal_path(base, k).c_str());
-    }
+    remove_shard_journals(base, shards);
   }
+}
+
+TEST(ShardMergeTest, ThrowingShardIsRefusedUntilRerunResumesIt) {
+  // The isolation story that remains: a shard whose executor throws fails
+  // alone and leaves an incomplete journal; merge refuses it until the
+  // shard is rerun, resumes from that journal and completes.
+  constexpr std::size_t kCells = 40;
+  constexpr int kShards = 2;
+  const auto specs = numbered_specs(kCells);
+  const std::uint64_t identity = journal_identity("isolate", kCells, 1);
+  const std::string base = tmp_path("isolate");
+  const std::vector<ShardRange> plan = shard_plan(kCells, kShards);
+  ASSERT_LT(13u, plan[0].end);
+
+  const std::function<std::uint64_t(const ScenarioSpec&)> cursed =
+      [](const ScenarioSpec& s) -> std::uint64_t {
+    if (s.id == 13) throw std::runtime_error("cell 13 is cursed");
+    return cell_value(s);
+  };
+  EXPECT_THROW(run_shard(specs, base, identity, plan[0], cursed),
+               std::runtime_error);
+  run_shard(specs, base, identity, plan[1], value_executor());
+
+  const JournalLoad broken = load_journal(shard_journal_path(base, 0));
+  ASSERT_TRUE(broken.exists);
+  EXPECT_FALSE(broken.complete);
+  EXPECT_LE(broken.cells.size(), 13u);  // an in-order prefix before the hole
+  try {
+    merge_shard_journals(base, kShards, identity, kCells,
+                         [](std::uint64_t, std::string_view) {});
+    ADD_FAILURE() << "merge accepted an incomplete shard journal";
+  } catch (const JournalError& e) {
+    EXPECT_NE(std::string{e.what()}.find("incomplete"), std::string::npos)
+        << e.what();
+  }
+
+  const JournaledRun rerun =
+      run_shard(specs, base, identity, plan[0], value_executor());
+  EXPECT_TRUE(rerun.resumed);
+  EXPECT_EQ(rerun.cells_replayed, broken.cells.size());
+  EXPECT_EQ(rerun.cells_replayed + rerun.cells_run, plan[0].cells());
+  expect_merged_in_spec_order(specs, base, kShards, identity);
+  remove_shard_journals(base, kShards);
 }
 
 }  // namespace

@@ -68,10 +68,13 @@ TEST(LazylintRules, NondeterminismOutOfScopeInBench) {
   EXPECT_TRUE(findings.empty()) << render(findings);
 }
 
-TEST(LazylintRules, NondeterminismOutOfScopeInUtil) {
+TEST(LazylintRules, NondeterminismInScopeInUtil) {
+  // src/util/ has no wall-clock exemption: nothing in src/ reads the host.
   const auto findings =
       scan_fixture("nondeterminism_violation.cc", "src/util/fixture.cc");
-  EXPECT_TRUE(findings.empty()) << render(findings);
+  EXPECT_EQ(count_rule(findings, Rule::kNondeterminism), 6u)
+      << render(findings);
+  EXPECT_EQ(findings.size(), 6u) << render(findings);
 }
 
 TEST(LazylintRules, UnorderedIterViolationsAllCaught) {

@@ -32,12 +32,14 @@
 #include <sys/types.h>
 #include <sys/wait.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -52,7 +54,6 @@
 #include "clients/profiles.h"
 #include "conformance/checker.h"
 #include "conformance/record_codec.h"
-#include "util/clock.h"
 
 using namespace lazyeye;
 
@@ -173,7 +174,9 @@ int run_shard(const Args& args, const Matrix& matrix) {
   const std::function<conformance::ConformanceRecord(
       const campaign::ScenarioSpec&)>
       executor = [&registry, slow_ms](const campaign::ScenarioSpec& spec) {
-        if (slow_ms > 0) util::sleep_for_ms(slow_ms);
+        if (slow_ms > 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds{slow_ms});
+        }
         return registry.execute(spec);
       };
 
@@ -272,8 +275,7 @@ std::string merge_table(const Args& args, const Matrix& matrix) {
         }
         table.cell(matrix.specs[static_cast<std::size_t>(index)],
                    std::move(*record));
-      },
-      /*on_quarantine=*/nullptr);
+      });
   table.end();
   return table.text();
 }
@@ -330,7 +332,7 @@ int crashtest(const Args& args, const Matrix& matrix) {
 
     // Crash phase: fork the fleet, let it run ~kill_delay, SIGKILL it all.
     std::vector<pid_t> pids = fork_fleet(args, matrix);
-    util::sleep_for_ms(kill_delay_ms);
+    std::this_thread::sleep_for(std::chrono::milliseconds{kill_delay_ms});
     for (const pid_t pid : pids) kill(pid, SIGKILL);
     reap_fleet(pids, /*expect_clean=*/false);  // killed children: not clean
 

@@ -770,8 +770,7 @@ RuleScope scope_for(std::string_view path) {
   RuleScope scope;
   scope.unordered_iter = true;
   scope.ptr_order = true;
-  scope.nondeterminism =
-      starts_with(path, "src/") && !starts_with(path, "src/util/");
+  scope.nondeterminism = starts_with(path, "src/");
   const bool pooled_dir = starts_with(path, "src/simnet/") ||
                           starts_with(path, "src/dns/") ||
                           starts_with(path, "src/transport/");
@@ -781,8 +780,8 @@ RuleScope scope_for(std::string_view path) {
                                  [&](std::string_view f) { return f == path; });
   scope.std_function = starts_with(path, "src/simnet/") &&
                        path != "src/simnet/inline_callback.h";
-  // Unlike nondeterminism, src/util/ is in scope: the engine implementations
-  // themselves must thread seeds explicitly.
+  // src/util/ is in scope too: the engine implementations themselves must
+  // thread seeds explicitly.
   scope.unseeded_rng = starts_with(path, "src/");
   return scope;
 }

@@ -8,9 +8,9 @@
 // line instead.
 //
 // Rules (each scoped to the directories where the invariant is mandated):
-//   nondeterminism  src/ minus src/util/ — no wall clocks, entropy sources,
-//                   or environment reads; all time is SimTime, all
-//                   randomness is the seeded util/ Rng.
+//   nondeterminism  all of src/, src/util/ included — no wall clocks,
+//                   entropy sources, or environment reads; all time is
+//                   SimTime, all randomness is the seeded util/ Rng.
 //   unordered-iter  everywhere — no iteration (range-for or iterator walks)
 //                   over unordered containers; hash order must never leak
 //                   into sinks, captures, or aggregate output.
