@@ -41,7 +41,7 @@ bool decode_record(wire::Reader& r, ResourceRecord& rr) {
   if (!r.ok) return false;
   const std::size_t end = r.pos + rdlength;
   rr.type = static_cast<RrType>(type);
-  rr.rdata = decode_rdata(rr.type, rdlength, r);
+  decode_rdata(rr.type, rdlength, r, rr.rdata);
   if (rr.type == RrType::kOpt) {
     std::get<OptRdata>(rr.rdata).udp_payload_size = klass;
   }

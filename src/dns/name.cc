@@ -1,5 +1,6 @@
 #include "dns/name.h"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "util/strings.h"
@@ -10,12 +11,25 @@ namespace {
 constexpr std::size_t kMaxLabel = 63;
 constexpr std::size_t kMaxName = 255;
 constexpr int kMaxPointerJumps = 32;
+
+/// Appends the length byte of label `raw`, then `raw` lower-cased.
+void append_label(std::string& out, std::string_view raw) {
+  const std::size_t at = out.size();
+  out.resize(at + 1 + raw.size());
+  char* dst = out.data() + at;
+  *dst++ = static_cast<char>(raw.size());
+  for (const char c : raw) {
+    *dst++ = c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+  }
+}
 }  // namespace
 
 Result<DnsName> DnsName::from_string(std::string_view text) {
   DnsName name;
   if (text.empty() || text == ".") return name;
   if (text.back() == '.') text.remove_suffix(1);
+  name.bytes_.reserve(text.size() + 1);
+  std::size_t count = 0;
   const char* error = nullptr;
   lazyeye::for_each_split(text, '.', [&](std::string_view raw) {
     if (raw.empty()) {
@@ -26,14 +40,8 @@ Result<DnsName> DnsName::from_string(std::string_view text) {
       error = "label longer than 63 octets";
       return false;
     }
-    // Lowercase straight into the stored label: one string per label, no
-    // split()/to_lower() intermediates.
-    std::string& label = name.labels_.emplace_back();
-    label.reserve(raw.size());
-    for (const char c : raw) {
-      label.push_back(c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a')
-                                           : c);
-    }
+    append_label(name.bytes_, raw);
+    ++count;
     return true;
   });
   if (error != nullptr) {
@@ -45,6 +53,7 @@ Result<DnsName> DnsName::from_string(std::string_view text) {
   if (name.wire_length() > kMaxName) {
     return Result<DnsName>::failure("name longer than 255 octets");
   }
+  name.count_ = static_cast<std::uint8_t>(count);  // <= 127 within 255 octets
   return name;
 }
 
@@ -55,99 +64,95 @@ DnsName DnsName::must_parse(std::string_view text) {
 }
 
 std::string DnsName::to_string() const {
-  if (labels_.empty()) return ".";
-  return lazyeye::join(labels_, ".");
+  if (is_root()) return ".";
+  std::string out;
+  out.reserve(bytes_.size());
+  for_each_label([&out](std::string_view label) {
+    if (!out.empty()) out.push_back('.');
+    out.append(label);
+  });
+  return out;
 }
 
-std::size_t DnsName::wire_length() const {
-  std::size_t n = 1;  // root length byte
-  for (const auto& l : labels_) n += 1 + l.size();
-  return n;
+std::size_t DnsName::label_offset(std::size_t index) const {
+  std::size_t pos = 0;
+  for (; index > 0; --index) pos += 1 + static_cast<std::uint8_t>(bytes_[pos]);
+  return pos;
 }
 
 bool DnsName::is_subdomain_of(const DnsName& ancestor) const {
-  if (ancestor.labels_.size() > labels_.size()) return false;
-  const std::size_t offset = labels_.size() - ancestor.labels_.size();
-  for (std::size_t i = 0; i < ancestor.labels_.size(); ++i) {
-    if (labels_[offset + i] != ancestor.labels_[i]) return false;
-  }
-  return true;
+  if (ancestor.count_ > count_) return false;
+  // Compare from the label boundary where `ancestor` would start, never from
+  // a raw byte suffix: the one-label name "x\7example\3com" ends with the
+  // wire bytes of example.com but is not below it.
+  const std::string_view tail =
+      std::string_view{bytes_}.substr(label_offset(count_ - ancestor.count_));
+  return tail == ancestor.bytes_;
 }
 
 DnsName DnsName::parent() const {
   DnsName p;
-  if (labels_.size() <= 1) return p;
-  p.labels_.assign(labels_.begin() + 1, labels_.end());
+  if (count_ > 1) p.assign_tail(*this, 1);
   return p;
 }
 
 DnsName DnsName::prepend(std::string_view label) const {
   DnsName p;
-  p.labels_.reserve(labels_.size() + 1);
-  p.labels_.push_back(lazyeye::to_lower(label));
-  p.labels_.insert(p.labels_.end(), labels_.begin(), labels_.end());
+  p.bytes_.reserve(1 + label.size() + bytes_.size());
+  append_label(p.bytes_, label);
+  p.bytes_.append(bytes_);
+  p.count_ = static_cast<std::uint8_t>(count_ + 1);
   return p;
 }
 
 void DnsName::assign_tail(const DnsName& src, std::size_t skip) {
-  // vector::assign copy-assigns over retained elements, so warm label
-  // strings recycle their buffers. Self-assignment (src == *this) would
-  // alias; callers never do that, and the skip==0 whole-copy case is safe
-  // via operator= anyway.
-  labels_.assign(src.labels_.begin() + static_cast<std::ptrdiff_t>(skip),
-                 src.labels_.end());
+  bytes_.assign(src.bytes_, src.label_offset(skip));
+  count_ = static_cast<std::uint8_t>(src.count_ - skip);
 }
 
 DnsName DnsName::concat(const DnsName& suffix) const {
   DnsName p;
-  p.labels_ = labels_;
-  p.labels_.insert(p.labels_.end(), suffix.labels_.begin(),
-                   suffix.labels_.end());
+  p.bytes_.reserve(bytes_.size() + suffix.bytes_.size());
+  p.bytes_.append(bytes_).append(suffix.bytes_);
+  p.count_ = static_cast<std::uint8_t>(count_ + suffix.count_);
   return p;
 }
 
 std::optional<std::uint16_t> NameCompressor::find(
-    const DnsName& name, std::size_t label_index) const {
-  const auto& labels = name.labels();
-  const std::size_t len = labels.size() - label_index;
-  // First match wins: record() never overwrites (emplace semantics of the
-  // old map), so scanning in insertion order reproduces its offsets.
+    std::string_view suffix) const {
+  // First match wins: record() never overwrites, so scanning in insertion
+  // order keeps the earliest offset. Equal wire bytes from label boundaries
+  // are equal label sequences.
   for (const Entry& e : entries_) {
-    const auto& other = e.name->labels();
-    if (other.size() - e.label_index != len) continue;
-    bool equal = true;
-    for (std::size_t i = 0; i < len; ++i) {
-      if (labels[label_index + i] != other[e.label_index + i]) {
-        equal = false;
-        break;
-      }
+    if (e.suffix.size() == suffix.size() &&
+        std::memcmp(e.suffix.data(), suffix.data(), suffix.size()) == 0) {
+      return e.offset;
     }
-    if (equal) return e.offset;
   }
   return std::nullopt;
 }
 
-void NameCompressor::record(const DnsName& name, std::size_t label_index,
-                            std::uint16_t offset) {
-  entries_.push_back(
-      Entry{&name, static_cast<std::uint32_t>(label_index), offset});
-}
-
 void DnsName::encode(std::vector<std::uint8_t>& out,
                      NameCompressor* compression) const {
+  if (compression == nullptr) {
+    wire::put_bytes(out, bytes_);
+    wire::put_u8(out, 0);  // root
+    return;
+  }
   // Emit labels left to right; at each suffix, check for a prior occurrence.
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    if (compression != nullptr) {
-      if (const auto offset = compression->find(*this, i)) {
-        wire::put_u16(out, static_cast<std::uint16_t>(0xC000 | *offset));
-        return;
-      }
-      if (out.size() <= 0x3FFF) {
-        compression->record(*this, i, static_cast<std::uint16_t>(out.size()));
-      }
+  const std::string_view bytes{bytes_};
+  for (std::size_t pos = 0; pos < bytes.size();) {
+    const std::string_view suffix = bytes.substr(pos);
+    if (const auto offset = compression->find(suffix)) {
+      wire::put_u16(out, static_cast<std::uint16_t>(0xC000 | *offset));
+      return;
     }
-    wire::put_u8(out, static_cast<std::uint8_t>(labels_[i].size()));
-    wire::put_bytes(out, labels_[i]);
+    if (out.size() <= 0x3FFF) {
+      compression->record(suffix, static_cast<std::uint16_t>(out.size()));
+    }
+    const std::size_t end = pos + 1 + static_cast<std::uint8_t>(bytes[pos]);
+    wire::put_bytes(out, bytes.substr(pos, end - pos));
+    pos = end;
   }
   wire::put_u8(out, 0);  // root
 }
@@ -161,12 +166,12 @@ DnsName DnsName::decode(wire::Reader& r) {
 void DnsName::decode_into(wire::Reader& r, DnsName& out) {
   int jumps = 0;
   std::optional<std::size_t> resume;  // position after the first pointer
-  std::size_t total = 0;
-  std::size_t count = 0;  // labels written so far (slots below reused)
+  std::size_t total = 1;              // the root byte
+  std::size_t count = 0;
+  out.bytes_.clear();
+  out.count_ = 0;
 
-  const auto fail = [&] {
-    out.labels_.clear();
-  };
+  const auto fail = [&] { out.bytes_.clear(); };
 
   for (;;) {
     const std::uint8_t len = r.u8();
@@ -193,21 +198,13 @@ void DnsName::decode_into(wire::Reader& r, DnsName& out) {
       r.ok = false;
       return fail();
     }
-    // Lower-case straight off the wire view — no intermediate std::string
-    // temporaries (most labels then land in the stored string's SSO), and
-    // existing label slots are assigned in place so their buffers recycle.
+    // Lower-case straight off the wire view into the reused buffer.
     const std::string_view raw = r.view(len);
     if (!r.ok) return fail();
-    if (count == out.labels_.size()) out.labels_.emplace_back();
-    std::string& label = out.labels_[count++];
-    label.clear();
-    label.reserve(raw.size());
-    for (const char c : raw) {
-      label.push_back(c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a')
-                                           : c);
-    }
+    append_label(out.bytes_, raw);
+    ++count;
   }
-  out.labels_.resize(count);
+  out.count_ = static_cast<std::uint8_t>(count);
 
   if (resume) r.seek(*resume);
 }

@@ -1,14 +1,19 @@
 // DNS domain names: label sequences with RFC 1035 wire encoding, including
 // message compression (0xC0 pointers) on decode and encode.
 //
-// Names are stored lowercase (DNS comparisons are case-insensitive) as a
-// label vector without the root label; the root name has zero labels.
+// A name is stored as its canonical wire form: lower-cased (DNS comparisons
+// are case-insensitive), uncompressed, without the terminating root byte
+// ("\3www\7example\3com"), in one std::string beside a label count. The
+// root name is the empty string. Equality and ordering compare those bytes;
+// ordering is therefore byte order, which no caller observes (maps keyed by
+// names are only ever looked up, never listed). Every name fits RFC 1035
+// §2.3.4's bound: at most 255 wire octets counting the root byte, labels of
+// at most 63 octets.
 //
 // Compression state for one message lives in a NameCompressor: a flat list
-// of (name, label-suffix, offset) entries compared label-wise, replacing the
-// old std::map<std::string, offset> whose per-suffix key strings dominated
-// the encode path's allocations. A compressor is clear()-able scratch, so
-// hot senders reuse one across messages.
+// of (label-aligned wire suffix, offset) entries whose lookup is a length
+// check plus memcmp. A compressor is clear()-able scratch, so hot senders
+// reuse one across messages.
 #pragma once
 
 #include <cstdint>
@@ -22,30 +27,29 @@
 
 namespace lazyeye::dns {
 
-class DnsName;
-
 /// Offsets of already-encoded name suffixes, used for compression on encode.
-/// Entries reference the DnsName objects handed to DnsName::encode(), which
-/// must stay alive until the message is fully encoded (they always are: the
-/// DnsMessage outlives its serialisation). clear() keeps the entry storage,
-/// so steady-state encoding records suffixes without allocating.
+/// A suffix is the uncompressed wire form of a name from one of its label
+/// boundaries to its end (root byte excluded), viewed inside the DnsName
+/// handed to DnsName::encode(); that name must stay alive until the message
+/// is fully encoded (it always is: the DnsMessage outlives its
+/// serialisation). clear() keeps the entry storage, so steady-state encoding
+/// records suffixes without allocating.
 class NameCompressor {
  public:
   void clear() { entries_.clear(); }
 
-  /// Offset of a previously recorded suffix equal to `name[label_index..]`,
-  /// earliest recording first (mirrors the old map's emplace semantics).
-  std::optional<std::uint16_t> find(const DnsName& name,
-                                    std::size_t label_index) const;
+  /// Offset of a previously recorded suffix with exactly these wire bytes,
+  /// earliest recording first.
+  std::optional<std::uint16_t> find(std::string_view suffix) const;
 
-  /// Records that `name[label_index..]` was encoded at `offset`.
-  void record(const DnsName& name, std::size_t label_index,
-              std::uint16_t offset);
+  /// Records that `suffix` was encoded at `offset`.
+  void record(std::string_view suffix, std::uint16_t offset) {
+    entries_.push_back(Entry{suffix, offset});
+  }
 
  private:
   struct Entry {
-    const DnsName* name;
-    std::uint32_t label_index;
+    std::string_view suffix;
     std::uint16_t offset;
   };
   std::vector<Entry> entries_;
@@ -65,15 +69,25 @@ class DnsName {
   /// Dotted form; "." for the root name.
   std::string to_string() const;
 
-  bool is_root() const { return labels_.empty(); }
-  std::size_t label_count() const { return labels_.size(); }
-  const std::vector<std::string>& labels() const { return labels_; }
-  const std::string& label(std::size_t i) const { return labels_[i]; }
+  bool is_root() const { return count_ == 0; }
+  std::size_t label_count() const { return count_; }
+
+  /// Invokes `fn(label)` with each label as a std::string_view, leftmost
+  /// first; never for the root name.
+  template <typename Fn>
+  void for_each_label(Fn&& fn) const {
+    for (std::size_t pos = 0; pos < bytes_.size();) {
+      const std::size_t len = static_cast<std::uint8_t>(bytes_[pos]);
+      fn(std::string_view{bytes_}.substr(pos + 1, len));
+      pos += 1 + len;
+    }
+  }
 
   /// Wire length of the encoded name without compression.
-  std::size_t wire_length() const;
+  std::size_t wire_length() const { return bytes_.size() + 1; }
 
-  /// True if this name equals `ancestor` or is below it.
+  /// True if this name equals `ancestor` or is below it (label-aligned: a
+  /// byte suffix that starts inside a label does not count).
   bool is_subdomain_of(const DnsName& ancestor) const;
 
   /// Name with the leftmost label removed; root stays root.
@@ -82,11 +96,11 @@ class DnsName {
   /// New name with `label` prepended (leftmost).
   DnsName prepend(std::string_view label) const;
 
-  /// Concatenation: this.labels + suffix.labels.
+  /// Concatenation: this name's labels followed by `suffix`'s.
   DnsName concat(const DnsName& suffix) const;
 
   /// Makes this name `src` with its first `skip` labels removed, reusing
-  /// this name's label storage (no allocation once warm). skip must be
+  /// this name's byte buffer (no allocation once warm). skip must be
   /// <= src.label_count().
   void assign_tail(const DnsName& src, std::size_t skip);
 
@@ -101,16 +115,19 @@ class DnsName {
   /// count to defeat pointer loops). On failure marks the reader bad.
   static DnsName decode(wire::Reader& r);
 
-  /// Decodes into `out`, reusing its label storage (vector capacity and the
-  /// per-label string buffers). Steady-state message parsing with a scratch
-  /// DnsMessage decodes names without allocating. On failure marks the
-  /// reader bad and leaves `out` empty.
+  /// Decodes into `out`, reusing its byte buffer: steady-state message
+  /// parsing with a scratch DnsMessage decodes names without allocating.
+  /// On failure marks the reader bad and leaves `out` the root name.
   static void decode_into(wire::Reader& r, DnsName& out);
 
   auto operator<=>(const DnsName&) const = default;
 
  private:
-  std::vector<std::string> labels_;
+  /// Byte offset of label `index` (bytes_.size() for index == count_).
+  std::size_t label_offset(std::size_t index) const;
+
+  std::string bytes_;
+  std::uint8_t count_ = 0;
 };
 
 }  // namespace lazyeye::dns

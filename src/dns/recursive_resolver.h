@@ -129,6 +129,9 @@ class RecursiveResolver {
   DnsClient client_;
   std::map<std::uint64_t, Job> jobs_;
   std::vector<ResolveStep> steps_;
+  // Iterated in wire-byte name order, but the scan keeps the strictly
+  // longest cached suffix of one qname, which is unique, so the order never
+  // shows.
   std::map<DnsName, std::vector<NsServerInfo>> delegation_cache_;
   bool cache_enabled_ = false;
   bool global_either_or_toggle_ = false;

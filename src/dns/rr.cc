@@ -230,58 +230,79 @@ void encode_rdata(const ResourceRecord& rr, std::vector<std::uint8_t>& out,
   // OPT rdata is empty; its UDP size lives in the class field.
 }
 
-Rdata decode_rdata(RrType type, std::uint16_t rdlength, wire::Reader& r) {
+namespace {
+
+/// The `T` alternative of `rdata`: the one it holds (names and vectors keep
+/// their buffers for an in-place decode), else a fresh default one.
+template <typename T>
+T& reuse(Rdata& rdata) {
+  if (T* held = std::get_if<T>(&rdata)) return *held;
+  return rdata.emplace<T>();
+}
+
+}  // namespace
+
+void decode_rdata(RrType type, std::uint16_t rdlength, wire::Reader& r,
+                  Rdata& out) {
   const std::size_t end = r.pos + rdlength;
   switch (type) {
     case RrType::kA:
-      return ARdata{simnet::Ipv4Address{r.u32()}};
+      out = ARdata{simnet::Ipv4Address{r.u32()}};
+      return;
     case RrType::kAaaa: {
-      AaaaRdata a;
+      AaaaRdata& a = reuse<AaaaRdata>(out);
       const std::string_view bytes = r.view(16);
       if (r.ok) std::memcpy(a.addr.bytes.data(), bytes.data(), 16);
-      return a;
+      return;
     }
     case RrType::kNs:
-      return NsRdata{DnsName::decode(r)};
+      DnsName::decode_into(r, reuse<NsRdata>(out).ns);
+      return;
     case RrType::kCname:
-      return CnameRdata{DnsName::decode(r)};
+      DnsName::decode_into(r, reuse<CnameRdata>(out).target);
+      return;
     case RrType::kSoa: {
-      SoaRdata soa;
-      soa.mname = DnsName::decode(r);
-      soa.rname = DnsName::decode(r);
+      SoaRdata& soa = reuse<SoaRdata>(out);
+      DnsName::decode_into(r, soa.mname);
+      DnsName::decode_into(r, soa.rname);
       soa.serial = r.u32();
       soa.refresh = r.u32();
       soa.retry = r.u32();
       soa.expire = r.u32();
       soa.minimum = r.u32();
-      return soa;
+      return;
     }
     case RrType::kTxt: {
-      TxtRdata txt;
+      TxtRdata& txt = reuse<TxtRdata>(out);
+      txt.strings.clear();
       while (r.ok && r.pos < end) {
         const std::uint8_t len = r.u8();
         txt.strings.emplace_back(r.view(len));
       }
-      return txt;
+      return;
     }
     case RrType::kSvcb:
     case RrType::kHttps: {
-      SvcbRdata svcb;
+      SvcbRdata& svcb = reuse<SvcbRdata>(out);
       svcb.priority = r.u16();
-      svcb.target = DnsName::decode(r);
+      DnsName::decode_into(r, svcb.target);
+      svcb.params.clear();
       while (r.ok && r.pos + 4 <= end) {
         const std::uint16_t key = r.u16();
         const std::string_view value = r.view(r.u16());
         svcb.params[key].assign(value.begin(), value.end());
       }
-      return svcb;
+      return;
     }
     case RrType::kOpt:
       r.skip(rdlength);
-      return OptRdata{};
+      out = OptRdata{};
+      return;
   }
   const std::string_view data = r.view(rdlength);
-  return RawRdata{static_cast<std::uint16_t>(type), {data.begin(), data.end()}};
+  RawRdata& raw = reuse<RawRdata>(out);
+  raw.type = static_cast<std::uint16_t>(type);
+  raw.data.assign(data.begin(), data.end());
 }
 
 }  // namespace lazyeye::dns

@@ -146,7 +146,10 @@ struct ResourceRecord {
 void encode_rdata(const ResourceRecord& rr, std::vector<std::uint8_t>& out,
                   NameCompressor* compression);
 
-/// Decodes rdata given the already-parsed type and rdlength.
-Rdata decode_rdata(RrType type, std::uint16_t rdlength, wire::Reader& r);
+/// Decodes rdata given the already-parsed type and rdlength into `out`.
+/// When `out` already holds the type's alternative its names and vectors
+/// are decoded into in place, so a scratch record recycles their buffers.
+void decode_rdata(RrType type, std::uint16_t rdlength, wire::Reader& r,
+                  Rdata& out);
 
 }  // namespace lazyeye::dns

@@ -13,13 +13,13 @@ SimTime TestParams::delay_for(RrType type) const {
 namespace {
 
 /// Parses one "d<ms>-<type>" label; returns false if it is not one.
-bool parse_delay_label(const std::string& label, TestParams& out) {
+bool parse_delay_label(std::string_view label, TestParams& out) {
   if (label.size() < 4 || label[0] != 'd') return false;
   const auto dash = label.find('-');
-  if (dash == std::string::npos || dash < 2) return false;
+  if (dash == std::string_view::npos || dash < 2) return false;
   const auto ms_value = lazyeye::parse_u64(label.substr(1, dash - 1));
   if (!ms_value) return false;
-  const std::string type_str = label.substr(dash + 1);
+  const std::string_view type_str = label.substr(dash + 1);
   const SimTime delay = lazyeye::ms(static_cast<std::int64_t>(*ms_value));
   if (type_str == "all") {
     out.all_delay += delay;
@@ -31,7 +31,7 @@ bool parse_delay_label(const std::string& label, TestParams& out) {
   return true;
 }
 
-bool is_nonce_label(const std::string& label) {
+bool is_nonce_label(std::string_view label) {
   if (label.size() < 2 || label[0] != 'n') return false;
   for (std::size_t i = 1; i < label.size(); ++i) {
     const char c = label[i];
@@ -46,14 +46,14 @@ bool is_nonce_label(const std::string& label) {
 std::optional<TestParams> parse_test_params(const DnsName& qname) {
   TestParams params;
   bool found = false;
-  for (const std::string& label : qname.labels()) {
+  qname.for_each_label([&](std::string_view label) {
     if (parse_delay_label(label, params)) {
       found = true;
     } else if (is_nonce_label(label) && params.nonce.empty()) {
       params.nonce = label.substr(1);
       found = true;
     }
-  }
+  });
   if (!found) return std::nullopt;
   return params;
 }

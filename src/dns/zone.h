@@ -79,11 +79,6 @@ class Zone {
   /// copies each record at most once, straight into the response sections.
   void lookup_into(const DnsName& qname, RrType qtype, LookupRefs& out) const;
 
-  /// All records (for inspection/tests).
-  const std::pmr::multimap<DnsName, ResourceRecord>& records() const {
-    return records_;
-  }
-
   /// Glue lookup helper: in-zone A/AAAA records for `name`.
   std::vector<ResourceRecord> glue_for(const DnsName& name) const;
 
@@ -94,6 +89,8 @@ class Zone {
   const DnsName* find_zone_cut(const DnsName& qname) const;
 
   DnsName origin_;
+  // Keyed by wire-byte name order, which nothing may observe: the zone only
+  // looks names up (equal_range/count) and scans for a yes/no answer.
   std::pmr::multimap<DnsName, ResourceRecord> records_;
   // Candidate-name scratch for find_zone_cut: suffixes are assigned in
   // place instead of materialising a fresh DnsName per depth step (worlds

@@ -9,9 +9,10 @@
 // gate holds a single-fault conformance cell and compound-schedule cells,
 // with and without malformed DNS wire. A byte counter beside the call counter
 // also bounds what decoding malformed DNS wire, conformance records and
-// fault schedules may allocate, and a warm DNS encode into a pooled buffer
-// must allocate nothing at all. Counting (not timing) keeps the gates
-// deterministic on 1-core CI runners and under sanitizers.
+// fault schedules may allocate. A warm DNS encode into a pooled buffer and a
+// warm DNS decode into a scratch message must allocate nothing at all.
+// Counting (not timing) keeps the gates deterministic on 1-core CI runners
+// and under sanitizers.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -61,26 +62,26 @@ namespace {
 constexpr std::uint64_t kSlack = 1;
 
 // 5x under the ~406-allocation baseline the overhaul started from. A warm
-// CAD cell measures 74.
-constexpr std::uint64_t kCadCellBudget = 74 + kSlack;
+// CAD cell measures 68.
+constexpr std::uint64_t kCadCellBudget = 68 + kSlack;
 
 // A single-fault conformance cell (kTcpReset on Chrome, two fetches)
-// measures 139 warm (Debug, Release and ASan+UBSan) on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kFaultCellBudget = 139 + kSlack;
+// measures 105 warm (Debug, Release and ASan+UBSan) on GCC 12.2 / libstdc++.
+constexpr std::uint64_t kFaultCellBudget = 105 + kSlack;
 
 // A compound-schedule cell (generated schedules without malformed-DNS
-// entries, two fetches on Chrome) measures 149 warm (Debug, Release and
+// entries, two fetches on Chrome) measures 113 warm (Debug, Release and
 // ASan+UBSan) on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kScheduleCellBudget = 149 + kSlack;
+constexpr std::uint64_t kScheduleCellBudget = 113 + kSlack;
 
 // A compound-schedule cell whose schedule truncates or corrupts DNS wire
-// (same generator, same client) measures 157 warm (Debug, Release and
+// (same generator, same client) measures 115 warm (Debug, Release and
 // ASan+UBSan) on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kMalformedDnsCellBudget = 157 + kSlack;
+constexpr std::uint64_t kMalformedDnsCellBudget = 115 + kSlack;
 
 // Decoding one malformed wire into a fresh DnsMessage may allocate at most
-// this many bytes per wire byte; the seeded corpus below peaks at 23.5
-// (2,234 bytes for a 95-byte corrupt referral).
+// this many bytes per wire byte; the seeded corpus below peaks at 10.3
+// (983 bytes for a 95-byte wire).
 // A decoder that sizes storage from header counts instead of input length
 // blows through it by orders of magnitude. The conformance record and fault
 // schedule decoders are held to the same bound; their corpus peaks at 5.4
@@ -365,6 +366,42 @@ TEST(CellAllocTest, WarmDnsEncodeIntoAllocatesNothing) {
   EXPECT_EQ(after - before, 0u)
       << "warm encode_into touched the heap (" << (after - before)
       << " allocations over " << kEncodes << " encodes)";
+}
+
+TEST(CellAllocTest, WarmDnsDecodeIntoAllocatesNothing) {
+  // The same lab-shaped response: 1 question, 2 AAAA answers, 1 NS
+  // authority. Names and the NS rdata decode into the scratch's buffers.
+  dns::DnsMessage msg;
+  msg.header.id = 0x4242;
+  msg.header.qr = true;
+  const auto name = dns::DnsName::must_parse("www.he-test.lab");
+  msg.questions.push_back({name, dns::RrType::kAaaa});
+  msg.answers.push_back(dns::ResourceRecord::aaaa(
+      name, *simnet::Ipv6Address::parse("2001:db8::80")));
+  msg.answers.push_back(dns::ResourceRecord::aaaa(
+      name, *simnet::Ipv6Address::parse("2001:db8::81")));
+  msg.authorities.push_back(dns::ResourceRecord::ns(
+      dns::DnsName::must_parse("he-test.lab"),
+      dns::DnsName::must_parse("ns1.he-test.lab")));
+  const std::vector<std::uint8_t> wire = msg.encode();
+
+  // The DnsClient/AuthServer receive path: one scratch message. The first
+  // decode grows it.
+  dns::DnsMessage scratch;
+  ASSERT_TRUE(dns::DnsMessage::decode_into(wire, scratch));
+
+  constexpr int kDecodes = 1000;
+  bool ok = true;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kDecodes; ++i) {
+    ok = dns::DnsMessage::decode_into(wire, scratch) && ok;
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(scratch, msg);
+  EXPECT_EQ(after - before, 0u)
+      << "warm decode_into touched the heap (" << (after - before)
+      << " allocations over " << kDecodes << " decodes)";
 }
 
 // The run itself must still mean something: a cell that silently stopped

@@ -25,7 +25,10 @@ TEST(DnsNameTest, FromStringBasics) {
   const auto name = DnsName::must_parse("www.Example.COM");
   EXPECT_EQ(name.to_string(), "www.example.com");
   EXPECT_EQ(name.label_count(), 3u);
-  EXPECT_EQ(name.label(0), "www");
+  std::vector<std::string> labels;
+  name.for_each_label(
+      [&](std::string_view label) { labels.emplace_back(label); });
+  EXPECT_EQ(labels, (std::vector<std::string>{"www", "example", "com"}));
 }
 
 TEST(DnsNameTest, RootForms) {
@@ -33,6 +36,9 @@ TEST(DnsNameTest, RootForms) {
   EXPECT_TRUE(DnsName::must_parse(".").is_root());
   EXPECT_EQ(DnsName{}.to_string(), ".");
   EXPECT_EQ(DnsName{}.wire_length(), 1u);
+  bool called = false;
+  DnsName{}.for_each_label([&](std::string_view) { called = true; });
+  EXPECT_FALSE(called);
 }
 
 TEST(DnsNameTest, TrailingDotOptional) {
@@ -49,6 +55,21 @@ TEST(DnsNameTest, RejectsBadLabels) {
   EXPECT_FALSE(DnsName::from_string(long_name).ok());
 }
 
+/// A one-label name whose single binary label, "x\7example\3com", ends
+/// with the wire form of example.com.
+DnsName binary_label_name() {
+  const std::string label{"x\x07" "example\x03" "com"};
+  std::vector<std::uint8_t> bytes;
+  wire::put_u8(bytes, static_cast<std::uint8_t>(label.size()));
+  wire::put_bytes(bytes, label);
+  wire::put_u8(bytes, 0);
+  wire::Reader r{bytes};
+  DnsName name = DnsName::decode(r);
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(name.label_count(), 1u);
+  return name;
+}
+
 TEST(DnsNameTest, SubdomainRelation) {
   const auto com = DnsName::must_parse("com");
   const auto example = DnsName::must_parse("example.com");
@@ -62,6 +83,12 @@ TEST(DnsNameTest, SubdomainRelation) {
   // Label-boundary check: notexample.com is NOT under example.com.
   EXPECT_FALSE(
       DnsName::must_parse("notexample.com").is_subdomain_of(example));
+  // Wire bytes that end with example.com's, but not from a label boundary.
+  const DnsName binary = binary_label_name();
+  EXPECT_FALSE(binary.is_subdomain_of(example));
+  EXPECT_FALSE(binary.is_subdomain_of(com));
+  EXPECT_TRUE(binary.is_subdomain_of(binary));
+  EXPECT_TRUE(binary.is_subdomain_of(DnsName{}));
 }
 
 TEST(DnsNameTest, ParentAndPrepend) {
@@ -99,6 +126,65 @@ TEST(DnsNameTest, CompressionProducesPointer) {
   wire::Reader r{out};
   EXPECT_EQ(DnsName::decode(r), a);
   EXPECT_EQ(DnsName::decode(r), b);
+  EXPECT_TRUE(r.exhausted());
+}
+
+/// Uncompressed wire form of one name with labels of these lengths.
+std::vector<std::uint8_t> name_wire(std::initializer_list<std::size_t> lengths) {
+  std::vector<std::uint8_t> out;
+  char fill = 'a';
+  for (const std::size_t len : lengths) {
+    wire::put_u8(out, static_cast<std::uint8_t>(len));
+    wire::put_bytes(out, std::string(len, fill++));
+  }
+  wire::put_u8(out, 0);
+  return out;
+}
+
+TEST(DnsNameTest, DecodeLengthBoundCountsTheRootByte) {
+  // RFC 1035 §2.3.4: at most 255 octets, root byte included. 63+63+63+62
+  // label octets plus four length bytes and the root byte make 256.
+  const auto too_long = name_wire({63, 63, 63, 62});
+  ASSERT_EQ(too_long.size(), 256u);
+  wire::Reader reject{too_long};
+  EXPECT_TRUE(DnsName::decode(reject).is_root());
+  EXPECT_FALSE(reject.ok);
+
+  for (std::size_t last = 1; last <= 61; ++last) {
+    const auto bytes = name_wire({63, 63, 63, last});
+    wire::Reader r{bytes};
+    const DnsName name = DnsName::decode(r);
+    ASSERT_TRUE(r.ok) << "last label " << last;
+    EXPECT_EQ(name.wire_length(), bytes.size());
+    // Everything decode accepts, the text parser accepts too.
+    const auto reparsed = DnsName::from_string(name.to_string());
+    ASSERT_TRUE(reparsed.ok()) << reparsed.error();
+    EXPECT_EQ(reparsed.value(), name);
+  }
+}
+
+TEST(DnsNameTest, CompressionReusesOnlyLabelAlignedSuffixes) {
+  // example.com's wire bytes sit inside the binary label, but not at a
+  // label boundary, so they are no pointer target.
+  const DnsName binary = binary_label_name();
+  NameCompressor compressor;
+  std::vector<std::uint8_t> out;
+  binary.encode(out, &compressor);
+  const auto example = DnsName::must_parse("example.com");
+  example.encode(out, &compressor);
+  EXPECT_EQ(out.size(), binary.wire_length() + example.wire_length());
+  // A label-aligned suffix is reused: "www" plus a pointer to example.com.
+  const std::size_t before = out.size();
+  const auto www = DnsName::must_parse("www.example.com");
+  www.encode(out, &compressor);
+  ASSERT_EQ(out.size(), before + 4 + 2);
+  EXPECT_EQ(out[before + 4], 0xC0);
+  EXPECT_EQ(out[before + 5], binary.wire_length());
+
+  wire::Reader r{out};
+  EXPECT_EQ(DnsName::decode(r), binary);
+  EXPECT_EQ(DnsName::decode(r), example);
+  EXPECT_EQ(DnsName::decode(r), www);
   EXPECT_TRUE(r.exhausted());
 }
 
@@ -217,6 +303,20 @@ TEST(DnsMessageTest, CompressionShrinksMessage) {
     }
   }
   EXPECT_EQ(occurrences, 1u);
+  // The exact bytes: every pointer (0xC00C, 0xC010, 0xC05D) targets a
+  // label-aligned suffix recorded earlier in the message.
+  const std::vector<std::uint8_t> expected{
+      0x12, 0x34, 0x85, 0x80, 0x00, 0x01, 0x00, 0x02, 0x00, 0x01, 0x00, 0x01,
+      0x03, 0x77, 0x77, 0x77, 0x07, 0x68, 0x65, 0x2d, 0x74, 0x65, 0x73, 0x74,
+      0x03, 0x6c, 0x61, 0x62, 0x00, 0x00, 0x1c, 0x00, 0x01, 0xc0, 0x0c, 0x00,
+      0x1c, 0x00, 0x01, 0x00, 0x00, 0x01, 0x2c, 0x00, 0x10, 0x20, 0x01, 0x0d,
+      0xb8, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x10, 0x05, 0x61, 0x6c, 0x69, 0x61, 0x73, 0xc0, 0x10, 0x00, 0x05, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x3c, 0x00, 0x02, 0xc0, 0x0c, 0xc0, 0x10, 0x00,
+      0x02, 0x00, 0x01, 0x00, 0x00, 0x00, 0x3c, 0x00, 0x06, 0x03, 0x6e, 0x73,
+      0x31, 0xc0, 0x10, 0xc0, 0x5d, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x3c, 0x00, 0x04, 0x0a, 0x01, 0x01, 0x01};
+  EXPECT_EQ(wire, expected);
 }
 
 TEST(DnsMessageTest, MakeQueryAndResponse) {
@@ -349,6 +449,9 @@ TEST(DnsMessageTest, RandomisedRoundTripProperty) {
     }
   };
 
+  // One scratch decodes every message too: each record's rdata is decoded
+  // in place over whatever the previous message left there.
+  DnsMessage scratch;
   for (int iteration = 0; iteration < 200; ++iteration) {
     DnsMessage msg;
     msg.header.id = static_cast<std::uint16_t>(rng.next_u64());
@@ -374,6 +477,9 @@ TEST(DnsMessageTest, RandomisedRoundTripProperty) {
     ASSERT_TRUE(decoded.ok()) << "iteration " << iteration << ": "
                               << decoded.error();
     EXPECT_EQ(decoded.value(), msg) << "iteration " << iteration;
+    ASSERT_TRUE(DnsMessage::decode_into(wire, scratch)) << "iteration "
+                                                        << iteration;
+    EXPECT_EQ(scratch, msg) << "iteration " << iteration;
   }
 }
 
@@ -584,9 +690,19 @@ TEST(DnsNameTest, DecodePreservesCaseInsensitivity) {
     wire::put_bytes(out, label);
   }
   wire::put_u8(out, 0);
+  // "MaIl" plus a pointer to "ExAmPlE.LaB" at offset 4.
+  wire::put_u8(out, 4);
+  wire::put_bytes(out, std::string_view{"MaIl"});
+  wire::put_u16(out, 0xC000 | 4);
   wire::Reader r{out};
-  EXPECT_EQ(DnsName::decode(r), DnsName::must_parse("www.example.lab"));
+  const DnsName www = DnsName::decode(r);
+  const DnsName mail = DnsName::decode(r);
   EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(www, DnsName::must_parse("www.example.lab"));
+  EXPECT_EQ(mail, DnsName::must_parse("mail.example.lab"));
+  EXPECT_EQ(mail <=> DnsName::must_parse("MAIL.example.LAB"),
+            std::strong_ordering::equal);
+  EXPECT_TRUE(mail.is_subdomain_of(DnsName::must_parse("Example.Lab")));
 }
 
 }  // namespace
