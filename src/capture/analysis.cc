@@ -170,11 +170,6 @@ std::optional<SimTime> first_response_time(
   return std::nullopt;
 }
 
-std::optional<SimTime> first_response_time(const PacketCapture& capture,
-                                           dns::RrType qtype) {
-  return first_response_time(dns_exchanges(capture), qtype);
-}
-
 std::optional<SimTime> a_response_to_v6_syn_gap(
     const PacketCapture& capture,
     const std::vector<DnsExchange>& exchanges) {
@@ -183,10 +178,6 @@ std::optional<SimTime> a_response_to_v6_syn_gap(
   if (!a_time || !v6_syn) return std::nullopt;
   if (*v6_syn < *a_time) return std::nullopt;  // v6 SYN did not wait for A
   return *v6_syn - *a_time;
-}
-
-std::optional<SimTime> a_response_to_v6_syn_gap(const PacketCapture& capture) {
-  return a_response_to_v6_syn_gap(capture, dns_exchanges(capture));
 }
 
 std::optional<SimTime> infer_resolution_delay(
@@ -201,10 +192,6 @@ std::optional<SimTime> infer_resolution_delay(
   if (aaaa_time && *aaaa_time <= *v4_syn) return std::nullopt;
   if (*v4_syn < *a_time) return std::nullopt;
   return *v4_syn - *a_time;
-}
-
-std::optional<SimTime> infer_resolution_delay(const PacketCapture& capture) {
-  return infer_resolution_delay(capture, dns_exchanges(capture));
 }
 
 }  // namespace lazyeye::capture

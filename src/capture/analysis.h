@@ -60,13 +60,10 @@ std::optional<simnet::Family> established_family(const PacketCapture& capture);
 /// bound "pre-establishment" attempt evidence.
 std::optional<SimTime> first_established_time(const PacketCapture& capture);
 
-/// Response time of the first answered DNS exchange of `qtype`.
-std::optional<SimTime> first_response_time(const PacketCapture& capture,
-                                           dns::RrType qtype);
-
-/// Same, over a precomputed exchange list (see dns_exchanges). Analysis
-/// passes that need several DNS-derived metrics decode the capture once and
-/// reuse the list instead of re-parsing every packet per metric.
+/// Response time of the first answered DNS exchange of `qtype`, over a
+/// precomputed exchange list (see dns_exchanges). Analysis passes that need
+/// several DNS-derived metrics decode the capture once and reuse the list
+/// instead of re-parsing every packet per metric.
 std::optional<SimTime> first_response_time(
     const std::vector<DnsExchange>& exchanges, dns::RrType qtype);
 
@@ -86,14 +83,12 @@ std::vector<DnsExchange> dns_exchanges(const PacketCapture& capture);
 /// Time between receiving the A response and sending the first IPv6 SYN —
 /// non-null only when the A answer arrived before any v6 SYN. Used to detect
 /// the "waits for A before connecting via IPv6" deviation (§5.2).
-std::optional<SimTime> a_response_to_v6_syn_gap(const PacketCapture& capture);
 std::optional<SimTime> a_response_to_v6_syn_gap(
     const PacketCapture& capture,
     const std::vector<DnsExchange>& exchanges);
 
 /// Resolution Delay inference: gap between the A response arrival and the
 /// first IPv4 SYN when the AAAA answer never arrived before it.
-std::optional<SimTime> infer_resolution_delay(const PacketCapture& capture);
 std::optional<SimTime> infer_resolution_delay(
     const PacketCapture& capture,
     const std::vector<DnsExchange>& exchanges);

@@ -91,10 +91,8 @@ SimTime AuthServer::response_delay(const DnsName& qname, RrType qtype) const {
     if (rule.suffix && !qname.is_subdomain_of(*rule.suffix)) continue;
     total += rule.delay;
   }
-  if (test_params_enabled_) {
-    if (const auto params = parse_test_params(qname)) {
-      total += params->delay_for(qtype);
-    }
+  if (const auto params = parse_test_params(qname)) {
+    total += params->delay_for(qtype);
   }
   return total;
 }

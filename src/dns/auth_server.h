@@ -56,10 +56,6 @@ class AuthServer {
 
   /// Static delay rules (evaluated additively with qname-encoded params).
   void add_delay_rule(DelayRule rule) { delay_rules_.push_back(std::move(rule)); }
-  void clear_delay_rules() { delay_rules_.clear(); }
-
-  /// Enables qname-encoded TestParams handling (default on).
-  void set_test_params_enabled(bool enabled) { test_params_enabled_ = enabled; }
 
   /// When set, queries are dropped entirely (unresponsive server).
   void set_unresponsive(bool unresponsive) { unresponsive_ = unresponsive; }
@@ -71,7 +67,6 @@ class AuthServer {
   }
 
   const std::vector<QueryLogEntry>& query_log() const { return query_log_; }
-  void clear_query_log() { query_log_.clear(); }
 
   std::uint64_t queries_received() const { return queries_received_; }
 
@@ -88,7 +83,6 @@ class AuthServer {
   std::vector<std::unique_ptr<Zone>> zones_;
   std::vector<DelayRule> delay_rules_;
   std::vector<QueryLogEntry> query_log_;
-  bool test_params_enabled_ = true;
   bool unresponsive_ = false;
   std::uint64_t queries_received_ = 0;
   ResponseInterposer interposer_;

@@ -68,7 +68,6 @@ class RecursiveResolver {
 
   const ResolverProfile& profile() const { return profile_; }
   const std::vector<ResolveStep>& steps() const { return steps_; }
-  void clear_steps() { steps_.clear(); }
 
   /// Minimal positive cache (zone -> servers) reuse across queries can be
   /// disabled to keep measurement campaigns cache-free like the paper's.

@@ -96,10 +96,3 @@ struct std::hash<lazyeye::simnet::IpAddress> {
     return a.hash();
   }
 };
-
-template <>
-struct std::hash<lazyeye::simnet::Endpoint> {
-  std::size_t operator()(const lazyeye::simnet::Endpoint& e) const {
-    return e.addr.hash() * 1000003u ^ e.port;
-  }
-};

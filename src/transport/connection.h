@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 
 #include "simnet/ip.h"
@@ -17,14 +18,6 @@ struct FourTuple {
   simnet::Endpoint remote;
   auto operator<=>(const FourTuple&) const = default;
 };
-
-/// Hash for TupleIndex probing: mixes the two endpoint hashes so that
-/// connections differing only in ephemeral port spread across the table.
-inline std::size_t four_tuple_hash(const FourTuple& t) {
-  const std::size_t a = std::hash<simnet::Endpoint>{}(t.local);
-  const std::size_t b = std::hash<simnet::Endpoint>{}(t.remote);
-  return a * 0x9e3779b97f4a7c15ULL ^ (b + 0x517cc1b727220a95ULL);
-}
 
 enum class TransportProtocol : std::uint8_t { kTcp, kQuic };
 
@@ -61,5 +54,16 @@ struct ConnectResult {
   simnet::Family family() const { return remote.addr.family(); }
   SimTime handshake_time() const { return completed - started; }
 };
+
+/// Runs exactly once per connection attempt, on success or failure.
+using ConnectHandler = std::function<void(const ConnectResult&)>;
+/// (connection id, peer) — runs on the server when a handshake completes.
+using AcceptHandler =
+    std::function<void(std::uint64_t conn_id, const simnet::Endpoint& peer)>;
+/// (connection id, payload bytes) — runs on data arrival. The view is only
+/// valid for the call (the bytes live in the packet's pooled buffer); copy
+/// to keep them.
+using DataHandler =
+    std::function<void(std::uint64_t conn_id, std::span<const std::uint8_t>)>;
 
 }  // namespace lazyeye::transport

@@ -19,105 +19,45 @@ bool is_quic_payload(std::span<const std::uint8_t> payload) {
 
 QuicStack::QuicStack(simnet::Host& host)
     : host_{host},
-      connections_{host.network().memory()},
-      index_{host.network().memory()} {}
+      table_{host, TransportProtocol::kQuic,
+             [this](const FourTuple& tuple) { send_packet(tuple, kInitial); },
+             [this](const Connection& conn) { release(conn); }} {}
 
 QuicStack::~QuicStack() {
-  for (const auto& [port, handler] : listeners_) host_.udp_unbind(port);
+  for (const auto& [id, conn] : table_.connections()) release(conn);
+  for (const auto& [port, accept] : table_.listeners()) host_.udp_unbind(port);
+}
+
+void QuicStack::bind(std::uint16_t port) {
+  host_.udp_bind(port, [this](const Packet& p) { on_datagram(p); });
+}
+
+void QuicStack::release(const Connection& conn) {
+  if (!table_.listening(conn.tuple.local.port)) {
+    host_.udp_unbind(conn.tuple.local.port);
+  }
 }
 
 void QuicStack::listen(std::uint16_t port, AcceptHandler on_accept) {
-  listeners_[port] = std::move(on_accept);
-  host_.udp_bind(port, [this, port](const Packet& p) { on_datagram(port, p); });
+  table_.listen(port, std::move(on_accept));
+  bind(port);
 }
 
 void QuicStack::close_listener(std::uint16_t port) {
-  listeners_.erase(port);
+  table_.close_listener(port);
   host_.udp_unbind(port);
 }
 
 std::uint64_t QuicStack::connect(const simnet::Endpoint& remote,
                                  const QuicOptions& options,
                                  ConnectHandler handler) {
-  const auto local_addr = host_.address(remote.addr.family());
-  if (!local_addr) {
-    ConnectResult result;
-    result.error = "no local address for family";
-    result.proto = TransportProtocol::kQuic;
-    result.remote = remote;
-    handler(result);
-    return 0;
-  }
-
-  const std::uint64_t id = next_id_++;
-  ConnectionState conn;
-  conn.id = id;
-  conn.tuple = FourTuple{{*local_addr, host_.ephemeral_port()}, remote};
-  conn.options = options;
-  conn.current_rto = options.initial_rto;
-  conn.started = host_.network().loop().now();
-  conn.on_connect = std::move(handler);
-  const std::uint16_t local_port = conn.tuple.local.port;
-  auto [it, inserted] = connections_.emplace(id, std::move(conn));
-  index_.insert(&it->second);
-  host_.udp_bind(local_port, [this, local_port](const Packet& p) {
-    on_datagram(local_port, p);
-  });
-  send_initial(it->second);
-  return id;
-}
-
-void QuicStack::send_initial(ConnectionState& conn) {
-  ++conn.sends;
-  send_packet(conn.tuple, kInitial);
-  const std::uint64_t id = conn.id;
-  conn.rto_timer = host_.network().loop().schedule_after(
-      conn.current_rto, [this, id] {
-        const auto it = connections_.find(id);
-        if (it == connections_.end() ||
-            it->second.state != State::kInitialSent) {
-          return;
-        }
-        ConnectionState& c = it->second;
-        if (c.sends > c.options.max_retransmits) {
-          fail_connect(id, "timeout");
-          return;
-        }
-        c.current_rto = SimTime{static_cast<std::int64_t>(
-            static_cast<double>(c.current_rto.count()) *
-            c.options.rto_backoff)};
-        send_initial(c);
-      });
-}
-
-void QuicStack::abort(std::uint64_t attempt_id) {
-  fail_connect(attempt_id, "cancelled");
-}
-
-void QuicStack::fail_connect(std::uint64_t id, const std::string& error) {
-  const auto it = connections_.find(id);
-  if (it == connections_.end()) return;
-  ConnectionState& conn = it->second;
-  host_.network().loop().cancel(conn.rto_timer);
-  if (listeners_.find(conn.tuple.local.port) == listeners_.end()) {
-    host_.udp_unbind(conn.tuple.local.port);
-  }
-  ConnectHandler handler = std::move(conn.on_connect);
-  ConnectResult result;
-  result.error = error;
-  result.proto = TransportProtocol::kQuic;
-  result.local = conn.tuple.local;
-  result.remote = conn.tuple.remote;
-  result.started = conn.started;
-  result.completed = host_.network().loop().now();
-  index_.erase(&conn);
-  connections_.erase(it);
-  if (handler) handler(result);
-}
-
-void QuicStack::remove_connection(ConnectionState& conn) {
-  index_.erase(&conn);
-  connections_.erase(conn.id);
+  const Connection* conn = table_.open(
+      remote,
+      {options.initial_rto, options.max_retransmits, options.rto_backoff},
+      std::move(handler));
+  if (conn == nullptr) return 0;
+  bind(conn->tuple.local.port);
+  return conn->id;
 }
 
 void QuicStack::send_packet(const FourTuple& tuple, char type,
@@ -131,46 +71,27 @@ void QuicStack::send_packet(const FourTuple& tuple, char type,
   host_.udp_send(tuple.local, tuple.remote, std::move(framed));
 }
 
-QuicStack::ConnectionState* QuicStack::find_by_tuple(const FourTuple& tuple) {
-  return index_.find(tuple);
-}
-
-void QuicStack::on_datagram(std::uint16_t local_port, const Packet& packet) {
-  (void)local_port;
+void QuicStack::on_datagram(const Packet& packet) {
   if (!is_quic_payload(packet.payload)) return;
   const char type = static_cast<char>(packet.payload.front());
   const FourTuple tuple{packet.dst, packet.src};
-  ConnectionState* conn = find_by_tuple(tuple);
+  Connection* conn = table_.find(tuple);
 
   if (type == kInitial) {
-    const auto listener = listeners_.find(packet.dst.port);
-    if (listener == listeners_.end()) return;  // no QUIC service: silent
-    AcceptAction action = AcceptAction::kAccept;
-    if (accept_interposer_) {
-      action = accept_interposer_(packet.src, packet.dst.port);
-    }
+    if (!table_.listening(packet.dst.port)) return;  // no QUIC service: silent
+    const AcceptAction action = table_.admit(packet.src, packet.dst.port);
     if (action == AcceptAction::kDrop) return;
     if (action == AcceptAction::kReset) {
       send_packet(tuple, kClose);
       return;
     }
     if (conn == nullptr) {
-      const std::uint64_t id = next_id_++;
-      ConnectionState server_conn;
-      server_conn.id = id;
-      server_conn.state = State::kEstablished;
-      server_conn.tuple = tuple;
-      server_conn.started = host_.network().loop().now();
-      auto [sit, sinserted] = connections_.emplace(id, std::move(server_conn));
-      index_.insert(&sit->second);
-      if (listener->second) listener->second(id, tuple.remote);
+      table_.accepted(table_.accept(tuple, ConnState::kEstablished));
     }
     send_packet(tuple, kHandshake);
     if (action == AcceptAction::kAcceptThenReset) {
       send_packet(tuple, kClose);
-      if (ConnectionState* created = find_by_tuple(tuple)) {
-        remove_connection(*created);
-      }
+      if (Connection* created = table_.find(tuple)) table_.remove(*created);
     }
     return;
   }
@@ -180,34 +101,20 @@ void QuicStack::on_datagram(std::uint16_t local_port, const Packet& packet) {
   if (type == kClose) {
     // Nothing sent Close frames before the accept interposer existed, so
     // handling them changes no pre-fault-layer traffic.
-    if (conn->state == State::kInitialSent) {
-      fail_connect(conn->id, "refused");
+    if (conn->state == ConnState::kOpening) {
+      table_.fail(conn->id, "refused");
     } else {
-      remove_connection(*conn);
+      table_.remove(*conn);
     }
     return;
   }
 
-  if (type == kHandshake && conn->state == State::kInitialSent) {
-    host_.network().loop().cancel(conn->rto_timer);
-    conn->state = State::kEstablished;
-    ConnectResult result;
-    result.ok = true;
-    result.proto = TransportProtocol::kQuic;
-    result.local = conn->tuple.local;
-    result.remote = conn->tuple.remote;
-    result.started = conn->started;
-    result.completed = host_.network().loop().now();
-    result.connection_id = conn->id;
-    if (conn->on_connect) {
-      ConnectHandler handler = std::move(conn->on_connect);
-      conn->on_connect = nullptr;
-      handler(result);
-    }
+  if (type == kHandshake && conn->state == ConnState::kOpening) {
+    table_.establish(*conn);
     return;
   }
 
-  if (type == kData && conn->state == State::kEstablished && data_handler_) {
+  if (type == kData && conn->state == ConnState::kEstablished && data_handler_) {
     data_handler_(conn->id, packet.payload.span().subspan(1));
   }
 }
@@ -218,11 +125,10 @@ void QuicStack::send_data(std::uint64_t conn_id,
 }
 
 void QuicStack::send_data(std::uint64_t conn_id, simnet::Buffer payload) {
-  const auto it = connections_.find(conn_id);
-  if (it == connections_.end() || it->second.state != State::kEstablished) {
-    return;
+  const Connection* conn = table_.find(conn_id);
+  if (conn != nullptr && conn->state == ConnState::kEstablished) {
+    send_packet(conn->tuple, kData, std::move(payload));
   }
-  send_packet(it->second.tuple, kData, std::move(payload));
 }
 
 }  // namespace lazyeye::transport

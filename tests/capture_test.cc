@@ -214,7 +214,7 @@ TEST_F(DnsCaptureFixture, ResolutionDelayInference) {
   stub->resolve_dual(dns::DnsName::must_parse("d120-aaaa.www.he.lab"),
                      handlers);
   net.loop().run();
-  const auto rd = infer_resolution_delay(*cap);
+  const auto rd = infer_resolution_delay(*cap, dns_exchanges(*cap));
   ASSERT_TRUE(rd);
   EXPECT_EQ(*rd, ms(50));
 }
@@ -231,7 +231,7 @@ TEST_F(DnsCaptureFixture, WaitForAGapInference) {
   };
   stub->resolve_dual(dns::DnsName::must_parse("www.he.lab"), handlers);
   net.loop().run();
-  const auto gap = a_response_to_v6_syn_gap(*cap);
+  const auto gap = a_response_to_v6_syn_gap(*cap, dns_exchanges(*cap));
   ASSERT_TRUE(gap);
   EXPECT_EQ(*gap, SimTime{0});
 }

@@ -209,7 +209,8 @@ TEST_F(EngineFixture, WaitForARecordDelaysV6Start) {
   const auto result = run_connect(name);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.family(), Family::kIpv6);
-  const auto gap = capture::a_response_to_v6_syn_gap(*cap);
+  const auto gap =
+      capture::a_response_to_v6_syn_gap(*cap, capture::dns_exchanges(*cap));
   ASSERT_TRUE(gap);
   EXPECT_EQ(*gap, SimTime{0});  // fired immediately after A arrived
   const auto v6_syn = capture::first_syn_time(*cap, Family::kIpv6);

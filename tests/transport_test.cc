@@ -1,13 +1,16 @@
 // TCP and QUIC handshake model tests: establishment, RTO/retransmission,
-// RST/refusal, blackhole timeouts, aborts, data transfer.
+// RST/refusal, blackhole timeouts, aborts, data transfer; the shared
+// connection table's tuple lookup; connect handlers that abort siblings and
+// reconnect; and stack teardown (no timer or UDP binding outlives a stack).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "simnet/network.h"
 #include "transport/quic.h"
-#include "transport/tuple_index.h"
 #include "transport/tcp.h"
 
 namespace lazyeye::transport {
@@ -33,6 +36,37 @@ struct TransportFixture : ::testing::Test {
   std::unique_ptr<TcpStack> client;
   std::unique_ptr<TcpStack> server;
 };
+
+// The HE engine's loser-abort pattern: the winner's connect handler aborts
+// a sibling attempt and opens a new one from inside the callback. Every
+// handler must fire exactly once. The loser targets an unowned address, so
+// it is still in flight when the winner lands.
+template <typename Stack>
+void expect_abort_sibling_and_reconnect(simnet::Network& net, Stack& stack) {
+  std::map<std::string, int> fired;
+  std::map<std::string, ConnectResult> results;
+  auto record = [&](const std::string& name) {
+    return [&, name](const ConnectResult& r) {
+      ++fired[name];
+      results[name] = r;
+    };
+  };
+  const auto loser = stack.connect({IpAddress::must_parse("10.0.0.99"), 443},
+                                   {}, record("loser"));
+  stack.connect({IpAddress::must_parse("10.0.0.2"), 443}, {},
+                [&](const ConnectResult& r) {
+                  record("winner")(r);
+                  stack.abort(loser);
+                  stack.connect({IpAddress::must_parse("2001:db8::2"), 443},
+                                {}, record("reopened"));
+                });
+  net.loop().run();
+  EXPECT_EQ(fired, (std::map<std::string, int>{
+                       {"loser", 1}, {"reopened", 1}, {"winner", 1}}));
+  EXPECT_EQ(results["loser"].error, "cancelled");
+  EXPECT_TRUE(results["winner"].ok);
+  EXPECT_TRUE(results["reopened"].ok);
+}
 
 TEST_F(TransportFixture, HandshakeCompletes) {
   server->listen(443);
@@ -180,6 +214,12 @@ TEST_F(TransportFixture, DataRoundTrip) {
   EXPECT_EQ(client_received, "pong");
 }
 
+TEST_F(TransportFixture, ConnectHandlerAbortsSiblingAndReconnects) {
+  server->listen(443);
+  expect_abort_sibling_and_reconnect(net, *client);
+  EXPECT_EQ(client->established_count(), 2u);
+}
+
 TEST_F(TransportFixture, CloseTearsDownBothSides) {
   server->listen(80);
   std::uint64_t conn_id = 0;
@@ -267,6 +307,53 @@ TEST_F(QuicFixture, QuicPayloadDetection) {
   EXPECT_FALSE(is_quic_payload(std::vector<std::uint8_t>{0x42}));
 }
 
+TEST_F(QuicFixture, ConnectHandlerAbortsSiblingAndReconnects) {
+  qserver->listen(443);
+  expect_abort_sibling_and_reconnect(net, *qclient);
+}
+
+TEST_F(QuicFixture, DestroyedClientStackUnbindsItsPorts) {
+  // The client's port binding points at the stack: once the stack is gone,
+  // the server's data must find no binding instead of a freed stack.
+  std::uint64_t server_conn = 0;
+  qserver->listen(443, [&](std::uint64_t conn_id, const simnet::Endpoint&) {
+    server_conn = conn_id;
+  });
+  qclient->connect({IpAddress::must_parse("10.0.0.2"), 443}, {},
+                   [](const ConnectResult& r) { ASSERT_TRUE(r.ok); });
+  net.loop().run();
+  ASSERT_NE(server_conn, 0u);
+
+  int unbound = 0;
+  client_host.set_protocol_handler(
+      simnet::Protocol::kUdp, [&](const simnet::Packet&) { ++unbound; });
+  qclient.reset();
+  qserver->send_data(server_conn, {'x'});
+  net.loop().run();
+  EXPECT_EQ(unbound, 1);
+}
+
+TEST_F(QuicFixture, PeerCloseUnbindsEstablishedClientPort) {
+  // Accept-then-reset: the client establishes, then the server's Close
+  // removes the connection. Its port must go with it.
+  qserver->listen(443);
+  qserver->set_accept_interposer([](const simnet::Endpoint&, std::uint16_t) {
+    return AcceptAction::kAcceptThenReset;
+  });
+  ConnectResult result;
+  qclient->connect({IpAddress::must_parse("10.0.0.2"), 443}, {},
+                   [&](const ConnectResult& r) { result = r; });
+  net.loop().run();
+  ASSERT_TRUE(result.ok) << result.error;
+
+  int unbound = 0;
+  client_host.set_protocol_handler(
+      simnet::Protocol::kUdp, [&](const simnet::Packet&) { ++unbound; });
+  server_host.udp_send(result.remote, result.local, simnet::Buffer::adopt({'D'}));
+  net.loop().run();
+  EXPECT_EQ(unbound, 1);
+}
+
 TEST_F(TransportFixture, TcpAndQuicCoexistOnSameHost) {
   // TCP listener and QUIC listener on the same port number do not clash
   // (different protocols).
@@ -286,16 +373,9 @@ TEST_F(TransportFixture, TcpAndQuicCoexistOnSameHost) {
   EXPECT_TRUE(quic_result.ok);
 }
 
-// ---------------------------------------------------------- tuple index ----
-// The open-addressing four-tuple index replaced the per-packet linear scan;
-// these tests pin its semantics to the scan it replaced: lowest-id wins on
-// duplicate tuples, erase removes exactly one connection, and slots freed by
-// a close are immediately reusable.
-
-struct FakeConn {
-  FourTuple tuple;
-  std::uint64_t id = 0;
-};
+// ------------------------------------------------------- connection table --
+// Tuple lookup is an in-order scan of the id-ordered table: the lowest-id
+// match wins on duplicate tuples, and removal leaves other entries findable.
 
 FourTuple tuple_for(std::uint16_t local_port, std::uint16_t remote_port) {
   FourTuple t;
@@ -304,108 +384,50 @@ FourTuple tuple_for(std::uint16_t local_port, std::uint16_t remote_port) {
   return t;
 }
 
-TEST(TupleIndexTest, FindAfterInsertAndErase) {
-  TupleIndex<FakeConn> index;
-  FakeConn a{tuple_for(1000, 443), 1};
-  FakeConn b{tuple_for(1001, 443), 2};
-  EXPECT_EQ(index.find(a.tuple), nullptr);
+TEST_F(TransportFixture, TableFindAfterAcceptAndRemove) {
+  ConnectionTable table{client_host, TransportProtocol::kTcp,
+                        [](const FourTuple&) {}};
+  EXPECT_EQ(table.find(tuple_for(1000, 443)), nullptr);
+  Connection& a = table.accept(tuple_for(1000, 443), ConnState::kEstablished);
+  Connection& b = table.accept(tuple_for(1001, 443), ConnState::kEstablished);
+  EXPECT_EQ(table.find(tuple_for(1000, 443)), &a);
+  EXPECT_EQ(table.find(tuple_for(1001, 443)), &b);
 
-  index.insert(&a);
-  index.insert(&b);
-  EXPECT_EQ(index.size(), 2u);
-  EXPECT_EQ(index.find(a.tuple), &a);
-  EXPECT_EQ(index.find(b.tuple), &b);
-
-  index.erase(&a);
-  EXPECT_EQ(index.find(a.tuple), nullptr);
-  EXPECT_EQ(index.find(b.tuple), &b);
-  index.erase(&a);  // double-erase is a no-op
-  EXPECT_EQ(index.size(), 1u);
+  const std::uint64_t a_id = a.id;
+  table.remove(a);
+  EXPECT_EQ(table.find(tuple_for(1000, 443)), nullptr);
+  EXPECT_EQ(table.find(a_id), nullptr);
+  EXPECT_EQ(table.find(tuple_for(1001, 443)), &b);
+  table.fail(a_id, "cancelled");  // unknown id: no-op
+  EXPECT_EQ(table.connections().size(), 1u);
 }
 
-TEST(TupleIndexTest, DuplicateTuplesResolveToLowestId) {
-  // The old id-ordered linear scan returned the lowest-id match; duplicate
-  // tuples must keep resolving identically, whichever insertion order.
-  TupleIndex<FakeConn> index;
-  FakeConn high{tuple_for(1000, 443), 7};
-  FakeConn low{tuple_for(1000, 443), 3};
-  index.insert(&high);
-  index.insert(&low);
-  EXPECT_EQ(index.find(high.tuple), &low);
+TEST_F(TransportFixture, TableDuplicateTuplesResolveToLowestId) {
+  ConnectionTable table{client_host, TransportProtocol::kTcp,
+                        [](const FourTuple&) {}};
+  Connection& low = table.accept(tuple_for(1000, 443), ConnState::kEstablished);
+  Connection& high = table.accept(tuple_for(1000, 443), ConnState::kEstablished);
+  ASSERT_LT(low.id, high.id);
+  EXPECT_EQ(table.find(tuple_for(1000, 443)), &low);
 
-  index.erase(&low);
-  EXPECT_EQ(index.find(high.tuple), &high);
+  table.remove(low);
+  EXPECT_EQ(table.find(tuple_for(1000, 443)), &high);
 }
 
-TEST(TupleIndexTest, CollidingHashesProbeCorrectly) {
-  // Many tuples land in a 16-slot initial table, forcing probe chains and
-  // backward-shift deletions through shared clusters. Verify every survivor
-  // stays findable after each erase — the classic tombstone-free pitfall.
-  TupleIndex<FakeConn> index;
-  std::vector<FakeConn> conns;
-  conns.reserve(64);
-  for (std::uint16_t i = 0; i < 64; ++i) {
-    conns.push_back(FakeConn{tuple_for(2000 + i, 443), i + 1u});
-  }
-  for (auto& c : conns) index.insert(&c);
-
-  // Erase every third connection and re-verify the rest each time.
-  for (std::size_t victim = 0; victim < conns.size(); victim += 3) {
-    index.erase(&conns[victim]);
-    for (std::size_t i = 0; i < conns.size(); ++i) {
-      if (i % 3 == 0 && i <= victim) {
-        EXPECT_EQ(index.find(conns[i].tuple), nullptr);
-      } else {
-        EXPECT_EQ(index.find(conns[i].tuple), &conns[i]) << "conn " << i;
-      }
-    }
-  }
-}
-
-TEST(TupleIndexTest, ManyConnectionStress) {
-  // Grow through several rehashes, then churn: close half, reopen with new
-  // ids on the same tuples (port reuse after close), and confirm lookups.
-  TupleIndex<FakeConn> index;
-  constexpr std::size_t kConns = 1024;
-  std::vector<FakeConn> conns;
-  conns.reserve(kConns * 2);
-  for (std::size_t i = 0; i < kConns; ++i) {
-    conns.push_back(FakeConn{
-        tuple_for(static_cast<std::uint16_t>(1024 + i),
-                  static_cast<std::uint16_t>(443 + (i % 7))),
-        i + 1});
-    index.insert(&conns.back());
-  }
-  EXPECT_EQ(index.size(), kConns);
-  for (std::size_t i = 0; i < kConns; ++i) {
-    ASSERT_EQ(index.find(conns[i].tuple), &conns[i]);
-  }
-
-  // Close the even half...
-  for (std::size_t i = 0; i < kConns; i += 2) index.erase(&conns[i]);
-  EXPECT_EQ(index.size(), kConns / 2);
-
-  // ...and reconnect on the same tuples with fresh (higher) ids.
-  for (std::size_t i = 0; i < kConns; i += 2) {
-    conns.push_back(FakeConn{conns[i].tuple, kConns + i + 1});
-    index.insert(&conns.back());
-  }
-  EXPECT_EQ(index.size(), kConns);
-  for (std::size_t i = 0; i < kConns; ++i) {
-    FakeConn* found = index.find(conns[i].tuple);
-    ASSERT_NE(found, nullptr) << "conn " << i;
-    if (i % 2 == 0) {
-      EXPECT_EQ(found->id, kConns + i + 1) << "reused tuple " << i;
-    } else {
-      EXPECT_EQ(found, &conns[i]);
-    }
-  }
+TEST_F(TransportFixture, DestroyedStackLeavesNoRetransmitTimer) {
+  // A pending SYN retransmit timer points at the stack; destroying the stack
+  // mid-attempt must cancel it rather than let it fire into freed memory.
+  client->connect({IpAddress::must_parse("10.0.0.99"), 443}, {},
+                  [](const ConnectResult&) {});
+  ASSERT_EQ(net.loop().pending(), 1u);
+  client.reset();
+  EXPECT_EQ(net.loop().pending(), 0u);
+  net.loop().run();
 }
 
 TEST_F(TransportFixture, ManyParallelConnectionsKeepDistinctTuples) {
-  // End-to-end index coverage: dozens of parallel attempts (the address-
-  // selection grid shape) must each complete a distinct handshake with data
-  // flowing to the right connection — any index mixup would cross-deliver.
+  // End-to-end lookup coverage: dozens of parallel attempts must each
+  // complete a distinct handshake — any tuple mixup would cross-deliver.
   server->listen(443);
   constexpr int kAttempts = 40;
   int completed = 0;
