@@ -49,8 +49,8 @@ campaign::ScenarioSpec ConformanceHarness::case_spec(
   spec.grid_index = static_cast<int>(plan.kind);
   spec.client = profile.display_name();
   spec.payload = campaign::ConformanceCase{plan, fetches};
-  spec.label = lazyeye::str_format("conf %s %s", spec.client.c_str(),
-                                   fault_kind_name(plan.kind));
+  spec.label = lazyeye::str_cat("conf ", spec.client, ' ',
+                                fault_kind_name(plan.kind));
   return spec;
 }
 
@@ -67,8 +67,8 @@ campaign::ScenarioSpec ConformanceHarness::schedule_spec(
   spec.grid_index = static_cast<int>(schedule.entries.size());
   spec.client = profile.display_name();
   spec.payload = campaign::ScheduleCase{schedule, fetches};
-  spec.label = lazyeye::str_format("sched %s n=%zu", spec.client.c_str(),
-                                   schedule.entries.size());
+  spec.label = lazyeye::str_cat("sched ", spec.client, " n=",
+                                schedule.entries.size());
   return spec;
 }
 
@@ -133,12 +133,22 @@ std::unique_ptr<World> build_world(const clients::ClientProfile& profile,
   w->net = arena.create<simnet::Network>(w->lease.memory(),
                                          options.seed * 7919 + cell_seed);
 
+  // Fixed world literals parsed once per process, not once per cell.
+  static const IpAddress server_v4 = IpAddress::must_parse("10.0.0.80");
+  static const IpAddress server_v6 = IpAddress::must_parse("2001:db8::80");
+  static const IpAddress client_v4 = IpAddress::must_parse("10.0.0.2");
+  static const IpAddress client_v6 = IpAddress::must_parse("2001:db8::2");
+  static const dns::DnsName zone_origin = dns::DnsName::must_parse("conf.lab");
+  static const dns::DnsName name_stem =
+      dns::DnsName::must_parse("run.conf.lab");
+  static const std::vector<simnet::Endpoint> dns_servers{{server_v4, 53}};
+
   w->server_host = &w->net->add_host("server");
-  w->server_host->add_address(IpAddress::must_parse("10.0.0.80"));
-  w->server_host->add_address(IpAddress::must_parse("2001:db8::80"));
+  w->server_host->add_address(server_v4);
+  w->server_host->add_address(server_v6);
   w->client_host = &w->net->add_host("client");
-  w->client_host->add_address(IpAddress::must_parse("10.0.0.2"));
-  w->client_host->add_address(IpAddress::must_parse("2001:db8::2"));
+  w->client_host->add_address(client_v4);
+  w->client_host->add_address(client_v6);
 
   w->server_tcp = arena.create<transport::TcpStack>(*w->server_host);
   w->server_tcp->listen(443, [](std::uint64_t, const simnet::Endpoint&) {});
@@ -158,21 +168,16 @@ std::unique_ptr<World> build_world(const clients::ClientProfile& profile,
       });
 
   w->auth = arena.create<dns::AuthServer>(*w->server_host);
-  dns::Zone& zone = w->auth->add_zone(dns::DnsName::must_parse("conf.lab"));
+  dns::Zone& zone = w->auth->add_zone(zone_origin);
 
-  const auto nonce =
-      lazyeye::str_format("%llu", static_cast<unsigned long long>(cell_seed));
-  w->name = dns::make_test_name(dns::DnsName::must_parse("run.conf.lab"),
-                                nonce, {});
+  w->name = dns::make_test_name(name_stem, lazyeye::str_cat(cell_seed), {});
   // Real server first (clients that honour record order try it first), then
   // unresponsive decoys so interleaving/abandonment have observable choices.
-  zone.add_a(w->name, *simnet::Ipv4Address::parse("10.0.0.80"));
-  zone.add_aaaa(w->name, *simnet::Ipv6Address::parse("2001:db8::80"));
+  zone.add_a(w->name, server_v4.v4());
+  zone.add_aaaa(w->name, server_v6.v6());
   for (int i = 1; i <= options.decoys_per_family; ++i) {
-    zone.add_a(w->name, *simnet::Ipv4Address::parse(
-                            lazyeye::str_format("10.99.0.%d", i)));
-    zone.add_aaaa(w->name, *simnet::Ipv6Address::parse(lazyeye::str_format(
-                               "2001:db8:dead::%d", i)));
+    zone.add_a(w->name, dns::decoy_v4(i));
+    zone.add_aaaa(w->name, dns::decoy_v6(i));
   }
 
   if (plan != nullptr) {
@@ -189,7 +194,7 @@ std::unique_ptr<World> build_world(const clients::ClientProfile& profile,
   }
 
   dns::StubOptions stub_options;
-  stub_options.servers = {{IpAddress::must_parse("10.0.0.80"), 53}};
+  stub_options.servers = dns_servers;
   w->client = arena.create<clients::SimulatedClient>(
       *w->client_host, profile, stub_options, options.seed * 31 + cell_seed);
   w->client->reset_state();  // fresh container per cell
@@ -214,8 +219,8 @@ ConformanceRecord ConformanceHarness::run_spec(
     fetches = cell2->fetches;
   } else {
     throw std::invalid_argument(
-        lazyeye::str_format("ConformanceHarness::run_spec: unsupported case %s",
-                            campaign::case_name(spec.payload)));
+        lazyeye::str_cat("ConformanceHarness::run_spec: unsupported case ",
+                         campaign::case_name(spec.payload)));
   }
   auto w = build_world(profile, options_, plan, schedule, spec.seed);
 
@@ -284,6 +289,22 @@ ConformanceRecord ConformanceHarness::replay_schedule(
 
 // ---- VerdictTableSink ------------------------------------------------------
 
+namespace {
+
+/// One table row: client, fault and rules in left-aligned columns.
+void append_row(std::string& out, std::string_view client,
+                std::string_view fault, std::string_view rules,
+                std::string_view fetch) {
+  lazyeye::append_padded(out, client, 28);
+  out += ' ';
+  lazyeye::append_padded(out, fault, 18);
+  out += ' ';
+  lazyeye::append_padded(out, rules, 7);
+  lazyeye::str_append(out, ' ', fetch, '\n');
+}
+
+}  // namespace
+
 void VerdictTableSink::begin(std::size_t cells_total) {
   text_.clear();
   total_violations_ = 0;
@@ -293,9 +314,8 @@ void VerdictTableSink::begin(std::size_t cells_total) {
     if (i > 0) text_ += ", ";
     text_ += rfc8305_rules()[i].name;
   }
-  text_ += lazyeye::str_format(") — %zu cells\n", cells_total);
-  text_ += lazyeye::str_format("%-28s %-18s %-7s %s\n", "client", "fault",
-                               "rules", "fetch");
+  lazyeye::str_append(text_, ") — ", cells_total, " cells\n");
+  append_row(text_, "client", "fault", "rules", "fetch");
 }
 
 void VerdictTableSink::cell(const campaign::ScenarioSpec& spec,
@@ -304,46 +324,39 @@ void VerdictTableSink::cell(const campaign::ScenarioSpec& spec,
   ++cells_;
   const std::string fault_column =
       record.schedule
-          ? lazyeye::str_format("schedule[%zu]", record.schedule->entries.size())
+          ? lazyeye::str_cat("schedule[", record.schedule->entries.size(), ']')
           : std::string{fault_kind_name(record.fault.kind)};
-  text_ += lazyeye::str_format(
-      "%-28s %-18s %-7s %s\n", record.client.c_str(), fault_column.c_str(),
-      record.symbols().c_str(), record.fetch_ok ? "ok" : "fail");
+  append_row(text_, record.client, fault_column, record.symbols(),
+             record.fetch_ok ? "ok" : "fail");
   for (const Verdict& v : record.verdicts) {
     if (v.outcome != RuleOutcome::kViolate) continue;
     ++total_violations_;
-    text_ += lazyeye::str_format("    V %s: %s\n", v.rule.c_str(),
-                                 v.evidence.c_str());
+    lazyeye::str_append(text_, "    V ", v.rule, ": ", v.evidence, '\n');
+    lazyeye::str_append(text_,
+                        "      repro: ./build/example_conformance_probe \"",
+                        record.client, '"');
     if (record.schedule) {
       const FaultSchedule& s = *record.schedule;
       // Triple form when the schedule is its triple's generate() output;
       // hex form (always exact) for mutated/minimized schedules.
       if (s == FaultSchedule::generate(s.seed, s.stream, s.index)) {
-        text_ += lazyeye::str_format(
-            "      repro: ./build/example_conformance_probe \"%s\" "
-            "--schedule %llu %u %u\n",
-            record.client.c_str(), static_cast<unsigned long long>(s.seed),
-            static_cast<unsigned>(s.stream), static_cast<unsigned>(s.index));
+        lazyeye::str_append(text_, " --schedule ", s.seed, ' ', s.stream,
+                            ' ', s.index, '\n');
       } else {
-        text_ += lazyeye::str_format(
-            "      repro: ./build/example_conformance_probe \"%s\" "
-            "--schedule-hex %s\n",
-            record.client.c_str(), schedule_to_hex(s).c_str());
+        lazyeye::str_append(text_, " --schedule-hex ", schedule_to_hex(s),
+                            '\n');
       }
       continue;
     }
-    text_ += lazyeye::str_format(
-        "      repro: ./build/example_conformance_probe \"%s\" %s %llu %u %u\n",
-        record.client.c_str(), fault_kind_name(record.fault.kind),
-        static_cast<unsigned long long>(record.fault.seed),
-        static_cast<unsigned>(record.fault.stream),
-        static_cast<unsigned>(record.fault.index));
+    lazyeye::str_append(text_, ' ', fault_kind_name(record.fault.kind), ' ',
+                        record.fault.seed, ' ', record.fault.stream, ' ',
+                        record.fault.index, '\n');
   }
 }
 
 void VerdictTableSink::end() {
-  text_ += lazyeye::str_format("total violations: %d across %zu cells\n",
-                               total_violations_, cells_);
+  lazyeye::str_append(text_, "total violations: ", total_violations_,
+                      " across ", cells_, " cells\n");
 }
 
 }  // namespace lazyeye::conformance

@@ -74,14 +74,14 @@ Verdict eval_resolution_delay(const RuleContext& ctx) {
   const SimTime waited = *ctx.first_v4_syn - *ctx.first_a_response;
   if (waited < ref_rd) {
     v.outcome = RuleOutcome::kViolate;
-    v.evidence = lazyeye::str_format(
-        "connected v4 %s after the A answer with AAAA outstanding (RD >= %s)",
-        format_duration(waited).c_str(), format_duration(ref_rd).c_str());
+    v.evidence = lazyeye::str_cat(
+        "connected v4 ", format_duration(waited),
+        " after the A answer with AAAA outstanding (RD >= ",
+        format_duration(ref_rd), ')');
   } else {
     v.outcome = RuleOutcome::kPass;
-    v.evidence = lazyeye::str_format("waited %s (>= %s) for AAAA",
-                                     format_duration(waited).c_str(),
-                                     format_duration(ref_rd).c_str());
+    v.evidence = lazyeye::str_cat("waited ", format_duration(waited), " (>= ",
+                                  format_duration(ref_rd), ") for AAAA");
   }
   return v;
 }
@@ -103,18 +103,16 @@ Verdict eval_attempt_spacing(const RuleContext& ctx) {
     const SimTime gap = attempts[i]->first_syn - attempts[i - 1]->first_syn;
     if (gap < bounds.minimum) {
       v.outcome = RuleOutcome::kViolate;
-      v.evidence = lazyeye::str_format(
-          "attempts %zu and %zu spaced %s (< %s minimum CAD)", i - 1, i,
-          format_duration(gap).c_str(),
-          format_duration(bounds.minimum).c_str());
+      v.evidence = lazyeye::str_cat(
+          "attempts ", i - 1, " and ", i, " spaced ", format_duration(gap),
+          " (< ", format_duration(bounds.minimum), " minimum CAD)");
       return v;
     }
     if (gap > bounds.maximum) {
       v.outcome = RuleOutcome::kViolate;
-      v.evidence = lazyeye::str_format(
-          "attempts %zu and %zu spaced %s (> %s maximum CAD)", i - 1, i,
-          format_duration(gap).c_str(),
-          format_duration(bounds.maximum).c_str());
+      v.evidence = lazyeye::str_cat(
+          "attempts ", i - 1, " and ", i, " spaced ", format_duration(gap),
+          " (> ", format_duration(bounds.maximum), " maximum CAD)");
       return v;
     }
   }
@@ -123,10 +121,9 @@ Verdict eval_attempt_spacing(const RuleContext& ctx) {
     return v;
   }
   v.outcome = RuleOutcome::kPass;
-  v.evidence = lazyeye::str_format(
-      "%zu racing gap(s) within [%s, %s]", gaps,
-      format_duration(bounds.minimum).c_str(),
-      format_duration(bounds.maximum).c_str());
+  v.evidence = lazyeye::str_cat(gaps, " racing gap(s) within [",
+                                format_duration(bounds.minimum), ", ",
+                                format_duration(bounds.maximum), ']');
   return v;
 }
 
@@ -165,15 +162,16 @@ Verdict eval_family_interleave(const RuleContext& ctx) {
         other == Family::kIpv4 ? ctx.v4_candidates : ctx.v6_candidates;
     if (distinct_before(other, i) < other_total) {
       v.outcome = RuleOutcome::kViolate;
-      v.evidence = lazyeye::str_format(
-          "attempts %zu and %zu both %s while %s addresses were untried",
-          i - 1, i, simnet::family_name(family), simnet::family_name(other));
+      v.evidence = lazyeye::str_cat(
+          "attempts ", i - 1, " and ", i, " both ",
+          simnet::family_name(family), " while ", simnet::family_name(other),
+          " addresses were untried");
       return v;
     }
   }
   v.outcome = RuleOutcome::kPass;
-  v.evidence = lazyeye::str_format("%zu attempts interleaved by family",
-                                   attempts.size());
+  v.evidence =
+      lazyeye::str_cat(attempts.size(), " attempts interleaved by family");
   return v;
 }
 
@@ -207,10 +205,9 @@ Verdict eval_losing_family(const RuleContext& ctx) {
   const char* tried = tried_v6 ? "IPv6" : "IPv4";
   const char* abandoned = tried_v6 ? "IPv4" : "IPv6";
   v.outcome = RuleOutcome::kViolate;
-  v.evidence = lazyeye::str_format(
-      "failed with only %s attempted; %s never tried despite resolved "
-      "addresses",
-      tried, abandoned);
+  v.evidence = lazyeye::str_cat("failed with only ", tried, " attempted; ",
+                                abandoned,
+                                " never tried despite resolved addresses");
   return v;
 }
 
@@ -236,9 +233,9 @@ Verdict eval_restart_cache(const RuleContext& ctx) {
     v.evidence = "restart reused the session's cached winner (no re-query)";
   } else {
     v.outcome = RuleOutcome::kViolate;
-    v.evidence = lazyeye::str_format(
-        "%d DNS queries after the first fetch completed within the cache TTL",
-        requeries);
+    v.evidence = lazyeye::str_cat(
+        requeries,
+        " DNS queries after the first fetch completed within the cache TTL");
   }
   return v;
 }
@@ -263,19 +260,18 @@ Verdict eval_abort_on_winner(const RuleContext& ctx) {
     if (attempt.established) continue;  // the winner itself
     if (attempt.first_syn > won) {
       v.outcome = RuleOutcome::kViolate;
-      v.evidence = lazyeye::str_format(
-          "attempt %zu (%s) started %s after a connection was established",
-          i, simnet::family_name(attempt.family()),
-          format_duration(attempt.first_syn - won).c_str());
+      v.evidence = lazyeye::str_cat(
+          "attempt ", i, " (", simnet::family_name(attempt.family()),
+          ") started ", format_duration(attempt.first_syn - won),
+          " after a connection was established");
       return v;
     }
     if (attempt.last_syn > won) {
       v.outcome = RuleOutcome::kViolate;
-      v.evidence = lazyeye::str_format(
-          "attempt %zu (%s) still retransmitting %s after the winner "
-          "established (never aborted)",
-          i, simnet::family_name(attempt.family()),
-          format_duration(attempt.last_syn - won).c_str());
+      v.evidence = lazyeye::str_cat(
+          "attempt ", i, " (", simnet::family_name(attempt.family()),
+          ") still retransmitting ", format_duration(attempt.last_syn - won),
+          " after the winner established (never aborted)");
       return v;
     }
   }

@@ -158,9 +158,9 @@ std::vector<std::string> coverage_signature(
       element += evidence_bucket(v.evidence);
       sig.push_back(std::move(element));
     }
-    sig.push_back(lazyeye::str_format("fetch|%s|%s/%s", record.client.c_str(),
-                                      record.first_fetch_ok ? "ok" : "fail",
-                                      record.fetch_ok ? "ok" : "fail"));
+    sig.push_back(lazyeye::str_cat("fetch|", record.client, '|',
+                                   record.first_fetch_ok ? "ok" : "fail", '/',
+                                   record.fetch_ok ? "ok" : "fail"));
   }
   // Cross-client differential: one element per rule with every client's
   // symbol in profile order — a schedule that splits two clients that used

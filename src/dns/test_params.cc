@@ -1,16 +1,33 @@
 #include "dns/test_params.h"
 
+#include <stdexcept>
+
 #include "util/strings.h"
 
 namespace lazyeye::dns {
 
 SimTime TestParams::delay_for(RrType type) const {
   SimTime d = all_delay;
-  if (const auto it = delays.find(type); it != delays.end()) d += it->second;
+  for (std::size_t i = 0; i < delay_count; ++i) {
+    if (delays[i].type == type) d += delays[i].delay;
+  }
   return d;
 }
 
 namespace {
+
+/// Adds `delay` to `type`'s slot of `out`; false if no slot is left.
+bool add_delay(TestParams& out, RrType type, SimTime delay) {
+  for (std::size_t i = 0; i < out.delay_count; ++i) {
+    if (out.delays[i].type == type) {
+      out.delays[i].delay += delay;
+      return true;
+    }
+  }
+  if (out.delay_count == out.delays.size()) return false;
+  out.delays[out.delay_count++] = TestParams::TypedDelay{type, delay};
+  return true;
+}
 
 /// Parses one "d<ms>-<type>" label; returns false if it is not one.
 bool parse_delay_label(std::string_view label, TestParams& out) {
@@ -26,9 +43,7 @@ bool parse_delay_label(std::string_view label, TestParams& out) {
     return true;
   }
   const auto type = rr_type_from_name(type_str);
-  if (!type) return false;
-  out.delays[*type] += delay;
-  return true;
+  return type && add_delay(out, *type, delay);
 }
 
 bool is_nonce_label(std::string_view label) {
@@ -58,27 +73,42 @@ std::optional<TestParams> parse_test_params(const DnsName& qname) {
   return params;
 }
 
-DnsName make_test_name(const DnsName& base, const std::string& nonce,
+namespace {
+
+/// "d<whole ms>-<suffix>".
+std::string delay_label(SimTime delay, std::string_view suffix) {
+  return lazyeye::str_cat(
+      'd', std::chrono::duration_cast<std::chrono::milliseconds>(delay).count(),
+      '-', suffix);
+}
+
+}  // namespace
+
+DnsName make_test_name(const DnsName& base, std::string_view nonce,
                        const std::map<RrType, SimTime>& delays,
                        SimTime all_delay) {
   DnsName name = base;
-  if (all_delay.count() > 0) {
-    name = name.prepend(lazyeye::str_format(
-        "d%lld-all", static_cast<long long>(
-                         std::chrono::duration_cast<std::chrono::milliseconds>(
-                             all_delay)
-                             .count())));
-  }
+  if (all_delay.count() > 0) name = name.prepend(delay_label(all_delay, "all"));
   for (const auto& [type, delay] : delays) {
-    name = name.prepend(lazyeye::str_format(
-        "d%lld-%s",
-        static_cast<long long>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(delay)
-                .count()),
-        lazyeye::to_lower(rr_type_name(type)).c_str()));
+    name = name.prepend(
+        delay_label(delay, lazyeye::to_lower(rr_type_name(type))));
   }
-  if (!nonce.empty()) name = name.prepend("n" + nonce);
+  if (!nonce.empty()) name = name.prepend(lazyeye::str_cat('n', nonce));
   return name;
+}
+
+simnet::Ipv4Address decoy_v4(int i) {
+  if (i < 1 || i > 255) throw std::out_of_range("decoy_v4: index out of range");
+  return simnet::Ipv4Address{0x0a630000u | static_cast<std::uint32_t>(i)};
+}
+
+simnet::Ipv6Address decoy_v6(int i) {
+  if (i < 1 || i > 9999) throw std::out_of_range("decoy_v6: index out of range");
+  static const simnet::Ipv6Address base =
+      *simnet::Ipv6Address::parse("2001:db8:dead::");
+  simnet::Ipv6Address addr = base;
+  addr.set_group(7, lazyeye::decimal_digits_as_hex(static_cast<unsigned>(i)));
+  return addr;
 }
 
 }  // namespace lazyeye::dns

@@ -157,7 +157,7 @@ void HappyEyeballsEngine::on_svcb_outcome(std::uint64_t session_id,
       }
     }
     trace_event(s, HeEvent::Type::kDnsResponse,
-                lazyeye::str_format("HTTPS h3=%d", s.svcb_h3 ? 1 : 0));
+                s.svcb_h3 ? "HTTPS h3=1" : "HTTPS h3=0");
   } else {
     trace_event(s, HeEvent::Type::kDnsError, "HTTPS: " + outcome.error);
   }
@@ -185,8 +185,8 @@ void HappyEyeballsEngine::on_dns_records(
     s.a_done = true;
   }
   trace_event(s, HeEvent::Type::kDnsResponse,
-              lazyeye::str_format("%s: %zu records", rr_type_name(type),
-                                  addrs.size()));
+              lazyeye::str_cat(rr_type_name(type), ": ", addrs.size(),
+                               " records"));
   reconsider(session_id);
 }
 
@@ -345,7 +345,7 @@ void HappyEyeballsEngine::start_connecting(std::uint64_t session_id) {
   }
   rebuild_plan(s);
   trace_event(s, HeEvent::Type::kAddressSelectionDone,
-              lazyeye::str_format("%zu attempts planned", s.plan.size()));
+              lazyeye::str_cat(s.plan.size(), " attempts planned"));
   if (s.plan.empty()) {
     if (dns_settled(s)) {
       fail(session_id, "no usable addresses");

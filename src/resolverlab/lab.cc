@@ -56,71 +56,77 @@ std::unique_ptr<LabRun> build_run(const resolvers::ServiceProfile& service,
   run->net = arena.create<simnet::Network>(run->lease.memory(), seed);
   simnet::Network& net = *run->net;
 
+  // Fixed world literals parsed once per process, not once per cell.
+  struct Literals {
+    IpAddress root_v4 = IpAddress::must_parse("10.0.0.1");
+    IpAddress root_v6 = IpAddress::must_parse("2001:db8::1");
+    IpAddress tld_v4 = IpAddress::must_parse("10.0.0.2");
+    IpAddress tld_v6 = IpAddress::must_parse("2001:db8::2");
+    IpAddress auth_v4 = IpAddress::must_parse("10.0.1.1");
+    IpAddress auth_v6 = IpAddress::must_parse("2001:db8:1::1");
+    IpAddress resolver_v4 = IpAddress::must_parse("10.0.9.9");
+    IpAddress resolver_v6 = IpAddress::must_parse("2001:db8:9::9");
+    IpAddress web_v4 = IpAddress::must_parse("10.0.1.80");
+    DnsName lab = DnsName::must_parse("lab");
+    DnsName ns_lab = DnsName::must_parse("ns.lab");
+    std::vector<IpAddress> root_hints{root_v4, root_v6};
+  };
+  static const Literals lit;
+
   simnet::Host& root_host = net.add_host("root");
-  root_host.add_address(IpAddress::must_parse("10.0.0.1"));
-  root_host.add_address(IpAddress::must_parse("2001:db8::1"));
+  root_host.add_address(lit.root_v4);
+  root_host.add_address(lit.root_v6);
   simnet::Host& tld_host = net.add_host("tld");
-  tld_host.add_address(IpAddress::must_parse("10.0.0.2"));
-  tld_host.add_address(IpAddress::must_parse("2001:db8::2"));
+  tld_host.add_address(lit.tld_v4);
+  tld_host.add_address(lit.tld_v6);
   simnet::Host& auth_host = net.add_host("auth");
   run->auth_host = &auth_host;
-  const auto auth_v4 = IpAddress::must_parse("10.0.1.1");
-  const auto auth_v6 = IpAddress::must_parse("2001:db8:1::1");
-  if (!v6_only) auth_host.add_address(auth_v4);
-  auth_host.add_address(auth_v6);
+  if (!v6_only) auth_host.add_address(lit.auth_v4);
+  auth_host.add_address(lit.auth_v6);
   simnet::Host& resolver_host = net.add_host("resolver");
-  resolver_host.add_address(IpAddress::must_parse("10.0.9.9"));
-  resolver_host.add_address(IpAddress::must_parse("2001:db8:9::9"));
+  resolver_host.add_address(lit.resolver_v4);
+  resolver_host.add_address(lit.resolver_v6);
 
   // Traffic shaping towards the auth server's IPv6 address (§4.2: shaping
   // on the IP addresses for CAD measurements).
   if (v6_delay.count() > 0) {
-    net.qdisc().add_rule(simnet::PacketFilter::to_address(auth_v6),
+    net.qdisc().add_rule(simnet::PacketFilter::to_address(lit.auth_v6),
                          simnet::NetemSpec::delay_only(v6_delay),
                          "v6 delay to auth");
   }
 
-  run->zone = DnsName::must_parse(
-      lazyeye::str_format("z%dr%d.lab", delay_index, rep));
+  run->zone = lit.lab.prepend(lazyeye::str_cat('z', delay_index, 'r', rep));
   run->ns_name = run->zone.prepend("ns1");
   run->qname = run->zone.prepend("www");
 
   run->root = arena.create<dns::AuthServer>(root_host);
   dns::Zone& root_zone = run->root->add_zone(DnsName{});
-  root_zone.add_ns(DnsName::must_parse("lab"), DnsName::must_parse("ns.lab"));
-  root_zone.add(dns::ResourceRecord::a(DnsName::must_parse("ns.lab"),
-                                       *simnet::Ipv4Address::parse("10.0.0.2")));
-  root_zone.add(dns::ResourceRecord::aaaa(
-      DnsName::must_parse("ns.lab"), *simnet::Ipv6Address::parse("2001:db8::2")));
+  root_zone.add_ns(lit.lab, lit.ns_lab);
+  root_zone.add(dns::ResourceRecord::a(lit.ns_lab, lit.tld_v4.v4()));
+  root_zone.add(dns::ResourceRecord::aaaa(lit.ns_lab, lit.tld_v6.v6()));
 
   run->tld = arena.create<dns::AuthServer>(tld_host);
-  dns::Zone& lab_zone = run->tld->add_zone(DnsName::must_parse("lab"));
-  lab_zone.add_ns(DnsName::must_parse("lab"), DnsName::must_parse("ns.lab"));
-  lab_zone.add_a(DnsName::must_parse("ns.lab"),
-                 *simnet::Ipv4Address::parse("10.0.0.2"));
-  lab_zone.add_aaaa(DnsName::must_parse("ns.lab"),
-                    *simnet::Ipv6Address::parse("2001:db8::2"));
+  dns::Zone& lab_zone = run->tld->add_zone(lit.lab);
+  lab_zone.add_ns(lit.lab, lit.ns_lab);
+  lab_zone.add_a(lit.ns_lab, lit.tld_v4.v4());
+  lab_zone.add_aaaa(lit.ns_lab, lit.tld_v6.v6());
   lab_zone.add_ns(run->zone, run->ns_name);
   if (!v6_only) {
-    lab_zone.add(dns::ResourceRecord::a(run->ns_name,
-                                        *simnet::Ipv4Address::parse("10.0.1.1")));
+    lab_zone.add(dns::ResourceRecord::a(run->ns_name, lit.auth_v4.v4()));
   }
-  lab_zone.add(dns::ResourceRecord::aaaa(
-      run->ns_name, *simnet::Ipv6Address::parse("2001:db8:1::1")));
+  lab_zone.add(dns::ResourceRecord::aaaa(run->ns_name, lit.auth_v6.v6()));
 
   run->auth = arena.create<dns::AuthServer>(auth_host);
   dns::Zone& zone = run->auth->add_zone(run->zone);
   zone.add_ns(run->zone, run->ns_name);
   if (!v6_only) {
-    zone.add_a(run->ns_name, *simnet::Ipv4Address::parse("10.0.1.1"));
+    zone.add_a(run->ns_name, lit.auth_v4.v4());
   }
-  zone.add_aaaa(run->ns_name, *simnet::Ipv6Address::parse("2001:db8:1::1"));
-  zone.add_a(run->qname, *simnet::Ipv4Address::parse("10.0.1.80"));
+  zone.add_aaaa(run->ns_name, lit.auth_v6.v6());
+  zone.add_a(run->qname, lit.web_v4.v4());
 
   run->resolver = arena.create<dns::RecursiveResolver>(
-      resolver_host, service.engine,
-      std::vector<IpAddress>{IpAddress::must_parse("10.0.0.1"),
-                             IpAddress::must_parse("2001:db8::1")});
+      resolver_host, service.engine, lit.root_hints);
   return run;
 }
 
@@ -228,8 +234,8 @@ campaign::ScenarioSpec resolver_cell_at(const std::string& service_name,
   spec.repetition = rep;
   spec.grid_index = static_cast<int>(di);
   spec.payload = campaign::ResolverCellCase{service_name, grid[di]};
-  spec.label = lazyeye::str_format("%s %s rep%d", service_name.c_str(),
-                                   format_duration(grid[di]).c_str(), rep);
+  spec.label = lazyeye::str_cat(service_name, ' ', format_duration(grid[di]),
+                                " rep", rep);
   return spec;
 }
 

@@ -1,6 +1,5 @@
 #include "simnet/ip.h"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "util/strings.h"
@@ -24,10 +23,16 @@ std::optional<Ipv4Address> Ipv4Address::parse(std::string_view text) {
 }
 
 std::string Ipv4Address::to_string() const {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (value >> 24) & 0xff,
-                (value >> 16) & 0xff, (value >> 8) & 0xff, value & 0xff);
-  return buf;
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void Ipv4Address::append_to(std::string& out) const {
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    lazyeye::append_decimal(out, (value >> shift) & 0xffu);
+    if (shift > 0) out += '.';
+  }
 }
 
 // ---------------------------------------------------------------- IPv6 ----
@@ -117,7 +122,14 @@ std::optional<Ipv6Address> Ipv6Address::parse(std::string_view text) {
 }
 
 std::string Ipv6Address::to_string() const {
-  // RFC 5952: compress the longest run of zero groups (>= 2) with "::".
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void Ipv6Address::append_to(std::string& out) const {
+  // RFC 5952: compress the longest run of zero groups (>= 2) with "::"; the
+  // leftmost run wins a tie.
   int best_start = -1;
   int best_len = 0;
   for (int i = 0; i < 8;) {
@@ -135,20 +147,15 @@ std::string Ipv6Address::to_string() const {
   }
   if (best_len < 2) best_start = -1;
 
-  std::string out;
-  char buf[8];
-  for (int i = 0; i < 8;) {
+  for (int i = 0; i < 8; ++i) {
     if (i == best_start) {
       out += "::";
-      i += best_len;
+      i += best_len - 1;
       continue;
     }
-    if (!out.empty() && out.back() != ':') out += ':';
-    std::snprintf(buf, sizeof buf, "%x", group(i));
-    out += buf;
-    ++i;
+    if (i > 0 && i != best_start + best_len) out += ':';
+    lazyeye::append_hex(out, group(i));
   }
-  return out;
 }
 
 // ----------------------------------------------------------- IpAddress ----
@@ -169,7 +176,17 @@ IpAddress IpAddress::must_parse(std::string_view text) {
 }
 
 std::string IpAddress::to_string() const {
-  return is_v4() ? v4().to_string() : v6().to_string();
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void IpAddress::append_to(std::string& out) const {
+  if (is_v4()) {
+    v4().append_to(out);
+  } else {
+    v6().append_to(out);
+  }
 }
 
 std::size_t IpAddress::hash() const {
@@ -187,19 +204,21 @@ std::size_t IpAddress::hash() const {
 }
 
 std::string Endpoint::to_string() const {
-  // Append form: gcc 12's -Wrestrict misfires on `"literal" + string`
-  // chains (PR 105651), and CI builds -Werror.
   std::string out;
+  append_to(out);
+  return out;
+}
+
+void Endpoint::append_to(std::string& out) const {
   if (addr.is_v6()) {
     out += '[';
-    out += addr.to_string();
+    addr.append_to(out);
     out += "]:";
   } else {
-    out += addr.to_string();
+    addr.append_to(out);
     out += ':';
   }
-  out += std::to_string(port);
-  return out;
+  lazyeye::append_decimal(out, port);
 }
 
 }  // namespace lazyeye::simnet

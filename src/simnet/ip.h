@@ -2,6 +2,8 @@
 //
 // Parsing/formatting follow RFC 4291 text forms; IPv6 output uses the RFC 5952
 // canonical form (lowercase hex, longest zero run compressed to "::").
+// Text is written digit by digit without printf; every to_string() has an
+// append_to() twin that writes into an existing string.
 #pragma once
 
 #include <array>
@@ -29,6 +31,7 @@ struct Ipv4Address {
 
   static std::optional<Ipv4Address> parse(std::string_view text);
   std::string to_string() const;
+  void append_to(std::string& out) const;
 
   auto operator<=>(const Ipv4Address&) const = default;
 };
@@ -38,6 +41,7 @@ struct Ipv6Address {
 
   static std::optional<Ipv6Address> parse(std::string_view text);
   std::string to_string() const;
+  void append_to(std::string& out) const;
 
   /// Hextet accessors (group i of 8, big-endian).
   std::uint16_t group(int i) const;
@@ -70,6 +74,7 @@ class IpAddress {
   const Ipv6Address& v6() const { return std::get<Ipv6Address>(addr_); }
 
   std::string to_string() const;
+  void append_to(std::string& out) const;
 
   auto operator<=>(const IpAddress&) const = default;
 
@@ -85,6 +90,7 @@ struct Endpoint {
   std::uint16_t port = 0;
 
   std::string to_string() const;  // "1.2.3.4:80" / "[2001:db8::1]:80"
+  void append_to(std::string& out) const;
   auto operator<=>(const Endpoint&) const = default;
 };
 

@@ -149,6 +149,13 @@ RunRecord analyze(const clients::ClientProfile& profile, Scenario& sc,
   return record;
 }
 
+/// "<kind><client> <delay> rep<n>", the CAD and RD cell label.
+std::string delay_label(std::string_view kind, const std::string& client,
+                        SimTime delay, int repetition) {
+  return lazyeye::str_cat(kind, client, ' ', format_duration(delay), " rep",
+                          repetition);
+}
+
 }  // namespace
 
 campaign::ScenarioSpec LocalTestbed::base_spec(
@@ -168,9 +175,7 @@ campaign::ScenarioSpec LocalTestbed::cad_spec(
     const clients::ClientProfile& profile, SimTime v6_delay, int repetition) {
   campaign::ScenarioSpec spec = base_spec(profile, repetition);
   spec.payload = campaign::CadCase{v6_delay};
-  spec.label = lazyeye::str_format("cad %s %s rep%d", spec.client.c_str(),
-                                   format_duration(v6_delay).c_str(),
-                                   repetition);
+  spec.label = delay_label("cad ", spec.client, v6_delay, repetition);
   return spec;
 }
 
@@ -179,9 +184,7 @@ campaign::ScenarioSpec LocalTestbed::rd_spec(
     SimTime dns_delay, int repetition) {
   campaign::ScenarioSpec spec = base_spec(profile, repetition);
   spec.payload = campaign::ResolutionDelayCase{delayed_type, dns_delay};
-  spec.label = lazyeye::str_format("rd %s %s rep%d", spec.client.c_str(),
-                                   format_duration(dns_delay).c_str(),
-                                   repetition);
+  spec.label = delay_label("rd ", spec.client, dns_delay, repetition);
   return spec;
 }
 
@@ -189,8 +192,8 @@ campaign::ScenarioSpec LocalTestbed::address_selection_spec(
     const clients::ClientProfile& profile, int per_family, int repetition) {
   campaign::ScenarioSpec spec = base_spec(profile, repetition);
   spec.payload = campaign::AddressSelectionCase{per_family};
-  spec.label = lazyeye::str_format("sel %s %d+%d rep%d", spec.client.c_str(),
-                                   per_family, per_family, repetition);
+  spec.label = lazyeye::str_cat("sel ", spec.client, ' ', per_family, '+',
+                                per_family, " rep", repetition);
   return spec;
 }
 
@@ -214,8 +217,7 @@ campaign::ScenarioSpec cad_cell_at(const clients::ClientProfile& profile,
   spec.grid_index = static_cast<int>(grid);
   spec.client = profile.display_name();
   spec.payload = campaign::CadCase{delay};
-  spec.label = lazyeye::str_format("cad %s %s rep%d", spec.client.c_str(),
-                                   format_duration(delay).c_str(), rep);
+  spec.label = delay_label("cad ", spec.client, delay, rep);
   return spec;
 }
 
@@ -265,13 +267,17 @@ RunRecord LocalTestbed::run_spec(const clients::ClientProfile& profile,
                                  const campaign::ScenarioSpec& spec) const {
   const std::uint64_t run_id = spec.seed;
   auto sc = build_scenario(profile, options_, run_id);
-  const auto nonce =
-      lazyeye::str_format("%llu", static_cast<unsigned long long>(run_id));
+  const auto nonce = lazyeye::str_cat(run_id);
 
-  // Test-name stems parsed once per process, not once per cell.
+  // Test-name stems and record addresses parsed once per process, not once
+  // per cell.
   static const dns::DnsName cad_stem = dns::DnsName::must_parse("cad.he-test.lab");
   static const dns::DnsName rd_stem = dns::DnsName::must_parse("rd.he-test.lab");
   static const dns::DnsName sel_stem = dns::DnsName::must_parse("sel.he-test.lab");
+  static const simnet::Ipv4Address server_v4 =
+      *simnet::Ipv4Address::parse("10.0.0.80");
+  static const simnet::Ipv6Address server_v6 =
+      *simnet::Ipv6Address::parse("2001:db8::80");
 
   dns::DnsName name;
   SimTime configured_delay{0};
@@ -287,30 +293,26 @@ RunRecord LocalTestbed::run_spec(const clients::ClientProfile& profile,
         v6_tcp, simnet::NetemSpec::delay_only(cad->v6_delay), "delay v6");
 
     // Unique name per run to rule out caching (nonce label).
-    name = dns::make_test_name(cad_stem,
-                               nonce, {});
-    sc->zone->add_a(name, *simnet::Ipv4Address::parse("10.0.0.80"));
-    sc->zone->add_aaaa(name, *simnet::Ipv6Address::parse("2001:db8::80"));
+    name = dns::make_test_name(cad_stem, nonce, {});
+    sc->zone->add_a(name, server_v4);
+    sc->zone->add_aaaa(name, server_v6);
   } else if (const auto* rd = spec.get_if<campaign::ResolutionDelayCase>()) {
     configured_delay = rd->dns_delay;
     name = dns::make_test_name(rd_stem,
                                nonce, {{rd->delayed_type, rd->dns_delay}});
-    sc->zone->add_a(name, *simnet::Ipv4Address::parse("10.0.0.80"));
-    sc->zone->add_aaaa(name, *simnet::Ipv6Address::parse("2001:db8::80"));
+    sc->zone->add_a(name, server_v4);
+    sc->zone->add_aaaa(name, server_v6);
   } else if (const auto* sel = spec.get_if<campaign::AddressSelectionCase>()) {
-    name = dns::make_test_name(sel_stem,
-                               nonce, {});
+    name = dns::make_test_name(sel_stem, nonce, {});
     // All records point to unresponsive addresses (no host owns them).
     for (int i = 1; i <= sel->per_family; ++i) {
-      sc->zone->add_aaaa(name, *simnet::Ipv6Address::parse(lazyeye::str_format(
-                                   "2001:db8:dead::%d", i)));
-      sc->zone->add_a(name, *simnet::Ipv4Address::parse(
-                                lazyeye::str_format("10.99.0.%d", i)));
+      sc->zone->add_aaaa(name, dns::decoy_v6(i));
+      sc->zone->add_a(name, dns::decoy_v4(i));
     }
   } else {
     throw std::invalid_argument(
-        lazyeye::str_format("LocalTestbed::run_spec: unsupported case %s",
-                            campaign::case_name(spec.payload)));
+        lazyeye::str_cat("LocalTestbed::run_spec: unsupported case ",
+                         campaign::case_name(spec.payload)));
   }
 
   clients::FetchResult fetch;

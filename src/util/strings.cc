@@ -51,10 +51,13 @@ std::string str_format(const char* fmt, ...) {
   va_start(args, fmt);
   va_list copy;
   va_copy(copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, copy);
+  char buf[256];
+  const int needed = std::vsnprintf(buf, sizeof buf, fmt, copy);
   va_end(copy);
   std::string out;
-  if (needed > 0) {
+  if (needed > 0 && static_cast<std::size_t>(needed) < sizeof buf) {
+    out.assign(buf, static_cast<std::size_t>(needed));
+  } else if (needed > 0) {
     out.resize(static_cast<std::size_t>(needed));
     std::vsnprintf(out.data(), out.size() + 1, fmt, args);
   }

@@ -1,20 +1,25 @@
 #include "util/time.h"
 
-#include <cmath>
-#include <cstdio>
+#include <charconv>
+
+#include "util/strings.h"
 
 namespace lazyeye {
 
 namespace {
 
-std::string trim_zeros(double v, const char* unit) {
+/// Appends `v` with up to 3 fractional digits (std::to_chars fixed
+/// precision rounds exactly like printf "%.3f"), then strips trailing zeros
+/// and a bare dot.
+void append_trimmed(std::string& out, double v, const char* unit) {
   char buf[64];
-  // Up to 3 fractional digits, then strip trailing zeros / dot.
-  std::snprintf(buf, sizeof buf, "%.3f", v);
-  std::string s{buf};
-  while (!s.empty() && s.back() == '0') s.pop_back();
-  if (!s.empty() && s.back() == '.') s.pop_back();
-  return s + unit;
+  char* end = std::to_chars(buf, buf + sizeof buf, v,
+                            std::chars_format::fixed, 3)
+                  .ptr;
+  while (end > buf && end[-1] == '0') --end;
+  if (end > buf && end[-1] == '.') --end;
+  out.append(buf, end);
+  out += unit;
 }
 
 }  // namespace
@@ -22,22 +27,25 @@ std::string trim_zeros(double v, const char* unit) {
 std::string format_duration(SimTime t) {
   const std::int64_t n = t.count();
   if (n == 0) return "0ms";
+  std::string out;
+  // The unsigned magnitude: negating INT64_MIN would wrap back onto itself.
+  std::uint64_t m = static_cast<std::uint64_t>(n);
   if (n < 0) {
-    // Append form: gcc 12's -Wrestrict misfires on `"literal" + string`
-    // (PR 105651), and CI builds -Werror.
-    std::string out{"-"};
-    out += format_duration(-t);
-    return out;
+    out += '-';
+    m = 0 - m;
   }
-  if (n % 1'000'000'000 == 0 || n >= 10'000'000'000) {
-    return trim_zeros(to_sec(t), "s");
+  const auto v = static_cast<double>(m);
+  if (m % 1'000'000'000 == 0 || m >= 10'000'000'000) {
+    append_trimmed(out, v / 1e9, "s");
+  } else if (m >= 1'000'000) {
+    append_trimmed(out, v / 1e6, "ms");
+  } else if (m >= 1'000) {
+    append_trimmed(out, v / 1e3, "us");
+  } else {
+    append_decimal(out, m);
+    out += "ns";
   }
-  if (n >= 1'000'000) return trim_zeros(to_ms(t), "ms");
-  if (n >= 1'000) {
-    return trim_zeros(std::chrono::duration<double, std::micro>(t).count(),
-                      "us");
-  }
-  return std::to_string(n) + "ns";
+  return out;
 }
 
 }  // namespace lazyeye

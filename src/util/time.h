@@ -38,7 +38,10 @@ constexpr double to_sec(SimTime t) {
   return std::chrono::duration<double>(t).count();
 }
 
-/// Human-readable rendering, e.g. "250ms", "1.75s", "50us".
+/// Human-readable rendering, e.g. "250ms", "1.75s", "50us": whole
+/// seconds and anything from 10 s up in s, from 1 ms in ms, from 1 us in us,
+/// else ns, each with up to three fractional digits rounded like printf
+/// "%.3f" and trailing zeros dropped.
 std::string format_duration(SimTime t);
 
 }  // namespace lazyeye

@@ -1,5 +1,7 @@
 #include "webtool/webtool.h"
 
+#include <stdexcept>
+
 #include "campaign/runner.h"
 #include "campaign/sink.h"
 #include "dns/auth_server.h"
@@ -52,8 +54,45 @@ campaign::ScenarioSpec repetition_cell(const std::string& client,
   spec.seed = config_seed * 1000003ULL + static_cast<std::uint64_t>(rep) + 1;
   spec.client = client;
   spec.payload = campaign::WebRepetitionCase{rd_mode, delayed_type};
-  spec.label = lazyeye::str_format("webtool %s rep%d", client.c_str(), rep);
+  spec.label = lazyeye::str_cat("webtool ", client, " rep", rep);
   return spec;
+}
+
+/// Delay bucket `i`'s addresses and names; every repetition of every
+/// configuration uses the same ones.
+struct Bucket {
+  IpAddress v4;           // 192.0.2.<i+1>
+  IpAddress v6;           // 2001:db8:100::<i+1> (see dns::decoy_v6)
+  std::string rule;       // "bucket <i>"
+  dns::DnsName rd_stem;   // rd<i>.he-test.net
+  std::string nonce;      // w<i>
+  dns::DnsName cad_name;  // d<i>.cad.he-test.net
+};
+
+/// Bucket `i` from a table built once per process. 192.0.2.0/24 holds 255
+/// buckets; a larger configuration throws, as parsing "192.0.2.256" did.
+const Bucket& bucket(std::size_t i) {
+  static const std::vector<Bucket> table = [] {
+    const auto net = dns::DnsName::must_parse("he-test.net");
+    const auto cad = dns::DnsName::must_parse("cad.he-test.net");
+    const auto v6_base = *simnet::Ipv6Address::parse("2001:db8:100::");
+    std::vector<Bucket> out;
+    out.reserve(255);
+    for (unsigned b = 0; b < 255; ++b) {
+      simnet::Ipv6Address v6 = v6_base;
+      v6.set_group(7, lazyeye::decimal_digits_as_hex(b + 1));
+      out.push_back(Bucket{simnet::Ipv4Address{0xc0000200u | (b + 1)}, v6,
+                           lazyeye::str_cat("bucket ", b),
+                           net.prepend(lazyeye::str_cat("rd", b)),
+                           lazyeye::str_cat('w', b),
+                           cad.prepend(lazyeye::str_cat('d', b))});
+    }
+    return out;
+  }();
+  if (i >= table.size()) {
+    throw std::invalid_argument("webtool: more than 255 delay buckets");
+  }
+  return table[i];
 }
 
 }  // namespace
@@ -79,6 +118,14 @@ RepetitionOutcome WebTool::run_repetition(const clients::ClientProfile& profile,
   const dns::RrType delayed_type = rep_case.delayed_type;
   const std::size_t buckets = config_.delays.size();
 
+  // Fixed world literals parsed once per process, not once per cell.
+  static const IpAddress client_v4 = IpAddress::must_parse("10.0.0.2");
+  static const IpAddress client_v6 = IpAddress::must_parse("2001:db8::2");
+  static const IpAddress dns_addr = IpAddress::must_parse("10.0.0.53");
+  static const dns::DnsName zone_origin =
+      dns::DnsName::must_parse("he-test.net");
+  static const std::vector<simnet::Endpoint> dns_servers{{dns_addr, 53}};
+
   // ---- Persistent deployment (one world for the whole repetition). --------
   // Leased, arena-backed world: consecutive repetitions on this worker
   // thread rebuild into the same warm chunks.
@@ -86,31 +133,24 @@ RepetitionOutcome WebTool::run_repetition(const clients::ClientProfile& profile,
   simnet::Network net{lease.memory(), spec.world_seed()};
   simnet::Host& server = net.add_host("webtool-server");
   simnet::Host& client_host = net.add_host("client");
-  client_host.add_address(IpAddress::must_parse("10.0.0.2"));
-  client_host.add_address(IpAddress::must_parse("2001:db8::2"));
+  client_host.add_address(client_v4);
+  client_host.add_address(client_v6);
 
   // Dedicated address pair per delay bucket.
-  std::vector<IpAddress> v4_addrs;
-  std::vector<IpAddress> v6_addrs;
   for (std::size_t i = 0; i < buckets; ++i) {
-    v4_addrs.push_back(IpAddress::must_parse(
-        lazyeye::str_format("192.0.2.%zu", i + 1)));
-    v6_addrs.push_back(IpAddress::must_parse(
-        lazyeye::str_format("2001:db8:100::%zu", i + 1)));
-    server.add_address(v4_addrs.back());
-    server.add_address(v6_addrs.back());
+    server.add_address(bucket(i).v4);
+    server.add_address(bucket(i).v6);
   }
   // DNS lives on its own address so shaping never touches it.
-  const auto dns_addr = IpAddress::must_parse("10.0.0.53");
   server.add_address(dns_addr);
 
   // Shaping: CAD mode delays the per-bucket IPv6 address on the wire.
   if (!rd_mode) {
     for (std::size_t i = 0; i < buckets; ++i) {
       if (config_.delays[i].count() == 0) continue;
-      net.qdisc().add_rule(simnet::PacketFilter::to_address(v6_addrs[i]),
+      net.qdisc().add_rule(simnet::PacketFilter::to_address(bucket(i).v6),
                            simnet::NetemSpec::delay_only(config_.delays[i]),
-                           lazyeye::str_format("bucket %zu", i));
+                           bucket(i).rule);
     }
   }
   // Real-world noise on everything else.
@@ -135,34 +175,28 @@ RepetitionOutcome WebTool::run_repetition(const clients::ClientProfile& profile,
 
   // DNS: one dedicated domain per bucket (cache busting).
   dns::AuthServer auth{server, 53};
-  dns::Zone& zone = auth.add_zone(dns::DnsName::must_parse("he-test.net"));
+  dns::Zone& zone = auth.add_zone(zone_origin);
   std::vector<dns::DnsName> domains;
   for (std::size_t i = 0; i < buckets; ++i) {
-    dns::DnsName name;
+    const Bucket& b = bucket(i);
     if (rd_mode) {
-      // RD bucket: both records resolve to the same healthy pair; the DNS
-      // answer of `delayed_type` is delayed via qname-encoded parameters.
-      name = dns::make_test_name(
-          dns::DnsName::must_parse(
-              lazyeye::str_format("rd%zu.he-test.net", i)),
-          lazyeye::str_format("w%zu", i),
-          {{delayed_type, config_.delays[i]}});
-      zone.add_a(name, *simnet::Ipv4Address::parse("192.0.2.1"));
-      zone.add_aaaa(name, *simnet::Ipv6Address::parse("2001:db8:100::1"));
+      // RD bucket: both records resolve to the first bucket's healthy pair;
+      // the DNS answer of `delayed_type` is delayed via qname-encoded
+      // parameters.
+      domains.push_back(dns::make_test_name(
+          b.rd_stem, b.nonce, {{delayed_type, config_.delays[i]}}));
+      zone.add_a(domains.back(), bucket(0).v4.v4());
+      zone.add_aaaa(domains.back(), bucket(0).v6.v6());
     } else {
-      name = dns::DnsName::must_parse(
-          lazyeye::str_format("d%zu.cad.he-test.net", i));
-      zone.add_a(name, *simnet::Ipv4Address::parse(
-                           v4_addrs[i].v4().to_string()));
-      zone.add_aaaa(name, *simnet::Ipv6Address::parse(
-                              v6_addrs[i].v6().to_string()));
+      domains.push_back(b.cad_name);
+      zone.add_a(domains.back(), b.v4.v4());
+      zone.add_aaaa(domains.back(), b.v6.v6());
     }
-    domains.push_back(name);
   }
 
   // ---- Client (state persists across the repetition's buckets). -----------
   dns::StubOptions stub_options;
-  stub_options.servers = {{dns_addr, 53}};
+  stub_options.servers = dns_servers;
   clients::SimulatedClient client{client_host, profile, stub_options,
                                   spec.client_seed()};
   client.set_web_conditions(true);

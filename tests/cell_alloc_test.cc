@@ -66,18 +66,18 @@ constexpr std::uint64_t kSlack = 1;
 constexpr std::uint64_t kCadCellBudget = 68 + kSlack;
 
 // A single-fault conformance cell (kTcpReset on Chrome, two fetches)
-// measures 105 warm (Debug, Release and ASan+UBSan) on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kFaultCellBudget = 105 + kSlack;
+// measures 102 warm (Debug, Release and ASan+UBSan) on GCC 12.2 / libstdc++.
+constexpr std::uint64_t kFaultCellBudget = 102 + kSlack;
 
 // A compound-schedule cell (generated schedules without malformed-DNS
-// entries, two fetches on Chrome) measures 113 warm (Debug, Release and
+// entries, two fetches on Chrome) measures 109 warm (Debug, Release and
 // ASan+UBSan) on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kScheduleCellBudget = 113 + kSlack;
+constexpr std::uint64_t kScheduleCellBudget = 109 + kSlack;
 
 // A compound-schedule cell whose schedule truncates or corrupts DNS wire
-// (same generator, same client) measures 115 warm (Debug, Release and
+// (same generator, same client) measures 111 warm (Debug, Release and
 // ASan+UBSan) on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kMalformedDnsCellBudget = 115 + kSlack;
+constexpr std::uint64_t kMalformedDnsCellBudget = 111 + kSlack;
 
 // Decoding one malformed wire into a fresh DnsMessage may allocate at most
 // this many bytes per wire byte; the seeded corpus below peaks at 10.3

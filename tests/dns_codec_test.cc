@@ -512,6 +512,17 @@ TEST(TestParamsTest, AllTypesDelay) {
   EXPECT_EQ(params->delay_for(RrType::kAaaa), ms(100));
 }
 
+TEST(TestParamsTest, RepeatedTypeDelaysAdd) {
+  const auto params = parse_test_params(
+      DnsName::must_parse("d100-aaaa.d20-a.d50-aaaa.d5-all.t.lab"));
+  ASSERT_TRUE(params);
+  EXPECT_EQ(params->delay_count, 2u);
+  EXPECT_EQ(params->delay_for(RrType::kAaaa), ms(155));
+  EXPECT_EQ(params->delay_for(RrType::kA), ms(25));
+  EXPECT_EQ(params->delay_for(RrType::kNs), ms(5));
+  EXPECT_TRUE(params->nonce.empty());
+}
+
 TEST(TestParamsTest, NoParamsReturnsNullopt) {
   EXPECT_FALSE(parse_test_params(DnsName::must_parse("www.example.com")));
   // "dns" starts with d but is not a delay label; "news" is not a nonce.

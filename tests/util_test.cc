@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "simnet/ip.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -41,6 +44,71 @@ TEST(TimeTest, FormatDuration) {
   EXPECT_EQ(format_duration(ns(7)), "7ns");
   EXPECT_EQ(format_duration(-ms(5)), "-5ms");
   EXPECT_EQ(format_duration(sec(12)), "12s");
+}
+
+/// format_duration as it was written with snprintf("%.3f"), the reference
+/// the std::to_chars form must match byte for byte (for n > INT64_MIN).
+std::string printf_format_duration(SimTime t) {
+  const std::int64_t n = t.count();
+  if (n == 0) return "0ms";
+  if (n < 0) return "-" + printf_format_duration(-t);
+  const auto trimmed = [](double v, const char* unit) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.3f", v);
+    std::string s{buf};
+    while (!s.empty() && s.back() == '0') s.pop_back();
+    if (!s.empty() && s.back() == '.') s.pop_back();
+    return s + unit;
+  };
+  if (n % 1'000'000'000 == 0 || n >= 10'000'000'000) {
+    return trimmed(to_sec(t), "s");
+  }
+  if (n >= 1'000'000) return trimmed(to_ms(t), "ms");
+  if (n >= 1'000) {
+    return trimmed(std::chrono::duration<double, std::micro>(t).count(), "us");
+  }
+  return std::to_string(n) + "ns";
+}
+
+TEST(TimeTest, FormatDurationMatchesPrintfOnRandomValues) {
+  Rng rng{2024};
+  for (int i = 0; i < 200'000; ++i) {
+    // Spread over every unit band: ns, us, ms, whole and >= 10 s.
+    const int digits = static_cast<int>(rng.next_below(19));
+    std::int64_t bound = 1;
+    for (int d = 0; d < digits; ++d) bound *= 10;
+    std::int64_t n = static_cast<std::int64_t>(
+        rng.next_below(static_cast<std::uint64_t>(bound)) + 1);
+    if (rng.chance(0.25)) n = -n;
+    ASSERT_EQ(format_duration(ns(n)), printf_format_duration(ns(n)))
+        << "n = " << n;
+  }
+}
+
+TEST(TimeTest, FormatDurationMatchesPrintfOnExactTies) {
+  // k + j/16 ms and s are exact binary fractions whose 4th decimal is a 5:
+  // printf rounds such a tie to even, and so must to_chars.
+  for (std::int64_t k = 1; k < 2000; ++k) {
+    for (std::int64_t j = 1; j < 16; j += 2) {
+      for (const std::int64_t unit : {1'000'000LL, 1'000'000'000LL}) {
+        const std::int64_t n = k * unit + j * unit / 16;
+        ASSERT_EQ(format_duration(ns(n)), printf_format_duration(ns(n)))
+            << "n = " << n;
+      }
+    }
+  }
+  EXPECT_EQ(format_duration(ns(1'062'500)), "1.062ms");
+  EXPECT_EQ(format_duration(ns(1'187'500)), "1.188ms");
+}
+
+TEST(TimeTest, FormatDurationExtremes) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(format_duration(ns(kMax)), printf_format_duration(ns(kMax)));
+  EXPECT_EQ(format_duration(ns(kMax)), "9223372036.855s");
+  // -INT64_MIN wraps back onto itself; the magnitude is 2^63 ns.
+  EXPECT_EQ(format_duration(ns(kMin)), "-9223372036.855s");
+  EXPECT_EQ(format_duration(ns(kMin + 1)), "-9223372036.855s");
 }
 
 // ----------------------------------------------------------------- rng ----
@@ -286,6 +354,165 @@ TEST(StringsTest, ParseU64) {
 TEST(StringsTest, Format) {
   EXPECT_EQ(str_format("%d-%s", 5, "x"), "5-x");
   EXPECT_EQ(str_format("%.1f %%", 43.75), "43.8 %");
+}
+
+TEST(StringsTest, FormatAroundTheStackBuffer) {
+  // 255 bytes fit the 256-byte stack buffer with its NUL; 256 and more
+  // take the second pass.
+  for (const std::size_t size : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{254}, std::size_t{255},
+                                 std::size_t{256}, std::size_t{257},
+                                 std::size_t{1500}}) {
+    std::string body;
+    for (std::size_t i = 0; i < size; ++i) {
+      body += static_cast<char>('a' + i % 26);
+    }
+    EXPECT_EQ(str_format("%s", body.c_str()), body) << size;
+    EXPECT_EQ(str_format("%d|%s|%x", 7, body.c_str(), 255u),
+              "7|" + body + "|ff")
+        << size;
+  }
+}
+
+TEST(StringsTest, AppendersMatchPrintf) {
+  Rng rng{99};
+  char buf[64];
+  for (int i = 0; i < 10'000; ++i) {
+    const std::uint64_t u = rng.next_u64() >> rng.next_below(64);
+    const auto s = static_cast<std::int64_t>(u) - (1LL << 40);
+    std::string out;
+    append_decimal(out, u);
+    std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(u));
+    ASSERT_EQ(out, buf);
+    out.clear();
+    append_decimal(out, s);
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(s));
+    ASSERT_EQ(out, buf);
+    out.clear();
+    append_hex(out, static_cast<std::uint16_t>(u));
+    std::snprintf(buf, sizeof buf, "%x", static_cast<unsigned>(u & 0xffff));
+    ASSERT_EQ(out, buf);
+  }
+  std::string row;
+  append_padded(row, "client", 10);
+  append_padded(row, "a-name-longer-than-its-column", 4);
+  std::snprintf(buf, sizeof buf, "%-10s%-4s", "client",
+                "a-name-longer-than-its-column");
+  EXPECT_EQ(row, buf);
+  EXPECT_EQ(str_cat("rep", 3, ' ', std::string{"x"}, -2, std::size_t{7}),
+            "rep3 x-27");
+}
+
+TEST(StringsTest, DecimalDigitsAsHex) {
+  char buf[8];
+  for (unsigned v = 0; v <= 9999; ++v) {
+    std::snprintf(buf, sizeof buf, "%u", v);
+    ASSERT_EQ(decimal_digits_as_hex(v), std::stoul(buf, nullptr, 16)) << v;
+  }
+}
+
+// ------------------------------------------------------------- ip text ----
+
+/// Ipv6Address::to_string as it was written with snprintf("%x").
+std::string printf_ipv6(const simnet::Ipv6Address& a) {
+  int best_start = -1;
+  int best_len = 0;
+  for (int i = 0; i < 8;) {
+    if (a.group(i) != 0) {
+      ++i;
+      continue;
+    }
+    int j = i;
+    while (j < 8 && a.group(j) == 0) ++j;
+    if (j - i > best_len) {
+      best_len = j - i;
+      best_start = i;
+    }
+    i = j;
+  }
+  if (best_len < 2) best_start = -1;
+  std::string out;
+  char buf[8];
+  for (int i = 0; i < 8;) {
+    if (i == best_start) {
+      out += "::";
+      i += best_len;
+      continue;
+    }
+    if (!out.empty() && out.back() != ':') out += ':';
+    std::snprintf(buf, sizeof buf, "%x", a.group(i));
+    out += buf;
+    ++i;
+  }
+  return out;
+}
+
+TEST(IpTextTest, Ipv4MatchesPrintf) {
+  Rng rng{4};
+  char buf[16];
+  for (int i = 0; i < 10'000; ++i) {
+    const simnet::Ipv4Address a{i < 2 ? (i == 0 ? 0u : 0xffffffffu)
+                                      : static_cast<std::uint32_t>(
+                                            rng.next_u64())};
+    std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (a.value >> 24) & 0xff,
+                  (a.value >> 16) & 0xff, (a.value >> 8) & 0xff,
+                  a.value & 0xff);
+    ASSERT_EQ(a.to_string(), buf);
+    ASSERT_EQ(simnet::Ipv4Address::parse(buf), a);
+  }
+}
+
+TEST(IpTextTest, Ipv6EdgeCases) {
+  const auto text = [](std::string_view literal) {
+    return simnet::Ipv6Address::parse(literal)->to_string();
+  };
+  EXPECT_EQ(text("::"), "::");
+  EXPECT_EQ(text("::1"), "::1");
+  EXPECT_EQ(text("1::"), "1::");
+  // A single zero group is never compressed.
+  EXPECT_EQ(text("1:0:2:3:4:5:6:7"), "1:0:2:3:4:5:6:7");
+  // Equal-length zero runs: the leftmost is compressed.
+  EXPECT_EQ(text("1:0:0:2:3:0:0:4"), "1::2:3:0:0:4");
+  // The longer run wins even when it is not the leftmost.
+  EXPECT_EQ(text("1:0:0:2:0:0:0:4"), "1:0:0:2::4");
+  // Leading zeros inside a group are dropped; hex is lower case.
+  EXPECT_EQ(text("2001:0DB8:0001:00a0:0000:0000:0000:000F"), "2001:db8:1:a0::f");
+  EXPECT_EQ(text("0:0:1:0:0:0:0:0"), "0:0:1::");
+  for (const char* literal :
+       {"::", "::1", "1::", "1:0:2:3:4:5:6:7", "1:0:0:2:3:0:0:4",
+        "0:0:1:0:0:0:0:0", "2001:db8:dead::10", "ffff:ffff:ffff:ffff::"}) {
+    const auto a = *simnet::Ipv6Address::parse(literal);
+    EXPECT_EQ(a.to_string(), printf_ipv6(a)) << literal;
+  }
+}
+
+TEST(IpTextTest, Ipv6MatchesPrintfOnRandomGroups) {
+  Rng rng{6};
+  for (int i = 0; i < 20'000; ++i) {
+    simnet::Ipv6Address a;
+    for (int g = 0; g < 8; ++g) {
+      // Mostly zeros, so every run length and position shows up.
+      const auto v = static_cast<std::uint16_t>(rng.next_u64());
+      a.set_group(g, rng.chance(0.5) ? 0 : v >> rng.next_below(16));
+    }
+    ASSERT_EQ(a.to_string(), printf_ipv6(a));
+    ASSERT_EQ(simnet::Ipv6Address::parse(a.to_string()), a);
+  }
+}
+
+TEST(IpTextTest, EndpointMatchesPrintf) {
+  char buf[64];
+  for (const char* literal : {"10.0.0.80", "2001:db8::80", "::", "0.0.0.0"}) {
+    for (const std::uint16_t port : {0, 53, 443, 65535}) {
+      const simnet::Endpoint ep{simnet::IpAddress::must_parse(literal), port};
+      std::snprintf(buf, sizeof buf, ep.addr.is_v6() ? "[%s]:%u" : "%s:%u",
+                    ep.addr.to_string().c_str(), static_cast<unsigned>(port));
+      EXPECT_EQ(ep.to_string(), buf);
+      std::string out = "peer ";
+      ep.append_to(out);
+      EXPECT_EQ(out, std::string{"peer "} + buf);
+    }
+  }
 }
 
 TEST(StringsTest, Join) {
