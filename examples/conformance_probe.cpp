@@ -17,14 +17,14 @@
 // Argument handling is strict: unknown clients or fault names, non-numeric
 // or out-of-range numbers, and undecodable hex all fail with usage text and
 // a non-zero exit — a repro line that cannot run exactly must never half-run.
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "clients/profiles.h"
 #include "conformance/checker.h"
 #include "conformance/schedule.h"
+#include "util/strings.h"
 
 using namespace lazyeye;
 
@@ -45,34 +45,6 @@ int usage(const char* argv0) {
     std::printf("  %s\n", conformance::fault_kind_name(kind));
   }
   return 2;
-}
-
-/// Strict base-10 parse: the whole token, no sign, no overflow — else false.
-bool parse_u64(const char* s, std::uint64_t& out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' ||
-      std::strchr(s, '-') != nullptr) {
-    return false;
-  }
-  out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool parse_u32(const char* s, std::uint32_t& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(s, v) || v > 0xFFFFFFFFULL) return false;
-  out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-bool parse_fetches(const char* s, int& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(s, v) || v < 1 || v > 16) return false;
-  out = static_cast<int>(v);
-  return true;
 }
 
 void print_record(const conformance::ConformanceRecord& record,
@@ -108,9 +80,10 @@ int main(int argc, char** argv) {
     std::uint32_t stream = 0;
     std::uint32_t index = 0;
     int fetches = 2;
-    if (!parse_u64(argv[3], seed) || !parse_u32(argv[4], stream) ||
-        !parse_u32(argv[5], index) ||
-        (argc == 7 && !parse_fetches(argv[6], fetches))) {
+    if (!parse_bounded(argv[3], 0, UINT64_MAX, seed) ||
+        !parse_bounded(argv[4], 0, UINT32_MAX, stream) ||
+        !parse_bounded(argv[5], 0, UINT32_MAX, index) ||
+        (argc == 7 && !parse_bounded(argv[6], 1, 16, fetches))) {
       std::fprintf(stderr, "bad --schedule arguments (want numeric seed, "
                            "stream, index, [fetches 1..16])\n");
       return usage(argv[0]);
@@ -130,7 +103,7 @@ int main(int argc, char** argv) {
   if (std::strcmp(argv[2], "--schedule-hex") == 0) {
     if (argc < 4 || argc > 5) return usage(argv[0]);
     int fetches = 2;
-    if (argc == 5 && !parse_fetches(argv[4], fetches)) {
+    if (argc == 5 && !parse_bounded(argv[4], 1, 16, fetches)) {
       std::fprintf(stderr, "bad fetches: %s (want 1..16)\n", argv[4]);
       return usage(argv[0]);
     }
@@ -162,9 +135,10 @@ int main(int argc, char** argv) {
   conformance::FaultPlan plan;
   plan.kind = *kind;
   int fetches = 2;
-  if (!parse_u64(argv[3], plan.seed) || !parse_u32(argv[4], plan.stream) ||
-      !parse_u32(argv[5], plan.index) ||
-      (argc == 7 && !parse_fetches(argv[6], fetches))) {
+  if (!parse_bounded(argv[3], 0, UINT64_MAX, plan.seed) ||
+      !parse_bounded(argv[4], 0, UINT32_MAX, plan.stream) ||
+      !parse_bounded(argv[5], 0, UINT32_MAX, plan.index) ||
+      (argc == 7 && !parse_bounded(argv[6], 1, 16, fetches))) {
     std::fprintf(stderr, "bad plan arguments (want numeric seed, stream, "
                          "index, [fetches 1..16])\n");
     return usage(argv[0]);

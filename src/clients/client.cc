@@ -102,7 +102,6 @@ void SimulatedClient::fetch(const dns::DnsName& hostname, std::uint16_t port,
         }
         // Issue the request over the winning transport; the response comes
         // back through the stack's data handler.
-        const std::string request = "GET /";
         const auto proto = result.proto;
         const std::uint64_t conn_id = result.connection_id;
         const std::uint64_t key = proto == TransportProtocol::kQuic
@@ -124,7 +123,9 @@ void SimulatedClient::fetch(const dns::DnsName& hostname, std::uint16_t port,
             });
         pending_.emplace(key, std::move(fetch));
 
-        std::vector<std::uint8_t> payload{request.begin(), request.end()};
+        constexpr std::string_view kRequest = "GET /";
+        simnet::Buffer payload;  // inline: no allocation per request
+        payload.append(kRequest.data(), kRequest.size());
         if (proto == TransportProtocol::kQuic) {
           quic_.send_data(conn_id, std::move(payload));
         } else {

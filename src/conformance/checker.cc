@@ -4,19 +4,14 @@
 #include <utility>
 
 #include "capture/analysis.h"
-#include "clients/client.h"
 #include "conformance/injector.h"
-#include "dns/auth_server.h"
 #include "dns/test_params.h"
-#include "simnet/network.h"
-#include "transport/quic.h"
-#include "transport/tcp.h"
+#include "testbed/world.h"
 #include "util/strings.h"
 
 namespace lazyeye::conformance {
 
 using simnet::Family;
-using simnet::IpAddress;
 
 int ConformanceRecord::violations() const {
   int n = 0;
@@ -98,113 +93,6 @@ std::vector<campaign::ScenarioSpec> ConformanceHarness::differential_specs(
   return specs;
 }
 
-namespace {
-
-/// The cell's isolated world: two dual-stack nodes, echo web server, auth
-/// DNS, the fault injector attached to the server's stacks, capture on the
-/// client node. Mirrors testbed::build_scenario, plus the injector.
-struct World {
-  // Lease first: released (arena reset) after every raw pointer below is
-  // dead. The arena destroys capture, client, injector, servers, then the
-  // Network — the same reverse-creation order the old unique_ptr members
-  // produced.
-  simnet::WorldLease lease;
-  simnet::Network* net = nullptr;
-  simnet::Host* client_host = nullptr;
-  simnet::Host* server_host = nullptr;
-  transport::TcpStack* server_tcp = nullptr;
-  transport::QuicStack* server_quic = nullptr;
-  dns::AuthServer* auth = nullptr;
-  FaultInjector* injector = nullptr;
-  ScheduleInjector* schedule_injector = nullptr;
-  clients::SimulatedClient* client = nullptr;
-  capture::PacketCapture* capture = nullptr;
-  dns::DnsName name;
-};
-
-/// Exactly one of `plan` / `schedule` is set — the cell's fault source.
-std::unique_ptr<World> build_world(const clients::ClientProfile& profile,
-                                   const ConformanceOptions& options,
-                                   const FaultPlan* plan,
-                                   const FaultSchedule* schedule,
-                                   std::uint64_t cell_seed) {
-  auto w = std::make_unique<World>();
-  simnet::Arena& arena = w->lease.arena();
-  w->net = arena.create<simnet::Network>(w->lease.memory(),
-                                         options.seed * 7919 + cell_seed);
-
-  // Fixed world literals parsed once per process, not once per cell.
-  static const IpAddress server_v4 = IpAddress::must_parse("10.0.0.80");
-  static const IpAddress server_v6 = IpAddress::must_parse("2001:db8::80");
-  static const IpAddress client_v4 = IpAddress::must_parse("10.0.0.2");
-  static const IpAddress client_v6 = IpAddress::must_parse("2001:db8::2");
-  static const dns::DnsName zone_origin = dns::DnsName::must_parse("conf.lab");
-  static const dns::DnsName name_stem =
-      dns::DnsName::must_parse("run.conf.lab");
-  static const std::vector<simnet::Endpoint> dns_servers{{server_v4, 53}};
-
-  w->server_host = &w->net->add_host("server");
-  w->server_host->add_address(server_v4);
-  w->server_host->add_address(server_v6);
-  w->client_host = &w->net->add_host("client");
-  w->client_host->add_address(client_v4);
-  w->client_host->add_address(client_v6);
-
-  w->server_tcp = arena.create<transport::TcpStack>(*w->server_host);
-  w->server_tcp->listen(443, [](std::uint64_t, const simnet::Endpoint&) {});
-  w->server_tcp->set_data_handler(
-      [wp = w.get()](std::uint64_t conn_id, std::span<const std::uint8_t>) {
-        const std::string body = "ok";
-        wp->server_tcp->send_data(
-            conn_id, std::vector<std::uint8_t>{body.begin(), body.end()});
-      });
-  w->server_quic = arena.create<transport::QuicStack>(*w->server_host);
-  w->server_quic->listen(443);
-  w->server_quic->set_data_handler(
-      [wp = w.get()](std::uint64_t conn_id, std::span<const std::uint8_t>) {
-        const std::string body = "ok";
-        wp->server_quic->send_data(
-            conn_id, std::vector<std::uint8_t>{body.begin(), body.end()});
-      });
-
-  w->auth = arena.create<dns::AuthServer>(*w->server_host);
-  dns::Zone& zone = w->auth->add_zone(zone_origin);
-
-  w->name = dns::make_test_name(name_stem, lazyeye::str_cat(cell_seed), {});
-  // Real server first (clients that honour record order try it first), then
-  // unresponsive decoys so interleaving/abandonment have observable choices.
-  zone.add_a(w->name, server_v4.v4());
-  zone.add_aaaa(w->name, server_v6.v6());
-  for (int i = 1; i <= options.decoys_per_family; ++i) {
-    zone.add_a(w->name, dns::decoy_v4(i));
-    zone.add_aaaa(w->name, dns::decoy_v6(i));
-  }
-
-  if (plan != nullptr) {
-    w->injector = arena.create<FaultInjector>(*plan);
-    w->injector->attach(*w->auth);
-    w->injector->attach(*w->server_tcp);
-    w->injector->attach(*w->server_quic);
-  } else {
-    w->schedule_injector =
-        arena.create<ScheduleInjector>(*schedule, w->net->loop());
-    w->schedule_injector->attach(*w->auth);
-    w->schedule_injector->attach(*w->server_tcp);
-    w->schedule_injector->attach(*w->server_quic);
-  }
-
-  dns::StubOptions stub_options;
-  stub_options.servers = dns_servers;
-  w->client = arena.create<clients::SimulatedClient>(
-      *w->client_host, profile, stub_options, options.seed * 31 + cell_seed);
-  w->client->reset_state();  // fresh container per cell
-
-  w->capture = arena.create<capture::PacketCapture>(*w->client_host);
-  return w;
-}
-
-}  // namespace
-
 ConformanceRecord ConformanceHarness::run_spec(
     const clients::ClientProfile& profile,
     const campaign::ScenarioSpec& spec) const {
@@ -222,7 +110,39 @@ ConformanceRecord ConformanceHarness::run_spec(
         lazyeye::str_cat("ConformanceHarness::run_spec: unsupported case ",
                          campaign::case_name(spec.payload)));
   }
-  auto w = build_world(profile, options_, plan, schedule, spec.seed);
+  // Zone origin and name stem parsed once per process, not per cell.
+  static const dns::DnsName zone_origin = dns::DnsName::must_parse("conf.lab");
+  static const dns::DnsName name_stem =
+      dns::DnsName::must_parse("run.conf.lab");
+  const dns::DnsName name =
+      dns::make_test_name(name_stem, lazyeye::str_cat(spec.seed), {});
+  const auto w = testbed::build_two_node_world(
+      profile, zone_origin, options_.seed, spec.seed,
+      [&](testbed::TwoNodeWorld& world) {
+        // Real server first (clients that honour record order try it
+        // first), then unresponsive decoys so interleaving/abandonment
+        // have observable choices.
+        const testbed::TwoNodeAddresses& addrs = testbed::two_node_addresses();
+        world.zone->add_a(name, addrs.server_v4.v4());
+        world.zone->add_aaaa(name, addrs.server_v6.v6());
+        for (int i = 1; i <= options_.decoys_per_family; ++i) {
+          world.zone->add_a(name, dns::decoy_v4(i));
+          world.zone->add_aaaa(name, dns::decoy_v6(i));
+        }
+        // The cell's fault source interposes on the server's DNS and
+        // transport stacks.
+        const auto hook = [&world](auto& injector) {
+          injector.attach(*world.auth);
+          injector.attach(*world.server_tcp);
+          injector.attach(*world.server_quic);
+        };
+        simnet::Arena& arena = world.lease.arena();
+        if (plan != nullptr) {
+          hook(*arena.create<FaultInjector>(*plan));
+        } else {
+          hook(*arena.create<ScheduleInjector>(*schedule, world.net->loop()));
+        }
+      });
 
   clients::FetchResult first_fetch;
   clients::FetchResult last_fetch;
@@ -231,13 +151,13 @@ ConformanceRecord ConformanceHarness::run_spec(
   // The restart (second fetch) runs in the same client session — no
   // reset_state() — so the engine's RFC 6555 §4.1 winner cache applies and
   // the restart-cache rule can observe whether DNS is re-queried.
-  w->client->fetch(w->name, 443, [&](clients::FetchResult r) {
+  w->client->fetch(name, 443, [&](clients::FetchResult r) {
     first_fetch = r;
     last_fetch = std::move(r);
     first_done = true;
     first_completed = w->net->loop().now();
     if (fetches >= 2) {
-      w->client->fetch(w->name, 443, [&](clients::FetchResult r2) {
+      w->client->fetch(name, 443, [&](clients::FetchResult r2) {
         last_fetch = std::move(r2);
       });
     }

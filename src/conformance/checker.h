@@ -1,9 +1,11 @@
 // ConformanceHarness: differential RFC 8305 conformance campaigns.
 //
-// Each cell builds an isolated two-node world (like testbed::LocalTestbed),
-// attaches a FaultInjector for the cell's seeded FaultPlan to the server's
-// DNS and transport stacks, runs the client's fetch(es), and evaluates the
-// RFC 8305 rule set over the client-side capture. Cells ride the campaign
+// Each cell builds the testbed's two-node world (testbed::
+// build_two_node_world, zone "conf.lab"); its attach hook adds the cell's
+// name and decoy records and a FaultInjector (seeded FaultPlan) or
+// ScheduleInjector (compound schedule) on the server's DNS and transport
+// stacks. The cell runs the client's fetch(es) and evaluates the RFC 8305
+// rule set over the client-side capture. Cells ride the campaign
 // engine as ConformanceCase payloads, so a differential matrix — the same
 // fault against every client profile — shards across the CampaignRunner
 // worker pool with byte-identical verdict tables at any worker count.

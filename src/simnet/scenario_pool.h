@@ -14,10 +14,13 @@
 //
 // Usage (one cell):
 //   simnet::WorldLease lease;                    // acquire thread's memory
-//   auto* world = build_world(lease.memory());   // arena-backed construction
-//   ... run the cell ...
+//   auto* net = lease.arena().create<Network>(lease.memory(), seed);
+//   ... arena-create the rest of the world, run the cell ...
 //   // ~WorldLease: arena.reset() tears the world down in one sweep and
 //   // returns the memory (chunks + pooled blocks intact) for the next cell.
+//
+// testbed::build_two_node_world is the one world builder that does this;
+// its TwoNodeWorld owns the lease.
 #pragma once
 
 #include <cstdint>

@@ -3,14 +3,13 @@
 #include <stdexcept>
 
 #include "campaign/sink.h"
-#include "dns/auth_server.h"
 #include "dns/test_params.h"
+#include "testbed/world.h"
 #include "util/strings.h"
 
 namespace lazyeye::testbed {
 
 using simnet::Family;
-using simnet::IpAddress;
 
 std::vector<SimTime> SweepSpec::values() const {
   std::vector<SimTime> out;
@@ -29,95 +28,9 @@ LocalTestbed::LocalTestbed(TestbedOptions options)
 
 namespace {
 
-/// One fully assembled scenario: server+dns+client nodes, echo web server,
-/// client capture — everything arena-created inside a pooled world lease.
-/// Destroying the Scenario releases the lease; the arena runs finalizers in
-/// reverse creation order (capture, client, auth, stacks, then the Network
-/// itself), then rewinds for the next cell on this worker thread.
-struct Scenario {
-  simnet::WorldLease lease;
-  simnet::Network* net = nullptr;
-  simnet::Host* client_host = nullptr;
-  simnet::Host* server_host = nullptr;
-  transport::TcpStack* server_tcp = nullptr;
-  transport::QuicStack* server_quic = nullptr;
-  dns::AuthServer* auth = nullptr;
-  dns::Zone* zone = nullptr;
-  clients::SimulatedClient* client = nullptr;
-  capture::PacketCapture* capture = nullptr;
-  simnet::Endpoint last_peer;
-};
-
-std::unique_ptr<Scenario> build_scenario(
-    const clients::ClientProfile& profile,
-    const TestbedOptions& options, std::uint64_t run_id) {
-  auto sc = std::make_unique<Scenario>();
-  simnet::Arena& arena = sc->lease.arena();
-  sc->net = arena.create<simnet::Network>(sc->lease.memory(),
-                                          options.seed * 7919 + run_id);
-
-  // Fixed world literals parsed once per process, not once per cell.
-  static const IpAddress server_v4 = IpAddress::must_parse("10.0.0.80");
-  static const IpAddress server_v6 = IpAddress::must_parse("2001:db8::80");
-  static const IpAddress client_v4 = IpAddress::must_parse("10.0.0.2");
-  static const IpAddress client_v6 = IpAddress::must_parse("2001:db8::2");
-  static const dns::DnsName zone_origin =
-      dns::DnsName::must_parse("he-test.lab");
-
-  sc->server_host = &sc->net->add_host("server");
-  sc->server_host->add_address(server_v4);
-  sc->server_host->add_address(server_v6);
-  sc->client_host = &sc->net->add_host("client");
-  sc->client_host->add_address(client_v4);
-  sc->client_host->add_address(client_v6);
-
-  // Web server module: answers with the client's source address.
-  sc->server_tcp = arena.create<transport::TcpStack>(*sc->server_host);
-  sc->server_tcp->listen(443,
-                         [sp = sc.get()](std::uint64_t,
-                                         const simnet::Endpoint& peer) {
-                           sp->last_peer = peer;
-                         });
-  sc->server_tcp->set_data_handler(
-      [sp = sc.get()](std::uint64_t conn_id, std::span<const std::uint8_t>) {
-        const std::string body = sp->last_peer.addr.to_string();
-        sp->server_tcp->send_data(
-            conn_id, std::vector<std::uint8_t>{body.begin(), body.end()});
-      });
-  sc->server_quic = arena.create<transport::QuicStack>(*sc->server_host);
-  sc->server_quic->listen(443);
-  sc->server_quic->set_data_handler(
-      [sp = sc.get()](std::uint64_t conn_id, std::span<const std::uint8_t>) {
-        const std::string body = "quic";
-        sp->server_quic->send_data(
-            conn_id, std::vector<std::uint8_t>{body.begin(), body.end()});
-      });
-
-  // DNS module: authoritative server on the server node (IPv4 transport so
-  // DNS itself is unaffected by the IPv6 shaping).
-  sc->auth = arena.create<dns::AuthServer>(*sc->server_host);
-  sc->zone = &sc->auth->add_zone(zone_origin);
-
-  static const std::vector<simnet::Endpoint> dns_servers{{server_v4, 53}};
-  dns::StubOptions stub_options;
-  stub_options.servers = dns_servers;
-  clients::ClientProfile run_profile = profile;
-  if (options.dns_timeout_override) {
-    run_profile.dns_timeout = *options.dns_timeout_override;
-  }
-  sc->client = arena.create<clients::SimulatedClient>(
-      *sc->client_host, std::move(run_profile), stub_options,
-      options.seed * 31 + run_id);
-  sc->client->reset_state();  // fresh container per run (§4.3)
-
-  // Packet capture module on the client node.
-  sc->capture = arena.create<capture::PacketCapture>(*sc->client_host);
-  return sc;
-}
-
-RunRecord analyze(const clients::ClientProfile& profile, Scenario& sc,
-                  SimTime configured_delay, int repetition,
-                  const clients::FetchResult& fetch) {
+RunRecord analyze(const clients::ClientProfile& profile,
+                  const capture::PacketCapture& cap, SimTime configured_delay,
+                  int repetition, const clients::FetchResult& fetch) {
   RunRecord record;
   record.client = profile.display_name();
   record.configured_delay = configured_delay;
@@ -125,7 +38,6 @@ RunRecord analyze(const clients::ClientProfile& profile, Scenario& sc,
   record.fetch_ok = fetch.connection.ok && fetch.response_received;
   record.completion_time = fetch.connection.completed;
 
-  const capture::PacketCapture& cap = *sc.capture;
   record.established_family = capture::established_family(cap);
   record.observed_cad = capture::infer_cad(cap);
   // Decode the capture's DNS packets once and share the exchange list
@@ -265,19 +177,20 @@ campaign::SpecStream LocalTestbed::multi_client_cad_stream(
 
 RunRecord LocalTestbed::run_spec(const clients::ClientProfile& profile,
                                  const campaign::ScenarioSpec& spec) const {
-  const std::uint64_t run_id = spec.seed;
-  auto sc = build_scenario(profile, options_, run_id);
-  const auto nonce = lazyeye::str_cat(run_id);
-
-  // Test-name stems and record addresses parsed once per process, not once
-  // per cell.
+  // Zone origin and test-name stems parsed once per process, not per cell.
+  static const dns::DnsName zone_origin = dns::DnsName::must_parse("he-test.lab");
   static const dns::DnsName cad_stem = dns::DnsName::must_parse("cad.he-test.lab");
   static const dns::DnsName rd_stem = dns::DnsName::must_parse("rd.he-test.lab");
   static const dns::DnsName sel_stem = dns::DnsName::must_parse("sel.he-test.lab");
-  static const simnet::Ipv4Address server_v4 =
-      *simnet::Ipv4Address::parse("10.0.0.80");
-  static const simnet::Ipv6Address server_v6 =
-      *simnet::Ipv6Address::parse("2001:db8::80");
+
+  clients::ClientProfile run_profile = profile;
+  if (options_.dns_timeout_override) {
+    run_profile.dns_timeout = *options_.dns_timeout_override;
+  }
+  const auto world = build_two_node_world(std::move(run_profile), zone_origin,
+                                          options_.seed, spec.seed);
+  const auto nonce = lazyeye::str_cat(spec.seed);
+  const TwoNodeAddresses& addrs = two_node_addresses();
 
   dns::DnsName name;
   SimTime configured_delay{0};
@@ -289,25 +202,25 @@ RunRecord LocalTestbed::run_spec(const clients::ClientProfile& profile,
     simnet::PacketFilter v6_tcp;
     v6_tcp.family = Family::kIpv6;
     v6_tcp.proto = simnet::Protocol::kTcp;
-    sc->server_host->egress().add_rule(
+    world->server_host->egress().add_rule(
         v6_tcp, simnet::NetemSpec::delay_only(cad->v6_delay), "delay v6");
 
     // Unique name per run to rule out caching (nonce label).
     name = dns::make_test_name(cad_stem, nonce, {});
-    sc->zone->add_a(name, server_v4);
-    sc->zone->add_aaaa(name, server_v6);
+    world->zone->add_a(name, addrs.server_v4.v4());
+    world->zone->add_aaaa(name, addrs.server_v6.v6());
   } else if (const auto* rd = spec.get_if<campaign::ResolutionDelayCase>()) {
     configured_delay = rd->dns_delay;
     name = dns::make_test_name(rd_stem,
                                nonce, {{rd->delayed_type, rd->dns_delay}});
-    sc->zone->add_a(name, server_v4);
-    sc->zone->add_aaaa(name, server_v6);
+    world->zone->add_a(name, addrs.server_v4.v4());
+    world->zone->add_aaaa(name, addrs.server_v6.v6());
   } else if (const auto* sel = spec.get_if<campaign::AddressSelectionCase>()) {
     name = dns::make_test_name(sel_stem, nonce, {});
     // All records point to unresponsive addresses (no host owns them).
     for (int i = 1; i <= sel->per_family; ++i) {
-      sc->zone->add_aaaa(name, dns::decoy_v6(i));
-      sc->zone->add_a(name, dns::decoy_v4(i));
+      world->zone->add_aaaa(name, dns::decoy_v6(i));
+      world->zone->add_a(name, dns::decoy_v4(i));
     }
   } else {
     throw std::invalid_argument(
@@ -316,11 +229,12 @@ RunRecord LocalTestbed::run_spec(const clients::ClientProfile& profile,
   }
 
   clients::FetchResult fetch;
-  sc->client->fetch(name, 443, [&](clients::FetchResult r) {
+  world->client->fetch(name, 443, [&](clients::FetchResult r) {
     fetch = std::move(r);
   });
-  sc->net->loop().run();
-  return analyze(profile, *sc, configured_delay, spec.repetition, fetch);
+  world->net->loop().run();
+  return analyze(profile, *world->capture, configured_delay, spec.repetition,
+                 fetch);
 }
 
 RunRecord LocalTestbed::run_cad_case(const clients::ClientProfile& profile,

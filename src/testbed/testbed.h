@@ -10,9 +10,10 @@
 // Runs are described declaratively as campaign cells (typed payloads:
 // CadCase / ResolutionDelayCase / AddressSelectionCase): the spec
 // generators below allocate seeds, and run_spec() is a stateless executor
-// that builds the cell's isolated world — which is what lets whole delay ×
-// repetition × client matrices shard across the CampaignRunner worker pool
-// with byte-identical results at any worker count. register_executors()
+// that builds the cell's isolated world (build_two_node_world, world.h) —
+// which is what lets whole delay × repetition × client matrices shard
+// across the CampaignRunner worker pool with byte-identical results at any
+// worker count. register_executors()
 // plugs the three testbed case types into a campaign::Registry so testbed
 // cells can ride in mixed-kind matrices.
 #pragma once

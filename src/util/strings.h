@@ -41,6 +41,18 @@ bool ends_with(std::string_view s, std::string_view suffix);
 /// Strict non-negative integer parse (rejects empty / trailing junk).
 std::optional<std::uint64_t> parse_u64(std::string_view s);
 
+/// parse_u64 into `out` when the value lies in [lo, hi] (`hi` must fit T);
+/// false, with `out` untouched, otherwise. Command-line numbers go through
+/// it, so junk, signs and out-of-range values are refused, not misread.
+template <std::integral T>
+bool parse_bounded(std::string_view s, std::uint64_t lo, std::uint64_t hi,
+                   T& out) {
+  const std::optional<std::uint64_t> v = parse_u64(s);
+  if (!v || *v < lo || *v > hi) return false;
+  out = static_cast<T>(*v);
+  return true;
+}
+
 /// printf-style formatting into std::string. Formats once into a stack
 /// buffer; only output longer than that buffer takes a second pass. Per-cell
 /// code uses the appenders below instead, which never reach printf.

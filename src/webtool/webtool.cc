@@ -168,9 +168,11 @@ RepetitionOutcome WebTool::run_repetition(const clients::ClientProfile& profile,
   });
   server_tcp.set_data_handler(
       [&](std::uint64_t conn_id, std::span<const std::uint8_t>) {
-        const std::string body = last_peer.addr.to_string();
-        server_tcp.send_data(conn_id,
-                             std::vector<std::uint8_t>{body.begin(), body.end()});
+        std::string text;  // an address fits the short-string buffer
+        last_peer.addr.append_to(text);
+        simnet::Buffer body;  // inline: no allocation per response
+        body.append(text.data(), text.size());
+        server_tcp.send_data(conn_id, std::move(body));
       });
 
   // DNS: one dedicated domain per bucket (cache busting).

@@ -61,23 +61,23 @@ namespace {
 // variation, without letting a per-cell cost creep back in.
 constexpr std::uint64_t kSlack = 1;
 
-// 5x under the ~406-allocation baseline the overhaul started from. A warm
-// CAD cell measures 68.
-constexpr std::uint64_t kCadCellBudget = 68 + kSlack;
+// 6x under the ~406-allocation baseline the overhaul started from. A warm
+// CAD cell measures 65 (Debug, Release and ASan+UBSan) on GCC 12.2.
+constexpr std::uint64_t kCadCellBudget = 65 + kSlack;
 
 // A single-fault conformance cell (kTcpReset on Chrome, two fetches)
-// measures 102 warm (Debug, Release and ASan+UBSan) on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kFaultCellBudget = 102 + kSlack;
+// measures 97 warm (Debug, Release and ASan+UBSan) on GCC 12.2 / libstdc++.
+constexpr std::uint64_t kFaultCellBudget = 97 + kSlack;
 
 // A compound-schedule cell (generated schedules without malformed-DNS
-// entries, two fetches on Chrome) measures 109 warm (Debug, Release and
+// entries, two fetches on Chrome) measures 105 warm (Debug, Release and
 // ASan+UBSan) on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kScheduleCellBudget = 109 + kSlack;
+constexpr std::uint64_t kScheduleCellBudget = 105 + kSlack;
 
 // A compound-schedule cell whose schedule truncates or corrupts DNS wire
-// (same generator, same client) measures 111 warm (Debug, Release and
+// (same generator, same client) measures 107 warm (Debug, Release and
 // ASan+UBSan) on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kMalformedDnsCellBudget = 111 + kSlack;
+constexpr std::uint64_t kMalformedDnsCellBudget = 107 + kSlack;
 
 // Decoding one malformed wire into a fresh DnsMessage may allocate at most
 // this many bytes per wire byte; the seeded corpus below peaks at 10.3

@@ -18,6 +18,7 @@
 #include "simnet/network.h"
 #include "transport/quic.h"
 #include "transport/tcp.h"
+#include "util/crc32.h"
 
 namespace lazyeye::conformance {
 namespace {
@@ -529,6 +530,22 @@ TEST(HarnessTest, VerdictTableIsByteIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(sink.text(), baseline) << "workers=" << workers;
     }
   }
+}
+
+TEST(HarnessTest, DifferentialVerdictTableDigestIsPinned) {
+  // The seed-1 differential matrix over every local-testbed profile: a
+  // pinned digest of the verdict table, so any change to the world, the
+  // clients or the rules that moves one byte of it shows up here.
+  const ConformanceHarness harness{{.seed = 1}};
+  const auto profiles = clients::local_testbed_profiles();
+  const auto specs = harness.differential_specs(profiles);
+  ASSERT_EQ(specs.size(), 187u);
+
+  campaign::Registry<ConformanceRecord> registry;
+  register_conformance_executor(registry, harness, profiles);
+  VerdictTableSink sink;
+  registry.run(campaign::CampaignRunner{{.workers = 2}}, specs, sink);
+  EXPECT_EQ(util::crc32(sink.text()), 0x7b52dc03u) << sink.text();
 }
 
 }  // namespace

@@ -226,6 +226,31 @@ TEST(FaultSearchJournalTest, SnapshotCountsAreBoundedByTheirBytes) {
   std::remove(path.c_str());
 }
 
+TEST(FaultSearchJournalTest, SmallHuntJournalAndCorpusDigestsArePinned) {
+  // Pinned digests of a small journaled hunt over one client of each
+  // family: any change to the world, the clients, the rules or the search
+  // that moves one journal or corpus byte shows up here.
+  std::vector<clients::ClientProfile> profiles;
+  for (const auto& p : clients::local_testbed_profiles()) {
+    const std::string name = p.display_name();
+    if (name == "Chrome 130.0" || name == "Firefox 132.0" ||
+        p.name == "curl" || p.name == "wget") {
+      profiles.push_back(p);
+    }
+  }
+  ASSERT_EQ(profiles.size(), 4u);
+  const std::string path = tmp_path("hunt_pinned.journal");
+  HuntOptions options = hunt_options(path);
+  options.seed = 1;
+  options.budget = 32;
+  FaultHunt hunt{options, profiles};
+  const HuntResult result = hunt.run();
+  EXPECT_EQ(util::crc32(read_file(path)), 0x807e9d50u);
+  EXPECT_EQ(util::crc32(FaultHunt::corpus_text(result.corpus)), 0xa7735fc9u)
+      << FaultHunt::corpus_text(result.corpus);
+  std::remove(path.c_str());
+}
+
 // -------------------------------------------------------- schedule codec ----
 
 TEST(ScheduleCodecTest, GeneratedSchedulesRoundTrip) {

@@ -3,9 +3,16 @@
 // the black-box measurement pipeline.
 #include <gtest/gtest.h>
 
+#include "campaign/registry.h"
+#include "campaign/runner.h"
+#include "campaign/sink.h"
 #include "clients/profiles.h"
 #include "testbed/features.h"
+#include "dns/test_params.h"
 #include "testbed/testbed.h"
+#include "testbed/world.h"
+#include "util/crc32.h"
+#include "util/strings.h"
 
 namespace lazyeye::testbed {
 namespace {
@@ -206,6 +213,140 @@ TEST_F(TestbedFixture, SweepFindsTransitionNearCad) {
               expect_v6 ? Family::kIpv6 : Family::kIpv4)
         << "delay " << format_duration(rec.configured_delay);
   }
+}
+
+/// Every RunRecord field as one text line, so a digest covers them all.
+std::string record_line(const RunRecord& r) {
+  const auto duration = [](const std::optional<SimTime>& t) {
+    return t ? format_duration(*t) : std::string{"-"};
+  };
+  std::string line = str_cat(
+      r.client, ' ', format_duration(r.configured_delay), " rep",
+      r.repetition, r.fetch_ok ? " ok " : " fail ",
+      r.established_family ? simnet::family_name(*r.established_family) : "-",
+      " cad=", duration(r.observed_cad), " rd=", duration(r.observed_rd),
+      " gap=", duration(r.a_wait_gap), r.aaaa_query_first ? " aaaa" : " a",
+      " v6=", r.v6_addresses_used, " v4=", r.v4_addresses_used, " seq=");
+  for (const Family f : r.attempt_sequence) {
+    line += f == Family::kIpv6 ? '6' : '4';
+  }
+  str_append(line, " done=", r.completion_time.count(), '\n');
+  return line;
+}
+
+TEST(TestbedDigestTest, MultiClientCadSweepRecordsArePinned) {
+  // A pinned digest of every record of a joint CAD sweep over all
+  // local-testbed clients: any change to the world, the clients or the
+  // capture analysis that moves one record field shows up here.
+  LocalTestbed bed;
+  const auto profiles = clients::local_testbed_profiles();
+  const auto specs = bed.multi_client_cad_stream(
+      profiles, SweepSpec{ms(0), ms(400), ms(100)}, /*repetitions=*/2);
+  campaign::Registry<RunRecord> registry;
+  register_executors(registry, bed, profiles);
+  campaign::CollectingSink<RunRecord> sink;
+  registry.run(campaign::CampaignRunner{{.workers = 2}}, specs, sink);
+
+  std::string text;
+  for (const RunRecord& r : sink.result().outcomes) text += record_line(r);
+  ASSERT_EQ(sink.result().outcomes.size(), specs.size());
+  EXPECT_EQ(util::crc32(text), 0x5128fa2du) << text;
+}
+
+// ------------------------------------------------------- two-node world ----
+
+/// Builds a world under `origin` whose "www" name has an A and/or AAAA
+/// record for the server, fetches it once, and returns the result.
+clients::FetchResult fetch_in_world(ClientProfile profile,
+                                    std::string_view origin, bool a,
+                                    bool aaaa) {
+  const dns::DnsName zone = dns::DnsName::must_parse(origin);
+  const dns::DnsName name = dns::DnsName::must_parse(str_cat("www.", origin));
+  const TwoNodeAddresses& addrs = two_node_addresses();
+  const auto world = build_two_node_world(
+      std::move(profile), zone, /*seed=*/1, /*cell=*/1,
+      [&](TwoNodeWorld& w) {
+        if (a) w.zone->add_a(name, addrs.server_v4.v4());
+        if (aaaa) w.zone->add_aaaa(name, addrs.server_v6.v6());
+      });
+  clients::FetchResult result;
+  world->client->fetch(name, 443, [&](clients::FetchResult r) {
+    result = std::move(r);
+  });
+  world->net->loop().run();
+  return result;
+}
+
+TEST(TwoNodeWorldTest, TcpAnswersWithTheClientSourceAddressOnEachFamily) {
+  const auto v4 = fetch_in_world(clients::curl_profile(), "he-test.lab",
+                                 /*a=*/true, /*aaaa=*/false);
+  ASSERT_TRUE(v4.response_received);
+  EXPECT_EQ(v4.connection.proto, transport::TransportProtocol::kTcp);
+  EXPECT_EQ(v4.response_text(), "10.0.0.2");
+
+  const auto v6 = fetch_in_world(clients::curl_profile(), "he-test.lab",
+                                 /*a=*/false, /*aaaa=*/true);
+  ASSERT_TRUE(v6.response_received);
+  EXPECT_EQ(v6.connection.proto, transport::TransportProtocol::kTcp);
+  EXPECT_EQ(v6.response_text(), "2001:db8::2");
+}
+
+TEST(TwoNodeWorldTest, QuicAnswersQuic) {
+  ClientProfile profile = clients::chromium_profile("Chrome", "131.0", "");
+  profile.options = he::HeOptions::v3_draft();
+  // No HTTPS record in the zone: race QUIC without an h3 advertisement.
+  profile.options.use_svcb = false;
+  const auto r = fetch_in_world(std::move(profile), "he-test.lab",
+                                /*a=*/true, /*aaaa=*/true);
+  ASSERT_TRUE(r.response_received) << r.connection.error;
+  EXPECT_EQ(r.connection.proto, transport::TransportProtocol::kQuic);
+  EXPECT_EQ(r.response_text(), "quic");
+}
+
+TEST(TwoNodeWorldTest, AttachSeesTheServerButNoClientYet) {
+  bool attached = false;
+  const auto world = build_two_node_world(
+      clients::curl_profile(), dns::DnsName::must_parse("he-test.lab"),
+      /*seed=*/1, /*cell=*/1, [&](TwoNodeWorld& w) {
+        attached = true;
+        EXPECT_NE(w.net, nullptr);
+        EXPECT_NE(w.server_host, nullptr);
+        EXPECT_NE(w.server_tcp, nullptr);
+        EXPECT_NE(w.server_quic, nullptr);
+        EXPECT_NE(w.auth, nullptr);
+        EXPECT_NE(w.zone, nullptr);
+        EXPECT_EQ(w.client, nullptr);
+        EXPECT_EQ(w.capture, nullptr);
+      });
+  EXPECT_TRUE(attached);
+  EXPECT_NE(world->client, nullptr);
+  EXPECT_NE(world->capture, nullptr);
+}
+
+TEST(TwoNodeWorldTest, ConformanceStyleWorldFetches) {
+  // The conformance checker's world: zone conf.lab, a nonce name with the
+  // real server first and an unresponsive decoy per family.
+  const dns::DnsName name = dns::make_test_name(
+      dns::DnsName::must_parse("run.conf.lab"), "42", {});
+  const TwoNodeAddresses& addrs = two_node_addresses();
+  const auto world = build_two_node_world(
+      clients::chromium_profile("Chrome", "130.0", ""),
+      dns::DnsName::must_parse("conf.lab"), /*seed=*/1, /*cell=*/42,
+      [&](TwoNodeWorld& w) {
+        w.zone->add_a(name, addrs.server_v4.v4());
+        w.zone->add_aaaa(name, addrs.server_v6.v6());
+        w.zone->add_a(name, dns::decoy_v4(1));
+        w.zone->add_aaaa(name, dns::decoy_v6(1));
+      });
+  clients::FetchResult result;
+  world->client->fetch(name, 443, [&](clients::FetchResult r) {
+    result = std::move(r);
+  });
+  world->net->loop().run();
+  EXPECT_TRUE(result.connection.ok) << result.connection.error;
+  ASSERT_TRUE(result.response_received);
+  EXPECT_EQ(result.response_text(), "2001:db8::2");
+  EXPECT_FALSE(world->capture->packets().empty());
 }
 
 // ------------------------------------------------------ feature matrix ----

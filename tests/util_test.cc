@@ -351,6 +351,24 @@ TEST(StringsTest, ParseU64) {
   EXPECT_FALSE(parse_u64("-1"));
 }
 
+TEST(StringsTest, ParseBoundedRefusesJunkAndOutOfRange) {
+  int out = 7;
+  EXPECT_TRUE(parse_bounded("3", 1, 16, out));
+  EXPECT_EQ(out, 3);
+  EXPECT_TRUE(parse_bounded("16", 1, 16, out));
+  EXPECT_EQ(out, 16);
+  // Refusals leave `out` untouched.
+  EXPECT_FALSE(parse_bounded("0", 1, 16, out));
+  EXPECT_FALSE(parse_bounded("17", 1, 16, out));
+  EXPECT_FALSE(parse_bounded("abc", 0, 16, out));
+  EXPECT_FALSE(parse_bounded("-1", 0, 16, out));
+  EXPECT_FALSE(parse_bounded("", 0, 16, out));
+  EXPECT_EQ(out, 16);
+  std::uint64_t wide = 0;
+  EXPECT_TRUE(parse_bounded("18446744073709551615", 0, UINT64_MAX, wide));
+  EXPECT_EQ(wide, UINT64_MAX);
+}
+
 TEST(StringsTest, Format) {
   EXPECT_EQ(str_format("%d-%s", 5, "x"), "5-x");
   EXPECT_EQ(str_format("%.1f %%", 43.75), "43.8 %");

@@ -15,9 +15,8 @@
 // Replay contract: every corpus schedule reproduces verdict-for-verdict via
 //
 //   ./build/example_conformance_probe "<client>" --schedule-hex <hex>
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "clients/profiles.h"
 #include "conformance/schedule.h"
 #include "conformance/search.h"
+#include "util/strings.h"
 
 using namespace lazyeye;
 
@@ -38,28 +38,6 @@ int usage() {
       "         [--fetches F] [--smoke]\n"
       "       lazyeye_hunt show --corpus <path>\n");
   return 2;
-}
-
-/// Strict numeric parsing: the whole token must be a base-10 number that
-/// fits the destination, else false (no atoi-style silent zeroes).
-bool parse_u64(const char* s, std::uint64_t& out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || std::strchr(s, '-') != nullptr) {
-    return false;
-  }
-  out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool parse_int(const char* s, int lo, int hi, int& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(s, v) || v > static_cast<std::uint64_t>(hi)) return false;
-  if (static_cast<int>(v) < lo) return false;
-  out = static_cast<int>(v);
-  return true;
 }
 
 struct Args {
@@ -87,28 +65,28 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (std::strcmp(argv[a], "--corpus") == 0 && (value = next())) {
       args.corpus = value;
     } else if (std::strcmp(argv[a], "--seed") == 0 && (value = next())) {
-      if (!parse_u64(value, args.seed)) {
+      if (!parse_bounded(value, 0, UINT64_MAX, args.seed)) {
         std::fprintf(stderr, "bad --seed: %s\n", value);
         return false;
       }
     } else if (std::strcmp(argv[a], "--budget") == 0 && (value = next())) {
-      if (!parse_int(value, 1, 1 << 20, args.budget)) {
+      if (!parse_bounded(value, 1, 1 << 20, args.budget)) {
         std::fprintf(stderr, "bad --budget: %s\n", value);
         return false;
       }
     } else if (std::strcmp(argv[a], "--snapshot-every") == 0 &&
                (value = next())) {
-      if (!parse_int(value, 1, 1 << 20, args.snapshot_every)) {
+      if (!parse_bounded(value, 1, 1 << 20, args.snapshot_every)) {
         std::fprintf(stderr, "bad --snapshot-every: %s\n", value);
         return false;
       }
     } else if (std::strcmp(argv[a], "--workers") == 0 && (value = next())) {
-      if (!parse_int(value, 1, 256, args.workers)) {
+      if (!parse_bounded(value, 1, 256, args.workers)) {
         std::fprintf(stderr, "bad --workers: %s\n", value);
         return false;
       }
     } else if (std::strcmp(argv[a], "--fetches") == 0 && (value = next())) {
-      if (!parse_int(value, 1, 16, args.fetches)) {
+      if (!parse_bounded(value, 1, 16, args.fetches)) {
         std::fprintf(stderr, "bad --fetches: %s\n", value);
         return false;
       }

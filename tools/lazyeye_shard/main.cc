@@ -34,6 +34,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,6 +55,7 @@
 #include "clients/profiles.h"
 #include "conformance/checker.h"
 #include "conformance/record_codec.h"
+#include "util/strings.h"
 
 using namespace lazyeye;
 
@@ -86,37 +88,44 @@ int usage() {
 bool parse_args(int argc, char** argv, Args& args) {
   if (argc < 2) return false;
   args.cmd = argv[1];
+  constexpr std::uint64_t kMaxCount = 1 << 16;
   for (int a = 2; a < argc; ++a) {
+    const char* flag = argv[a];
     const auto next = [&]() -> const char* {
       return a + 1 < argc ? argv[++a] : nullptr;
     };
     const char* value = nullptr;
-    if (std::strcmp(argv[a], "--base") == 0 && (value = next())) {
+    bool ok = true;
+    if (std::strcmp(flag, "--base") == 0 && (value = next())) {
       args.base = value;
-    } else if (std::strcmp(argv[a], "--out") == 0 && (value = next())) {
+    } else if (std::strcmp(flag, "--out") == 0 && (value = next())) {
       args.out = value;
-    } else if (std::strcmp(argv[a], "--shards") == 0 && (value = next())) {
-      args.shards = std::atoi(value);
-    } else if (std::strcmp(argv[a], "--shard") == 0 && (value = next())) {
-      args.shard = std::atoi(value);
-    } else if (std::strcmp(argv[a], "--workers") == 0 && (value = next())) {
-      args.workers = std::atoi(value);
-    } else if (std::strcmp(argv[a], "--reps") == 0 && (value = next())) {
-      args.repetitions = std::atoi(value);
-    } else if (std::strcmp(argv[a], "--rounds") == 0 && (value = next())) {
-      args.rounds = std::atoi(value);
-    } else if (std::strcmp(argv[a], "--seed") == 0 && (value = next())) {
-      args.seed = std::strtoull(value, nullptr, 10);
-    } else if (std::strcmp(argv[a], "--slow-ms") == 0 && (value = next())) {
-      args.slow_ms = std::strtoull(value, nullptr, 10);
-    } else if (std::strcmp(argv[a], "--smoke") == 0) {
+    } else if (std::strcmp(flag, "--shards") == 0 && (value = next())) {
+      ok = parse_bounded(value, 1, kMaxCount, args.shards);
+    } else if (std::strcmp(flag, "--shard") == 0 && (value = next())) {
+      ok = parse_bounded(value, 0, kMaxCount - 1, args.shard);
+    } else if (std::strcmp(flag, "--workers") == 0 && (value = next())) {
+      ok = parse_bounded(value, 0, kMaxCount, args.workers);
+    } else if (std::strcmp(flag, "--reps") == 0 && (value = next())) {
+      ok = parse_bounded(value, 1, kMaxCount, args.repetitions);
+    } else if (std::strcmp(flag, "--rounds") == 0 && (value = next())) {
+      ok = parse_bounded(value, 1, kMaxCount, args.rounds);
+    } else if (std::strcmp(flag, "--seed") == 0 && (value = next())) {
+      ok = parse_bounded(value, 0, UINT64_MAX, args.seed);
+    } else if (std::strcmp(flag, "--slow-ms") == 0 && (value = next())) {
+      ok = parse_bounded(value, 0, 60'000, args.slow_ms);
+    } else if (std::strcmp(flag, "--smoke") == 0) {
       args.smoke = true;
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[a]);
+      std::fprintf(stderr, "unknown argument: %s\n", flag);
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad %s: %s\n", flag, value);
       return false;
     }
   }
-  return !args.base.empty() && args.shards >= 1;
+  return !args.base.empty();
 }
 
 /// The shared campaign definition every subcommand (and every process)
