@@ -1,6 +1,5 @@
 #include "dns/auth_server.h"
 
-#include "dns/message_pool.h"
 #include "util/strings.h"
 
 namespace lazyeye::dns {
@@ -8,16 +7,12 @@ namespace lazyeye::dns {
 AuthServer::AuthServer(simnet::Host& host, std::uint16_t port)
     : host_{host},
       port_{port},
-      query_scratch_{MessagePool::local().acquire()},
-      response_scratch_{MessagePool::local().acquire()} {
+      zones_{host.network().memory()},
+      query_log_{host.network().memory()} {
   host_.udp_bind(port_, [this](const simnet::Packet& p) { on_query(p); });
 }
 
-AuthServer::~AuthServer() {
-  host_.udp_unbind(port_);
-  MessagePool::local().release(std::move(query_scratch_));
-  MessagePool::local().release(std::move(response_scratch_));
-}
+AuthServer::~AuthServer() { host_.udp_unbind(port_); }
 
 Zone& AuthServer::add_zone(DnsName origin) {
   zones_.push_back(std::make_unique<Zone>(std::move(origin),
@@ -32,11 +27,12 @@ Zone& AuthServer::add_zone(std::unique_ptr<Zone> zone) {
 
 void AuthServer::on_query(const simnet::Packet& packet) {
   ++queries_received_;
-  if (!DnsMessage::decode_into(packet.payload, query_scratch_) ||
-      query_scratch_.questions.empty()) {
+  if (!DnsMessage::decode_into(packet.payload, *query_scratch_) ||
+      query_scratch_->questions.empty()) {
     return;  // not a parsable query: ignore
   }
-  const DnsMessage& query = query_scratch_;
+  const DnsMessage& query = *query_scratch_;
+  DnsMessage& response = *response_scratch_;
   const Question& q = query.questions.front();
 
   query_log_.push_back(QueryLogEntry{host_.network().loop().now(),
@@ -44,7 +40,7 @@ void AuthServer::on_query(const simnet::Packet& packet) {
                                      q.name, q.type, query.header.id});
   if (unresponsive_) return;
 
-  build_response(query, response_scratch_);
+  build_response(query, response);
   SimTime delay = response_delay(q.name, q.type);
   const simnet::Endpoint from = packet.dst;
   const simnet::Endpoint to = packet.src;
@@ -53,21 +49,21 @@ void AuthServer::on_query(const simnet::Packet& packet) {
     // Fault-injection slow path (conformance layer). Kept out of the fast
     // path so measurement campaigns with no interposer are untouched.
     ResponseDirectives directives;
-    interposer_(query, response_scratch_, delay, directives);
+    interposer_(query, response, delay, directives);
     for (InterposedDatagram& extra : directives.extra) {
       send_response(from, to, simnet::Buffer::adopt(std::move(extra.wire)),
                     extra.delay);
     }
     if (directives.drop) return;
     simnet::Buffer wire{&host_.network().buffer_pool()};
-    response_scratch_.encode_into(wire, compressor_);
+    response.encode_into(wire, *compressor_);
     if (directives.mutate_wire) directives.mutate_wire(wire.heap_storage());
     send_response(from, to, std::move(wire), delay);
     return;
   }
 
   simnet::Buffer wire{&host_.network().buffer_pool()};
-  response_scratch_.encode_into(wire, compressor_);
+  response.encode_into(wire, *compressor_);
   send_response(from, to, std::move(wire), delay);
 }
 
@@ -162,8 +158,8 @@ void AuthServer::build_response(const DnsMessage& query,
   // intermediate LookupResult vector per response.
   chase_scratch_ = q.name;
   for (int chase = 0; chase < 8; ++chase) {
-    best->lookup_into(chase_scratch_, q.type, lookup_scratch_);
-    const Zone::LookupRefs& result = lookup_scratch_;
+    best->lookup_into(chase_scratch_, q.type, *lookup_scratch_);
+    const Zone::LookupRefs& result = *lookup_scratch_;
     switch (result.kind) {
       case Zone::RcodeKind::kAnswer:
         for (const auto* rr : result.records) answers.put(*rr);

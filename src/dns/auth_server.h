@@ -13,10 +13,12 @@
 #pragma once
 
 #include <memory>
+#include <memory_resource>
 #include <vector>
 
 #include "dns/interpose.h"
 #include "dns/message.h"
+#include "dns/message_pool.h"
 #include "dns/test_params.h"
 #include "dns/zone.h"
 #include "simnet/host.h"
@@ -66,7 +68,9 @@ class AuthServer {
     interposer_ = std::move(hook);
   }
 
-  const std::vector<QueryLogEntry>& query_log() const { return query_log_; }
+  const std::pmr::vector<QueryLogEntry>& query_log() const {
+    return query_log_;
+  }
 
   std::uint64_t queries_received() const { return queries_received_; }
 
@@ -80,20 +84,21 @@ class AuthServer {
 
   simnet::Host& host_;
   std::uint16_t port_;
-  std::vector<std::unique_ptr<Zone>> zones_;
+  std::pmr::vector<std::unique_ptr<Zone>> zones_;
   std::vector<DelayRule> delay_rules_;
-  std::vector<QueryLogEntry> query_log_;
+  // In the world's memory: the log grows on retained arena chunks.
+  std::pmr::vector<QueryLogEntry> query_log_;
   bool unresponsive_ = false;
   std::uint64_t queries_received_ = 0;
   ResponseInterposer interposer_;
   // Decode/encode scratch reused across queries (single-threaded per host).
-  // The message envelopes check out of the thread-local MessagePool so their
-  // capacity survives this server's world.
-  DnsMessage query_scratch_;
-  DnsMessage response_scratch_;
-  Zone::LookupRefs lookup_scratch_;
-  DnsName chase_scratch_;  // CNAME-chase cursor, capacity reused per response
-  NameCompressor compressor_;
+  // It checks out of the thread-local scratch pools, so its capacity also
+  // survives this server's world.
+  Pooled<DnsMessage> query_scratch_;
+  Pooled<DnsMessage> response_scratch_;
+  Pooled<Zone::LookupRefs> lookup_scratch_;
+  Pooled<NameCompressor> compressor_;
+  DnsName chase_scratch_;  // CNAME-chase cursor
 };
 
 }  // namespace lazyeye::dns

@@ -1,19 +1,9 @@
 #include "dns/client.h"
 
-#include "dns/message_pool.h"
-
 namespace lazyeye::dns {
 
 DnsClient::DnsClient(simnet::Host& host)
-    : host_{host},
-      transactions_{host.network().memory()},
-      query_scratch_{MessagePool::local().acquire()},
-      response_scratch_{MessagePool::local().acquire()} {}
-
-DnsClient::~DnsClient() {
-  MessagePool::local().release(std::move(query_scratch_));
-  MessagePool::local().release(std::move(response_scratch_));
-}
+    : host_{host}, transactions_{host.network().memory()} {}
 
 std::uint64_t DnsClient::query(const simnet::Endpoint& server,
                                const DnsName& name, RrType type,
@@ -66,14 +56,15 @@ void DnsClient::send_attempt(std::uint64_t handle) {
   const auto src_addr = host_.address(txn.server.addr.family());
   // Build the query in the reused scratch envelope and serialise it into a
   // pooled buffer: the steady-state send path recycles both.
-  query_scratch_.header = DnsHeader{};
-  query_scratch_.header.id = txn.txn_id;
-  query_scratch_.header.rd = txn.recursion_desired;
-  query_scratch_.questions.resize(1);
-  query_scratch_.questions.front().name = txn.name;
-  query_scratch_.questions.front().type = txn.type;
+  DnsMessage& query = *query_scratch_;
+  query.header = DnsHeader{};
+  query.header.id = txn.txn_id;
+  query.header.rd = txn.recursion_desired;
+  query.questions.resize(1);
+  query.questions.front().name = txn.name;
+  query.questions.front().type = txn.type;
   simnet::Buffer wire{&host_.network().buffer_pool()};
-  query_scratch_.encode_into(wire, compressor_);
+  query.encode_into(wire, *compressor_);
   host_.udp_send({*src_addr, txn.local_port}, txn.server, std::move(wire));
 
   txn.timer = loop.schedule_after(txn.options.timeout,
@@ -88,10 +79,10 @@ void DnsClient::on_datagram(std::uint64_t handle,
 
   // Decode into the reused scratch message; rejected datagrams (garbage,
   // wrong id, off-path) never cost a fresh message's allocations.
-  if (!DnsMessage::decode_into(packet.payload, response_scratch_)) {
+  DnsMessage& msg = *response_scratch_;
+  if (!DnsMessage::decode_into(packet.payload, msg)) {
     return;  // garbage: keep waiting
   }
-  DnsMessage& msg = response_scratch_;
   if (!msg.header.qr || msg.header.id != txn.txn_id) return;
   if (packet.src != txn.server) return;  // off-path response
 
@@ -100,12 +91,16 @@ void DnsClient::on_datagram(std::uint64_t handle,
   outcome.rcode = msg.header.rcode;
   outcome.rtt = host_.network().loop().now() - txn.first_send;
   // Swap the decoded message out against a pooled envelope: the scratch gets
-  // recycled capacity for the next decode instead of re-growing, and
-  // finish() returns the outcome's message to the pool afterwards.
+  // recycled capacity for the next decode instead of re-growing.
   outcome.response = MessagePool::local().acquire();
-  std::swap(outcome.response, response_scratch_);
+  std::swap(outcome.response, msg);
   if (!outcome.ok) outcome.error = rcode_name(outcome.rcode);
-  finish(handle, std::move(outcome));
+  finish(handle, outcome);
+  // The handler received a const ref; reclaim the response envelope —
+  // contents and all, since decode_into() assigns sections in place. Only
+  // envelopes checked out here go back: returning a timeout's empty one
+  // too would push warm envelopes out of the capped pool.
+  MessagePool::local().release(std::move(outcome.response));
 }
 
 void DnsClient::on_timeout(std::uint64_t handle) {
@@ -119,10 +114,10 @@ void DnsClient::on_timeout(std::uint64_t handle) {
   QueryOutcome outcome;
   outcome.error = "timeout";
   outcome.rtt = host_.network().loop().now() - txn.first_send;
-  finish(handle, std::move(outcome));
+  finish(handle, outcome);
 }
 
-void DnsClient::finish(std::uint64_t handle, QueryOutcome outcome) {
+void DnsClient::finish(std::uint64_t handle, const QueryOutcome& outcome) {
   const auto it = transactions_.find(handle);
   if (it == transactions_.end()) return;
   Handler handler = std::move(it->second.handler);
@@ -130,9 +125,6 @@ void DnsClient::finish(std::uint64_t handle, QueryOutcome outcome) {
   host_.udp_unbind(it->second.local_port);
   transactions_.erase(it);
   handler(outcome);
-  // The handler received a const ref; reclaim the response envelope —
-  // contents and all, since decode_into() assigns sections in place.
-  MessagePool::local().release(std::move(outcome.response));
 }
 
 }  // namespace lazyeye::dns

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "dns/message.h"
+#include "dns/message_pool.h"
 #include "simnet/host.h"
 #include "simnet/network.h"
 #include "util/time.h"
@@ -35,7 +36,6 @@ class DnsClient {
   using Handler = std::function<void(const QueryOutcome&)>;
 
   explicit DnsClient(simnet::Host& host);
-  ~DnsClient();
 
   DnsClient(const DnsClient&) = delete;
   DnsClient& operator=(const DnsClient&) = delete;
@@ -72,7 +72,7 @@ class DnsClient {
   void send_attempt(std::uint64_t handle);
   void on_datagram(std::uint64_t handle, const simnet::Packet& packet);
   void on_timeout(std::uint64_t handle);
-  void finish(std::uint64_t handle, QueryOutcome outcome);
+  void finish(std::uint64_t handle, const QueryOutcome& outcome);
 
   simnet::Host& host_;
   // Node storage from the world's arena: transaction churn lands on retained
@@ -82,12 +82,13 @@ class DnsClient {
   // Scratch reused across sends/receives (single-threaded per host): the
   // query envelope, the name-compression table, and the decode target keep
   // their capacity, so a steady-state query round trip barely allocates.
-  // Checked out of the thread-local MessagePool so the capacity also
+  // Checked out of the thread-local scratch pools so the capacity also
   // survives this client's world: consecutive cells on a worker thread
-  // reuse the same section/label storage instead of re-growing it.
-  DnsMessage query_scratch_;
-  DnsMessage response_scratch_;
-  NameCompressor compressor_;
+  // reuse the same section and compression storage instead of re-growing
+  // it.
+  Pooled<DnsMessage> query_scratch_;
+  Pooled<DnsMessage> response_scratch_;
+  Pooled<NameCompressor> compressor_;
 };
 
 }  // namespace lazyeye::dns

@@ -1,5 +1,7 @@
 #include "dns/message.h"
 
+#include <array>
+
 #include "util/strings.h"
 
 namespace lazyeye::dns {
@@ -13,20 +15,33 @@ constexpr std::uint16_t kClassIn = 1;
 constexpr std::size_t kMinQuestionBytes = 5;
 constexpr std::size_t kMinRecordBytes = 11;
 
+/// Appends `values` as big-endian u16s with one insert: the fixed-width
+/// fields of a header, question or record go out together.
+template <std::size_t N>
+void put_u16s(std::vector<std::uint8_t>& out,
+              const std::array<std::uint16_t, N>& values) {
+  std::array<std::uint8_t, 2 * N> bytes;
+  for (std::size_t i = 0; i < N; ++i) {
+    bytes[2 * i] = static_cast<std::uint8_t>(values[i] >> 8);
+    bytes[2 * i + 1] = static_cast<std::uint8_t>(values[i] & 0xFF);
+  }
+  out.insert(out.end(), bytes.begin(), bytes.end());
+}
+
 void encode_record(const ResourceRecord& rr, std::vector<std::uint8_t>& out,
                    NameCompressor* compression) {
   rr.name.encode(out, compression);
-  wire::put_u16(out, static_cast<std::uint16_t>(rr.type));
+  // For OPT the class field carries the advertised UDP payload size.
+  std::uint16_t klass = kClassIn;
   if (rr.type == RrType::kOpt) {
-    // For OPT the class field carries the advertised UDP payload size.
     const auto* opt = std::get_if<OptRdata>(&rr.rdata);
-    wire::put_u16(out, opt != nullptr ? opt->udp_payload_size : 1232);
-  } else {
-    wire::put_u16(out, kClassIn);
+    klass = opt != nullptr ? opt->udp_payload_size : 1232;
   }
-  wire::put_u32(out, rr.ttl);
-  const std::size_t len_at = out.size();
-  wire::put_u16(out, 0);  // placeholder rdlength
+  const std::size_t len_at = out.size() + 8;
+  put_u16s<5>(out, {static_cast<std::uint16_t>(rr.type), klass,
+                    static_cast<std::uint16_t>(rr.ttl >> 16),
+                    static_cast<std::uint16_t>(rr.ttl & 0xFFFF),
+                    0});  // placeholder rdlength
   encode_rdata(rr, out, compression);
   wire::set_u16(out, len_at,
                 static_cast<std::uint16_t>(out.size() - len_at - 2));
@@ -87,7 +102,6 @@ void DnsMessage::encode_into(std::vector<std::uint8_t>& out,
                              NameCompressor& compression) const {
   compression.clear();
 
-  wire::put_u16(out, header.id);
   std::uint16_t flags = 0;
   if (header.qr) flags |= 0x8000;
   flags |= static_cast<std::uint16_t>((header.opcode & 0x0F) << 11);
@@ -96,16 +110,15 @@ void DnsMessage::encode_into(std::vector<std::uint8_t>& out,
   if (header.rd) flags |= 0x0100;
   if (header.ra) flags |= 0x0080;
   flags |= static_cast<std::uint16_t>(header.rcode) & 0x0F;
-  wire::put_u16(out, flags);
-  wire::put_u16(out, static_cast<std::uint16_t>(questions.size()));
-  wire::put_u16(out, static_cast<std::uint16_t>(answers.size()));
-  wire::put_u16(out, static_cast<std::uint16_t>(authorities.size()));
-  wire::put_u16(out, static_cast<std::uint16_t>(additionals.size()));
+  put_u16s<6>(out, {header.id, flags,
+                    static_cast<std::uint16_t>(questions.size()),
+                    static_cast<std::uint16_t>(answers.size()),
+                    static_cast<std::uint16_t>(authorities.size()),
+                    static_cast<std::uint16_t>(additionals.size())});
 
   for (const Question& q : questions) {
     q.name.encode(out, &compression);
-    wire::put_u16(out, static_cast<std::uint16_t>(q.type));
-    wire::put_u16(out, kClassIn);
+    put_u16s<2>(out, {static_cast<std::uint16_t>(q.type), kClassIn});
   }
   for (const auto& rr : answers) encode_record(rr, out, &compression);
   for (const auto& rr : authorities) encode_record(rr, out, &compression);

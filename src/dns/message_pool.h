@@ -1,21 +1,26 @@
-// Thread-local recycling pool for DnsMessage scratch envelopes.
+// Thread-local recycling pools for the DNS layer's scratch state: message
+// envelopes, name compressors, zone lookup results and address lists.
 //
-// The codec's decode_into()/encode_into() entry points make a *warm* message
+// The codec's decode_into()/encode_into() entry points make *warm* scratch
 // cheap to reuse, but every simulated world builds fresh DnsClient/AuthServer
-// objects whose scratch envelopes start cold — so short-lived cells paid the
-// full section/label growth cost on every build. Checking scratch envelopes
-// out of a thread-local pool lets that capacity survive across consecutive
-// cells on the same worker thread, the same way ScenarioPool retains arena
-// chunks and packet buffers.
+// /StubResolver objects whose scratch would start cold — so short-lived
+// cells paid the full growth cost (section vectors, compression entries,
+// lookup pointers) on every build. Checking scratch out of a thread-local
+// pool lets that capacity survive across consecutive cells on the same
+// worker thread, the same way ScenarioPool retains arena chunks and packet
+// buffers.
 //
 // Thread-locality matches the execution model: a cell runs entirely on one
-// worker thread, so no synchronisation is needed and a message never moves
-// between threads. Released messages keep their decoded contents (sections
-// are NOT cleared) — decode_into() resizes to the wire counts and assigns
-// elements in place, so stale elements are exactly the storage being
-// recycled.
+// worker thread, so no synchronisation is needed and scratch never moves
+// between threads. Released values keep their contents (a message's
+// sections are NOT cleared): every user overwrites its scratch before
+// reading it — decode_into() resizes to the wire counts and assigns
+// elements in place, encode_into() clears its compressor, lookup_into() and
+// addresses_for_into() clear their outputs — so stale contents are exactly
+// the storage being recycled.
 #pragma once
 
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -23,52 +28,62 @@
 
 namespace lazyeye::dns {
 
-class MessagePool {
+/// One thread's idle values of type T.
+template <typename T>
+class ScratchPool {
  public:
   /// This thread's pool.
-  static MessagePool& local() {
-    thread_local MessagePool pool;
+  static ScratchPool& local() {
+    thread_local ScratchPool pool;
     return pool;
   }
 
-  /// Checks out a message (warm capacity when available).
-  DnsMessage acquire() {
-    if (idle_.empty()) return DnsMessage{};
-    DnsMessage msg = std::move(idle_.back());
+  /// Checks out a value (warm capacity when available).
+  T acquire() {
+    if (idle_.empty()) return T{};
+    T value = std::move(idle_.back());
     idle_.pop_back();
-    return msg;
+    return value;
   }
 
-  /// Returns a message to the pool. Contents are retained deliberately —
-  /// see the header comment. Beyond the cap the message is simply dropped.
-  void release(DnsMessage&& msg) {
-    if (idle_.size() < kCap) idle_.push_back(std::move(msg));
+  /// Returns a value to the pool. Contents are retained deliberately —
+  /// see the header comment. Beyond the cap the value is simply dropped.
+  void release(T&& value) {
+    if (idle_.size() < kCap) idle_.push_back(std::move(value));
   }
 
   std::size_t idle() const { return idle_.size(); }
 
  private:
-  // Enough for the worst simultaneous residency per thread (client query +
-  // response + outcome envelopes, server query + response, analysis scratch)
-  // with headroom; keeps a stuck thread from hoarding unbounded capacity.
+  // Enough for the worst simultaneous residency per thread (for messages:
+  // client query + response + outcome envelopes, server query + response,
+  // analysis scratch) with headroom; keeps a stuck thread from hoarding
+  // unbounded capacity.
   static constexpr std::size_t kCap = 16;
-  std::vector<DnsMessage> idle_;
+  std::vector<T> idle_;
 };
 
-/// RAII checkout: `PooledMessage msg; use(*msg);` — releases on destruction.
-class PooledMessage {
+using MessagePool = ScratchPool<DnsMessage>;
+
+/// RAII checkout: `Pooled<T> x; use(*x);` — releases on destruction.
+template <typename T>
+class Pooled {
  public:
-  PooledMessage() : msg_{MessagePool::local().acquire()} {}
-  ~PooledMessage() { MessagePool::local().release(std::move(msg_)); }
+  Pooled() : value_{ScratchPool<T>::local().acquire()} {}
+  ~Pooled() { ScratchPool<T>::local().release(std::move(value_)); }
 
-  PooledMessage(const PooledMessage&) = delete;
-  PooledMessage& operator=(const PooledMessage&) = delete;
+  Pooled(const Pooled&) = delete;
+  Pooled& operator=(const Pooled&) = delete;
 
-  DnsMessage& operator*() { return msg_; }
-  DnsMessage* operator->() { return &msg_; }
+  T& operator*() { return value_; }
+  const T& operator*() const { return value_; }
+  T* operator->() { return &value_; }
+  const T* operator->() const { return &value_; }
 
  private:
-  DnsMessage msg_;
+  T value_;
 };
+
+using PooledMessage = Pooled<DnsMessage>;
 
 }  // namespace lazyeye::dns

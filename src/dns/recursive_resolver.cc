@@ -33,11 +33,11 @@ RecursiveResolver::RecursiveResolver(simnet::Host& host,
 void RecursiveResolver::serve(std::uint16_t port) {
   serve_port_ = port;
   host_.udp_bind(port, [this](const simnet::Packet& packet) {
-    if (!DnsMessage::decode_into(packet.payload, serve_scratch_) ||
-        serve_scratch_.questions.empty()) {
+    if (!DnsMessage::decode_into(packet.payload, *serve_scratch_) ||
+        serve_scratch_->questions.empty()) {
       return;
     }
-    const DnsMessage& query = serve_scratch_;
+    const DnsMessage& query = *serve_scratch_;
     const Question& q = query.questions.front();
     const simnet::Endpoint reply_from = packet.dst;
     const simnet::Endpoint reply_to = packet.src;
@@ -78,7 +78,7 @@ void RecursiveResolver::serve(std::uint16_t port) {
                 }
                 if (directives.drop) return;
                 simnet::Buffer wire{&host_.network().buffer_pool()};
-                response.encode_into(wire, serve_compressor_);
+                response.encode_into(wire, *serve_compressor_);
                 if (directives.mutate_wire) {
                   directives.mutate_wire(wire.heap_storage());
                 }
@@ -96,7 +96,7 @@ void RecursiveResolver::serve(std::uint16_t port) {
               }
 
               simnet::Buffer wire{&host_.network().buffer_pool()};
-              response.encode_into(wire, serve_compressor_);
+              response.encode_into(wire, *serve_compressor_);
               host_.udp_send(reply_from, reply_to, std::move(wire));
             });
   });

@@ -15,6 +15,7 @@
 
 #include "dns/client.h"
 #include "dns/interpose.h"
+#include "dns/message_pool.h"
 #include "dns/resolver_profile.h"
 
 namespace lazyeye::dns {
@@ -137,9 +138,10 @@ class RecursiveResolver {
   std::uint64_t next_job_id_ = 1;
   std::uint16_t serve_port_ = 0;
   ResponseInterposer serve_interposer_;
-  // Decode/encode scratch for the serve() front-end (single-threaded).
-  DnsMessage serve_scratch_;
-  NameCompressor serve_compressor_;
+  // Decode/encode scratch for the serve() front-end (single-threaded),
+  // checked out of the thread-local scratch pools.
+  Pooled<DnsMessage> serve_scratch_;
+  Pooled<NameCompressor> serve_compressor_;
 };
 
 }  // namespace lazyeye::dns

@@ -98,8 +98,8 @@ void StubResolver::deliver(std::uint64_t handle, RrType type,
       // destroy the function object mid-invocation (engine handlers are
       // small, so the copy stays in the inline buffer).
       auto on_records = req.dual.on_records;
-      outcome.response.addresses_for_into(req.name, type, addr_scratch_);
-      on_records(type, addr_scratch_, outcome.rtt);
+      outcome.response.addresses_for_into(req.name, type, *addr_scratch_);
+      on_records(type, *addr_scratch_, outcome.rtt);
     }
   } else {
     if (req.dual.on_error) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dns/client.h"
+#include "dns/message_pool.h"
 
 namespace lazyeye::dns {
 
@@ -88,8 +89,9 @@ class StubResolver {
   simnet::Host& host_;
   StubOptions options_;
   DnsClient client_;
-  // Reused by deliver(): keeps its capacity across responses.
-  std::vector<simnet::IpAddress> addr_scratch_;
+  // Reused by deliver(): keeps its capacity across responses and, checked
+  // out of the thread-local scratch pool, across worlds.
+  Pooled<std::vector<simnet::IpAddress>> addr_scratch_;
   // Request/query nodes from the world's arena (see DnsClient).
   std::pmr::map<std::uint64_t, Request> requests_;
   std::uint64_t next_handle_ = 1;

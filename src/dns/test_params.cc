@@ -29,15 +29,25 @@ bool add_delay(TestParams& out, RrType type, SimTime delay) {
   return true;
 }
 
-/// Parses one "d<ms>-<type>" label; returns false if it is not one.
+/// The most milliseconds one delay label may carry: one day. SimTime counts
+/// nanoseconds in an int64, so a larger label would overflow ms(); at this
+/// cap even the sum over the <= 63 labels of a 255-octet name stays in
+/// range.
+constexpr std::uint64_t kMaxDelayMs = 24ull * 60 * 60 * 1000;
+
+/// Parses one "d<ms>-<type>" label; returns false if it is not one (a
+/// label above kMaxDelayMs is not).
 bool parse_delay_label(std::string_view label, TestParams& out) {
   if (label.size() < 4 || label[0] != 'd') return false;
   const auto dash = label.find('-');
   if (dash == std::string_view::npos || dash < 2) return false;
-  const auto ms_value = lazyeye::parse_u64(label.substr(1, dash - 1));
-  if (!ms_value) return false;
+  std::int64_t ms_value = 0;
+  if (!lazyeye::parse_bounded(label.substr(1, dash - 1), 0, kMaxDelayMs,
+                              ms_value)) {
+    return false;
+  }
   const std::string_view type_str = label.substr(dash + 1);
-  const SimTime delay = lazyeye::ms(static_cast<std::int64_t>(*ms_value));
+  const SimTime delay = lazyeye::ms(ms_value);
   if (type_str == "all") {
     out.all_delay += delay;
     return true;

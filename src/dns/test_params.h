@@ -6,7 +6,8 @@
 // in the name):
 //
 //   d<ms>-<type>     delay responses to queries of <type> by <ms> milliseconds
-//                    (<type> in {a, aaaa, ns, svcb, https, all})
+//                    (<type> in {a, aaaa, ns, svcb, https, all}; <ms> at most
+//                    one day, 86400000 — a larger value is no delay label)
 //   n<alnum>         nonce label (ignored by the server, unique per test run)
 //
 // Example: n42x7.d250-aaaa.rd-test.he.lab

@@ -10,7 +10,9 @@
 // with and without malformed DNS wire. A byte counter beside the call counter
 // also bounds what decoding malformed DNS wire, conformance records and
 // fault schedules may allocate. A warm DNS encode into a pooled buffer and a
-// warm DNS decode into a scratch message must allocate nothing at all.
+// warm DNS decode into a scratch message must allocate nothing at all, and
+// neither may copying a lab-sized name or decoding a response inside a warm
+// cell world.
 // Counting (not timing) keeps the gates deterministic on 1-core CI runners
 // and under sanitizers.
 #include <algorithm>
@@ -29,9 +31,12 @@
 #include "conformance/record_codec.h"
 #include "conformance/schedule.h"
 #include "dns/message.h"
+#include "dns/message_pool.h"
 #include "dns/name.h"
+#include "dns/test_params.h"
 #include "simnet/buffer.h"
 #include "testbed/testbed.h"
+#include "testbed/world.h"
 #include "util/rng.h"
 #include "util/wire.h"
 
@@ -61,27 +66,28 @@ namespace {
 // variation, without letting a per-cell cost creep back in.
 constexpr std::uint64_t kSlack = 1;
 
-// 6x under the ~406-allocation baseline the overhaul started from. A warm
-// CAD cell measures 65 (Debug, Release and ASan+UBSan) on GCC 12.2.
-constexpr std::uint64_t kCadCellBudget = 65 + kSlack;
+// 12x under the ~406-allocation baseline the overhaul started from. A warm
+// CAD cell measures 32 (Debug, Release and ASan+UBSan) on GCC 12.2.
+constexpr std::uint64_t kCadCellBudget = 32 + kSlack;
 
 // A single-fault conformance cell (kTcpReset on Chrome, two fetches)
-// measures 97 warm (Debug, Release and ASan+UBSan) on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kFaultCellBudget = 97 + kSlack;
+// measures 60 warm (Debug, Release and ASan+UBSan) on GCC 12.2 / libstdc++.
+constexpr std::uint64_t kFaultCellBudget = 60 + kSlack;
 
 // A compound-schedule cell (generated schedules without malformed-DNS
-// entries, two fetches on Chrome) measures 105 warm (Debug, Release and
+// entries, two fetches on Chrome) measures 64 warm (Debug, Release and
 // ASan+UBSan) on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kScheduleCellBudget = 105 + kSlack;
+constexpr std::uint64_t kScheduleCellBudget = 64 + kSlack;
 
 // A compound-schedule cell whose schedule truncates or corrupts DNS wire
-// (same generator, same client) measures 107 warm (Debug, Release and
+// (same generator, same client) measures 61 warm (Debug, Release and
 // ASan+UBSan) on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kMalformedDnsCellBudget = 107 + kSlack;
+constexpr std::uint64_t kMalformedDnsCellBudget = 61 + kSlack;
 
 // Decoding one malformed wire into a fresh DnsMessage may allocate at most
-// this many bytes per wire byte; the seeded corpus below peaks at 10.3
-// (983 bytes for a 95-byte wire).
+// this many bytes per wire byte; the seeded corpus below peaks at 10.2
+// (768 bytes for a 75-byte wire; a ResourceRecord is 232 bytes with its
+// inline names).
 // A decoder that sizes storage from header counts instead of input length
 // blows through it by orders of magnitude. The conformance record and fault
 // schedule decoders are held to the same bound; their corpus peaks at 5.4
@@ -402,6 +408,60 @@ TEST(CellAllocTest, WarmDnsDecodeIntoAllocatesNothing) {
   EXPECT_EQ(after - before, 0u)
       << "warm decode_into touched the heap (" << (after - before)
       << " allocations over " << kDecodes << " decodes)";
+}
+
+TEST(CellAllocTest, WarmCellWorldCopiesNamesAndDecodesResponsesOffTheHeap) {
+  // Warm this thread's pools with real cells, then stand inside one more
+  // cell's world: the names it serves sit past libstdc++'s 15-byte
+  // small-string buffer, so only inline DnsName storage keeps copying them
+  // (query log, zone records, response sections, capture exchanges) and
+  // decoding responses that carry them off the heap.
+  const auto profile = clients::chromium_profile("Chrome", "130.0", "10-2024");
+  testbed::LocalTestbed bed;
+  for (int i = 0; i < kWarmupCells; ++i) bed.run_cad_case(profile, ms(50), i);
+  const auto world = testbed::build_two_node_world(
+      profile, dns::DnsName::must_parse("cad.he-test.lab"), 1, kWarmupCells);
+  const dns::DnsName& origin = world->zone->origin();
+  const dns::DnsName qname = dns::make_test_name(
+      origin, "123456", {{dns::RrType::kAaaa, ms(300)}});
+  ASSERT_GT(qname.wire_length(), 16u);
+  ASSERT_LE(qname.wire_length(), dns::DnsName::kInlineBytes + 1);
+
+  const auto response = [&](dns::RrType type) {
+    dns::DnsMessage msg = dns::DnsMessage::make_response(
+        dns::DnsMessage::make_query(7, qname, type));
+    msg.header.aa = true;
+    msg.answers.push_back(
+        type == dns::RrType::kA
+            ? dns::ResourceRecord::a(
+                  qname, *simnet::Ipv4Address::parse("192.0.2.1"))
+            : dns::ResourceRecord::aaaa(
+                  qname, *simnet::Ipv6Address::parse("2001:db8::1")));
+    return msg.encode();
+  };
+  const std::vector<std::uint8_t> a_wire = response(dns::RrType::kA);
+  const std::vector<std::uint8_t> aaaa_wire = response(dns::RrType::kAaaa);
+  dns::PooledMessage scratch;
+  ASSERT_TRUE(dns::DnsMessage::decode_into(aaaa_wire, *scratch));
+
+  constexpr int kRounds = 100;
+  bool ok = true;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kRounds; ++i) {
+    dns::DnsName copy = qname;
+    copy = origin;
+    copy = scratch->questions.front().name;
+    ok = dns::DnsMessage::decode_into(i % 2 == 0 ? a_wire : aaaa_wire,
+                                      *scratch) &&
+         ok && copy == qname;
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(scratch->answers.front().name, qname);
+  EXPECT_EQ(after - before, 0u)
+      << "name copies or warm response decodes in a cell world touched the "
+         "heap ("
+      << (after - before) << " allocations over " << kRounds << " rounds)";
 }
 
 // The run itself must still mean something: a cell that silently stopped

@@ -9,6 +9,7 @@
 #include "dns/name.h"
 #include "dns/rr.h"
 #include "dns/test_params.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/wire.h"
 
@@ -540,6 +541,35 @@ TEST(TestParamsTest, MakeTestNameRoundTrip) {
   EXPECT_EQ(params->delay_for(RrType::kAaaa), ms(300));
 }
 
+TEST(TestParamsTest, DelayLabelsAboveOneDayAreNotDelays) {
+  // One day is the largest delay a label carries.
+  const auto day = parse_test_params(DnsName::must_parse("d86400000-a.x.lab"));
+  ASSERT_TRUE(day);
+  EXPECT_EQ(day->delay_for(RrType::kA), sec(86400));
+  // Past it the label is no delay label: before the cap these overflowed
+  // ms()'s multiply (10^13 ms) or wrapped to a negative delay (> INT64_MAX).
+  for (const char* text :
+       {"d86400001-a.x.lab", "d10000000000000-aaaa.x.lab",
+        "d9223372036854775808-a.x.lab", "d18446744073709551615-all.x.lab",
+        "d99999999999999999999-a.x.lab"}) {
+    EXPECT_FALSE(parse_test_params(DnsName::must_parse(text))) << text;
+  }
+  // Such a label beside a real one leaves the real one's delay alone.
+  const auto mixed = parse_test_params(
+      DnsName::must_parse("n7.d10000000000000-aaaa.d250-aaaa.x.lab"));
+  ASSERT_TRUE(mixed);
+  EXPECT_EQ(mixed->delay_for(RrType::kAaaa), ms(250));
+  // The most max-delay labels a 255-octet name holds still sum in range.
+  std::string text;
+  int labels = 0;
+  for (; text.size() + 14 + 3 <= 253; ++labels) text += "d86400000-all.";
+  text += "lab";
+  const auto summed = parse_test_params(DnsName::must_parse(text));
+  ASSERT_TRUE(summed);
+  EXPECT_EQ(summed->delay_for(RrType::kA), sec(86400) * labels);
+  EXPECT_GT(summed->delay_for(RrType::kA), SimTime{0});
+}
+
 TEST(TestParamsTest, NonceMakesNamesUnique) {
   const auto base = DnsName::must_parse("t.lab");
   const auto n1 = make_test_name(base, "1", {});
@@ -691,6 +721,118 @@ TEST(DnsMessageTest, MutatorsAreSeedDeterministic) {
     EXPECT_EQ(wa, wb) << conformance::fault_kind_name(kind);
     EXPECT_NE(wa, pristine) << conformance::fault_kind_name(kind);
   }
+}
+
+// ------------------------------------------------ decoder behaviour pin ----
+// Two crc32 digests over the seeded malformed corpus pin what the decoder
+// does with every input: which messages it accepts, the error string of
+// each rejection, the re-encoded bytes of each acceptance, and, for a name
+// decoded at every offset of every input, whether it parses, where the
+// reader stops and the name it yields. A decoder rewrite must leave both
+// digests unchanged: same inputs accepted, same values decoded.
+
+/// Lab-shaped responses (the cell_alloc_test corpus's pristine set): an A
+/// answer, an AAAA answer, an HTTPS record with hints, and a referral.
+std::vector<std::vector<std::uint8_t>> lab_responses() {
+  const DnsName name = DnsName::must_parse("www.he-test.lab");
+  const auto v4 = *Ipv4Address::parse("192.0.2.80");
+  const auto v6 = *Ipv6Address::parse("2001:db8::80");
+  const auto response = [&](RrType type) {
+    return DnsMessage::make_response(DnsMessage::make_query(1, name, type));
+  };
+  DnsMessage a = response(RrType::kA);
+  a.answers.push_back(ResourceRecord::a(name, v4));
+  DnsMessage aaaa = response(RrType::kAaaa);
+  aaaa.answers.push_back(ResourceRecord::aaaa(name, v6));
+  DnsMessage https = response(RrType::kHttps);
+  SvcbRdata svcb;
+  svcb.set_alpn({"h3", "h2"});
+  svcb.set_ipv4_hints({v4});
+  svcb.set_ipv6_hints({v6});
+  https.answers.push_back(ResourceRecord::svcb(name, svcb, /*https=*/true));
+  DnsMessage referral = response(RrType::kA);
+  const DnsName ns = DnsName::must_parse("ns1.he-test.lab");
+  referral.authorities.push_back(
+      ResourceRecord::ns(DnsName::must_parse("he-test.lab"), ns));
+  referral.additionals.push_back(ResourceRecord::a(ns, v4));
+  referral.additionals.push_back(ResourceRecord::aaaa(ns, v6));
+  return {a.encode(), aaaa.encode(), https.encode(), referral.encode()};
+}
+
+/// Every pristine response, 100 seeded truncations and 100 seeded
+/// corruptions of each, and 500 garbage datagrams.
+std::vector<std::vector<std::uint8_t>> decoder_digest_corpus() {
+  std::vector<std::vector<std::uint8_t>> pristine = lab_responses();
+  pristine.push_back(sample_message().encode());
+  pristine.push_back(sample_referral().encode());
+  std::vector<std::vector<std::uint8_t>> corpus = pristine;
+  SplitMix64 truncate{conformance::FaultPlan{
+      conformance::FaultKind::kDnsTruncate}.rng_seed()};
+  SplitMix64 corrupt{conformance::FaultPlan{
+      conformance::FaultKind::kDnsCorrupt}.rng_seed()};
+  for (const auto& wire : pristine) {
+    for (int i = 0; i < 100; ++i) {
+      corpus.push_back(wire);
+      conformance::truncate_wire(corpus.back(), truncate);
+      corpus.push_back(wire);
+      conformance::corrupt_wire(corpus.back(), corrupt);
+    }
+  }
+  SplitMix64 garbage{12345};
+  for (int i = 0; i < 500; ++i) {
+    corpus.push_back(conformance::garbage_wire(garbage));
+  }
+  return corpus;
+}
+
+TEST(DnsMessageTest, DecoderBehaviourOnTheMalformedCorpusIsPinned) {
+  std::uint32_t messages = util::crc32_init();
+  std::uint32_t names = util::crc32_init();
+  const auto feed = [](std::uint32_t& state, std::string_view bytes) {
+    state = util::crc32_update(
+        state, reinterpret_cast<const unsigned char*>(bytes.data()),
+        bytes.size());
+  };
+  std::size_t accepted = 0;
+  DnsMessage scratch;
+  for (const std::vector<std::uint8_t>& input : decoder_digest_corpus()) {
+    std::string record;
+    const auto decoded = DnsMessage::decode(input);
+    wire::put_u8(record, decoded.ok() ? 1 : 0);
+    if (decoded.ok()) {
+      ++accepted;
+      const std::vector<std::uint8_t> reencoded = decoded.value().encode();
+      wire::put_u32(record, static_cast<std::uint32_t>(reencoded.size()));
+      wire::put_bytes(record, reencoded);
+    } else {
+      wire::put_str(record, decoded.error());
+    }
+    feed(messages, record);
+    // The in-place path agrees with the one-shot path on every input.
+    ASSERT_EQ(DnsMessage::decode_into(input, scratch), decoded.ok());
+    if (decoded.ok()) EXPECT_EQ(scratch, decoded.value());
+
+    for (std::size_t offset = 0; offset < input.size(); ++offset) {
+      record.clear();
+      wire::Reader r{input};
+      r.seek(offset);
+      const DnsName name = DnsName::decode(r);
+      wire::put_u8(record, r.ok ? 1 : 0);
+      if (r.ok) {
+        wire::put_u16(record, static_cast<std::uint16_t>(r.pos));
+        wire::put_u8(record, static_cast<std::uint8_t>(name.label_count()));
+        std::vector<std::uint8_t> bytes;
+        name.encode(bytes, nullptr);
+        wire::put_bytes(record, bytes);
+      } else {
+        EXPECT_TRUE(name.is_root());
+      }
+      feed(names, record);
+    }
+  }
+  EXPECT_EQ(accepted, 187u);
+  EXPECT_EQ(util::crc32_final(messages), 0x75505ec9u);
+  EXPECT_EQ(util::crc32_final(names), 0x5fb2ca14u);
 }
 
 TEST(DnsNameTest, DecodePreservesCaseInsensitivity) {

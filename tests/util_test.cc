@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "simnet/ip.h"
+#include "util/crc32.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -570,6 +571,55 @@ TEST(TableTest, ShortRowsPadded) {
   TextTable t{{"A", "B"}};
   t.add_row({"only-a"});
   EXPECT_NE(t.render().find("| only-a |"), std::string::npos);
+}
+
+// ---------------------------------------------------------------- crc32 ----
+
+/// Bit-at-a-time CRC-32 update: no table, so it checks the sliced tables
+/// instead of sharing them.
+std::uint32_t crc32_update_bitwise(std::uint32_t state,
+                                   const unsigned char* data,
+                                   std::size_t size) {
+  for (std::size_t i = 0; i < size; ++i) {
+    state ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state & 1u) != 0 ? 0xEDB88320u ^ (state >> 1) : state >> 1;
+    }
+  }
+  return state;
+}
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(util::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(util::crc32(""), 0u);
+  static constexpr unsigned char kDigits[] = {'1', '2', '3', '4', '5',
+                                              '6', '7', '8', '9'};
+  static_assert(util::crc32_final(util::crc32_update(util::crc32_init(),
+                                                     kDigits, 9)) ==
+                    0xCBF43926u,
+                "crc32_update stays usable in constant expressions");
+}
+
+TEST(Crc32Test, SlicedUpdateMatchesBitwiseAtEveryLengthAndAlignment) {
+  // 8 alignments x 1,025 lengths of seeded bytes, each from an arbitrary
+  // running state, plus the same input fed in two pieces.
+  SplitMix64 rng{0xC3C3};
+  std::vector<unsigned char> bytes(1024 + 8);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.next());
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const unsigned char* data = bytes.data() + align;
+      const std::uint32_t state = static_cast<std::uint32_t>(rng.next());
+      const std::uint32_t want = crc32_update_bitwise(state, data, len);
+      ASSERT_EQ(util::crc32_update(state, data, len), want)
+          << "align " << align << " len " << len;
+      const std::size_t split = len / 3;
+      ASSERT_EQ(util::crc32_update(util::crc32_update(state, data, split),
+                                   data + split, len - split),
+                want)
+          << "align " << align << " len " << len << " split " << split;
+    }
+  }
 }
 
 }  // namespace
