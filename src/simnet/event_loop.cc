@@ -15,46 +15,18 @@ constexpr std::uint64_t kRunawayCap = 200'000'000;
 EventLoop::EventLoop(std::pmr::memory_resource* memory)
     : heap_{memory}, slots_{memory}, free_slots_{memory} {}
 
-// ---------------------------------------------------------- liveness slots --
+// ------------------------------------------------------------------ slots --
 
-std::uint64_t EventLoop::arm_slot() {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    if (slots_.size() >= kSlotMask) {
-      // > 16M concurrently armed timers means something is leaking events.
-      throw std::runtime_error("EventLoop: timer slot table exhausted");
-    }
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[slot].armed = true;
-  ++live_count_;
-  return (slots_[slot].generation << kSlotBits) |
-         (static_cast<std::uint64_t>(slot) + 1);
-}
-
-bool EventLoop::slot_armed(std::uint64_t packed) const {
-  const std::uint64_t slot_plus1 = packed & kSlotMask;
-  if (slot_plus1 == 0 || slot_plus1 > slots_.size()) return false;
-  const Slot& s = slots_[slot_plus1 - 1];
-  return s.armed && s.generation == (packed >> kSlotBits);
-}
-
-void EventLoop::retire(std::uint64_t packed) {
-  const std::uint32_t slot =
-      static_cast<std::uint32_t>((packed & kSlotMask) - 1);
-  Slot& s = slots_[slot];
-  if (s.armed) {
-    s.armed = false;
-    --live_count_;
-  }
-  // Invalidate every TimerId minted for this use of the slot, then recycle.
-  // Wrap at the packed width so slot_armed()'s equality keeps matching the
-  // bits a TimerId can actually carry.
+void EventLoop::disarm(Slot& s) {
+  s.seq = kIdle;
+  // Wrap at the packed width so cancel()'s equality keeps matching the bits
+  // a TimerId can actually carry.
   s.generation = (s.generation + 1) & kGenMask;
+  --live_count_;
+}
+
+void EventLoop::release(std::uint32_t slot) {
+  slots_[slot].cb = nullptr;
   free_slots_.push_back(slot);
 }
 
@@ -62,11 +34,30 @@ void EventLoop::retire(std::uint64_t packed) {
 
 TimerId EventLoop::schedule_at(SimTime when, Callback cb) {
   if (when < now_) when = now_;
-  const std::uint64_t id = arm_slot();
-  heap_.push_back(Event{when, next_seq_++, id, std::move(cb)});
-  std::push_heap(heap_.begin(), heap_.end(), EventLater{});
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    if (slots_.size() >= kSlotMask) {
+      // > 16M concurrently pending timers means something is leaking events.
+      throw std::runtime_error("EventLoop: timer slot table exhausted");
+    }
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+    // Room for every slot on the free list: release() never allocates.
+    if (free_slots_.capacity() < slots_.size()) {
+      free_slots_.reserve(2 * slots_.size());
+    }
+  }
+  Slot& s = slots_[slot];
+  s.cb = std::move(cb);  // the callback's last move: the slot never relocates
+  s.seq = next_seq_;
+  heap_.push_back(Key{when, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), KeyLater{});
+  ++live_count_;
   ++heap_scheduled_;
-  return TimerId{id};
+  return TimerId{(s.generation << kSlotBits) | (std::uint64_t{slot} + 1)};
 }
 
 TimerId EventLoop::schedule_after(SimTime delay, Callback cb) {
@@ -74,39 +65,42 @@ TimerId EventLoop::schedule_after(SimTime delay, Callback cb) {
 }
 
 bool EventLoop::cancel(TimerId id) {
-  // Lazy deletion: the slot is disarmed here; the node is pruned (and the
-  // slot retired) when it reaches the top of the heap.
-  if (!id.valid() || !slot_armed(id.value)) return false;
-  Slot& s = slots_[(id.value & kSlotMask) - 1];
-  s.armed = false;
-  --live_count_;
+  const std::uint64_t slot_plus1 = id.value & kSlotMask;
+  if (slot_plus1 == 0 || slot_plus1 > slots_.size()) return false;
+  Slot& s = slots_[slot_plus1 - 1];
+  if (s.seq == kIdle || s.generation != (id.value >> kSlotBits)) return false;
+  // The callback is destroyed now; its heap key goes stale.
+  disarm(s);
+  release(static_cast<std::uint32_t>(slot_plus1 - 1));
   return true;
 }
 
 // -------------------------------------------------------------- execution --
 
-void EventLoop::prune_heap_top() {
-  while (!heap_.empty() && !slot_armed(heap_.front().id)) {
-    std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
-    retire(heap_.back().id);
-    heap_.pop_back();
-  }
-}
-
 bool EventLoop::pop_next(const SimTime* deadline) {
-  prune_heap_top();
-  if (heap_.empty()) return false;
-  if (deadline != nullptr && heap_.front().when > *deadline) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  // Retire before running: the callback may schedule new timers, which can
-  // then reuse this slot under a fresh generation without aliasing ev.id.
-  retire(ev.id);
-  now_ = ev.when;
-  ++processed_;
-  ev.cb();
-  return true;
+  while (!heap_.empty()) {
+    const Key top = heap_.front();
+    Slot& s = slots_[top.slot];
+    const bool live = s.seq == top.seq;
+    if (live && deadline != nullptr && top.when > *deadline) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), KeyLater{});
+    heap_.pop_back();
+    if (!live) continue;  // cancelled: the callback is already gone
+    // Disarm before running, so the callback cannot cancel itself, and keep
+    // the slot off the free list until it returns (or throws), so timers
+    // it schedules never land on the callable that is running.
+    disarm(s);
+    struct Release {
+      EventLoop& loop;
+      std::uint32_t slot;
+      ~Release() { loop.release(slot); }
+    } release{*this, top.slot};
+    now_ = top.when;
+    ++processed_;
+    s.cb();
+    return true;
+  }
+  return false;
 }
 
 void EventLoop::run() {

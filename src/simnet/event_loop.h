@@ -4,12 +4,13 @@
 // This is the substrate every other module schedules against (DNS timeouts,
 // TCP retransmissions, HE connection-attempt delays, netem delivery...).
 //
-// Every timer lives in one binary min-heap over (when, seq). Cancellation is
-// lazy: cancel() only disarms the timer's liveness slot, and a disarmed node
-// is pruned when it reaches the top of the heap. Callbacks are stored in
-// InlineFunction<void()> nodes (small captures never touch the heap), and
-// liveness is tracked by generation-tagged slots — no per-event hash-set
-// insert/erase on the hot path.
+// Pending callbacks never move. Each one is built into a slot of a deque
+// (whose elements never relocate), runs there in place and is destroyed
+// exactly once: after it has run, or inside cancel(). The binary min-heap
+// holds only trivially copyable {when, seq, slot} keys in (when, seq) order.
+// A slot remembers the seq of the timer it holds, so the key of a cancelled
+// timer is recognised as stale and dropped when it reaches the top. Slots
+// recycle through a free list, and TimerIds carry a per-slot generation.
 //
 // There is deliberately no timer wheel. A measurement cell holds at most a
 // few dozen pending timers (Resolution Delay, Connection Attempt Delay, SYN
@@ -19,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory_resource>
 #include <vector>
 
@@ -31,9 +33,8 @@ namespace lazyeye::simnet {
 ///
 /// The value packs (generation << kSlotBits) | (slot + 1): the slot indexes
 /// a recycled entry in the loop's slot table, and the generation is bumped
-/// every time the slot is retired, so a stale handle held across the event's
-/// execution (or cancellation) can never alias a later timer that happens to
-/// reuse the same slot.
+/// every time a timer in the slot runs or is cancelled, so a stale handle
+/// can never alias a later timer that happens to reuse the same slot.
 struct TimerId {
   std::uint64_t value = 0;
   bool valid() const { return value != 0; }
@@ -44,7 +45,7 @@ class EventLoop {
  public:
   using Callback = InlineFunction<void()>;
 
-  /// All growable storage (heap, liveness slots) draws from `memory`. A
+  /// All growable storage (heap keys, callback slots) draws from `memory`. A
   /// world-pooled Network passes its arena, so a fresh per-cell loop reuses
   /// the previous cell's high-water-mark storage without a single heap
   /// allocation; the default is the global resource.
@@ -92,54 +93,48 @@ class EventLoop {
  private:
   // TimerId layout: low kSlotBits hold slot+1 (so value 0 stays invalid),
   // the remaining 40 bits hold the slot's generation at arm time. The
-  // stored generation wraps at 40 bits so the comparison in slot_armed()
-  // always sees exactly the bits that survive packing; a stale id could
-  // alias only after a full 2^40 retires of one slot between arm and check.
+  // stored generation wraps at 40 bits so the comparison in cancel() always
+  // sees exactly the bits that survive packing; a stale id could alias only
+  // after a full 2^40 timers in one slot between arm and check.
   static constexpr std::uint64_t kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ULL << kSlotBits) - 1;
   static constexpr std::uint64_t kGenMask = (~std::uint64_t{0}) >> kSlotBits;
+  /// Slot::seq of a slot holding no pending timer (free, or running).
+  static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
 
-  struct Event {
+  struct Key {
     SimTime when;
     std::uint64_t seq;
-    std::uint64_t id;  // packed (generation, slot) — see TimerId
-    // The callback lives in the node itself; small captures are stored
-    // inline (InlineFunction), so scheduling typically allocates nothing.
-    Callback cb;
+    std::uint32_t slot;
   };
-  struct EventLater {
+  struct KeyLater {
     // Min-heap comparator for std::push_heap/std::pop_heap.
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
   };
 
-  /// One recyclable liveness slot. `generation` is bumped when the slot is
-  /// retired (its node ran or was pruned), invalidating every TimerId
-  /// minted for an earlier use of the slot. Generations start at 1 so the
-  /// packed id of an armed timer is never 0.
+  /// Where a timer's callback lives from schedule_at() until it is
+  /// destroyed. Generations start at 1 so an armed timer's id is never 0.
   struct Slot {
+    Callback cb;
+    std::uint64_t seq = kIdle;  // seq of the pending timer held here
     std::uint64_t generation = 1;
-    bool armed = false;
   };
 
-  // Slot helpers.
-  std::uint64_t arm_slot();                     // returns packed id
-  bool slot_armed(std::uint64_t packed) const;  // id still live?
-  void retire(std::uint64_t packed);            // bump generation, free slot
-
-  /// Pops cancelled nodes off the heap top, retiring their slots.
-  void prune_heap_top();
-  /// Runs the earliest live event; respects `deadline` when non-null.
-  /// Returns false if nothing (eligible) remains.
+  /// Ends the pending timer in `s`: its TimerId and heap key stop matching.
+  void disarm(Slot& s);
+  /// Destroys the slot's callback, then returns the slot to the free list.
+  void release(std::uint32_t slot);
+  /// Runs the earliest pending timer in place; respects `deadline` when
+  /// non-null. Returns false if nothing (eligible) remains.
   bool pop_next(const SimTime* deadline);
 
-  /// Binary min-heap over (when, seq), cancelled nodes included until they
-  /// surface at the top.
-  std::pmr::vector<Event> heap_;
-
-  std::pmr::vector<Slot> slots_;
+  /// Binary min-heap over (when, seq); keys of cancelled timers stay until
+  /// they surface at the top.
+  std::pmr::vector<Key> heap_;
+  std::pmr::deque<Slot> slots_;
   std::pmr::vector<std::uint32_t> free_slots_;
   std::size_t live_count_ = 0;  // scheduled, not yet run/cancelled
   SimTime now_{0};

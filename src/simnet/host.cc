@@ -14,7 +14,8 @@ Host::Host(Network& net, std::string name)
       addresses_{net.memory()},
       udp_ports_{net.memory()},
       pending_udp_ops_{net.memory()},
-      taps_{net.memory()} {}
+      taps_{net.memory()},
+      egress_{net.memory()} {}
 
 void Host::add_address(const IpAddress& addr) {
   if (owns_address(addr)) return;
@@ -92,7 +93,7 @@ void Host::udp_send(const Endpoint& src, const Endpoint& dst,
   send_packet(std::move(p));
 }
 
-void Host::send_packet(Packet p) {
+void Host::send_packet(Packet&& p) {
   if (!owns_address(p.src.addr)) {
     throw std::logic_error(str_format(
         "host %s sending from unowned address %s", name_.c_str(),

@@ -61,7 +61,7 @@ class Host {
   void udp_send(const Endpoint& src, const Endpoint& dst, Buffer payload);
 
   // -- Raw packet plumbing (used by transport stacks) -----------------------
-  void send_packet(Packet p);
+  void send_packet(Packet&& p);
   /// Installs the handler for all inbound packets of `proto` that have no
   /// more specific binding (TCP always lands here).
   void set_protocol_handler(Protocol proto, ProtocolHandler handler);

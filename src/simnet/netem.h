@@ -6,6 +6,7 @@
 // applied (extra delay, jitter, probabilistic loss).
 #pragma once
 
+#include <memory_resource>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,6 +64,12 @@ struct NetemVerdict {
 
 class NetemQdisc {
  public:
+  /// Rules draw from `memory`: the owning host's or network's resource, so
+  /// shaping an arena-built world allocates nothing on the global heap.
+  explicit NetemQdisc(
+      std::pmr::memory_resource* memory = std::pmr::get_default_resource())
+      : rules_{memory} {}
+
   /// Appends a rule; rules are evaluated in insertion order, first match wins.
   void add_rule(NetemRule rule) { rules_.push_back(std::move(rule)); }
   void add_rule(PacketFilter filter, NetemSpec spec, std::string label = {}) {
@@ -75,7 +82,7 @@ class NetemQdisc {
   NetemVerdict process(const Packet& p, Rng& rng) const;
 
  private:
-  std::vector<NetemRule> rules_;
+  std::pmr::vector<NetemRule> rules_;
 };
 
 }  // namespace lazyeye::simnet

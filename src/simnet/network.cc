@@ -1,9 +1,21 @@
 #include "simnet/network.h"
 
+#include <algorithm>
 #include <new>
 
-
 namespace lazyeye::simnet {
+
+namespace {
+using Route = std::pair<IpAddress, Host*>;
+
+// The first route whose address is not below `addr`.
+std::pmr::vector<Route>::iterator lower_route(std::pmr::vector<Route>& routes,
+                                              const IpAddress& addr) {
+  return std::lower_bound(
+      routes.begin(), routes.end(), addr,
+      [](const Route& route, const IpAddress& a) { return route.first < a; });
+}
+}  // namespace
 
 Network::Network(std::uint64_t seed)
     : Network{nullptr, std::pmr::get_default_resource(), seed} {}
@@ -18,8 +30,8 @@ Network::Network(BufferPool* pool, std::pmr::memory_resource* mem,
       loop_{mem},
       rng_{seed},
       base_delay_{std::chrono::microseconds{200}},
+      qdisc_{mem},
       hosts_{mem},
-      hosts_by_name_{mem},
       routes_{mem},
       flight_{mem},
       flight_free_{mem} {}
@@ -38,22 +50,28 @@ Host& Network::add_host(std::string name) {
   void* storage = mem_->allocate(sizeof(Host), alignof(Host));
   Host* host = ::new (storage) Host(*this, std::move(name));
   hosts_.push_back(host);
-  hosts_by_name_.emplace(host->name(), host);  // first name registration wins
   return *host;
 }
 
 Host* Network::find_host(const std::string& name) {
-  const auto it = hosts_by_name_.find(name);
-  return it == hosts_by_name_.end() ? nullptr : it->second;
+  for (Host* host : hosts_) {
+    if (host->name() == name) return host;  // first registration wins
+  }
+  return nullptr;
 }
 
 Host* Network::route(const IpAddress& addr) {
-  const auto it = routes_.find(addr);
-  return it == routes_.end() ? nullptr : it->second;
+  const auto it = lower_route(routes_, addr);
+  return it != routes_.end() && it->first == addr ? it->second : nullptr;
 }
 
 void Network::register_address(const IpAddress& addr, Host& host) {
-  routes_[addr] = &host;
+  const auto it = lower_route(routes_, addr);
+  if (it != routes_.end() && it->first == addr) {
+    it->second = &host;  // a later registration wins
+  } else {
+    routes_.emplace(it, addr, &host);
+  }
 }
 
 std::uint32_t Network::acquire_flight_slot() {
@@ -68,7 +86,7 @@ std::uint32_t Network::acquire_flight_slot() {
   return slot;
 }
 
-void Network::send(Host& from, Packet p) {
+void Network::send(Host& from, Packet&& p) {
   p.id = next_packet_id_++;
   ++stats_.packets_sent;
 
@@ -94,21 +112,28 @@ void Network::send(Host& from, Packet p) {
     return;
   }
 
-  // Park the packet in a recycled slot; the closure captures 20 bytes and
-  // stays inside the EventLoop callback's small-buffer storage, so the hottest
-  // callback in the system schedules without touching the heap.
+  // Park the packet (its one move on this hop) in a recycled slot; the
+  // closure captures 20 bytes and stays inside the EventLoop callback's
+  // small-buffer storage, so the hottest callback in the system schedules
+  // without touching the heap.
   const std::uint32_t slot = acquire_flight_slot();
   flight_[slot] = std::move(p);
 
   const SimTime when = loop_.now() + base_delay_ + extra;
   loop_.schedule_at(when, [this, target, slot] {
-    // Move to the stack first: the handler may send more packets, which can
-    // grow flight_ and would invalidate a reference into it. The slot is
-    // free for reuse the moment the packet is out.
-    Packet packet = std::move(flight_[slot]);
-    flight_free_.push_back(slot);
+    // Delivered where it is parked: packets the handler sends take other
+    // slots, and flight_ never relocates its elements. The slot (and the
+    // payload's pooled block) is freed once the handler returns or throws.
+    struct Land {
+      Network& net;
+      std::uint32_t slot;
+      ~Land() {
+        net.flight_[slot].payload = Buffer{};
+        net.flight_free_.push_back(slot);
+      }
+    } land{*this, slot};
     ++stats_.packets_delivered;
-    target->deliver(packet);
+    target->deliver(flight_[slot]);
   });
 }
 

@@ -5,19 +5,25 @@
 // exactly the "addresses that do not respond at all" behaviour the paper's
 // address-selection test case relies on.
 //
-// The per-packet path is allocation-free in steady state: payload bytes
-// recycle through a per-Network BufferPool, and in-flight packets park in a
-// free-listed slot table so the delivery closure captures only
-// {network, target, slot} — small enough for the EventLoop callback's
-// small-buffer storage, where it used to be the hottest heap-spilling
-// callback in the system.
+// A packet moves once per hop: Host::send_packet and send() take it by
+// rvalue reference, send() parks it in a recycled flight slot, and the
+// delivery callback hands the receiver a reference to the parked packet.
+// Payload bytes recycle through a per-Network BufferPool, so the per-packet
+// path is allocation-free in steady state, and the delivery closure
+// captures only {network, target, slot}, which fits the EventLoop
+// callback's small-buffer storage.
+//
+// Routes are a vector of (address, host) pairs sorted by address and
+// searched with lower_bound: a world holds a few dozen addresses at most,
+// too few for hashing to pay. find_host scans the hosts in creation order.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <memory_resource>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "simnet/buffer.h"
@@ -68,7 +74,9 @@ class Network {
 
   /// Creates a host attached to this network. The Network owns it.
   Host& add_host(std::string name);
+  /// The first host created with `name`, or nullptr.
   Host* find_host(const std::string& name);
+  /// The host that registered `addr` last, or nullptr if none owns it.
   Host* route(const IpAddress& addr);
 
   /// One-way base propagation delay applied to every packet (default 200 us,
@@ -81,7 +89,7 @@ class Network {
 
   /// Ships a packet from `from`; applies egress + network shaping and
   /// schedules delivery. Called by Host::send_packet.
-  void send(Host& from, Packet p);
+  void send(Host& from, Packet&& p);
 
   const NetworkStats& stats() const { return stats_; }
 
@@ -108,14 +116,13 @@ class Network {
   /// Hosts are constructed in mem_ storage and destroyed (reverse order) by
   /// ~Network, so ownership is identical on both construction paths.
   std::pmr::vector<Host*> hosts_;
-  /// Name -> host kept in add_host order (first registration wins,
-  /// matching the old linear scan's duplicate-name behaviour).
-  std::pmr::unordered_map<std::string, Host*> hosts_by_name_;
-  std::pmr::unordered_map<IpAddress, Host*> routes_;
-  /// Parking lot for packets between send() and delivery. Slots are
-  /// recycled through flight_free_, so steady-state traffic allocates
-  /// nothing once the in-flight high-water mark is reached.
-  std::pmr::vector<Packet> flight_;
+  /// Address -> owning host, sorted by address for lower_bound lookup.
+  std::pmr::vector<std::pair<IpAddress, Host*>> routes_;
+  /// Parking lot for packets between send() and delivery; a deque, so a
+  /// parked packet never moves. Slots are recycled through flight_free_,
+  /// so steady-state traffic allocates nothing once the in-flight
+  /// high-water mark is reached.
+  std::pmr::deque<Packet> flight_;
   std::pmr::vector<std::uint32_t> flight_free_;
   NetworkStats stats_;
   std::uint64_t next_packet_id_ = 1;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -189,7 +190,7 @@ TEST(EventLoopTest, CancelAfterFireReturnsFalse) {
 }
 
 TEST(EventLoopTest, RecycledSlotsDoNotAliasStaleTimerIds) {
-  // After a timer fires, its liveness slot is recycled under a bumped
+  // After a timer fires, its slot is recycled under a bumped
   // generation: a held-over TimerId from the previous occupant must neither
   // cancel nor observe the new timer.
   EventLoop loop;
@@ -230,7 +231,7 @@ TEST(EventLoopTest, SlotRecyclingSurvivesHeavyChurn) {
 
 TEST(EventLoopTest, CancelDuringCallbackOfSameTimestampBatch) {
   // A callback cancelling a timer scheduled for the same instant: the
-  // cancelled one must not run even though its node is already in the heap.
+  // cancelled one must not run even though its key is already in the heap.
   EventLoop loop;
   int ran = 0;
   TimerId second{};
@@ -612,6 +613,41 @@ TEST(NetworkTest, FindHostAndRoute) {
   EXPECT_EQ(net.find_host("missing"), nullptr);
   EXPECT_EQ(net.route(IpAddress::must_parse("10.0.0.1")), &a);
   EXPECT_EQ(net.route(IpAddress::must_parse("10.0.0.2")), nullptr);
+
+  // An address registered by two hosts routes to the later one.
+  Host& b = net.add_host("beta");
+  b.add_address(IpAddress::must_parse("10.0.0.1"));
+  EXPECT_EQ(net.route(IpAddress::must_parse("10.0.0.1")), &b);
+
+  // Of two hosts with one name, find_host returns the first.
+  Host& alpha_again = net.add_host("alpha");
+  EXPECT_NE(&alpha_again, &a);
+  EXPECT_EQ(net.find_host("alpha"), &a);
+  EXPECT_EQ(net.find_host("beta"), &b);
+
+  // A 40-address host (the webtool world's size), registered in an order
+  // that interleaves the families, routes every address.
+  Host& web = net.add_host("web");
+  std::vector<IpAddress> owned;
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    Ipv6Address v6 = Ipv6Address::parse("2001:db8:80::").value();
+    v6.set_group(7, static_cast<std::uint16_t>(0x100 - i));
+    owned.emplace_back(v6);
+    owned.emplace_back(Ipv4Address{0xC0000200u + 40 - i});  // 192.0.2.x
+  }
+  for (const IpAddress& addr : owned) web.add_address(addr);
+  for (const IpAddress& addr : owned) {
+    EXPECT_EQ(net.route(addr), &web) << addr.to_string();
+  }
+  EXPECT_EQ(net.route(IpAddress::must_parse("10.0.0.1")), &b);
+
+  // Unowned addresses of either family, inside and around the owned
+  // ranges, route nowhere.
+  for (const char* unowned : {"192.0.2.1", "192.0.2.41", "255.255.255.255",
+                              "0.0.0.0", "2001:db8:80::1", "2001:db8:80::101",
+                              "::", "2001:db8:81::100"}) {
+    EXPECT_EQ(net.route(IpAddress::must_parse(unowned)), nullptr) << unowned;
+  }
 }
 
 TEST(PacketTest, SummaryAndWireSize) {
@@ -800,6 +836,158 @@ TEST(EventLoopTest, ChainedZeroDelaySchedulingStaysAtOneInstant) {
   EXPECT_EQ(loop.now(), ms(1));
 }
 
+// ------------------------------------------- callbacks that never move ----
+
+/// Lifecycle counts of one scheduled callable and of its moved-to copies.
+struct Lifecycle {
+  int copies = 0;
+  int moves = 0;
+  int moves_at_call = -1;  // `moves` when the callable was invoked
+  int calls = 0;
+  int destroyed = 0;  // destructions of the instance holding the callable
+};
+
+/// A callable that counts its copies, moves and its one real destruction
+/// (a moved-from shell does not count). Nothrow-movable and small, so the
+/// loop stores it inline.
+class Tracked {
+ public:
+  explicit Tracked(Lifecycle* life) : life_{life} {}
+  Tracked(const Tracked& other) : life_{other.life_}, owner_{other.owner_} {
+    ++life_->copies;
+  }
+  Tracked(Tracked&& other) noexcept
+      : life_{other.life_}, owner_{other.owner_} {
+    other.owner_ = false;
+    ++life_->moves;
+  }
+  Tracked& operator=(const Tracked&) = delete;
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() {
+    if (owner_) ++life_->destroyed;
+  }
+  void operator()() {
+    life_->moves_at_call = life_->moves;
+    ++life_->calls;
+  }
+
+ private:
+  Lifecycle* life_;
+  bool owner_ = true;
+};
+
+TEST(EventLoopTest, PendingCallbacksNeverMoveAndDieExactlyOnce) {
+  // The tracked callable is scheduled first, beneath ~1,000 seeded timers
+  // whose heap churn and slot-table growth would relocate any callback
+  // stored in a heap node; a quarter are cancelled and some schedule more
+  // timers from inside their callbacks.
+  EventLoop loop;
+  Lifecycle fired;
+  Lifecycle cancelled;
+  loop.schedule_at(ms(700), Tracked{&fired});
+  const int fired_moves = fired.moves;
+  const TimerId doomed = loop.schedule_at(ms(900), Tracked{&cancelled});
+  const int cancelled_moves = cancelled.moves;
+
+  Rng rng{11};
+  std::vector<TimerId> ids;
+  int ran = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const SimTime delay =
+        us(static_cast<std::int64_t>(rng.next_below(1'000'000)));
+    if (rng.chance(0.2)) {
+      ids.push_back(loop.schedule_after(delay, [&loop, &ran, delay] {
+        ++ran;
+        loop.schedule_after(delay / 2, [&ran] { ++ran; });
+      }));
+    } else {
+      ids.push_back(loop.schedule_after(delay, [&ran] { ++ran; }));
+    }
+    if (i == 500) {
+      EXPECT_TRUE(loop.cancel(doomed));
+      EXPECT_EQ(cancelled.destroyed, 1) << "cancel() must destroy the callback";
+      EXPECT_EQ(cancelled.moves, cancelled_moves);
+    }
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 4) loop.cancel(ids[i]);
+  loop.run();
+
+  EXPECT_GT(ran, 750);
+  EXPECT_EQ(fired.calls, 1);
+  EXPECT_EQ(fired.moves_at_call, fired_moves)
+      << "a pending callback moved between schedule_at() and its call";
+  EXPECT_EQ(fired.moves, fired_moves);
+  EXPECT_EQ(fired.copies, 0);
+  EXPECT_EQ(fired.destroyed, 1);
+  EXPECT_EQ(cancelled.calls, 0);
+  EXPECT_EQ(cancelled.copies, 0);
+  EXPECT_EQ(cancelled.destroyed, 1);
+}
+
+TEST(EventLoopTest, CallbackMayGrowSlotTableAndCancelAroundItself) {
+  // A running callback schedules enough timers to grow the slot table past
+  // its size, cancels half of them and tries to cancel itself. It runs
+  // once, its captures survive the growth, pending() stays exact and every
+  // timer fires in (when, seq) order.
+  EventLoop loop;
+  struct Expected {
+    SimTime when;
+    std::uint64_t seq;
+  };
+  std::vector<Expected> expected;
+  std::vector<std::uint64_t> fired;
+  std::uint64_t next_seq = 0;
+  const auto schedule = [&](SimTime when) {
+    const std::uint64_t seq = next_seq++;
+    expected.push_back(Expected{when, seq});
+    return loop.schedule_at(when, [&fired, seq] { fired.push_back(seq); });
+  };
+  for (int i = 0; i < 8; ++i) schedule(ms(2 * i));  // 0, 2, ..., 14 ms
+
+  struct Context {
+    TimerId self;
+    std::uint64_t seq = 0;
+    int runs = 0;
+  } ctx;
+  const std::array<std::uint64_t, 6> marks{11, 22, 33, 44, 55, 66};
+  ctx.seq = next_seq++;
+  expected.push_back(Expected{ms(3), ctx.seq});
+  ctx.self = loop.schedule_at(ms(3), [&, marks] {
+    ++ctx.runs;
+    fired.push_back(ctx.seq);
+    EXPECT_EQ(loop.pending(), 6u);  // 4, 6, ..., 14 ms
+    std::vector<TimerId> fresh;
+    for (int k = 0; k < 64; ++k) {
+      fresh.push_back(schedule(loop.now() + us(500 * (k % 8))));
+    }
+    for (std::size_t k = 0; k < fresh.size(); k += 2) {
+      EXPECT_TRUE(loop.cancel(fresh[k]));
+    }
+    EXPECT_FALSE(loop.cancel(ctx.self));
+    EXPECT_EQ(loop.pending(), 6u + 32u);
+    EXPECT_EQ(marks, (std::array<std::uint64_t, 6>{11, 22, 33, 44, 55, 66}));
+  });
+  EXPECT_EQ(loop.pending(), 9u);
+  loop.run();
+
+  EXPECT_EQ(ctx.runs, 1);
+  EXPECT_EQ(loop.pending(), 0u);
+  // Drop the cancelled half (even k) of the 64 timers the callback added.
+  const std::uint64_t first_fresh = ctx.seq + 1;
+  std::erase_if(expected, [&](const Expected& e) {
+    return e.seq >= first_fresh && (e.seq - first_fresh) % 2 == 0;
+  });
+  std::sort(expected.begin(), expected.end(),
+            [](const Expected& a, const Expected& b) {
+              if (a.when != b.when) return a.when < b.when;
+              return a.seq < b.seq;
+            });
+  ASSERT_EQ(fired.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(fired[i], expected[i].seq) << "at index " << i;
+  }
+}
+
 // ------------------------------------------------- flat dispatch safety ----
 
 TEST(NetworkTest, HandlerMayRebindDuringDispatch) {
@@ -889,7 +1077,7 @@ TEST(EventLoopAllocationTest, WarmTimerChainsAndCancelChurnAllocateNothing) {
     loop.run();
   };
 
-  // Warm-up: grows the heap and the liveness slots to their high-water
+  // Warm-up: grows the heap and the callback slots to their high-water
   // marks.
   run_chains();
 
@@ -903,7 +1091,7 @@ TEST(EventLoopAllocationTest, WarmTimerChainsAndCancelChurnAllocateNothing) {
       << " allocations over " << kChains * kEventsPerChain << " events)";
 
   // Schedule/cancel churn: arm two timers, cancel both before they fire and
-  // prune the dead nodes. Slots recycle with a bumped generation.
+  // drop their stale keys. Slots recycle with a bumped generation.
   constexpr int kChurnRounds = 10'000;
   int fired = 0;
   int cancelled = 0;
