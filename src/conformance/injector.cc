@@ -130,12 +130,6 @@ void FaultInjector::attach(dns::AuthServer& server) {
   if (dns_fault_kind(plan_.kind)) server.set_response_interposer(dns_hook());
 }
 
-void FaultInjector::attach(dns::RecursiveResolver& resolver) {
-  if (dns_fault_kind(plan_.kind)) {
-    resolver.set_response_interposer(dns_hook());
-  }
-}
-
 void FaultInjector::attach(transport::TcpStack& tcp) {
   if (!tcp_fault_kind(plan_.kind)) return;
   tcp.set_accept_interposer(

@@ -14,7 +14,6 @@
 
 #include "conformance/fault.h"
 #include "dns/auth_server.h"
-#include "dns/recursive_resolver.h"
 #include "transport/quic.h"
 #include "transport/tcp.h"
 #include "util/rng.h"
@@ -50,7 +49,6 @@ class FaultInjector {
   /// Install hooks on the layers this plan's kind targets. No-ops (leaving
   /// the stack's hook unset) when the kind lives elsewhere.
   void attach(dns::AuthServer& server);
-  void attach(dns::RecursiveResolver& resolver);
   void attach(transport::TcpStack& tcp);
   void attach(transport::QuicStack& quic);
 

@@ -4,7 +4,6 @@
 
 #include "conformance/injector.h"
 #include "dns/auth_server.h"
-#include "dns/recursive_resolver.h"
 #include "simnet/event_loop.h"
 #include "transport/quic.h"
 #include "transport/tcp.h"
@@ -67,6 +66,25 @@ SimTime sample_window_duration(SplitMix64& rng) {
              : lazyeye::ms(25 + static_cast<std::int64_t>(rng.next() % 476));
 }
 
+TimedFault seeded_entry(SplitMix64& rng, std::uint64_t seed,
+                        std::uint32_t stream, std::uint32_t plan_index) {
+  TimedFault tf;
+  // Any injecting kind (kNone excluded — a no-op entry wastes a slot).
+  tf.plan.kind =
+      static_cast<FaultKind>(1 + rng.next() % (kFaultKindCount - 1));
+  tf.plan.seed = seed;
+  tf.plan.stream = stream;
+  tf.plan.index = plan_index;
+  tf.plan.target_family = (rng.next() & 1) != 0 ? simnet::Family::kIpv6
+                                                : simnet::Family::kIpv4;
+  tf.plan.spike =
+      lazyeye::ms(50 + static_cast<std::int64_t>(rng.next() % 351));
+  tf.trigger = static_cast<TriggerKind>(rng.next() % kTriggerKindCount);
+  tf.start = sample_window_start(rng);
+  tf.duration = sample_window_duration(rng);
+  return tf;
+}
+
 FaultSchedule FaultSchedule::generate(std::uint64_t seed, std::uint32_t stream,
                                       std::uint32_t index) {
   FaultSchedule s;
@@ -81,23 +99,11 @@ FaultSchedule FaultSchedule::generate(std::uint64_t seed, std::uint32_t stream,
   const int count = 1 + static_cast<int>(mix.next() % 3);
   s.entries.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
-    TimedFault tf;
-    // Any injecting kind (kNone excluded — a no-op entry wastes a slot).
-    tf.plan.kind =
-        static_cast<FaultKind>(1 + mix.next() % (kFaultKindCount - 1));
-    tf.plan.seed = seed;
-    tf.plan.stream = stream;
     // 16 slots per schedule keeps entry mutation streams collision-free
     // across a campaign's schedules (search.cc mutations stay below 16
     // entries by construction).
-    tf.plan.index = index * 16 + static_cast<std::uint32_t>(i);
-    tf.plan.target_family = (mix.next() & 1) != 0 ? simnet::Family::kIpv6
-                                                  : simnet::Family::kIpv4;
-    tf.plan.spike = lazyeye::ms(50 + static_cast<std::int64_t>(mix.next() % 351));
-    tf.trigger = static_cast<TriggerKind>(mix.next() % kTriggerKindCount);
-    tf.start = sample_window_start(mix);
-    tf.duration = sample_window_duration(mix);
-    s.entries.push_back(tf);
+    s.entries.push_back(seeded_entry(
+        mix, seed, stream, index * 16 + static_cast<std::uint32_t>(i)));
   }
   return s;
 }
@@ -249,15 +255,6 @@ bool ScheduleInjector::needs_quic_hook() const {
 void ScheduleInjector::attach(dns::AuthServer& server) {
   if (!needs_dns_hook()) return;
   server.set_response_interposer(
-      [this](const dns::DnsMessage& query, dns::DnsMessage& response,
-             SimTime& delay, dns::ResponseDirectives& out) {
-        on_dns_response(query, response, delay, out);
-      });
-}
-
-void ScheduleInjector::attach(dns::RecursiveResolver& resolver) {
-  if (!needs_dns_hook()) return;
-  resolver.set_response_interposer(
       [this](const dns::DnsMessage& query, dns::DnsMessage& response,
              SimTime& delay, dns::ResponseDirectives& out) {
         on_dns_response(query, response, delay, out);

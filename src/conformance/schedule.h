@@ -38,7 +38,6 @@
 
 namespace lazyeye::dns {
 class AuthServer;
-class RecursiveResolver;
 struct DnsMessage;
 struct ResponseDirectives;
 }  // namespace lazyeye::dns
@@ -137,6 +136,13 @@ SimTime sample_window_start(SplitMix64& rng);
 /// Seeded window-length sample: 1-in-4 open (duration 0), else 25..500 ms.
 SimTime sample_window_duration(SplitMix64& rng);
 
+/// One seeded entry (generator + the hunt's add mutation): draws an
+/// injecting kind (never kNone), target family, spike, trigger, window start
+/// and duration from `rng`, in that order; the plan's provenance is
+/// (seed, stream, plan_index).
+TimedFault seeded_entry(SplitMix64& rng, std::uint64_t seed,
+                        std::uint32_t stream, std::uint32_t plan_index);
+
 // ---- Injection ------------------------------------------------------------
 
 /// Multiplexes a schedule's entries through per-layer hooks. Entries are
@@ -153,7 +159,6 @@ class ScheduleInjector {
   /// Install hooks on layers the schedule targets or must observe for a
   /// trigger. No-ops elsewhere (null-hook fast path untouched).
   void attach(dns::AuthServer& server);
-  void attach(dns::RecursiveResolver& resolver);
   void attach(transport::TcpStack& tcp);
   void attach(transport::QuicStack& quic);
 

@@ -53,23 +53,6 @@ std::set<std::string> violation_key(
   return key;
 }
 
-TimedFault seeded_entry(SplitMix64& rng, std::uint64_t seed,
-                        std::uint32_t stream, std::uint32_t plan_index) {
-  TimedFault tf;
-  tf.plan.kind =
-      static_cast<FaultKind>(1 + rng.next() % (kFaultKindCount - 1));
-  tf.plan.seed = seed;
-  tf.plan.stream = stream;
-  tf.plan.index = plan_index;
-  tf.plan.target_family = (rng.next() & 1) != 0 ? simnet::Family::kIpv6
-                                                : simnet::Family::kIpv4;
-  tf.plan.spike = lazyeye::ms(50 + static_cast<std::int64_t>(rng.next() % 351));
-  tf.trigger = static_cast<TriggerKind>(rng.next() % kTriggerKindCount);
-  tf.start = sample_window_start(rng);
-  tf.duration = sample_window_duration(rng);
-  return tf;
-}
-
 FaultSchedule mutate_schedule(const FaultSchedule& base, SplitMix64& rng,
                               std::uint64_t seed, std::uint32_t index) {
   FaultSchedule m = base;
@@ -459,6 +442,21 @@ HuntResult FaultHunt::run() {
       if (load.identity != identity) {
         throw campaign::JournalError(
             "hunt journal identity mismatch: different seed/budget");
+      }
+      // The identity covers only seed and budget; the first candidate's
+      // records name the profiles and fetch count the journal was run with.
+      if (!load.cells.empty()) {
+        const std::vector<ConformanceRecord> records =
+            decode_candidate(load.cells.front().payload).records;
+        bool same = records.size() == profiles_.size();
+        for (std::size_t i = 0; same && i < records.size(); ++i) {
+          same = records[i].client == profiles_[i].display_name() &&
+                 records[i].fetches == options_.fetches;
+        }
+        if (!same) {
+          throw campaign::JournalError(
+              "hunt journal was written for other profiles or fetches");
+        }
       }
       std::uint64_t replay_from = 0;
       if (!load.snapshot_state.empty()) {

@@ -104,9 +104,12 @@ class FaultHunt {
 
   const HuntOptions& options() const { return options_; }
 
-  /// Runs (or resumes) the hunt. Journaled hunts refuse a journal written
-  /// by different options (identity mismatch) or one that diverges from the
-  /// deterministic proposal stream — both throw campaign::JournalError.
+  /// Runs (or resumes) the hunt. Journaled hunts refuse a journal whose
+  /// identity names another seed or budget, whose first candidate's records
+  /// name other profiles (by display name, in order) or another fetch
+  /// count, or which diverges from the deterministic proposal stream — all
+  /// throw campaign::JournalError. Other options (workers, snapshot cadence,
+  /// conformance world options) are not checked.
   HuntResult run();
 
   /// Deterministic text form of a corpus ("# lazyeye-hunt corpus v1" header

@@ -20,11 +20,6 @@ Zone& AuthServer::add_zone(DnsName origin) {
   return *zones_.back();
 }
 
-Zone& AuthServer::add_zone(std::unique_ptr<Zone> zone) {
-  zones_.push_back(std::move(zone));
-  return *zones_.back();
-}
-
 void AuthServer::on_query(const simnet::Packet& packet) {
   ++queries_received_;
   if (!DnsMessage::decode_into(packet.payload, *query_scratch_) ||
@@ -41,29 +36,25 @@ void AuthServer::on_query(const simnet::Packet& packet) {
   if (unresponsive_) return;
 
   build_response(query, response);
-  SimTime delay = response_delay(q.name, q.type);
+  const auto params = parse_test_params(q.name);
+  SimTime delay = params ? params->delay_for(q.type) : SimTime{0};
   const simnet::Endpoint from = packet.dst;
   const simnet::Endpoint to = packet.src;
 
+  // The fault layer's interposer, when set, may edit, delay, drop or corrupt
+  // the response and add extra datagrams before it is sent.
+  ResponseDirectives directives;
   if (interposer_) {
-    // Fault-injection slow path (conformance layer). Kept out of the fast
-    // path so measurement campaigns with no interposer are untouched.
-    ResponseDirectives directives;
     interposer_(query, response, delay, directives);
     for (InterposedDatagram& extra : directives.extra) {
       send_response(from, to, simnet::Buffer::adopt(std::move(extra.wire)),
                     extra.delay);
     }
     if (directives.drop) return;
-    simnet::Buffer wire{&host_.network().buffer_pool()};
-    response.encode_into(wire, *compressor_);
-    if (directives.mutate_wire) directives.mutate_wire(wire.heap_storage());
-    send_response(from, to, std::move(wire), delay);
-    return;
   }
-
   simnet::Buffer wire{&host_.network().buffer_pool()};
   response.encode_into(wire, *compressor_);
+  if (directives.mutate_wire) directives.mutate_wire(wire.heap_storage());
   send_response(from, to, std::move(wire), delay);
 }
 
@@ -78,19 +69,6 @@ void AuthServer::send_response(const simnet::Endpoint& from,
       delay, [this, from, to, wire = std::move(wire)]() mutable {
         host_.udp_send(from, to, std::move(wire));
       });
-}
-
-SimTime AuthServer::response_delay(const DnsName& qname, RrType qtype) const {
-  SimTime total{0};
-  for (const DelayRule& rule : delay_rules_) {
-    if (rule.qtype && *rule.qtype != qtype) continue;
-    if (rule.suffix && !qname.is_subdomain_of(*rule.suffix)) continue;
-    total += rule.delay;
-  }
-  if (const auto params = parse_test_params(qname)) {
-    total += params->delay_for(qtype);
-  }
-  return total;
 }
 
 namespace {

@@ -1,11 +1,9 @@
 // Authoritative DNS server (paper §4.1 (ii)).
 //
-// Serves one or more zones over simulated UDP and supports the paper's two
-// delay mechanisms:
-//  * static delay rules configured by the operator (qtype and/or name-suffix
-//    matched), used for resolver CAD/RD measurements, and
-//  * per-query delays encoded in the qname (TestParams), used by the client
-//    testbed so a single deployment supports every test configuration.
+// Serves one or more zones over simulated UDP. Its one delay mechanism is
+// the per-query delay encoded in the qname (TestParams), so a single
+// deployment supports every client test configuration; the resolver
+// measurements delay IPv6 with netem shaping instead.
 //
 // Every query is appended to a query log with its arrival timestamp and
 // transport family — the resolver study (§5.3) evaluates resolvers purely
@@ -25,13 +23,6 @@
 #include "simnet/network.h"
 
 namespace lazyeye::dns {
-
-struct DelayRule {
-  std::optional<RrType> qtype;       // unset = all types
-  std::optional<DnsName> suffix;     // unset = all names; else qname must be
-                                     // at/below this name
-  SimTime delay{0};
-};
 
 struct QueryLogEntry {
   SimTime time{0};
@@ -54,10 +45,6 @@ class AuthServer {
 
   /// Adds a zone this server is authoritative for.
   Zone& add_zone(DnsName origin);
-  Zone& add_zone(std::unique_ptr<Zone> zone);
-
-  /// Static delay rules (evaluated additively with qname-encoded params).
-  void add_delay_rule(DelayRule rule) { delay_rules_.push_back(std::move(rule)); }
 
   /// When set, queries are dropped entirely (unresponsive server).
   void set_unresponsive(bool unresponsive) { unresponsive_ = unresponsive; }
@@ -78,14 +65,12 @@ class AuthServer {
   void on_query(const simnet::Packet& packet);
   /// Fills `response` (a reused scratch envelope) for `query`.
   void build_response(const DnsMessage& query, DnsMessage& response);
-  SimTime response_delay(const DnsName& qname, RrType qtype) const;
   void send_response(const simnet::Endpoint& from, const simnet::Endpoint& to,
                      simnet::Buffer wire, SimTime delay);
 
   simnet::Host& host_;
   std::uint16_t port_;
   std::pmr::vector<std::unique_ptr<Zone>> zones_;
-  std::vector<DelayRule> delay_rules_;
   // In the world's memory: the log grows on retained arena chunks.
   std::pmr::vector<QueryLogEntry> query_log_;
   bool unresponsive_ = false;

@@ -1,12 +1,12 @@
-// Response interposition hooks for the DNS servers (conformance layer).
+// Response interposition hook for the authoritative server (conformance
+// layer).
 //
-// A ResponseInterposer sits between a server's response construction and the
-// wire: it can edit the decoded response in place, stretch the response
+// A ResponseInterposer sits between AuthServer's response construction and
+// the wire: it can edit the decoded response in place, stretch the response
 // delay, drop the response, corrupt the encoded bytes, or emit extra
-// (spoofed/duplicate) datagrams from the server's address. AuthServer and
-// RecursiveResolver consult an optional interposer on their serve paths;
-// the hook is one branch when unset, so measurement campaigns never pay
-// for the fault layer they do not use.
+// (spoofed/duplicate) datagrams from the server's address. AuthServer is the
+// only DNS component that takes one; the hook is one branch when unset, so
+// measurement campaigns never pay for the fault layer they do not use.
 #pragma once
 
 #include <cstdint>

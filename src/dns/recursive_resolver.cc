@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/strings.h"
-
 namespace lazyeye::dns {
 
 namespace {
@@ -29,6 +27,10 @@ RecursiveResolver::RecursiveResolver(simnet::Host& host,
       profile_{std::move(profile)},
       root_hints_{std::move(root_hints)},
       client_{host} {}
+
+RecursiveResolver::~RecursiveResolver() {
+  if (serve_port_ != 0) host_.udp_unbind(serve_port_);
+}
 
 void RecursiveResolver::serve(std::uint16_t port) {
   serve_port_ = port;
@@ -61,57 +63,11 @@ void RecursiveResolver::serve(std::uint16_t port) {
                 response.header.rcode = Rcode::kServFail;
               }
 
-              if (serve_interposer_) {
-                // Fault-injection slow path: rebuild the query envelope
-                // (the serve scratch was reused during resolution) and let
-                // the interposer edit/delay/drop/augment the response.
-                DnsMessage query_echo;
-                query_echo.header.id = txn;
-                query_echo.header.rd = rd;
-                query_echo.questions.push_back(q);
-                SimTime delay{0};
-                ResponseDirectives directives;
-                serve_interposer_(query_echo, response, delay, directives);
-                for (InterposedDatagram& extra : directives.extra) {
-                  host_.udp_send(reply_from, reply_to,
-                                 simnet::Buffer::adopt(std::move(extra.wire)));
-                }
-                if (directives.drop) return;
-                simnet::Buffer wire{&host_.network().buffer_pool()};
-                response.encode_into(wire, *serve_compressor_);
-                if (directives.mutate_wire) {
-                  directives.mutate_wire(wire.heap_storage());
-                }
-                if (delay.count() > 0) {
-                  host_.network().loop().schedule_after(
-                      delay,
-                      [this, reply_from, reply_to,
-                       wire = std::move(wire)]() mutable {
-                        host_.udp_send(reply_from, reply_to, std::move(wire));
-                      });
-                  return;
-                }
-                host_.udp_send(reply_from, reply_to, std::move(wire));
-                return;
-              }
-
               simnet::Buffer wire{&host_.network().buffer_pool()};
               response.encode_into(wire, *serve_compressor_);
               host_.udp_send(reply_from, reply_to, std::move(wire));
             });
   });
-}
-
-void RecursiveResolver::stop_serving() {
-  if (serve_port_ != 0) host_.udp_unbind(serve_port_);
-  serve_port_ = 0;
-}
-
-void RecursiveResolver::log_step(ResolveStep::Kind kind, simnet::Family family,
-                                 const DnsName& qname, RrType qtype,
-                                 std::string note) {
-  steps_.push_back(ResolveStep{kind, host_.network().loop().now(), family,
-                               qname, qtype, std::move(note)});
 }
 
 std::uint64_t RecursiveResolver::resolve(const DnsName& qname, RrType qtype,
@@ -139,7 +95,7 @@ void RecursiveResolver::start_iteration(std::uint64_t job_id) {
   if (it == jobs_.end() || it->second.done) return;
   Job& job = it->second;
 
-  // Seed the server pool: cached delegation closest to qname, else root.
+  // Seed the server pool with the root.
   job.zone = DnsName{};  // root
   NsServerInfo root;
   root.name = DnsName::must_parse("root-server.lab");
@@ -147,20 +103,6 @@ void RecursiveResolver::start_iteration(std::uint64_t job_id) {
     (addr.is_v4() ? root.v4 : root.v6).push_back(addr);
   }
   job.servers = {std::move(root)};
-
-  if (cache_enabled_) {
-    const DnsName* best = nullptr;
-    for (const auto& [zone, servers] : delegation_cache_) {
-      if (!job.qname.is_subdomain_of(zone)) continue;
-      if (best == nullptr || zone.label_count() > best->label_count()) {
-        best = &zone;
-      }
-    }
-    if (best != nullptr) {
-      job.zone = *best;
-      job.servers = delegation_cache_.at(*best);
-    }
-  }
 
   job.family_chosen = false;
   job.packets_this_family = 0;
@@ -236,8 +178,6 @@ void RecursiveResolver::send_main_query(std::uint64_t job_id) {
 
   ++job.packets_this_family;
   ++job.total_attempts;
-  log_step(ResolveStep::Kind::kQuerySent, target->addr.family(), job.qname,
-           job.qtype, "to " + target->to_string());
 
   job.client_handle = client_.query(
       *target, job.qname, job.qtype, copts,
@@ -254,8 +194,6 @@ void RecursiveResolver::on_main_timeout(std::uint64_t job_id) {
   auto it = jobs_.find(job_id);
   if (it == jobs_.end() || it->second.done) return;
   Job& job = it->second;
-
-  log_step(ResolveStep::Kind::kTimeout, job.family, job.qname, job.qtype);
 
   if (job.total_attempts >= profile_.max_total_attempts) {
     QueryOutcome out;
@@ -286,7 +224,6 @@ void RecursiveResolver::on_main_timeout(std::uint64_t job_id) {
   job.family = simnet::other_family(job.family);
   job.packets_this_family = 0;
   job.timeout = profile_.attempt_timeout;
-  log_step(ResolveStep::Kind::kFamilySwitch, job.family, job.qname, job.qtype);
   send_main_query(job_id);
 }
 
@@ -295,8 +232,6 @@ void RecursiveResolver::on_main_response(std::uint64_t job_id,
   auto it = jobs_.find(job_id);
   if (it == jobs_.end() || it->second.done) return;
   Job& job = it->second;
-
-  log_step(ResolveStep::Kind::kResponse, job.family, job.qname, job.qtype);
 
   // Deferred AAAA acquisition (Google-style): the child auth has now been
   // contacted; issue the NS AAAA query for the record books.
@@ -311,8 +246,6 @@ void RecursiveResolver::on_main_response(std::uint64_t job_id,
         DnsClientOptions copts;
         copts.timeout = profile_.ns_query_timeout;
         copts.attempts = 1;
-        log_step(ResolveStep::Kind::kNsAddrQuery, target->addr.family(),
-                 primary.name, RrType::kAaaa, "deferred");
         client_.query(*target, primary.name, RrType::kAaaa, copts,
                       [](const QueryOutcome&) {});
       }
@@ -330,7 +263,6 @@ void RecursiveResolver::on_main_response(std::uint64_t job_id,
   if (!msg.answers.empty()) {
     const auto addrs = msg.addresses_for(job.qname, job.qtype);
     if (!addrs.empty() || msg.has_answer_for(job.qname, job.qtype)) {
-      log_step(ResolveStep::Kind::kAnswer, job.family, job.qname, job.qtype);
       finish(job_id, outcome);
       return;
     }
@@ -415,7 +347,6 @@ void RecursiveResolver::handle_referral(std::uint64_t job_id,
   job.family_chosen = false;
   job.packets_this_family = 0;
   job.total_attempts = 0;
-  if (cache_enabled_) delegation_cache_[job.zone] = job.servers;
 
   acquire_ns_addresses(job_id);
 }
@@ -499,8 +430,6 @@ void RecursiveResolver::acquire_ns_addresses(std::uint64_t job_id) {
 
   auto issue = [this, job_id, ns_name](const simnet::Endpoint& target,
                                        RrType type) {
-    log_step(ResolveStep::Kind::kNsAddrQuery, target.addr.family(), ns_name,
-             type);
     DnsClientOptions copts;
     copts.timeout = profile_.ns_query_timeout;
     copts.attempts = 1;
@@ -572,8 +501,6 @@ void RecursiveResolver::finish(std::uint64_t job_id, QueryOutcome outcome) {
       !outcome.error.empty()) {
     outcome.rcode = Rcode::kServFail;
   }
-  log_step(outcome.ok ? ResolveStep::Kind::kAnswer : ResolveStep::Kind::kFailure,
-           job.family, job.qname, job.qtype, outcome.error);
 
   Handler handler = std::move(job.handler);
   jobs_.erase(it);

@@ -1,20 +1,19 @@
 // Recursive resolver engine: iterative resolution from root hints with
 // profile-driven IP version preference and fallback behaviour.
 //
-// The engine is deliberately observable: every packet it emits crosses the
-// simulated network and lands in the authoritative servers' query logs, which
-// is where the resolver study (paper §5.3) takes all of its measurements.
+// The engine is observed only on the wire: it keeps no log of its own. Every
+// packet it emits crosses the simulated network and lands in the
+// authoritative servers' query logs, which is where the resolver study
+// (paper §5.3) takes all of its measurements.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
 #include <vector>
 
 #include "dns/client.h"
-#include "dns/interpose.h"
 #include "dns/message_pool.h"
 #include "dns/resolver_profile.h"
 
@@ -33,25 +32,6 @@ struct NsServerInfo {
   }
 };
 
-/// Internal step log (useful for tests; the lab uses auth-side logs).
-struct ResolveStep {
-  enum class Kind {
-    kQuerySent,
-    kResponse,
-    kTimeout,
-    kFamilySwitch,
-    kNsAddrQuery,
-    kAnswer,
-    kFailure,
-  };
-  Kind kind;
-  SimTime time{0};
-  simnet::Family family = simnet::Family::kIpv4;
-  DnsName qname;
-  RrType qtype = RrType::kA;
-  std::string note;
-};
-
 class RecursiveResolver {
  public:
   using Handler = std::function<void(const QueryOutcome&)>;
@@ -59,26 +39,19 @@ class RecursiveResolver {
   /// `root_hints`: addresses of the root name server(s).
   RecursiveResolver(simnet::Host& host, ResolverProfile profile,
                     std::vector<simnet::IpAddress> root_hints);
+  /// Releases the serve() port, whose handler points at this resolver.
+  ~RecursiveResolver();
+
+  RecursiveResolver(const RecursiveResolver&) = delete;
+  RecursiveResolver& operator=(const RecursiveResolver&) = delete;
 
   /// Starts answering RD queries from clients on `port`.
   void serve(std::uint16_t port = 53);
-  void stop_serving();
 
   /// Resolves qname/qtype iteratively; invokes handler exactly once.
   std::uint64_t resolve(const DnsName& qname, RrType qtype, Handler handler);
 
   const ResolverProfile& profile() const { return profile_; }
-  const std::vector<ResolveStep>& steps() const { return steps_; }
-
-  /// Minimal positive cache (zone -> servers) reuse across queries can be
-  /// disabled to keep measurement campaigns cache-free like the paper's.
-  void set_delegation_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-
-  /// Fault-injection hook on the serve() response path (dns/interpose.h).
-  /// Unset (the default) costs one branch per served response.
-  void set_response_interposer(ResponseInterposer hook) {
-    serve_interposer_ = std::move(hook);
-  }
 
  private:
   struct Job {
@@ -120,24 +93,14 @@ class RecursiveResolver {
   /// address at all.
   std::optional<simnet::Endpoint> pick_address(Job& job);
 
-  void log_step(ResolveStep::Kind kind, simnet::Family family,
-                const DnsName& qname, RrType qtype, std::string note = {});
-
   simnet::Host& host_;
   ResolverProfile profile_;
   std::vector<simnet::IpAddress> root_hints_;
   DnsClient client_;
   std::map<std::uint64_t, Job> jobs_;
-  std::vector<ResolveStep> steps_;
-  // Iterated in wire-byte name order, but the scan keeps the strictly
-  // longest cached suffix of one qname, which is unique, so the order never
-  // shows.
-  std::map<DnsName, std::vector<NsServerInfo>> delegation_cache_;
-  bool cache_enabled_ = false;
   bool global_either_or_toggle_ = false;
   std::uint64_t next_job_id_ = 1;
   std::uint16_t serve_port_ = 0;
-  ResponseInterposer serve_interposer_;
   // Decode/encode scratch for the serve() front-end (single-threaded),
   // checked out of the thread-local scratch pools.
   Pooled<DnsMessage> serve_scratch_;

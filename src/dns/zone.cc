@@ -39,23 +39,6 @@ void Zone::add_ns(const DnsName& owner, const DnsName& nsdname,
   add(ResourceRecord::ns(owner, nsdname, ttl));
 }
 
-void Zone::add_cname(const DnsName& name, const DnsName& target,
-                     std::uint32_t ttl) {
-  add(ResourceRecord::cname(name, target, ttl));
-}
-
-void Zone::set_soa(SoaRdata soa) {
-  // Replace the SOA created by the constructor.
-  for (auto it = records_.begin(); it != records_.end();) {
-    if (it->first == origin_ && it->second.type == RrType::kSoa) {
-      it = records_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  records_.emplace(origin_, ResourceRecord::soa(origin_, std::move(soa)));
-}
-
 bool Zone::name_exists(const DnsName& name) const {
   if (records_.count(name) > 0) return true;
   // An "empty non-terminal" exists if any record lives below it.
@@ -82,17 +65,6 @@ const DnsName* Zone::find_zone_cut(const DnsName& qname) const {
     }
   }
   return nullptr;
-}
-
-std::vector<ResourceRecord> Zone::glue_for(const DnsName& name) const {
-  std::vector<ResourceRecord> out;
-  const auto range = records_.equal_range(name);
-  for (auto it = range.first; it != range.second; ++it) {
-    if (it->second.type == RrType::kA || it->second.type == RrType::kAaaa) {
-      out.push_back(it->second);
-    }
-  }
-  return out;
 }
 
 void Zone::lookup_into(const DnsName& qname, RrType qtype,
@@ -157,23 +129,6 @@ void Zone::lookup_into(const DnsName& qname, RrType qtype,
     out.kind = RcodeKind::kNxDomain;
   }
   out.soa = soa_record();
-}
-
-Zone::LookupResult Zone::lookup(const DnsName& qname, RrType qtype) const {
-  // One-shot convenience on top of lookup_into(): same semantics, but the
-  // caller receives owned copies.
-  LookupRefs refs;
-  lookup_into(qname, qtype, refs);
-  LookupResult result;
-  result.kind = refs.kind;
-  result.records.reserve(refs.records.size());
-  for (const ResourceRecord* rr : refs.records) result.records.push_back(*rr);
-  result.additional.reserve(refs.additional.size());
-  for (const ResourceRecord* rr : refs.additional) {
-    result.additional.push_back(*rr);
-  }
-  if (refs.soa != nullptr) result.soa = *refs.soa;
-  return result;
 }
 
 }  // namespace lazyeye::dns

@@ -4,7 +4,6 @@
 
 #include <map>
 #include <memory_resource>
-#include <optional>
 #include <vector>
 
 #include "dns/rr.h"
@@ -32,9 +31,6 @@ class Zone {
                 std::uint32_t ttl = 60);
   void add_ns(const DnsName& owner, const DnsName& nsdname,
               std::uint32_t ttl = 60);
-  void add_cname(const DnsName& name, const DnsName& target,
-                 std::uint32_t ttl = 60);
-  void set_soa(SoaRdata soa);
 
   enum class RcodeKind {
     kAnswer,      // records of the requested type
@@ -45,23 +41,13 @@ class Zone {
     kNotInZone,   // qname not under this zone's origin
   };
 
-  struct LookupResult {
-    RcodeKind kind = RcodeKind::kNotInZone;
-    std::vector<ResourceRecord> records;     // answers, CNAME, or the NS set
-    std::vector<ResourceRecord> additional;  // glue for delegations
-    std::optional<ResourceRecord> soa;       // for negative answers
-  };
-
-  /// Pure lookup; CNAME chasing is left to the server (it may re-query
-  /// within the same zone).
-  LookupResult lookup(const DnsName& qname, RrType qtype) const;
-
   /// Copy-free lookup result: records point into the zone's own storage
   /// (multimap nodes are stable), valid until the zone is mutated. clear()
   /// keeps the vectors' capacity, so a reused scratch makes the steady-state
   /// lookup allocation-free.
   struct LookupRefs {
     RcodeKind kind = RcodeKind::kNotInZone;
+    // Answers, the CNAME, or the delegation's NS set.
     std::vector<const ResourceRecord*> records;
     std::vector<const ResourceRecord*> additional;  // glue for delegations
     const ResourceRecord* soa = nullptr;            // for negative answers
@@ -74,13 +60,11 @@ class Zone {
     }
   };
 
-  /// lookup() without the per-call ResourceRecord copies: fills `out` (a
-  /// caller-reused scratch) with pointers into the zone. The serve path
-  /// copies each record at most once, straight into the response sections.
+  /// Fills `out` (a caller-reused scratch) with pointers into the zone. The
+  /// serve path copies each record at most once, straight into the response
+  /// sections. CNAME chasing is left to the server (it may re-query within
+  /// the same zone).
   void lookup_into(const DnsName& qname, RrType qtype, LookupRefs& out) const;
-
-  /// Glue lookup helper: in-zone A/AAAA records for `name`.
-  std::vector<ResourceRecord> glue_for(const DnsName& name) const;
 
  private:
   bool name_exists(const DnsName& name) const;

@@ -6,8 +6,8 @@
 // PR 5 zero-alloc data-path check: global operator new counting, a warm-up
 // phase that fills the thread's scenario pool / buffer pools / DNS message
 // pools to their high-water marks, then a measured run of cells. The same
-// gate holds a single-fault conformance cell and compound-schedule cells,
-// with and without malformed DNS wire. A byte counter beside the call counter
+// gate holds a single-fault conformance cell, compound-schedule cells, with
+// and without malformed DNS wire, and a resolver-lab cell. A byte counter beside the call counter
 // also bounds what decoding malformed DNS wire, conformance records and
 // fault schedules may allocate. A warm DNS encode into a pooled buffer and a
 // warm DNS decode into a scratch message must allocate nothing at all, and
@@ -34,6 +34,8 @@
 #include "dns/message_pool.h"
 #include "dns/name.h"
 #include "dns/test_params.h"
+#include "resolverlab/lab.h"
+#include "resolvers/service_profiles.h"
 #include "simnet/buffer.h"
 #include "testbed/testbed.h"
 #include "testbed/world.h"
@@ -84,6 +86,11 @@ constexpr std::uint64_t kScheduleCellBudget = 64 + kSlack;
 // (same generator, same client) measures 61 warm (Debug, Release and
 // ASan+UBSan) on GCC 12.2 / libstdc++.
 constexpr std::uint64_t kMalformedDnsCellBudget = 61 + kSlack;
+
+// A resolver-lab cell (BIND over the paper grid: root, TLD and auth
+// servers, the recursive engine, one resolution) measures 34 warm (Debug,
+// Release and ASan+UBSan) on GCC 12.2 / libstdc++.
+constexpr std::uint64_t kResolverCellBudget = 34 + kSlack;
 
 // Decoding one malformed wire into a fresh DnsMessage may allocate at most
 // this many bytes per wire byte; the seeded corpus below peaks at 10.2
@@ -301,6 +308,22 @@ TEST(CellAllocTest, WarmMalformedDnsScheduleCellStaysUnderBudget) {
   EXPECT_LE(per_cell, kMalformedDnsCellBudget)
       << "warm malformed-DNS schedule cell allocations regressed: "
       << per_cell << " > budget " << kMalformedDnsCellBudget;
+}
+
+TEST(CellAllocTest, WarmResolverCellStaysUnderBudget) {
+  const resolvers::ServiceProfile service =
+      resolvers::local_software_profiles().front();
+  const campaign::SpecStream cells = resolverlab::cell_spec_stream(
+      service, resolverlab::LabConfig::paper_grid());
+  // Stride 8 through the 126-cell grid: the warm-up and each third of the
+  // measured cells span every delay.
+  const std::uint64_t per_cell = warm_allocations_per_cell([&](int i) {
+    resolverlab::run_cell(
+        service, cells.at(static_cast<std::size_t>(i) * 8 % cells.size()));
+  });
+  EXPECT_LE(per_cell, kResolverCellBudget)
+      << "warm resolver-lab cell allocations regressed: " << per_cell
+      << " > budget " << kResolverCellBudget;
 }
 
 TEST(CellAllocTest, MalformedDnsDecodeIsBoundedByWireLength) {

@@ -1,9 +1,14 @@
 // Recursive resolver engine tests against a small delegation tree:
 //   . (root)  ->  lab (TLD)  ->  z1.lab (measurement zone)
 // Covers the NS-query strategies, family preference/fallback/backoff, and
-// the failure modes Table 3/4 of the paper rely on.
+// the failure modes Table 3/4 of the paper rely on. The engine keeps no log
+// of its own, so it is observed only on the wire: through the auth servers'
+// query logs and a packet capture of the resolver host.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "capture/capture.h"
 #include "dns/auth_server.h"
 #include "dns/recursive_resolver.h"
 #include "dns/stub_resolver.h"
@@ -83,6 +88,20 @@ struct LabFixture : ::testing::Test {
     net.loop().run();
     EXPECT_TRUE(finished);
     return result;
+  }
+
+  /// Queries the resolver host sent to `server` port 53. Its egress tap
+  /// fires before netem may drop a packet, so dropped queries count too.
+  static int queries_to(const capture::PacketCapture& wire,
+                        const IpAddress& server) {
+    int sent = 0;
+    for (const capture::CapturedPacket& c : wire.packets()) {
+      if (c.egress() && c.packet.dst.addr == server &&
+          c.packet.dst.port == 53) {
+        ++sent;
+      }
+    }
+    return sent;
   }
 
   simnet::Network net;
@@ -220,19 +239,17 @@ TEST_F(LabFixture, FallsBackToV4WhenV6TimesOut) {
   p.attempt_timeout = ms(800);
   p.max_packets_per_family = 1;
   auto resolver = make_resolver(p);
+  capture::PacketCapture wire{resolver_host};
   const auto out = run_query(resolver, N("www.z1.lab"));
   ASSERT_TRUE(out.ok) << out.error;
+  // One v6 query to the auth server (dropped), then the switch to v4.
+  EXPECT_EQ(queries_to(wire, IpAddress::must_parse("2001:db8:1::1")), 1);
+  EXPECT_EQ(queries_to(wire, IpAddress::must_parse("10.0.1.1")), 1);
   // One v4 query eventually reached the auth server.
   ASSERT_EQ(auth->query_log().size(), 1u);
   EXPECT_EQ(auth->query_log()[0].family, Family::kIpv4);
   // The switch happened only after the 800 ms attempt timeout.
-  EXPECT_GE(net.loop().now(), ms(800));
-  // And the engine noted the family switch.
-  bool switched = false;
-  for (const auto& step : resolver.steps()) {
-    if (step.kind == ResolveStep::Kind::kFamilySwitch) switched = true;
-  }
-  EXPECT_TRUE(switched);
+  EXPECT_GE(auth->query_log()[0].time, ms(800));
 }
 
 TEST_F(LabFixture, RetriesSameFamilyWithBackoff) {
@@ -248,20 +265,14 @@ TEST_F(LabFixture, RetriesSameFamilyWithBackoff) {
   p.retry_same_family_prob = 1.0;  // force the retry path
   p.backoff_factor = 3.0;
   auto resolver = make_resolver(p);
+  capture::PacketCapture wire{resolver_host};
   const auto out = run_query(resolver, N("www.z1.lab"));
   ASSERT_TRUE(out.ok) << out.error;
 
   // Two v6 attempts towards the auth server: 376 ms + 1128 ms, then the v4
   // fallback. (Filter by target address: the same qname is also sent to the
   // root/TLD servers on the way down.)
-  int v6_sends = 0;
-  for (const auto& step : resolver.steps()) {
-    if (step.kind == ResolveStep::Kind::kQuerySent &&
-        step.note.find("2001:db8:1::1") != std::string::npos) {
-      ++v6_sends;
-    }
-  }
-  EXPECT_EQ(v6_sends, 2);
+  EXPECT_EQ(queries_to(wire, IpAddress::must_parse("2001:db8:1::1")), 2);
   EXPECT_GE(net.loop().now(), ms(376) + ms(1128));
 }
 
@@ -298,17 +309,11 @@ TEST_F(LabFixture, MultiplePacketsPerFamilyBeforeSwitch) {
   p.retry_same_family_prob = 1.0;
   p.max_total_attempts = 8;
   auto resolver = make_resolver(p);
+  capture::PacketCapture wire{resolver_host};
   const auto out = run_query(resolver, N("www.z1.lab"));
   ASSERT_TRUE(out.ok) << out.error;
 
-  int v6_sends = 0;
-  for (const auto& step : resolver.steps()) {
-    if (step.kind == ResolveStep::Kind::kQuerySent &&
-        step.note.find("2001:db8:1::1") != std::string::npos) {
-      ++v6_sends;
-    }
-  }
-  EXPECT_EQ(v6_sends, 6);
+  EXPECT_EQ(queries_to(wire, IpAddress::must_parse("2001:db8:1::1")), 6);
 }
 
 struct V6OnlyLabFixture : LabFixture {
@@ -377,14 +382,35 @@ TEST_F(LabFixture, ServesStubClients) {
   EXPECT_EQ(got[0].to_string(), "10.0.1.80");
 }
 
-TEST_F(LabFixture, DelegationCacheSkipsUpperTree) {
-  auto resolver = make_resolver(v4_only_profile());
-  resolver.set_delegation_cache_enabled(true);
-  ASSERT_TRUE(run_query(resolver, N("www.z1.lab")).ok);
-  const auto root_queries = root->query_log().size();
-  ASSERT_TRUE(run_query(resolver, N("ns1.z1.lab")).ok);
-  // Second query should not revisit the root.
-  EXPECT_EQ(root->query_log().size(), root_queries);
+TEST_F(LabFixture, DestroyedResolverStopsServing) {
+  // The serve() handler points at the resolver, so destroying it must
+  // release port 53: a later stub query times out instead of reaching
+  // freed memory.
+  auto resolver = std::make_unique<RecursiveResolver>(
+      resolver_host, v4_only_profile(),
+      std::vector<IpAddress>{IpAddress::must_parse("10.0.0.1")});
+  resolver->serve(53);
+  resolver.reset();
+
+  simnet::Host& client = net.add_host("client");
+  client.add_address(IpAddress::must_parse("10.0.0.20"));
+  StubOptions options;
+  options.servers = {{IpAddress::must_parse("10.0.0.10"), 53}};
+  options.timeout = ms(500);
+  options.attempts_per_server = 1;
+  StubResolver stub{client, options};
+
+  bool finished = false;
+  QueryOutcome result;
+  stub.resolve(N("www.z1.lab"), RrType::kA, [&](const QueryOutcome& out) {
+    result = out;
+    finished = true;
+  });
+  net.loop().run();
+  ASSERT_TRUE(finished);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(net.loop().now(), ms(500));
+  EXPECT_TRUE(root->query_log().empty());
 }
 
 TEST_F(LabFixture, OverallTimeoutFires) {

@@ -173,6 +173,34 @@ TEST(FaultSearchCrashTest, JournalIdentityMismatchRefused) {
 
 #endif  // unix
 
+TEST(FaultSearchJournalTest, JournalOfOtherProfilesOrFetchesRefused) {
+  const std::string path = tmp_path("hunt_profiles.journal");
+  FaultHunt first{hunt_options(path), hunt_profiles()};
+  first.run();
+  const std::string journal = read_file(path);
+
+  // Same seed and budget, so the identity matches; the records do not.
+  std::vector<clients::ClientProfile> more = clients::local_testbed_profiles();
+  more.resize(3);
+  FaultHunt more_profiles{hunt_options(path), more};
+  EXPECT_THROW(more_profiles.run(), campaign::JournalError);
+
+  std::vector<clients::ClientProfile> reordered = hunt_profiles();
+  std::swap(reordered[0], reordered[1]);
+  FaultHunt reordered_profiles{hunt_options(path), reordered};
+  EXPECT_THROW(reordered_profiles.run(), campaign::JournalError);
+
+  HuntOptions one_fetch = hunt_options(path);
+  one_fetch.fetches = 1;
+  FaultHunt other_fetches{one_fetch, hunt_profiles()};
+  EXPECT_THROW(other_fetches.run(), campaign::JournalError);
+
+  // Refusals leave the journal as it was, and equal options still resume.
+  EXPECT_EQ(read_file(path), journal);
+  FaultHunt same{hunt_options(path), hunt_profiles()};
+  EXPECT_TRUE(same.run().resumed);
+}
+
 /// Resumes a hunt whose journal is the real header of `path` followed by
 /// one CRC-valid snapshot record carrying `state`; returns the refusal.
 std::string resume_with_snapshot(const std::string& path,
