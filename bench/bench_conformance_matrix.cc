@@ -17,7 +17,6 @@
 
 #include "campaign/registry.h"
 #include "campaign/runner.h"
-#include "campaign/worker_pool.h"
 #include "clients/profiles.h"
 #include "conformance/checker.h"
 #include "conformance/schedule.h"
@@ -46,7 +45,6 @@ int main(int argc, char** argv) {
 
   campaign::Registry<conformance::ConformanceRecord> registry;
   conformance::register_conformance_executor(registry, harness, profiles);
-  campaign::WorkerPool& pool = campaign::WorkerPool::shared();
 
   std::printf("Conformance matrix%s: %zu fault kinds x %zu clients = %zu "
               "cells (2 fetches each)\n\n",
@@ -59,10 +57,7 @@ int main(int argc, char** argv) {
   std::string baseline_table;
   int baseline_violations = 0;
   for (const int workers : worker_counts) {
-    campaign::RunnerOptions options;
-    options.workers = workers;
-    options.pool = &pool;
-    const campaign::CampaignRunner runner{options};
+    const campaign::CampaignRunner runner{{.workers = workers}};
 
     conformance::VerdictTableSink sink;
     const auto start = std::chrono::steady_clock::now();
@@ -113,10 +108,7 @@ int main(int argc, char** argv) {
   std::string schedule_baseline;
   int schedule_violations = 0;
   for (const int workers : worker_counts) {
-    campaign::RunnerOptions options;
-    options.workers = workers;
-    options.pool = &pool;
-    const campaign::CampaignRunner runner{options};
+    const campaign::CampaignRunner runner{{.workers = workers}};
 
     conformance::VerdictTableSink sink;
     const auto start = std::chrono::steady_clock::now();

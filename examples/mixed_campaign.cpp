@@ -5,11 +5,10 @@
 // (Chrome + Firefox + curl), a web-tool repetition, and resolver-lab cells
 // for two Table 3 services — as a lazy SpecStream (no spec vector is ever
 // materialised), registers each layer's executor in one campaign::Registry,
-// and streams the cells through a ResultSink in spec order with claim-
-// cursor backpressure bounding the reorder buffer. Both campaigns below run
-// on the process-wide WorkerPool, so the second one reuses the first one's
-// parked threads. The same matrix is byte-identical at any worker count and
-// any max_reorder_ahead.
+// and streams the cells through a ResultSink in spec order. Both campaigns
+// below run on the process-wide WorkerPool, so the second one reuses the
+// first one's parked threads. The same matrix is byte-identical at any
+// worker count.
 //
 //   $ ./example_mixed_campaign
 #include <cstdio>
@@ -95,9 +94,7 @@ int main() {
   std::printf("%-6s %-14s %-34s %s\n", "cell", "case", "label", "outcome");
 
   campaign::RunnerOptions options;
-  options.workers = 4;            // explicit: pool path even on 1-core boxes
-  options.max_reorder_ahead = 8;  // bound the reorder buffer at 8 cells
-  options.pool = &campaign::WorkerPool::shared();
+  options.workers = 4;  // explicit: pool path even on 1-core boxes
   campaign::CallbackSink<MixedOutcome> sink{[](const campaign::ScenarioSpec& spec,
                                                MixedOutcome outcome) {
     std::string summary = std::visit(
@@ -153,11 +150,10 @@ int main() {
 
   const campaign::WorkerPool& pool = campaign::WorkerPool::shared();
   std::printf("\nShared pool: %d threads started once, %llu campaigns "
-              "served; reorder buffer high-water %zu (cap %zu). Rerun with "
-              "any worker count or cap for byte-identical output.\n",
+              "served; reorder buffer high-water %zu. Rerun with any worker "
+              "count for byte-identical output.\n",
               pool.threads_started(),
               static_cast<unsigned long long>(pool.jobs_run()),
-              runner.last_run_stats().reorder_high_water,
-              options.max_reorder_ahead);
+              runner.last_run_stats().reorder_high_water);
   return 0;
 }

@@ -41,12 +41,11 @@ class ReorderBuffer {
       : backed_{backed}, next_to_emit_{first} {}
 
   /// Records cell `index` as complete and delivers it — and every later
-  /// cell already parked behind it — to `sink` in spec order. Returns the
-  /// new next-undelivered index for claim-gate pacing. If the sink throws,
-  /// delivery latches off (the campaign is failing; no worker may deliver a
-  /// moved-from cell) and the exception propagates to the caller.
-  std::size_t complete(std::size_t index, ScenarioSpec spec, R outcome,
-                       ResultSink<R>& sink) EXCLUDES(mutex_) {
+  /// cell already parked behind it — to `sink` in spec order. If the sink
+  /// throws, delivery latches off (the campaign is failing; no worker may
+  /// deliver a moved-from cell) and the exception propagates to the caller.
+  void complete(std::size_t index, ScenarioSpec spec, R outcome,
+                ResultSink<R>& sink) EXCLUDES(mutex_) {
     util::MutexLock lock{mutex_};
     pending_.emplace(index, PendingCell{std::move(spec), std::move(outcome)});
     while (!delivery_failed_) {
@@ -65,12 +64,12 @@ class ReorderBuffer {
       }
     }
     if (pending_.size() > high_water_) high_water_ = pending_.size();
-    return next_to_emit_;
   }
 
-  /// Max completed cells ever parked awaiting an earlier one. Call after
-  /// the campaign drained (it reads under the lock, but the interesting
-  /// value is the final one).
+  /// Max completed cells ever parked awaiting an earlier one. Nothing bounds
+  /// it: a slow head cell parks every cell the other workers finish
+  /// meanwhile. Call after the campaign drained (it reads under the lock,
+  /// but the interesting value is the final one).
   std::size_t high_water() const EXCLUDES(mutex_) {
     util::MutexLock lock{mutex_};
     return high_water_;

@@ -4,6 +4,7 @@
 #include <exception>
 #include <thread>
 
+#include "campaign/worker_pool.h"
 #include "util/mutex.h"
 
 namespace lazyeye::campaign {
@@ -23,15 +24,14 @@ int CampaignRunner::resolved_workers(std::size_t jobs) const {
   return workers;
 }
 
-int CampaignRunner::run_indexed(std::size_t count,
-                                const std::function<void(std::size_t)>& job,
-                                ClaimGate* gate) const {
-  if (count == 0) return 0;
+void CampaignRunner::run_indexed(
+    std::size_t count, const std::function<void(std::size_t)>& job) const {
+  if (count == 0) return;
   const int workers = resolved_workers(count);
 
   if (workers <= 1) {
     for (std::size_t i = 0; i < count; ++i) job(i);
-    return workers;
+    return;
   }
 
   std::atomic<std::size_t> cursor{0};
@@ -43,9 +43,6 @@ int CampaignRunner::run_indexed(std::size_t count,
     while (!failed.load(std::memory_order_relaxed)) {
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;
-      // Claims are handed out in index order, so every index below a gated
-      // one is already owned by some worker — the wait always resolves.
-      if (gate != nullptr && !gate->wait_for_claim(i)) return;
       try {
         job(i);
       } catch (...) {
@@ -54,19 +51,14 @@ int CampaignRunner::run_indexed(std::size_t count,
           if (!first_error) first_error = std::current_exception();
         }
         failed.store(true, std::memory_order_relaxed);
-        // Release claimers parked behind the (now dead) emit cursor.
-        if (gate != nullptr) gate->abort();
         return;
       }
     }
   };
 
-  WorkerPool& pool = options_.pool != nullptr ? *options_.pool
-                                              : WorkerPool::shared();
-  pool.run_job(workers - 1, worker_body);
+  WorkerPool::shared().run_job(workers - 1, worker_body);
 
   if (first_error) std::rethrow_exception(first_error);
-  return workers;
 }
 
 }  // namespace lazyeye::campaign

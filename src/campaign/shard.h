@@ -2,8 +2,8 @@
 // merge.
 //
 // A shard is a contiguous cell range [begin, end) of one spec stream, run
-// as its own journaled campaign (journal_sink.h) in its own OS process with
-// its own WorkerPool. The shard process is the campaign's only isolation
+// as its own journaled campaign (journal_sink.h) in its own OS process,
+// whose WorkerPool::shared() starts its threads after the fork. The shard process is the campaign's only isolation
 // unit: the runner fails a campaign on the first executor throw (runner.h),
 // so a throwing, wedged or crashed cell takes down only its shard, which
 // leaves an incomplete journal behind and resumes from it once rerun.

@@ -4,15 +4,16 @@
 // sitting in a vector before the first cell runs — every layer's spec
 // generator is a pure function of the cell index (seed arithmetic + label
 // formatting), so a campaign can carry just (count, index -> spec) and let
-// each worker build the specs it claims on demand. The memory high-water of
-// a streaming campaign then tracks the reorder window, not the matrix size.
+// each worker build the specs it claims on demand. A streaming campaign then
+// holds specs only for cells that are running or parked in the reorder
+// buffer; unclaimed cells cost nothing.
 //
 // The generator MUST be pure and thread-safe: workers call at(i) from
 // several threads, in claim order, and the reorder path may never re-derive
-// a spec it already generated differently. All layer stream factories
-// (testbed::LocalTestbed::cad_sweep_stream, webtool::WebTool::
-// campaign_spec_stream, resolverlab::cell_spec_stream, ...) satisfy this by
-// computing seeds from the index alone.
+// a spec it already generated differently. The layer stream factories
+// (testbed::LocalTestbed::multi_client_cad_stream, webtool::WebTool::
+// campaign_spec_stream, resolverlab::cross_service_cell_spec_stream) satisfy
+// this by computing seeds from the index alone.
 #pragma once
 
 #include <cstddef>

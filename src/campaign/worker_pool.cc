@@ -6,33 +6,12 @@ namespace lazyeye::campaign {
 
 namespace {
 
-// Pools the current thread is (transitively) executing a job body for.
-// run_job uses it to detect re-entry — a campaign launched from inside
-// another campaign's executor/sink/hook that leads back to a pool already
-// mid-job — and falls back to transient threads instead of self-deadlocking
-// on that pool's job_mutex_. The set is propagated from the launching
-// thread into every thread that runs the job's body, so the detection
-// survives pool hops (campaign on A -> executor campaigns on B -> B's
-// worker campaigns back on A).
-thread_local std::vector<const WorkerPool*> t_running_pools;
-
-bool running_inside(const WorkerPool* pool) {
-  return std::find(t_running_pools.begin(), t_running_pools.end(), pool) !=
-         t_running_pools.end();
-}
-
-// Installs `pools` as the thread's running-pool set for the body's scope.
-class ScopedRunningPools {
- public:
-  explicit ScopedRunningPools(std::vector<const WorkerPool*> pools)
-      : prev_{std::move(t_running_pools)} {
-    t_running_pools = std::move(pools);
-  }
-  ~ScopedRunningPools() { t_running_pools = std::move(prev_); }
-
- private:
-  std::vector<const WorkerPool*> prev_;
-};
+// True while the current thread runs a job body. run_job uses it to detect
+// re-entry — a campaign launched from inside another campaign's
+// executor/sink/hook — and falls back to transient threads instead of
+// queueing on a job_mutex_ the outer campaign may hold. Pool threads only
+// ever run job bodies, so they set it once for their whole life.
+thread_local bool t_inside_job = false;
 
 }  // namespace
 
@@ -71,64 +50,48 @@ void WorkerPool::ensure_threads(int wanted) {
 }
 
 void WorkerPool::run_job(int helpers, const std::function<void()>& body) {
-  if (running_inside(this)) {
-    // Nested campaign launched from inside one of this pool's own job
-    // bodies: job_mutex_ is held (transitively) by the outer campaign, so
-    // queueing would self-deadlock. Run the inner campaign on transient
-    // threads instead — the pre-pool behaviour, paid only on recursion.
+  helpers = std::max(helpers, 0);
+  if (t_inside_job) {
+    // Nested campaign: transient threads, paid only on recursion.
     {
       util::MutexLock lock{state_mutex_};
       ++jobs_run_;
     }
     std::vector<std::thread> transient;
-    transient.reserve(helpers > 0 ? static_cast<std::size_t>(helpers) : 0);
-    const std::vector<const WorkerPool*> inherited = t_running_pools;
+    transient.reserve(static_cast<std::size_t>(helpers));
     for (int i = 0; i < helpers; ++i) {
-      transient.emplace_back([&body, inherited] {
-        ScopedRunningPools scope{inherited};  // deeper nesting detected too
+      transient.emplace_back([&body] {
+        t_inside_job = true;  // deeper nesting stays transient too
         body();
       });
     }
-    body();  // the caller's set already contains this pool
+    body();
     for (std::thread& t : transient) t.join();
     return;
   }
   // One campaign at a time per pool: a concurrent second campaign parks
   // here instead of interleaving with the first one's claim cursor.
   util::MutexLock job_lock{job_mutex_};
-  std::vector<const WorkerPool*> job_pools = t_running_pools;
-  job_pools.push_back(this);
-  if (helpers <= 0) {
-    {
-      util::MutexLock lock{state_mutex_};
-      ++jobs_run_;
-    }
-    ScopedRunningPools scope{std::move(job_pools)};
-    body();
-    return;
-  }
   {
     util::MutexLock lock{state_mutex_};
     ensure_threads(helpers);
     body_ = &body;
-    job_pools_ = &job_pools;  // outlives the job: run_job waits for active_==0
     open_slots_ = helpers;
     active_ = helpers;
     ++job_seq_;
     ++jobs_run_;
   }
   work_cv_.notify_all();
-  {
-    ScopedRunningPools scope{job_pools};
-    body();  // the calling thread is participant 0
-  }
+  t_inside_job = true;
+  body();  // the calling thread is participant 0
+  t_inside_job = false;
   util::MutexLock lock{state_mutex_};
   while (active_ != 0) done_cv_.wait(state_mutex_);
   body_ = nullptr;
-  job_pools_ = nullptr;
 }
 
 void WorkerPool::worker_main() {
+  t_inside_job = true;
   std::uint64_t seen_job = 0;
   state_mutex_.lock();
   for (;;) {
@@ -144,12 +107,8 @@ void WorkerPool::worker_main() {
     seen_job = job_seq_;
     --open_slots_;
     const std::function<void()>* body = body_;
-    std::vector<const WorkerPool*> pools = *job_pools_;  // copied under lock
     state_mutex_.unlock();
-    {
-      ScopedRunningPools scope{std::move(pools)};
-      (*body)();
-    }
+    (*body)();
     state_mutex_.lock();
     if (--active_ == 0) done_cv_.notify_all();
   }

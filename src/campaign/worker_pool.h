@@ -10,9 +10,9 @@
 //
 // Threads are started lazily: the pool spawns only when a campaign actually
 // asks for helpers, and only as many as the widest campaign so far needed.
-// One process-wide pool (WorkerPool::shared()) is the default for every
-// runner, so testbed, webtool, and resolverlab campaigns all amortise the
-// same threads; runners can be pointed at a private pool via RunnerOptions.
+// Every CampaignRunner borrows from the one process-wide pool
+// (WorkerPool::shared()), so testbed, webtool, and resolverlab campaigns all
+// amortise the same threads. Private pools exist for the pool's own tests.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +32,8 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// The process-wide pool every CampaignRunner uses unless its options
-  /// name another one. Lives (parked) until process exit.
+  /// The process-wide pool every CampaignRunner uses. Lives (parked) until
+  /// process exit.
   static WorkerPool& shared();
 
   /// Runs `body` concurrently on `helpers` pool threads plus the calling
@@ -42,9 +42,9 @@ class WorkerPool {
   /// `body` must not throw (campaign workers trap their own exceptions).
   /// Campaigns are serialised: a second concurrent campaign on the same
   /// pool waits for the first to finish — determinism never depends on it.
-  /// Re-entrant: a campaign launched from inside one of this pool's job
-  /// bodies (an executor/sink/hook that itself runs a campaign) executes on
-  /// transient threads instead of deadlocking on the serialisation lock.
+  /// Re-entrant: a job launched from inside any pool's job body (an
+  /// executor/sink/hook that itself runs a campaign) executes on transient
+  /// threads instead of deadlocking on the serialisation lock.
   void run_job(int helpers, const std::function<void()>& body);
 
   /// Threads this pool has ever started (they persist until destruction).
@@ -62,11 +62,6 @@ class WorkerPool {
   util::CondVar done_cv_;  // the campaign thread waits here
   std::vector<std::thread> threads_ GUARDED_BY(state_mutex_);
   const std::function<void()>* body_ GUARDED_BY(state_mutex_) = nullptr;
-  /// Running-pool set of the current job's launching thread (plus this
-  /// pool); installed on every worker for the body's duration so nested
-  /// campaigns are detected across pool hops (see worker_pool.cc).
-  const std::vector<const WorkerPool*>* job_pools_ GUARDED_BY(state_mutex_) =
-      nullptr;
   /// Bumped per campaign; workers track it.
   std::uint64_t job_seq_ GUARDED_BY(state_mutex_) = 0;
   /// Participants this campaign still wants.

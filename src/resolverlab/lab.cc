@@ -216,43 +216,6 @@ bool check_ipv6_only_capability(const resolvers::ServiceProfile& service,
   return resolved;
 }
 
-namespace {
-
-/// Pure per-index cell builder shared by the eager and lazy generators.
-/// The seed sequence is the one the original serial loop consumed:
-/// config.seed + 1, +2, ... in (delay-major, repetition-minor) order.
-campaign::ScenarioSpec resolver_cell_at(const std::string& service_name,
-                                        const std::vector<SimTime>& grid,
-                                        int repetitions,
-                                        std::uint64_t config_seed,
-                                        std::size_t cell) {
-  const std::size_t di = cell / static_cast<std::size_t>(repetitions);
-  const int rep = static_cast<int>(cell % static_cast<std::size_t>(repetitions));
-  campaign::ScenarioSpec spec;
-  spec.id = cell;
-  spec.seed = config_seed + cell + 1;
-  spec.repetition = rep;
-  spec.grid_index = static_cast<int>(di);
-  spec.payload = campaign::ResolverCellCase{service_name, grid[di]};
-  spec.label = lazyeye::str_cat(service_name, ' ', format_duration(grid[di]),
-                                " rep", rep);
-  return spec;
-}
-
-}  // namespace
-
-campaign::SpecStream cell_spec_stream(const resolvers::ServiceProfile& service,
-                                      const LabConfig& config) {
-  const std::size_t total = config.delay_grid.size() *
-                            static_cast<std::size_t>(config.repetitions);
-  return campaign::SpecStream{
-      total, [name = service.service, grid = config.delay_grid,
-              repetitions = config.repetitions, seed = config.seed](
-                 std::size_t cell) {
-        return resolver_cell_at(name, grid, repetitions, seed, cell);
-      }};
-}
-
 campaign::SpecStream cross_service_cell_spec_stream(
     const std::vector<resolvers::ServiceProfile>& services,
     const LabConfig& config) {
@@ -267,13 +230,23 @@ campaign::SpecStream cross_service_cell_spec_stream(
        repetitions = config.repetitions, seed = config.seed,
        per_service](std::size_t i) {
         // Service-major; each service's block keeps its solo seed sequence
+        // config.seed + 1, +2, ... in (delay-major, repetition-minor) order
         // (different services run different engines, so re-using the
         // sequence across blocks is what makes the joint matrix reproduce
         // every solo campaign exactly); ids dense across the joint matrix.
-        campaign::ScenarioSpec spec =
-            resolver_cell_at(names[i / per_service], grid, repetitions, seed,
-                             i % per_service);
+        const std::size_t cell = i % per_service;
+        const std::size_t di = cell / static_cast<std::size_t>(repetitions);
+        const int rep =
+            static_cast<int>(cell % static_cast<std::size_t>(repetitions));
+        const std::string& service_name = names[i / per_service];
+        campaign::ScenarioSpec spec;
         spec.id = i;
+        spec.seed = seed + cell + 1;
+        spec.repetition = rep;
+        spec.grid_index = static_cast<int>(di);
+        spec.payload = campaign::ResolverCellCase{service_name, grid[di]};
+        spec.label = lazyeye::str_cat(service_name, ' ',
+                                      format_duration(grid[di]), " rep", rep);
         return spec;
       }};
 }

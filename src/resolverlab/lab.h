@@ -76,17 +76,12 @@ struct ServiceMetrics {
 bool check_ipv6_only_capability(const resolvers::ServiceProfile& service,
                                 std::uint64_t seed = 7);
 
-/// Enumerates the service's (delay × repetition) matrix as campaign cells,
-/// generated per claimed cell. Each cell's seed is config.seed + flat_index
-/// + 1 — the same sequence the original serial loop consumed, so
-/// measurements are reproducible across versions and worker counts.
-campaign::SpecStream cell_spec_stream(const resolvers::ServiceProfile& service,
-                                      const LabConfig& config);
-
 /// One joint matrix covering all `services` (service-major: service A's
-/// full delay × repetition block, then B's, ...). Each service's block
-/// keeps its own serial seed sequence, so per-service observations are
-/// identical to a solo campaign; ids are dense across the joint matrix.
+/// full delay × repetition block, then B's, ...), generated per claimed
+/// cell. Each service's block keeps its own serial seed sequence
+/// (config.seed + flat_index + 1), so per-service observations are
+/// identical to a solo campaign and reproducible across versions and worker
+/// counts; ids are dense across the joint matrix.
 campaign::SpecStream cross_service_cell_spec_stream(
     const std::vector<resolvers::ServiceProfile>& services,
     const LabConfig& config);

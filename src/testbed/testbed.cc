@@ -109,49 +109,6 @@ campaign::ScenarioSpec LocalTestbed::address_selection_spec(
   return spec;
 }
 
-namespace {
-
-/// Pure per-index CAD cell builder — the single assembly point shared by
-/// both stream factories, so single- and multi-client matrices can never
-/// diverge field by field. Delay-major, repetition-minor, one seed per cell
-/// drawn from the counter range the caller reserved.
-campaign::ScenarioSpec cad_cell_at(const clients::ClientProfile& profile,
-                                   const std::vector<SimTime>& values,
-                                   int repetitions, std::uint64_t first_seed,
-                                   std::size_t i) {
-  campaign::ScenarioSpec spec;
-  const std::size_t grid = i / static_cast<std::size_t>(repetitions);
-  const int rep = static_cast<int>(i % static_cast<std::size_t>(repetitions));
-  const SimTime delay = values[grid];
-  spec.seed = first_seed + i;
-  spec.id = i;
-  spec.repetition = rep;
-  spec.grid_index = static_cast<int>(grid);
-  spec.client = profile.display_name();
-  spec.payload = campaign::CadCase{delay};
-  spec.label = delay_label("cad ", spec.client, delay, rep);
-  return spec;
-}
-
-}  // namespace
-
-campaign::SpecStream LocalTestbed::cad_sweep_stream(
-    const clients::ClientProfile& profile, const SweepSpec& sweep,
-    int repetitions) {
-  auto values = sweep.values();
-  const std::size_t total =
-      values.size() * static_cast<std::size_t>(repetitions);
-  // Reserve the counter range the per-cell cad_spec() path would have
-  // consumed, so sweeps and one-off specs on one testbed never collide.
-  const std::uint64_t first_seed = run_counter_ + 1;
-  run_counter_ += total;
-  return campaign::SpecStream{
-      total, [profile, values = std::move(values), repetitions,
-              first_seed](std::size_t i) {
-        return cad_cell_at(profile, values, repetitions, first_seed, i);
-      }};
-}
-
 campaign::SpecStream LocalTestbed::multi_client_cad_stream(
     std::vector<clients::ClientProfile> profiles, const SweepSpec& sweep,
     int repetitions) {
@@ -159,18 +116,29 @@ campaign::SpecStream LocalTestbed::multi_client_cad_stream(
   const std::size_t per_client =
       values.size() * static_cast<std::size_t>(repetitions);
   const std::size_t total = per_client * profiles.size();
+  // Reserve the counter range the per-cell cad_spec() path would have
+  // consumed, so sweeps and one-off specs on one testbed never collide.
   const std::uint64_t first_seed = run_counter_ + 1;
   run_counter_ += total;
   return campaign::SpecStream{
       total, [profiles = std::move(profiles), values = std::move(values),
               repetitions, per_client, first_seed](std::size_t i) {
-        // Profile-major, same seed sequence as back-to-back solo sweeps;
-        // ids are dense across the joint matrix.
-        campaign::ScenarioSpec spec =
-            cad_cell_at(profiles[i / per_client], values, repetitions,
-                        first_seed + (i / per_client) * per_client,
-                        i % per_client);
+        // Profile-major, then delay-major, repetition-minor, one seed per
+        // cell: the same seed sequence as back-to-back solo sweeps. Ids are
+        // dense across the joint matrix.
+        const std::size_t cell = i % per_client;
+        const std::size_t grid = cell / static_cast<std::size_t>(repetitions);
+        const int rep =
+            static_cast<int>(cell % static_cast<std::size_t>(repetitions));
+        const SimTime delay = values[grid];
+        campaign::ScenarioSpec spec;
+        spec.seed = first_seed + i;
         spec.id = i;
+        spec.repetition = rep;
+        spec.grid_index = static_cast<int>(grid);
+        spec.client = profiles[i / per_client].display_name();
+        spec.payload = campaign::CadCase{delay};
+        spec.label = delay_label("cad ", spec.client, delay, rep);
         return spec;
       }};
 }
@@ -263,7 +231,7 @@ std::vector<RunRecord> LocalTestbed::sweep_cad(
   // Cells are generated as workers claim them, so the sweep never
   // materialises its spec vector; records arrive in spec order.
   const campaign::SpecStream specs =
-      cad_sweep_stream(profile, sweep, repetitions);
+      multi_client_cad_stream({profile}, sweep, repetitions);
   std::vector<RunRecord> records;
   records.reserve(specs.size());
   campaign::CallbackSink<RunRecord> sink{

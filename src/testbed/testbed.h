@@ -110,21 +110,15 @@ class LocalTestbed {
       const clients::ClientProfile& profile, int per_family,
       int repetition = 0);
 
-  // ---- Lazy spec streams -------------------------------------------------
+  // ---- Lazy spec stream --------------------------------------------------
   // Matrices are generated on demand per claimed cell, so a matrix of any
-  // size never sits in memory. Each factory reserves its whole run-counter
+  // size never sits in memory. The factory reserves its whole run-counter
   // range up front.
 
-  /// The full delay × repetition CAD matrix (delay-major, repetition-minor —
-  /// the same cell order the serial sweep used).
-  campaign::SpecStream cad_sweep_stream(const clients::ClientProfile& profile,
-                                        const SweepSpec& sweep,
-                                        int repetitions = 1);
-
-  /// One CAD matrix batching several client profiles into a single campaign
+  /// The delay × repetition CAD matrix of every profile in one campaign
   /// (profile-major, then delay-major, repetition-minor — the same counter
   /// sequence as generating each profile's sweep back to back). Ids are
-  /// dense across the joint matrix.
+  /// dense across the joint matrix. A one-profile call is a solo sweep.
   campaign::SpecStream multi_client_cad_stream(
       std::vector<clients::ClientProfile> profiles, const SweepSpec& sweep,
       int repetitions = 1);

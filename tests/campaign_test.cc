@@ -8,7 +8,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <limits>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <variant>
@@ -22,6 +22,7 @@
 #include "clients/profiles.h"
 #include "resolverlab/lab.h"
 #include "testbed/testbed.h"
+#include "util/mutex.h"
 #include "util/strings.h"
 #include "webtool/webtool.h"
 
@@ -156,110 +157,36 @@ TEST(CampaignRunnerTest, FirstExecutorExceptionRethrownOnCallingThread) {
   EXPECT_NE(caught.find("boom"), std::string::npos);
 }
 
-TEST(CampaignRunnerTest, ResultsIdenticalForEveryReorderCap) {
-  // The backpressure cap is a scheduling knob only: 8 workers with
-  // max_reorder_ahead 1, 4, and unbounded must all reproduce the serial
-  // delivery byte-for-byte (order and content).
-  const auto specs = numbered_specs(48);
-  const std::function<std::uint64_t(const ScenarioSpec&)> executor =
-      [](const ScenarioSpec& s) { return s.seed * 31 + s.id; };
-
-  auto run_with = [&](int workers, std::size_t cap) {
-    RunnerOptions options;
-    options.workers = workers;
-    options.max_reorder_ahead = cap;
-    CampaignRunner runner{options};
-    std::vector<std::uint64_t> delivered;
-    CallbackSink<std::uint64_t> sink{
-        [&delivered](const ScenarioSpec&, std::uint64_t v) {
-          delivered.push_back(v);
-        }};
-    runner.run_streaming<std::uint64_t>(SpecStream::view(specs), executor,
-                                        sink);
-    return delivered;
-  };
-
-  const auto serial = run_with(1, 0);
-  // SIZE_MAX guards the gate's saturating window arithmetic: a huge cap
-  // must behave as unbounded, not wrap and park every claimer forever.
-  for (const std::size_t cap :
-       {std::size_t{1}, std::size_t{4}, std::size_t{0},
-        std::numeric_limits<std::size_t>::max()}) {
-    EXPECT_EQ(run_with(8, cap), serial) << "cap=" << cap;
-  }
-}
-
-TEST(CampaignRunnerTest, SlowHeadCellNeverOverflowsTheReorderCap) {
-  // Adversarial workload from the runner.h pathology note: cell 0 is
-  // pathologically slow while every other cell completes instantly. Without
-  // backpressure the whole matrix parks behind cell 0; with
-  // max_reorder_ahead the claim cursor stalls instead, so the pending
-  // buffer high-water must stay at or under the cap.
-  const auto specs = numbered_specs(64);
-  for (const std::size_t cap : {std::size_t{1}, std::size_t{4}}) {
-    RunnerOptions options;
-    options.workers = 8;
-    options.max_reorder_ahead = cap;
-    CampaignRunner runner{options};
-    const std::function<int(const ScenarioSpec&)> executor =
-        [](const ScenarioSpec& s) {
-          if (s.id == 0) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          }
-          return static_cast<int>(s.id);
-        };
-    std::vector<int> delivered;
-    CallbackSink<int> sink{[&delivered](const ScenarioSpec&, int v) {
-      delivered.push_back(v);
-    }};
-    runner.run_streaming<int>(SpecStream::view(specs), executor, sink);
-
-    ASSERT_EQ(delivered.size(), 64u);
-    for (std::size_t i = 0; i < delivered.size(); ++i) {
-      EXPECT_EQ(delivered[i], static_cast<int>(i));
-    }
-    EXPECT_LE(runner.last_run_stats().reorder_high_water, cap) << "cap=" << cap;
-    EXPECT_EQ(runner.last_run_stats().cells, 64u);
-  }
-}
-
-TEST(CampaignRunnerTest, GatedRunStillPropagatesExecutorExceptions) {
-  // A failing executor must not leave gated claimers parked forever: the
-  // claim gate is released and the first exception surfaces on the caller.
-  const auto specs = numbered_specs(40);
-  RunnerOptions options;
-  options.workers = 8;
-  options.max_reorder_ahead = 2;
-  CampaignRunner runner{options};
-  EXPECT_THROW(
-      collect<int>(runner, specs,
-                   [](const ScenarioSpec& s) -> int {
-                     if (s.id == 5) throw std::runtime_error("head boom");
-                     return 0;
-                   }),
-      std::runtime_error);
-}
-
 // --------------------------------------------------------- worker pool ----
 
 TEST(WorkerPoolTest, NestedCampaignOnTheSamePoolDoesNotDeadlock) {
   // An executor that itself runs a multi-worker campaign re-enters the
-  // pool's run_job from inside a job body; the pool must detect this and
-  // run the inner campaign on transient threads instead of queueing behind
-  // the (still running) outer campaign.
-  WorkerPool pool;
-  RunnerOptions outer_options;
-  outer_options.workers = 3;
-  outer_options.pool = &pool;
-  CampaignRunner outer{outer_options};
+  // shared pool's run_job from inside a job body; the pool must detect this
+  // and run the inner campaign on transient threads instead of queueing
+  // behind the (still running) outer campaign. The first three outer cells
+  // wait for each other, so each of the three participants — the calling
+  // thread and two pool threads — starts an inner campaign.
+  constexpr int kOuterWorkers = 3;
+  std::atomic<int> entered{0};
+  util::Mutex ids_mutex;
+  std::set<std::thread::id> outer_threads;
 
   const auto outer_totals = collect<std::uint64_t>(
-      outer, numbered_specs(6), [&pool](const ScenarioSpec& outer_spec) {
-        RunnerOptions inner_options;
-        inner_options.workers = 2;
-        inner_options.pool = &pool;
+      runner_with(kOuterWorkers), numbered_specs(6),
+      [&](const ScenarioSpec& outer_spec) {
+        entered.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (entered.load() < kOuterWorkers &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        {
+          util::MutexLock lock{ids_mutex};
+          outer_threads.insert(std::this_thread::get_id());
+        }
         const auto inner = collect<std::uint64_t>(
-            CampaignRunner{inner_options}, numbered_specs(8),
+            runner_with(2), numbered_specs(8),
             [](const ScenarioSpec& s) { return s.seed; });
         std::uint64_t total = outer_spec.seed;
         for (const std::uint64_t v : inner) total += v;
@@ -274,66 +201,25 @@ TEST(WorkerPoolTest, NestedCampaignOnTheSamePoolDoesNotDeadlock) {
   for (std::size_t i = 0; i < outer_totals.size(); ++i) {
     EXPECT_EQ(outer_totals[i], numbered_specs(6)[i].seed + inner_sum);
   }
-}
-
-TEST(WorkerPoolTest, CrossPoolNestedCampaignDoesNotDeadlock) {
-  // A -> B -> A: an executor on pool A campaigns on pool B, whose workers
-  // campaign back on pool A while A's outer campaign still holds its job
-  // slot. The running-pool set travels with the job into every worker, so
-  // the innermost run detects the recursion and uses transient threads.
-  WorkerPool pool_a;
-  WorkerPool pool_b;
-  auto runner_on = [](WorkerPool& pool) {
-    RunnerOptions options;
-    options.workers = 2;
-    options.pool = &pool;
-    return CampaignRunner{options};
-  };
-
-  const auto totals = collect<std::uint64_t>(
-      runner_on(pool_a), numbered_specs(4),
-      [&](const ScenarioSpec& outer_spec) {
-        const auto mids = collect<std::uint64_t>(
-            runner_on(pool_b), numbered_specs(3),
-            [&](const ScenarioSpec& mid_spec) {
-              const auto inner = collect<std::uint64_t>(
-                  runner_on(pool_a), numbered_specs(2),
-                  [](const ScenarioSpec& s) { return s.seed; });
-              std::uint64_t total = mid_spec.seed;
-              for (const std::uint64_t v : inner) total += v;
-              return total;
-            });
-        std::uint64_t total = outer_spec.seed;
-        for (const std::uint64_t v : mids) total += v;
-        return total;
-      });
-
-  const std::uint64_t inner_sum = 100 + 101;
-  const std::uint64_t mid_sum = 3 * inner_sum + 100 + 101 + 102;
-  ASSERT_EQ(totals.size(), 4u);
-  for (std::size_t i = 0; i < totals.size(); ++i) {
-    EXPECT_EQ(totals[i], 100 + i + mid_sum);
-  }
+  EXPECT_EQ(outer_threads.size(), static_cast<std::size_t>(kOuterWorkers));
+  EXPECT_EQ(outer_threads.count(std::this_thread::get_id()), 1u);
 }
 
 TEST(WorkerPoolTest, ThreadsPersistAcrossCampaigns) {
   WorkerPool pool;
-  RunnerOptions options;
-  options.workers = 4;
-  options.pool = &pool;
-  CampaignRunner runner{options};
+  std::atomic<int> participants{0};
+  const std::function<void()> body = [&participants] {
+    participants.fetch_add(1);
+  };
 
-  const auto specs = numbered_specs(32);
-  const std::function<std::uint64_t(const ScenarioSpec&)> executor =
-      [](const ScenarioSpec& s) { return s.seed; };
-
-  const auto first = collect<std::uint64_t>(runner, specs, executor);
+  pool.run_job(3, body);
   const int threads_after_first = pool.threads_started();
-  EXPECT_EQ(threads_after_first, 3);  // workers - 1 helpers, lazily started
+  EXPECT_EQ(threads_after_first, 3);  // one per helper, lazily started
+  EXPECT_EQ(participants.load(), 4);  // helpers plus the calling thread
 
-  const auto second = collect<std::uint64_t>(runner, specs, executor);
+  pool.run_job(3, body);
   EXPECT_EQ(pool.threads_started(), threads_after_first);  // reused, not respawned
-  EXPECT_EQ(first, second);
+  EXPECT_EQ(participants.load(), 8);
   EXPECT_EQ(pool.jobs_run(), 2u);
 }
 
@@ -341,17 +227,13 @@ TEST(WorkerPoolTest, GrowsLazilyToTheWidestCampaign) {
   WorkerPool pool;
   EXPECT_EQ(pool.threads_started(), 0);  // nothing spawned until needed
 
-  const auto specs = numbered_specs(16);
-  const std::function<int(const ScenarioSpec&)> executor =
-      [](const ScenarioSpec& s) { return static_cast<int>(s.id); };
-
-  for (const int workers : {2, 6, 4}) {
-    RunnerOptions options;
-    options.workers = workers;
-    options.pool = &pool;
-    collect<int>(CampaignRunner{options}, specs, executor);
-  }
-  EXPECT_EQ(pool.threads_started(), 5);  // widest campaign needed 5 helpers
+  std::atomic<int> participants{0};
+  const std::function<void()> body = [&participants] {
+    participants.fetch_add(1);
+  };
+  for (const int helpers : {1, 5, 3}) pool.run_job(helpers, body);
+  EXPECT_EQ(pool.threads_started(), 5);  // widest job needed 5 helpers
+  EXPECT_EQ(participants.load(), 2 + 6 + 4);
   EXPECT_EQ(pool.jobs_run(), 3u);
 }
 
@@ -398,7 +280,7 @@ TEST(SpecStreamTest, TestbedSweepStreamReservesItsCounterRange) {
 
   testbed::LocalTestbed bed;
   const std::uint64_t before = bed.cad_spec(profile, ms(0)).seed;
-  const SpecStream stream = bed.cad_sweep_stream(profile, sweep, 3);
+  const SpecStream stream = bed.multi_client_cad_stream({profile}, sweep, 3);
   ASSERT_EQ(stream.size(), 15u);  // 5 delays x 3 reps
   EXPECT_EQ(stream.at(0).seed, before + 1);
   EXPECT_EQ(stream.at(14).seed, before + 15);
@@ -621,7 +503,8 @@ TEST(CampaignDeterminismTest, TestbedSweepIdenticalForOneAndFourWorkers) {
 
   testbed::LocalTestbed bed;
   const auto specs =
-      materialize(bed.cad_sweep_stream(profile, sweep, /*repetitions=*/2));
+      materialize(bed.multi_client_cad_stream({profile}, sweep,
+                                              /*repetitions=*/2));
   ASSERT_EQ(specs.size(), 18u);  // 9 delays x 2 reps
 
   const auto serial = run_cells(bed, profile, specs, runner_with(1));
@@ -629,24 +512,17 @@ TEST(CampaignDeterminismTest, TestbedSweepIdenticalForOneAndFourWorkers) {
   EXPECT_EQ(serialize(serial), serialize(parallel));
 }
 
-TEST(CampaignDeterminismTest, TestbedSweepIdenticalAtEightWorkersForEveryCap) {
-  // Backpressure on a real measurement matrix: 8 workers with a reorder cap
-  // of 1, 4, and unbounded all reproduce the serial records byte-for-byte.
+TEST(CampaignDeterminismTest, TestbedSweepIdenticalAtEightWorkers) {
   const auto profile = clients::chromium_profile("Chrome", "130.0", "10-2024");
   const testbed::SweepSpec sweep{ms(0), ms(400), ms(100)};
 
   testbed::LocalTestbed bed;
   const auto specs =
-      materialize(bed.cad_sweep_stream(profile, sweep, /*repetitions=*/2));
+      materialize(bed.multi_client_cad_stream({profile}, sweep,
+                                              /*repetitions=*/2));
   const auto serial = run_cells(bed, profile, specs, runner_with(1));
-  for (const std::size_t cap : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
-    RunnerOptions options;
-    options.workers = 8;
-    options.max_reorder_ahead = cap;
-    const auto parallel =
-        run_cells(bed, profile, specs, CampaignRunner{options});
-    EXPECT_EQ(serialize(serial), serialize(parallel)) << "cap=" << cap;
-  }
+  const auto parallel = run_cells(bed, profile, specs, runner_with(8));
+  EXPECT_EQ(serialize(serial), serialize(parallel));
 }
 
 TEST(CampaignDeterminismTest, SweepCadMatchesSerialRunCadCaseSequence) {
@@ -680,7 +556,7 @@ TEST(CampaignDeterminismTest, MultiClientBatchMatchesPerClientSweeps) {
   for (const auto& profile : profiles) {
     for (const auto& rec : run_cells(
              serial_bed, profile,
-             materialize(serial_bed.cad_sweep_stream(profile, sweep)),
+             materialize(serial_bed.multi_client_cad_stream({profile}, sweep)),
              runner_with(1))) {
       serial.push_back(rec);
     }
@@ -859,7 +735,8 @@ TEST(CampaignDeterminismTest, ResolverCellSpecsUseTheSerialSeedSequence) {
   config.repetitions = 3;
   config.seed = 1000;
   const auto specs =
-      materialize(resolverlab::cell_spec_stream(*service, config));
+      materialize(resolverlab::cross_service_cell_spec_stream({*service},
+                                                              config));
   ASSERT_EQ(specs.size(), 6u);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(specs[i].seed, 1000 + i + 1);

@@ -313,8 +313,9 @@ TEST(CellAllocTest, WarmMalformedDnsScheduleCellStaysUnderBudget) {
 TEST(CellAllocTest, WarmResolverCellStaysUnderBudget) {
   const resolvers::ServiceProfile service =
       resolvers::local_software_profiles().front();
-  const campaign::SpecStream cells = resolverlab::cell_spec_stream(
-      service, resolverlab::LabConfig::paper_grid());
+  const campaign::SpecStream cells =
+      resolverlab::cross_service_cell_spec_stream(
+          {service}, resolverlab::LabConfig::paper_grid());
   // Stride 8 through the 126-cell grid: the warm-up and each third of the
   // measured cells span every delay.
   const std::uint64_t per_cell = warm_allocations_per_cell([&](int i) {

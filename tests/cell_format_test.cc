@@ -187,8 +187,9 @@ TEST(CellFormatTest, ConformanceCellsArePrintfFree) {
 
 TEST(CellFormatTest, ResolverLabCellIsPrintfFree) {
   const auto service = resolvers::local_software_profiles().front();
-  const campaign::SpecStream cells = resolverlab::cell_spec_stream(
-      service, resolverlab::LabConfig::paper_grid());
+  const campaign::SpecStream cells =
+      resolverlab::cross_service_cell_spec_stream(
+          {service}, resolverlab::LabConfig::paper_grid());
   expect_printf_free("resolver-lab cell", [&](int i) {
     resolverlab::run_cell(service, cells.at(static_cast<std::size_t>(i) * 5));
   });

@@ -8,10 +8,9 @@
 //                                          supervisor (or `launch`) runs per
 //                                          OS process.
 //   launch --base B --shards N             forks one `run` child per shard
-//                                          (each with its own private
-//                                          WorkerPool) and waits. Re-running
-//                                          after a crash resumes every
-//                                          incomplete shard.
+//                                          and waits. Re-running after a
+//                                          crash resumes every incomplete
+//                                          shard.
 //   merge  --base B --shards N [--out F]   validates the N complete shard
 //                                          journals and re-establishes spec
 //                                          order into the verdict table —
@@ -27,8 +26,10 @@
 //                                          non-zero on any mismatch.
 //
 // Fork safety: the parent never starts WorkerPool threads before forking
-// (each child builds its own pool), and the crashtest computes its
-// in-process reference AFTER all forking rounds for the same reason.
+// (each child's WorkerPool::shared() starts its own threads after the
+// fork), and the crashtest computes its in-process reference AFTER all
+// forking rounds for the same reason. fork_fleet checks this and refuses to
+// fork otherwise.
 #include <sys/types.h>
 #include <sys/wait.h>
 
@@ -89,6 +90,7 @@ bool parse_args(int argc, char** argv, Args& args) {
   if (argc < 2) return false;
   args.cmd = argv[1];
   constexpr std::uint64_t kMaxCount = 1 << 16;
+  constexpr int kMaxWorkers = 256;
   for (int a = 2; a < argc; ++a) {
     const char* flag = argv[a];
     const auto next = [&]() -> const char* {
@@ -105,7 +107,7 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (std::strcmp(flag, "--shard") == 0 && (value = next())) {
       ok = parse_bounded(value, 0, kMaxCount - 1, args.shard);
     } else if (std::strcmp(flag, "--workers") == 0 && (value = next())) {
-      ok = parse_bounded(value, 0, kMaxCount, args.workers);
+      ok = parse_bounded(value, 0, kMaxWorkers, args.workers);
     } else if (std::strcmp(flag, "--reps") == 0 && (value = next())) {
       ok = parse_bounded(value, 1, kMaxCount, args.repetitions);
     } else if (std::strcmp(flag, "--rounds") == 0 && (value = next())) {
@@ -189,13 +191,7 @@ int run_shard(const Args& args, const Matrix& matrix) {
         return registry.execute(spec);
       };
 
-  // Each shard process owns a private pool: forked children must never
-  // touch a pool whose threads lived in the parent.
-  campaign::WorkerPool pool;
-  campaign::RunnerOptions options;
-  options.workers = args.workers;
-  options.pool = &pool;
-  const campaign::CampaignRunner runner{options};
+  const campaign::CampaignRunner runner{{.workers = args.workers}};
 
   campaign::JournalOptions journal;
   journal.path = campaign::shard_journal_path(args.base, args.shard);
@@ -221,6 +217,16 @@ int run_shard(const Args& args, const Matrix& matrix) {
 
 /// Forks one run_shard child per shard; returns the child pids.
 std::vector<pid_t> fork_fleet(const Args& args, const Matrix& matrix) {
+  // A child inherits the pool's state but none of its threads: one forked
+  // mid-campaign could wait forever on a lock a vanished thread held.
+  const int pool_threads = campaign::WorkerPool::shared().threads_started();
+  if (pool_threads != 0) {
+    std::fprintf(stderr,
+                 "lazyeye_shard: refusing to fork with %d worker pool "
+                 "threads running\n",
+                 pool_threads);
+    std::exit(1);
+  }
   std::vector<pid_t> pids;
   for (int shard = 0; shard < args.shards; ++shard) {
     std::fflush(nullptr);  // no duplicated stdio buffers in the children
@@ -372,11 +378,7 @@ int crashtest(const Args& args, const Matrix& matrix) {
   campaign::Registry<conformance::ConformanceRecord> registry;
   conformance::register_conformance_executor(registry, matrix.harness,
                                              matrix.profiles);
-  campaign::WorkerPool pool;
-  campaign::RunnerOptions options;
-  options.workers = args.workers;
-  options.pool = &pool;
-  const campaign::CampaignRunner runner{options};
+  const campaign::CampaignRunner runner{{.workers = args.workers}};
   conformance::VerdictTableSink reference;
   registry.run(runner, matrix.specs, reference);
 
