@@ -186,9 +186,4 @@ inline const char* case_name(const CasePayload& payload) {
       payload);
 }
 
-/// Name for a bare discriminator (no payload at hand). Exhaustive: the
-/// switch has no default and the static_assert in the implementation ties
-/// it to kCaseKindCount.
-const char* case_kind_name(CaseKind kind);
-
 }  // namespace lazyeye::campaign

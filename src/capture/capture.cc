@@ -8,7 +8,6 @@ PacketCapture::PacketCapture(simnet::Host& host)
     : host_{host}, packets_{host.network().memory()} {
   tap_id_ = host_.add_tap(
       [this](const simnet::Packet& packet, simnet::TapDirection dir) {
-        if (!running_) return;
         // Field-by-field copy with a pooled payload block: a plain Packet
         // copy would deep-copy into an unpooled Buffer, costing one heap
         // allocation per captured packet with a >SBO payload.
@@ -26,14 +25,5 @@ PacketCapture::PacketCapture(simnet::Host& host)
 }
 
 PacketCapture::~PacketCapture() { host_.remove_tap(tap_id_); }
-
-std::vector<CapturedPacket> PacketCapture::filter(
-    const std::function<bool(const CapturedPacket&)>& pred) const {
-  std::vector<CapturedPacket> out;
-  for (const auto& p : packets_) {
-    if (pred(p)) out.push_back(p);
-  }
-  return out;
-}
 
 }  // namespace lazyeye::capture

@@ -5,11 +5,10 @@
 // Recorded payload bytes are copied into blocks borrowed from the owning
 // Network's BufferPool, and the packet list grows from the Network's memory
 // resource — in an arena-backed cell world the whole capture costs nothing
-// on the global heap once the lease is warm. Copies handed out (filter())
-// are deep and unpooled, so they may outlive the world.
+// on the global heap once the lease is warm. A capture records from
+// construction to destruction; readers filter packets() themselves.
 #pragma once
 
-#include <functional>
 #include <memory_resource>
 #include <span>
 #include <vector>
@@ -35,21 +34,12 @@ class PacketCapture {
   PacketCapture(const PacketCapture&) = delete;
   PacketCapture& operator=(const PacketCapture&) = delete;
 
-  void start() { running_ = true; }
-  void stop() { running_ = false; }
-  void clear() { packets_.clear(); }
-
   std::span<const CapturedPacket> packets() const { return packets_; }
   std::size_t size() const { return packets_.size(); }
-
-  /// Returns packets matching a predicate (deep, unpooled copies).
-  std::vector<CapturedPacket> filter(
-      const std::function<bool(const CapturedPacket&)>& pred) const;
 
  private:
   simnet::Host& host_;
   int tap_id_ = 0;
-  bool running_ = true;
   std::pmr::vector<CapturedPacket> packets_;
 };
 

@@ -16,12 +16,7 @@ constexpr std::size_t kMinVerdictBytes = 4 + 1 + 4;
 
 void encode_record(const ConformanceRecord& record, std::string& out) {
   wire::put_str(out, record.client);
-  wire::put_u8(out, static_cast<std::uint8_t>(record.fault.kind));
-  wire::put_u64(out, record.fault.seed);
-  wire::put_u32(out, record.fault.stream);
-  wire::put_u32(out, record.fault.index);
-  wire::put_u8(out, static_cast<std::uint8_t>(record.fault.target_family));
-  wire::put_u64(out, static_cast<std::uint64_t>(record.fault.spike.count()));
+  encode_plan(record.fault, out);
   // Compound-schedule cells carry the schedule inline (length-prefixed so
   // the record decoder can delegate to the schedule codec).
   if (record.schedule) {
@@ -45,18 +40,7 @@ std::optional<ConformanceRecord> decode_record(std::string_view bytes) {
   wire::Reader in{bytes};
   ConformanceRecord record;
   record.client = in.str();
-  const std::uint8_t kind = in.u8();
-  if (kind >= kFaultKindCount) return std::nullopt;
-  record.fault.kind = static_cast<FaultKind>(kind);
-  record.fault.seed = in.u64();
-  record.fault.stream = in.u32();
-  record.fault.index = in.u32();
-  const std::uint8_t family = in.u8();
-  if (family > static_cast<std::uint8_t>(simnet::Family::kIpv6)) {
-    return std::nullopt;
-  }
-  record.fault.target_family = static_cast<simnet::Family>(family);
-  record.fault.spike = SimTime{static_cast<std::int64_t>(in.u64())};
+  if (!decode_plan(in, record.fault)) return std::nullopt;
   const std::uint8_t has_schedule = in.u8();
   if (has_schedule > 1) return std::nullopt;
   if (has_schedule == 1) {

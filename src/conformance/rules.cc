@@ -9,15 +9,6 @@ namespace lazyeye::conformance {
 
 using simnet::Family;
 
-const char* rule_outcome_name(RuleOutcome outcome) {
-  switch (outcome) {
-    case RuleOutcome::kPass: return "pass";
-    case RuleOutcome::kViolate: return "violate";
-    case RuleOutcome::kInapplicable: return "n/a";
-  }
-  return "?";
-}
-
 char rule_outcome_symbol(RuleOutcome outcome) {
   switch (outcome) {
     case RuleOutcome::kPass: return 'P';

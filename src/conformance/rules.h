@@ -21,8 +21,7 @@ namespace lazyeye::conformance {
 
 enum class RuleOutcome : std::uint8_t { kPass, kViolate, kInapplicable };
 
-const char* rule_outcome_name(RuleOutcome outcome);  // "pass"/"violate"/"n/a"
-char rule_outcome_symbol(RuleOutcome outcome);       // 'P' / 'V' / '-'
+char rule_outcome_symbol(RuleOutcome outcome);  // 'P' / 'V' / '-'
 
 struct Verdict {
   std::string rule;

@@ -14,18 +14,6 @@ namespace lazyeye::conformance {
 
 using transport::AcceptAction;
 
-const char* trigger_kind_name(TriggerKind trigger) {
-  static_assert(kTriggerKindCount == 4,
-                "new trigger kind: extend the name table and the injector");
-  switch (trigger) {
-    case TriggerKind::kNone: return "none";
-    case TriggerKind::kAfterFirstDnsQuery: return "after-first-dns-query";
-    case TriggerKind::kAfterFirstDnsResponse: return "after-first-dns-response";
-    case TriggerKind::kAfterFirstSyn: return "after-first-syn";
-  }
-  return "?";  // unreachable for in-range values
-}
-
 std::uint64_t FaultSchedule::rng_seed() const {
   // Triple fold like FaultPlan::rng_seed (distinct tag so a schedule and a
   // plan sharing a triple never collide), then the entry content folded in:
@@ -123,18 +111,36 @@ constexpr std::size_t kEntryBytes = 1 + 8 + 4 + 4 + 1 + 8 + 8 + 8 + 1;
 
 }  // namespace
 
+void encode_plan(const FaultPlan& plan, std::string& out) {
+  wire::put_u8(out, static_cast<std::uint8_t>(plan.kind));
+  wire::put_u64(out, plan.seed);
+  wire::put_u32(out, plan.stream);
+  wire::put_u32(out, plan.index);
+  wire::put_u8(out, static_cast<std::uint8_t>(plan.target_family));
+  wire::put_u64(out, static_cast<std::uint64_t>(plan.spike.count()));
+}
+
+bool decode_plan(wire::Reader& in, FaultPlan& plan) {
+  const std::uint8_t kind = in.u8();
+  if (kind >= kFaultKindCount) return false;
+  plan.kind = static_cast<FaultKind>(kind);
+  plan.seed = in.u64();
+  plan.stream = in.u32();
+  plan.index = in.u32();
+  const std::uint8_t family = in.u8();
+  if (family > static_cast<std::uint8_t>(simnet::Family::kIpv6)) return false;
+  plan.target_family = static_cast<simnet::Family>(family);
+  plan.spike = SimTime{static_cast<std::int64_t>(in.u64())};
+  return true;
+}
+
 void encode_schedule(const FaultSchedule& schedule, std::string& out) {
   wire::put_u64(out, schedule.seed);
   wire::put_u32(out, schedule.stream);
   wire::put_u32(out, schedule.index);
   wire::put_u32(out, static_cast<std::uint32_t>(schedule.entries.size()));
   for (const TimedFault& entry : schedule.entries) {
-    wire::put_u8(out, static_cast<std::uint8_t>(entry.plan.kind));
-    wire::put_u64(out, entry.plan.seed);
-    wire::put_u32(out, entry.plan.stream);
-    wire::put_u32(out, entry.plan.index);
-    wire::put_u8(out, static_cast<std::uint8_t>(entry.plan.target_family));
-    wire::put_u64(out, static_cast<std::uint64_t>(entry.plan.spike.count()));
+    encode_plan(entry.plan, out);
     wire::put_u64(out, static_cast<std::uint64_t>(entry.start.count()));
     wire::put_u64(out, static_cast<std::uint64_t>(entry.duration.count()));
     wire::put_u8(out, static_cast<std::uint8_t>(entry.trigger));
@@ -157,18 +163,7 @@ std::optional<FaultSchedule> decode_schedule(std::string_view bytes) {
   s.entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     TimedFault entry;
-    const std::uint8_t kind = in.u8();
-    if (kind >= kFaultKindCount) return std::nullopt;
-    entry.plan.kind = static_cast<FaultKind>(kind);
-    entry.plan.seed = in.u64();
-    entry.plan.stream = in.u32();
-    entry.plan.index = in.u32();
-    const std::uint8_t family = in.u8();
-    if (family > static_cast<std::uint8_t>(simnet::Family::kIpv6)) {
-      return std::nullopt;
-    }
-    entry.plan.target_family = static_cast<simnet::Family>(family);
-    entry.plan.spike = SimTime{static_cast<std::int64_t>(in.u64())};
+    if (!decode_plan(in, entry.plan)) return std::nullopt;
     entry.start = SimTime{static_cast<std::int64_t>(in.u64())};
     entry.duration = SimTime{static_cast<std::int64_t>(in.u64())};
     const std::uint8_t trigger = in.u8();

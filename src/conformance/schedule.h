@@ -51,6 +51,10 @@ namespace lazyeye::simnet {
 class EventLoop;
 }  // namespace lazyeye::simnet
 
+namespace lazyeye::wire {
+struct Reader;
+}  // namespace lazyeye::wire
+
 namespace lazyeye::conformance {
 
 /// Event that anchors a triggered entry's activation window.
@@ -62,8 +66,6 @@ enum class TriggerKind : std::uint8_t {
 };
 
 inline constexpr int kTriggerKindCount = 4;
-
-const char* trigger_kind_name(TriggerKind trigger);
 
 /// One schedule entry: a fault plan active only inside its window.
 struct TimedFault {
@@ -102,6 +104,12 @@ struct FaultSchedule {
 };
 
 // ---- Codec (journal payloads, corpus entries, --schedule-hex replay) ------
+
+/// The one FaultPlan wire form, shared by schedule entries and conformance
+/// records: kind u8, seed u64, stream u32, index u32, family u8, spike u64.
+void encode_plan(const FaultPlan& plan, std::string& out);
+/// Reads one plan; false on an out-of-range kind or family.
+bool decode_plan(wire::Reader& in, FaultPlan& plan);
 
 /// Serialises `schedule` (appends to `out`). Pure function of the value, so
 /// equal schedules are byte-identical everywhere they are persisted.

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "campaign/journal.h"
-#include "campaign/registry.h"
 #include "campaign/runner.h"
 #include "campaign/sink.h"
 #include "conformance/record_codec.h"
@@ -221,14 +220,8 @@ std::vector<ConformanceRecord> FaultHunt::evaluate(
   campaign::CampaignRunner{runner_options}.run_streaming<ConformanceRecord>(
       campaign::SpecStream::view(specs),
       [this](const campaign::ScenarioSpec& spec) {
-        return harness_.run_spec(
-            campaign::find_registered(
-                profiles_, spec.client,
-                [](const clients::ClientProfile& p) {
-                  return p.display_name();
-                },
-                "FaultHunt"),
-            spec);
+        // Cell i was built from profiles_[i] above.
+        return harness_.run_spec(profiles_[spec.id], spec);
       },
       sink);
   return records;

@@ -21,7 +21,6 @@ Zone& AuthServer::add_zone(DnsName origin) {
 }
 
 void AuthServer::on_query(const simnet::Packet& packet) {
-  ++queries_received_;
   if (!DnsMessage::decode_into(packet.payload, *query_scratch_) ||
       query_scratch_->questions.empty()) {
     return;  // not a parsable query: ignore
@@ -33,7 +32,6 @@ void AuthServer::on_query(const simnet::Packet& packet) {
   query_log_.push_back(QueryLogEntry{host_.network().loop().now(),
                                      packet.family(), packet.src, packet.dst,
                                      q.name, q.type, query.header.id});
-  if (unresponsive_) return;
 
   build_response(query, response);
   const auto params = parse_test_params(q.name);

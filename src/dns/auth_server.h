@@ -8,6 +8,9 @@
 // Every query is appended to a query log with its arrival timestamp and
 // transport family — the resolver study (§5.3) evaluates resolvers purely
 // from this authoritative-side log.
+//
+// The server always answers what it logs. Every misbehaviour, silence
+// included, goes through the response interposer (ResponseDirectives::drop).
 #pragma once
 
 #include <memory>
@@ -46,9 +49,6 @@ class AuthServer {
   /// Adds a zone this server is authoritative for.
   Zone& add_zone(DnsName origin);
 
-  /// When set, queries are dropped entirely (unresponsive server).
-  void set_unresponsive(bool unresponsive) { unresponsive_ = unresponsive; }
-
   /// Fault-injection hook on the response path (see dns/interpose.h).
   /// Unset (the default) costs one branch per response.
   void set_response_interposer(ResponseInterposer hook) {
@@ -58,8 +58,6 @@ class AuthServer {
   const std::pmr::vector<QueryLogEntry>& query_log() const {
     return query_log_;
   }
-
-  std::uint64_t queries_received() const { return queries_received_; }
 
  private:
   void on_query(const simnet::Packet& packet);
@@ -73,8 +71,6 @@ class AuthServer {
   std::pmr::vector<std::unique_ptr<Zone>> zones_;
   // In the world's memory: the log grows on retained arena chunks.
   std::pmr::vector<QueryLogEntry> query_log_;
-  bool unresponsive_ = false;
-  std::uint64_t queries_received_ = 0;
   ResponseInterposer interposer_;
   // Decode/encode scratch reused across queries (single-threaded per host).
   // It checks out of the thread-local scratch pools, so its capacity also

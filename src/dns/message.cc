@@ -2,7 +2,6 @@
 
 #include <array>
 
-#include "util/strings.h"
 
 namespace lazyeye::dns {
 
@@ -254,17 +253,6 @@ void DnsMessage::addresses_for_into(const DnsName& name, RrType type,
     }
     if (!chased || !out.empty()) break;
   }
-}
-
-std::string DnsMessage::summary() const {
-  std::string q = questions.empty()
-                      ? "-"
-                      : questions.front().name.to_string() + "/" +
-                            rr_type_name(questions.front().type);
-  return lazyeye::str_format("%s id=%u %s an=%zu ns=%zu ar=%zu %s",
-                             header.qr ? "response" : "query", header.id,
-                             q.c_str(), answers.size(), authorities.size(),
-                             additionals.size(), rcode_name(header.rcode));
 }
 
 }  // namespace lazyeye::dns

@@ -102,8 +102,6 @@ struct DnsMessage {
   /// reused scratch keeps its capacity across responses.
   void addresses_for_into(const DnsName& name, RrType type,
                           std::vector<simnet::IpAddress>& out) const;
-
-  std::string summary() const;
 };
 
 }  // namespace lazyeye::dns

@@ -28,48 +28,6 @@ RecursiveResolver::RecursiveResolver(simnet::Host& host,
       root_hints_{std::move(root_hints)},
       client_{host} {}
 
-RecursiveResolver::~RecursiveResolver() {
-  if (serve_port_ != 0) host_.udp_unbind(serve_port_);
-}
-
-void RecursiveResolver::serve(std::uint16_t port) {
-  serve_port_ = port;
-  host_.udp_bind(port, [this](const simnet::Packet& packet) {
-    if (!DnsMessage::decode_into(packet.payload, *serve_scratch_) ||
-        serve_scratch_->questions.empty()) {
-      return;
-    }
-    const DnsMessage& query = *serve_scratch_;
-    const Question& q = query.questions.front();
-    const simnet::Endpoint reply_from = packet.dst;
-    const simnet::Endpoint reply_to = packet.src;
-    const std::uint16_t txn = query.header.id;
-    const bool rd = query.header.rd;
-
-    resolve(q.name, q.type,
-            [this, reply_from, reply_to, txn, rd, q](const QueryOutcome& out) {
-              DnsMessage response;
-              response.header.id = txn;
-              response.header.qr = true;
-              response.header.rd = rd;
-              response.header.ra = true;
-              response.questions.push_back(q);
-              if (out.ok) {
-                response.header.rcode = out.rcode;
-                response.answers = out.response.answers;
-              } else if (out.rcode == Rcode::kNxDomain) {
-                response.header.rcode = Rcode::kNxDomain;
-              } else {
-                response.header.rcode = Rcode::kServFail;
-              }
-
-              simnet::Buffer wire{&host_.network().buffer_pool()};
-              response.encode_into(wire, *serve_compressor_);
-              host_.udp_send(reply_from, reply_to, std::move(wire));
-            });
-  });
-}
-
 std::uint64_t RecursiveResolver::resolve(const DnsName& qname, RrType qtype,
                                          Handler handler) {
   const std::uint64_t id = next_job_id_++;

@@ -4,7 +4,8 @@
 // The engine is observed only on the wire: it keeps no log of its own. Every
 // packet it emits crosses the simulated network and lands in the
 // authoritative servers' query logs, which is where the resolver study
-// (paper §5.3) takes all of its measurements.
+// (paper §5.3) takes all of its measurements. It has no stub-facing port:
+// callers (the resolver lab) call resolve() directly.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "dns/client.h"
-#include "dns/message_pool.h"
 #include "dns/resolver_profile.h"
 
 namespace lazyeye::dns {
@@ -39,14 +39,9 @@ class RecursiveResolver {
   /// `root_hints`: addresses of the root name server(s).
   RecursiveResolver(simnet::Host& host, ResolverProfile profile,
                     std::vector<simnet::IpAddress> root_hints);
-  /// Releases the serve() port, whose handler points at this resolver.
-  ~RecursiveResolver();
 
   RecursiveResolver(const RecursiveResolver&) = delete;
   RecursiveResolver& operator=(const RecursiveResolver&) = delete;
-
-  /// Starts answering RD queries from clients on `port`.
-  void serve(std::uint16_t port = 53);
 
   /// Resolves qname/qtype iteratively; invokes handler exactly once.
   std::uint64_t resolve(const DnsName& qname, RrType qtype, Handler handler);
@@ -100,11 +95,6 @@ class RecursiveResolver {
   std::map<std::uint64_t, Job> jobs_;
   bool global_either_or_toggle_ = false;
   std::uint64_t next_job_id_ = 1;
-  std::uint16_t serve_port_ = 0;
-  // Decode/encode scratch for the serve() front-end (single-threaded),
-  // checked out of the thread-local scratch pools.
-  Pooled<DnsMessage> serve_scratch_;
-  Pooled<NameCompressor> serve_compressor_;
 };
 
 }  // namespace lazyeye::dns

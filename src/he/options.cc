@@ -6,16 +6,6 @@
 
 namespace lazyeye::he {
 
-const char* he_version_name(HeVersion v) {
-  switch (v) {
-    case HeVersion::kNone: return "none";
-    case HeVersion::kV1: return "HEv1";
-    case HeVersion::kV2: return "HEv2";
-    case HeVersion::kV3: return "HEv3";
-  }
-  return "?";
-}
-
 SimTime DynamicCad::effective(std::optional<SimTime> smoothed_rtt) const {
   if (!smoothed_rtt) return no_history_default;
   const auto scaled = SimTime{static_cast<std::int64_t>(

@@ -19,8 +19,6 @@ enum class HeVersion {
   kV3,    // draft-ietf-happy-happyeyeballs-v3: + SVCB/HTTPS, QUIC, ECH
 };
 
-const char* he_version_name(HeVersion v);
-
 /// How the ordered attempt list mixes address families (RFC 8305 §4).
 enum class InterlaceMode {
   /// No interlacing: preferred family first, then the other.

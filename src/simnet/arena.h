@@ -69,17 +69,7 @@ class Arena : public std::pmr::memory_resource {
     finalizers_ = nullptr;
     active_ = 0;
     offset_ = 0;
-    ++resets_;
   }
-
-  // -- observability ---------------------------------------------------------
-  std::size_t chunk_count() const { return chunks_.size(); }
-  std::size_t bytes_reserved() const {
-    std::size_t total = 0;
-    for (const Chunk& c : chunks_) total += c.size;
-    return total;
-  }
-  std::uint64_t resets() const { return resets_; }
 
  private:
   struct Finalizer {
@@ -131,7 +121,6 @@ class Arena : public std::pmr::memory_resource {
   std::size_t offset_ = 0;  // bump offset within chunks_[active_]
   std::size_t next_chunk_bytes_;
   Finalizer* finalizers_ = nullptr;  // LIFO; nodes live in arena storage
-  std::uint64_t resets_ = 0;
 };
 
 }  // namespace lazyeye::simnet

@@ -76,7 +76,6 @@ class NetemQdisc {
     rules_.push_back({std::move(filter), spec, std::move(label)});
   }
   void clear() { rules_.clear(); }
-  std::size_t rule_count() const { return rules_.size(); }
 
   /// Applies the first matching rule. `rng` supplies jitter/loss randomness.
   NetemVerdict process(const Packet& p, Rng& rng) const;

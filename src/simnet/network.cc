@@ -29,7 +29,6 @@ Network::Network(BufferPool* pool, std::pmr::memory_resource* mem,
       mem_{mem},
       loop_{mem},
       rng_{seed},
-      base_delay_{std::chrono::microseconds{200}},
       qdisc_{mem},
       hosts_{mem},
       routes_{mem},
@@ -51,13 +50,6 @@ Host& Network::add_host(std::string name) {
   Host* host = ::new (storage) Host(*this, std::move(name));
   hosts_.push_back(host);
   return *host;
-}
-
-Host* Network::find_host(const std::string& name) {
-  for (Host* host : hosts_) {
-    if (host->name() == name) return host;  // first registration wins
-  }
-  return nullptr;
 }
 
 Host* Network::route(const IpAddress& addr) {
@@ -119,7 +111,7 @@ void Network::send(Host& from, Packet&& p) {
   const std::uint32_t slot = acquire_flight_slot();
   flight_[slot] = std::move(p);
 
-  const SimTime when = loop_.now() + base_delay_ + extra;
+  const SimTime when = loop_.now() + base_delay() + extra;
   loop_.schedule_at(when, [this, target, slot] {
     // Delivered where it is parked: packets the handler sends take other
     // slots, and flight_ never relocates its elements. The slot (and the

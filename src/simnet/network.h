@@ -15,7 +15,7 @@
 //
 // Routes are a vector of (address, host) pairs sorted by address and
 // searched with lower_bound: a world holds a few dozen addresses at most,
-// too few for hashing to pay. find_host scans the hosts in creation order.
+// too few for hashing to pay.
 #pragma once
 
 #include <cstdint>
@@ -74,15 +74,14 @@ class Network {
 
   /// Creates a host attached to this network. The Network owns it.
   Host& add_host(std::string name);
-  /// The first host created with `name`, or nullptr.
-  Host* find_host(const std::string& name);
   /// The host that registered `addr` last, or nullptr if none owns it.
   Host* route(const IpAddress& addr);
 
-  /// One-way base propagation delay applied to every packet (default 200 us,
+  /// One-way base propagation delay applied to every packet (200 us,
   /// modelling the paper's directly connected testbed hosts).
-  void set_base_delay(SimTime d) { base_delay_ = d; }
-  SimTime base_delay() const { return base_delay_; }
+  static constexpr SimTime base_delay() {
+    return std::chrono::microseconds{200};
+  }
 
   /// Network-wide netem rules (evaluated after the sender's egress qdisc).
   NetemQdisc& qdisc() { return qdisc_; }
@@ -111,7 +110,6 @@ class Network {
   std::pmr::memory_resource* mem_;
   EventLoop loop_;
   Rng rng_;
-  SimTime base_delay_;
   NetemQdisc qdisc_;
   /// Hosts are constructed in mem_ storage and destroyed (reverse order) by
   /// ~Network, so ownership is identical on both construction paths.

@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "simnet/buffer.h"
 #include "simnet/ip.h"
@@ -18,10 +16,6 @@
 namespace lazyeye::simnet {
 
 enum class Protocol : std::uint8_t { kUdp, kTcp };
-
-constexpr const char* protocol_name(Protocol p) {
-  return p == Protocol::kUdp ? "UDP" : "TCP";
-}
 
 struct TcpFlags {
   bool syn = false;
@@ -49,11 +43,6 @@ struct Packet {
     return proto == Protocol::kTcp && tcp.syn && tcp.ack && !tcp.rst;
   }
   bool is_rst() const { return proto == Protocol::kTcp && tcp.rst; }
-
-  /// Approximate on-the-wire size (for stats): L3+L4 headers + payload.
-  std::size_t wire_size() const;
-
-  std::string summary() const;  // one-line human-readable form
 };
 
 }  // namespace lazyeye::simnet

@@ -46,8 +46,6 @@ struct SweepSpec {
 
   /// The paper's fine-grained CAD sweep: 0..400 ms in 5 ms steps.
   static SweepSpec fine_cad() { return {lazyeye::ms(0), lazyeye::ms(400), lazyeye::ms(5)}; }
-  /// Coarse initial run.
-  static SweepSpec coarse_cad() { return {lazyeye::ms(0), lazyeye::ms(2400), lazyeye::ms(200)}; }
 };
 
 /// One test-run record (one client, one configuration, one repetition).

@@ -21,10 +21,6 @@ struct FourTuple {
 
 enum class TransportProtocol : std::uint8_t { kTcp, kQuic };
 
-constexpr const char* transport_protocol_name(TransportProtocol p) {
-  return p == TransportProtocol::kTcp ? "TCP" : "QUIC";
-}
-
 /// What a server-side interposer tells the stack to do with an inbound
 /// handshake (conformance fault injection, src/conformance/). kAccept is
 /// what an absent interposer implies.

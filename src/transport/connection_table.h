@@ -76,7 +76,6 @@ class ConnectionTable {
   void listen(std::uint16_t port, AcceptHandler on_accept) {
     listeners_[port] = std::move(on_accept);
   }
-  void close_listener(std::uint16_t port) { listeners_.erase(port); }
   bool listening(std::uint16_t port) const { return listeners_.contains(port); }
   const std::map<std::uint16_t, AcceptHandler>& listeners() const {
     return listeners_;

@@ -43,11 +43,6 @@ void QuicStack::listen(std::uint16_t port, AcceptHandler on_accept) {
   bind(port);
 }
 
-void QuicStack::close_listener(std::uint16_t port) {
-  table_.close_listener(port);
-  host_.udp_unbind(port);
-}
-
 std::uint64_t QuicStack::connect(const simnet::Endpoint& remote,
                                  const QuicOptions& options,
                                  ConnectHandler handler) {

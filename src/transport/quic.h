@@ -33,7 +33,6 @@ class QuicStack {
   QuicStack& operator=(const QuicStack&) = delete;
 
   void listen(std::uint16_t port, AcceptHandler on_accept = {});
-  void close_listener(std::uint16_t port);
   /// Fault-injection hook consulted for every Initial that reaches a
   /// listener (see transport/connection.h). Unset = accept everything.
   void set_accept_interposer(AcceptInterposer hook) {

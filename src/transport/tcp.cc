@@ -47,9 +47,7 @@ void TcpStack::on_packet(const Packet& packet) {
   if (packet.is_syn() && conn == nullptr) {
     // New inbound connection?
     if (!table_.listening(packet.dst.port)) {
-      if (rst_on_closed_) {
-        send_flags(tuple, TcpFlags{.ack = true, .rst = true});
-      }
+      send_flags(tuple, TcpFlags{.ack = true, .rst = true});
       return;
     }
     const AcceptAction action = table_.admit(packet.src, packet.dst.port);
@@ -70,7 +68,7 @@ void TcpStack::on_packet(const Packet& packet) {
 
   if (conn == nullptr) {
     // Stray segment for an unknown connection: RST unless it is itself RST.
-    if (!packet.is_rst() && rst_on_closed_) {
+    if (!packet.is_rst()) {
       send_flags(tuple, TcpFlags{.ack = true, .rst = true});
     }
     return;

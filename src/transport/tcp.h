@@ -4,7 +4,8 @@
 // attempt lifecycle lives in transport/connection_table.h.
 //
 // Unresponsive *addresses* are modelled by the Network (packets to unowned
-// addresses are blackholed); unresponsive *ports* by disabling RSTs.
+// addresses are blackholed). A closed port always answers with RST; a
+// listener that drops or refuses SYNs is an accept interposer's kDrop/kReset.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +38,6 @@ class TcpStack {
   void listen(std::uint16_t port, AcceptHandler on_accept = {}) {
     table_.listen(port, std::move(on_accept));
   }
-  void close_listener(std::uint16_t port) { table_.close_listener(port); }
-  /// RFC-conforming hosts answer SYNs to closed ports with RST (default).
-  /// Disable to emulate firewalled/DROP behaviour.
-  void set_rst_on_closed_port(bool enabled) { rst_on_closed_ = enabled; }
   /// Fault-injection hook consulted for every inbound SYN that reaches a
   /// listener (see transport/connection.h). Unset = accept everything.
   void set_accept_interposer(AcceptInterposer hook) {
@@ -73,7 +70,6 @@ class TcpStack {
   simnet::Host& host_;
   ConnectionTable table_;
   DataHandler data_handler_;
-  bool rst_on_closed_ = true;
 };
 
 }  // namespace lazyeye::transport

@@ -153,12 +153,10 @@ RepetitionOutcome WebTool::run_repetition(const clients::ClientProfile& profile,
                            bucket(i).rule);
     }
   }
-  // Real-world noise on everything else.
-  if (config_.network_noise) {
-    net.qdisc().add_rule(simnet::PacketFilter::any(),
-                         simnet::NetemSpec{lazyeye::ms(4), lazyeye::ms(3), 0.0},
-                         "web noise");
-  }
+  // Real-world noise (jitter) on everything else.
+  net.qdisc().add_rule(simnet::PacketFilter::any(),
+                       simnet::NetemSpec{lazyeye::ms(4), lazyeye::ms(3), 0.0},
+                       "web noise");
 
   // Web server: echoes the client's source address (client-side evaluation).
   transport::TcpStack server_tcp{server};

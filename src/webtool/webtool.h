@@ -34,8 +34,6 @@ struct WebToolConfig {
   std::vector<SimTime> delays;
   int repetitions = 10;
   std::uint64_t seed = 1;
-  /// Real-world network conditions (jitter on every path).
-  bool network_noise = true;
   /// Campaign worker threads (0 = one per hardware thread). Results are
   /// identical for any worker count.
   int workers = 0;

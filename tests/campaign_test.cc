@@ -83,17 +83,6 @@ TEST(CasePayloadTest, NamesAreStableAndExhaustive) {
   EXPECT_STREQ(case_name(AddressSelectionCase{}), "addr-selection");
   EXPECT_STREQ(case_name(WebRepetitionCase{}), "webtool-rep");
   EXPECT_STREQ(case_name(ResolverCellCase{}), "resolver-cell");
-  // The payload-typed and discriminator-typed name functions must agree for
-  // every kind (both are tied to CasePayload at compile time).
-  EXPECT_STREQ(case_kind_name(CaseKind::kCad), case_name(CadCase{}));
-  EXPECT_STREQ(case_kind_name(CaseKind::kResolutionDelay),
-               case_name(ResolutionDelayCase{}));
-  EXPECT_STREQ(case_kind_name(CaseKind::kAddressSelection),
-               case_name(AddressSelectionCase{}));
-  EXPECT_STREQ(case_kind_name(CaseKind::kWebRepetition),
-               case_name(WebRepetitionCase{}));
-  EXPECT_STREQ(case_kind_name(CaseKind::kResolverCell),
-               case_name(ResolverCellCase{}));
 }
 
 // ------------------------------------------------------------- runner ----

@@ -50,21 +50,6 @@ TEST_F(CaptureFixture, RecordsTimestampsAndDirections) {
   EXPECT_EQ(cap->packets()[1].time, 2 * net.base_delay());
 }
 
-TEST_F(CaptureFixture, StopAndClearControlRecording) {
-  cap->stop();
-  client_tcp->connect({IpAddress::must_parse("10.0.0.2"), 443}, {},
-                      [](const transport::ConnectResult&) {});
-  net.loop().run();
-  EXPECT_EQ(cap->size(), 0u);
-  cap->start();
-  client_tcp->connect({IpAddress::must_parse("10.0.0.2"), 443}, {},
-                      [](const transport::ConnectResult&) {});
-  net.loop().run();
-  EXPECT_GT(cap->size(), 0u);
-  cap->clear();
-  EXPECT_EQ(cap->size(), 0u);
-}
-
 TEST_F(CaptureFixture, InferCadFromSynGap) {
   // v6 SYN at t=0, v4 SYN at t=250ms: the paper's CAD inference.
   client_tcp->connect({IpAddress::must_parse("2001:db8::2"), 443}, {},
@@ -184,7 +169,9 @@ TEST_F(DnsCaptureFixture, DnsExchangesMatchedByIdAndType) {
 }
 
 TEST_F(DnsCaptureFixture, UnansweredQueryHasNoResponseTime) {
-  auth->set_unresponsive(true);
+  auth->set_response_interposer(
+      [](const dns::DnsMessage&, dns::DnsMessage&, SimTime&,
+         dns::ResponseDirectives& out) { out.drop = true; });
   dns::StubOptions options;
   options.servers = {{IpAddress::must_parse("10.0.0.2"), 53}};
   options.timeout = ms(300);
@@ -234,15 +221,6 @@ TEST_F(DnsCaptureFixture, WaitForAGapInference) {
   const auto gap = a_response_to_v6_syn_gap(*cap, dns_exchanges(*cap));
   ASSERT_TRUE(gap);
   EXPECT_EQ(*gap, SimTime{0});
-}
-
-TEST_F(CaptureFixture, FilterPredicate) {
-  client_tcp->connect({IpAddress::must_parse("10.0.0.2"), 443}, {},
-                      [](const transport::ConnectResult&) {});
-  net.loop().run();
-  const auto syns = cap->filter(
-      [](const CapturedPacket& p) { return p.packet.is_syn(); });
-  EXPECT_EQ(syns.size(), 1u);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "capture/capture.h"
 #include "dns/auth_server.h"
 #include "dns/recursive_resolver.h"
-#include "dns/stub_resolver.h"
 #include "simnet/network.h"
 
 namespace lazyeye::dns {
@@ -362,60 +361,12 @@ TEST_F(V6OnlyLabFixture, NonCapableResolverFailsV6OnlyDelegation) {
   EXPECT_TRUE(auth->query_log().empty());
 }
 
-TEST_F(LabFixture, ServesStubClients) {
-  auto resolver = make_resolver(v4_only_profile());
-  resolver.serve(53);
-
-  simnet::Host& client = net.add_host("client");
-  client.add_address(IpAddress::must_parse("10.0.0.20"));
-  StubOptions options;
-  options.servers = {{IpAddress::must_parse("10.0.0.10"), 53}};
-  StubResolver stub{client, options};
-
-  std::vector<IpAddress> got;
-  stub.resolve(N("www.z1.lab"), RrType::kA, [&](const QueryOutcome& out) {
-    ASSERT_TRUE(out.ok) << out.error;
-    got = out.response.addresses_for(N("www.z1.lab"), RrType::kA);
-  });
-  net.loop().run();
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].to_string(), "10.0.1.80");
-}
-
-TEST_F(LabFixture, DestroyedResolverStopsServing) {
-  // The serve() handler points at the resolver, so destroying it must
-  // release port 53: a later stub query times out instead of reaching
-  // freed memory.
-  auto resolver = std::make_unique<RecursiveResolver>(
-      resolver_host, v4_only_profile(),
-      std::vector<IpAddress>{IpAddress::must_parse("10.0.0.1")});
-  resolver->serve(53);
-  resolver.reset();
-
-  simnet::Host& client = net.add_host("client");
-  client.add_address(IpAddress::must_parse("10.0.0.20"));
-  StubOptions options;
-  options.servers = {{IpAddress::must_parse("10.0.0.10"), 53}};
-  options.timeout = ms(500);
-  options.attempts_per_server = 1;
-  StubResolver stub{client, options};
-
-  bool finished = false;
-  QueryOutcome result;
-  stub.resolve(N("www.z1.lab"), RrType::kA, [&](const QueryOutcome& out) {
-    result = out;
-    finished = true;
-  });
-  net.loop().run();
-  ASSERT_TRUE(finished);
-  EXPECT_FALSE(result.ok);
-  EXPECT_EQ(net.loop().now(), ms(500));
-  EXPECT_TRUE(root->query_log().empty());
-}
-
 TEST_F(LabFixture, OverallTimeoutFires) {
-  // Black-hole everything towards the root: the resolver can never start.
-  root->set_unresponsive(true);
+  // The root answers nothing: the resolver can never start.
+  root->set_response_interposer(
+      [](const DnsMessage&, DnsMessage&, SimTime&, ResponseDirectives& out) {
+        out.drop = true;
+      });
   ResolverProfile p = v4_only_profile();
   p.attempt_timeout = lazyeye::sec(2);
   p.max_total_attempts = 100;

@@ -3,6 +3,7 @@
 // failover, timeout).
 #include <gtest/gtest.h>
 
+#include "capture/capture.h"
 #include "dns/auth_server.h"
 #include "dns/stub_resolver.h"
 #include "dns/zone.h"
@@ -118,6 +119,12 @@ TEST_F(ZoneTest, AddOutsideZoneThrows) {
 
 // ---------------------------------------------------------- auth server ----
 
+/// Silences a server: every response is dropped after its query is logged.
+void drop_every_response(const DnsMessage&, DnsMessage&, SimTime&,
+                         ResponseDirectives& out) {
+  out.drop = true;
+}
+
 struct AuthFixture : ::testing::Test {
   AuthFixture() : net{1}, server_host{net.add_host("auth")},
                   client_host{net.add_host("client")} {
@@ -201,7 +208,7 @@ TEST_F(AuthFixture, QueryLogRecordsFamilyAndType) {
 }
 
 TEST_F(AuthFixture, UnresponsiveDropsButLogs) {
-  auth->set_unresponsive(true);
+  auth->set_response_interposer(drop_every_response);
   send_query(N("www.he.lab"), RrType::kA);
   net.loop().run();
   EXPECT_TRUE(responses.empty());
@@ -209,12 +216,17 @@ TEST_F(AuthFixture, UnresponsiveDropsButLogs) {
 }
 
 TEST_F(AuthFixture, GarbagePayloadIgnored) {
+  capture::PacketCapture server_wire{server_host};
   const auto src = *client_host.address(Family::kIpv4);
   client_host.udp_send({src, 4444}, {IpAddress::must_parse("10.0.0.53"), 53},
                        simnet::Buffer::adopt({0xde, 0xad}));
   net.loop().run();
   EXPECT_TRUE(responses.empty());
-  EXPECT_EQ(auth->queries_received(), 1u);
+  // The datagram reached the server, which sent nothing back.
+  ASSERT_EQ(server_wire.size(), 1u);
+  EXPECT_FALSE(server_wire.packets()[0].egress());
+  EXPECT_EQ(server_wire.packets()[0].packet.dst.port, 53);
+  EXPECT_EQ(server_wire.packets()[0].packet.payload.size(), 2u);
   EXPECT_TRUE(auth->query_log().empty());
 }
 
@@ -313,7 +325,7 @@ TEST_F(StubFixture, DelayedAaaaArrivesSecond) {
 }
 
 TEST_F(StubFixture, TimeoutReportedPerType) {
-  auth->set_unresponsive(true);
+  auth->set_response_interposer(drop_every_response);
   StubOptions options;
   options.servers = {{IpAddress::must_parse("10.0.0.53"), 53}};
   options.timeout = ms(500);

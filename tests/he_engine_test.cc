@@ -455,11 +455,12 @@ TEST_F(EngineFixture, HEv3FallsBackToTcpWhenNoQuicService) {
   svcb.set_alpn({"h3"});
   zone->add(dns::ResourceRecord::svcb(name, svcb, true));
 
-  // No QUIC listener reachable for this address (server_quic listens, but
-  // QUIC Initial packets to :82 still reach the same host; close the
-  // listener to force TCP).
-  server_quic->close_listener(443);
-  // TCP on 443 still listens.
+  // No QUIC service answers: the QUIC listener swallows every Initial, so
+  // only TCP on 443 can connect.
+  server_quic->set_accept_interposer(
+      [](const simnet::Endpoint&, std::uint16_t) {
+        return transport::AcceptAction::kDrop;
+      });
   HeOptions o = HeOptions::v3_draft();
   o.quic.initial_rto = ms(100);
   o.quic.max_retransmits = 0;
@@ -510,7 +511,7 @@ TEST_F(EngineFixture, DynamicCadUsesHistory) {
       simnet::PacketFilter::for_family(Family::kIpv6),
       simnet::NetemSpec::delay_only(ms(400)));
   engine->cache().clear();
-  cap->clear();
+  cap = std::make_unique<capture::PacketCapture>(client_host);  // fresh wire
   const auto second = run_connect(N("www.he.lab"));
   ASSERT_TRUE(second.ok);
   EXPECT_EQ(second.family(), Family::kIpv4);

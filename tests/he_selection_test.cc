@@ -296,10 +296,5 @@ TEST(HeOptionsTest, EffectiveCadSelectsModel) {
   EXPECT_EQ(o.effective_cad(ms(50)), ms(200));  // dynamic
 }
 
-TEST(HeOptionsTest, VersionNames) {
-  EXPECT_STREQ(he_version_name(HeVersion::kV1), "HEv1");
-  EXPECT_STREQ(he_version_name(HeVersion::kNone), "none");
-}
-
 }  // namespace
 }  // namespace lazyeye::he

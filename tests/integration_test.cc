@@ -1,5 +1,5 @@
-// Cross-module integration tests: the full stack (HE engine -> stub ->
-// recursive resolver -> delegation tree; TCP to the target) plus failure
+// Cross-module integration tests: the full stack (HE engine -> stub -> the
+// lab's authoritative server; TCP to a separate web server) plus failure
 // injection (packet loss, garbage payloads, off-path responses, RST storms,
 // concurrent sessions).
 #include <gtest/gtest.h>
@@ -9,7 +9,7 @@
 #include "clients/client.h"
 #include "clients/profiles.h"
 #include "dns/auth_server.h"
-#include "dns/recursive_resolver.h"
+#include "dns/stub_resolver.h"
 #include "he/engine.h"
 #include "simnet/network.h"
 
@@ -21,54 +21,26 @@ using simnet::IpAddress;
 
 dns::DnsName N(const char* s) { return dns::DnsName::must_parse(s); }
 
-// Full stack: the client's stub resolver points at a *recursive* resolver,
-// which walks root -> lab -> site.lab; the web server is a fourth host.
+// Full stack: the client's stub resolver asks the lab's authoritative
+// server for site.lab names; the web server is a third host.
 struct FullStackFixture : ::testing::Test {
   FullStackFixture()
       : net{31},
         client_host{net.add_host("client")},
-        resolver_host{net.add_host("resolver")},
-        root_host{net.add_host("root")},
         auth_host{net.add_host("auth")},
         web_host{net.add_host("web")} {
     client_host.add_address(IpAddress::must_parse("10.0.0.2"));
     client_host.add_address(IpAddress::must_parse("2001:db8::2"));
-    resolver_host.add_address(IpAddress::must_parse("10.0.0.53"));
-    resolver_host.add_address(IpAddress::must_parse("2001:db8::53"));
-    root_host.add_address(IpAddress::must_parse("10.0.0.1"));
-    root_host.add_address(IpAddress::must_parse("2001:db8::1"));
     auth_host.add_address(IpAddress::must_parse("10.0.1.1"));
     auth_host.add_address(IpAddress::must_parse("2001:db8:1::1"));
     web_host.add_address(IpAddress::must_parse("10.0.2.80"));
     web_host.add_address(IpAddress::must_parse("2001:db8:2::80"));
 
-    root = std::make_unique<dns::AuthServer>(root_host);
-    dns::Zone& root_zone = root->add_zone(dns::DnsName{});
-    root_zone.add_ns(N("lab"), N("ns1.lab"));
-    root_zone.add(dns::ResourceRecord::a(N("ns1.lab"),
-                                         *simnet::Ipv4Address::parse("10.0.1.1")));
-    root_zone.add(dns::ResourceRecord::aaaa(
-        N("ns1.lab"), *simnet::Ipv6Address::parse("2001:db8:1::1")));
-
     auth = std::make_unique<dns::AuthServer>(auth_host);
     dns::Zone& lab = auth->add_zone(N("lab"));
-    lab.add_ns(N("lab"), N("ns1.lab"));
-    lab.add_a(N("ns1.lab"), *simnet::Ipv4Address::parse("10.0.1.1"));
-    lab.add_aaaa(N("ns1.lab"), *simnet::Ipv6Address::parse("2001:db8:1::1"));
     lab.add_a(N("www.site.lab"), *simnet::Ipv4Address::parse("10.0.2.80"));
     lab.add_aaaa(N("www.site.lab"),
                  *simnet::Ipv6Address::parse("2001:db8:2::80"));
-
-    dns::ResolverProfile rprofile;
-    rprofile.name = "full-stack";
-    rprofile.ns_query_strategy = dns::NsQueryStrategy::kAaaaThenA;
-    rprofile.ipv6_probability = 1.0;
-    rprofile.attempt_timeout = ms(400);
-    recursive = std::make_unique<dns::RecursiveResolver>(
-        resolver_host, rprofile,
-        std::vector<IpAddress>{IpAddress::must_parse("10.0.0.1"),
-                               IpAddress::must_parse("2001:db8::1")});
-    recursive->serve(53);
 
     web_tcp = std::make_unique<transport::TcpStack>(web_host);
     web_tcp->listen(443);
@@ -76,19 +48,15 @@ struct FullStackFixture : ::testing::Test {
 
   simnet::Network net;
   simnet::Host& client_host;
-  simnet::Host& resolver_host;
-  simnet::Host& root_host;
   simnet::Host& auth_host;
   simnet::Host& web_host;
-  std::unique_ptr<dns::AuthServer> root;
   std::unique_ptr<dns::AuthServer> auth;
-  std::unique_ptr<dns::RecursiveResolver> recursive;
   std::unique_ptr<transport::TcpStack> web_tcp;
 };
 
-TEST_F(FullStackFixture, HappyEyeballsThroughRecursiveResolution) {
+TEST_F(FullStackFixture, HappyEyeballsThroughLabAuthoritative) {
   dns::StubOptions stub_options;
-  stub_options.servers = {{IpAddress::must_parse("10.0.0.53"), 53}};
+  stub_options.servers = {{IpAddress::must_parse("10.0.1.1"), 53}};
   dns::StubResolver stub{client_host, stub_options};
   transport::TcpStack client_tcp{client_host};
   he::HappyEyeballsEngine engine{client_host, stub, client_tcp};
@@ -100,9 +68,8 @@ TEST_F(FullStackFixture, HappyEyeballsThroughRecursiveResolution) {
   net.loop().run();
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.family(), Family::kIpv6);
-  // The recursive resolver did the iterative walk on the client's behalf.
-  EXPECT_GE(root->query_log().size(), 1u);
-  EXPECT_GE(auth->query_log().size(), 1u);
+  // Both address queries reached the lab's authoritative server.
+  EXPECT_GE(auth->query_log().size(), 2u);
 }
 
 TEST_F(FullStackFixture, BrokenV6AtWebServerStillConnectsViaV4) {
@@ -113,7 +80,7 @@ TEST_F(FullStackFixture, BrokenV6AtWebServerStillConnectsViaV4) {
       simnet::NetemSpec{SimTime{0}, SimTime{0}, 1.0}, "dead v6 web");
 
   dns::StubOptions stub_options;
-  stub_options.servers = {{IpAddress::must_parse("10.0.0.53"), 53}};
+  stub_options.servers = {{IpAddress::must_parse("10.0.1.1"), 53}};
   dns::StubResolver stub{client_host, stub_options};
   transport::TcpStack client_tcp{client_host};
   capture::PacketCapture cap{client_host};
@@ -133,7 +100,7 @@ TEST_F(FullStackFixture, BrokenV6AtWebServerStillConnectsViaV4) {
 
 TEST_F(FullStackFixture, ConcurrentSessionsDoNotInterfere) {
   dns::StubOptions stub_options;
-  stub_options.servers = {{IpAddress::must_parse("10.0.0.53"), 53}};
+  stub_options.servers = {{IpAddress::must_parse("10.0.1.1"), 53}};
   dns::StubResolver stub{client_host, stub_options};
   transport::TcpStack client_tcp{client_host};
   he::HappyEyeballsEngine engine{client_host, stub, client_tcp};
@@ -261,7 +228,10 @@ TEST_F(FailureFixture, OffPathDnsResponseNotAccepted) {
 }
 
 TEST_F(FailureFixture, ServerRstOnBothFamiliesFailsCleanly) {
-  server_tcp->close_listener(443);
+  server_tcp->set_accept_interposer(
+      [](const simnet::Endpoint&, std::uint16_t) {
+        return transport::AcceptAction::kReset;
+      });
   he::HeOptions options = he::HeOptions::rfc8305();
   const auto result = run_engine(options);
   EXPECT_FALSE(result.ok);
@@ -269,7 +239,9 @@ TEST_F(FailureFixture, ServerRstOnBothFamiliesFailsCleanly) {
 }
 
 TEST_F(FailureFixture, DnsServerDeadFailsAfterRetries) {
-  auth->set_unresponsive(true);
+  auth->set_response_interposer(
+      [](const dns::DnsMessage&, dns::DnsMessage&, SimTime&,
+         dns::ResponseDirectives& out) { out.drop = true; });
   he::HeOptions options = he::HeOptions::rfc8305();
   dns::StubOptions stub_options;
   stub_options.servers = {{IpAddress::must_parse("10.0.0.80"), 53}};

@@ -518,7 +518,6 @@ TEST(NetworkTest, BlackholedWhenNoHostOwnsAddress) {
 
 TEST(NetworkTest, EgressNetemDelaysDelivery) {
   Network net{1};
-  net.set_base_delay(SimTime{0});
   Host& a = net.add_host("a");
   Host& b = net.add_host("b");
   a.add_address(IpAddress::must_parse("2001:db8::1"));
@@ -544,8 +543,9 @@ TEST(NetworkTest, EgressNetemDelaysDelivery) {
              {IpAddress::must_parse("10.0.0.2"), 53}, Buffer{});
   net.loop().run();
 
-  EXPECT_EQ(v6_arrival, ms(200));
-  EXPECT_EQ(v4_arrival, SimTime{0});
+  // The egress rule adds its delay on top of the fixed base link delay.
+  EXPECT_EQ(v6_arrival, ms(200) + net.base_delay());
+  EXPECT_EQ(v4_arrival, net.base_delay());
 }
 
 TEST(NetworkTest, SendFromUnownedAddressThrows) {
@@ -605,12 +605,10 @@ TEST(NetworkTest, EphemeralPortsCycle) {
   EXPECT_GE(p1, 49152);
 }
 
-TEST(NetworkTest, FindHostAndRoute) {
+TEST(NetworkTest, RouteByAddress) {
   Network net{1};
   Host& a = net.add_host("alpha");
   a.add_address(IpAddress::must_parse("10.0.0.1"));
-  EXPECT_EQ(net.find_host("alpha"), &a);
-  EXPECT_EQ(net.find_host("missing"), nullptr);
   EXPECT_EQ(net.route(IpAddress::must_parse("10.0.0.1")), &a);
   EXPECT_EQ(net.route(IpAddress::must_parse("10.0.0.2")), nullptr);
 
@@ -618,12 +616,6 @@ TEST(NetworkTest, FindHostAndRoute) {
   Host& b = net.add_host("beta");
   b.add_address(IpAddress::must_parse("10.0.0.1"));
   EXPECT_EQ(net.route(IpAddress::must_parse("10.0.0.1")), &b);
-
-  // Of two hosts with one name, find_host returns the first.
-  Host& alpha_again = net.add_host("alpha");
-  EXPECT_NE(&alpha_again, &a);
-  EXPECT_EQ(net.find_host("alpha"), &a);
-  EXPECT_EQ(net.find_host("beta"), &b);
 
   // A 40-address host (the webtool world's size), registered in an order
   // that interleaves the families, routes every address.
@@ -648,16 +640,6 @@ TEST(NetworkTest, FindHostAndRoute) {
                               "::", "2001:db8:81::100"}) {
     EXPECT_EQ(net.route(IpAddress::must_parse(unowned)), nullptr) << unowned;
   }
-}
-
-TEST(PacketTest, SummaryAndWireSize) {
-  Packet p = make_packet("10.0.0.1", "10.0.0.2", Protocol::kTcp, 80);
-  p.tcp.syn = true;
-  EXPECT_NE(p.summary().find("[S]"), std::string::npos);
-  EXPECT_EQ(p.wire_size(), 40u);  // 20 IPv4 + 20 TCP
-  Packet u = make_packet("2001:db8::1", "2001:db8::2");
-  u.payload.resize(12);
-  EXPECT_EQ(u.wire_size(), 40u + 8u + 12u);
 }
 
 // -------------------------------------------------------------- buffers ----

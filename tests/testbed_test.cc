@@ -44,7 +44,6 @@ TEST(SweepSpecTest, InvertedRangeCollapsesToSinglePoint) {
 
 TEST(SweepSpecTest, PaperGrids) {
   EXPECT_EQ(SweepSpec::fine_cad().values().size(), 81u);  // 0..400 step 5
-  EXPECT_GT(SweepSpec::coarse_cad().values().size(), 5u);
 }
 
 struct TestbedFixture : ::testing::Test {

@@ -115,8 +115,12 @@ TEST_F(TransportFixture, RefusedOnClosedPort) {
   EXPECT_EQ(result.handshake_time(), 2 * net.base_delay());
 }
 
-TEST_F(TransportFixture, SilentDropWhenRstDisabled) {
-  server->set_rst_on_closed_port(false);
+TEST_F(TransportFixture, SilentDropByListenerTimesOut) {
+  // A firewalled port: the listener's accept interposer swallows every SYN.
+  server->listen(9999);
+  server->set_accept_interposer([](const simnet::Endpoint&, std::uint16_t) {
+    return AcceptAction::kDrop;
+  });
   TcpOptions options;
   options.syn_rto = ms(500);
   options.syn_retries = 1;

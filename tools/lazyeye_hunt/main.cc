@@ -30,13 +30,21 @@ using namespace lazyeye;
 
 namespace {
 
+// Fixed ceilings of the counts: --workers starts that many threads, and
+// --budget and --snapshot-every size the journal.
+constexpr int kMaxBudget = 1 << 20;
+constexpr int kMaxWorkers = 256;
+constexpr int kMaxFetches = 16;
+
 int usage() {
   std::fprintf(
       stderr,
       "usage: lazyeye_hunt hunt --journal <path> [--corpus <path>]\n"
       "         [--budget N] [--seed S] [--snapshot-every K] [--workers W]\n"
       "         [--fetches F] [--smoke]\n"
-      "       lazyeye_hunt show --corpus <path>\n");
+      "       lazyeye_hunt show --corpus <path>\n"
+      "  N and K in [1, %d], W in [1, %d], F in [1, %d]\n",
+      kMaxBudget, kMaxWorkers, kMaxFetches);
   return 2;
 }
 
@@ -70,23 +78,23 @@ bool parse_args(int argc, char** argv, Args& args) {
         return false;
       }
     } else if (std::strcmp(argv[a], "--budget") == 0 && (value = next())) {
-      if (!parse_bounded(value, 1, 1 << 20, args.budget)) {
+      if (!parse_bounded(value, 1, kMaxBudget, args.budget)) {
         std::fprintf(stderr, "bad --budget: %s\n", value);
         return false;
       }
     } else if (std::strcmp(argv[a], "--snapshot-every") == 0 &&
                (value = next())) {
-      if (!parse_bounded(value, 1, 1 << 20, args.snapshot_every)) {
+      if (!parse_bounded(value, 1, kMaxBudget, args.snapshot_every)) {
         std::fprintf(stderr, "bad --snapshot-every: %s\n", value);
         return false;
       }
     } else if (std::strcmp(argv[a], "--workers") == 0 && (value = next())) {
-      if (!parse_bounded(value, 1, 256, args.workers)) {
+      if (!parse_bounded(value, 1, kMaxWorkers, args.workers)) {
         std::fprintf(stderr, "bad --workers: %s\n", value);
         return false;
       }
     } else if (std::strcmp(argv[a], "--fetches") == 0 && (value = next())) {
-      if (!parse_bounded(value, 1, 16, args.fetches)) {
+      if (!parse_bounded(value, 1, kMaxFetches, args.fetches)) {
         std::fprintf(stderr, "bad --fetches: %s\n", value);
         return false;
       }

@@ -76,21 +76,31 @@ struct Args {
   bool smoke = false;         // 3 profiles instead of the full pool
 };
 
+// Every count that sizes work or starts processes/threads has a fixed
+// ceiling: `launch` and `crashtest` fork --shards children at once, each
+// running --workers threads.
+constexpr int kMaxShards = 256;
+constexpr int kMaxWorkers = 256;
+constexpr int kMaxReps = 1000;
+constexpr int kMaxRounds = 100;
+constexpr int kMaxSlowMs = 60'000;
+
 int usage() {
   std::fprintf(
       stderr,
       "usage: lazyeye_shard <run|launch|merge|crashtest> --base <path>\n"
       "         [--shards N] [--shard K] [--workers W] [--reps R]\n"
       "         [--rounds C] [--seed S] [--slow-ms M] [--smoke]\n"
-      "         [--out <table path>]\n");
+      "         [--out <table path>]\n"
+      "  N in [1, %d], K in [0, N), W in [0, %d] (0 = one per core),\n"
+      "  R in [1, %d], C in [1, %d], M in [0, %d]\n",
+      kMaxShards, kMaxWorkers, kMaxReps, kMaxRounds, kMaxSlowMs);
   return 2;
 }
 
 bool parse_args(int argc, char** argv, Args& args) {
   if (argc < 2) return false;
   args.cmd = argv[1];
-  constexpr std::uint64_t kMaxCount = 1 << 16;
-  constexpr int kMaxWorkers = 256;
   for (int a = 2; a < argc; ++a) {
     const char* flag = argv[a];
     const auto next = [&]() -> const char* {
@@ -103,19 +113,19 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (std::strcmp(flag, "--out") == 0 && (value = next())) {
       args.out = value;
     } else if (std::strcmp(flag, "--shards") == 0 && (value = next())) {
-      ok = parse_bounded(value, 1, kMaxCount, args.shards);
+      ok = parse_bounded(value, 1, kMaxShards, args.shards);
     } else if (std::strcmp(flag, "--shard") == 0 && (value = next())) {
-      ok = parse_bounded(value, 0, kMaxCount - 1, args.shard);
+      ok = parse_bounded(value, 0, kMaxShards - 1, args.shard);
     } else if (std::strcmp(flag, "--workers") == 0 && (value = next())) {
       ok = parse_bounded(value, 0, kMaxWorkers, args.workers);
     } else if (std::strcmp(flag, "--reps") == 0 && (value = next())) {
-      ok = parse_bounded(value, 1, kMaxCount, args.repetitions);
+      ok = parse_bounded(value, 1, kMaxReps, args.repetitions);
     } else if (std::strcmp(flag, "--rounds") == 0 && (value = next())) {
-      ok = parse_bounded(value, 1, kMaxCount, args.rounds);
+      ok = parse_bounded(value, 1, kMaxRounds, args.rounds);
     } else if (std::strcmp(flag, "--seed") == 0 && (value = next())) {
       ok = parse_bounded(value, 0, UINT64_MAX, args.seed);
     } else if (std::strcmp(flag, "--slow-ms") == 0 && (value = next())) {
-      ok = parse_bounded(value, 0, 60'000, args.slow_ms);
+      ok = parse_bounded(value, 0, kMaxSlowMs, args.slow_ms);
     } else if (std::strcmp(flag, "--smoke") == 0) {
       args.smoke = true;
     } else {
