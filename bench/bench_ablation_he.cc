@@ -6,63 +6,42 @@
 //   (c) CAD value sweep under broken IPv6 (fallback latency)
 //   (d) address interlacing under partially dead address sets
 #include <cstdio>
+#include <initializer_list>
+#include <string>
+#include <utility>
 
-#include "dns/auth_server.h"
 #include "dns/test_params.h"
-#include "he/engine.h"
-#include "simnet/network.h"
+#include "testbed/world.h"
 #include "util/table.h"
 
 using namespace lazyeye;
 
 namespace {
 
-struct World {
-  simnet::Network net{77};
-  simnet::Host* client = nullptr;
-  simnet::Host* server = nullptr;
-  std::unique_ptr<transport::TcpStack> server_tcp;
-  std::unique_ptr<dns::AuthServer> auth;
-  dns::Zone* zone = nullptr;
-};
-
-std::unique_ptr<World> make_world() {
-  auto w = std::make_unique<World>();
-  w->client = &w->net.add_host("client");
-  w->client->add_address(simnet::IpAddress::must_parse("10.0.0.2"));
-  w->client->add_address(simnet::IpAddress::must_parse("2001:db8::2"));
-  w->server = &w->net.add_host("server");
-  w->server->add_address(simnet::IpAddress::must_parse("10.0.0.80"));
-  w->server->add_address(simnet::IpAddress::must_parse("2001:db8::80"));
-  w->server_tcp = std::make_unique<transport::TcpStack>(*w->server);
-  w->server_tcp->listen(443);
-  w->auth = std::make_unique<dns::AuthServer>(*w->server);
-  w->zone = &w->auth->add_zone(dns::DnsName::must_parse("ab.lab"));
-  return w;
+/// One session in a fresh two-node world (zone ab.lab, network and client
+/// seed 77): a client whose HE options are `options` fetches `name`, which
+/// resolves to the server's IPv4 address and to `v6`. Returns its
+/// time-to-connect or "FAIL".
+std::string session(const he::HeOptions& options, const dns::DnsName& name,
+                    std::initializer_list<simnet::Ipv6Address> v6) {
+  static const dns::DnsName zone_origin = dns::DnsName::must_parse("ab.lab");
+  clients::ClientProfile profile;
+  profile.options = options;
+  const auto w = testbed::build_two_node_world(std::move(profile), zone_origin,
+                                               77, 77);
+  w->zone->add_a(name, testbed::two_node_addresses().server_v4.v4());
+  for (const simnet::Ipv6Address& addr : v6) w->zone->add_aaaa(name, addr);
+  clients::FetchResult fetch;
+  w->client->fetch(name, 443,
+                   [&](clients::FetchResult r) { fetch = std::move(r); });
+  w->net->loop().run();
+  if (!fetch.connection.ok) return "FAIL";
+  return format_duration(fetch.connection.elapsed());
 }
 
-/// Runs one session; returns (ok, elapsed).
-std::pair<bool, SimTime> run(World& w, const dns::DnsName& name,
-                             const he::HeOptions& options) {
-  dns::StubOptions stub_options;
-  stub_options.servers = {{simnet::IpAddress::must_parse("10.0.0.80"), 53}};
-  dns::StubResolver stub{*w.client, stub_options};
-  transport::TcpStack client_tcp{*w.client};
-  he::HappyEyeballsEngine engine{*w.client, stub, client_tcp};
-  engine.set_options(options);
-  bool ok = false;
-  SimTime elapsed{0};
-  engine.connect(name, 443, [&](const he::HeResult& r) {
-    ok = r.ok;
-    elapsed = r.elapsed();
-  });
-  w.net.loop().run();
-  return {ok, elapsed};
-}
-
-std::string cell(std::pair<bool, SimTime> outcome) {
-  if (!outcome.first) return "FAIL";
-  return format_duration(outcome.second);
+/// An IPv6 address no host owns: SYNs to it are blackholed.
+simnet::Ipv6Address dead_v6(int i) {
+  return *simnet::Ipv6Address::parse("2001:db8:dead::" + std::to_string(i));
 }
 
 }  // namespace
@@ -70,26 +49,21 @@ std::string cell(std::pair<bool, SimTime> outcome) {
 int main() {
   std::printf("Ablation: time-to-connect under impairments\n");
   std::printf("===========================================\n\n");
+  const simnet::Ipv6Address live_v6 =
+      testbed::two_node_addresses().server_v6.v6();
 
   // (a) Resolution Delay under slow AAAA (400 ms), healthy server.
   {
     TextTable t{{"AAAA delay", "RD = 50 ms", "no RD (resolver timeout 5 s)"}};
     for (const int d : {100, 400, 1000, 3000}) {
-      auto w = make_world();
       const auto name = dns::make_test_name(
           dns::DnsName::must_parse("a.ab.lab"), "x",
           {{dns::RrType::kAaaa, ms(d)}});
-      w->zone->add_a(name, *simnet::Ipv4Address::parse("10.0.0.80"));
-      w->zone->add_aaaa(name, *simnet::Ipv6Address::parse("2001:db8::80"));
-      he::HeOptions with_rd = he::HeOptions::rfc8305();
       he::HeOptions no_rd = he::HeOptions::rfc8305();
       no_rd.resolution_delay = std::nullopt;
-      const auto r1 = run(*w, name, with_rd);
-      auto w2 = make_world();
-      w2->zone->add_a(name, *simnet::Ipv4Address::parse("10.0.0.80"));
-      w2->zone->add_aaaa(name, *simnet::Ipv6Address::parse("2001:db8::80"));
-      const auto r2 = run(*w2, name, no_rd);
-      t.add_row({format_duration(ms(d)), cell(r1), cell(r2)});
+      t.add_row({format_duration(ms(d)),
+                 session(he::HeOptions::rfc8305(), name, {live_v6}),
+                 session(no_rd, name, {live_v6})});
     }
     std::printf("(a) Resolution Delay vs slow AAAA answers\n%s\n",
                 t.render().c_str());
@@ -102,18 +76,11 @@ int main() {
       const auto name = dns::make_test_name(
           dns::DnsName::must_parse("b.ab.lab"), "x",
           {{dns::RrType::kA, ms(d)}});
-      he::HeOptions rfc = he::HeOptions::rfc8305();
       he::HeOptions wait = he::HeOptions::rfc8305();
       wait.wait_for_a_record = true;
-      auto w1 = make_world();
-      w1->zone->add_a(name, *simnet::Ipv4Address::parse("10.0.0.80"));
-      w1->zone->add_aaaa(name, *simnet::Ipv6Address::parse("2001:db8::80"));
-      const auto r1 = run(*w1, name, rfc);
-      auto w2 = make_world();
-      w2->zone->add_a(name, *simnet::Ipv4Address::parse("10.0.0.80"));
-      w2->zone->add_aaaa(name, *simnet::Ipv6Address::parse("2001:db8::80"));
-      const auto r2 = run(*w2, name, wait);
-      t.add_row({format_duration(ms(d)), cell(r1), cell(r2)});
+      t.add_row({format_duration(ms(d)),
+                 session(he::HeOptions::rfc8305(), name, {live_v6}),
+                 session(wait, name, {live_v6})});
     }
     std::printf("(b) wait-for-A deviation vs slow A answers (IPv6 healthy)\n%s\n",
                 t.render().c_str());
@@ -123,14 +90,10 @@ int main() {
   {
     TextTable t{{"CAD", "time-to-connect (IPv6 dead)"}};
     for (const int cad : {100, 250, 300, 2000}) {
-      auto w = make_world();
       const auto name = dns::DnsName::must_parse("c.ab.lab");
-      w->zone->add_a(name, *simnet::Ipv4Address::parse("10.0.0.80"));
-      w->zone->add_aaaa(name,
-                        *simnet::Ipv6Address::parse("2001:db8:dead::1"));
       he::HeOptions o = he::HeOptions::rfc8305();
       o.connection_attempt_delay = ms(cad);
-      t.add_row({format_duration(ms(cad)), cell(run(*w, name, o))});
+      t.add_row({format_duration(ms(cad)), session(o, name, {dead_v6(1)})});
     }
     std::printf("(c) CAD choice vs fallback latency (IPv6 blackholed)\n%s\n",
                 t.render().c_str());
@@ -142,13 +105,7 @@ int main() {
     for (const auto mode :
          {he::InterlaceMode::kNone, he::InterlaceMode::kAlternate,
           he::InterlaceMode::kFirstOtherThenRest}) {
-      auto w = make_world();
       const auto name = dns::DnsName::must_parse("d.ab.lab");
-      for (int i = 1; i <= 3; ++i) {
-        w->zone->add_aaaa(name, *simnet::Ipv6Address::parse(
-                                    "2001:db8:dead::" + std::to_string(i)));
-      }
-      w->zone->add_a(name, *simnet::Ipv4Address::parse("10.0.0.80"));
       he::HeOptions o = he::HeOptions::rfc8305();
       o.interlace = mode;
       o.max_addresses_per_family = 10;
@@ -159,7 +116,8 @@ int main() {
               ? "none (v6 then v4)"
               : mode == he::InterlaceMode::kAlternate ? "alternate (RFC 8305)"
                                                       : "Safari-style";
-      t.add_row({label, cell(run(*w, name, o))});
+      t.add_row(
+          {label, session(o, name, {dead_v6(1), dead_v6(2), dead_v6(3)})});
     }
     std::printf("(d) interlacing vs a dead IPv6 address set\n%s\n",
                 t.render().c_str());

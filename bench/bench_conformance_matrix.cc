@@ -8,7 +8,8 @@
 // `--table <path>` writes the 1-worker verdict table (the CI artifact
 // uploaded next to perf-smoke-json). `--smoke` shrinks the matrix to three
 // profiles and worker counts 1 and 2 — an API/determinism gate, not a
-// measurement.
+// measurement. Any other argument, or `--table` without a path, prints the
+// usage line and exits 2 before the matrix is built.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -31,6 +32,9 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (std::strcmp(argv[a], "--table") == 0 && a + 1 < argc) {
       table_path = argv[++a];
+    } else {
+      std::fprintf(stderr, "usage: %s [--smoke] [--table <path>]\n", argv[0]);
+      return 2;
     }
   }
 
@@ -141,8 +145,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", table_path.c_str());
       return 1;
     }
-    std::fwrite(baseline_table.data(), 1, baseline_table.size(), f);
-    std::fclose(f);
+    const bool written =
+        std::fwrite(baseline_table.data(), 1, baseline_table.size(), f) ==
+        baseline_table.size();
+    if (std::fclose(f) != 0 || !written) {
+      std::fprintf(stderr, "cannot write %s\n", table_path.c_str());
+      return 1;
+    }
     std::printf("Wrote %s\n", table_path.c_str());
   }
   return 0;

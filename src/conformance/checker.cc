@@ -117,7 +117,8 @@ ConformanceRecord ConformanceHarness::run_spec(
   const dns::DnsName name =
       dns::make_test_name(name_stem, lazyeye::str_cat(spec.seed), {});
   const auto w = testbed::build_two_node_world(
-      profile, zone_origin, options_.seed, spec.seed,
+      profile, zone_origin, testbed::cell_net_seed(options_.seed, spec.seed),
+      testbed::cell_client_seed(options_.seed, spec.seed),
       [&](testbed::TwoNodeWorld& world) {
         // Real server first (clients that honour record order try it
         // first), then unresponsive decoys so interleaving/abandonment
@@ -143,6 +144,8 @@ ConformanceRecord ConformanceHarness::run_spec(
           hook(*arena.create<ScheduleInjector>(*schedule, world.net->loop()));
         }
       });
+  const auto* cap =
+      w->lease.arena().create<capture::PacketCapture>(*w->client_host);
 
   clients::FetchResult first_fetch;
   clients::FetchResult last_fetch;
@@ -172,17 +175,16 @@ ConformanceRecord ConformanceHarness::run_spec(
   ctx.v4_candidates = 1 + options_.decoys_per_family;
   ctx.v6_candidates = 1 + options_.decoys_per_family;
 
-  const capture::PacketCapture& cap = *w->capture;
-  ctx.dns = capture::dns_exchanges(cap);
-  ctx.attempts = capture::connection_attempts(cap);
-  ctx.established = capture::established_family(cap);
-  ctx.established_time = capture::first_established_time(cap);
+  ctx.dns = capture::dns_exchanges(*cap);
+  ctx.attempts = capture::connection_attempts(*cap);
+  ctx.established = capture::established_family(*cap);
+  ctx.established_time = capture::first_established_time(*cap);
   // ctx.dns already decoded every DNS packet once; reuse it.
   ctx.first_a_response = capture::first_response_time(ctx.dns, dns::RrType::kA);
   ctx.first_aaaa_response =
       capture::first_response_time(ctx.dns, dns::RrType::kAaaa);
-  ctx.first_v4_syn = capture::first_syn_time(cap, Family::kIpv4);
-  ctx.first_v6_syn = capture::first_syn_time(cap, Family::kIpv6);
+  ctx.first_v4_syn = capture::first_syn_time(*cap, Family::kIpv4);
+  ctx.first_v6_syn = capture::first_syn_time(*cap, Family::kIpv6);
 
   ConformanceRecord record;
   record.client = profile.display_name();

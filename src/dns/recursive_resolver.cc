@@ -7,6 +7,9 @@ namespace lazyeye::dns {
 namespace {
 constexpr int kMaxCnameChase = 4;
 constexpr int kMaxDelegationDepth = 12;
+/// How long to wait for NS-name address responses before proceeding with
+/// whatever addresses are known.
+constexpr SimTime kNsQueryTimeout = lazyeye::ms(800);
 }  // namespace
 
 const char* ns_query_strategy_name(NsQueryStrategy s) {
@@ -202,7 +205,7 @@ void RecursiveResolver::on_main_response(std::uint64_t job_id,
       const auto target = pick_address(job);
       if (target) {
         DnsClientOptions copts;
-        copts.timeout = profile_.ns_query_timeout;
+        copts.timeout = kNsQueryTimeout;
         copts.attempts = 1;
         client_.query(*target, primary.name, RrType::kAaaa, copts,
                       [](const QueryOutcome&) {});
@@ -282,12 +285,10 @@ void RecursiveResolver::handle_referral(std::uint64_t job_id,
     new_zone = rr.name;
     NsServerInfo info;
     info.name = std::get<NsRdata>(rr.rdata).ns;
-    if (profile_.use_glue) {
-      for (const auto& glue : response.additionals) {
-        if (glue.name != info.name) continue;
-        if (const auto addr = glue.address()) {
-          (addr->is_v4() ? info.v4 : info.v6).push_back(*addr);
-        }
+    for (const auto& glue : response.additionals) {
+      if (glue.name != info.name) continue;
+      if (const auto addr = glue.address()) {
+        (addr->is_v4() ? info.v4 : info.v6).push_back(*addr);
       }
     }
     pool.push_back(std::move(info));
@@ -320,8 +321,7 @@ void RecursiveResolver::acquire_ns_addresses(std::uint64_t job_id) {
   const auto strategy = profile_.ns_query_strategy;
   const bool explicit_queries =
       strategy != NsQueryStrategy::kGlueOnly &&
-      strategy != NsQueryStrategy::kAaaaAfterFirstUse &&
-      (!has_glue || profile_.requery_with_glue);
+      strategy != NsQueryStrategy::kAaaaAfterFirstUse;
 
   if (!explicit_queries) {
     if (!has_glue && strategy != NsQueryStrategy::kGlueOnly) {
@@ -378,7 +378,7 @@ void RecursiveResolver::acquire_ns_addresses(std::uint64_t job_id) {
   // Guard timer: proceed with whatever we have if responses are slow. This
   // is what surfaces resolver-side Resolution-Delay-like behaviour.
   job.ns_timer = host_.network().loop().schedule_after(
-      profile_.ns_query_timeout, [this, job_id] {
+      kNsQueryTimeout, [this, job_id] {
         auto jit = jobs_.find(job_id);
         if (jit == jobs_.end() || jit->second.done) return;
         if (jit->second.pending_ns_queries <= 0) return;
@@ -389,7 +389,7 @@ void RecursiveResolver::acquire_ns_addresses(std::uint64_t job_id) {
   auto issue = [this, job_id, ns_name](const simnet::Endpoint& target,
                                        RrType type) {
     DnsClientOptions copts;
-    copts.timeout = profile_.ns_query_timeout;
+    copts.timeout = kNsQueryTimeout;
     copts.attempts = 1;
     client_.query(
         target, ns_name, type, copts,

@@ -37,16 +37,9 @@ struct ResolverProfile {
 
   // ---- NS address acquisition --------------------------------------------
   NsQueryStrategy ns_query_strategy = NsQueryStrategy::kAaaaThenA;
-  /// Trust glue records from referrals (if false, always re-queries).
-  bool use_glue = true;
-  /// Re-query NS addresses even when glue is present (12/13 services do).
-  bool requery_with_glue = true;
   /// Issue the NS-name A and AAAA queries in parallel rather than in order
   /// (DNS0.EU — makes the AAAA-vs-A delay unmeasurable, Table 3 footnote 1).
   bool parallel_ns_queries = false;
-  /// How long to wait for NS-name address responses before proceeding with
-  /// whatever addresses are known.
-  SimTime ns_query_timeout = lazyeye::ms(800);
 
   // ---- Address family selection for iterative queries ---------------------
   /// Probability of choosing IPv6 when both families are available.

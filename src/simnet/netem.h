@@ -75,7 +75,6 @@ class NetemQdisc {
   void add_rule(PacketFilter filter, NetemSpec spec, std::string label = {}) {
     rules_.push_back({std::move(filter), spec, std::move(label)});
   }
-  void clear() { rules_.clear(); }
 
   /// Applies the first matching rule. `rng` supplies jitter/loss randomness.
   NetemVerdict process(const Packet& p, Rng& rng) const;

@@ -19,8 +19,9 @@
 //   // ~WorldLease: arena.reset() tears the world down in one sweep and
 //   // returns the memory (chunks + pooled blocks intact) for the next cell.
 //
-// testbed::build_two_node_world is the one world builder that does this;
-// its TwoNodeWorld owns the lease.
+// testbed::build_two_node_world is the one world builder that does this for
+// testbed, conformance and web-tool cells; its TwoNodeWorld owns the lease.
+// The resolver lab builds its multi-server world the same way.
 #pragma once
 
 #include <cstdint>

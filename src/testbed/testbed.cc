@@ -155,8 +155,12 @@ RunRecord LocalTestbed::run_spec(const clients::ClientProfile& profile,
   if (options_.dns_timeout_override) {
     run_profile.dns_timeout = *options_.dns_timeout_override;
   }
-  const auto world = build_two_node_world(std::move(run_profile), zone_origin,
-                                          options_.seed, spec.seed);
+  const auto world = build_two_node_world(
+      std::move(run_profile), zone_origin,
+      cell_net_seed(options_.seed, spec.seed),
+      cell_client_seed(options_.seed, spec.seed));
+  const auto* cap =
+      world->lease.arena().create<capture::PacketCapture>(*world->client_host);
   const auto nonce = lazyeye::str_cat(spec.seed);
   const TwoNodeAddresses& addrs = two_node_addresses();
 
@@ -201,8 +205,7 @@ RunRecord LocalTestbed::run_spec(const clients::ClientProfile& profile,
     fetch = std::move(r);
   });
   world->net->loop().run();
-  return analyze(profile, *world->capture, configured_delay, spec.repetition,
-                 fetch);
+  return analyze(profile, *cap, configured_delay, spec.repetition, fetch);
 }
 
 RunRecord LocalTestbed::run_cad_case(const clients::ClientProfile& profile,

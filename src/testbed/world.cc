@@ -28,11 +28,11 @@ simnet::Buffer body(std::string_view text) {
 
 std::unique_ptr<TwoNodeWorld> build_two_node_world(
     clients::ClientProfile profile, const dns::DnsName& zone_origin,
-    std::uint64_t seed, std::uint64_t cell, WorldAttach attach) {
+    std::uint64_t net_seed, std::uint64_t client_seed, WorldAttach attach) {
   const TwoNodeAddresses& addrs = two_node_addresses();
   auto w = std::make_unique<TwoNodeWorld>();
   simnet::Arena& arena = w->lease.arena();
-  w->net = arena.create<simnet::Network>(w->lease.memory(), seed * 7919 + cell);
+  w->net = arena.create<simnet::Network>(w->lease.memory(), net_seed);
 
   w->server_host = &w->net->add_host("server");
   w->server_host->add_address(addrs.server_v4);
@@ -67,10 +67,8 @@ std::unique_ptr<TwoNodeWorld> build_two_node_world(
 
   w->client = arena.create<clients::SimulatedClient>(
       *w->client_host, std::move(profile),
-      dns::StubOptions{.servers = {{addrs.server_v4, 53}}}, seed * 31 + cell);
+      dns::StubOptions{.servers = {{addrs.server_v4, 53}}}, client_seed);
   w->client->reset_state();  // fresh container per cell (§4.3)
-
-  w->capture = arena.create<capture::PacketCapture>(*w->client_host);
   return w;
 }
 

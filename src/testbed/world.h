@@ -1,16 +1,18 @@
-// The two-node world every cell runs in (paper §4.3 (i), App. B): two
-// directly connected dual-stack nodes. The server runs the web server on
-// port 443 (TCP answers with the client's source address, as the paper's
+// The two-node world every cell runs in (paper §4.3 (i) and (ii), App. B):
+// two directly connected dual-stack nodes. The server runs the web server
+// on port 443 (TCP answers with the client's source address, as the paper's
 // does; QUIC answers "quic") and the authoritative DNS server; the client
-// node carries the client and a packet capture. Testbed cells and
-// conformance cells both build this one world; they differ only in the zone
-// origin and in what `attach` adds before the client exists.
+// node carries the client. Testbed, conformance and web-tool cells and the
+// HE ablation bench all build this one world; they differ only in the zone
+// origin, the seeds and what `attach` adds before the client exists. The
+// testbed and the conformance checker, which analyse the client's packets,
+// arena-create a capture::PacketCapture on `client_host` right after the
+// build.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
-#include "capture/capture.h"
 #include "clients/client.h"
 #include "dns/auth_server.h"
 #include "simnet/inline_callback.h"
@@ -32,8 +34,9 @@ const TwoNodeAddresses& two_node_addresses();
 
 /// One cell's world, arena-created inside a pooled world lease. Destroying
 /// it releases the lease: the arena runs finalizers in reverse creation
-/// order (capture, client, whatever `attach` created, auth, stacks, then
-/// the Network itself) and rewinds for the next cell on this worker thread.
+/// order (whatever the caller created after the build, client, whatever
+/// `attach` created, auth, stacks, then the Network itself) and rewinds for
+/// the next cell on this worker thread.
 struct TwoNodeWorld {
   simnet::WorldLease lease;
   simnet::Network* net = nullptr;
@@ -44,7 +47,6 @@ struct TwoNodeWorld {
   dns::AuthServer* auth = nullptr;
   dns::Zone* zone = nullptr;
   clients::SimulatedClient* client = nullptr;
-  capture::PacketCapture* capture = nullptr;
   /// Peer of the last accepted TCP connection: the web server's answer.
   simnet::Endpoint last_peer;
 };
@@ -54,11 +56,20 @@ struct TwoNodeWorld {
 /// arena-creates whatever must outlive the client.
 using WorldAttach = simnet::InlineFunction<void(TwoNodeWorld&)>;
 
-/// Builds cell `cell` of the campaign seeded `seed`: the network draws from
-/// seed*7919+cell, the client from seed*31+cell, and the client starts from
-/// a fresh container (§4.3).
+/// Seeds of cell `cell` of a testbed or conformance campaign seeded `seed`.
+inline std::uint64_t cell_net_seed(std::uint64_t seed, std::uint64_t cell) {
+  return seed * 7919 + cell;
+}
+inline std::uint64_t cell_client_seed(std::uint64_t seed, std::uint64_t cell) {
+  return seed * 31 + cell;
+}
+
+/// Builds a world whose network draws from `net_seed` and whose client
+/// draws from `client_seed`; the client starts from a fresh container
+/// (§4.3).
 std::unique_ptr<TwoNodeWorld> build_two_node_world(
     clients::ClientProfile profile, const dns::DnsName& zone_origin,
-    std::uint64_t seed, std::uint64_t cell, WorldAttach attach = {});
+    std::uint64_t net_seed, std::uint64_t client_seed,
+    WorldAttach attach = {});
 
 }  // namespace lazyeye::testbed

@@ -4,6 +4,11 @@
 
 namespace lazyeye::transport {
 
+namespace {
+/// The factor each opening-packet timeout grows by.
+constexpr double kRtoBackoff = 2.0;
+}  // namespace
+
 ConnectionTable::ConnectionTable(simnet::Host& host, TransportProtocol proto,
                                  SendOpen send_open, Release release)
     : host_{host},
@@ -54,8 +59,7 @@ void ConnectionTable::send_open(Connection& conn) {
           return;
         }
         c->retransmit.rto = SimTime{static_cast<std::int64_t>(
-            static_cast<double>(c->retransmit.rto.count()) *
-            c->retransmit.backoff)};
+            static_cast<double>(c->retransmit.rto.count()) * kRtoBackoff)};
         send_open(*c);
       });
 }

@@ -26,12 +26,11 @@ enum class ConnState : std::uint8_t {
   kEstablished,
 };
 
-/// Opening-packet retransmission: first timeout, resends before the attempt
-/// fails with "timeout", and the factor each timeout grows by.
+/// Opening-packet retransmission: first timeout and resends before the
+/// attempt fails with "timeout". Each timeout doubles the last.
 struct Retransmit {
   SimTime rto{0};
   int retries = 0;
-  double backoff = 2.0;
 };
 
 struct Connection {

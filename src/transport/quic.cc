@@ -47,8 +47,7 @@ std::uint64_t QuicStack::connect(const simnet::Endpoint& remote,
                                  const QuicOptions& options,
                                  ConnectHandler handler) {
   const Connection* conn = table_.open(
-      remote,
-      {options.initial_rto, options.max_retransmits, options.rto_backoff},
+      remote, {options.initial_rto, options.max_retransmits},
       std::move(handler));
   if (conn == nullptr) return 0;
   bind(conn->tuple.local.port);

@@ -17,7 +17,6 @@ namespace lazyeye::transport {
 struct QuicOptions {
   SimTime initial_rto = lazyeye::sec(1);
   int max_retransmits = 2;
-  double rto_backoff = 2.0;
 };
 
 /// True if a UDP payload looks like one of our QUIC packets.

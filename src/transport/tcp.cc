@@ -23,8 +23,7 @@ std::uint64_t TcpStack::connect(const simnet::Endpoint& remote,
                                 const TcpOptions& options,
                                 ConnectHandler handler) {
   const Connection* conn = table_.open(
-      remote, {options.syn_rto, options.syn_retries, options.rto_backoff},
-      std::move(handler));
+      remote, {options.syn_rto, options.syn_retries}, std::move(handler));
   return conn != nullptr ? conn->id : 0;
 }
 

@@ -21,7 +21,6 @@ struct TcpOptions {
   /// SYN retransmissions after the initial one before giving up
   /// (Linux default tcp_syn_retries=6 => ~127 s; clients override).
   int syn_retries = 6;
-  double rto_backoff = 2.0;
 };
 
 /// One TCP endpoint (stack) per host. Installs itself as the host's TCP

@@ -4,8 +4,8 @@
 
 #include "campaign/runner.h"
 #include "campaign/sink.h"
-#include "dns/auth_server.h"
 #include "dns/test_params.h"
+#include "testbed/world.h"
 #include "util/strings.h"
 
 namespace lazyeye::webtool {
@@ -117,100 +117,66 @@ RepetitionOutcome WebTool::run_repetition(const clients::ClientProfile& profile,
   const bool rd_mode = rep_case.rd_mode;
   const dns::RrType delayed_type = rep_case.delayed_type;
   const std::size_t buckets = config_.delays.size();
-
-  // Fixed world literals parsed once per process, not once per cell.
-  static const IpAddress client_v4 = IpAddress::must_parse("10.0.0.2");
-  static const IpAddress client_v6 = IpAddress::must_parse("2001:db8::2");
-  static const IpAddress dns_addr = IpAddress::must_parse("10.0.0.53");
   static const dns::DnsName zone_origin =
       dns::DnsName::must_parse("he-test.net");
-  static const std::vector<simnet::Endpoint> dns_servers{{dns_addr, 53}};
 
   // ---- Persistent deployment (one world for the whole repetition). --------
-  // Leased, arena-backed world: consecutive repetitions on this worker
-  // thread rebuild into the same warm chunks.
-  simnet::WorldLease lease;
-  simnet::Network net{lease.memory(), spec.world_seed()};
-  simnet::Host& server = net.add_host("webtool-server");
-  simnet::Host& client_host = net.add_host("client");
-  client_host.add_address(client_v4);
-  client_host.add_address(client_v6);
-
-  // Dedicated address pair per delay bucket.
-  for (std::size_t i = 0; i < buckets; ++i) {
-    server.add_address(bucket(i).v4);
-    server.add_address(bucket(i).v6);
-  }
-  // DNS lives on its own address so shaping never touches it.
-  server.add_address(dns_addr);
-
-  // Shaping: CAD mode delays the per-bucket IPv6 address on the wire.
-  if (!rd_mode) {
-    for (std::size_t i = 0; i < buckets; ++i) {
-      if (config_.delays[i].count() == 0) continue;
-      net.qdisc().add_rule(simnet::PacketFilter::to_address(bucket(i).v6),
-                           simnet::NetemSpec::delay_only(config_.delays[i]),
-                           bucket(i).rule);
-    }
-  }
-  // Real-world noise (jitter) on everything else.
-  net.qdisc().add_rule(simnet::PacketFilter::any(),
-                       simnet::NetemSpec{lazyeye::ms(4), lazyeye::ms(3), 0.0},
-                       "web noise");
-
-  // Web server: echoes the client's source address (client-side evaluation).
-  transport::TcpStack server_tcp{server};
-  simnet::Endpoint last_peer;
-  server_tcp.listen(443, [&](std::uint64_t, const simnet::Endpoint& peer) {
-    last_peer = peer;
-  });
-  server_tcp.set_data_handler(
-      [&](std::uint64_t conn_id, std::span<const std::uint8_t>) {
-        std::string text;  // an address fits the short-string buffer
-        last_peer.addr.append_to(text);
-        simnet::Buffer body;  // inline: no allocation per response
-        body.append(text.data(), text.size());
-        server_tcp.send_data(conn_id, std::move(body));
-      });
-
-  // DNS: one dedicated domain per bucket (cache busting).
-  dns::AuthServer auth{server, 53};
-  dns::Zone& zone = auth.add_zone(zone_origin);
   std::vector<dns::DnsName> domains;
-  for (std::size_t i = 0; i < buckets; ++i) {
-    const Bucket& b = bucket(i);
-    if (rd_mode) {
-      // RD bucket: both records resolve to the first bucket's healthy pair;
-      // the DNS answer of `delayed_type` is delayed via qname-encoded
-      // parameters.
-      domains.push_back(dns::make_test_name(
-          b.rd_stem, b.nonce, {{delayed_type, config_.delays[i]}}));
-      zone.add_a(domains.back(), bucket(0).v4.v4());
-      zone.add_aaaa(domains.back(), bucket(0).v6.v6());
-    } else {
-      domains.push_back(b.cad_name);
-      zone.add_a(domains.back(), b.v4.v4());
-      zone.add_aaaa(domains.back(), b.v6.v6());
-    }
-  }
+  const auto world = testbed::build_two_node_world(
+      profile, zone_origin, spec.world_seed(), spec.client_seed(),
+      [&](testbed::TwoNodeWorld& w) {
+        // Dedicated address pair per delay bucket.
+        for (std::size_t i = 0; i < buckets; ++i) {
+          w.server_host->add_address(bucket(i).v4);
+          w.server_host->add_address(bucket(i).v6);
+        }
+        // Shaping: CAD mode delays the per-bucket IPv6 address on the wire.
+        if (!rd_mode) {
+          for (std::size_t i = 0; i < buckets; ++i) {
+            if (config_.delays[i].count() == 0) continue;
+            w.net->qdisc().add_rule(
+                simnet::PacketFilter::to_address(bucket(i).v6),
+                simnet::NetemSpec::delay_only(config_.delays[i]),
+                bucket(i).rule);
+          }
+        }
+        // Real-world noise (jitter) on everything else.
+        w.net->qdisc().add_rule(
+            simnet::PacketFilter::any(),
+            simnet::NetemSpec{lazyeye::ms(4), lazyeye::ms(3), 0.0},
+            "web noise");
 
-  // ---- Client (state persists across the repetition's buckets). -----------
-  dns::StubOptions stub_options;
-  stub_options.servers = dns_servers;
-  clients::SimulatedClient client{client_host, profile, stub_options,
-                                  spec.client_seed()};
-  client.set_web_conditions(true);
+        // DNS: one dedicated domain per bucket (cache busting).
+        for (std::size_t i = 0; i < buckets; ++i) {
+          const Bucket& b = bucket(i);
+          if (rd_mode) {
+            // RD bucket: both records resolve to the first bucket's healthy
+            // pair; the DNS answer of `delayed_type` is delayed via
+            // qname-encoded parameters.
+            domains.push_back(dns::make_test_name(
+                b.rd_stem, b.nonce, {{delayed_type, config_.delays[i]}}));
+            w.zone->add_a(domains.back(), bucket(0).v4.v4());
+            w.zone->add_aaaa(domains.back(), bucket(0).v6.v6());
+          } else {
+            domains.push_back(b.cad_name);
+            w.zone->add_a(domains.back(), b.v4.v4());
+            w.zone->add_aaaa(domains.back(), b.v6.v6());
+          }
+        }
+      });
+  // Client state persists across the repetition's buckets.
+  world->client->set_web_conditions(true);
 
   RepetitionOutcome outcome;
   outcome.families.resize(buckets);
   for (std::size_t i = 0; i < buckets; ++i) {
     clients::FetchResult fetch;
     bool done = false;
-    client.fetch(domains[i], 443, [&](clients::FetchResult r) {
+    world->client->fetch(domains[i], 443, [&](clients::FetchResult r) {
       fetch = std::move(r);
       done = true;
     });
-    net.loop().run();
+    world->net->loop().run();
     if (!done || !fetch.connection.ok || !fetch.response_received) continue;
     // Client-side family determination from the echoed source address.
     outcome.families[i] = fetch.response_text() == "2001:db8::2"

@@ -2,10 +2,12 @@
 //
 // A persistent deployment: 18 fixed delay buckets between 0 and 5 s, each
 // with a dedicated IPv4/IPv6 address pair and a dedicated domain (caching
-// avoidance). The server echoes the client's source address; everything is
-// evaluated client-side from that echo. Client and server state persist
-// across the buckets of a repetition (no per-fetch reset — unlike the local
-// testbed), and the network carries "real-world" noise.
+// avoidance). It runs in the testbed's two-node world
+// (testbed::build_two_node_world): the server echoes the client's source
+// address, and everything is evaluated client-side from that echo. Client
+// and server state persist across the buckets of a repetition (no per-fetch
+// reset — unlike the local testbed), and the network carries "real-world"
+// noise.
 //
 // A campaign shards the bucket × repetition grid at repetition granularity:
 // each repetition is one campaign::ScenarioSpec cell owning a full isolated
@@ -101,7 +103,7 @@ class WebTool {
       dns::RrType delayed_type) const;
 
   /// Stateless executor for one repetition cell: builds the full deployment
-  /// (all buckets) in an isolated world seeded from the spec and walks the
+  /// (all buckets) in a two-node world seeded from the spec and walks the
   /// buckets with a persistent client. Thread-safe across distinct specs.
   RepetitionOutcome run_repetition(const clients::ClientProfile& profile,
                                    const campaign::ScenarioSpec& spec) const;

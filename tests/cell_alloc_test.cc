@@ -41,6 +41,7 @@
 #include "testbed/world.h"
 #include "util/rng.h"
 #include "util/wire.h"
+#include "webtool/webtool.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -91,6 +92,12 @@ constexpr std::uint64_t kMalformedDnsCellBudget = 61 + kSlack;
 // servers, the recursive engine, one resolution) measures 34 warm (Debug,
 // Release and ASan+UBSan) on GCC 12.2 / libstdc++.
 constexpr std::uint64_t kResolverCellBudget = 34 + kSlack;
+
+// A web-tool repetition (paper-default CAD test on Chrome: 18 delay
+// buckets, one persistent client, 18 fetches in one two-node world)
+// measures 327 warm (Release and ASan+UBSan Debug) on GCC 12.2 /
+// libstdc++.
+constexpr std::uint64_t kWebToolRepetitionBudget = 327 + kSlack;
 
 // Decoding one malformed wire into a fresh DnsMessage may allocate at most
 // this many bytes per wire byte; the seeded corpus below peaks at 10.2
@@ -327,6 +334,21 @@ TEST(CellAllocTest, WarmResolverCellStaysUnderBudget) {
       << " > budget " << kResolverCellBudget;
 }
 
+TEST(CellAllocTest, WarmWebToolRepetitionStaysUnderBudget) {
+  const auto profile = clients::chromium_profile("Chrome", "130.0", "10-2024");
+  webtool::WebToolConfig config = webtool::WebToolConfig::paper_default();
+  config.repetitions = kWarmupCells + kMeasuredCells;
+  const webtool::WebTool tool{config};
+  const campaign::SpecStream cells = tool.campaign_spec_stream(
+      profile, /*rd_mode=*/false, dns::RrType::kAaaa);
+  const std::uint64_t per_cell = warm_allocations_per_cell([&](int i) {
+    tool.run_repetition(profile, cells.at(static_cast<std::size_t>(i)));
+  });
+  EXPECT_LE(per_cell, kWebToolRepetitionBudget)
+      << "warm web-tool repetition allocations regressed: " << per_cell
+      << " > budget " << kWebToolRepetitionBudget;
+}
+
 TEST(CellAllocTest, MalformedDnsDecodeIsBoundedByWireLength) {
   const auto corpus = malformed_dns_corpus();
   for (std::size_t i = 0; i < corpus.size(); ++i) {
@@ -445,7 +467,9 @@ TEST(CellAllocTest, WarmCellWorldCopiesNamesAndDecodesResponsesOffTheHeap) {
   testbed::LocalTestbed bed;
   for (int i = 0; i < kWarmupCells; ++i) bed.run_cad_case(profile, ms(50), i);
   const auto world = testbed::build_two_node_world(
-      profile, dns::DnsName::must_parse("cad.he-test.lab"), 1, kWarmupCells);
+      profile, dns::DnsName::must_parse("cad.he-test.lab"),
+      testbed::cell_net_seed(1, kWarmupCells),
+      testbed::cell_client_seed(1, kWarmupCells));
   const dns::DnsName& origin = world->zone->origin();
   const dns::DnsName qname = dns::make_test_name(
       origin, "123456", {{dns::RrType::kAaaa, ms(300)}});

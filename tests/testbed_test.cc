@@ -263,7 +263,7 @@ clients::FetchResult fetch_in_world(ClientProfile profile,
   const dns::DnsName name = dns::DnsName::must_parse(str_cat("www.", origin));
   const TwoNodeAddresses& addrs = two_node_addresses();
   const auto world = build_two_node_world(
-      std::move(profile), zone, /*seed=*/1, /*cell=*/1,
+      std::move(profile), zone, cell_net_seed(1, 1), cell_client_seed(1, 1),
       [&](TwoNodeWorld& w) {
         if (a) w.zone->add_a(name, addrs.server_v4.v4());
         if (aaaa) w.zone->add_aaaa(name, addrs.server_v6.v6());
@@ -306,7 +306,7 @@ TEST(TwoNodeWorldTest, AttachSeesTheServerButNoClientYet) {
   bool attached = false;
   const auto world = build_two_node_world(
       clients::curl_profile(), dns::DnsName::must_parse("he-test.lab"),
-      /*seed=*/1, /*cell=*/1, [&](TwoNodeWorld& w) {
+      cell_net_seed(1, 1), cell_client_seed(1, 1), [&](TwoNodeWorld& w) {
         attached = true;
         EXPECT_NE(w.net, nullptr);
         EXPECT_NE(w.server_host, nullptr);
@@ -315,11 +315,9 @@ TEST(TwoNodeWorldTest, AttachSeesTheServerButNoClientYet) {
         EXPECT_NE(w.auth, nullptr);
         EXPECT_NE(w.zone, nullptr);
         EXPECT_EQ(w.client, nullptr);
-        EXPECT_EQ(w.capture, nullptr);
       });
   EXPECT_TRUE(attached);
   EXPECT_NE(world->client, nullptr);
-  EXPECT_NE(world->capture, nullptr);
 }
 
 TEST(TwoNodeWorldTest, ConformanceStyleWorldFetches) {
@@ -330,13 +328,16 @@ TEST(TwoNodeWorldTest, ConformanceStyleWorldFetches) {
   const TwoNodeAddresses& addrs = two_node_addresses();
   const auto world = build_two_node_world(
       clients::chromium_profile("Chrome", "130.0", ""),
-      dns::DnsName::must_parse("conf.lab"), /*seed=*/1, /*cell=*/42,
-      [&](TwoNodeWorld& w) {
+      dns::DnsName::must_parse("conf.lab"), cell_net_seed(1, 42),
+      cell_client_seed(1, 42), [&](TwoNodeWorld& w) {
         w.zone->add_a(name, addrs.server_v4.v4());
         w.zone->add_aaaa(name, addrs.server_v6.v6());
         w.zone->add_a(name, dns::decoy_v4(1));
         w.zone->add_aaaa(name, dns::decoy_v6(1));
       });
+  // The checker analyses the client's packets: it creates the capture.
+  const auto* cap =
+      world->lease.arena().create<capture::PacketCapture>(*world->client_host);
   clients::FetchResult result;
   world->client->fetch(name, 443, [&](clients::FetchResult r) {
     result = std::move(r);
@@ -345,7 +346,7 @@ TEST(TwoNodeWorldTest, ConformanceStyleWorldFetches) {
   EXPECT_TRUE(result.connection.ok) << result.connection.error;
   ASSERT_TRUE(result.response_received);
   EXPECT_EQ(result.response_text(), "2001:db8::2");
-  EXPECT_FALSE(world->capture->packets().empty());
+  EXPECT_FALSE(cap->packets().empty());
 }
 
 // ------------------------------------------------------ feature matrix ----

@@ -150,22 +150,21 @@ TEST_F(TransportFixture, BlackholedAddressTimesOut) {
 
 TEST_F(TransportFixture, SynLossRecoveredByRetransmission) {
   server->listen(443);
-  // Drop the first SYN: 100% loss until we clear the rule.
-  simnet::PacketFilter syn_filter;
-  syn_filter.proto = simnet::Protocol::kTcp;
-  syn_filter.dst_port = 443;
-  net.qdisc().add_rule(syn_filter, simnet::NetemSpec{SimTime{0}, SimTime{0}, 1.0});
+  // Drop the first SYN only; its retransmission is accepted.
+  int syns = 0;
+  server->set_accept_interposer([&](const simnet::Endpoint&, std::uint16_t) {
+    return ++syns == 1 ? AcceptAction::kDrop : AcceptAction::kAccept;
+  });
 
   ConnectResult result;
   TcpOptions options;
   options.syn_rto = sec(1);
   client->connect({IpAddress::must_parse("10.0.0.2"), 443}, options,
                   [&](const ConnectResult& r) { result = r; });
-  net.loop().run_until(ms(500));
-  net.qdisc().clear();
   net.loop().run();
   ASSERT_TRUE(result.ok) << result.error;
   // Established via the 1 s retransmission.
+  EXPECT_EQ(syns, 2);
   EXPECT_EQ(result.handshake_time(), sec(1) + 2 * net.base_delay());
 }
 

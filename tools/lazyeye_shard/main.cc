@@ -170,15 +170,6 @@ campaign::JournalCodec<conformance::ConformanceRecord> record_codec() {
   };
 }
 
-/// Discards cells — shard results live in the journal; merge rebuilds the
-/// table from the journals alone.
-class NullSink final
-    : public campaign::ResultSink<conformance::ConformanceRecord> {
- public:
-  void cell(const campaign::ScenarioSpec&,
-            conformance::ConformanceRecord) override {}
-};
-
 /// Runs (or resumes) one shard's journaled sub-campaign in this process.
 int run_shard(const Args& args, const Matrix& matrix) {
   const auto plan = campaign::shard_plan(matrix.specs.size(), args.shards);
@@ -209,7 +200,10 @@ int run_shard(const Args& args, const Matrix& matrix) {
   journal.cell_begin = range.begin;
   journal.cell_end = range.end;
 
-  NullSink sink;
+  // Drops each cell: shard results live in the journal; merge rebuilds the
+  // table from the journals alone.
+  campaign::CallbackSink<conformance::ConformanceRecord> sink{
+      [](const campaign::ScenarioSpec&, conformance::ConformanceRecord) {}};
   const campaign::SpecStream stream = campaign::SpecStream::view(matrix.specs);
   const campaign::JournaledRun result = campaign::run_journaled<
       conformance::ConformanceRecord>(runner, stream, executor, sink, journal,
