@@ -27,14 +27,13 @@ std::string session(const he::HeOptions& options, const dns::DnsName& name,
   static const dns::DnsName zone_origin = dns::DnsName::must_parse("ab.lab");
   clients::ClientProfile profile;
   profile.options = options;
-  const auto w = testbed::build_two_node_world(std::move(profile), zone_origin,
-                                               77, 77);
-  w->zone->add_a(name, testbed::two_node_addresses().server_v4.v4());
-  for (const simnet::Ipv6Address& addr : v6) w->zone->add_aaaa(name, addr);
+  const testbed::TwoNodeWorld w{std::move(profile), zone_origin, 77, 77};
+  w.zone->add_a(name, testbed::two_node_addresses().server_v4.v4());
+  for (const simnet::Ipv6Address& addr : v6) w.zone->add_aaaa(name, addr);
   clients::FetchResult fetch;
-  w->client->fetch(name, 443,
-                   [&](clients::FetchResult r) { fetch = std::move(r); });
-  w->net->loop().run();
+  w.client->fetch(name, 443,
+                  [&](clients::FetchResult r) { fetch = std::move(r); });
+  w.net->loop().run();
   if (!fetch.connection.ok) return "FAIL";
   return format_duration(fetch.connection.elapsed());
 }

@@ -24,7 +24,7 @@ using namespace lazyeye;
 
 int main() {
   // Coarser grid than the paper's 5 ms (25 ms keeps the output readable;
-  // pass the fine grid through LocalTestbed::sweep_cad for full runs).
+  // SweepSpec::fine_cad() is the paper's grid for full runs).
   const testbed::SweepSpec sweep{ms(0), ms(400), ms(25)};
   testbed::LocalTestbed bed;
 

@@ -49,7 +49,6 @@ void print_report(const webtool::WebToolReport& report) {
 int main() {
   webtool::WebToolConfig config = webtool::WebToolConfig::paper_default();
   config.repetitions = 10;
-  config.workers = 0;  // shard repetitions across all hardware threads
   webtool::WebTool tool{config};
 
   std::printf("Figure 4a: web-based CAD test (18 delays, 0..5 s, 10 reps, "

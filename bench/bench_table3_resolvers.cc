@@ -18,11 +18,6 @@ int main() {
   // need enough IPv6-choosing runs per delay bucket for the max-delay
   // estimate to stabilise (the simulation is cheap).
   config.repetitions = 40;
-  // Cross-service campaign: ALL Table 3 rows share one worker pool —
-  // every (service, delay, repetition) cell lands in a single matrix, so
-  // fast services' leftover capacity drains slow services' cells. Rows are
-  // identical to per-service serial runs.
-  config.workers = 0;
 
   TextTable table{{"Service", "AAAA Query", "IPv6 Share", "Max. IPv6 Delay",
                    "# IPv6 Pkts", "| paper:", "Share", "Delay", "Pkts"}};
@@ -38,6 +33,9 @@ int main() {
     if (!service.ipv6_resolution_capable) continue;  // Table 4 exclusion
     services.push_back(service);
   }
+  // Cross-service campaign: every (service, delay, repetition) cell of ALL
+  // Table 3 rows lands in one matrix on one worker pool. Rows are identical
+  // to per-service runs.
   const auto rows = resolverlab::measure_services(services, config);
 
   bool separated = false;

@@ -46,7 +46,6 @@ int main() {
 
   webtool::WebToolConfig web_config = webtool::WebToolConfig::paper_default();
   web_config.repetitions = 1;
-  web_config.workers = 2;  // force the pool path even on 1-core boxes
   webtool::WebTool tool{web_config};
   const campaign::SpecStream web_cells = tool.campaign_spec_stream(
       clients_pool[0], /*rd_mode=*/false, dns::RrType::kAaaa);
@@ -137,7 +136,6 @@ int main() {
   // ---- Second campaign on the same (already warm) pool ---------------------
   webtool::WebToolConfig second_config = webtool::WebToolConfig::paper_default();
   second_config.repetitions = 4;  // 4 repetition cells shard across the pool
-  second_config.workers = 2;
   const auto report = webtool::WebTool{second_config}.run_cad_test(clients_pool[0]);
   std::printf("\nSecond campaign on the warm pool: webtool CAD interval for "
               "%s = (%s, %s]\n",

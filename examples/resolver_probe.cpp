@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
 
   resolverlab::LabConfig config = resolverlab::LabConfig::paper_grid();
   config.repetitions = 20;
-  const auto metrics = resolverlab::measure_service(*service, config);
+  const resolverlab::ServiceMetrics metrics =
+      resolverlab::measure_services({*service}, config).front();
 
   std::printf("AAAA query order:   %s\n",
               metrics.aaaa_order_known

@@ -99,7 +99,6 @@ ClientProfile safari_profile(const std::string& version) {
   o.first_address_family_count = 2;
   o.interlace = he::InterlaceMode::kFirstOtherThenRest;
   o.max_addresses_per_family = 10;
-  o.sort_by_history = true;
   p.options = o;
   p.dynamic_cad_in_web = true;
   return p;

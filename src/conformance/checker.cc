@@ -116,7 +116,7 @@ ConformanceRecord ConformanceHarness::run_spec(
       dns::DnsName::must_parse("run.conf.lab");
   const dns::DnsName name =
       dns::make_test_name(name_stem, lazyeye::str_cat(spec.seed), {});
-  const auto w = testbed::build_two_node_world(
+  const testbed::TwoNodeWorld w{
       profile, zone_origin, testbed::cell_net_seed(options_.seed, spec.seed),
       testbed::cell_client_seed(options_.seed, spec.seed),
       [&](testbed::TwoNodeWorld& world) {
@@ -143,9 +143,9 @@ ConformanceRecord ConformanceHarness::run_spec(
         } else {
           hook(*arena.create<ScheduleInjector>(*schedule, world.net->loop()));
         }
-      });
+      }};
   const auto* cap =
-      w->lease.arena().create<capture::PacketCapture>(*w->client_host);
+      w.lease.arena().create<capture::PacketCapture>(*w.client_host);
 
   clients::FetchResult first_fetch;
   clients::FetchResult last_fetch;
@@ -154,18 +154,18 @@ ConformanceRecord ConformanceHarness::run_spec(
   // The restart (second fetch) runs in the same client session — no
   // reset_state() — so the engine's RFC 6555 §4.1 winner cache applies and
   // the restart-cache rule can observe whether DNS is re-queried.
-  w->client->fetch(name, 443, [&](clients::FetchResult r) {
+  w.client->fetch(name, 443, [&](clients::FetchResult r) {
     first_fetch = r;
     last_fetch = std::move(r);
     first_done = true;
-    first_completed = w->net->loop().now();
+    first_completed = w.net->loop().now();
     if (fetches >= 2) {
-      w->client->fetch(name, 443, [&](clients::FetchResult r2) {
+      w.client->fetch(name, 443, [&](clients::FetchResult r2) {
         last_fetch = std::move(r2);
       });
     }
   });
-  w->net->loop().run();
+  w.net->loop().run();
 
   RuleContext ctx;
   ctx.fetches = fetches;

@@ -1,7 +1,7 @@
 // ConformanceHarness: differential RFC 8305 conformance campaigns.
 //
-// Each cell builds the testbed's two-node world (testbed::
-// build_two_node_world, zone "conf.lab"); its attach hook adds the cell's
+// Each cell builds the testbed's two-node world (testbed::TwoNodeWorld,
+// zone "conf.lab"); its attach hook adds the cell's
 // name and decoy records and a FaultInjector (seeded FaultPlan) or
 // ScheduleInjector (compound schedule) on the server's DNS and transport
 // stacks. The cell runs the client's fetch(es) and evaluates the RFC 8305

@@ -187,6 +187,12 @@ FaultHunt::FaultHunt(HuntOptions options,
   if (options_.budget < 0) {
     throw std::invalid_argument("FaultHunt: negative budget");
   }
+  // Corpus entries replay under their schedule's seed, which is the hunt
+  // seed: cells evaluated under another world seed could not be replayed.
+  if (options_.conformance.seed != options_.seed) {
+    throw std::invalid_argument(
+        "FaultHunt: conformance.seed must equal the hunt seed");
+  }
   if (options_.snapshot_every < 1) options_.snapshot_every = 1;
 }
 

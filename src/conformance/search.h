@@ -59,7 +59,9 @@ struct HuntOptions {
   /// the kill-9 harness uses it to die at deterministic spots, including
   /// the gap between a cell and its cadence snapshot.
   std::function<void(int index)> after_cell;
-  /// World options for every candidate cell.
+  /// World options for every candidate cell. `conformance.seed` must equal
+  /// `seed`: a corpus entry replays under its schedule's seed, which is the
+  /// hunt seed.
   ConformanceOptions conformance;
 };
 
@@ -100,6 +102,8 @@ std::vector<std::string> coverage_signature(
 
 class FaultHunt {
  public:
+  /// Throws std::invalid_argument on an empty profile list, a negative
+  /// budget, or a `conformance.seed` other than `seed`.
   FaultHunt(HuntOptions options, std::vector<clients::ClientProfile> profiles);
 
   const HuntOptions& options() const { return options_; }

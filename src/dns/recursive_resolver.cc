@@ -10,6 +10,8 @@ constexpr int kMaxDelegationDepth = 12;
 /// How long to wait for NS-name address responses before proceeding with
 /// whatever addresses are known.
 constexpr SimTime kNsQueryTimeout = lazyeye::ms(800);
+/// Overall budget of one client query.
+constexpr SimTime kOverallTimeout = lazyeye::sec(15);
 }  // namespace
 
 const char* ns_query_strategy_name(NsQueryStrategy s) {
@@ -41,7 +43,7 @@ std::uint64_t RecursiveResolver::resolve(const DnsName& qname, RrType qtype,
   job.handler = std::move(handler);
 
   job.overall_timer = host_.network().loop().schedule_after(
-      profile_.overall_timeout, [this, id] {
+      kOverallTimeout, [this, id] {
         QueryOutcome out;
         out.error = "overall timeout";
         finish(id, std::move(out));

@@ -4,10 +4,11 @@
 // authoritative name server (§5.3, Table 3): the order of NS-name AAAA/A
 // queries, the IPv6 share of iterative queries, the effective per-attempt
 // timeout ("max IPv6 delay used"), retry/backoff behaviour, and whether the
-// resolver interleaves address families when retrying.
+// resolver interleaves address families when retrying. What no service
+// varies is fixed in recursive_resolver.cc: the 800 ms wait for NS-name
+// addresses and the 15 s overall budget of a client query. A profile is
+// named by the resolvers::ServiceProfile that holds it.
 #pragma once
-
-#include <string>
 
 #include "util/time.h"
 
@@ -33,8 +34,6 @@ enum class NsQueryStrategy {
 const char* ns_query_strategy_name(NsQueryStrategy s);
 
 struct ResolverProfile {
-  std::string name = "default";
-
   // ---- NS address acquisition --------------------------------------------
   NsQueryStrategy ns_query_strategy = NsQueryStrategy::kAaaaThenA;
   /// Issue the NS-name A and AAAA queries in parallel rather than in order
@@ -67,9 +66,6 @@ struct ResolverProfile {
   /// False for services that cannot resolve IPv6-only delegations at all
   /// (Hurricane Electric, Lumen, Dyn, G-Core — Table 4).
   bool ipv6_transport_capable = true;
-
-  /// Overall per-client-query budget.
-  SimTime overall_timeout = lazyeye::sec(15);
 };
 
 }  // namespace lazyeye::dns

@@ -8,24 +8,12 @@ namespace {
 
 void sort_candidates(std::vector<AddressCandidate>& list,
                      const HeOptions& options) {
-  // Stable sorts keep DNS order for ties (resolver-provided ordering is
+  // The stable sort keeps DNS order for ties (resolver-provided ordering is
   // itself meaningful).
   if (options.prefer_ech) {
     std::stable_sort(list.begin(), list.end(),
                      [](const AddressCandidate& a, const AddressCandidate& b) {
                        return a.ech_available > b.ech_available;
-                     });
-  }
-  if (options.sort_by_history) {
-    std::stable_sort(list.begin(), list.end(),
-                     [](const AddressCandidate& a, const AddressCandidate& b) {
-                       // Known RTT beats unknown; lower RTT beats higher.
-                       if (a.history_rtt.has_value() !=
-                           b.history_rtt.has_value()) {
-                         return a.history_rtt.has_value();
-                       }
-                       if (!a.history_rtt) return false;
-                       return *a.history_rtt < *b.history_rtt;
                      });
   }
 }

@@ -2,7 +2,6 @@
 // with a First Address Family Count.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "he/options.h"
@@ -12,8 +11,6 @@ namespace lazyeye::he {
 
 struct AddressCandidate {
   simnet::IpAddress address;
-  /// Historical RTT knowledge, if the client keeps any (HEv2 §4).
-  std::optional<SimTime> history_rtt;
   /// Whether the source (e.g. an HTTPS RR) advertised ECH for this endpoint
   /// (HEv3 preference input).
   bool ech_available = false;
@@ -25,10 +22,10 @@ struct SelectionInput {
 };
 
 /// Produces the ordered attempt list:
-///  1. optionally sorts each family list by historical RTT,
-///  2. optionally prefers ECH-capable endpoints (HEv3),
-///  3. truncates each family to `max_addresses_per_family`,
-///  4. interlaces per `interlace`/`first_address_family_count` with the
+///  1. optionally prefers ECH-capable endpoints (HEv3), keeping DNS order
+///     otherwise,
+///  2. truncates each family to `max_addresses_per_family`,
+///  3. interlaces per `interlace`/`first_address_family_count` with the
 ///     preferred family first.
 std::vector<AddressCandidate> select_addresses(const SelectionInput& input,
                                                const HeOptions& options);

@@ -148,12 +148,10 @@ void HappyEyeballsEngine::on_svcb_outcome(std::uint64_t session_id,
         if (alpn == "h3") s.svcb_h3 = true;
       }
       for (const auto& hint : svcb->ipv6_hints()) {
-        s.v6.push_back(AddressCandidate{simnet::IpAddress{hint}, std::nullopt,
-                                        ech});
+        s.v6.push_back(AddressCandidate{simnet::IpAddress{hint}, ech});
       }
       for (const auto& hint : svcb->ipv4_hints()) {
-        s.v4.push_back(AddressCandidate{simnet::IpAddress{hint}, std::nullopt,
-                                        ech});
+        s.v4.push_back(AddressCandidate{simnet::IpAddress{hint}, ech});
       }
     }
     trace_event(s, HeEvent::Type::kDnsResponse,
@@ -177,7 +175,7 @@ void HappyEyeballsEngine::on_dns_records(
         std::any_of(list.begin(), list.end(), [&](const AddressCandidate& c) {
           return c.address == addr;
         });
-    if (!duplicate) list.push_back(AddressCandidate{addr, std::nullopt, false});
+    if (!duplicate) list.push_back(AddressCandidate{addr, false});
   }
   if (type == dns::RrType::kAaaa) {
     s.aaaa_done = true;
@@ -384,8 +382,7 @@ void HappyEyeballsEngine::launch_next_attempt(std::uint64_t session_id) {
   std::uint64_t attempt_id = 0;
   if (attempt_proto == TransportProtocol::kQuic && quic_ != nullptr) {
     attempt_id = quic_->connect(
-        remote, s.opts.quic,
-        [this, session_id](const transport::ConnectResult& result) {
+        remote, [this, session_id](const transport::ConnectResult& result) {
           on_attempt_result(session_id, result);
         });
   } else {

@@ -1,11 +1,13 @@
 // Happy Eyeballs configuration: every parameter from Table 1 of the paper
 // (HEv1 RFC 6555, HEv2 RFC 8305, HEv3 draft) plus the deviation knobs needed
 // to model real client behaviour observed in the paper's measurements.
+// Settings no client, preset or bench varies are not options: the QUIC
+// Initial's retransmission schedule is fixed in transport/quic.cc, and
+// address selection keeps DNS order (no client sorts by RTT history).
 #pragma once
 
 #include <optional>
 
-#include "transport/quic.h"
 #include "transport/tcp.h"
 #include "util/result.h"
 #include "util/time.h"
@@ -73,8 +75,6 @@ struct HeOptions {
   /// Cap on how many addresses of each family are attempted (Table 2
   /// "Addrs. Used": 1 for Chromium/Firefox/curl, 10 for Safari).
   int max_addresses_per_family = 100;
-  /// Sort candidates by historical RTT when available (HEv2 §4 knowledge).
-  bool sort_by_history = false;
 
   // ---- Connection phase ----------------------------------------------------
   /// Fixed Connection Attempt Delay (RFC 6555: 150-250 ms; RFC 8305: 250 ms).
@@ -95,7 +95,6 @@ struct HeOptions {
   bool race_quic = false;
   /// Prefer endpoints whose HTTPS record carries ECH configuration.
   bool prefer_ech = false;
-  transport::QuicOptions quic;
 
   // ---- Caching -------------------------------------------------------------
   /// Cache the winning (address, protocol) "on the order of 10 minutes"

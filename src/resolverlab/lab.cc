@@ -356,12 +356,6 @@ ServiceMetrics aggregate_service(const resolvers::ServiceProfile& service,
   return metrics;
 }
 
-ServiceMetrics measure_service(const resolvers::ServiceProfile& service,
-                               const LabConfig& config) {
-  std::vector<ServiceMetrics> rows = measure_services({service}, config);
-  return std::move(rows.front());
-}
-
 std::vector<ServiceMetrics> measure_services(
     const std::vector<resolvers::ServiceProfile>& services,
     const LabConfig& config) {
@@ -390,9 +384,7 @@ std::vector<ServiceMetrics> measure_services(
         per_service[spec.id / cells_per_service].push_back(std::move(obs));
       }};
 
-  campaign::RunnerOptions runner_options;
-  runner_options.workers = config.workers;
-  registry.run(campaign::CampaignRunner{runner_options}, specs, sink);
+  registry.run(campaign::CampaignRunner{}, specs, sink);
 
   std::vector<ServiceMetrics> rows;
   rows.reserve(services.size());

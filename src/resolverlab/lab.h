@@ -9,8 +9,10 @@
 // Each (delay, repetition) cell is a ScenarioSpec carrying
 // a ResolverCellCase payload that names the service, so cells of *different*
 // services can share one worker pool — measure_services() runs every
-// Table 3 row in a single campaign while keeping each service's serial seed
-// sequence (per-service results are byte-identical to a solo campaign).
+// Table 3 row in a single campaign on the default CampaignRunner while
+// keeping each service's serial seed sequence (per-service results are
+// byte-identical to a solo campaign). register_executor puts the same cells
+// on any runner, at any worker count.
 #pragma once
 
 #include <memory>
@@ -33,9 +35,6 @@ struct LabConfig {
   /// Repetitions per delay (fresh zone + network each).
   int repetitions = 9;
   std::uint64_t seed = 42;
-  /// Campaign worker threads (0 = one per hardware thread). Results are
-  /// identical for any worker count.
-  int workers = 0;
 
   static LabConfig paper_grid();
 };
@@ -96,15 +95,11 @@ RunObservation run_cell(const resolvers::ServiceProfile& service,
 ServiceMetrics aggregate_service(const resolvers::ServiceProfile& service,
                                  std::vector<RunObservation> observations);
 
-/// Runs the full campaign for one service (cells sharded across
-/// config.workers threads).
-ServiceMetrics measure_service(const resolvers::ServiceProfile& service,
-                               const LabConfig& config);
-
 /// Cross-service campaign: all services' matrices in ONE worker pool (the
-/// ROADMAP's "all Table 3 rows in one pool"). Returns one metrics row per
-/// service, in input order, byte-identical to measure_service() per
-/// service at any worker count.
+/// ROADMAP's "all Table 3 rows in one pool"), on the default CampaignRunner.
+/// Returns one metrics row per service, in input order; each row is
+/// byte-identical to a one-service call. A single service is
+/// `measure_services({service}, config).front()`.
 std::vector<ServiceMetrics> measure_services(
     const std::vector<resolvers::ServiceProfile>& services,
     const LabConfig& config);

@@ -23,7 +23,6 @@ ServiceProfile open_service(const std::string& name, double ipv6_share,
                             int v6_addrs) {
   ServiceProfile p;
   p.service = name;
-  p.engine.name = name;
   p.engine.ns_query_strategy = dns::NsQueryStrategy::kAaaaThenA;
   p.engine.ipv6_probability = ipv6_share;
   if (max_delay) p.engine.attempt_timeout = *max_delay;
@@ -53,7 +52,6 @@ std::vector<ServiceProfile> local_software_profiles() {
     ServiceProfile bind;
     bind.service = "BIND";
     bind.local_software = true;
-    bind.engine.name = "BIND";
     bind.engine.ns_query_strategy = dns::NsQueryStrategy::kAThenAaaa;
     bind.engine.ipv6_probability = 1.0;
     bind.engine.attempt_timeout = lazyeye::ms(800);
@@ -70,7 +68,6 @@ std::vector<ServiceProfile> local_software_profiles() {
     ServiceProfile unbound;
     unbound.service = "Unbound";
     unbound.local_software = true;
-    unbound.engine.name = "Unbound";
     unbound.engine.ns_query_strategy = dns::NsQueryStrategy::kAaaaThenA;
     unbound.engine.ipv6_probability = 0.438;
     unbound.engine.attempt_timeout = lazyeye::ms(376);
@@ -89,7 +86,6 @@ std::vector<ServiceProfile> local_software_profiles() {
     ServiceProfile knot;
     knot.service = "Knot Resolver";
     knot.local_software = true;
-    knot.engine.name = "Knot Resolver";
     knot.engine.ns_query_strategy = dns::NsQueryStrategy::kEitherOr;
     knot.engine.ipv6_probability = 0.279;
     knot.engine.attempt_timeout = lazyeye::ms(400);
@@ -158,7 +154,6 @@ std::vector<ServiceProfile> open_service_profiles() {
   auto incapable = [](const std::string& name, int v4, int v6) {
     ServiceProfile p;
     p.service = name;
-    p.engine.name = name;
     p.engine.ns_query_strategy = dns::NsQueryStrategy::kGlueOnly;
     p.engine.ipv6_probability = 0.0;
     p.engine.ipv6_transport_capable = false;

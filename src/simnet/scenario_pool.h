@@ -19,8 +19,8 @@
 //   // ~WorldLease: arena.reset() tears the world down in one sweep and
 //   // returns the memory (chunks + pooled blocks intact) for the next cell.
 //
-// testbed::build_two_node_world is the one world builder that does this for
-// testbed, conformance and web-tool cells; its TwoNodeWorld owns the lease.
+// testbed::TwoNodeWorld is the one world that does this for testbed,
+// conformance and web-tool cells; it owns its lease.
 // The resolver lab builds its multi-server world the same way.
 #pragma once
 
@@ -93,9 +93,10 @@ class WorldLease {
 
   ~WorldLease() { pool_->release(*memory_); }
 
-  WorldMemory& memory() { return *memory_; }
-  Arena& arena() { return memory_->arena; }
-  BufferPool& buffers() { return memory_->buffers; }
+  // A const lease still hands out its memory: constness covers the lease,
+  // not the world built in it.
+  WorldMemory& memory() const { return *memory_; }
+  Arena& arena() const { return memory_->arena; }
 
  private:
   ScenarioPool* pool_;

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "campaign/sink.h"
 #include "dns/test_params.h"
 #include "testbed/world.h"
 #include "util/strings.h"
@@ -155,12 +154,11 @@ RunRecord LocalTestbed::run_spec(const clients::ClientProfile& profile,
   if (options_.dns_timeout_override) {
     run_profile.dns_timeout = *options_.dns_timeout_override;
   }
-  const auto world = build_two_node_world(
-      std::move(run_profile), zone_origin,
-      cell_net_seed(options_.seed, spec.seed),
-      cell_client_seed(options_.seed, spec.seed));
+  const TwoNodeWorld world{std::move(run_profile), zone_origin,
+                           cell_net_seed(options_.seed, spec.seed),
+                           cell_client_seed(options_.seed, spec.seed)};
   const auto* cap =
-      world->lease.arena().create<capture::PacketCapture>(*world->client_host);
+      world.lease.arena().create<capture::PacketCapture>(*world.client_host);
   const auto nonce = lazyeye::str_cat(spec.seed);
   const TwoNodeAddresses& addrs = two_node_addresses();
 
@@ -174,25 +172,25 @@ RunRecord LocalTestbed::run_spec(const clients::ClientProfile& profile,
     simnet::PacketFilter v6_tcp;
     v6_tcp.family = Family::kIpv6;
     v6_tcp.proto = simnet::Protocol::kTcp;
-    world->server_host->egress().add_rule(
+    world.server_host->egress().add_rule(
         v6_tcp, simnet::NetemSpec::delay_only(cad->v6_delay), "delay v6");
 
     // Unique name per run to rule out caching (nonce label).
     name = dns::make_test_name(cad_stem, nonce, {});
-    world->zone->add_a(name, addrs.server_v4.v4());
-    world->zone->add_aaaa(name, addrs.server_v6.v6());
+    world.zone->add_a(name, addrs.server_v4.v4());
+    world.zone->add_aaaa(name, addrs.server_v6.v6());
   } else if (const auto* rd = spec.get_if<campaign::ResolutionDelayCase>()) {
     configured_delay = rd->dns_delay;
     name = dns::make_test_name(rd_stem,
                                nonce, {{rd->delayed_type, rd->dns_delay}});
-    world->zone->add_a(name, addrs.server_v4.v4());
-    world->zone->add_aaaa(name, addrs.server_v6.v6());
+    world.zone->add_a(name, addrs.server_v4.v4());
+    world.zone->add_aaaa(name, addrs.server_v6.v6());
   } else if (const auto* sel = spec.get_if<campaign::AddressSelectionCase>()) {
     name = dns::make_test_name(sel_stem, nonce, {});
     // All records point to unresponsive addresses (no host owns them).
     for (int i = 1; i <= sel->per_family; ++i) {
-      world->zone->add_aaaa(name, dns::decoy_v6(i));
-      world->zone->add_a(name, dns::decoy_v4(i));
+      world.zone->add_aaaa(name, dns::decoy_v6(i));
+      world.zone->add_a(name, dns::decoy_v4(i));
     }
   } else {
     throw std::invalid_argument(
@@ -201,10 +199,10 @@ RunRecord LocalTestbed::run_spec(const clients::ClientProfile& profile,
   }
 
   clients::FetchResult fetch;
-  world->client->fetch(name, 443, [&](clients::FetchResult r) {
+  world.client->fetch(name, 443, [&](clients::FetchResult r) {
     fetch = std::move(r);
   });
-  world->net->loop().run();
+  world.net->loop().run();
   return analyze(profile, *cap, configured_delay, spec.repetition, fetch);
 }
 
@@ -224,30 +222,6 @@ RunRecord LocalTestbed::run_address_selection_case(
     const clients::ClientProfile& profile, int per_family, int repetition) {
   return run_spec(profile,
                   address_selection_spec(profile, per_family, repetition));
-}
-
-std::vector<RunRecord> LocalTestbed::sweep_cad(
-    const clients::ClientProfile& profile, const SweepSpec& sweep,
-    int repetitions, int workers) {
-  campaign::RunnerOptions options;
-  options.workers = workers;
-  // Cells are generated as workers claim them, so the sweep never
-  // materialises its spec vector; records arrive in spec order.
-  const campaign::SpecStream specs =
-      multi_client_cad_stream({profile}, sweep, repetitions);
-  std::vector<RunRecord> records;
-  records.reserve(specs.size());
-  campaign::CallbackSink<RunRecord> sink{
-      [&records](const campaign::ScenarioSpec&, RunRecord record) {
-        records.push_back(std::move(record));
-      }};
-  campaign::CampaignRunner{options}.run_streaming<RunRecord>(
-      specs,
-      [this, &profile](const campaign::ScenarioSpec& spec) {
-        return run_spec(profile, spec);
-      },
-      sink);
-  return records;
 }
 
 }  // namespace lazyeye::testbed

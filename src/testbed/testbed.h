@@ -10,12 +10,12 @@
 // Runs are described declaratively as campaign cells (typed payloads:
 // CadCase / ResolutionDelayCase / AddressSelectionCase): the spec
 // generators below allocate seeds, and run_spec() is a stateless executor
-// that builds the cell's isolated world (build_two_node_world, world.h) —
+// that builds the cell's isolated world (TwoNodeWorld, world.h) —
 // which is what lets whole delay × repetition × client matrices shard
 // across the CampaignRunner worker pool with byte-identical results at any
-// worker count. register_executors()
-// plugs the three testbed case types into a campaign::Registry so testbed
-// cells can ride in mixed-kind matrices.
+// worker count. register_executors() plugs the three testbed case types
+// into a campaign::Registry; a sweep is multi_client_cad_stream() run
+// through that registry, alone or in a mixed-kind matrix.
 #pragma once
 
 #include <memory>
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "campaign/registry.h"
-#include "campaign/runner.h"
 #include "campaign/scenario.h"
 #include "campaign/spec_stream.h"
 #include "capture/analysis.h"
@@ -126,13 +125,6 @@ class LocalTestbed {
   /// Thread-safe: concurrent calls on different specs never share state.
   RunRecord run_spec(const clients::ClientProfile& profile,
                      const campaign::ScenarioSpec& spec) const;
-
-  /// Sweeps the CAD case over a delay grid. `workers` feeds the campaign
-  /// runner (0 = one per hardware thread); results are identical for any
-  /// worker count.
-  std::vector<RunRecord> sweep_cad(const clients::ClientProfile& profile,
-                                   const SweepSpec& sweep,
-                                   int repetitions = 1, int workers = 0);
 
  private:
   campaign::ScenarioSpec base_spec(const clients::ClientProfile& profile,

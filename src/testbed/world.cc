@@ -26,50 +26,49 @@ simnet::Buffer body(std::string_view text) {
 
 }  // namespace
 
-std::unique_ptr<TwoNodeWorld> build_two_node_world(
-    clients::ClientProfile profile, const dns::DnsName& zone_origin,
-    std::uint64_t net_seed, std::uint64_t client_seed, WorldAttach attach) {
+TwoNodeWorld::TwoNodeWorld(clients::ClientProfile profile,
+                           const dns::DnsName& zone_origin,
+                           std::uint64_t net_seed, std::uint64_t client_seed,
+                           WorldAttach attach) {
   const TwoNodeAddresses& addrs = two_node_addresses();
-  auto w = std::make_unique<TwoNodeWorld>();
-  simnet::Arena& arena = w->lease.arena();
-  w->net = arena.create<simnet::Network>(w->lease.memory(), net_seed);
+  simnet::Arena& arena = lease.arena();
+  net = arena.create<simnet::Network>(lease.memory(), net_seed);
 
-  w->server_host = &w->net->add_host("server");
-  w->server_host->add_address(addrs.server_v4);
-  w->server_host->add_address(addrs.server_v6);
-  w->client_host = &w->net->add_host("client");
-  w->client_host->add_address(addrs.client_v4);
-  w->client_host->add_address(addrs.client_v6);
+  server_host = &net->add_host("server");
+  server_host->add_address(addrs.server_v4);
+  server_host->add_address(addrs.server_v6);
+  client_host = &net->add_host("client");
+  client_host->add_address(addrs.client_v4);
+  client_host->add_address(addrs.client_v6);
 
-  w->server_tcp = arena.create<transport::TcpStack>(*w->server_host);
-  w->server_tcp->listen(
-      443, [wp = w.get()](std::uint64_t, const simnet::Endpoint& peer) {
-        wp->last_peer = peer;
-      });
-  w->server_tcp->set_data_handler(
-      [wp = w.get()](std::uint64_t conn_id, std::span<const std::uint8_t>) {
+  server_tcp = arena.create<transport::TcpStack>(*server_host);
+  server_tcp->listen(443,
+                     [this](std::uint64_t, const simnet::Endpoint& peer) {
+                       last_peer = peer;
+                     });
+  server_tcp->set_data_handler(
+      [this](std::uint64_t conn_id, std::span<const std::uint8_t>) {
         std::string text;  // an address fits the short-string buffer
-        wp->last_peer.addr.append_to(text);
-        wp->server_tcp->send_data(conn_id, body(text));
+        last_peer.addr.append_to(text);
+        server_tcp->send_data(conn_id, body(text));
       });
-  w->server_quic = arena.create<transport::QuicStack>(*w->server_host);
-  w->server_quic->listen(443);
-  w->server_quic->set_data_handler(
-      [wp = w.get()](std::uint64_t conn_id, std::span<const std::uint8_t>) {
-        wp->server_quic->send_data(conn_id, body("quic"));
+  server_quic = arena.create<transport::QuicStack>(*server_host);
+  server_quic->listen(443);
+  server_quic->set_data_handler(
+      [this](std::uint64_t conn_id, std::span<const std::uint8_t>) {
+        server_quic->send_data(conn_id, body("quic"));
       });
 
   // The client asks over IPv4, so DNS itself is unaffected by IPv6 shaping.
-  w->auth = arena.create<dns::AuthServer>(*w->server_host);
-  w->zone = &w->auth->add_zone(zone_origin);
+  auth = arena.create<dns::AuthServer>(*server_host);
+  zone = &auth->add_zone(zone_origin);
 
-  if (attach) attach(*w);
+  if (attach) attach(*this);
 
-  w->client = arena.create<clients::SimulatedClient>(
-      *w->client_host, std::move(profile),
+  client = arena.create<clients::SimulatedClient>(
+      *client_host, std::move(profile),
       dns::StubOptions{.servers = {{addrs.server_v4, 53}}}, client_seed);
-  w->client->reset_state();  // fresh container per cell (§4.3)
-  return w;
+  client->reset_state();  // fresh container per cell (§4.3)
 }
 
 }  // namespace lazyeye::testbed

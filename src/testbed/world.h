@@ -3,15 +3,14 @@
 // on port 443 (TCP answers with the client's source address, as the paper's
 // does; QUIC answers "quic") and the authoritative DNS server; the client
 // node carries the client. Testbed, conformance and web-tool cells and the
-// HE ablation bench all build this one world; they differ only in the zone
-// origin, the seeds and what `attach` adds before the client exists. The
-// testbed and the conformance checker, which analyse the client's packets,
-// arena-create a capture::PacketCapture on `client_host` right after the
-// build.
+// HE ablation bench all construct this one world in their own storage; they
+// differ only in the zone origin, the seeds and what `attach` adds before
+// the client exists. The testbed and the conformance checker, which analyse
+// the client's packets, arena-create a capture::PacketCapture on
+// `client_host` right after construction.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "clients/client.h"
 #include "dns/auth_server.h"
@@ -32,12 +31,30 @@ struct TwoNodeAddresses {
 };
 const TwoNodeAddresses& two_node_addresses();
 
-/// One cell's world, arena-created inside a pooled world lease. Destroying
-/// it releases the lease: the arena runs finalizers in reverse creation
-/// order (whatever the caller created after the build, client, whatever
-/// `attach` created, auth, stacks, then the Network itself) and rewinds for
-/// the next cell on this worker thread.
+struct TwoNodeWorld;
+
+/// Runs once the server's stacks and zone exist and before the client is
+/// created (`client` is still null): where a caller adds its records and
+/// arena-creates whatever must outlive the client.
+using WorldAttach = simnet::InlineFunction<void(TwoNodeWorld&)>;
+
+/// One cell's world, arena-created inside a pooled world lease; callers
+/// hold it as `const TwoNodeWorld world{...}`. Destroying it releases the
+/// lease: the arena runs finalizers in reverse creation order (whatever the
+/// caller created after construction, client, whatever `attach` created,
+/// auth, stacks, then the Network itself) and rewinds for the next cell on
+/// this worker thread. The server's handlers hold the world's address, so
+/// it can be neither copied nor moved.
 struct TwoNodeWorld {
+  /// Builds a world whose network draws from `net_seed` and whose client
+  /// draws from `client_seed`; the client starts from a fresh container
+  /// (§4.3).
+  TwoNodeWorld(clients::ClientProfile profile, const dns::DnsName& zone_origin,
+               std::uint64_t net_seed, std::uint64_t client_seed,
+               WorldAttach attach = {});
+  TwoNodeWorld(const TwoNodeWorld&) = delete;
+  TwoNodeWorld& operator=(const TwoNodeWorld&) = delete;
+
   simnet::WorldLease lease;
   simnet::Network* net = nullptr;
   simnet::Host* client_host = nullptr;
@@ -48,13 +65,9 @@ struct TwoNodeWorld {
   dns::Zone* zone = nullptr;
   clients::SimulatedClient* client = nullptr;
   /// Peer of the last accepted TCP connection: the web server's answer.
-  simnet::Endpoint last_peer;
+  /// The server's accept handler writes it while the world runs.
+  mutable simnet::Endpoint last_peer;
 };
-
-/// Runs once the server's stacks and zone exist and before the client is
-/// created (`client` is still null): where a caller adds its records and
-/// arena-creates whatever must outlive the client.
-using WorldAttach = simnet::InlineFunction<void(TwoNodeWorld&)>;
 
 /// Seeds of cell `cell` of a testbed or conformance campaign seeded `seed`.
 inline std::uint64_t cell_net_seed(std::uint64_t seed, std::uint64_t cell) {
@@ -63,13 +76,5 @@ inline std::uint64_t cell_net_seed(std::uint64_t seed, std::uint64_t cell) {
 inline std::uint64_t cell_client_seed(std::uint64_t seed, std::uint64_t cell) {
   return seed * 31 + cell;
 }
-
-/// Builds a world whose network draws from `net_seed` and whose client
-/// draws from `client_seed`; the client starts from a fresh container
-/// (§4.3).
-std::unique_ptr<TwoNodeWorld> build_two_node_world(
-    clients::ClientProfile profile, const dns::DnsName& zone_origin,
-    std::uint64_t net_seed, std::uint64_t client_seed,
-    WorldAttach attach = {});
 
 }  // namespace lazyeye::testbed

@@ -9,6 +9,9 @@ constexpr char kInitial = 'I';
 constexpr char kHandshake = 'H';
 constexpr char kData = 'D';
 constexpr char kClose = 'C';
+/// Initial retransmission: first timeout and resends (each timeout doubles).
+constexpr SimTime kInitialRto = lazyeye::sec(1);
+constexpr int kMaxRetransmits = 2;
 }  // namespace
 
 bool is_quic_payload(std::span<const std::uint8_t> payload) {
@@ -44,11 +47,9 @@ void QuicStack::listen(std::uint16_t port, AcceptHandler on_accept) {
 }
 
 std::uint64_t QuicStack::connect(const simnet::Endpoint& remote,
-                                 const QuicOptions& options,
                                  ConnectHandler handler) {
-  const Connection* conn = table_.open(
-      remote, {options.initial_rto, options.max_retransmits},
-      std::move(handler));
+  const Connection* conn =
+      table_.open(remote, {kInitialRto, kMaxRetransmits}, std::move(handler));
   if (conn == nullptr) return 0;
   bind(conn->tuple.local.port);
   return conn->id;

@@ -3,7 +3,8 @@
 // Wire model: UDP datagrams whose payload starts with a one-byte packet type
 // ('I' = client Initial, 'H' = server handshake reply, 'D' = app data,
 // 'C' = close). One round trip establishes the connection, matching the
-// cost model HEv3 cares about (QUIC vs TCP+TLS racing).
+// cost model HEv3 cares about (QUIC vs TCP+TLS racing). Every client
+// retransmits its Initial on one fixed schedule (see connect()).
 #pragma once
 
 #include <cstdint>
@@ -13,11 +14,6 @@
 #include "transport/connection_table.h"
 
 namespace lazyeye::transport {
-
-struct QuicOptions {
-  SimTime initial_rto = lazyeye::sec(1);
-  int max_retransmits = 2;
-};
 
 /// True if a UDP payload looks like one of our QUIC packets.
 bool is_quic_payload(std::span<const std::uint8_t> payload);
@@ -38,8 +34,9 @@ class QuicStack {
     table_.set_accept_interposer(std::move(hook));
   }
 
-  std::uint64_t connect(const simnet::Endpoint& remote,
-                        const QuicOptions& options, ConnectHandler handler);
+  /// Sends an Initial and resends it 1 s and 3 s later; with no handshake
+  /// reply the attempt fails with "timeout" 7 s after it started.
+  std::uint64_t connect(const simnet::Endpoint& remote, ConnectHandler handler);
   void abort(std::uint64_t attempt_id) { table_.fail(attempt_id, "cancelled"); }
 
   void send_data(std::uint64_t conn_id, simnet::Buffer payload);

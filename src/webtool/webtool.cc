@@ -122,7 +122,7 @@ RepetitionOutcome WebTool::run_repetition(const clients::ClientProfile& profile,
 
   // ---- Persistent deployment (one world for the whole repetition). --------
   std::vector<dns::DnsName> domains;
-  const auto world = testbed::build_two_node_world(
+  const testbed::TwoNodeWorld world{
       profile, zone_origin, spec.world_seed(), spec.client_seed(),
       [&](testbed::TwoNodeWorld& w) {
         // Dedicated address pair per delay bucket.
@@ -163,20 +163,20 @@ RepetitionOutcome WebTool::run_repetition(const clients::ClientProfile& profile,
             w.zone->add_aaaa(domains.back(), b.v6.v6());
           }
         }
-      });
+      }};
   // Client state persists across the repetition's buckets.
-  world->client->set_web_conditions(true);
+  world.client->set_web_conditions(true);
 
   RepetitionOutcome outcome;
   outcome.families.resize(buckets);
   for (std::size_t i = 0; i < buckets; ++i) {
     clients::FetchResult fetch;
     bool done = false;
-    world->client->fetch(domains[i], 443, [&](clients::FetchResult r) {
+    world.client->fetch(domains[i], 443, [&](clients::FetchResult r) {
       fetch = std::move(r);
       done = true;
     });
-    world->net->loop().run();
+    world.net->loop().run();
     if (!done || !fetch.connection.ok || !fetch.response_received) continue;
     // Client-side family determination from the echoed source address.
     outcome.families[i] = fetch.response_text() == "2001:db8::2"
@@ -217,9 +217,6 @@ WebToolReport WebTool::run_campaign(const clients::ClientProfile& profile,
   // into the report as it streams in. Delivery is in repetition order (the
   // sink contract), so aggregation is worker-count independent — and no
   // outcome vector is ever materialised.
-  campaign::RunnerOptions runner_options;
-  runner_options.workers = config_.workers;
-  campaign::CampaignRunner runner{runner_options};
   campaign::CallbackSink<RepetitionOutcome> sink{
       [&](const campaign::ScenarioSpec&, RepetitionOutcome outcome) {
         for (std::size_t i = 0; i < buckets; ++i) {
@@ -233,7 +230,7 @@ WebToolReport WebTool::run_campaign(const clients::ClientProfile& profile,
         }
         if (outcome.inconsistent) ++report.inconsistent_repetitions;
       }};
-  runner.run_streaming<RepetitionOutcome>(
+  campaign::CampaignRunner{}.run_streaming<RepetitionOutcome>(
       campaign_spec_stream(profile, rd_mode, delayed_type),
       [&](const campaign::ScenarioSpec& spec) {
         return run_repetition(profile, spec);

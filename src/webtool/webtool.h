@@ -3,7 +3,7 @@
 // A persistent deployment: 18 fixed delay buckets between 0 and 5 s, each
 // with a dedicated IPv4/IPv6 address pair and a dedicated domain (caching
 // avoidance). It runs in the testbed's two-node world
-// (testbed::build_two_node_world): the server echoes the client's source
+// (testbed::TwoNodeWorld): the server echoes the client's source
 // address, and everything is evaluated client-side from that echo. Client
 // and server state persist across the buckets of a repetition (no per-fetch
 // reset — unlike the local testbed), and the network carries "real-world"
@@ -13,7 +13,9 @@
 // each repetition is one campaign::ScenarioSpec cell owning a full isolated
 // deployment (all 18 buckets, persistent client), so repetitions run in
 // parallel while the within-repetition ordering the inconsistency metric
-// depends on stays sequential.
+// depends on stays sequential. run_cad_test/run_rd_test run the cells on
+// the default CampaignRunner (one worker per hardware thread);
+// register_executor puts them on any runner, at any worker count.
 #pragma once
 
 #include <memory>
@@ -36,9 +38,6 @@ struct WebToolConfig {
   std::vector<SimTime> delays;
   int repetitions = 10;
   std::uint64_t seed = 1;
-  /// Campaign worker threads (0 = one per hardware thread). Results are
-  /// identical for any worker count.
-  int workers = 0;
 
   static WebToolConfig paper_default();
 };

@@ -52,6 +52,16 @@ CampaignRunner runner_with(int workers) {
   return CampaignRunner{options};
 }
 
+/// Runs every cell of `specs` through `registry` on `workers` threads and
+/// returns the outcomes in spec order.
+template <typename R>
+std::vector<R> run_registered(const Registry<R>& registry,
+                              const SpecStream& specs, int workers) {
+  CollectingSink<R> sink;
+  registry.run(runner_with(workers), specs, sink);
+  return std::move(sink).take().outcomes;
+}
+
 /// Runs every cell of `specs` and returns the outcomes in spec order.
 template <typename R>
 std::vector<R> collect(const CampaignRunner& runner,
@@ -514,9 +524,9 @@ TEST(CampaignDeterminismTest, TestbedSweepIdenticalAtEightWorkers) {
   EXPECT_EQ(serialize(serial), serialize(parallel));
 }
 
-TEST(CampaignDeterminismTest, SweepCadMatchesSerialRunCadCaseSequence) {
-  // The sharded sweep must reproduce the exact records the legacy serial
-  // entry point produces from the same counter state.
+TEST(CampaignDeterminismTest, ShardedSweepMatchesSerialRunCadCaseSequence) {
+  // The sharded sweep must reproduce the exact records the serial entry
+  // point produces from the same counter state.
   const auto profile = clients::chromium_profile("Chrome", "130.0", "10-2024");
   const testbed::SweepSpec sweep{ms(0), ms(300), ms(100)};
 
@@ -527,7 +537,10 @@ TEST(CampaignDeterminismTest, SweepCadMatchesSerialRunCadCaseSequence) {
   }
 
   testbed::LocalTestbed campaign_bed;
-  const auto sharded = campaign_bed.sweep_cad(profile, sweep, 1, 4);
+  Registry<testbed::RunRecord> registry;
+  testbed::register_executors(registry, campaign_bed, {profile});
+  const auto sharded = run_registered(
+      registry, campaign_bed.multi_client_cad_stream({profile}, sweep), 4);
   EXPECT_EQ(serialize(serial), serialize(sharded));
 }
 
@@ -596,16 +609,25 @@ TEST(CampaignDeterminismTest, ResolverLabIdenticalForOneAndFourWorkers) {
   config.repetitions = 6;
   config.seed = 31;
 
-  config.workers = 1;
-  const auto serial = resolverlab::measure_service(*service, config);
-  config.workers = 4;
-  const auto parallel = resolverlab::measure_service(*service, config);
-  EXPECT_EQ(serialize(serial), serialize(parallel));
+  Registry<resolverlab::RunObservation> registry;
+  resolverlab::register_executor(registry, {*service});
+  const SpecStream specs =
+      resolverlab::cross_service_cell_spec_stream({*service}, config);
+  const auto row = [&](int workers) {
+    return serialize(resolverlab::aggregate_service(
+        *service, run_registered(registry, specs, workers)));
+  };
+  const std::string serial = row(1);
+  EXPECT_EQ(serial, row(4));
+  // The registry path is the path measure_services runs.
+  EXPECT_EQ(serial, serialize(
+                        resolverlab::measure_services({*service}, config)
+                            .front()));
 }
 
 TEST(CampaignDeterminismTest, CrossServiceCampaignMatchesSoloCampaigns) {
   // All Table 3 rows in one pool: the joint matrix must reproduce every
-  // solo campaign's row byte-for-byte, at any worker count.
+  // solo campaign's row byte-for-byte.
   const auto unbound = resolvers::find_service_profile("Unbound");
   const auto bind = resolvers::find_service_profile("BIND");
   ASSERT_TRUE(unbound);
@@ -617,13 +639,11 @@ TEST(CampaignDeterminismTest, CrossServiceCampaignMatchesSoloCampaigns) {
   config.repetitions = 4;
   config.seed = 77;
 
-  config.workers = 1;
   std::string solo;
   for (const auto& service : services) {
-    solo += serialize(resolverlab::measure_service(service, config));
+    solo += serialize(resolverlab::measure_services({service}, config).front());
   }
 
-  config.workers = 4;
   std::string joint;
   for (const auto& row : resolverlab::measure_services(services, config)) {
     joint += serialize(row);
@@ -686,19 +706,12 @@ TEST(CampaignDeterminismTest, MixedKindMatrixIdenticalForOneAndFourWorkers) {
   EXPECT_EQ(serial, parallel);
 }
 
-std::string serialize(const webtool::WebToolReport& r) {
-  std::string out = r.client + "|" + r.user_agent;
-  out += lazyeye::str_format("|%d|%d|", r.inconsistent_repetitions,
-                             r.total_repetitions);
-  out += r.interval_low ? std::to_string(r.interval_low->count()) : "-";
-  out += "|";
-  out += r.interval_high ? std::to_string(r.interval_high->count()) : "-";
-  out += "\n";
-  for (const auto& obs : r.per_delay) {
-    out += lazyeye::str_format("%lld|%d|%d|%d\n",
-                               static_cast<long long>(obs.delay.count()),
-                               obs.v6_used, obs.v4_used, obs.failures);
+std::string serialize(const webtool::RepetitionOutcome& rep) {
+  std::string out = rep.inconsistent ? "inconsistent|" : "consistent|";
+  for (const auto& family : rep.families) {
+    out += family ? std::to_string(static_cast<int>(*family)) : "-";
   }
+  out += "\n";
   return out;
 }
 
@@ -706,14 +719,23 @@ TEST(CampaignDeterminismTest, WebToolIdenticalForOneAndFourWorkers) {
   webtool::WebToolConfig config = webtool::WebToolConfig::paper_default();
   config.repetitions = 4;
   config.seed = 5;
+  const webtool::WebTool tool{config};
+  const auto safari = clients::safari_profile("17.6");
 
-  config.workers = 1;
-  const auto serial = webtool::WebTool{config}.run_cad_test(
-      clients::safari_profile("17.6"));
-  config.workers = 4;
-  const auto parallel = webtool::WebTool{config}.run_cad_test(
-      clients::safari_profile("17.6"));
-  EXPECT_EQ(serialize(serial), serialize(parallel));
+  Registry<webtool::RepetitionOutcome> registry;
+  webtool::register_executor(registry, tool, {safari});
+  const SpecStream specs =
+      tool.campaign_spec_stream(safari, false, dns::RrType::kAaaa);
+  const auto repetitions = [&](int workers) {
+    std::string out;
+    for (const auto& rep : run_registered(registry, specs, workers)) {
+      out += serialize(rep);
+    }
+    return out;
+  };
+  const std::string serial = repetitions(1);
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(serial, repetitions(4));
 }
 
 TEST(CampaignDeterminismTest, ResolverCellSpecsUseTheSerialSeedSequence) {

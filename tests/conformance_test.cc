@@ -137,7 +137,7 @@ TEST_F(TransportHookFixture, QuicDropAndResetActions) {
         [action](const simnet::Endpoint&, std::uint16_t) { return action; });
     transport::ConnectResult result;
     bool done = false;
-    client.connect({IpAddress::must_parse("10.0.0.2"), 443}, {},
+    client.connect({IpAddress::must_parse("10.0.0.2"), 443},
                    [&](const transport::ConnectResult& r) {
                      result = r;
                      done = true;

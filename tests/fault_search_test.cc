@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,7 @@ std::vector<clients::ClientProfile> hunt_profiles() {
 HuntOptions hunt_options(const std::string& journal_path) {
   HuntOptions options;
   options.seed = 11;
+  options.conformance.seed = 11;
   options.budget = 16;
   options.snapshot_every = 4;
   options.workers = 1;
@@ -254,10 +256,8 @@ TEST(FaultSearchJournalTest, SnapshotCountsAreBoundedByTheirBytes) {
   std::remove(path.c_str());
 }
 
-TEST(FaultSearchJournalTest, SmallHuntJournalAndCorpusDigestsArePinned) {
-  // Pinned digests of a small journaled hunt over one client of each
-  // family: any change to the world, the clients, the rules or the search
-  // that moves one journal or corpus byte shows up here.
+/// One client of each family: Chrome, Firefox, curl and wget.
+std::vector<clients::ClientProfile> pinned_profiles() {
   std::vector<clients::ClientProfile> profiles;
   for (const auto& p : clients::local_testbed_profiles()) {
     const std::string name = p.display_name();
@@ -266,17 +266,61 @@ TEST(FaultSearchJournalTest, SmallHuntJournalAndCorpusDigestsArePinned) {
       profiles.push_back(p);
     }
   }
-  ASSERT_EQ(profiles.size(), 4u);
-  const std::string path = tmp_path("hunt_pinned.journal");
+  return profiles;
+}
+
+/// The pinned hunt: seed 1, budget 32, journaled at `path`.
+HuntResult run_pinned_hunt(const std::string& path) {
   HuntOptions options = hunt_options(path);
   options.seed = 1;
+  options.conformance.seed = 1;
   options.budget = 32;
-  FaultHunt hunt{options, profiles};
-  const HuntResult result = hunt.run();
+  FaultHunt hunt{options, pinned_profiles()};
+  return hunt.run();
+}
+
+TEST(FaultSearchJournalTest, SmallHuntJournalAndCorpusDigestsArePinned) {
+  // Pinned digests of a small journaled hunt over one client of each
+  // family: any change to the world, the clients, the rules or the search
+  // that moves one journal or corpus byte shows up here.
+  ASSERT_EQ(pinned_profiles().size(), 4u);
+  const std::string path = tmp_path("hunt_pinned.journal");
+  const HuntResult result = run_pinned_hunt(path);
   EXPECT_EQ(util::crc32(read_file(path)), 0x807e9d50u);
   EXPECT_EQ(util::crc32(FaultHunt::corpus_text(result.corpus)), 0xa7735fc9u)
       << FaultHunt::corpus_text(result.corpus);
   std::remove(path.c_str());
+}
+
+TEST(FaultSearchJournalTest, EveryCorpusEntryReplaysItsViolations) {
+  // What `lazyeye_hunt show` prints as a replay command: the probe runs the
+  // schedule under its own seed. Over the hunt's profiles that must give
+  // back exactly the violations the corpus recorded.
+  const std::string path = tmp_path("hunt_replay.journal");
+  const HuntResult result = run_pinned_hunt(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(result.corpus.empty());
+  int violating_entries = 0;
+  for (const CorpusEntry& entry : result.corpus) {
+    const ConformanceHarness harness{{.seed = entry.schedule.seed}};
+    int violations = 0;
+    for (const auto& profile : pinned_profiles()) {
+      violations +=
+          harness.replay_schedule(profile, entry.schedule).violations();
+    }
+    EXPECT_EQ(violations, entry.violations) << entry.schedule.repro();
+    if (entry.violations > 0) ++violating_entries;
+  }
+  EXPECT_GT(violating_entries, 0);
+}
+
+TEST(FaultSearchJournalTest, HuntRefusesAWorldSeedOtherThanItsSeed) {
+  // Its corpus would replay in other worlds than the ones it was found in.
+  HuntOptions options = hunt_options("");
+  options.conformance.seed = options.seed + 1;
+  EXPECT_THROW((FaultHunt{options, hunt_profiles()}), std::invalid_argument);
+  options.conformance.seed = options.seed;
+  EXPECT_NO_THROW((FaultHunt{options, hunt_profiles()}));
 }
 
 // -------------------------------------------------------- schedule codec ----

@@ -461,13 +461,14 @@ TEST_F(EngineFixture, HEv3FallsBackToTcpWhenNoQuicService) {
       [](const simnet::Endpoint&, std::uint16_t) {
         return transport::AcceptAction::kDrop;
       });
-  HeOptions o = HeOptions::v3_draft();
-  o.quic.initial_rto = ms(100);
-  o.quic.max_retransmits = 0;
-  engine->set_options(o);
+  engine->set_options(HeOptions::v3_draft());
   const auto result = run_connect(name);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.proto, transport::TransportProtocol::kTcp);
+  // TCP takes over after the CAD, before the unanswered QUIC Initial's
+  // first resend (1 s), and the QUIC attempt is abandoned with it.
+  EXPECT_LT(result.elapsed(), sec(1));
+  EXPECT_LT(net.loop().now(), sec(1));
 }
 
 TEST_F(EngineFixture, HEv3UsesSvcbAddressHints) {

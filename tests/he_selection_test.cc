@@ -12,13 +12,11 @@ namespace {
 using simnet::Family;
 using simnet::IpAddress;
 
-AddressCandidate v6(int i, std::optional<SimTime> rtt = std::nullopt,
-                    bool ech = false) {
-  return {IpAddress::must_parse("2001:db8::" + std::to_string(i)), rtt, ech};
+AddressCandidate v6(int i, bool ech = false) {
+  return {IpAddress::must_parse("2001:db8::" + std::to_string(i)), ech};
 }
-AddressCandidate v4(int i, std::optional<SimTime> rtt = std::nullopt,
-                    bool ech = false) {
-  return {IpAddress::must_parse("10.0.0." + std::to_string(i)), rtt, ech};
+AddressCandidate v4(int i, bool ech = false) {
+  return {IpAddress::must_parse("10.0.0." + std::to_string(i)), ech};
 }
 
 std::vector<Family> families(const std::vector<AddressCandidate>& list) {
@@ -115,21 +113,9 @@ TEST(AddressSelectionTest, NoFallbackFallsToOtherFamilyOnlyWhenEmpty) {
   EXPECT_EQ(out[0].address.family(), Family::kIpv4);
 }
 
-TEST(AddressSelectionTest, HistoryRttSorting) {
-  SelectionInput input;
-  input.ipv6 = {v6(1, ms(80)), v6(2, ms(10)), v6(3)};
-  HeOptions o;
-  o.sort_by_history = true;
-  o.interlace = InterlaceMode::kNone;
-  const auto out = select_addresses(input, o);
-  EXPECT_EQ(out[0].address, v6(2).address);  // fastest first
-  EXPECT_EQ(out[1].address, v6(1).address);
-  EXPECT_EQ(out[2].address, v6(3).address);  // unknown last
-}
-
 TEST(AddressSelectionTest, EchPreferencePromotesEchEndpoints) {
   SelectionInput input;
-  input.ipv6 = {v6(1, std::nullopt, false), v6(2, std::nullopt, true)};
+  input.ipv6 = {v6(1, false), v6(2, true)};
   HeOptions o;
   o.prefer_ech = true;
   o.interlace = InterlaceMode::kNone;

@@ -25,6 +25,11 @@ resolvers::ServiceProfile service(const char* name) {
   return *p;
 }
 
+/// The Table 3 row of one service, measured alone.
+ServiceMetrics row(const char* name, const LabConfig& config) {
+  return measure_services({service(name)}, config).front();
+}
+
 TEST(ServiceProfilesTest, RosterSizes) {
   EXPECT_EQ(resolvers::local_software_profiles().size(), 3u);
   EXPECT_EQ(resolvers::open_service_profiles().size(), 17u);
@@ -45,7 +50,7 @@ TEST(ServiceProfilesTest, Table4AddressInventory) {
 }
 
 TEST(ResolverLabTest, BindRow) {
-  const auto metrics = measure_service(service("BIND"), quick_config());
+  const auto metrics = row("BIND", quick_config());
   // BIND: A before AAAA for NS names, strict IPv6 preference, 800 ms
   // timeout, single IPv6 packet before the fallback.
   EXPECT_TRUE(metrics.aaaa_order_known);
@@ -61,7 +66,7 @@ TEST(ResolverLabTest, UnboundRow) {
   // Enough repetitions that the 43.8 % IPv6 choice and the 44 % retry gate
   // produce stable majorities per delay bucket.
   config.repetitions = 30;
-  const auto metrics = measure_service(service("Unbound"), config);
+  const auto metrics = row("Unbound", config);
   EXPECT_EQ(metrics.aaaa_order, AaaaOrderClass::kBeforeA);
   // Probabilistic 43.8 % IPv6 preference.
   EXPECT_NEAR(metrics.ipv6_share, 0.438, 0.15);
@@ -72,16 +77,14 @@ TEST(ResolverLabTest, UnboundRow) {
 }
 
 TEST(ResolverLabTest, KnotRowEitherOr) {
-  const auto metrics = measure_service(service("Knot Resolver"),
-                                       quick_config());
+  const auto metrics = row("Knot Resolver", quick_config());
   EXPECT_EQ(metrics.aaaa_order, AaaaOrderClass::kEitherOr);
   ASSERT_TRUE(metrics.max_ipv6_delay);
   EXPECT_EQ(*metrics.max_ipv6_delay, ms(399));
 }
 
 TEST(ResolverLabTest, GoogleNeverUsesV6AndDefersAaaa) {
-  const auto metrics = measure_service(service("Google P. DNS"),
-                                       quick_config());
+  const auto metrics = row("Google P. DNS", quick_config());
   EXPECT_EQ(metrics.aaaa_order, AaaaOrderClass::kAfterAuthQuery);
   EXPECT_DOUBLE_EQ(metrics.ipv6_share, 0.0);
   EXPECT_FALSE(metrics.max_ipv6_delay);
@@ -89,7 +92,7 @@ TEST(ResolverLabTest, GoogleNeverUsesV6AndDefersAaaa) {
 }
 
 TEST(ResolverLabTest, OpenDnsClassicHappyEyeballs) {
-  const auto metrics = measure_service(service("OpenDNS"), quick_config());
+  const auto metrics = row("OpenDNS", quick_config());
   EXPECT_EQ(metrics.aaaa_order, AaaaOrderClass::kBeforeA);
   EXPECT_DOUBLE_EQ(metrics.ipv6_share, 1.0);
   ASSERT_TRUE(metrics.max_ipv6_delay);
@@ -102,12 +105,12 @@ TEST(ResolverLabTest, YandexSendsUpToSixV6Packets) {
   config.delay_grid = {ms(0), ms(299), ms(1500)};
   config.repetitions = 6;
   config.seed = 23;
-  const auto metrics = measure_service(service("Yandex"), config);
+  const auto metrics = row("Yandex", config);
   EXPECT_EQ(metrics.max_ipv6_packets, 6);
 }
 
 TEST(ResolverLabTest, Dns0ParallelQueriesFlagged) {
-  const auto metrics = measure_service(service("DNS0.EU"), quick_config());
+  const auto metrics = row("DNS0.EU", quick_config());
   EXPECT_TRUE(metrics.delay_unmeasurable);  // Table 3 footnote 1
 }
 

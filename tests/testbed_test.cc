@@ -203,8 +203,15 @@ TEST_F(TestbedFixture, AddressSelectionCounts) {
 TEST_F(TestbedFixture, SweepFindsTransitionNearCad) {
   // Sweep curl (CAD 200 ms) from 150 to 250 ms in 25 ms steps: the
   // established family flips between 200 and 225 ms.
-  const auto records = testbed.sweep_cad(
-      clients::curl_profile(), SweepSpec{ms(150), ms(250), ms(25)});
+  const auto curl = clients::curl_profile();
+  campaign::Registry<RunRecord> registry;
+  register_executors(registry, testbed, {curl});
+  campaign::CollectingSink<RunRecord> sink;
+  registry.run(campaign::CampaignRunner{},
+               testbed.multi_client_cad_stream(
+                   {curl}, SweepSpec{ms(150), ms(250), ms(25)}),
+               sink);
+  const auto& records = sink.result().outcomes;
   ASSERT_EQ(records.size(), 5u);
   for (const auto& rec : records) {
     const bool expect_v6 = rec.configured_delay <= ms(200);
@@ -262,17 +269,17 @@ clients::FetchResult fetch_in_world(ClientProfile profile,
   const dns::DnsName zone = dns::DnsName::must_parse(origin);
   const dns::DnsName name = dns::DnsName::must_parse(str_cat("www.", origin));
   const TwoNodeAddresses& addrs = two_node_addresses();
-  const auto world = build_two_node_world(
+  const TwoNodeWorld world{
       std::move(profile), zone, cell_net_seed(1, 1), cell_client_seed(1, 1),
       [&](TwoNodeWorld& w) {
         if (a) w.zone->add_a(name, addrs.server_v4.v4());
         if (aaaa) w.zone->add_aaaa(name, addrs.server_v6.v6());
-      });
+      }};
   clients::FetchResult result;
-  world->client->fetch(name, 443, [&](clients::FetchResult r) {
+  world.client->fetch(name, 443, [&](clients::FetchResult r) {
     result = std::move(r);
   });
-  world->net->loop().run();
+  world.net->loop().run();
   return result;
 }
 
@@ -304,7 +311,7 @@ TEST(TwoNodeWorldTest, QuicAnswersQuic) {
 
 TEST(TwoNodeWorldTest, AttachSeesTheServerButNoClientYet) {
   bool attached = false;
-  const auto world = build_two_node_world(
+  const TwoNodeWorld world{
       clients::curl_profile(), dns::DnsName::must_parse("he-test.lab"),
       cell_net_seed(1, 1), cell_client_seed(1, 1), [&](TwoNodeWorld& w) {
         attached = true;
@@ -315,9 +322,9 @@ TEST(TwoNodeWorldTest, AttachSeesTheServerButNoClientYet) {
         EXPECT_NE(w.auth, nullptr);
         EXPECT_NE(w.zone, nullptr);
         EXPECT_EQ(w.client, nullptr);
-      });
+      }};
   EXPECT_TRUE(attached);
-  EXPECT_NE(world->client, nullptr);
+  EXPECT_NE(world.client, nullptr);
 }
 
 TEST(TwoNodeWorldTest, ConformanceStyleWorldFetches) {
@@ -326,7 +333,7 @@ TEST(TwoNodeWorldTest, ConformanceStyleWorldFetches) {
   const dns::DnsName name = dns::make_test_name(
       dns::DnsName::must_parse("run.conf.lab"), "42", {});
   const TwoNodeAddresses& addrs = two_node_addresses();
-  const auto world = build_two_node_world(
+  const TwoNodeWorld world{
       clients::chromium_profile("Chrome", "130.0", ""),
       dns::DnsName::must_parse("conf.lab"), cell_net_seed(1, 42),
       cell_client_seed(1, 42), [&](TwoNodeWorld& w) {
@@ -334,15 +341,15 @@ TEST(TwoNodeWorldTest, ConformanceStyleWorldFetches) {
         w.zone->add_aaaa(name, addrs.server_v6.v6());
         w.zone->add_a(name, dns::decoy_v4(1));
         w.zone->add_aaaa(name, dns::decoy_v6(1));
-      });
+      }};
   // The checker analyses the client's packets: it creates the capture.
   const auto* cap =
-      world->lease.arena().create<capture::PacketCapture>(*world->client_host);
+      world.lease.arena().create<capture::PacketCapture>(*world.client_host);
   clients::FetchResult result;
-  world->client->fetch(name, 443, [&](clients::FetchResult r) {
+  world.client->fetch(name, 443, [&](clients::FetchResult r) {
     result = std::move(r);
   });
-  world->net->loop().run();
+  world.net->loop().run();
   EXPECT_TRUE(result.connection.ok) << result.connection.error;
   ASSERT_TRUE(result.response_received);
   EXPECT_EQ(result.response_text(), "2001:db8::2");

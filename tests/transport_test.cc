@@ -7,6 +7,8 @@
 #include <map>
 #include <set>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "simnet/network.h"
@@ -51,15 +53,21 @@ void expect_abort_sibling_and_reconnect(simnet::Network& net, Stack& stack) {
       results[name] = r;
     };
   };
-  const auto loser = stack.connect({IpAddress::must_parse("10.0.0.99"), 443},
-                                   {}, record("loser"));
-  stack.connect({IpAddress::must_parse("10.0.0.2"), 443}, {},
-                [&](const ConnectResult& r) {
-                  record("winner")(r);
-                  stack.abort(loser);
-                  stack.connect({IpAddress::must_parse("2001:db8::2"), 443},
-                                {}, record("reopened"));
-                });
+  // QUIC attempts take no options; TCP ones take the defaults.
+  const auto open = [&stack](const simnet::Endpoint& to, auto handler) {
+    if constexpr (std::is_same_v<Stack, QuicStack>) {
+      return stack.connect(to, std::move(handler));
+    } else {
+      return stack.connect(to, {}, std::move(handler));
+    }
+  };
+  const auto loser =
+      open({IpAddress::must_parse("10.0.0.99"), 443}, record("loser"));
+  open({IpAddress::must_parse("10.0.0.2"), 443}, [&](const ConnectResult& r) {
+    record("winner")(r);
+    stack.abort(loser);
+    open({IpAddress::must_parse("2001:db8::2"), 443}, record("reopened"));
+  });
   net.loop().run();
   EXPECT_EQ(fired, (std::map<std::string, int>{
                        {"loser", 1}, {"reopened", 1}, {"winner", 1}}));
@@ -251,7 +259,7 @@ struct QuicFixture : TransportFixture {
 TEST_F(QuicFixture, HandshakeCompletesInOneRtt) {
   qserver->listen(443);
   ConnectResult result;
-  qclient->connect({IpAddress::must_parse("10.0.0.2"), 443}, {},
+  qclient->connect({IpAddress::must_parse("10.0.0.2"), 443},
                    [&](const ConnectResult& r) { result = r; });
   net.loop().run();
   ASSERT_TRUE(result.ok) << result.error;
@@ -260,16 +268,14 @@ TEST_F(QuicFixture, HandshakeCompletesInOneRtt) {
 }
 
 TEST_F(QuicFixture, NoServiceTimesOut) {
-  QuicOptions options;
-  options.initial_rto = ms(300);
-  options.max_retransmits = 1;
   ConnectResult result;
-  qclient->connect({IpAddress::must_parse("10.0.0.2"), 443}, options,
+  qclient->connect({IpAddress::must_parse("10.0.0.2"), 443},
                    [&](const ConnectResult& r) { result = r; });
   net.loop().run();
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(result.error, "timeout");
-  EXPECT_EQ(result.handshake_time(), ms(300) + ms(600));
+  // Initial RTO 1 s, two resends, each timeout doubling the last.
+  EXPECT_EQ(result.handshake_time(), sec(1) + sec(2) + sec(4));
 }
 
 TEST_F(QuicFixture, DataRoundTrip) {
@@ -283,7 +289,7 @@ TEST_F(QuicFixture, DataRoundTrip) {
       [&](std::uint64_t, std::span<const std::uint8_t> data) {
         client_received.assign(data.begin(), data.end());
       });
-  qclient->connect({IpAddress::must_parse("10.0.0.2"), 443}, {},
+  qclient->connect({IpAddress::must_parse("10.0.0.2"), 443},
                    [&](const ConnectResult& r) {
                      ASSERT_TRUE(r.ok);
                      qclient->send_data(r.connection_id, {'h', 'i'});
@@ -296,7 +302,7 @@ TEST_F(QuicFixture, AbortReportsCancelled) {
   qserver->listen(443);
   ConnectResult result;
   const auto id = qclient->connect({IpAddress::must_parse("10.0.0.2"), 443},
-                                   {}, [&](const ConnectResult& r) { result = r; });
+                                   [&](const ConnectResult& r) { result = r; });
   qclient->abort(id);
   net.loop().run();
   EXPECT_FALSE(result.ok);
@@ -322,7 +328,7 @@ TEST_F(QuicFixture, DestroyedClientStackUnbindsItsPorts) {
   qserver->listen(443, [&](std::uint64_t conn_id, const simnet::Endpoint&) {
     server_conn = conn_id;
   });
-  qclient->connect({IpAddress::must_parse("10.0.0.2"), 443}, {},
+  qclient->connect({IpAddress::must_parse("10.0.0.2"), 443},
                    [](const ConnectResult& r) { ASSERT_TRUE(r.ok); });
   net.loop().run();
   ASSERT_NE(server_conn, 0u);
@@ -344,7 +350,7 @@ TEST_F(QuicFixture, PeerCloseUnbindsEstablishedClientPort) {
     return AcceptAction::kAcceptThenReset;
   });
   ConnectResult result;
-  qclient->connect({IpAddress::must_parse("10.0.0.2"), 443}, {},
+  qclient->connect({IpAddress::must_parse("10.0.0.2"), 443},
                    [&](const ConnectResult& r) { result = r; });
   net.loop().run();
   ASSERT_TRUE(result.ok) << result.error;
@@ -369,7 +375,7 @@ TEST_F(TransportFixture, TcpAndQuicCoexistOnSameHost) {
   ConnectResult quic_result;
   client->connect({IpAddress::must_parse("10.0.0.2"), 443}, {},
                   [&](const ConnectResult& r) { tcp_result = r; });
-  qclient.connect({IpAddress::must_parse("10.0.0.2"), 443}, {},
+  qclient.connect({IpAddress::must_parse("10.0.0.2"), 443},
                   [&](const ConnectResult& r) { quic_result = r; });
   net.loop().run();
   EXPECT_TRUE(tcp_result.ok);

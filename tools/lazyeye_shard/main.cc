@@ -302,7 +302,12 @@ std::string merge_table(const Args& args, const Matrix& matrix) {
 int merge(const Args& args, const Matrix& matrix) {
   const std::string table = merge_table(args, matrix);
   if (args.out.empty()) {
-    std::fwrite(table.data(), 1, table.size(), stdout);
+    const bool written =
+        std::fwrite(table.data(), 1, table.size(), stdout) == table.size();
+    if (std::fflush(stdout) != 0 || !written) {
+      std::fprintf(stderr, "cannot write the table to stdout\n");
+      return 1;
+    }
     return 0;
   }
   std::FILE* f = std::fopen(args.out.c_str(), "w");
@@ -310,8 +315,12 @@ int merge(const Args& args, const Matrix& matrix) {
     std::fprintf(stderr, "cannot write %s\n", args.out.c_str());
     return 1;
   }
-  std::fwrite(table.data(), 1, table.size(), f);
-  std::fclose(f);
+  const bool written =
+      std::fwrite(table.data(), 1, table.size(), f) == table.size();
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "cannot write %s\n", args.out.c_str());
+    return 1;
+  }
   std::printf("merge: wrote %zu cells to %s\n", matrix.specs.size(),
               args.out.c_str());
   return 0;
