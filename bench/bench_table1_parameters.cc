@@ -37,7 +37,7 @@ int main() {
 
   auto dyn = [](const he::HeOptions& o) {
     return format_duration(o.dynamic_cad.minimum) + " / " +
-           format_duration(o.dynamic_cad.recommended_minimum) + " / " +
+           format_duration(he::kRecommendedMinimumCad) + " / " +
            format_duration(o.dynamic_cad.maximum);
   };
   table.add_row({"  Min/Rec./Max when dynamic", "-", dyn(v2), dyn(v3)});

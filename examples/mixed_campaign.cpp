@@ -90,7 +90,8 @@ int main() {
               "x %zu clients, webtool, resolver lab x %zu services) in one "
               "persistent pool\n\n",
               total, clients_pool.size(), services.size());
-  std::printf("%-6s %-14s %-34s %s\n", "cell", "case", "label", "outcome");
+  std::printf("%-6s %-14s %-20s %s\n", "cell", "case", "client/service",
+              "outcome");
 
   campaign::RunnerOptions options;
   options.workers = 4;  // explicit: pool path even on 1-core boxes
@@ -125,9 +126,12 @@ int main() {
           }
         },
         outcome);
-    std::printf("%-6llu %-14s %-34s %s\n",
+    // Resolver cells run a service's engine rather than a client.
+    const auto* resolver = spec.get_if<campaign::ResolverCellCase>();
+    std::printf("%-6llu %-14s %-20s %s\n",
                 static_cast<unsigned long long>(spec.id),
-                campaign::case_name(spec.payload), spec.label.c_str(),
+                campaign::case_name(spec.payload),
+                (resolver != nullptr ? resolver->service : spec.client).c_str(),
                 summary.c_str());
   }};
   const campaign::CampaignRunner runner{options};

@@ -6,10 +6,13 @@
 // cells (Table 3). Each case has its own payload struct held in a
 // std::variant, so a cell carries exactly the parameters its executor
 // reads — and a matrix can mix kinds freely (a multi-client testbed batch
-// next to all Table 3 services in one worker pool).
+// next to all Table 3 services in one worker pool). A case's name and kind
+// are its alternative index: one name table, one enum, both tied to the
+// variant at compile time.
 #pragma once
 
 #include <cstddef>
+#include <iterator>
 #include <string>
 #include <type_traits>
 #include <variant>
@@ -48,9 +51,12 @@ struct WebRepetitionCase {
 };
 
 /// One resolver-lab (delay, repetition) cell against `service`'s engine.
+/// `delay_index` is `v6_delay`'s position in the lab's delay grid; with the
+/// repetition it names the cell's zone (z<delay_index>r<repetition>.lab).
 struct ResolverCellCase {
   std::string service;
   SimTime v6_delay{0};
+  int delay_index = 0;
 };
 
 /// One adversarial conformance cell: a seeded fault plan run against the
@@ -112,78 +118,31 @@ struct IndexOf<C, std::variant<Head, Rest...>>
 template <typename C>
 inline constexpr std::size_t case_index = detail::IndexOf<C, CasePayload>::value;
 
-/// Per-case compile-time metadata. A payload type without a specialisation
-/// cannot be named or registered — adding a CasePayload alternative without
-/// extending this table fails to compile instead of reporting stale data.
-template <typename C>
-struct CaseTraits;
-
-template <>
-struct CaseTraits<CadCase> {
-  static constexpr CaseKind kKind = CaseKind::kCad;
-  static constexpr const char* kName = "cad";
-};
-template <>
-struct CaseTraits<ResolutionDelayCase> {
-  static constexpr CaseKind kKind = CaseKind::kResolutionDelay;
-  static constexpr const char* kName = "rd";
-};
-template <>
-struct CaseTraits<AddressSelectionCase> {
-  static constexpr CaseKind kKind = CaseKind::kAddressSelection;
-  static constexpr const char* kName = "addr-selection";
-};
-template <>
-struct CaseTraits<WebRepetitionCase> {
-  static constexpr CaseKind kKind = CaseKind::kWebRepetition;
-  static constexpr const char* kName = "webtool-rep";
-};
-template <>
-struct CaseTraits<ResolverCellCase> {
-  static constexpr CaseKind kKind = CaseKind::kResolverCell;
-  static constexpr const char* kName = "resolver-cell";
-};
-template <>
-struct CaseTraits<ConformanceCase> {
-  static constexpr CaseKind kKind = CaseKind::kConformance;
-  static constexpr const char* kName = "conformance";
-};
-template <>
-struct CaseTraits<ScheduleCase> {
-  static constexpr CaseKind kKind = CaseKind::kSchedule;
-  static constexpr const char* kName = "schedule";
-};
-
-// CaseKind values, variant indices, and trait kinds must stay aligned:
-// kind_of() below is a plain index cast.
-static_assert(case_index<CadCase> ==
-              static_cast<std::size_t>(CaseTraits<CadCase>::kKind));
+// CaseKind values and variant indices must stay aligned: ScenarioSpec::kind()
+// is a plain index cast.
+static_assert(case_index<CadCase> == static_cast<std::size_t>(CaseKind::kCad));
 static_assert(case_index<ResolutionDelayCase> ==
-              static_cast<std::size_t>(CaseTraits<ResolutionDelayCase>::kKind));
+              static_cast<std::size_t>(CaseKind::kResolutionDelay));
 static_assert(case_index<AddressSelectionCase> ==
-              static_cast<std::size_t>(CaseTraits<AddressSelectionCase>::kKind));
+              static_cast<std::size_t>(CaseKind::kAddressSelection));
 static_assert(case_index<WebRepetitionCase> ==
-              static_cast<std::size_t>(CaseTraits<WebRepetitionCase>::kKind));
+              static_cast<std::size_t>(CaseKind::kWebRepetition));
 static_assert(case_index<ResolverCellCase> ==
-              static_cast<std::size_t>(CaseTraits<ResolverCellCase>::kKind));
+              static_cast<std::size_t>(CaseKind::kResolverCell));
 static_assert(case_index<ConformanceCase> ==
-              static_cast<std::size_t>(CaseTraits<ConformanceCase>::kKind));
+              static_cast<std::size_t>(CaseKind::kConformance));
 static_assert(case_index<ScheduleCase> ==
-              static_cast<std::size_t>(CaseTraits<ScheduleCase>::kKind));
+              static_cast<std::size_t>(CaseKind::kSchedule));
 
-inline CaseKind kind_of(const CasePayload& payload) {
-  return static_cast<CaseKind>(payload.index());
-}
+/// Case names, indexed by CasePayload alternative. The size assert makes a
+/// new alternative without a name fail to compile.
+inline constexpr const char* kCaseNames[] = {
+    "cad",           "rd",          "addr-selection", "webtool-rep",
+    "resolver-cell", "conformance", "schedule"};
+static_assert(std::size(kCaseNames) == kCaseKindCount);
 
-/// Case name via the traits table: a CasePayload alternative lacking a
-/// CaseTraits specialisation makes this visit fail to compile, so names can
-/// never go stale.
 inline const char* case_name(const CasePayload& payload) {
-  return std::visit(
-      [](const auto& c) {
-        return CaseTraits<std::decay_t<decltype(c)>>::kName;
-      },
-      payload);
+  return kCaseNames[payload.index()];
 }
 
 }  // namespace lazyeye::campaign

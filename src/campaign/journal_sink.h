@@ -7,10 +7,11 @@
 //
 // Resume is codec replay: each cell record carries the result encoded by
 // the campaign's JournalCodec, and a resumed run decodes and re-delivers
-// every journaled cell to a fresh sink before running the tail. The sink
-// therefore sees exactly the cell stream an uninterrupted run would
-// deliver, so its output (CollectingSink bytes, a verdict table, running
-// totals) is identical at any worker count, wherever the crash fell.
+// every journaled cell, beside the spec SpecStream::at() gives for its
+// index, to a fresh sink before running the tail. The sink therefore sees
+// exactly the cell stream an uninterrupted run would deliver, so its output
+// (CollectingSink bytes, a verdict table, running totals) is identical at
+// any worker count, wherever the crash fell.
 #pragma once
 
 #include <cstddef>
@@ -95,20 +96,15 @@ template <typename R>
 std::uint64_t replay_journal(const JournalLoad& load, const SpecStream& specs,
                              ResultSink<R>& sink,
                              const JournalCodec<R>& codec) {
-  const std::vector<ScenarioSpec>* backed = specs.backing();
   std::uint64_t replayed = 0;
   for (const JournalLoad::Cell& cell : load.cells) {
-    ScenarioSpec generated;
-    if (backed == nullptr) generated = specs.at(cell.index);
-    const ScenarioSpec& spec =
-        backed != nullptr ? (*backed)[cell.index] : generated;
     std::optional<R> outcome = codec.decode(cell.payload);
     if (!outcome.has_value()) {
       throw JournalError(
           "journal cell record failed to decode (result schema changed?); "
           "refusing to resume");
     }
-    sink.cell(spec, std::move(*outcome));
+    sink.cell(specs.at(cell.index), std::move(*outcome));
     ++replayed;
   }
   return replayed;

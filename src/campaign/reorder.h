@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <map>
 #include <utility>
-#include <vector>
 
 #include "campaign/scenario.h"
 #include "campaign/sink.h"
@@ -30,20 +29,16 @@ namespace lazyeye::campaign {
 template <typename R>
 class ReorderBuffer {
  public:
-  /// `backed` is the materialised spec vector for view()/of() streams (specs
-  /// are delivered straight out of it, no per-cell copy), or nullptr for
-  /// lazy streams (each completion carries its own generated spec).
   /// `first` is the index delivery starts at — 0 for a fresh campaign, the
   /// journal's resume_index() for a resumed one (earlier cells were
   /// delivered by a previous process and must not be re-emitted).
-  explicit ReorderBuffer(const std::vector<ScenarioSpec>* backed,
-                         std::size_t first = 0)
-      : backed_{backed}, next_to_emit_{first} {}
+  explicit ReorderBuffer(std::size_t first = 0) : next_to_emit_{first} {}
 
-  /// Records cell `index` as complete and delivers it — and every later
-  /// cell already parked behind it — to `sink` in spec order. If the sink
-  /// throws, delivery latches off (the campaign is failing; no worker may
-  /// deliver a moved-from cell) and the exception propagates to the caller.
+  /// Records cell `index` (with the spec it ran) as complete and delivers
+  /// it — and every later cell already parked behind it — to `sink` in spec
+  /// order. If the sink throws, delivery latches off (the campaign is
+  /// failing; no worker may deliver a moved-from cell) and the exception
+  /// propagates to the caller.
   void complete(std::size_t index, ScenarioSpec spec, R outcome,
                 ResultSink<R>& sink) EXCLUDES(mutex_) {
     util::MutexLock lock{mutex_};
@@ -53,11 +48,9 @@ class ReorderBuffer {
       if (ready == pending_.end()) break;
       PendingCell cell = std::move(ready->second);
       pending_.erase(ready);
-      const std::size_t i = next_to_emit_++;
-      const ScenarioSpec& cell_spec =
-          backed_ != nullptr ? (*backed_)[i] : cell.spec;
+      ++next_to_emit_;
       try {
-        sink.cell(cell_spec, std::move(cell.outcome));
+        sink.cell(cell.spec, std::move(cell.outcome));
       } catch (...) {
         delivery_failed_ = true;
         throw;
@@ -77,11 +70,10 @@ class ReorderBuffer {
 
  private:
   struct PendingCell {
-    ScenarioSpec spec;  // empty for backed streams
+    ScenarioSpec spec;
     R outcome;
   };
 
-  const std::vector<ScenarioSpec>* const backed_;
   mutable util::Mutex mutex_;
   /// Finished cells awaiting an earlier cell's delivery, keyed by index.
   std::map<std::size_t, PendingCell> pending_ GUARDED_BY(mutex_);

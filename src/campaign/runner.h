@@ -14,8 +14,9 @@
 //     Nothing paces the cursor against delivery, so a slow head cell parks
 //     every cell the other workers finish meanwhile — up to the rest of the
 //     matrix. At one worker (the inline path) nothing is ever parked.
-//   - Matrices can be lazy (SpecStream): specs are generated per claimed
-//     cell, so unclaimed cells never occupy memory.
+//   - Every cell's spec comes from SpecStream::at() when it is claimed, so
+//     unclaimed cells of a lazy matrix never occupy memory; the spec then
+//     rides with its outcome through the reorder buffer to the sink.
 //
 // Failure policy: the first executor throw fails the campaign. No cell is
 // retried or set aside in process — a cell's world derives from its spec
@@ -29,7 +30,6 @@
 #include <functional>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "campaign/reorder.h"
 #include "campaign/scenario.h"
@@ -96,21 +96,14 @@ class CampaignRunner {
     if (first > last || last > specs.size()) {
       throw std::invalid_argument("run_range: cell range outside the stream");
     }
-    // Streams backed by a materialised matrix (view()/of()) deliver specs
-    // straight out of that vector — no per-cell ScenarioSpec copy. Only
-    // truly lazy streams generate and carry a spec per cell.
-    const std::vector<ScenarioSpec>* backed = specs.backing();
-    ReorderBuffer<R> reorder{backed, first};
+    ReorderBuffer<R> reorder{first};
 
     run_indexed(last - first, [&](std::size_t k) {
       // run_indexed counts from 0; the reorder buffer and sink see
       // absolute indices.
       const std::size_t i = first + k;
-      ScenarioSpec spec;  // generated per cell only for lazy streams
-      if (backed == nullptr) spec = specs.at(i);
-      const ScenarioSpec& cell_spec = backed != nullptr ? (*backed)[i] : spec;
-
-      R outcome = executor(cell_spec);
+      ScenarioSpec spec = specs.at(i);
+      R outcome = executor(spec);
       reorder.complete(i, std::move(spec), std::move(outcome), sink);
     });
     util::MutexLock lock{stats_mutex_};

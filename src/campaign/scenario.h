@@ -2,8 +2,10 @@
 // matrix).
 //
 // A ScenarioSpec is the shared envelope every cell carries — dense id,
-// per-cell seed, repetition, grid position, label, client — plus a typed
-// payload (case.h) holding exactly the parameters of its measurement case.
+// per-cell seed, repetition, client — plus a typed payload (case.h) holding
+// exactly the parameters of its measurement case. It holds nothing an
+// executor does not read: tables and progress lines are written from the
+// id, case name and client at the edge that prints them.
 // Because each cell owns its world and its seed, cells can run in any order
 // on any number of workers and still produce byte-identical results; and
 // because the payload is a closed variant, one matrix can mix case kinds
@@ -32,10 +34,6 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;
 
   int repetition = 0;
-  int grid_index = 0;  // position in the delay grid / bucket list
-
-  /// Human-readable cell name for tables and progress output.
-  std::string label;
 
   /// Client profile display name ("" when the case has no client). Part of
   /// the envelope rather than a payload field so multi-client batches can
@@ -47,7 +45,7 @@ struct ScenarioSpec {
   CasePayload payload = CadCase{};
 
   /// Discriminator of the payload (registries index executor tables by it).
-  CaseKind kind() const { return kind_of(payload); }
+  CaseKind kind() const { return static_cast<CaseKind>(payload.index()); }
 
   /// Payload accessor: nullptr when the cell holds a different case type.
   template <typename C>

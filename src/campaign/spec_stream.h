@@ -2,11 +2,13 @@
 //
 // A million-cell sweep does not need a million materialised ScenarioSpecs
 // sitting in a vector before the first cell runs — every layer's spec
-// generator is a pure function of the cell index (seed arithmetic + label
-// formatting), so a campaign can carry just (count, index -> spec) and let
+// generator is a pure function of the cell index (seed arithmetic and a
+// payload), so a campaign can carry just (count, index -> spec) and let
 // each worker build the specs it claims on demand. A streaming campaign then
 // holds specs only for cells that are running or parked in the reorder
-// buffer; unclaimed cells cost nothing.
+// buffer; unclaimed cells cost nothing. Every consumer (runner, reorder
+// buffer, journal replay) reads cells through at(), whatever backs the
+// stream.
 //
 // The generator MUST be pure and thread-safe: workers call at(i) from
 // several threads, in claim order, and the reorder path may never re-derive
@@ -34,8 +36,7 @@ class SpecStream {
       : count_{count}, generate_{std::move(generate)} {}
 
   /// Non-owning adapter over a materialised matrix (`specs` must outlive
-  /// the stream). Lets the vector-based entry points share the streaming
-  /// core without copying the matrix.
+  /// the stream); at(i) copies cell i out of it.
   static SpecStream view(const std::vector<ScenarioSpec>& specs) {
     SpecStream stream{specs.size(),
                       [&specs](std::size_t i) { return specs[i]; }};
@@ -59,9 +60,9 @@ class SpecStream {
   /// Generates cell i (thread-safe; see the purity contract above).
   ScenarioSpec at(std::size_t i) const { return generate_(i); }
 
-  /// Non-null when the stream adapts a materialised matrix (view()/of()):
-  /// consumers may then read cells by reference instead of generating
-  /// copies. Lives exactly as long as at() stays valid.
+  /// The materialised matrix behind a view()/of() stream, nullptr for a
+  /// generated one; valid exactly as long as at() is. The campaign layer
+  /// never reads it: at() is its one path to a cell.
   const std::vector<ScenarioSpec>* backing() const { return backing_; }
 
  private:

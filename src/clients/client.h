@@ -39,8 +39,6 @@ class SimulatedClient {
                   dns::StubOptions resolver, std::uint64_t seed = 1);
 
   const ClientProfile& profile() const { return profile_; }
-  he::HappyEyeballsEngine& engine() { return engine_; }
-  transport::TcpStack& tcp() { return tcp_; }
 
   /// Emulates real-world ("web") conditions: Safari's dynamic CAD engages
   /// via RTT history instead of the 2 s lab default.

@@ -41,11 +41,8 @@ campaign::ScenarioSpec ConformanceHarness::case_spec(
   spec.seed = plan.rng_seed();
   spec.id = plan.index;
   spec.repetition = 0;
-  spec.grid_index = static_cast<int>(plan.kind);
   spec.client = profile.display_name();
   spec.payload = campaign::ConformanceCase{plan, fetches};
-  spec.label = lazyeye::str_cat("conf ", spec.client, ' ',
-                                fault_kind_name(plan.kind));
   return spec;
 }
 
@@ -59,11 +56,8 @@ campaign::ScenarioSpec ConformanceHarness::schedule_spec(
   spec.seed = schedule.rng_seed();
   spec.id = schedule.index;
   spec.repetition = 0;
-  spec.grid_index = static_cast<int>(schedule.entries.size());
   spec.client = profile.display_name();
   spec.payload = campaign::ScheduleCase{schedule, fetches};
-  spec.label = lazyeye::str_cat("sched ", spec.client, " n=",
-                                schedule.entries.size());
   return spec;
 }
 

@@ -207,14 +207,15 @@ FaultSchedule FaultHunt::propose(State& state, std::uint32_t index) const {
 
 std::vector<ConformanceRecord> FaultHunt::evaluate(
     const FaultSchedule& schedule) const {
-  std::vector<campaign::ScenarioSpec> specs;
-  specs.reserve(profiles_.size());
-  for (std::size_t i = 0; i < profiles_.size(); ++i) {
-    campaign::ScenarioSpec spec =
-        harness_.schedule_spec(profiles_[i], schedule, options_.fetches);
-    spec.id = i;
-    specs.push_back(std::move(spec));
-  }
+  // Lazy: each cell's spec, and its copy of the schedule, is built once,
+  // when a worker claims the cell.
+  const campaign::SpecStream specs{
+      profiles_.size(), [this, &schedule](std::size_t i) {
+        campaign::ScenarioSpec spec =
+            harness_.schedule_spec(profiles_[i], schedule, options_.fetches);
+        spec.id = i;
+        return spec;
+      }};
   campaign::RunnerOptions runner_options;
   runner_options.workers = options_.workers;
   std::vector<ConformanceRecord> records;
@@ -224,8 +225,7 @@ std::vector<ConformanceRecord> FaultHunt::evaluate(
         records.push_back(std::move(record));
       }};
   campaign::CampaignRunner{runner_options}.run_streaming<ConformanceRecord>(
-      campaign::SpecStream::view(specs),
-      [this](const campaign::ScenarioSpec& spec) {
+      specs, [this](const campaign::ScenarioSpec& spec) {
         // Cell i was built from profiles_[i] above.
         return harness_.run_spec(profiles_[spec.id], spec);
       },

@@ -32,12 +32,16 @@ enum class InterlaceMode {
   kFirstOtherThenRest,
 };
 
+/// RFC 8305's recommended minimum Connection Attempt Delay. Advisory only:
+/// the engine clamps a dynamic CAD to DynamicCad::minimum; Table 1 prints
+/// this value between the two bounds.
+inline constexpr SimTime kRecommendedMinimumCad = lazyeye::ms(100);
+
 /// Dynamic Connection Attempt Delay (HEv2 history-informed mode).
 struct DynamicCad {
   bool enabled = false;
-  /// RFC 8305 bounds: min 10 ms (absolute), recommended min 100 ms, max 2 s.
+  /// RFC 8305 bounds: min 10 ms (absolute), max 2 s.
   SimTime minimum = lazyeye::ms(10);
-  SimTime recommended_minimum = lazyeye::ms(100);
   SimTime maximum = lazyeye::sec(2);
   /// CAD = clamp(rtt_multiplier * smoothed RTT, minimum, maximum).
   double rtt_multiplier = 2.0;

@@ -30,31 +30,29 @@ LabConfig LabConfig::paper_grid() {
 
 namespace {
 
+/// The delegation tree for one measurement run, built in a pooled world
+/// lease; callers hold it as `const LabRun run{...}`. Unique zone apex and
+/// NS names per (delay, repetition) defeat caching, exactly like §4.2. The
+/// lease makes it neither copyable nor movable.
 struct LabRun {
+  LabRun(const resolvers::ServiceProfile& service, SimTime v6_delay,
+         int delay_index, int rep, std::uint64_t seed, bool v6_only);
+
   // Lease first: released last, so the arena reset (which destroys the
   // arena-created servers and resolver, then the Network) runs after every
   // raw pointer below is dead.
   simnet::WorldLease lease;
   simnet::Network* net = nullptr;
-  simnet::Host* auth_host = nullptr;
-  dns::AuthServer* root = nullptr;
-  dns::AuthServer* tld = nullptr;
   dns::AuthServer* auth = nullptr;
   dns::RecursiveResolver* resolver = nullptr;
-  DnsName zone;
   DnsName ns_name;
   DnsName qname;
 };
 
-/// Builds the delegation tree for one measurement run. Unique zone apex and
-/// NS names per (delay, repetition) defeat caching, exactly like §4.2.
-std::unique_ptr<LabRun> build_run(const resolvers::ServiceProfile& service,
-                                  SimTime v6_delay, int delay_index, int rep,
-                                  std::uint64_t seed, bool v6_only) {
-  auto run = std::make_unique<LabRun>();
-  simnet::Arena& arena = run->lease.arena();
-  run->net = arena.create<simnet::Network>(run->lease.memory(), seed);
-  simnet::Network& net = *run->net;
+LabRun::LabRun(const resolvers::ServiceProfile& service, SimTime v6_delay,
+               int delay_index, int rep, std::uint64_t seed, bool v6_only) {
+  simnet::Arena& arena = lease.arena();
+  net = arena.create<simnet::Network>(lease.memory(), seed);
 
   // Fixed world literals parsed once per process, not once per cell.
   struct Literals {
@@ -73,65 +71,64 @@ std::unique_ptr<LabRun> build_run(const resolvers::ServiceProfile& service,
   };
   static const Literals lit;
 
-  simnet::Host& root_host = net.add_host("root");
+  simnet::Host& root_host = net->add_host("root");
   root_host.add_address(lit.root_v4);
   root_host.add_address(lit.root_v6);
-  simnet::Host& tld_host = net.add_host("tld");
+  simnet::Host& tld_host = net->add_host("tld");
   tld_host.add_address(lit.tld_v4);
   tld_host.add_address(lit.tld_v6);
-  simnet::Host& auth_host = net.add_host("auth");
-  run->auth_host = &auth_host;
+  simnet::Host& auth_host = net->add_host("auth");
   if (!v6_only) auth_host.add_address(lit.auth_v4);
   auth_host.add_address(lit.auth_v6);
-  simnet::Host& resolver_host = net.add_host("resolver");
+  simnet::Host& resolver_host = net->add_host("resolver");
   resolver_host.add_address(lit.resolver_v4);
   resolver_host.add_address(lit.resolver_v6);
 
   // Traffic shaping towards the auth server's IPv6 address (§4.2: shaping
   // on the IP addresses for CAD measurements).
   if (v6_delay.count() > 0) {
-    net.qdisc().add_rule(simnet::PacketFilter::to_address(lit.auth_v6),
-                         simnet::NetemSpec::delay_only(v6_delay),
-                         "v6 delay to auth");
+    net->qdisc().add_rule(simnet::PacketFilter::to_address(lit.auth_v6),
+                          simnet::NetemSpec::delay_only(v6_delay),
+                          "v6 delay to auth");
   }
 
-  run->zone = lit.lab.prepend(lazyeye::str_cat('z', delay_index, 'r', rep));
-  run->ns_name = run->zone.prepend("ns1");
-  run->qname = run->zone.prepend("www");
+  const DnsName zone =
+      lit.lab.prepend(lazyeye::str_cat('z', delay_index, 'r', rep));
+  ns_name = zone.prepend("ns1");
+  qname = zone.prepend("www");
 
-  run->root = arena.create<dns::AuthServer>(root_host);
-  dns::Zone& root_zone = run->root->add_zone(DnsName{});
+  dns::Zone& root_zone =
+      arena.create<dns::AuthServer>(root_host)->add_zone(DnsName{});
   root_zone.add_ns(lit.lab, lit.ns_lab);
   root_zone.add(dns::ResourceRecord::a(lit.ns_lab, lit.tld_v4.v4()));
   root_zone.add(dns::ResourceRecord::aaaa(lit.ns_lab, lit.tld_v6.v6()));
 
-  run->tld = arena.create<dns::AuthServer>(tld_host);
-  dns::Zone& lab_zone = run->tld->add_zone(lit.lab);
+  dns::Zone& lab_zone =
+      arena.create<dns::AuthServer>(tld_host)->add_zone(lit.lab);
   lab_zone.add_ns(lit.lab, lit.ns_lab);
   lab_zone.add_a(lit.ns_lab, lit.tld_v4.v4());
   lab_zone.add_aaaa(lit.ns_lab, lit.tld_v6.v6());
-  lab_zone.add_ns(run->zone, run->ns_name);
+  lab_zone.add_ns(zone, ns_name);
   if (!v6_only) {
-    lab_zone.add(dns::ResourceRecord::a(run->ns_name, lit.auth_v4.v4()));
+    lab_zone.add(dns::ResourceRecord::a(ns_name, lit.auth_v4.v4()));
   }
-  lab_zone.add(dns::ResourceRecord::aaaa(run->ns_name, lit.auth_v6.v6()));
+  lab_zone.add(dns::ResourceRecord::aaaa(ns_name, lit.auth_v6.v6()));
 
-  run->auth = arena.create<dns::AuthServer>(auth_host);
-  dns::Zone& zone = run->auth->add_zone(run->zone);
-  zone.add_ns(run->zone, run->ns_name);
+  auth = arena.create<dns::AuthServer>(auth_host);
+  dns::Zone& auth_zone = auth->add_zone(zone);
+  auth_zone.add_ns(zone, ns_name);
   if (!v6_only) {
-    zone.add_a(run->ns_name, lit.auth_v4.v4());
+    auth_zone.add_a(ns_name, lit.auth_v4.v4());
   }
-  zone.add_aaaa(run->ns_name, lit.auth_v6.v6());
-  zone.add_a(run->qname, lit.web_v4.v4());
+  auth_zone.add_aaaa(ns_name, lit.auth_v6.v6());
+  auth_zone.add_a(qname, lit.web_v4.v4());
 
-  run->resolver = arena.create<dns::RecursiveResolver>(
+  resolver = arena.create<dns::RecursiveResolver>(
       resolver_host, service.engine, lit.root_hints);
-  return run;
 }
 
-RunObservation observe(LabRun& run, SimTime delay, int rep, bool resolved,
-                       SimTime completed) {
+RunObservation observe(const LabRun& run, SimTime delay, int rep,
+                       bool resolved, SimTime completed) {
   RunObservation obs;
   obs.configured_delay = delay;
   obs.repetition = rep;
@@ -206,13 +203,13 @@ RunObservation observe(LabRun& run, SimTime delay, int rep, bool resolved,
 
 bool check_ipv6_only_capability(const resolvers::ServiceProfile& service,
                                 std::uint64_t seed) {
-  auto run = build_run(service, SimTime{0}, 0, 0, seed, /*v6_only=*/true);
+  const LabRun run{service, SimTime{0}, 0, 0, seed, /*v6_only=*/true};
   bool resolved = false;
-  run->resolver->resolve(run->qname, dns::RrType::kA,
-                         [&resolved](const dns::QueryOutcome& out) {
-                           resolved = out.ok;
-                         });
-  run->net->loop().run();
+  run.resolver->resolve(run.qname, dns::RrType::kA,
+                        [&resolved](const dns::QueryOutcome& out) {
+                          resolved = out.ok;
+                        });
+  run.net->loop().run();
   return resolved;
 }
 
@@ -235,18 +232,14 @@ campaign::SpecStream cross_service_cell_spec_stream(
         // sequence across blocks is what makes the joint matrix reproduce
         // every solo campaign exactly); ids dense across the joint matrix.
         const std::size_t cell = i % per_service;
-        const std::size_t di = cell / static_cast<std::size_t>(repetitions);
-        const int rep =
-            static_cast<int>(cell % static_cast<std::size_t>(repetitions));
-        const std::string& service_name = names[i / per_service];
+        const auto reps = static_cast<std::size_t>(repetitions);
+        const std::size_t di = cell / reps;
         campaign::ScenarioSpec spec;
         spec.id = i;
         spec.seed = seed + cell + 1;
-        spec.repetition = rep;
-        spec.grid_index = static_cast<int>(di);
-        spec.payload = campaign::ResolverCellCase{service_name, grid[di]};
-        spec.label = lazyeye::str_cat(service_name, ' ',
-                                      format_duration(grid[di]), " rep", rep);
+        spec.repetition = static_cast<int>(cell % reps);
+        spec.payload = campaign::ResolverCellCase{
+            names[i / per_service], grid[di], static_cast<int>(di)};
         return spec;
       }};
 }
@@ -256,18 +249,18 @@ RunObservation run_cell(const resolvers::ServiceProfile& service,
   // Throws bad_variant_access on a non-resolver cell: routing a foreign
   // case here is a programming error, not a measurement outcome.
   const auto& cell = std::get<campaign::ResolverCellCase>(spec.payload);
-  auto run = build_run(service, cell.v6_delay, spec.grid_index,
-                       spec.repetition, spec.seed, /*v6_only=*/false);
+  const LabRun run{service,   cell.v6_delay, cell.delay_index, spec.repetition,
+                   spec.seed, /*v6_only=*/false};
   bool resolved = false;
   SimTime completed{0};
-  run->resolver->resolve(run->qname, dns::RrType::kA,
-                         [&resolved, &completed,
-                          net = run->net](const dns::QueryOutcome& out) {
-                           resolved = out.ok;
-                           completed = net->loop().now();
-                         });
-  run->net->loop().run();
-  return observe(*run, cell.v6_delay, spec.repetition, resolved, completed);
+  run.resolver->resolve(run.qname, dns::RrType::kA,
+                        [&resolved, &completed,
+                         net = run.net](const dns::QueryOutcome& out) {
+                          resolved = out.ok;
+                          completed = net->loop().now();
+                        });
+  run.net->loop().run();
+  return observe(run, cell.v6_delay, spec.repetition, resolved, completed);
 }
 
 ServiceMetrics aggregate_service(const resolvers::ServiceProfile& service,

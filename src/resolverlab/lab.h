@@ -6,13 +6,14 @@
 // IPv6 path, and evaluates resolvers *purely from the authoritative-side
 // query log* — the resolver engine is a black box to the measurement.
 //
-// Each (delay, repetition) cell is a ScenarioSpec carrying
-// a ResolverCellCase payload that names the service, so cells of *different*
-// services can share one worker pool — measure_services() runs every
-// Table 3 row in a single campaign on the default CampaignRunner while
-// keeping each service's serial seed sequence (per-service results are
-// byte-identical to a solo campaign). register_executor puts the same cells
-// on any runner, at any worker count.
+// Each (delay, repetition) cell is a ScenarioSpec carrying a
+// ResolverCellCase payload that names the service, the delay and the
+// delay's grid position (which, with the repetition, names the cell's
+// zone), so cells of *different* services can share one worker pool —
+// measure_services() runs every Table 3 row in a single campaign on the
+// default CampaignRunner while keeping each service's serial seed sequence
+// (per-service results are byte-identical to a solo campaign).
+// register_executor puts the same cells on any runner, at any worker count.
 #pragma once
 
 #include <memory>

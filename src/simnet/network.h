@@ -64,9 +64,6 @@ class Network {
   /// bounded set of blocks.
   BufferPool& buffer_pool() { return *pool_; }
 
-  /// Convenience: an empty pooled payload buffer.
-  Buffer make_buffer() { return Buffer{pool_}; }
-
   /// Memory resource this world's containers draw from (the lease's arena
   /// for pooled worlds, the global resource otherwise). Stacks and other
   /// per-world satellites allocate their tables from it.

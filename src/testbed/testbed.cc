@@ -60,13 +60,6 @@ RunRecord analyze(const clients::ClientProfile& profile,
   return record;
 }
 
-/// "<kind><client> <delay> rep<n>", the CAD and RD cell label.
-std::string delay_label(std::string_view kind, const std::string& client,
-                        SimTime delay, int repetition) {
-  return lazyeye::str_cat(kind, client, ' ', format_duration(delay), " rep",
-                          repetition);
-}
-
 }  // namespace
 
 campaign::ScenarioSpec LocalTestbed::base_spec(
@@ -86,7 +79,6 @@ campaign::ScenarioSpec LocalTestbed::cad_spec(
     const clients::ClientProfile& profile, SimTime v6_delay, int repetition) {
   campaign::ScenarioSpec spec = base_spec(profile, repetition);
   spec.payload = campaign::CadCase{v6_delay};
-  spec.label = delay_label("cad ", spec.client, v6_delay, repetition);
   return spec;
 }
 
@@ -95,7 +87,6 @@ campaign::ScenarioSpec LocalTestbed::rd_spec(
     SimTime dns_delay, int repetition) {
   campaign::ScenarioSpec spec = base_spec(profile, repetition);
   spec.payload = campaign::ResolutionDelayCase{delayed_type, dns_delay};
-  spec.label = delay_label("rd ", spec.client, dns_delay, repetition);
   return spec;
 }
 
@@ -103,8 +94,6 @@ campaign::ScenarioSpec LocalTestbed::address_selection_spec(
     const clients::ClientProfile& profile, int per_family, int repetition) {
   campaign::ScenarioSpec spec = base_spec(profile, repetition);
   spec.payload = campaign::AddressSelectionCase{per_family};
-  spec.label = lazyeye::str_cat("sel ", spec.client, ' ', per_family, '+',
-                                per_family, " rep", repetition);
   return spec;
 }
 
@@ -126,18 +115,13 @@ campaign::SpecStream LocalTestbed::multi_client_cad_stream(
         // cell: the same seed sequence as back-to-back solo sweeps. Ids are
         // dense across the joint matrix.
         const std::size_t cell = i % per_client;
-        const std::size_t grid = cell / static_cast<std::size_t>(repetitions);
-        const int rep =
-            static_cast<int>(cell % static_cast<std::size_t>(repetitions));
-        const SimTime delay = values[grid];
+        const auto reps = static_cast<std::size_t>(repetitions);
         campaign::ScenarioSpec spec;
         spec.seed = first_seed + i;
         spec.id = i;
-        spec.repetition = rep;
-        spec.grid_index = static_cast<int>(grid);
+        spec.repetition = static_cast<int>(cell % reps);
         spec.client = profiles[i / per_client].display_name();
-        spec.payload = campaign::CadCase{delay};
-        spec.label = delay_label("cad ", spec.client, delay, rep);
+        spec.payload = campaign::CadCase{values[cell / reps]};
         return spec;
       }};
 }

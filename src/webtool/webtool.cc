@@ -54,7 +54,6 @@ campaign::ScenarioSpec repetition_cell(const std::string& client,
   spec.seed = config_seed * 1000003ULL + static_cast<std::uint64_t>(rep) + 1;
   spec.client = client;
   spec.payload = campaign::WebRepetitionCase{rd_mode, delayed_type};
-  spec.label = lazyeye::str_cat("webtool ", client, " rep", rep);
   return spec;
 }
 

@@ -80,7 +80,7 @@ std::vector<R> collect(const CampaignRunner& runner,
 TEST(CasePayloadTest, KindTracksAlternative) {
   ScenarioSpec spec;
   EXPECT_EQ(spec.kind(), CaseKind::kCad);  // default payload
-  spec.payload = ResolverCellCase{"Unbound", ms(100)};
+  spec.payload = ResolverCellCase{"Unbound", ms(100), 0};
   EXPECT_EQ(spec.kind(), CaseKind::kResolverCell);
   ASSERT_NE(spec.get_if<ResolverCellCase>(), nullptr);
   EXPECT_EQ(spec.get_if<ResolverCellCase>()->service, "Unbound");
@@ -252,16 +252,15 @@ TEST(WorkerPoolTest, SharedPoolServesMixedLayersDeterministically) {
 
 std::string envelope(const ScenarioSpec& spec) {
   return lazyeye::str_format(
-      "%llu|%llu|%d|%d|%s|%s|%s",
+      "%llu|%llu|%d|%s|%s",
       static_cast<unsigned long long>(spec.id),
       static_cast<unsigned long long>(spec.seed), spec.repetition,
-      spec.grid_index, spec.label.c_str(), spec.client.c_str(),
-      case_name(spec.payload));
+      spec.client.c_str(), case_name(spec.payload));
 }
 
 TEST(SpecStreamTest, ViewAndOwningAdaptersMatchTheVector) {
   auto specs = numbered_specs(9);
-  for (auto& spec : specs) spec.label = "x" + std::to_string(spec.id);
+  for (auto& spec : specs) spec.client = lazyeye::str_cat('x', spec.id);
   const SpecStream view = SpecStream::view(specs);
   ASSERT_EQ(view.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -444,7 +443,7 @@ TEST(RegistryTest, RejectsUnregisteredKindBeforeLaunchingThePool) {
   registry.add<CadCase>([](const ScenarioSpec&, const CadCase&) { return 0; });
 
   std::vector<ScenarioSpec> specs = numbered_specs(2);
-  specs[1].payload = ResolverCellCase{"Unbound", ms(0)};
+  specs[1].payload = ResolverCellCase{"Unbound", ms(0), 0};
 
   std::atomic<int> executed{0};
   Registry<int> counting;
@@ -690,7 +689,7 @@ TEST(CampaignDeterminismTest, MixedKindMatrixIdenticalForOneAndFourWorkers) {
     std::string bytes;
     CallbackSink<MixedOutcome> sink{
         [&bytes](const ScenarioSpec& spec, MixedOutcome outcome) {
-          bytes += spec.label;
+          bytes += std::to_string(spec.id);
           bytes += ':';
           std::visit([&bytes](const auto& o) { bytes += serialize(o); },
                      outcome);
@@ -754,6 +753,8 @@ TEST(CampaignDeterminismTest, ResolverCellSpecsUseTheSerialSeedSequence) {
     EXPECT_EQ(specs[i].id, i);
     ASSERT_NE(specs[i].get_if<ResolverCellCase>(), nullptr);
     EXPECT_EQ(specs[i].get_if<ResolverCellCase>()->service, "BIND");
+    EXPECT_EQ(specs[i].get_if<ResolverCellCase>()->delay_index,
+              static_cast<int>(i / 3));
   }
   EXPECT_EQ(specs[0].get_if<ResolverCellCase>()->v6_delay, ms(0));
   EXPECT_EQ(specs[3].get_if<ResolverCellCase>()->v6_delay, ms(100));

@@ -1,7 +1,7 @@
 // Printf-free cell regression test.
 //
-// Per-cell text (spec labels, DNS nonces and test names, world addresses,
-// HE trace details, rule evidence, verdict table rows) is written with
+// Per-cell text (DNS nonces and test names, world addresses, HE trace
+// details, rule evidence, verdict table rows) is written with
 // std::to_chars-based appenders, never through the printf family: glibc's
 // printf machinery cost about 12% of a warm CAD cell. This test holds that
 // with a count-based gate. It interposes snprintf, vsnprintf and their

@@ -810,7 +810,9 @@ TEST(DnsMessageTest, DecoderBehaviourOnTheMalformedCorpusIsPinned) {
     feed(messages, record);
     // The in-place path agrees with the one-shot path on every input.
     ASSERT_EQ(DnsMessage::decode_into(input, scratch), decoded.ok());
-    if (decoded.ok()) EXPECT_EQ(scratch, decoded.value());
+    if (decoded.ok()) {
+      EXPECT_EQ(scratch, decoded.value());
+    }
 
     for (std::size_t offset = 0; offset < input.size(); ++offset) {
       record.clear();

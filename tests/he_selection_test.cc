@@ -243,7 +243,7 @@ TEST(HeOptionsTest, Rfc8305Preset) {
   EXPECT_EQ(o.first_address_family_count, 1);
   // Dynamic CAD bounds (Table 1): 10 ms / 100 ms / 2 s.
   EXPECT_EQ(o.dynamic_cad.minimum, ms(10));
-  EXPECT_EQ(o.dynamic_cad.recommended_minimum, ms(100));
+  EXPECT_EQ(kRecommendedMinimumCad, ms(100));
   EXPECT_EQ(o.dynamic_cad.maximum, sec(2));
 }
 

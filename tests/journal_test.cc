@@ -43,7 +43,6 @@ std::vector<ScenarioSpec> numbered_specs(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     specs[i].id = i;
     specs[i].seed = 1000 + i;
-    specs[i].label = "cell-" + std::to_string(i);
   }
   return specs;
 }

@@ -33,12 +33,21 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc{};
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+// Out of line: inlined where a new-expression's pointer is deleted, these
+// bodies pair scalar new with delete[] and new with free(), which GCC 12
+// reports (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace lazyeye::simnet {
 namespace {

@@ -12,6 +12,8 @@
 //   show --corpus C                   print a corpus file with one replay
 //                                     command per entry.
 //
+// Both exit 1 when stdout cannot take their whole report.
+//
 // Replay contract: every corpus schedule reproduces verdict-for-verdict via
 //
 //   ./build/example_conformance_probe "<client>" --schedule-hex <hex>
@@ -110,6 +112,16 @@ bool parse_args(int argc, char** argv, Args& args) {
   return false;
 }
 
+/// Exit status once a command's report is printed: 1, said on stderr, when
+/// stdout could not take all of it (a full disk, a closed pipe).
+int stdout_status() {
+  if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+    std::fprintf(stderr, "cannot write the report to stdout\n");
+    return 1;
+  }
+  return 0;
+}
+
 int hunt(const Args& args) {
   conformance::HuntOptions options;
   options.seed = args.seed;
@@ -137,7 +149,7 @@ int hunt(const Args& args) {
     conformance::FaultHunt::write_corpus(args.corpus, result.corpus);
     std::printf("corpus written to %s\n", args.corpus.c_str());
   }
-  return 0;
+  return stdout_status();
 }
 
 int show(const Args& args) {
@@ -154,7 +166,7 @@ int show(const Args& args) {
                 "--schedule-hex %s\n",
                 conformance::schedule_to_hex(entry.schedule).c_str());
   }
-  return 0;
+  return stdout_status();
 }
 
 }  // namespace
