@@ -56,8 +56,9 @@ void print_record(const conformance::ConformanceRecord& record,
               record.fetch_ok ? "ok" : "fail");
   for (const auto& v : record.verdicts) {
     std::printf("  [%c] %-18s %s\n",
-                conformance::rule_outcome_symbol(v.outcome), v.rule.c_str(),
-                v.evidence.c_str());
+                conformance::rule_outcome_symbol(v.outcome),
+                conformance::rule_name(v.rule),
+                conformance::render_evidence(v).c_str());
   }
   std::printf("violations: %d\n", record.violations());
 }

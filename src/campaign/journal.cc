@@ -18,7 +18,11 @@ namespace lazyeye::campaign {
 namespace {
 
 constexpr char kMagic[4] = {'L', 'Z', 'Y', 'J'};
-constexpr std::uint16_t kVersion = 1;
+// Version 2: conformance records carry fixed-width verdicts instead of rule
+// and evidence text, and hunt candidates stop repeating their schedule in
+// each record. Payloads are not self-describing, so a journal of another
+// version is refused, never read.
+constexpr std::uint16_t kVersion = 2;
 // magic(4) + version(2) + identity(8) + begin(8) + end(8) + crc(4)
 constexpr std::size_t kHeaderSize = 34;
 // type(1) + len(4) + crc(4)
@@ -88,8 +92,12 @@ JournalLoad load_journal(const std::string& path) {
   if (std::memcmp(view.data(), kMagic, sizeof kMagic) != 0) {
     fail(path, 0, "bad magic (not a campaign journal)");
   }
-  if (wire::get_u16(view, 4) != kVersion) {
-    fail(path, 4, "unsupported journal version");
+  if (const std::uint16_t version = wire::get_u16(view, 4);
+      version != kVersion) {
+    fail(path, 4,
+         cat({"unsupported journal version ", std::to_string(version),
+              " (this build reads version ", std::to_string(kVersion),
+              " only)"}));
   }
   const std::uint32_t header_crc = wire::get_u32(view, kHeaderSize - 4);
   if (util::crc32(view.substr(0, kHeaderSize - 4)) != header_crc) {

@@ -10,7 +10,7 @@
 //
 // File layout (all integers big-endian, written through util/wire.h):
 //
-//   header:  magic "LZYJ" | u16 version | u64 identity
+//   header:  magic "LZYJ" | u16 version (2) | u64 identity
 //          | u64 cell_begin | u64 cell_end | u32 crc(header bytes)
 //   record:  u8 type | u32 payload_len | payload | u32 crc(type|len|payload)
 //
@@ -34,6 +34,8 @@
 //     is damaged, not torn — load_journal throws. Never silently skipped.
 //   - truncated/corrupt header: throws. A journal that cannot prove its
 //     identity cannot be trusted to skip work.
+//   - another version (version 1 wrote conformance verdicts as text): throws
+//     naming both versions; payloads are never read across versions.
 #pragma once
 
 #include <cstdint>

@@ -141,17 +141,15 @@ ConformanceRecord ConformanceHarness::run_spec(
   const auto* cap =
       w.lease.arena().create<capture::PacketCapture>(*w.client_host);
 
-  clients::FetchResult first_fetch;
+  bool first_fetch_ok = false;
   clients::FetchResult last_fetch;
-  bool first_done = false;
   SimTime first_completed{0};
   // The restart (second fetch) runs in the same client session — no
   // reset_state() — so the engine's RFC 6555 §4.1 winner cache applies and
   // the restart-cache rule can observe whether DNS is re-queried.
   w.client->fetch(name, 443, [&](clients::FetchResult r) {
-    first_fetch = r;
+    first_fetch_ok = r.connection.ok && r.response_received;
     last_fetch = std::move(r);
-    first_done = true;
     first_completed = w.net->loop().now();
     if (fetches >= 2) {
       w.client->fetch(name, 443, [&](clients::FetchResult r2) {
@@ -163,8 +161,7 @@ ConformanceRecord ConformanceHarness::run_spec(
 
   RuleContext ctx;
   ctx.fetches = fetches;
-  ctx.first_fetch_ok =
-      first_done && first_fetch.connection.ok && first_fetch.response_received;
+  ctx.first_fetch_ok = first_fetch_ok;
   ctx.first_fetch_completed = first_completed;
   ctx.v4_candidates = 1 + options_.decoys_per_family;
   ctx.v6_candidates = 1 + options_.decoys_per_family;
@@ -247,7 +244,9 @@ void VerdictTableSink::cell(const campaign::ScenarioSpec& spec,
   for (const Verdict& v : record.verdicts) {
     if (v.outcome != RuleOutcome::kViolate) continue;
     ++total_violations_;
-    lazyeye::str_append(text_, "    V ", v.rule, ": ", v.evidence, '\n');
+    lazyeye::str_append(text_, "    V ", rule_name(v.rule), ": ");
+    render_evidence(v, text_);
+    text_ += '\n';
     lazyeye::str_append(text_,
                         "      repro: ./build/example_conformance_probe \"",
                         record.client, '"');

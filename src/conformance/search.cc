@@ -1,6 +1,7 @@
 #include "conformance/search.h"
 
 #include <array>
+#include <bitset>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
@@ -28,8 +29,54 @@ constexpr std::uint32_t kHuntStream = 0xFA;
 constexpr std::size_t kMaxMutatedEntries = 8;
 
 /// Smallest encoded corpus entry in a hunt snapshot: an empty schedule
-/// string (4) + violations (4) + minimized flag (1) + empty novelty (4).
-constexpr std::size_t kMinCorpusEntryBytes = 4 + 4 + 1 + 4;
+/// string (4) + violations (4) + minimized flag (1) + novelty (8).
+constexpr std::size_t kMinCorpusEntryBytes = 4 + 4 + 1 + 8;
+
+// Coverage element layout (search.h): the tag in the top two bits; verdict
+// and fetch elements put the profile index at bit 32; a diff element puts
+// its rule at bit 56 and profile p's symbol at bits 2p and 2p+1.
+constexpr unsigned kTagShift = 62;
+constexpr std::uint64_t kVerdictTag = 0;
+constexpr std::uint64_t kFetchTag = 1;
+constexpr std::uint64_t kDiffTag = 2;
+constexpr unsigned kProfileShift = 32;
+constexpr unsigned kDiffRuleShift = 56;
+static_assert(2 * kMaxHuntProfiles <= kDiffRuleShift);
+static_assert(kRuleCount <= 1u << (kTagShift - kDiffRuleShift));
+
+/// A diff element's symbol codes: RuleOutcome's values, then "no verdict".
+constexpr char kDiffSymbols[] = "PV-?";
+constexpr std::uint64_t kNoVerdictCode = 3;
+
+std::uint64_t verdict_element(std::size_t profile, const Verdict& v) {
+  const Evidence& e = v.evidence;
+  const unsigned printed = evidence_durations(e.kind);
+  const std::uint64_t time_shape =
+      (printed & 1) != 0 ? lazyeye::duration_shape(e.time) : 0;
+  const std::uint64_t bound_shape =
+      (printed & 2) != 0 ? lazyeye::duration_shape(e.bound) : 0;
+  return kVerdictTag << kTagShift |
+         static_cast<std::uint64_t>(profile) << kProfileShift |
+         static_cast<std::uint64_t>(v.rule) << 24 |
+         static_cast<std::uint64_t>(v.outcome) << 16 |
+         static_cast<std::uint64_t>(e.kind) << 8 | bound_shape << 4 |
+         time_shape;
+}
+
+/// A duration of the given duration_shape(): what a verdict element's
+/// evidence is rendered with when its text is asked for.
+SimTime shape_example(std::uint64_t shape) {
+  // Per unit (s, ms, us, ns): a whole and a fractional example. "1.5s"
+  // would print as "1500ms", so the fractional second is 12.5 s.
+  static constexpr std::int64_t kExamples[4][2] = {
+      {1'000'000'000, 12'500'000'000},
+      {2'000'000, 1'500'000},
+      {2'000, 1'500},
+      {5, 5},
+  };
+  const std::int64_t v = kExamples[shape >> 2 & 3][shape >> 1 & 1];
+  return SimTime{(shape & 1) != 0 ? -v : v};
+}
 
 int total_violations(const std::vector<ConformanceRecord>& records) {
   int n = 0;
@@ -37,15 +84,16 @@ int total_violations(const std::vector<ConformanceRecord>& records) {
   return n;
 }
 
-/// The exact set of (client, rule) pairs that violate — the invariant
+/// The exact set of (profile, rule) pairs that violate — the invariant
 /// delta-minimization preserves.
-std::set<std::string> violation_key(
-    const std::vector<ConformanceRecord>& records) {
-  std::set<std::string> key;
-  for (const ConformanceRecord& record : records) {
-    for (const Verdict& v : record.verdicts) {
+using ViolationKey = std::bitset<kMaxHuntProfiles * kRuleCount>;
+
+ViolationKey violation_key(const std::vector<ConformanceRecord>& records) {
+  ViolationKey key;
+  for (std::size_t p = 0; p < records.size(); ++p) {
+    for (const Verdict& v : records[p].verdicts) {
       if (v.outcome == RuleOutcome::kViolate) {
-        key.insert(record.client + "|" + v.rule);
+        key.set(p * kRuleCount + static_cast<std::size_t>(v.rule));
       }
     }
   }
@@ -126,46 +174,99 @@ std::string evidence_bucket(std::string_view evidence) {
   return out;
 }
 
-std::vector<std::string> coverage_signature(
+std::vector<std::uint64_t> coverage_signature(
     const std::vector<ConformanceRecord>& records) {
-  std::vector<std::string> sig;
+  if (records.size() > kMaxHuntProfiles) {
+    throw std::invalid_argument(
+        "coverage_signature: more records than kMaxHuntProfiles");
+  }
+  const std::size_t rules =
+      records.empty() ? 0 : records.front().verdicts.size();
+  std::size_t size = rules;
   for (const ConformanceRecord& record : records) {
+    size += record.verdicts.size() + 1;
+  }
+  std::vector<std::uint64_t> sig;
+  sig.reserve(size);
+  for (std::size_t p = 0; p < records.size(); ++p) {
+    const ConformanceRecord& record = records[p];
     for (const Verdict& v : record.verdicts) {
-      std::string element = record.client;
-      element.push_back('|');
-      element += v.rule;
-      element.push_back('|');
-      element.push_back(rule_outcome_symbol(v.outcome));
-      element.push_back('|');
-      element += evidence_bucket(v.evidence);
-      sig.push_back(std::move(element));
+      sig.push_back(verdict_element(p, v));
     }
-    sig.push_back(lazyeye::str_cat("fetch|", record.client, '|',
-                                   record.first_fetch_ok ? "ok" : "fail", '/',
-                                   record.fetch_ok ? "ok" : "fail"));
+    sig.push_back(kFetchTag << kTagShift |
+                  static_cast<std::uint64_t>(p) << kProfileShift |
+                  (record.first_fetch_ok ? 2u : 0u) |
+                  (record.fetch_ok ? 1u : 0u));
   }
   // Cross-client differential: one element per rule with every client's
   // symbol in profile order — a schedule that splits two clients that used
   // to agree is novel even if each individual verdict was seen before.
-  if (!records.empty()) {
-    for (std::size_t r = 0; r < records.front().verdicts.size(); ++r) {
-      std::string diff = "diff|" + records.front().verdicts[r].rule + "|";
-      for (const ConformanceRecord& record : records) {
-        diff.push_back(r < record.verdicts.size()
-                           ? rule_outcome_symbol(record.verdicts[r].outcome)
-                           : '?');
-      }
-      sig.push_back(std::move(diff));
+  for (std::size_t r = 0; r < rules; ++r) {
+    std::uint64_t diff =
+        kDiffTag << kTagShift |
+        static_cast<std::uint64_t>(records.front().verdicts[r].rule)
+            << kDiffRuleShift;
+    for (std::size_t p = 0; p < records.size(); ++p) {
+      const std::uint64_t code =
+          r < records[p].verdicts.size()
+              ? static_cast<std::uint64_t>(records[p].verdicts[r].outcome)
+              : kNoVerdictCode;
+      diff |= code << (2 * p);
     }
+    sig.push_back(diff);
   }
   return sig;
+}
+
+std::string coverage_element_text(
+    std::uint64_t element,
+    const std::vector<clients::ClientProfile>& profiles) {
+  const auto field = [element](unsigned shift, unsigned bits) {
+    return (element >> shift) & ((std::uint64_t{1} << bits) - 1);
+  };
+  const std::uint64_t tag = element >> kTagShift;
+  if (tag == kDiffTag) {
+    const std::uint64_t rule = field(kDiffRuleShift, 6);
+    if (rule >= kRuleCount) {
+      throw std::out_of_range("coverage_element_text: not a rule");
+    }
+    std::string out =
+        lazyeye::str_cat("diff|", rule_name(static_cast<RuleId>(rule)), '|');
+    for (std::size_t p = 0; p < profiles.size(); ++p) {
+      out.push_back(kDiffSymbols[field(static_cast<unsigned>(2 * p), 2)]);
+    }
+    return out;
+  }
+  const std::string client =
+      profiles.at(field(kProfileShift, 16)).display_name();
+  if (tag == kFetchTag) {
+    return lazyeye::str_cat("fetch|", client, '|', field(1, 1) ? "ok" : "fail",
+                            '/', field(0, 1) ? "ok" : "fail");
+  }
+  const std::uint64_t rule = field(24, 8);
+  const std::uint64_t outcome = field(16, 8);
+  const std::uint64_t kind = field(8, 8);
+  if (tag != kVerdictTag || rule >= kRuleCount ||
+      outcome > static_cast<std::uint64_t>(RuleOutcome::kInapplicable) ||
+      kind >= kEvidenceKindCount) {
+    throw std::out_of_range("coverage_element_text: not a coverage element");
+  }
+  // Counts and families print no differently in a bucket, so any will do.
+  const Verdict v{static_cast<RuleId>(rule), static_cast<RuleOutcome>(outcome),
+                  {.kind = static_cast<EvidenceKind>(kind),
+                   .count = 1,
+                   .time = shape_example(field(0, 4)),
+                   .bound = shape_example(field(4, 4))}};
+  return lazyeye::str_cat(client, '|', rule_name(v.rule), '|',
+                          rule_outcome_symbol(v.outcome), '|',
+                          evidence_bucket(render_evidence(v)));
 }
 
 // ---- Hunt internals -------------------------------------------------------
 
 struct FaultHunt::State {
   SplitMix64 rng{0};
-  std::set<std::string> coverage;
+  std::set<std::uint64_t> coverage;
   std::vector<CorpusEntry> corpus;
   int violating = 0;
 };
@@ -183,6 +284,12 @@ FaultHunt::FaultHunt(HuntOptions options,
       harness_{options_.conformance} {
   if (profiles_.empty()) {
     throw std::invalid_argument("FaultHunt: no client profiles");
+  }
+  if (profiles_.size() > kMaxHuntProfiles) {
+    throw std::invalid_argument(
+        lazyeye::str_cat("FaultHunt: ", profiles_.size(),
+                         " profiles, more than the ", kMaxHuntProfiles,
+                         " a coverage diff element holds"));
   }
   if (options_.budget < 0) {
     throw std::invalid_argument("FaultHunt: negative budget");
@@ -236,7 +343,7 @@ std::vector<ConformanceRecord> FaultHunt::evaluate(
 FaultSchedule FaultHunt::minimize(
     const FaultSchedule& schedule,
     const std::vector<ConformanceRecord>& baseline) const {
-  const std::set<std::string> key = violation_key(baseline);
+  const ViolationKey key = violation_key(baseline);
   FaultSchedule best = schedule;
   // Pass 1: greedily drop entries while the exact violation set survives.
   bool shrunk = true;
@@ -288,24 +395,23 @@ FaultSchedule FaultHunt::minimize(
 }
 
 void FaultHunt::apply(State& state, const Candidate& candidate) const {
-  const std::vector<std::string> sig = coverage_signature(candidate.records);
-  std::string first_novel;
-  for (const std::string& element : sig) {
-    if (state.coverage.find(element) == state.coverage.end()) {
+  // The first element that was not covered before this candidate; the
+  // signature holds no element twice.
+  std::optional<std::uint64_t> first_novel;
+  for (const std::uint64_t element : coverage_signature(candidate.records)) {
+    if (state.coverage.insert(element).second && !first_novel) {
       first_novel = element;
-      break;
     }
   }
-  for (const std::string& element : sig) state.coverage.insert(element);
   const int violations = total_violations(candidate.records);
   if (violations > 0) ++state.violating;
-  if (!first_novel.empty()) {
+  if (first_novel) {
     CorpusEntry entry;
     entry.schedule =
         candidate.minimized ? *candidate.minimized : candidate.schedule;
     entry.violations = violations;
     entry.minimized = candidate.minimized.has_value();
-    entry.novelty = std::move(first_novel);
+    entry.novelty = *first_novel;
     state.corpus.push_back(std::move(entry));
   }
 }
@@ -317,15 +423,15 @@ std::string FaultHunt::encode_state(const State& state) const {
   wire::put_u64(out, state.rng.state());
   wire::put_u32(out, static_cast<std::uint32_t>(state.violating));
   wire::put_u32(out, static_cast<std::uint32_t>(state.coverage.size()));
-  for (const std::string& element : state.coverage) {
-    wire::put_str(out, element);
+  for (const std::uint64_t element : state.coverage) {
+    wire::put_u64(out, element);
   }
   wire::put_u32(out, static_cast<std::uint32_t>(state.corpus.size()));
   for (const CorpusEntry& entry : state.corpus) {
     wire::put_str(out, encode_schedule(entry.schedule));
     wire::put_u32(out, static_cast<std::uint32_t>(entry.violations));
     wire::put_u8(out, entry.minimized ? 1 : 0);
-    wire::put_str(out, entry.novelty);
+    wire::put_u64(out, entry.novelty);
   }
   return out;
 }
@@ -335,16 +441,17 @@ FaultHunt::State FaultHunt::decode_state(std::string_view bytes) const {
   State state;
   state.rng = SplitMix64{in.u64()};
   state.violating = static_cast<int>(in.u32());
-  // Every coverage element is a u32-length string and every corpus entry
-  // takes at least kMinCorpusEntryBytes, so the bytes left bound each count
-  // before its loop runs.
+  // Every coverage element is a u64 and every corpus entry takes at least
+  // kMinCorpusEntryBytes, so the bytes left bound each count before its
+  // loop runs.
   const std::uint32_t coverage_count = in.u32();
   if (!in.ok || coverage_count > 1u << 24 ||
-      coverage_count > in.remaining() / 4) {
+      coverage_count > in.remaining() / 8) {
     throw campaign::JournalError("hunt snapshot: malformed coverage set");
   }
   for (std::uint32_t i = 0; i < coverage_count; ++i) {
-    state.coverage.insert(in.str());
+    // Written in set order: each element goes in at the end.
+    state.coverage.insert(state.coverage.end(), in.u64());
   }
   const std::uint32_t corpus_count = in.u32();
   if (!in.ok || corpus_count > 1u << 20 ||
@@ -353,10 +460,10 @@ FaultHunt::State FaultHunt::decode_state(std::string_view bytes) const {
   }
   for (std::uint32_t i = 0; i < corpus_count; ++i) {
     CorpusEntry entry;
-    auto schedule = decode_schedule(in.str());
+    auto schedule = decode_schedule(in.str_view());
     entry.violations = static_cast<int>(in.u32());
     entry.minimized = in.u8() != 0;
-    entry.novelty = in.str();
+    entry.novelty = in.u64();
     if (!schedule) {
       throw campaign::JournalError("hunt snapshot: malformed schedule");
     }
@@ -378,7 +485,7 @@ std::string FaultHunt::encode_candidate(const Candidate& candidate) const {
   }
   wire::put_u32(out, static_cast<std::uint32_t>(candidate.records.size()));
   for (const ConformanceRecord& record : candidate.records) {
-    wire::put_str(out, encode_record(record));
+    encode_record(record, out, /*with_schedule=*/false);
   }
   return out;
 }
@@ -387,7 +494,7 @@ FaultHunt::Candidate FaultHunt::decode_candidate(
     std::string_view bytes) const {
   wire::Reader in{bytes};
   Candidate candidate;
-  auto schedule = decode_schedule(in.str());
+  auto schedule = decode_schedule(in.str_view());
   if (!schedule) {
     throw campaign::JournalError("hunt cell: malformed schedule");
   }
@@ -395,20 +502,23 @@ FaultHunt::Candidate FaultHunt::decode_candidate(
   const std::uint8_t has_min = in.u8();
   if (has_min > 1) throw campaign::JournalError("hunt cell: bad flags");
   if (has_min == 1) {
-    auto minimized = decode_schedule(in.str());
+    auto minimized = decode_schedule(in.str_view());
     if (!minimized) {
       throw campaign::JournalError("hunt cell: malformed minimized schedule");
     }
     candidate.minimized = std::move(*minimized);
   }
   const std::uint32_t record_count = in.u32();
-  if (!in.ok || record_count > 4096) {
+  if (!in.ok || record_count > kMaxHuntProfiles) {
     throw campaign::JournalError("hunt cell: malformed record list");
   }
-  for (std::uint32_t i = 0; i < record_count; ++i) {
-    auto record = decode_record(in.str());
-    if (!record) throw campaign::JournalError("hunt cell: malformed record");
-    candidate.records.push_back(std::move(*record));
+  candidate.records.resize(record_count);
+  for (ConformanceRecord& record : candidate.records) {
+    if (!decode_record(in, record)) {
+      throw campaign::JournalError("hunt cell: malformed record");
+    }
+    // Written without it: every record ran the candidate's schedule.
+    record.schedule = candidate.schedule;
   }
   if (!in.exhausted()) {
     throw campaign::JournalError("hunt cell: trailing bytes");

@@ -5,27 +5,44 @@
 // either freshly generated from the hunt triple or a mutation (add / drop /
 // retime / retarget an entry) of a corpus member; it runs differentially
 // against every client profile; its fitness is *novelty* — the coverage
-// signature (client, rule, verdict symbol, digit-stripped evidence bucket)
-// plus per-rule cross-client verdict diffs — and novel candidates enter the
-// corpus. Candidates that violate a rule are first delta-minimized (drop
-// entries, zero/shrink windows) while the exact set of (client, rule)
-// violations is preserved, so every corpus violation is a smallest-found
-// replayable reproducer.
+// signature (client, rule, verdict symbol, evidence bucket) plus per-rule
+// cross-client verdict diffs — and novel candidates enter the corpus.
+// Candidates that violate a rule are first delta-minimized (drop entries,
+// zero/shrink windows) while the exact set of (client, rule) violations is
+// preserved, so every corpus violation is a smallest-found replayable
+// reproducer.
+//
+// Coverage elements are packed 64-bit values, never text. An element stands
+// for the string the hunt once compared, e.g.
+// "Chrome 130.0|resolution-delay|V|connected v# #ms after ..." (client,
+// rule, symbol and the evidence with its digit runs collapsed), and two
+// elements are equal exactly when those strings are:
+//
+//   verdict  tag 0 | profile index | rule | outcome | evidence kind
+//            | duration_shape() of each duration the sentence prints
+//   fetch    tag 1 | profile index | first fetch ok | final fetch ok
+//   diff     tag 2 | rule | 2 bits per profile: the verdict symbol
+//
+// The diff element is why a hunt takes at most kMaxHuntProfiles profiles.
+// coverage_element_text() writes the string back when a person asks.
 //
 // Crash safety: with journal_path set the hunt is a journaled campaign over
 // its candidate indices (campaign/journal.h). One kCell record per
-// candidate carries the proposed schedule, every per-profile record, and
-// the minimized schedule — enough to replay the hunt's state transitions
-// WITHOUT re-running any world. Periodic kSnapshot records checkpoint the
-// whole search state (mutation RNG state, coverage set, corpus), so resume
-// is snapshot + short tail replay. A SIGKILL at any instant resumes to a
-// byte-identical journal and corpus (tests/fault_search_test.cc).
+// candidate carries the proposed schedule, the minimized schedule and every
+// per-profile record (record_codec.h, without the schedule each of them
+// shares with the candidate) — enough to replay the hunt's state
+// transitions WITHOUT re-running any world. Periodic kSnapshot records
+// checkpoint the whole search state (mutation RNG state, coverage set,
+// corpus), so resume is snapshot + short tail replay. A SIGKILL at any
+// instant resumes to a byte-identical journal and corpus
+// (tests/fault_search_test.cc).
 //
 // Everything the hunt derives — proposals, worlds, verdicts, minimization —
 // is a pure function of (seed, budget, profiles), so two hunts with equal
 // options produce equal corpora on any worker count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -38,6 +55,10 @@
 #include "conformance/schedule.h"
 
 namespace lazyeye::conformance {
+
+/// Most profiles one hunt (and one coverage_signature) takes: the diff
+/// element packs 2 bits per profile beside its tag and rule.
+inline constexpr std::size_t kMaxHuntProfiles = 28;
 
 struct HuntOptions {
   /// Hunt seed: roots the proposal stream and every candidate world.
@@ -72,8 +93,10 @@ struct CorpusEntry {
   /// Rule violations across the candidate's per-profile records.
   int violations = 0;
   bool minimized = false;
-  /// The first novel signature element that admitted it (diagnostic).
-  std::string novelty;
+  /// The first novel signature element that admitted it (diagnostic; see
+  /// coverage_element_text). 0 for entries read from a corpus file, which
+  /// does not carry it.
+  std::uint64_t novelty = 0;
 
   bool operator==(const CorpusEntry&) const = default;
 };
@@ -82,7 +105,7 @@ struct HuntResult {
   std::vector<CorpusEntry> corpus;
   /// Every coverage-signature element ever observed (std::set: iteration
   /// order is deterministic, per repo lint rules).
-  std::set<std::string> coverage;
+  std::set<std::uint64_t> coverage;
   int candidates = 0;             // evaluated (or replayed) this run
   int violating_candidates = 0;   // candidates with >= 1 rule violation
   bool resumed = false;           // a journal with prior progress was loaded
@@ -95,15 +118,24 @@ struct HuntResult {
 std::string evidence_bucket(std::string_view evidence);
 
 /// The candidate's full coverage signature over its per-profile records
-/// (profile order): per-verdict elements plus per-rule cross-client diff
-/// strings. Pure function of the records.
-std::vector<std::string> coverage_signature(
+/// (record i ran profile i): per-verdict and per-record fetch elements,
+/// then one cross-client diff element per rule. Pure function of the
+/// records; throws std::invalid_argument on more than kMaxHuntProfiles.
+std::vector<std::uint64_t> coverage_signature(
     const std::vector<ConformanceRecord>& records);
+
+/// The string `element` stands for, e.g. "fetch|curl 7.88.1|ok/fail";
+/// `profiles` are the hunt's, in order. Throws std::out_of_range on a
+/// profile index past them.
+std::string coverage_element_text(
+    std::uint64_t element,
+    const std::vector<clients::ClientProfile>& profiles);
 
 class FaultHunt {
  public:
-  /// Throws std::invalid_argument on an empty profile list, a negative
-  /// budget, or a `conformance.seed` other than `seed`.
+  /// Throws std::invalid_argument on an empty profile list or one longer
+  /// than kMaxHuntProfiles, a negative budget, or a `conformance.seed`
+  /// other than `seed`.
   FaultHunt(HuntOptions options, std::vector<clients::ClientProfile> profiles);
 
   const HuntOptions& options() const { return options_; }

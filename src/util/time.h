@@ -44,4 +44,11 @@ constexpr double to_sec(SimTime t) {
 /// "%.3f" and trailing zeros dropped.
 std::string format_duration(SimTime t);
 
+/// What format_duration(t) looks like once its digit runs are collapsed:
+/// bit 0 a leading '-', bit 1 a fractional part, bits 2-3 the unit (0 s,
+/// 1 ms, 2 us, 3 ns). Two durations have equal shapes exactly when their
+/// texts differ only in their digits ("43ms" and "0ms" do; "1.5ms", "250us"
+/// and "12.5s" do not).
+std::uint8_t duration_shape(SimTime t);
+
 }  // namespace lazyeye

@@ -117,9 +117,12 @@ struct Reader {
   }
 
   /// A u32 length prefix followed by that many bytes (see put_str).
-  std::string str() {
+  std::string str() { return std::string{str_view()}; }
+
+  /// str() without copying: a view into the buffer.
+  std::string_view str_view() {
     const std::uint32_t len = u32();
-    return std::string{view(len)};
+    return view(len);
   }
 
   void skip(std::size_t n) { view(n); }

@@ -19,6 +19,7 @@
 #include "transport/quic.h"
 #include "transport/tcp.h"
 #include "util/crc32.h"
+#include "util/strings.h"
 
 namespace lazyeye::conformance {
 namespace {
@@ -289,7 +290,7 @@ capture::DnsExchange exchange(SimTime at, dns::RrType qtype,
 
 Verdict verdict_for(const RuleContext& ctx, const std::string& rule) {
   for (const Verdict& v : evaluate_rules(ctx)) {
-    if (v.rule == rule) return v;
+    if (rule_name(v.rule) == rule) return v;
   }
   ADD_FAILURE() << "no rule named " << rule;
   return {};
@@ -298,7 +299,7 @@ Verdict verdict_for(const RuleContext& ctx, const std::string& rule) {
 RuleOutcome verdict_for_record(const ConformanceRecord& record,
                                const std::string& rule) {
   for (const Verdict& v : record.verdicts) {
-    if (v.rule == rule) return v.outcome;
+    if (rule_name(v.rule) == rule) return v.outcome;
   }
   ADD_FAILURE() << "no rule named " << rule;
   return RuleOutcome::kInapplicable;
@@ -446,6 +447,86 @@ TEST(RuleTest, AbortOnWinnerInapplicableWithoutWinnerOrRivals) {
             RuleOutcome::kInapplicable);
 }
 
+TEST(RuleTest, EvidenceSentencesKeepTheirText) {
+  // Verdicts are values; render_evidence writes the sentences the verdict
+  // table and the probe print. These are the texts the rules wrote when
+  // evidence was a string, for every sentence that prints a duration.
+  const auto rendered = [](const RuleContext& ctx) {
+    std::vector<std::string> out;
+    for (const Verdict& v : evaluate_rules(ctx)) {
+      out.push_back(str_cat(rule_outcome_symbol(v.outcome), ' ',
+                            rule_name(v.rule), ": ", render_evidence(v)));
+    }
+    return out;
+  };
+  RuleContext raced;
+  raced.fetches = 2;
+  raced.first_fetch_ok = true;
+  raced.first_fetch_completed = ms(5);
+  raced.v4_candidates = 2;
+  raced.v6_candidates = 2;
+  raced.dns = {exchange(ms(0), dns::RrType::kA, ms(10)),
+               exchange(ms(0), dns::RrType::kAaaa, ms(200))};
+  raced.attempts = {attempt(ms(20), "10.0.0.10"),
+                    attempt(ms(22), "10.0.0.11")};
+  raced.first_a_response = ms(10);
+  raced.first_aaaa_response = ms(200);
+  raced.first_v4_syn = ms(20);
+  EXPECT_EQ(rendered(raced),
+            (std::vector<std::string>{
+                "V resolution-delay: connected v4 10ms after the A answer "
+                "with AAAA outstanding (RD >= 50ms)",
+                "V attempt-spacing: attempts 0 and 1 spaced 2ms (< 10ms "
+                "minimum CAD)",
+                "V family-interleave: attempts 0 and 1 both IPv4 while IPv6 "
+                "addresses were untried",
+                "V losing-family: failed with only IPv4 attempted; IPv6 never "
+                "tried despite resolved addresses",
+                "P restart-cache: restart reused the session's cached winner "
+                "(no re-query)",
+                "- abort-on-winner: no connection ever won",
+            }));
+
+  RuleContext won = raced;
+  won.attempts = {attempt(ms(0), "2001:db8::10"), attempt(ms(50), "10.0.0.10")};
+  won.attempts[0].established = true;
+  won.attempts[1].last_syn = ms(500);
+  won.established = Family::kIpv6;
+  won.established_time = ms(100);
+  won.first_v4_syn = ms(70);
+  won.first_aaaa_response.reset();
+  EXPECT_EQ(rendered(won),
+            (std::vector<std::string>{
+                "P resolution-delay: waited 60ms (>= 50ms) for AAAA",
+                "P attempt-spacing: 1 racing gap(s) within [10ms, 2s]",
+                "P family-interleave: 2 attempts interleaved by family",
+                "- losing-family: connection established, no abandonment "
+                "situation",
+                "P restart-cache: restart reused the session's cached winner "
+                "(no re-query)",
+                "V abort-on-winner: attempt 1 (IPv4) still retransmitting "
+                "400ms after the winner established (never aborted)",
+            }));
+
+  RuleContext late = won;  // a rival opened after the win
+  late.attempts[1].first_syn = ms(130);
+  late.attempts[1].last_syn = ms(130);
+  EXPECT_EQ(rendered(late).back(),
+            "V abort-on-winner: attempt 1 (IPv4) started 30ms after a "
+            "connection was established");
+
+  RuleContext slow = raced;  // a gap past the maximum CAD, and a re-query
+  slow.attempts[1] = attempt(sec(15) + ms(170), "2001:db8::10");
+  slow.dns.push_back(exchange(ms(6), dns::RrType::kAaaa, ms(7)));
+  const std::vector<std::string> slow_text = rendered(slow);
+  EXPECT_EQ(slow_text[1],
+            "V attempt-spacing: attempts 0 and 1 spaced 15.15s (> 2s maximum "
+            "CAD)");
+  EXPECT_EQ(slow_text[4],
+            "V restart-cache: 1 DNS queries after the first fetch completed "
+            "within the cache TTL");
+}
+
 // ------------------------------------------------------------- harness ----
 
 clients::ClientProfile profile_named(const std::string& display) {
@@ -502,7 +583,8 @@ TEST(HarnessTest, ReplayReproducesTheCampaignCell) {
     EXPECT_EQ(replayed.symbols(), cell.symbols()) << cell.fault.repro();
     EXPECT_EQ(replayed.fetch_ok, cell.fetch_ok) << cell.fault.repro();
     for (std::size_t r = 0; r < cell.verdicts.size(); ++r) {
-      EXPECT_EQ(replayed.verdicts[r].evidence, cell.verdicts[r].evidence)
+      EXPECT_EQ(render_evidence(replayed.verdicts[r]),
+                render_evidence(cell.verdicts[r]))
           << cell.fault.repro();
     }
   }

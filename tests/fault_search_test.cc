@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -23,13 +25,16 @@
 #endif
 
 #include "campaign/journal.h"
+#include "campaign/journal_sink.h"
 #include "campaign/runner.h"
 #include "campaign/scenario.h"
 #include "clients/profiles.h"
 #include "conformance/checker.h"
+#include "conformance/record_codec.h"
 #include "conformance/schedule.h"
 #include "conformance/search.h"
 #include "util/crc32.h"
+#include "util/strings.h"
 #include "util/time.h"
 #include "util/wire.h"
 
@@ -234,7 +239,7 @@ TEST(FaultSearchJournalTest, SnapshotCountsAreBoundedByTheirBytes) {
   first.run();
 
   // 16 bytes claiming 2^24 coverage elements: refused before the loop, not
-  // after inserting 2^24 strings read past the end of the body.
+  // after inserting 2^24 elements read past the end of the body.
   std::string coverage_bomb;
   wire::put_u64(coverage_bomb, 1);         // rng state
   wire::put_u32(coverage_bomb, 0);         // violating candidates
@@ -244,7 +249,7 @@ TEST(FaultSearchJournalTest, SnapshotCountsAreBoundedByTheirBytes) {
   EXPECT_NE(coverage_refusal.find("coverage set"), std::string::npos)
       << coverage_refusal;
 
-  // 2^20 corpus entries in 0 bytes: each takes at least 13.
+  // 2^20 corpus entries in 0 bytes: each takes at least 17.
   std::string corpus_bomb;
   wire::put_u64(corpus_bomb, 1);
   wire::put_u32(corpus_bomb, 0);
@@ -286,7 +291,7 @@ TEST(FaultSearchJournalTest, SmallHuntJournalAndCorpusDigestsArePinned) {
   ASSERT_EQ(pinned_profiles().size(), 4u);
   const std::string path = tmp_path("hunt_pinned.journal");
   const HuntResult result = run_pinned_hunt(path);
-  EXPECT_EQ(util::crc32(read_file(path)), 0x807e9d50u);
+  EXPECT_EQ(util::crc32(read_file(path)), 0x57a7723eu);
   EXPECT_EQ(util::crc32(FaultHunt::corpus_text(result.corpus)), 0xa7735fc9u)
       << FaultHunt::corpus_text(result.corpus);
   std::remove(path.c_str());
@@ -312,6 +317,145 @@ TEST(FaultSearchJournalTest, EveryCorpusEntryReplaysItsViolations) {
     if (entry.violations > 0) ++violating_entries;
   }
   EXPECT_GT(violating_entries, 0);
+}
+
+// ------------------------------------------------ version-1 journals ----
+
+/// A conformance record as journal version 1 wrote it: rule names and
+/// evidence as text, verdict count as u32.
+std::string text_verdict_record(const ConformanceRecord& record) {
+  std::string out;
+  wire::put_str(out, record.client);
+  encode_plan(record.fault, out);
+  wire::put_u8(out, record.schedule ? 1 : 0);
+  if (record.schedule) wire::put_str(out, encode_schedule(*record.schedule));
+  wire::put_u32(out, static_cast<std::uint32_t>(record.fetches));
+  wire::put_u8(out, record.fetch_ok ? 1 : 0);
+  wire::put_u8(out, record.first_fetch_ok ? 1 : 0);
+  wire::put_u32(out, static_cast<std::uint32_t>(record.verdicts.size()));
+  for (const Verdict& v : record.verdicts) {
+    wire::put_str(out, rule_name(v.rule));
+    wire::put_u8(out, static_cast<std::uint8_t>(v.outcome));
+    wire::put_str(out, render_evidence(v));
+  }
+  return out;
+}
+
+/// A version-1 journal file: the header, then one kCell record per payload
+/// from index `begin` on.
+void write_version1_journal(const std::string& path, std::uint64_t identity,
+                            std::uint64_t begin, std::uint64_t end,
+                            const std::vector<std::string>& payloads) {
+  std::string bytes = "LZYJ";
+  wire::put_u16(bytes, 1);
+  wire::put_u64(bytes, identity);
+  wire::put_u64(bytes, begin);
+  wire::put_u64(bytes, end);
+  wire::put_u32(bytes, util::crc32(bytes));
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    std::string record;
+    wire::put_u8(record, 1);  // cell
+    wire::put_u32(record, static_cast<std::uint32_t>(8 + payloads[i].size()));
+    wire::put_u64(record, begin + i);
+    record.append(payloads[i]);
+    wire::put_u32(record, util::crc32(record));
+    bytes.append(record);
+  }
+  std::ofstream{path, std::ios::binary | std::ios::trunc}
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Expects `run` to refuse the journal at `path` naming both versions, and
+/// to leave the file as it was.
+template <typename Run>
+void expect_version1_refused(const std::string& path, Run&& run) {
+  const std::string before = read_file(path);
+  try {
+    run();
+    ADD_FAILURE() << "a version-1 journal was accepted";
+  } catch (const campaign::JournalError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+  }
+  EXPECT_EQ(read_file(path), before);
+}
+
+TEST(FaultSearchJournalTest, HuntJournalOfTextVerdictsIsRefused) {
+  // The first two candidates of the hunt hunt_options() describes, as a
+  // version-1 journal: same identity, same proposals, so only the version
+  // tells it apart.
+  const std::string path = tmp_path("hunt_version1.journal");
+  const HuntOptions options = hunt_options(path);
+  const ConformanceHarness harness{options.conformance};
+  std::vector<std::string> payloads;
+  for (std::uint32_t index = 0; index < 2; ++index) {
+    const FaultSchedule schedule =
+        FaultSchedule::generate(options.seed, 0xFA, index);
+    std::string payload;
+    wire::put_str(payload, encode_schedule(schedule));
+    wire::put_u8(payload, 0);  // not minimized
+    wire::put_u32(payload, static_cast<std::uint32_t>(hunt_profiles().size()));
+    for (const auto& profile : hunt_profiles()) {
+      wire::put_str(payload,
+                    text_verdict_record(harness.replay_schedule(
+                        profile, schedule, options.fetches)));
+    }
+    payloads.push_back(std::move(payload));
+  }
+  const auto budget = static_cast<std::uint64_t>(options.budget);
+  write_version1_journal(
+      path, campaign::journal_identity("lazyeye-hunt", budget, options.seed),
+      0, budget, payloads);
+  expect_version1_refused(path, [&] {
+    FaultHunt{options, hunt_profiles()}.run();
+  });
+  std::remove(path.c_str());
+}
+
+TEST(FaultSearchJournalTest, ShardJournalOfTextVerdictsIsRefused) {
+  // What `lazyeye_shard run --smoke --shards 1` journals: the seed-1
+  // differential matrix over three profiles, identity and codec as the
+  // tool has them. Its first four cells in the version-1 form.
+  const std::string path = tmp_path("shard_version1.journal");
+  std::vector<clients::ClientProfile> profiles =
+      clients::local_testbed_profiles();
+  profiles.resize(3);
+  const ConformanceHarness harness{{.seed = 1}};
+  const std::vector<campaign::ScenarioSpec> specs =
+      harness.differential_specs(profiles);
+  const std::uint64_t identity =
+      campaign::journal_identity("conformance-differential", specs.size(), 1);
+  std::vector<std::string> payloads;
+  for (std::size_t i = 0; i < 4; ++i) {
+    payloads.push_back(text_verdict_record(
+        harness.run_spec(profiles[i % profiles.size()], specs[i])));
+  }
+  write_version1_journal(path, identity, 0, specs.size(), payloads);
+
+  campaign::Registry<ConformanceRecord> registry;
+  register_conformance_executor(registry, harness, profiles);
+  const campaign::JournalCodec<ConformanceRecord> codec{
+      .encode = [](const campaign::ScenarioSpec&,
+                   const ConformanceRecord& record) {
+        return encode_record(record);
+      },
+      .decode = [](std::string_view bytes) { return decode_record(bytes); },
+  };
+  campaign::CallbackSink<ConformanceRecord> sink{
+      [](const campaign::ScenarioSpec&, ConformanceRecord) {}};
+  expect_version1_refused(path, [&] {
+    campaign::run_journaled<ConformanceRecord>(
+        campaign::CampaignRunner{{.workers = 1}},
+        campaign::SpecStream::view(specs),
+        [&registry](const campaign::ScenarioSpec& spec) {
+          return registry.execute(spec);
+        },
+        sink, {.path = path, .identity = identity}, codec);
+  });
+  // merge reads the journals with load_journal alone.
+  expect_version1_refused(path, [&] { campaign::load_journal(path); });
+  std::remove(path.c_str());
 }
 
 TEST(FaultSearchJournalTest, HuntRefusesAWorldSeedOtherThanItsSeed) {
@@ -427,23 +571,143 @@ TEST(CoverageSignatureTest, EvidenceBucketCollapsesDigitRuns) {
 }
 
 TEST(CoverageSignatureTest, SignatureSeparatesVerdictChangesAndClientSplits) {
+  const std::vector<clients::ClientProfile> profiles = hunt_profiles();
   ConformanceRecord a;
-  a.client = "A";
-  a.verdicts = {{"rule-x", RuleOutcome::kPass, "ok 1"}};
+  a.client = profiles[0].display_name();
+  a.verdicts = {{RuleId::kRestartCache, RuleOutcome::kPass,
+                 {.kind = EvidenceKind::kNoRequery}}};
   ConformanceRecord b = a;
-  b.client = "B";
+  b.client = profiles[1].display_name();
 
   const auto agree = coverage_signature({a, b});
   b.verdicts[0].outcome = RuleOutcome::kViolate;
+  b.verdicts[0].evidence = {.kind = EvidenceKind::kRequeried, .count = 2};
   const auto split = coverage_signature({a, b});
 
   // The per-rule diff element changes when clients stop agreeing.
   EXPECT_NE(agree, split);
-  bool found_diff = false;
-  for (const std::string& element : split) {
-    if (element == "diff|rule-x|PV") found_diff = true;
+  std::vector<std::string> texts;
+  for (const std::uint64_t element : split) {
+    texts.push_back(coverage_element_text(element, profiles));
   }
-  EXPECT_TRUE(found_diff);
+  EXPECT_EQ(texts, (std::vector<std::string>{
+                       a.client + "|restart-cache|P|restart reused the "
+                                  "session's cached winner (no re-query)",
+                       "fetch|" + a.client + "|fail/fail",
+                       b.client + "|restart-cache|V|# DNS queries after the "
+                                  "first fetch completed within the cache TTL",
+                       "fetch|" + b.client + "|fail/fail",
+                       "diff|restart-cache|PV",
+                   }));
+}
+
+/// The string a coverage element stood for when coverage was text:
+/// "client|rule|symbol|bucketed evidence", "fetch|client|first/final",
+/// "diff|rule|<symbol per client>".
+std::vector<std::string> text_signature(
+    const std::vector<ConformanceRecord>& records) {
+  std::vector<std::string> sig;
+  for (const ConformanceRecord& record : records) {
+    for (const Verdict& v : record.verdicts) {
+      sig.push_back(str_cat(record.client, '|', rule_name(v.rule), '|',
+                            rule_outcome_symbol(v.outcome), '|',
+                            evidence_bucket(render_evidence(v))));
+    }
+    sig.push_back(str_cat("fetch|", record.client, '|',
+                          record.first_fetch_ok ? "ok" : "fail", '/',
+                          record.fetch_ok ? "ok" : "fail"));
+  }
+  for (std::size_t r = 0; !records.empty() && r < records.front().verdicts.size();
+       ++r) {
+    std::string diff =
+        str_cat("diff|", rule_name(records.front().verdicts[r].rule), '|');
+    for (const ConformanceRecord& record : records) {
+      diff.push_back(r < record.verdicts.size()
+                         ? rule_outcome_symbol(record.verdicts[r].outcome)
+                         : '?');
+    }
+    sig.push_back(std::move(diff));
+  }
+  return sig;
+}
+
+/// Every candidate's records from a hunt journal, in candidate order
+/// (layout: search.h and record_codec.h).
+std::vector<std::vector<ConformanceRecord>> journaled_records(
+    const std::string& path) {
+  std::vector<std::vector<ConformanceRecord>> candidates;
+  for (const auto& cell : campaign::load_journal(path).cells) {
+    wire::Reader in{cell.payload};
+    in.skip(in.u32());                 // proposed schedule
+    if (in.u8() == 1) in.skip(in.u32());  // minimized schedule
+    std::vector<ConformanceRecord> records(in.u32());
+    for (ConformanceRecord& record : records) {
+      EXPECT_TRUE(decode_record(in, record));
+    }
+    EXPECT_TRUE(in.exhausted());
+    candidates.push_back(std::move(records));
+  }
+  return candidates;
+}
+
+TEST(CoverageSignatureTest, PackedElementsPartitionExactlyAsTheirText) {
+  // Every record of journaled budget-64 hunts at seeds 1-3 over every
+  // testbed profile: two packed elements are equal exactly when their
+  // strings are, each renders back to its string, and every candidate's
+  // first novel element sits at the same index under both forms.
+  const std::vector<clients::ClientProfile> profiles =
+      clients::local_testbed_profiles();
+  ASSERT_EQ(profiles.size(), 17u);
+  std::map<std::uint64_t, std::string> text_of;
+  std::map<std::string, std::uint64_t> element_of;
+  std::size_t elements = 0;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    const std::string path = tmp_path("hunt_partition.journal");
+    HuntOptions options = hunt_options(path);
+    options.seed = seed;
+    options.conformance.seed = seed;
+    options.budget = 64;
+    const HuntResult result = FaultHunt{options, profiles}.run();
+
+    std::set<std::uint64_t> covered;
+    std::set<std::string> covered_text;
+    std::size_t novel_candidates = 0;
+    for (const auto& records : journaled_records(path)) {
+      const std::vector<std::uint64_t> sig = coverage_signature(records);
+      const std::vector<std::string> text = text_signature(records);
+      ASSERT_EQ(sig.size(), text.size());
+      std::ptrdiff_t first_novel = -1;
+      std::ptrdiff_t first_novel_text = -1;
+      for (std::size_t i = 0; i < sig.size(); ++i) {
+        ++elements;
+        const auto [it, fresh] = text_of.emplace(sig[i], text[i]);
+        EXPECT_EQ(it->second, text[i]) << "one element, two strings";
+        const auto [jt, fresh_text] = element_of.emplace(text[i], sig[i]);
+        EXPECT_EQ(jt->second, sig[i]) << "one string, two elements: " << text[i];
+        if (fresh) {
+          EXPECT_EQ(coverage_element_text(sig[i], profiles), text[i]);
+        }
+        if (covered.insert(sig[i]).second && first_novel < 0) {
+          first_novel = static_cast<std::ptrdiff_t>(i);
+        }
+        if (covered_text.insert(text[i]).second && first_novel_text < 0) {
+          first_novel_text = static_cast<std::ptrdiff_t>(i);
+        }
+      }
+      EXPECT_EQ(first_novel, first_novel_text);
+      if (first_novel >= 0) {
+        ASSERT_LT(novel_candidates, result.corpus.size());
+        EXPECT_EQ(result.corpus[novel_candidates++].novelty,
+                  sig[static_cast<std::size_t>(first_novel)]);
+      }
+    }
+    EXPECT_EQ(novel_candidates, result.corpus.size());
+    EXPECT_EQ(covered, result.coverage);
+    EXPECT_EQ(covered.size(), covered_text.size());
+    std::remove(path.c_str());
+  }
+  EXPECT_EQ(text_of.size(), element_of.size());
+  EXPECT_GT(elements, 3u * 64 * 17 * (kRuleCount + 1));
 }
 
 // ------------------------------------------- schedule cells & determinism ----
@@ -479,7 +743,7 @@ TEST(ScheduleCellTest, WindowGatingControlsInjection) {
   EXPECT_NE(coverage_signature({hit}), coverage_signature({miss}));
   bool starved_evidence = false;
   for (const Verdict& v : hit.verdicts) {
-    if (v.evidence.find("both families") != std::string::npos) {
+    if (render_evidence(v).find("both families") != std::string::npos) {
       starved_evidence = true;
     }
   }

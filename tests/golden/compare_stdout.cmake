@@ -1,13 +1,18 @@
-# Runs one bench and byte-compares its stdout with the committed golden file.
+# Runs one bench (or example) and byte-compares its stdout with the
+# committed golden file.
 #
-#   cmake -DBENCH=<executable> -DGOLDEN=<file.stdout> -DACTUAL=<output file>
-#         -P compare_stdout.cmake
+#   cmake -DBENCH=<executable> [-DARGS=<arg>|<arg>|...] -DGOLDEN=<file.stdout>
+#         -DACTUAL=<output file> -P compare_stdout.cmake
+#
+# ARGS, when given, are the executable's arguments separated by '|' (an
+# argument may hold spaces).
 #
 # The one host-dependent value a bench prints, the campaign worker count
 # (hardware_concurrency by default), is masked in both texts; every other
 # byte must match. On a mismatch the fresh stdout is left in ACTUAL for
 # `diff GOLDEN ACTUAL`.
-execute_process(COMMAND "${BENCH}" OUTPUT_FILE "${ACTUAL}"
+string(REPLACE "|" ";" bench_args "${ARGS}")
+execute_process(COMMAND "${BENCH}" ${bench_args} OUTPUT_FILE "${ACTUAL}"
                 RESULT_VARIABLE exit_code)
 if(NOT exit_code EQUAL 0)
   message(FATAL_ERROR "${BENCH} exited with ${exit_code}")

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -110,6 +111,44 @@ TEST(TimeTest, FormatDurationExtremes) {
   // -INT64_MIN wraps back onto itself; the magnitude is 2^63 ns.
   EXPECT_EQ(format_duration(ns(kMin)), "-9223372036.855s");
   EXPECT_EQ(format_duration(ns(kMin + 1)), "-9223372036.855s");
+}
+
+TEST(TimeTest, DurationShapeIsTheTextWithoutItsDigits) {
+  // Equal shapes exactly when the texts are equal once every digit run is
+  // one '#': over values from every unit band, both signs and the extremes.
+  const auto collapsed = [](const std::string& text) {
+    std::string out;
+    for (const char c : text) {
+      const bool digit = c >= '0' && c <= '9';
+      if (!digit || out.empty() || out.back() != '#') out += digit ? '#' : c;
+    }
+    return out;
+  };
+  std::map<std::uint8_t, std::string> text_of;
+  std::map<std::string, std::uint8_t> shape_of;
+  Rng rng{7};
+  std::vector<std::int64_t> values{0, 1'500'000'000, 12'500'000'000,
+                                   std::numeric_limits<std::int64_t>::max(),
+                                   std::numeric_limits<std::int64_t>::min()};
+  for (int i = 0; i < 100'000; ++i) {
+    const int digits = static_cast<int>(rng.next_below(19));
+    std::int64_t bound = 1;
+    for (int d = 0; d < digits; ++d) bound *= 10;
+    std::int64_t n = static_cast<std::int64_t>(
+        rng.next_below(static_cast<std::uint64_t>(bound)) + 1);
+    values.push_back(rng.chance(0.25) ? -n : n);
+  }
+  for (const std::int64_t n : values) {
+    const std::uint8_t shape = duration_shape(ns(n));
+    const std::string text = collapsed(format_duration(ns(n)));
+    EXPECT_EQ(text_of.emplace(shape, text).first->second, text) << n;
+    EXPECT_EQ(shape_of.emplace(text, shape).first->second, shape) << n;
+  }
+  // Sign, fraction and all four units: "#s" "#.#s" "#ms" "#.#ms" "#us"
+  // "#.#us" "#ns", each also negative.
+  EXPECT_EQ(shape_of.size(), 14u);
+  EXPECT_EQ(duration_shape(ms(0)), duration_shape(ms(43)));
+  EXPECT_NE(duration_shape(ms(43)), duration_shape(us(1500)));
 }
 
 // ----------------------------------------------------------------- rng ----
