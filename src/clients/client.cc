@@ -4,8 +4,6 @@
 
 namespace lazyeye::clients {
 
-using transport::TransportProtocol;
-
 namespace {
 
 dns::StubOptions apply_profile(dns::StubOptions resolver,
@@ -23,9 +21,8 @@ SimulatedClient::SimulatedClient(simnet::Host& host, ClientProfile profile,
       profile_{std::move(profile)},
       rng_{seed},
       tcp_{host},
-      quic_{host},
       stub_{host, apply_profile(std::move(resolver), profile_)},
-      engine_{host, stub_, tcp_, &quic_},
+      engine_{host, stub_, tcp_},
       pending_{host.network().memory()} {
   engine_.set_options(profile_.options);
 
@@ -33,20 +30,6 @@ SimulatedClient::SimulatedClient(simnet::Host& host, ClientProfile profile,
   tcp_.set_data_handler(
       [this](std::uint64_t conn_id, std::span<const std::uint8_t> data) {
         const auto it = pending_.find(conn_id);
-        if (it == pending_.end()) return;
-        PendingFetch fetch = std::move(it->second);
-        host_.network().loop().cancel(fetch.response_timer);
-        pending_.erase(it);
-        FetchResult result;
-        result.connection = std::move(fetch.connection);
-        result.response_received = true;
-        result.response.assign(data.begin(), data.end());
-        fetch.handler(std::move(result));
-      });
-  quic_.set_data_handler(
-      [this](std::uint64_t conn_id, std::span<const std::uint8_t> data) {
-        // QUIC connection ids share the key space via offset (see fetch()).
-        const auto it = pending_.find(conn_id | (1ULL << 63));
         if (it == pending_.end()) return;
         PendingFetch fetch = std::move(it->second);
         host_.network().loop().cancel(fetch.response_timer);
@@ -100,19 +83,15 @@ void SimulatedClient::fetch(const dns::DnsName& hostname, std::uint16_t port,
           handler(std::move(out));
           return;
         }
-        // Issue the request over the winning transport; the response comes
-        // back through the stack's data handler.
-        const auto proto = result.proto;
+        // Issue the request over the winning connection; the response comes
+        // back through the TCP stack's data handler.
         const std::uint64_t conn_id = result.connection_id;
-        const std::uint64_t key = proto == TransportProtocol::kQuic
-                                      ? (conn_id | (1ULL << 63))
-                                      : conn_id;
         PendingFetch fetch;
         fetch.handler = handler;
         fetch.connection = std::move(result);
         fetch.response_timer = host_.network().loop().schedule_after(
-            lazyeye::sec(10), [this, key] {
-              const auto it = pending_.find(key);
+            lazyeye::sec(10), [this, conn_id] {
+              const auto it = pending_.find(conn_id);
               if (it == pending_.end()) return;
               PendingFetch timed_out = std::move(it->second);
               pending_.erase(it);
@@ -121,16 +100,12 @@ void SimulatedClient::fetch(const dns::DnsName& hostname, std::uint16_t port,
               out.response_received = false;
               timed_out.handler(std::move(out));
             });
-        pending_.emplace(key, std::move(fetch));
+        pending_.emplace(conn_id, std::move(fetch));
 
         constexpr std::string_view kRequest = "GET /";
         simnet::Buffer payload;  // inline: no allocation per request
         payload.append(kRequest.data(), kRequest.size());
-        if (proto == TransportProtocol::kQuic) {
-          quic_.send_data(conn_id, std::move(payload));
-        } else {
-          tcp_.send_data(conn_id, std::move(payload));
-        }
+        tcp_.send_data(conn_id, std::move(payload));
       });
 }
 

@@ -1,7 +1,7 @@
 // SimulatedClient: binds a ClientProfile to a simulated host — owns the
-// transport stacks, stub resolver and HE engine, and performs black-box
-// "fetches" (connect + one request/response round trip), which is what the
-// testbed and the web tool drive.
+// TCP stack, stub resolver and HE engine, and performs black-box "fetches"
+// (connect + one request/response round trip), which is what the testbed
+// and the web tool drive.
 #pragma once
 
 #include <functional>
@@ -12,7 +12,6 @@
 #include "clients/profiles.h"
 #include "dns/stub_resolver.h"
 #include "he/engine.h"
-#include "transport/quic.h"
 #include "transport/tcp.h"
 #include "util/rng.h"
 
@@ -49,7 +48,7 @@ class SimulatedClient {
   void reset_state();
 
   /// Full fetch: Happy Eyeballs connect, then one request and one response
-  /// over the winning transport. The handler runs once.
+  /// over the winning connection. The handler runs once.
   void fetch(const dns::DnsName& hostname, std::uint16_t port,
              FetchHandler handler);
 
@@ -63,7 +62,6 @@ class SimulatedClient {
   // needs); an arena-created client carries them inline, so building one
   // costs no separate heap blocks.
   transport::TcpStack tcp_;
-  transport::QuicStack quic_;
   dns::StubResolver stub_;
   he::HappyEyeballsEngine engine_;
   bool web_conditions_ = false;
@@ -73,9 +71,8 @@ class SimulatedClient {
     he::HeResult connection;
     simnet::TimerId response_timer;
   };
-  // by connection id+proto key; nodes from the world's arena
+  // by connection id; nodes from the world's arena
   std::pmr::map<std::uint64_t, PendingFetch> pending_;
-  std::uint64_t next_fetch_key_ = 1;
 };
 
 }  // namespace lazyeye::clients

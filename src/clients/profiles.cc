@@ -27,7 +27,6 @@ ClientProfile chromium_profile(const std::string& name,
   p.kind = ClientKind::kBrowser;
 
   he::HeOptions o;
-  o.version = hev3_flag ? he::HeVersion::kV3 : he::HeVersion::kV1;
   // Chromium's TransportConnectJob uses a 300 ms fallback delay [paper §5.1,
   // chromium net/socket/transport_connect_job.h].
   o.connection_attempt_delay = lazyeye::ms(300);
@@ -60,7 +59,6 @@ ClientProfile firefox_profile(const std::string& version,
   p.kind = ClientKind::kBrowser;
 
   he::HeOptions o;
-  o.version = he::HeVersion::kV1;
   // Firefox follows the RFC recommendation of 250 ms (§5.1).
   o.connection_attempt_delay = lazyeye::ms(250);
   o.resolution_delay = std::nullopt;
@@ -83,7 +81,7 @@ ClientProfile safari_profile(const std::string& version) {
   p.kind = ClientKind::kBrowser;
 
   he::HeOptions o;
-  o.version = he::HeVersion::kV2;  // only client implementing HEv2 (Table 2)
+  // The only client implementing HEv2's DNS handling (Table 2).
   o.query_aaaa_first = true;
   o.resolution_delay = lazyeye::ms(50);  // RFC recommendation (§5.2)
   o.wait_for_a_record = false;
@@ -122,7 +120,6 @@ ClientProfile curl_profile() {
   p.kind = ClientKind::kCliTool;
 
   he::HeOptions o;
-  o.version = he::HeVersion::kV1;
   // curl uses the smallest CAD of 200 ms (--happy-eyeballs-timeout-ms
   // default, §5.1).
   o.connection_attempt_delay = lazyeye::ms(200);
@@ -161,7 +158,6 @@ ClientProfile icpr_egress_profile(const std::string& operator_name) {
   p.kind = ClientKind::kProxyEgress;
 
   he::HeOptions o;
-  o.version = he::HeVersion::kV1;
   o.wait_for_a_record = true;
   o.resolution_delay = std::nullopt;
   o.max_addresses_per_family = 1;

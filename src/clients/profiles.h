@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dns/stub_resolver.h"
@@ -25,6 +26,20 @@ enum class ClientKind {
 };
 
 const char* client_kind_name(ClientKind kind);
+
+/// A display name ("Chrome 130.0") held as its two parts: it compares equal
+/// to the joined text without building it, so a campaign executor resolves
+/// each cell's client without a string allocation.
+struct DisplayNameView {
+  std::string_view name;
+  std::string_view version;
+
+  bool operator==(std::string_view display) const {
+    return display.size() == name.size() + 1 + version.size() &&
+           display.starts_with(name) && display[name.size()] == ' ' &&
+           display.ends_with(version);
+  }
+};
 
 struct ClientProfile {
   std::string name;     // "Chrome"
@@ -50,6 +65,7 @@ struct ClientProfile {
   bool dynamic_cad_in_web = false;
 
   std::string display_name() const { return name + " " + version; }
+  DisplayNameView display_name_view() const { return {name, version}; }
   /// Figure 2 row label, e.g. "Chrome (130.0 10-2024)".
   std::string figure_label() const;
 };

@@ -115,7 +115,7 @@ void register_conformance_executor(
   const auto run = [&harness, pool](const campaign::ScenarioSpec& spec) {
     const clients::ClientProfile& profile = campaign::find_registered(
         *pool, spec.client,
-        [](const clients::ClientProfile& p) { return p.display_name(); },
+        [](const clients::ClientProfile& p) { return p.display_name_view(); },
         "conformance");
     return harness.run_spec(profile, spec);
   };

@@ -80,16 +80,6 @@ void StubResolver::deliver(std::uint64_t handle, RrType type,
   const auto it = requests_.find(handle);
   if (it == requests_.end()) return;
   Request& req = it->second;
-
-  if (req.single) {
-    // resolve(): one definitive outcome ends the request. Erase before the
-    // callback so a handler that re-enters sees consistent state.
-    auto handler = std::move(req.single);
-    requests_.erase(it);
-    handler(outcome);
-    return;
-  }
-
   req.queries.erase(type);
   const bool finished = req.queries.empty();
   if (outcome.ok || outcome.rcode == Rcode::kNxDomain) {
@@ -108,17 +98,6 @@ void StubResolver::deliver(std::uint64_t handle, RrType type,
     }
   }
   if (finished) requests_.erase(handle);
-}
-
-std::uint64_t StubResolver::resolve(
-    const DnsName& name, RrType type,
-    std::function<void(const QueryOutcome&)> handler) {
-  const std::uint64_t handle = next_handle_++;
-  Request& req = requests_[handle];
-  req.name = name;
-  req.single = std::move(handler);
-  start_query(handle, type);
-  return handle;
 }
 
 std::uint64_t StubResolver::resolve_dual(const DnsName& name,

@@ -33,10 +33,6 @@ class StubResolver {
  public:
   StubResolver(simnet::Host& host, StubOptions options);
 
-  /// Single-type lookup with server failover.
-  std::uint64_t resolve(const DnsName& name, RrType type,
-                        std::function<void(const QueryOutcome&)> handler);
-
   struct DualHandlers {
     /// Called once per record type as soon as its response arrives.
     /// `addresses` may be empty (NODATA / NXDOMAIN).
@@ -47,7 +43,8 @@ class StubResolver {
     std::function<void(RrType, const std::string& error)> on_error;
   };
 
-  /// AAAA + A resolution for Happy Eyeballs. Returns a request handle.
+  /// AAAA + A resolution for Happy Eyeballs, with server failover per
+  /// record type. Returns a request handle.
   std::uint64_t resolve_dual(const DnsName& name, DualHandlers handlers,
                              bool aaaa_first = true);
 
@@ -73,12 +70,10 @@ class StubResolver {
     Request(Request&& other, allocator_type alloc)
         : name{std::move(other.name)},
           dual{std::move(other.dual)},
-          single{std::move(other.single)},
           queries{std::move(other.queries), alloc.resource()} {}
 
     DnsName name;
-    DualHandlers dual;                                 // resolve_dual()
-    std::function<void(const QueryOutcome&)> single;   // resolve()
+    DualHandlers dual;
     std::pmr::map<RrType, PendingQuery> queries;
   };
 

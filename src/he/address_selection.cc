@@ -4,31 +4,12 @@
 
 namespace lazyeye::he {
 
-namespace {
-
-void sort_candidates(std::vector<AddressCandidate>& list,
-                     const HeOptions& options) {
-  // The stable sort keeps DNS order for ties (resolver-provided ordering is
-  // itself meaningful).
-  if (options.prefer_ech) {
-    std::stable_sort(list.begin(), list.end(),
-                     [](const AddressCandidate& a, const AddressCandidate& b) {
-                       return a.ech_available > b.ech_available;
-                     });
-  }
-}
-
-}  // namespace
-
-std::vector<AddressCandidate> select_addresses(const SelectionInput& input,
-                                               const HeOptions& options) {
-  std::vector<AddressCandidate> first =
+std::vector<simnet::IpAddress> select_addresses(const SelectionInput& input,
+                                                const HeOptions& options) {
+  std::vector<simnet::IpAddress> first =
       options.prefer_ipv6 ? input.ipv6 : input.ipv4;
-  std::vector<AddressCandidate> second =
+  std::vector<simnet::IpAddress> second =
       options.prefer_ipv6 ? input.ipv4 : input.ipv6;
-
-  sort_candidates(first, options);
-  sort_candidates(second, options);
 
   const auto cap = static_cast<std::size_t>(
       std::max(0, options.max_addresses_per_family));
@@ -42,7 +23,7 @@ std::vector<AddressCandidate> select_addresses(const SelectionInput& input,
     return second;
   }
 
-  std::vector<AddressCandidate> out;
+  std::vector<simnet::IpAddress> out;
   out.reserve(first.size() + second.size());
 
   const std::size_t fafc = static_cast<std::size_t>(

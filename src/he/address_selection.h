@@ -1,5 +1,5 @@
-// RFC 8305 §4 destination address selection: sorting plus family interlacing
-// with a First Address Family Count.
+// RFC 8305 §4 destination address selection: family interlacing with a
+// First Address Family Count, keeping DNS order within each family.
 #pragma once
 
 #include <vector>
@@ -9,25 +9,16 @@
 
 namespace lazyeye::he {
 
-struct AddressCandidate {
-  simnet::IpAddress address;
-  /// Whether the source (e.g. an HTTPS RR) advertised ECH for this endpoint
-  /// (HEv3 preference input).
-  bool ech_available = false;
-};
-
 struct SelectionInput {
-  std::vector<AddressCandidate> ipv6;
-  std::vector<AddressCandidate> ipv4;
+  std::vector<simnet::IpAddress> ipv6;
+  std::vector<simnet::IpAddress> ipv4;
 };
 
 /// Produces the ordered attempt list:
-///  1. optionally prefers ECH-capable endpoints (HEv3), keeping DNS order
-///     otherwise,
-///  2. truncates each family to `max_addresses_per_family`,
-///  3. interlaces per `interlace`/`first_address_family_count` with the
+///  1. truncates each family to `max_addresses_per_family`,
+///  2. interlaces per `interlace`/`first_address_family_count` with the
 ///     preferred family first.
-std::vector<AddressCandidate> select_addresses(const SelectionInput& input,
-                                               const HeOptions& options);
+std::vector<simnet::IpAddress> select_addresses(const SelectionInput& input,
+                                                const HeOptions& options);
 
 }  // namespace lazyeye::he

@@ -2,20 +2,19 @@
 
 namespace lazyeye::he {
 
-std::optional<OutcomeCache::Entry> OutcomeCache::lookup(
-    const dns::DnsName& host, SimTime now) const {
+std::optional<simnet::IpAddress> OutcomeCache::lookup(const dns::DnsName& host,
+                                                      SimTime now) const {
   const auto it = entries_.find(host);
   if (it == entries_.end()) return std::nullopt;
   if (it->second.expiry <= now) return std::nullopt;
-  return it->second;
+  return it->second.address;
 }
 
 void OutcomeCache::store(const dns::DnsName& host,
-                         const simnet::IpAddress& address,
-                         transport::TransportProtocol proto, SimTime now,
+                         const simnet::IpAddress& address, SimTime now,
                          SimTime ttl) {
   if (ttl.count() <= 0) return;
-  entries_[host] = Entry{address, proto, now + ttl};
+  entries_[host] = Entry{address, now + ttl};
 }
 
 }  // namespace lazyeye::he

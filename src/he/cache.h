@@ -1,5 +1,5 @@
-// Outcome cache: RFC 6555 §4.1 — remember which address/protocol won for a
-// host "on the order of 10 minutes" and go straight to it next time.
+// Outcome cache: RFC 6555 §4.1 — remember which address won for a host "on
+// the order of 10 minutes" and go straight to it next time.
 #pragma once
 
 #include <map>
@@ -7,30 +7,28 @@
 
 #include "dns/name.h"
 #include "simnet/ip.h"
-#include "transport/connection.h"
 #include "util/time.h"
 
 namespace lazyeye::he {
 
 class OutcomeCache {
  public:
-  struct Entry {
-    simnet::IpAddress address;
-    transport::TransportProtocol proto = transport::TransportProtocol::kTcp;
-    SimTime expiry{0};
-  };
-
   /// Returns the cached winner if present and not expired at `now`.
-  std::optional<Entry> lookup(const dns::DnsName& host, SimTime now) const;
+  std::optional<simnet::IpAddress> lookup(const dns::DnsName& host,
+                                          SimTime now) const;
 
   void store(const dns::DnsName& host, const simnet::IpAddress& address,
-             transport::TransportProtocol proto, SimTime now, SimTime ttl);
+             SimTime now, SimTime ttl);
 
   void erase(const dns::DnsName& host) { entries_.erase(host); }
   void clear() { entries_.clear(); }
   std::size_t size() const { return entries_.size(); }
 
  private:
+  struct Entry {
+    simnet::IpAddress address;
+    SimTime expiry{0};
+  };
   std::map<dns::DnsName, Entry> entries_;
 };
 

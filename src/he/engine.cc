@@ -6,8 +6,6 @@
 
 namespace lazyeye::he {
 
-using transport::TransportProtocol;
-
 const char* he_event_type_name(HeEvent::Type type) {
   switch (type) {
     case HeEvent::Type::kCacheHit: return "cache-hit";
@@ -27,20 +25,14 @@ const char* he_event_type_name(HeEvent::Type type) {
 
 HappyEyeballsEngine::HappyEyeballsEngine(simnet::Host& host,
                                          dns::StubResolver& stub,
-                                         transport::TcpStack& tcp,
-                                         transport::QuicStack* quic)
-    : host_{host},
-      stub_{stub},
-      tcp_{tcp},
-      quic_{quic},
-      sessions_{host.network().memory()} {}
+                                         transport::TcpStack& tcp)
+    : host_{host}, stub_{stub}, tcp_{tcp}, sessions_{host.network().memory()} {}
 
 void HappyEyeballsEngine::trace_event(Session& s, HeEvent::Type type,
                                       std::string detail,
-                                      simnet::IpAddress address,
-                                      TransportProtocol proto) {
+                                      simnet::IpAddress address) {
   s.trace.push_back(HeEvent{type, host_.network().loop().now(),
-                            std::move(detail), address, proto});
+                            std::move(detail), address});
 }
 
 std::uint64_t HappyEyeballsEngine::connect(const dns::DnsName& hostname,
@@ -81,14 +73,10 @@ std::uint64_t HappyEyeballsEngine::connect(const dns::DnsName& hostname,
 
   // RFC 6555 §4.1 cache: go straight to the remembered winner.
   if (const auto cached = cache_.lookup(hostname, s.started)) {
-    trace_event(s, HeEvent::Type::kCacheHit,
-                cached->address.to_string(), cached->address, cached->proto);
+    trace_event(s, HeEvent::Type::kCacheHit, cached->to_string(), *cached);
     s.cache_attempt_active = true;
     s.connecting = true;
-    AttemptPlan plan;
-    plan.candidate.address = cached->address;
-    plan.proto = cached->proto;
-    s.plan.push_back(plan);
+    s.plan.push_back(AttemptPlan{*cached});
     launch_next_attempt(id);
     return id;
   }
@@ -109,15 +97,6 @@ void HappyEyeballsEngine::start_dns(std::uint64_t session_id) {
   trace_event(s, HeEvent::Type::kDnsQuerySent,
               s.opts.query_aaaa_first ? "AAAA then A" : "A then AAAA");
 
-  if (s.opts.use_svcb) {
-    s.svcb_done = false;
-    s.svcb_handle = stub_.resolve(
-        s.host, dns::RrType::kHttps,
-        [this, session_id](const dns::QueryOutcome& outcome) {
-          on_svcb_outcome(session_id, outcome);
-        });
-  }
-
   dns::StubResolver::DualHandlers handlers;
   handlers.on_records = [this, session_id](
                             dns::RrType type,
@@ -133,35 +112,6 @@ void HappyEyeballsEngine::start_dns(std::uint64_t session_id) {
       stub_.resolve_dual(s.host, handlers, s.opts.query_aaaa_first);
 }
 
-void HappyEyeballsEngine::on_svcb_outcome(std::uint64_t session_id,
-                                          const dns::QueryOutcome& outcome) {
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end() || it->second.finished) return;
-  Session& s = it->second;
-  s.svcb_done = true;
-  if (outcome.ok) {
-    for (const auto& rr : outcome.response.answers) {
-      const auto* svcb = std::get_if<dns::SvcbRdata>(&rr.rdata);
-      if (svcb == nullptr || svcb->priority == 0) continue;  // skip AliasMode
-      const bool ech = svcb->has_ech();
-      for (const auto& alpn : svcb->alpn()) {
-        if (alpn == "h3") s.svcb_h3 = true;
-      }
-      for (const auto& hint : svcb->ipv6_hints()) {
-        s.v6.push_back(AddressCandidate{simnet::IpAddress{hint}, ech});
-      }
-      for (const auto& hint : svcb->ipv4_hints()) {
-        s.v4.push_back(AddressCandidate{simnet::IpAddress{hint}, ech});
-      }
-    }
-    trace_event(s, HeEvent::Type::kDnsResponse,
-                s.svcb_h3 ? "HTTPS h3=1" : "HTTPS h3=0");
-  } else {
-    trace_event(s, HeEvent::Type::kDnsError, "HTTPS: " + outcome.error);
-  }
-  reconsider(session_id);
-}
-
 void HappyEyeballsEngine::on_dns_records(
     std::uint64_t session_id, dns::RrType type,
     const std::vector<simnet::IpAddress>& addrs) {
@@ -171,11 +121,9 @@ void HappyEyeballsEngine::on_dns_records(
 
   auto& list = type == dns::RrType::kAaaa ? s.v6 : s.v4;
   for (const auto& addr : addrs) {
-    const bool duplicate =
-        std::any_of(list.begin(), list.end(), [&](const AddressCandidate& c) {
-          return c.address == addr;
-        });
-    if (!duplicate) list.push_back(AddressCandidate{addr, false});
+    if (std::find(list.begin(), list.end(), addr) == list.end()) {
+      list.push_back(addr);
+    }
   }
   if (type == dns::RrType::kAaaa) {
     s.aaaa_done = true;
@@ -207,7 +155,7 @@ void HappyEyeballsEngine::on_dns_error(std::uint64_t session_id,
 }
 
 bool HappyEyeballsEngine::dns_settled(const Session& s) const {
-  return s.aaaa_done && s.a_done && s.svcb_done;
+  return s.aaaa_done && s.a_done;
 }
 
 void HappyEyeballsEngine::reconsider(std::uint64_t session_id) {
@@ -244,7 +192,7 @@ void HappyEyeballsEngine::reconsider(std::uint64_t session_id) {
 
   if (s.opts.wait_for_a_record) {
     // Wait for the complete resolution (both record types settled).
-    if (s.aaaa_done && s.a_done && s.svcb_done) {
+    if (dns_settled(s)) {
       start_connecting(session_id);
     }
     return;
@@ -307,25 +255,11 @@ void HappyEyeballsEngine::rebuild_plan(Session& s) {
   for (const AttemptPlan& p : s.plan) {
     if (p.started) rebuilt.push_back(p);
   }
-  auto already_planned = [&](const simnet::IpAddress& addr,
-                             TransportProtocol proto) {
-    return std::any_of(rebuilt.begin(), rebuilt.end(),
-                       [&](const AttemptPlan& p) {
-                         return p.candidate.address == addr &&
-                                p.proto == proto;
-                       });
-  };
-
-  const bool race_quic = s.opts.race_quic && quic_ != nullptr &&
-                         (s.svcb_h3 || !s.opts.use_svcb);
-  for (const auto& candidate : selected) {
-    if (race_quic &&
-        !already_planned(candidate.address, TransportProtocol::kQuic)) {
-      rebuilt.push_back(AttemptPlan{candidate, TransportProtocol::kQuic});
-    }
-    if (!already_planned(candidate.address, TransportProtocol::kTcp)) {
-      rebuilt.push_back(AttemptPlan{candidate, TransportProtocol::kTcp});
-    }
+  for (const auto& address : selected) {
+    const bool planned = std::any_of(
+        rebuilt.begin(), rebuilt.end(),
+        [&](const AttemptPlan& p) { return p.address == address; });
+    if (!planned) rebuilt.push_back(AttemptPlan{address});
   }
   s.plan = std::move(rebuilt);
   s.next_attempt = 0;  // the skip loop advances past started entries
@@ -374,32 +308,21 @@ void HappyEyeballsEngine::launch_next_attempt(std::uint64_t session_id) {
   attempt.started = true;
   ++s.next_attempt;
   ++s.in_flight;
-  const TransportProtocol attempt_proto = attempt.proto;
-  const simnet::Endpoint remote{attempt.candidate.address, s.port};
+  const simnet::Endpoint remote{attempt.address, s.port};
   trace_event(s, HeEvent::Type::kAttemptStarted, remote.to_string(),
-              attempt.candidate.address, attempt_proto);
+              attempt.address);
 
-  std::uint64_t attempt_id = 0;
-  if (attempt_proto == TransportProtocol::kQuic && quic_ != nullptr) {
-    attempt_id = quic_->connect(
-        remote, [this, session_id](const transport::ConnectResult& result) {
-          on_attempt_result(session_id, result);
-        });
-  } else {
-    attempt_id = tcp_.connect(
-        remote, s.opts.tcp,
-        [this, session_id](const transport::ConnectResult& result) {
-          on_attempt_result(session_id, result);
-        });
-  }
+  const std::uint64_t attempt_id = tcp_.connect(
+      remote, s.opts.tcp,
+      [this, session_id](const transport::ConnectResult& result) {
+        on_attempt_result(session_id, result);
+      });
 
   // Re-lookup: the connect call may have completed synchronously.
   auto it2 = sessions_.find(session_id);
   if (it2 == sessions_.end() || it2->second.finished) return;
   Session& s2 = it2->second;
-  if (attempt_id != 0) {
-    s2.attempt_ids.emplace_back(attempt_id, attempt_proto);
-  }
+  if (attempt_id != 0) s2.attempt_ids.push_back(attempt_id);
 
   // Arm the Connection Attempt Delay for the next stagger step.
   bool more_planned = false;
@@ -440,7 +363,7 @@ void HappyEyeballsEngine::on_attempt_result(
   --s.in_flight;
   trace_event(s, HeEvent::Type::kAttemptFailed,
               result.remote.to_string() + ": " + result.error,
-              result.remote.addr, result.proto);
+              result.remote.addr);
 
   if (s.cache_attempt_active) {
     // The cached winner is stale: forget it and run the full algorithm.
@@ -482,12 +405,10 @@ void HappyEyeballsEngine::succeed(std::uint64_t session_id,
   s.finished = true;
 
   // The winner must survive teardown's abort sweep.
-  std::erase_if(s.attempt_ids, [&](const auto& entry) {
-    return entry.first == result.connection_id && entry.second == result.proto;
-  });
+  std::erase(s.attempt_ids, result.connection_id);
 
   trace_event(s, HeEvent::Type::kConnectionEstablished,
-              result.remote.to_string(), result.remote.addr, result.proto);
+              result.remote.to_string(), result.remote.addr);
 
   // Update the smoothed RTT estimate (feeds dynamic CAD).
   const SimTime sample = result.handshake_time();
@@ -497,13 +418,12 @@ void HappyEyeballsEngine::succeed(std::uint64_t session_id,
     srtt_ = sample;
   }
 
-  cache_.store(s.host, result.remote.addr, result.proto,
-               host_.network().loop().now(), s.opts.cache_ttl);
+  cache_.store(s.host, result.remote.addr, host_.network().loop().now(),
+               s.opts.cache_ttl);
 
   HeResult out;
   out.ok = true;
   out.remote = result.remote;
-  out.proto = result.proto;
   out.started = s.started;
   out.completed = host_.network().loop().now();
   out.connection_id = result.connection_id;
@@ -532,14 +452,7 @@ void HappyEyeballsEngine::teardown(Session& s) {
   loop.cancel(s.cad_timer);
   loop.cancel(s.rd_timer);
   if (s.dns_handle != 0) stub_.cancel(s.dns_handle);
-  if (s.svcb_handle != 0) stub_.cancel(s.svcb_handle);
-  for (const auto& [attempt_id, proto] : s.attempt_ids) {
-    if (proto == TransportProtocol::kQuic && quic_ != nullptr) {
-      quic_->abort(attempt_id);
-    } else {
-      tcp_.abort(attempt_id);
-    }
-  }
+  for (const std::uint64_t attempt_id : s.attempt_ids) tcp_.abort(attempt_id);
   s.attempt_ids.clear();
 }
 

@@ -1,7 +1,7 @@
-// The Happy Eyeballs engine: orchestrates DNS (AAAA/A/HTTPS), resolution
-// delay, address selection and staggered connection racing over TCP and QUIC,
-// per the configured HeOptions. One engine per client instance; sessions are
-// independent connects.
+// The Happy Eyeballs engine: orchestrates DNS (AAAA/A), resolution delay,
+// address selection and staggered TCP connection racing, per the configured
+// HeOptions. One engine per client instance; sessions are independent
+// connects.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include "he/cache.h"
 #include "he/options.h"
 #include "he/trace.h"
-#include "transport/quic.h"
 #include "transport/tcp.h"
 
 namespace lazyeye::he {
@@ -26,10 +25,8 @@ class HappyEyeballsEngine {
   // the handler; callers taking `const HeResult&` still bind unchanged.
   using CompletionHandler = std::function<void(HeResult)>;
 
-  /// `quic` may be null when the client never races QUIC.
   HappyEyeballsEngine(simnet::Host& host, dns::StubResolver& stub,
-                      transport::TcpStack& tcp,
-                      transport::QuicStack* quic = nullptr);
+                      transport::TcpStack& tcp);
 
   HeOptions& options() { return options_; }
   const HeOptions& options() const { return options_; }
@@ -54,8 +51,7 @@ class HappyEyeballsEngine {
 
  private:
   struct AttemptPlan {
-    AddressCandidate candidate;
-    transport::TransportProtocol proto = transport::TransportProtocol::kTcp;
+    simnet::IpAddress address;
     bool started = false;
   };
 
@@ -70,15 +66,12 @@ class HappyEyeballsEngine {
 
     // DNS state.
     std::uint64_t dns_handle = 0;
-    std::uint64_t svcb_handle = 0;
     bool aaaa_done = false;
     bool a_done = false;
     bool aaaa_failed = false;
     bool a_failed = false;
-    bool svcb_done = true;  // set false only when an HTTPS query is issued
-    bool svcb_h3 = false;
-    std::vector<AddressCandidate> v6;
-    std::vector<AddressCandidate> v4;
+    std::vector<simnet::IpAddress> v6;
+    std::vector<simnet::IpAddress> v4;
     simnet::TimerId rd_timer;
     bool rd_armed = false;
     bool rd_expired = false;
@@ -88,8 +81,7 @@ class HappyEyeballsEngine {
     std::vector<AttemptPlan> plan;
     std::size_t next_attempt = 0;
     int in_flight = 0;
-    std::vector<std::pair<std::uint64_t, transport::TransportProtocol>>
-        attempt_ids;
+    std::vector<std::uint64_t> attempt_ids;
     simnet::TimerId cad_timer;
     bool cad_armed = false;
     simnet::TimerId overall_timer;
@@ -101,17 +93,13 @@ class HappyEyeballsEngine {
   };
 
   void trace_event(Session& s, HeEvent::Type type, std::string detail = {},
-                   simnet::IpAddress address = {},
-                   transport::TransportProtocol proto =
-                       transport::TransportProtocol::kTcp);
+                   simnet::IpAddress address = {});
 
   void start_dns(std::uint64_t session_id);
   void on_dns_records(std::uint64_t session_id, dns::RrType type,
                       const std::vector<simnet::IpAddress>& addrs);
   void on_dns_error(std::uint64_t session_id, dns::RrType type,
                     const std::string& error);
-  void on_svcb_outcome(std::uint64_t session_id,
-                       const dns::QueryOutcome& outcome);
   void reconsider(std::uint64_t session_id);
   void start_connecting(std::uint64_t session_id);
   void rebuild_plan(Session& s);
@@ -130,7 +118,6 @@ class HappyEyeballsEngine {
   simnet::Host& host_;
   dns::StubResolver& stub_;
   transport::TcpStack& tcp_;
-  transport::QuicStack* quic_;
   HeOptions options_;
   OutcomeCache cache_;
   std::optional<SimTime> srtt_;

@@ -49,7 +49,6 @@ Status HeOptions::validate() const {
 
 HeOptions HeOptions::rfc6555() {
   HeOptions o;
-  o.version = HeVersion::kV1;
   // HEv1 has no DNS handling: the client waits for the full resolution.
   o.wait_for_a_record = true;
   o.resolution_delay = std::nullopt;
@@ -63,7 +62,6 @@ HeOptions HeOptions::rfc6555() {
 
 HeOptions HeOptions::rfc8305() {
   HeOptions o;
-  o.version = HeVersion::kV2;
   o.query_aaaa_first = true;
   o.resolution_delay = lazyeye::ms(50);
   o.first_address_family_count = 1;
@@ -72,18 +70,8 @@ HeOptions HeOptions::rfc8305() {
   return o;
 }
 
-HeOptions HeOptions::v3_draft() {
-  HeOptions o = rfc8305();
-  o.version = HeVersion::kV3;
-  o.use_svcb = true;
-  o.race_quic = true;
-  o.prefer_ech = true;
-  return o;
-}
-
 HeOptions HeOptions::none() {
   HeOptions o;
-  o.version = HeVersion::kNone;
   o.wait_for_a_record = true;
   o.resolution_delay = std::nullopt;
   o.fallback_enabled = false;

@@ -1,8 +1,10 @@
-// Happy Eyeballs configuration: every parameter from Table 1 of the paper
-// (HEv1 RFC 6555, HEv2 RFC 8305, HEv3 draft) plus the deviation knobs needed
-// to model real client behaviour observed in the paper's measurements.
-// Settings no client, preset or bench varies are not options: the QUIC
-// Initial's retransmission schedule is fixed in transport/quic.cc, and
+// Happy Eyeballs configuration: the Table 1 parameters of HEv1 (RFC 6555)
+// and HEv2 (RFC 8305) plus the deviation knobs needed to model real client
+// behaviour observed in the paper's measurements. Every client connects
+// over TCP: the HEv3 draft's SVCB/HTTPS lookup, QUIC racing and ECH
+// preference are implemented by none of the measured clients, so they are
+// not options (Chrome's HEv3 flag changes only its DNS handling, §5.2).
+// Settings no client, preset or bench varies are not options either:
 // address selection keeps DNS order (no client sorts by RTT history).
 #pragma once
 
@@ -13,13 +15,6 @@
 #include "util/time.h"
 
 namespace lazyeye::he {
-
-enum class HeVersion {
-  kNone,  // no Happy Eyeballs at all (wget)
-  kV1,    // RFC 6555: connection racing only
-  kV2,    // RFC 8305: + DNS handling, resolution delay, address selection
-  kV3,    // draft-ietf-happy-happyeyeballs-v3: + SVCB/HTTPS, QUIC, ECH
-};
 
 /// How the ordered attempt list mixes address families (RFC 8305 §4).
 enum class InterlaceMode {
@@ -53,8 +48,6 @@ struct DynamicCad {
 };
 
 struct HeOptions {
-  HeVersion version = HeVersion::kV2;
-
   // ---- DNS phase -----------------------------------------------------------
   /// Issue the AAAA query first, immediately followed by A (RFC 8305 §3).
   bool query_aaaa_first = true;
@@ -92,16 +85,8 @@ struct HeOptions {
   /// Give up after this much time without any established connection.
   SimTime overall_timeout = lazyeye::sec(75);
 
-  // ---- HEv3 ----------------------------------------------------------------
-  /// Query SVCB/HTTPS records and use their hints (HEv3).
-  bool use_svcb = false;
-  /// Race QUIC (when the HTTPS record advertises h3) before TCP.
-  bool race_quic = false;
-  /// Prefer endpoints whose HTTPS record carries ECH configuration.
-  bool prefer_ech = false;
-
   // ---- Caching -------------------------------------------------------------
-  /// Cache the winning (address, protocol) "on the order of 10 minutes"
+  /// Cache the winning address "on the order of 10 minutes"
   /// (RFC 6555 §4.1). Zero disables caching.
   SimTime cache_ttl = lazyeye::minutes(10);
 
@@ -117,10 +102,9 @@ struct HeOptions {
   /// fire its timer in the past and drag virtual time backwards).
   Status validate() const;
 
-  // Presets matching the RFC/draft recommendations (Table 1).
+  // Presets matching the RFC recommendations (Table 1).
   static HeOptions rfc6555();
   static HeOptions rfc8305();
-  static HeOptions v3_draft();
   /// No Happy Eyeballs: resolve, use preferred family only.
   static HeOptions none();
 };

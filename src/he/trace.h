@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "simnet/ip.h"
-#include "transport/connection.h"
 #include "util/time.h"
 
 namespace lazyeye::he {
@@ -31,7 +30,6 @@ struct HeEvent {
   SimTime time{0};
   std::string detail;
   simnet::IpAddress address;  // meaningful for attempt/connection events
-  transport::TransportProtocol proto = transport::TransportProtocol::kTcp;
 };
 
 const char* he_event_type_name(HeEvent::Type type);
@@ -42,10 +40,9 @@ struct HeResult {
   bool ok = false;
   std::string error;
   simnet::Endpoint remote;
-  transport::TransportProtocol proto = transport::TransportProtocol::kTcp;
   SimTime started{0};
   SimTime completed{0};
-  /// Connection id on the winning stack (TCP or QUIC), 0 if failed.
+  /// Connection id on the client's TcpStack, 0 if failed.
   std::uint64_t connection_id = 0;
   HeTrace trace;
 

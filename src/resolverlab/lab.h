@@ -119,7 +119,9 @@ void register_executor(campaign::Registry<Outcome>& registry,
         return run_cell(
             campaign::find_registered(
                 *pool, cell.service,
-                [](const resolvers::ServiceProfile& s) { return s.service; },
+                [](const resolvers::ServiceProfile& s) -> const std::string& {
+                  return s.service;
+                },
                 "resolverlab"),
             spec);
       });

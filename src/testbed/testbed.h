@@ -149,7 +149,7 @@ void register_executors(campaign::Registry<Outcome>& registry,
       [pool](const campaign::ScenarioSpec& spec) -> const clients::ClientProfile& {
     return campaign::find_registered(
         *pool, spec.client,
-        [](const clients::ClientProfile& p) { return p.display_name(); },
+        [](const clients::ClientProfile& p) { return p.display_name_view(); },
         "testbed");
   };
   // One executor body serves all three case types: run_spec() dispatches on

@@ -1,7 +1,8 @@
 // The two-node world every cell runs in (paper §4.3 (i) and (ii), App. B):
 // two directly connected dual-stack nodes. The server runs the web server
 // on port 443 (TCP answers with the client's source address, as the paper's
-// does; QUIC answers "quic") and the authoritative DNS server; the client
+// does; a QUIC listener, which no client dials, answers "quic" and is the
+// target of the quic-drop fault) and the authoritative DNS server; the client
 // node carries the client. Testbed, conformance and web-tool cells and the
 // HE ablation bench all construct this one world in their own storage; they
 // differ only in the zone origin, the seeds and what `attach` adds before

@@ -1,10 +1,12 @@
-// Minimal QUIC-like handshake over UDP, for HEv3's transport racing.
+// Minimal QUIC-like handshake over UDP. The two-node world's server listens
+// on it so the conformance layer's quic-drop fault has a target; no
+// simulated client dials it (every client connects over TCP), so only the
+// transport tests exercise connect().
 //
 // Wire model: UDP datagrams whose payload starts with a one-byte packet type
 // ('I' = client Initial, 'H' = server handshake reply, 'D' = app data,
-// 'C' = close). One round trip establishes the connection, matching the
-// cost model HEv3 cares about (QUIC vs TCP+TLS racing). Every client
-// retransmits its Initial on one fixed schedule (see connect()).
+// 'C' = close). One round trip establishes the connection. A connecting
+// stack retransmits its Initial on one fixed schedule (see connect()).
 #pragma once
 
 #include <cstdint>

@@ -133,7 +133,9 @@ void register_executor(campaign::Registry<Outcome>& registry,
         return tool.run_repetition(
             campaign::find_registered(
                 *pool, spec.client,
-                [](const clients::ClientProfile& p) { return p.display_name(); },
+                [](const clients::ClientProfile& p) {
+                  return p.display_name_view();
+                },
                 "webtool"),
             spec);
       });

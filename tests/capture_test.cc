@@ -177,12 +177,12 @@ TEST_F(DnsCaptureFixture, UnansweredQueryHasNoResponseTime) {
   options.timeout = ms(300);
   options.attempts_per_server = 1;
   dns::StubResolver fast_stub{client_host, options};
-  fast_stub.resolve(dns::DnsName::must_parse("www.he.lab"), dns::RrType::kA,
-                    [](const dns::QueryOutcome&) {});
+  fast_stub.resolve_dual(dns::DnsName::must_parse("www.he.lab"), {});
   net.loop().run();
   const auto exchanges = dns_exchanges(*cap);
-  ASSERT_EQ(exchanges.size(), 1u);
+  ASSERT_EQ(exchanges.size(), 2u);
   EXPECT_FALSE(exchanges[0].response_time);
+  EXPECT_FALSE(exchanges[1].response_time);
 }
 
 TEST_F(DnsCaptureFixture, ResolutionDelayInference) {

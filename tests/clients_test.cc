@@ -55,14 +55,15 @@ TEST(ProfilesTest, CurlSmallestCad) {
 
 TEST(ProfilesTest, WgetHasNoHappyEyeballs) {
   const auto p = wget_profile();
-  EXPECT_EQ(p.options.version, he::HeVersion::kNone);
   EXPECT_FALSE(p.options.fallback_enabled);
+  EXPECT_EQ(p.options.cache_ttl, SimTime{0});
 }
 
 TEST(ProfilesTest, SafariIsTheOnlyHev2Client) {
+  // HEv2's DNS handling shows as a Resolution Delay.
   int hev2_count = 0;
   for (const auto& p : all_client_profiles()) {
-    if (p.options.version == he::HeVersion::kV2) ++hev2_count;
+    if (p.options.resolution_delay) ++hev2_count;
   }
   // Safari + Mobile Safari (same engine).
   EXPECT_EQ(hev2_count, 2);
@@ -287,33 +288,6 @@ TEST_F(ClientFixture, ResetStateClearsOutcomeCache) {
   ASSERT_TRUE(result.connection.ok);
   // Fresh container state: DNS was queried again.
   EXPECT_GT(auth->query_log().size(), queries_after_first);
-}
-
-TEST_F(ClientFixture, Hev3ClientFetchesOverQuic) {
-  // Server side: QUIC service + an HTTPS record advertising h3.
-  transport::QuicStack server_quic{server_host};
-  server_quic.listen(443);
-  server_quic.set_data_handler(
-      [&](std::uint64_t conn_id, std::span<const std::uint8_t>) {
-        const std::string body = "h3-echo";
-        server_quic.send_data(conn_id, std::vector<std::uint8_t>{body.begin(),
-                                                                 body.end()});
-      });
-  ClientProfile profile = chromium_profile("Chrome", "131.0", "");
-  profile.options = he::HeOptions::v3_draft();
-  // No HTTPS record in this zone: race QUIC unconditionally instead of
-  // gating on an h3 advertisement.
-  profile.options.use_svcb = false;
-
-  SimulatedClient client{client_host, profile, stub_options()};
-  FetchResult result;
-  client.fetch(dns::DnsName::must_parse("www.he.lab"), 443,
-               [&](const FetchResult& r) { result = r; });
-  net.loop().run();
-  ASSERT_TRUE(result.connection.ok) << result.connection.error;
-  EXPECT_EQ(result.connection.proto, transport::TransportProtocol::kQuic);
-  ASSERT_TRUE(result.response_received);
-  EXPECT_EQ(result.response_text(), "h3-echo");
 }
 
 TEST_F(ClientFixture, SafariLabCadIsTwoSeconds) {

@@ -3,6 +3,7 @@
 // harness (worker-count determinism + one-line replay).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -628,6 +629,39 @@ TEST(HarnessTest, DifferentialVerdictTableDigestIsPinned) {
   VerdictTableSink sink;
   registry.run(campaign::CampaignRunner{{.workers = 2}}, specs, sink);
   EXPECT_EQ(util::crc32(sink.text()), 0x7b52dc03u) << sink.text();
+}
+
+TEST(HarnessTest, QuicDropCellsMatchTheControlCells) {
+  // No client connects over QUIC, so dropping the server's QUIC Initials
+  // changes nothing: each quic-drop cell of the seed-1 differential matrix
+  // has the verdicts and fetch results of its profile's control cell. A
+  // client path that starts reaching the server's QuicStack fails here.
+  const ConformanceHarness harness{{.seed = 1}};
+  const auto profiles = clients::local_testbed_profiles();
+  const auto specs = harness.differential_specs(profiles);
+
+  campaign::Registry<ConformanceRecord> registry;
+  register_conformance_executor(registry, harness, profiles);
+  campaign::CollectingSink<ConformanceRecord> sink;
+  registry.run(campaign::CampaignRunner{{.workers = 2}}, specs, sink);
+  const auto& records = sink.result().outcomes;
+
+  std::size_t compared = 0;
+  for (const ConformanceRecord& drop : records) {
+    if (drop.fault.kind != FaultKind::kQuicDrop) continue;
+    const auto control = std::find_if(
+        records.begin(), records.end(), [&](const ConformanceRecord& r) {
+          return r.fault.kind == FaultKind::kNone && r.client == drop.client;
+        });
+    ASSERT_NE(control, records.end()) << drop.client;
+    EXPECT_EQ(drop.verdicts, control->verdicts)
+        << drop.client << ": " << drop.symbols() << " vs "
+        << control->symbols();
+    EXPECT_EQ(drop.fetch_ok, control->fetch_ok) << drop.client;
+    EXPECT_EQ(drop.first_fetch_ok, control->first_fetch_ok) << drop.client;
+    ++compared;
+  }
+  EXPECT_EQ(compared, profiles.size());
 }
 
 }  // namespace

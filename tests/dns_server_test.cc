@@ -282,17 +282,6 @@ struct StubFixture : AuthFixture {
   std::unique_ptr<StubResolver> stub;
 };
 
-TEST_F(StubFixture, ResolveSingleType) {
-  std::vector<IpAddress> got;
-  stub->resolve(N("www.he.lab"), RrType::kA, [&](const QueryOutcome& out) {
-    ASSERT_TRUE(out.ok);
-    got = out.response.addresses_for(N("www.he.lab"), RrType::kA);
-  });
-  net.loop().run();
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].to_string(), "10.0.0.80");
-}
-
 TEST_F(StubFixture, DualEmitsPerTypeInArrivalOrder) {
   std::vector<RrType> arrival_order;
   StubResolver::DualHandlers handlers;
@@ -352,14 +341,20 @@ TEST_F(StubFixture, FailoverToSecondServer) {
   options.attempts_per_server = 1;
   StubResolver failover_stub{client_host, options};
 
-  bool answered = false;
-  failover_stub.resolve(N("www.he.lab"), RrType::kA,
-                        [&](const QueryOutcome& out) {
-                          answered = out.ok;
-                          EXPECT_GE(out.rtt, SimTime{0});
-                        });
+  int answered = 0;
+  StubResolver::DualHandlers handlers;
+  handlers.on_records = [&](RrType, const std::vector<IpAddress>& addrs,
+                            SimTime rtt) {
+    EXPECT_FALSE(addrs.empty());
+    EXPECT_GE(rtt, SimTime{0});
+    ++answered;
+  };
+  handlers.on_error = [&](RrType, const std::string& error) {
+    ADD_FAILURE() << error;
+  };
+  failover_stub.resolve_dual(N("www.he.lab"), handlers);
   net.loop().run();
-  EXPECT_TRUE(answered);
+  EXPECT_EQ(answered, 2);  // AAAA and A, each failed over on its own
   // The failed first attempt should put us past 300 ms.
   EXPECT_GE(net.loop().now(), ms(300));
 }

@@ -1,5 +1,5 @@
 // Happy Eyeballs engine tests: the full state machine across DNS arrival
-// orders, resolution delay, CAD staggering, deviations, caching, HEv3.
+// orders, resolution delay, CAD staggering, deviations, caching.
 #include <gtest/gtest.h>
 
 #include "capture/analysis.h"
@@ -31,8 +31,6 @@ struct EngineFixture : ::testing::Test {
 
     server_tcp = std::make_unique<transport::TcpStack>(server_host);
     server_tcp->listen(443);
-    server_quic = std::make_unique<transport::QuicStack>(server_host);
-    server_quic->listen(443);
 
     auth = std::make_unique<dns::AuthServer>(dns_host);
     zone = &auth->add_zone(N("he.lab"));
@@ -43,9 +41,8 @@ struct EngineFixture : ::testing::Test {
     stub_options.servers = {{IpAddress::must_parse("10.0.0.53"), 53}};
     stub = std::make_unique<dns::StubResolver>(client_host, stub_options);
     client_tcp = std::make_unique<transport::TcpStack>(client_host);
-    client_quic = std::make_unique<transport::QuicStack>(client_host);
-    engine = std::make_unique<HappyEyeballsEngine>(
-        client_host, *stub, *client_tcp, client_quic.get());
+    engine = std::make_unique<HappyEyeballsEngine>(client_host, *stub,
+                                                   *client_tcp);
     cap = std::make_unique<capture::PacketCapture>(client_host);
   }
 
@@ -94,12 +91,10 @@ struct EngineFixture : ::testing::Test {
   simnet::Host& server_host;
   simnet::Host& dns_host;
   std::unique_ptr<transport::TcpStack> server_tcp;
-  std::unique_ptr<transport::QuicStack> server_quic;
   std::unique_ptr<dns::AuthServer> auth;
   dns::Zone* zone = nullptr;
   std::unique_ptr<dns::StubResolver> stub;
   std::unique_ptr<transport::TcpStack> client_tcp;
-  std::unique_ptr<transport::QuicStack> client_quic;
   std::unique_ptr<HappyEyeballsEngine> engine;
   std::unique_ptr<capture::PacketCapture> cap;
 };
@@ -428,68 +423,6 @@ TEST_F(EngineFixture, CancelSessionReportsCancelled) {
   EXPECT_EQ(engine->active_sessions(), 0u);
 }
 
-// ------------------------------------------------------------------ HEv3 ----
-
-TEST_F(EngineFixture, HEv3RacesQuicFirst) {
-  const auto name = N("www.he.lab");
-  dns::SvcbRdata svcb;
-  svcb.priority = 1;
-  svcb.target = name;
-  svcb.set_alpn({"h3", "h2"});
-  zone->add(dns::ResourceRecord::svcb(name, svcb, /*https=*/true));
-
-  engine->set_options(HeOptions::v3_draft());
-  const auto result = run_connect(name);
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.proto, transport::TransportProtocol::kQuic);
-  EXPECT_EQ(result.family(), Family::kIpv6);
-}
-
-TEST_F(EngineFixture, HEv3FallsBackToTcpWhenNoQuicService) {
-  const auto name = N("tcponly.he.lab");
-  server_host.add_address(IpAddress::must_parse("2001:db8::82"));
-  zone->add_aaaa(name, *Ipv6Address::parse("2001:db8::82"));
-  dns::SvcbRdata svcb;
-  svcb.priority = 1;
-  svcb.target = name;
-  svcb.set_alpn({"h3"});
-  zone->add(dns::ResourceRecord::svcb(name, svcb, true));
-
-  // No QUIC service answers: the QUIC listener swallows every Initial, so
-  // only TCP on 443 can connect.
-  server_quic->set_accept_interposer(
-      [](const simnet::Endpoint&, std::uint16_t) {
-        return transport::AcceptAction::kDrop;
-      });
-  engine->set_options(HeOptions::v3_draft());
-  const auto result = run_connect(name);
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.proto, transport::TransportProtocol::kTcp);
-  // TCP takes over after the CAD, before the unanswered QUIC Initial's
-  // first resend (1 s), and the QUIC attempt is abandoned with it.
-  EXPECT_LT(result.elapsed(), sec(1));
-  EXPECT_LT(net.loop().now(), sec(1));
-}
-
-TEST_F(EngineFixture, HEv3UsesSvcbAddressHints) {
-  const auto name = N("hints.he.lab");
-  // No AAAA/A records at all: only an HTTPS record with hints.
-  dns::SvcbRdata svcb;
-  svcb.priority = 1;
-  svcb.target = name;
-  svcb.set_alpn({"h2"});
-  svcb.set_ipv6_hints({*Ipv6Address::parse("2001:db8::80")});
-  svcb.set_ipv4_hints({*Ipv4Address::parse("10.0.0.80")});
-  zone->add(dns::ResourceRecord::svcb(name, svcb, true));
-
-  HeOptions o = HeOptions::v3_draft();
-  o.race_quic = false;
-  engine->set_options(o);
-  const auto result = run_connect(name);
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.family(), Family::kIpv6);
-}
-
 TEST_F(EngineFixture, DynamicCadUsesHistory) {
   HeOptions o = HeOptions::rfc8305();
   o.dynamic_cad.enabled = true;
@@ -529,7 +462,6 @@ TEST_F(EngineFixture, TraceEventNamesAreStable) {
 TEST(HeOptionsValidateTest, AcceptsAllPresets) {
   EXPECT_TRUE(HeOptions::rfc6555().validate().ok());
   EXPECT_TRUE(HeOptions::rfc8305().validate().ok());
-  EXPECT_TRUE(HeOptions::v3_draft().validate().ok());
   EXPECT_TRUE(HeOptions::none().validate().ok());
 }
 

@@ -12,16 +12,16 @@ namespace {
 using simnet::Family;
 using simnet::IpAddress;
 
-AddressCandidate v6(int i, bool ech = false) {
-  return {IpAddress::must_parse("2001:db8::" + std::to_string(i)), ech};
+IpAddress v6(int i) {
+  return IpAddress::must_parse("2001:db8::" + std::to_string(i));
 }
-AddressCandidate v4(int i, bool ech = false) {
-  return {IpAddress::must_parse("10.0.0." + std::to_string(i)), ech};
+IpAddress v4(int i) {
+  return IpAddress::must_parse("10.0.0." + std::to_string(i));
 }
 
-std::vector<Family> families(const std::vector<AddressCandidate>& list) {
+std::vector<Family> families(const std::vector<IpAddress>& list) {
   std::vector<Family> out;
-  for (const auto& c : list) out.push_back(c.address.family());
+  for (const auto& address : list) out.push_back(address.family());
   return out;
 }
 
@@ -77,7 +77,7 @@ TEST(AddressSelectionTest, PreferIpv4WhenConfigured) {
   HeOptions o = HeOptions::rfc8305();
   o.prefer_ipv6 = false;
   const auto out = select_addresses(input, o);
-  EXPECT_EQ(out.front().address.family(), Family::kIpv4);
+  EXPECT_EQ(out.front().family(), Family::kIpv4);
 }
 
 TEST(AddressSelectionTest, TruncatesPerFamily) {
@@ -89,8 +89,8 @@ TEST(AddressSelectionTest, TruncatesPerFamily) {
   o.interlace = InterlaceMode::kNone;
   const auto out = select_addresses(input, o);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].address.family(), Family::kIpv6);
-  EXPECT_EQ(out[1].address.family(), Family::kIpv4);
+  EXPECT_EQ(out[0].family(), Family::kIpv6);
+  EXPECT_EQ(out[1].family(), Family::kIpv4);
 }
 
 TEST(AddressSelectionTest, NoFallbackUsesPreferredOnly) {
@@ -101,7 +101,9 @@ TEST(AddressSelectionTest, NoFallbackUsesPreferredOnly) {
   o.max_addresses_per_family = 10;
   const auto out = select_addresses(input, o);
   ASSERT_EQ(out.size(), 2u);
-  for (const auto& c : out) EXPECT_EQ(c.address.family(), Family::kIpv6);
+  for (const auto& address : out) {
+    EXPECT_EQ(address.family(), Family::kIpv6);
+  }
 }
 
 TEST(AddressSelectionTest, NoFallbackFallsToOtherFamilyOnlyWhenEmpty) {
@@ -110,17 +112,7 @@ TEST(AddressSelectionTest, NoFallbackFallsToOtherFamilyOnlyWhenEmpty) {
   HeOptions o = HeOptions::none();
   const auto out = select_addresses(input, o);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].address.family(), Family::kIpv4);
-}
-
-TEST(AddressSelectionTest, EchPreferencePromotesEchEndpoints) {
-  SelectionInput input;
-  input.ipv6 = {v6(1, false), v6(2, true)};
-  HeOptions o;
-  o.prefer_ech = true;
-  o.interlace = InterlaceMode::kNone;
-  const auto out = select_addresses(input, o);
-  EXPECT_TRUE(out[0].ech_available);
+  EXPECT_EQ(out[0].family(), Family::kIpv4);
 }
 
 TEST(AddressSelectionTest, EmptyInputsYieldEmptyPlan) {
@@ -153,8 +145,8 @@ TEST(AddressSelectionTest, RandomisedInvariants) {
     ASSERT_EQ(out.size(), expect6 + expect4) << "iteration " << iteration;
 
     std::size_t got6 = 0;
-    for (const auto& c : out) {
-      if (c.address.family() == Family::kIpv6) ++got6;
+    for (const auto& address : out) {
+      if (address.family() == Family::kIpv6) ++got6;
     }
     EXPECT_EQ(got6, expect6);
 
@@ -164,14 +156,14 @@ TEST(AddressSelectionTest, RandomisedInvariants) {
       const bool preferred_available =
           (preferred == Family::kIpv6 ? expect6 : expect4) > 0;
       if (preferred_available) {
-        EXPECT_EQ(out.front().address.family(), preferred)
+        EXPECT_EQ(out.front().family(), preferred)
             << "iteration " << iteration;
       }
     }
     // No duplicates.
     for (std::size_t i = 0; i < out.size(); ++i) {
       for (std::size_t j = i + 1; j < out.size(); ++j) {
-        EXPECT_NE(out[i].address, out[j].address);
+        EXPECT_NE(out[i], out[j]);
       }
     }
   }
@@ -183,17 +175,17 @@ TEST(OutcomeCacheTest, StoreAndLookup) {
   OutcomeCache cache;
   const auto host = dns::DnsName::must_parse("www.he.lab");
   cache.store(host, IpAddress::must_parse("2001:db8::1"),
-              transport::TransportProtocol::kTcp, SimTime{0}, minutes(10));
+              SimTime{0}, minutes(10));
   const auto hit = cache.lookup(host, minutes(5));
   ASSERT_TRUE(hit);
-  EXPECT_EQ(hit->address.to_string(), "2001:db8::1");
+  EXPECT_EQ(hit->to_string(), "2001:db8::1");
 }
 
 TEST(OutcomeCacheTest, ExpiresAfterTtl) {
   OutcomeCache cache;
   const auto host = dns::DnsName::must_parse("www.he.lab");
   cache.store(host, IpAddress::must_parse("10.0.0.1"),
-              transport::TransportProtocol::kTcp, SimTime{0}, minutes(10));
+              SimTime{0}, minutes(10));
   EXPECT_TRUE(cache.lookup(host, minutes(10) - ms(1)));
   EXPECT_FALSE(cache.lookup(host, minutes(10)));
 }
@@ -202,7 +194,7 @@ TEST(OutcomeCacheTest, ZeroTtlDisables) {
   OutcomeCache cache;
   const auto host = dns::DnsName::must_parse("www.he.lab");
   cache.store(host, IpAddress::must_parse("10.0.0.1"),
-              transport::TransportProtocol::kTcp, SimTime{0}, SimTime{0});
+              SimTime{0}, SimTime{0});
   EXPECT_FALSE(cache.lookup(host, SimTime{0}));
   EXPECT_EQ(cache.size(), 0u);
 }
@@ -212,9 +204,9 @@ TEST(OutcomeCacheTest, EraseAndClear) {
   const auto a = dns::DnsName::must_parse("a.lab");
   const auto b = dns::DnsName::must_parse("b.lab");
   cache.store(a, IpAddress::must_parse("10.0.0.1"),
-              transport::TransportProtocol::kTcp, SimTime{0}, minutes(10));
+              SimTime{0}, minutes(10));
   cache.store(b, IpAddress::must_parse("10.0.0.2"),
-              transport::TransportProtocol::kQuic, SimTime{0}, minutes(10));
+              SimTime{0}, minutes(10));
   cache.erase(a);
   EXPECT_FALSE(cache.lookup(a, SimTime{0}));
   EXPECT_TRUE(cache.lookup(b, SimTime{0}));
@@ -226,7 +218,6 @@ TEST(OutcomeCacheTest, EraseAndClear) {
 
 TEST(HeOptionsTest, Rfc6555Preset) {
   const auto o = HeOptions::rfc6555();
-  EXPECT_EQ(o.version, HeVersion::kV1);
   EXPECT_EQ(o.connection_attempt_delay, ms(250));  // 150-250 ms upper bound
   EXPECT_FALSE(o.resolution_delay);
   EXPECT_EQ(o.max_addresses_per_family, 1);  // IPv6 once, then IPv4
@@ -235,7 +226,6 @@ TEST(HeOptionsTest, Rfc6555Preset) {
 
 TEST(HeOptionsTest, Rfc8305Preset) {
   const auto o = HeOptions::rfc8305();
-  EXPECT_EQ(o.version, HeVersion::kV2);
   ASSERT_TRUE(o.resolution_delay);
   EXPECT_EQ(*o.resolution_delay, ms(50));
   EXPECT_EQ(o.connection_attempt_delay, ms(250));
@@ -245,17 +235,6 @@ TEST(HeOptionsTest, Rfc8305Preset) {
   EXPECT_EQ(o.dynamic_cad.minimum, ms(10));
   EXPECT_EQ(kRecommendedMinimumCad, ms(100));
   EXPECT_EQ(o.dynamic_cad.maximum, sec(2));
-}
-
-TEST(HeOptionsTest, V3DraftPreset) {
-  const auto o = HeOptions::v3_draft();
-  EXPECT_EQ(o.version, HeVersion::kV3);
-  EXPECT_TRUE(o.use_svcb);
-  EXPECT_TRUE(o.race_quic);
-  EXPECT_TRUE(o.prefer_ech);
-  // Same delays as v2 (Table 1).
-  EXPECT_EQ(*o.resolution_delay, ms(50));
-  EXPECT_EQ(o.connection_attempt_delay, ms(250));
 }
 
 TEST(HeOptionsTest, DynamicCadClamping) {
