@@ -284,11 +284,13 @@ struct StubFixture : AuthFixture {
 
 TEST_F(StubFixture, DualEmitsPerTypeInArrivalOrder) {
   std::vector<RrType> arrival_order;
+  std::vector<IpAddress> a_records;
   StubResolver::DualHandlers handlers;
   handlers.on_records = [&](RrType type, const std::vector<IpAddress>& addrs,
                             SimTime) {
     arrival_order.push_back(type);
     EXPECT_FALSE(addrs.empty());
+    if (type == RrType::kA) a_records = addrs;
   };
   stub->resolve_dual(N("www.he.lab"), handlers);
   net.loop().run();
@@ -296,6 +298,8 @@ TEST_F(StubFixture, DualEmitsPerTypeInArrivalOrder) {
   // No delays: AAAA was sent first, so it arrives first.
   EXPECT_EQ(arrival_order[0], RrType::kAaaa);
   EXPECT_EQ(arrival_order[1], RrType::kA);
+  ASSERT_EQ(a_records.size(), 1u);
+  EXPECT_EQ(a_records[0].to_string(), "10.0.0.80");
 }
 
 TEST_F(StubFixture, DelayedAaaaArrivesSecond) {
