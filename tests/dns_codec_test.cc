@@ -405,6 +405,63 @@ TEST(DnsMessageTest, DecodeToleratesUnknownRrType) {
   EXPECT_EQ(raw->data.size(), 3u);
 }
 
+/// A response with two answers: a record of `type` carrying `rdata`, then
+/// x.lab A 10.0.0.1, whose bytes lie past `rdata` inside the datagram.
+std::vector<std::uint8_t> answer_then_a_record(
+    std::uint16_t type, const std::vector<std::uint8_t>& rdata) {
+  std::vector<std::uint8_t> out;
+  for (const std::uint16_t field : {1, 0x8000, 0, 2, 0, 0}) {
+    wire::put_u16(out, field);  // id, flags (QR), two answers
+  }
+  const DnsName owner = DnsName::must_parse("x.lab");
+  owner.encode(out, nullptr);
+  wire::put_u16(out, type);
+  wire::put_u16(out, 1);  // class IN
+  wire::put_u32(out, 60);
+  wire::put_u16(out, static_cast<std::uint16_t>(rdata.size()));
+  wire::put_bytes(out, rdata);
+  owner.encode(out, nullptr);
+  wire::put_u16(out, static_cast<std::uint16_t>(RrType::kA));
+  wire::put_u16(out, 1);
+  wire::put_u32(out, 60);
+  wire::put_u16(out, 4);
+  wire::put_u32(out, 0x0a000001);
+  return out;
+}
+
+// The TXT and SVCB/HTTPS decoders check the lengths inside their rdata: a
+// character-string or SvcParam that runs past rdlength fails the message,
+// even when the bytes it claims are there (the next record's). The same
+// rdata under an unmodelled type is opaque and decodes as RawRdata.
+TEST(DnsMessageTest, TypedRdataOverrunningRdlengthIsRejected) {
+  // One character-string claiming 5 bytes in a 3-byte rdata.
+  const std::vector<std::uint8_t> txt{5, 'a', 'b'};
+  // Priority 1, root target, then alpn claiming 10 bytes of which 2 follow.
+  const std::vector<std::uint8_t> svcb{0, 1, 0, 0, 1, 0, 10, 'h', '3'};
+  for (const auto& [type, rdata] :
+       {std::pair{RrType::kTxt, txt}, std::pair{RrType::kSvcb, svcb},
+        std::pair{RrType::kHttps, svcb}}) {
+    const std::string label = rr_type_name(type);
+    const auto typed =
+        answer_then_a_record(static_cast<std::uint16_t>(type), rdata);
+    DnsMessage scratch;
+    EXPECT_FALSE(DnsMessage::decode_into(typed, scratch)) << label;
+    EXPECT_EQ(DnsMessage::decode(typed).error(), "truncated answer section")
+        << label;
+
+    const auto opaque = answer_then_a_record(99, rdata);
+    ASSERT_TRUE(DnsMessage::decode_into(opaque, scratch)) << label;
+    ASSERT_EQ(scratch.answers.size(), 2u) << label;
+    const auto* raw = std::get_if<RawRdata>(&scratch.answers[0].rdata);
+    ASSERT_NE(raw, nullptr) << label;
+    EXPECT_EQ(raw->type, 99) << label;
+    EXPECT_EQ(raw->data, rdata) << label;
+    EXPECT_EQ(scratch.answers[1].address().value_or(IpAddress{}),
+              IpAddress::must_parse("10.0.0.1"))
+        << label;
+  }
+}
+
 // Property test: randomized messages round-trip bit-exact (structurally).
 TEST(DnsMessageTest, RandomisedRoundTripProperty) {
   Rng rng{2024};
