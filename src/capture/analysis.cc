@@ -139,8 +139,6 @@ std::vector<DnsExchange> dns_exchanges(const PacketCapture& capture) {
       DnsExchange ex;
       ex.query_time = cp.time;
       ex.qtype = msg.questions.front().type;
-      ex.qname = msg.questions.front().name;
-      ex.transport_family = cp.packet.family();
       // Re-queries with the same (id, qtype) repoint the entry at the
       // latest exchange (the old map's operator[] overwrite semantics).
       if (OpenQuery* existing = find_open(key)) {

@@ -32,14 +32,7 @@ struct DnsExchange {
   SimTime query_time{0};
   std::optional<SimTime> response_time;
   dns::RrType qtype = dns::RrType::kA;
-  dns::DnsName qname;
-  simnet::Family transport_family = simnet::Family::kIpv4;
   std::size_t answer_count = 0;
-
-  std::optional<SimTime> latency() const {
-    if (!response_time) return std::nullopt;
-    return *response_time - query_time;
-  }
 };
 
 /// Timestamp of the first egress TCP SYN of `family`, if any.

@@ -98,7 +98,7 @@ void AuthServer::build_response(const DnsMessage& query,
                                 DnsMessage& response) {
   const Question& q = query.questions.front();
 
-  // Reset the reused envelope (same shape make_response() produced).
+  // Reset the reused envelope: the query's id, RD bit and question.
   response.header = DnsHeader{};
   response.header.id = query.header.id;
   response.header.qr = true;

@@ -200,37 +200,11 @@ bool DnsMessage::decode_into(std::span<const std::uint8_t> wire,
   return decode_message(wire, out) == nullptr;
 }
 
-DnsMessage DnsMessage::make_query(std::uint16_t id, DnsName name, RrType type,
-                                  bool recursion_desired) {
-  DnsMessage msg;
-  msg.header.id = id;
-  msg.header.rd = recursion_desired;
-  msg.questions.push_back(Question{std::move(name), type});
-  return msg;
-}
-
-DnsMessage DnsMessage::make_response(const DnsMessage& query, Rcode rcode) {
-  DnsMessage msg;
-  msg.header.id = query.header.id;
-  msg.header.qr = true;
-  msg.header.rd = query.header.rd;
-  msg.header.rcode = rcode;
-  msg.questions = query.questions;
-  return msg;
-}
-
 bool DnsMessage::has_answer_for(const DnsName& name, RrType type) const {
   for (const auto& rr : answers) {
     if (rr.type == type && rr.name == name) return true;
   }
   return false;
-}
-
-std::vector<simnet::IpAddress> DnsMessage::addresses_for(const DnsName& name,
-                                                         RrType type) const {
-  std::vector<simnet::IpAddress> out;
-  addresses_for_into(name, type, out);
-  return out;
 }
 
 void DnsMessage::addresses_for_into(const DnsName& name, RrType type,

@@ -82,24 +82,12 @@ struct DnsMessage {
   /// destructible/reusable state).
   static bool decode_into(std::span<const std::uint8_t> wire, DnsMessage& out);
 
-  /// Builds a query for `name`/`type` with the given transaction id.
-  static DnsMessage make_query(std::uint16_t id, DnsName name, RrType type,
-                               bool recursion_desired = false);
-
-  /// Builds a response skeleton echoing the query's id and question.
-  static DnsMessage make_response(const DnsMessage& query,
-                                  Rcode rcode = Rcode::kNoError);
-
   /// True if any answer record matches (qname, qtype).
   bool has_answer_for(const DnsName& name, RrType type) const;
 
-  /// All A/AAAA addresses found in the answer section for `name`
-  /// (follows CNAME indirection inside the message).
-  std::vector<simnet::IpAddress> addresses_for(const DnsName& name,
-                                               RrType type) const;
-
-  /// As addresses_for, but fills a caller-owned vector (cleared first) so a
-  /// reused scratch keeps its capacity across responses.
+  /// Fills `out` (cleared first) with every A/AAAA address in the answer
+  /// section for `name`, following CNAME indirection inside the message. A
+  /// reused scratch vector keeps its capacity across responses.
   void addresses_for_into(const DnsName& name, RrType type,
                           std::vector<simnet::IpAddress>& out) const;
 };

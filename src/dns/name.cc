@@ -180,12 +180,6 @@ bool DnsName::is_subdomain_of(const DnsName& ancestor) const {
          ancestor.view();
 }
 
-DnsName DnsName::parent() const {
-  DnsName p;
-  if (count_ > 1) p.assign_tail(*this, 1);
-  return p;
-}
-
 DnsName DnsName::prepend(std::string_view label) const {
   if (label.size() > kMaxLabel || 2 + label.size() + size_ > kMaxName) {
     throw std::invalid_argument("prepend: label or name too long");
@@ -257,12 +251,6 @@ void DnsName::encode(std::vector<std::uint8_t>& out,
   } else {
     wire::put_u8(out, 0);  // root
   }
-}
-
-DnsName DnsName::decode(wire::Reader& r) {
-  DnsName name;
-  decode_into(r, name);
-  return name;
 }
 
 void DnsName::decode_into(wire::Reader& r, DnsName& out) {

@@ -112,9 +112,6 @@ class DnsName {
   /// byte suffix that starts inside a label does not count).
   bool is_subdomain_of(const DnsName& ancestor) const;
 
-  /// Name with the leftmost label removed; root stays root.
-  DnsName parent() const;
-
   /// New name with `label` prepended (leftmost). Throws
   /// std::invalid_argument past 63 label or 255 name octets.
   DnsName prepend(std::string_view label) const;
@@ -135,14 +132,11 @@ class DnsName {
   void encode(std::vector<std::uint8_t>& out,
               NameCompressor* compression) const;
 
-  /// Decodes from the reader (follows compression pointers; caps the jump
-  /// count to defeat pointer loops). On failure marks the reader bad.
-  static DnsName decode(wire::Reader& r);
-
-  /// Decodes into `out` in one pass over the labels: the lower-cased wire
-  /// bytes are gathered on the stack and stored with a single copy, so a
-  /// name that fits inline decodes without allocating. On failure marks the
-  /// reader bad and leaves `out` the root name.
+  /// Decodes into `out` in one pass over the labels, following compression
+  /// pointers (the jump count is capped to defeat pointer loops): the
+  /// lower-cased wire bytes are gathered on the stack and stored with a
+  /// single copy, so a name that fits inline decodes without allocating. On
+  /// failure marks the reader bad and leaves `out` the root name.
   static void decode_into(wire::Reader& r, DnsName& out);
 
   /// Wire bytes, then label count.

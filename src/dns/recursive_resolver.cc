@@ -224,8 +224,8 @@ void RecursiveResolver::on_main_response(std::uint64_t job_id,
 
   // Answer present?
   if (!msg.answers.empty()) {
-    const auto addrs = msg.addresses_for(job.qname, job.qtype);
-    if (!addrs.empty() || msg.has_answer_for(job.qname, job.qtype)) {
+    msg.addresses_for_into(job.qname, job.qtype, answer_addrs_);
+    if (!answer_addrs_.empty() || msg.has_answer_for(job.qname, job.qtype)) {
       finish(job_id, outcome);
       return;
     }

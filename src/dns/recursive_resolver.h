@@ -26,10 +26,6 @@ struct NsServerInfo {
   std::vector<simnet::IpAddress> v6;
   /// Set once the deferred (Google-style) AAAA query has been issued.
   bool deferred_aaaa_sent = false;
-
-  bool has_family(simnet::Family f) const {
-    return f == simnet::Family::kIpv4 ? !v4.empty() : !v6.empty();
-  }
 };
 
 class RecursiveResolver {
@@ -93,6 +89,8 @@ class RecursiveResolver {
   std::vector<simnet::IpAddress> root_hints_;
   DnsClient client_;
   std::map<std::uint64_t, Job> jobs_;
+  /// Addresses of the last main response's answer; reused across responses.
+  std::vector<simnet::IpAddress> answer_addrs_;
   bool global_either_or_toggle_ = false;
   std::uint64_t next_job_id_ = 1;
 };

@@ -35,85 +35,6 @@ std::optional<RrType> rr_type_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-// ------------------------------------------------------ SVCB parameters ----
-
-void SvcbRdata::set_alpn(const std::vector<std::string>& protocols) {
-  std::vector<std::uint8_t> value;
-  for (const auto& p : protocols) {
-    wire::put_u8(value, static_cast<std::uint8_t>(p.size()));
-    wire::put_bytes(value, p);
-  }
-  params[static_cast<std::uint16_t>(SvcParamKey::kAlpn)] = std::move(value);
-}
-
-std::vector<std::string> SvcbRdata::alpn() const {
-  std::vector<std::string> out;
-  const auto it = params.find(static_cast<std::uint16_t>(SvcParamKey::kAlpn));
-  if (it == params.end()) return out;
-  wire::Reader r{it->second};
-  while (r.remaining() > 0) {
-    const std::uint8_t len = r.u8();
-    out.emplace_back(r.view(len));
-  }
-  return out;
-}
-
-void SvcbRdata::set_port(std::uint16_t port) {
-  std::vector<std::uint8_t> value;
-  wire::put_u16(value, port);
-  params[static_cast<std::uint16_t>(SvcParamKey::kPort)] = std::move(value);
-}
-
-std::optional<std::uint16_t> SvcbRdata::port() const {
-  const auto it = params.find(static_cast<std::uint16_t>(SvcParamKey::kPort));
-  if (it == params.end() || it->second.size() != 2) return std::nullopt;
-  return wire::Reader{it->second}.u16();
-}
-
-void SvcbRdata::set_ipv4_hints(const std::vector<simnet::Ipv4Address>& addrs) {
-  std::vector<std::uint8_t> value;
-  for (const auto& a : addrs) wire::put_u32(value, a.value);
-  params[static_cast<std::uint16_t>(SvcParamKey::kIpv4Hint)] = std::move(value);
-}
-
-std::vector<simnet::Ipv4Address> SvcbRdata::ipv4_hints() const {
-  std::vector<simnet::Ipv4Address> out;
-  const auto it =
-      params.find(static_cast<std::uint16_t>(SvcParamKey::kIpv4Hint));
-  if (it == params.end()) return out;
-  wire::Reader r{it->second};
-  while (r.remaining() >= 4) {
-    out.push_back(simnet::Ipv4Address{r.u32()});
-  }
-  return out;
-}
-
-void SvcbRdata::set_ipv6_hints(const std::vector<simnet::Ipv6Address>& addrs) {
-  std::vector<std::uint8_t> value;
-  for (const auto& a : addrs) wire::put_bytes(value, a.bytes);
-  params[static_cast<std::uint16_t>(SvcParamKey::kIpv6Hint)] = std::move(value);
-}
-
-std::vector<simnet::Ipv6Address> SvcbRdata::ipv6_hints() const {
-  std::vector<simnet::Ipv6Address> out;
-  const auto it =
-      params.find(static_cast<std::uint16_t>(SvcParamKey::kIpv6Hint));
-  if (it == params.end()) return out;
-  wire::Reader r{it->second};
-  while (r.remaining() >= 16) {
-    std::memcpy(out.emplace_back().bytes.data(), r.view(16).data(), 16);
-  }
-  return out;
-}
-
-void SvcbRdata::set_ech(std::vector<std::uint8_t> config) {
-  params[static_cast<std::uint16_t>(SvcParamKey::kEch)] = std::move(config);
-}
-
-bool SvcbRdata::has_ech() const {
-  return params.count(static_cast<std::uint16_t>(SvcParamKey::kEch)) > 0;
-}
-
 // -------------------------------------------------------- constructors ----
 
 ResourceRecord ResourceRecord::a(DnsName name, simnet::Ipv4Address addr,
@@ -131,27 +52,9 @@ ResourceRecord ResourceRecord::ns(DnsName name, DnsName nsdname,
   return {std::move(name), RrType::kNs, ttl, NsRdata{std::move(nsdname)}};
 }
 
-ResourceRecord ResourceRecord::cname(DnsName name, DnsName target,
-                                     std::uint32_t ttl) {
-  return {std::move(name), RrType::kCname, ttl,
-          CnameRdata{std::move(target)}};
-}
-
 ResourceRecord ResourceRecord::soa(DnsName name, SoaRdata soa,
                                    std::uint32_t ttl) {
   return {std::move(name), RrType::kSoa, ttl, std::move(soa)};
-}
-
-ResourceRecord ResourceRecord::txt(DnsName name,
-                                   std::vector<std::string> strings,
-                                   std::uint32_t ttl) {
-  return {std::move(name), RrType::kTxt, ttl, TxtRdata{std::move(strings)}};
-}
-
-ResourceRecord ResourceRecord::svcb(DnsName name, SvcbRdata rdata, bool https,
-                                    std::uint32_t ttl) {
-  return {std::move(name), https ? RrType::kHttps : RrType::kSvcb, ttl,
-          std::move(rdata)};
 }
 
 std::optional<simnet::IpAddress> ResourceRecord::address() const {
@@ -162,33 +65,6 @@ std::optional<simnet::IpAddress> ResourceRecord::address() const {
     return simnet::IpAddress{aaaa->addr};
   }
   return std::nullopt;
-}
-
-std::string ResourceRecord::to_string() const {
-  std::string rd;
-  if (const auto* a = std::get_if<ARdata>(&rdata)) {
-    rd = a->addr.to_string();
-  } else if (const auto* aaaa = std::get_if<AaaaRdata>(&rdata)) {
-    rd = aaaa->addr.to_string();
-  } else if (const auto* ns = std::get_if<NsRdata>(&rdata)) {
-    rd = ns->ns.to_string();
-  } else if (const auto* cn = std::get_if<CnameRdata>(&rdata)) {
-    rd = cn->target.to_string();
-  } else if (const auto* soa = std::get_if<SoaRdata>(&rdata)) {
-    rd = soa->mname.to_string() + " " + soa->rname.to_string();
-  } else if (const auto* txt = std::get_if<TxtRdata>(&rdata)) {
-    rd = lazyeye::join(txt->strings, " ");
-  } else if (const auto* svcb = std::get_if<SvcbRdata>(&rdata)) {
-    rd = lazyeye::str_format("%u %s (+%zu params)", svcb->priority,
-                             svcb->target.to_string().c_str(),
-                             svcb->params.size());
-  } else if (std::get_if<OptRdata>(&rdata) != nullptr) {
-    rd = "EDNS0";
-  } else if (const auto* raw = std::get_if<RawRdata>(&rdata)) {
-    rd = lazyeye::str_format("\\# %zu", raw->data.size());
-  }
-  return lazyeye::str_format("%s %u IN %s %s", name.to_string().c_str(), ttl,
-                             rr_type_name(type), rd.c_str());
 }
 
 // --------------------------------------------------------- wire codecs ----
@@ -212,10 +88,7 @@ void encode_rdata(const ResourceRecord& rr, std::vector<std::uint8_t>& out,
     wire::put_u32(out, soa->expire);
     wire::put_u32(out, soa->minimum);
   } else if (const auto* txt = std::get_if<TxtRdata>(&rr.rdata)) {
-    for (const auto& s : txt->strings) {
-      wire::put_u8(out, static_cast<std::uint8_t>(s.size()));
-      wire::put_bytes(out, s);
-    }
+    wire::put_bytes(out, txt->data);
   } else if (const auto* svcb = std::get_if<SvcbRdata>(&rr.rdata)) {
     wire::put_u16(out, svcb->priority);
     svcb->target.encode(out, nullptr);  // RFC 9460: target is never compressed
@@ -273,12 +146,14 @@ void decode_rdata(RrType type, std::uint16_t rdlength, wire::Reader& r,
       return;
     }
     case RrType::kTxt: {
-      TxtRdata& txt = reuse<TxtRdata>(out);
-      txt.strings.clear();
-      while (r.ok && r.pos < end) {
-        const std::uint8_t len = r.u8();
-        txt.strings.emplace_back(r.view(len));
-      }
+      // Walk the character-strings only to check their lengths: one that
+      // runs past rdlength fails the record (decode_record). The rdata is
+      // kept as the bytes walked, one copy however many strings they hold.
+      const std::size_t start = r.pos;
+      while (r.ok && r.pos < end) r.skip(r.u8());
+      const std::string_view walked =
+          r.ok ? r.data.substr(start, r.pos - start) : std::string_view{};
+      reuse<TxtRdata>(out).data.assign(walked.begin(), walked.end());
       return;
     }
     case RrType::kSvcb:

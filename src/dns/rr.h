@@ -1,12 +1,14 @@
-// Resource records: typed rdata for every record the experiments need
-// (A, AAAA, NS, CNAME, SOA, TXT, OPT, and the RFC 9460 SVCB/HTTPS types
-// that HEv3 consumes).
+// Resource records: typed rdata for every record the lab serves (A, AAAA,
+// NS, CNAME, SOA, OPT), plus TXT and the RFC 9460 SVCB/HTTPS types. No zone
+// serves those three; only malformed answers (a corrupted type field) reach
+// their decoders, which check the rdata's inner lengths and so reject what
+// an unmodelled type would accept as raw bytes.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -61,38 +63,20 @@ struct SoaRdata {
   bool operator==(const SoaRdata&) const = default;
 };
 
+/// TXT rdata as its wire bytes: a sequence of <length, bytes>
+/// character-strings, each checked on decode to end inside the rdata. Kept
+/// whole rather than split into strings, so a decode allocates at most the
+/// rdata's length however many (empty) strings it holds.
 struct TxtRdata {
-  std::vector<std::string> strings;
+  std::vector<std::uint8_t> data;
   bool operator==(const TxtRdata&) const = default;
 };
 
-/// RFC 9460 SvcParamKeys used by HEv3.
-enum class SvcParamKey : std::uint16_t {
-  kMandatory = 0,
-  kAlpn = 1,
-  kNoDefaultAlpn = 2,
-  kPort = 3,
-  kIpv4Hint = 4,
-  kEch = 5,
-  kIpv6Hint = 6,
-};
-
+/// RFC 9460 SVCB/HTTPS rdata; each SvcParam value is kept as raw bytes.
 struct SvcbRdata {
   std::uint16_t priority = 1;  // 0 = AliasMode, >0 = ServiceMode
   DnsName target;
   std::map<std::uint16_t, std::vector<std::uint8_t>> params;
-
-  // Typed param helpers (encode/decode the raw param value).
-  void set_alpn(const std::vector<std::string>& protocols);
-  std::vector<std::string> alpn() const;
-  void set_port(std::uint16_t port);
-  std::optional<std::uint16_t> port() const;
-  void set_ipv4_hints(const std::vector<simnet::Ipv4Address>& addrs);
-  std::vector<simnet::Ipv4Address> ipv4_hints() const;
-  void set_ipv6_hints(const std::vector<simnet::Ipv6Address>& addrs);
-  std::vector<simnet::Ipv6Address> ipv6_hints() const;
-  void set_ech(std::vector<std::uint8_t> config);
-  bool has_ech() const;
 
   bool operator==(const SvcbRdata&) const = default;
 };
@@ -121,8 +105,6 @@ struct ResourceRecord {
 
   bool operator==(const ResourceRecord&) const = default;
 
-  std::string to_string() const;
-
   // Convenience constructors.
   static ResourceRecord a(DnsName name, simnet::Ipv4Address addr,
                           std::uint32_t ttl = 60);
@@ -130,13 +112,7 @@ struct ResourceRecord {
                              std::uint32_t ttl = 60);
   static ResourceRecord ns(DnsName name, DnsName nsdname,
                            std::uint32_t ttl = 60);
-  static ResourceRecord cname(DnsName name, DnsName target,
-                              std::uint32_t ttl = 60);
   static ResourceRecord soa(DnsName name, SoaRdata soa, std::uint32_t ttl = 60);
-  static ResourceRecord txt(DnsName name, std::vector<std::string> strings,
-                            std::uint32_t ttl = 60);
-  static ResourceRecord svcb(DnsName name, SvcbRdata rdata, bool https,
-                             std::uint32_t ttl = 60);
 
   /// The address carried by an A/AAAA record, if this is one.
   std::optional<simnet::IpAddress> address() const;

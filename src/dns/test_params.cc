@@ -95,10 +95,8 @@ std::string delay_label(SimTime delay, std::string_view suffix) {
 }  // namespace
 
 DnsName make_test_name(const DnsName& base, std::string_view nonce,
-                       const std::map<RrType, SimTime>& delays,
-                       SimTime all_delay) {
+                       const std::map<RrType, SimTime>& delays) {
   DnsName name = base;
-  if (all_delay.count() > 0) name = name.prepend(delay_label(all_delay, "all"));
   for (const auto& [type, delay] : delays) {
     name = name.prepend(
         delay_label(delay, lazyeye::to_lower(rr_type_name(type))));

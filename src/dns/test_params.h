@@ -6,8 +6,10 @@
 // in the name):
 //
 //   d<ms>-<type>     delay responses to queries of <type> by <ms> milliseconds
-//                    (<type> in {a, aaaa, ns, svcb, https, all}; <ms> at most
-//                    one day, 86400000 — a larger value is no delay label)
+//                    (<type> in {a, ns, cname, soa, txt, aaaa, opt, svcb,
+//                    https}, the names rr_type_from_name knows, or all for
+//                    every type; <ms> at most one day, 86400000 — a larger
+//                    value is no delay label)
 //   n<alnum>         nonce label (ignored by the server, unique per test run)
 //
 // Example: n42x7.d250-aaaa.rd-test.he.lab
@@ -65,10 +67,9 @@ std::optional<TestParams> parse_test_params(const DnsName& qname);
 
 /// Builds "<nonce-label>.<delay-labels>.<base>" for a test run.
 /// `delays` maps record types to delays; types sharing a delay get their own
-/// labels. Pass kAllTypes (nullopt key semantics) via `all_delay`.
+/// labels.
 DnsName make_test_name(const DnsName& base, std::string_view nonce,
-                       const std::map<RrType, SimTime>& delays,
-                       SimTime all_delay = SimTime{0});
+                       const std::map<RrType, SimTime>& delays);
 
 /// The `i`-th unresponsive decoy address (no host owns it) a test world
 /// publishes beside its real server, 1 <= i <= 255: 10.99.0.<i>.

@@ -52,7 +52,7 @@ const DnsName* Zone::find_zone_cut(const DnsName& qname) const {
   // Walk from just below the origin down towards qname, looking for an NS
   // RRset at an intermediate owner (a zone cut). The origin's own NS records
   // are apex records, not a cut. Each candidate is a label suffix of qname,
-  // assigned into the reused scratch instead of copied via parent() chains.
+  // assigned into the reused scratch, so the walk copies no name.
   const std::size_t extra = qname.label_count() - origin_.label_count();
   for (std::size_t depth = 1; depth <= extra; ++depth) {
     // candidate = last (origin_labels + depth) labels of qname.

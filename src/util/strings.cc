@@ -65,13 +65,4 @@ std::string str_format(const char* fmt, ...) {
   return out;
 }
 
-std::string join(const std::vector<std::string>& items, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += sep;
-    out += items[i];
-  }
-  return out;
-}
-
 }  // namespace lazyeye

@@ -128,7 +128,4 @@ std::string str_cat(const Parts&... parts) {
   return out;
 }
 
-/// Joins items with a separator.
-std::string join(const std::vector<std::string>& items, std::string_view sep);
-
 }  // namespace lazyeye

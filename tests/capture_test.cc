@@ -163,8 +163,9 @@ TEST_F(DnsCaptureFixture, DnsExchangesMatchedByIdAndType) {
   ASSERT_EQ(exchanges.size(), 2u);
   EXPECT_EQ(exchanges[0].qtype, dns::RrType::kAaaa);  // sent first
   EXPECT_EQ(exchanges[1].qtype, dns::RrType::kA);
-  ASSERT_TRUE(exchanges[0].latency());
-  EXPECT_EQ(*exchanges[0].latency(), 2 * net.base_delay());
+  ASSERT_TRUE(exchanges[0].response_time);
+  EXPECT_EQ(*exchanges[0].response_time - exchanges[0].query_time,
+            2 * net.base_delay());
   EXPECT_EQ(exchanges[0].answer_count, 1u);
 }
 

@@ -35,6 +35,7 @@
 #include "dns/message_pool.h"
 #include "dns/name.h"
 #include "dns/test_params.h"
+#include "dns_fixtures.h"
 #include "resolverlab/lab.h"
 #include "resolvers/service_profiles.h"
 #include "simnet/buffer.h"
@@ -179,49 +180,34 @@ std::uint64_t warm_schedule_cell_allocations(bool malformed_dns) {
   });
 }
 
-/// Pristine responses of the shapes the lab serves: an A answer, an AAAA
-/// answer, an HTTPS record with hints, and a referral with glue.
-std::vector<std::vector<std::uint8_t>> pristine_responses() {
-  using dns::DnsMessage;
-  using dns::DnsName;
-  using dns::ResourceRecord;
-  using dns::RrType;
-  const DnsName name = DnsName::must_parse("www.he-test.lab");
-  const DnsName zone = DnsName::must_parse("he-test.lab");
-  const DnsName ns = DnsName::must_parse("ns1.he-test.lab");
-  const auto v4 = *simnet::Ipv4Address::parse("192.0.2.80");
-  const auto v6 = *simnet::Ipv6Address::parse("2001:db8::80");
-  const auto response = [&](RrType type) {
-    return DnsMessage::make_response(DnsMessage::make_query(1, name, type));
-  };
-
-  DnsMessage a = response(RrType::kA);
-  a.answers.push_back(ResourceRecord::a(name, v4));
-  DnsMessage aaaa = response(RrType::kAaaa);
-  aaaa.answers.push_back(ResourceRecord::aaaa(name, v6));
-  DnsMessage https = response(RrType::kHttps);
-  dns::SvcbRdata svcb;
-  svcb.set_alpn({"h3", "h2"});
-  svcb.set_ipv4_hints({v4});
-  svcb.set_ipv6_hints({v6});
-  https.answers.push_back(ResourceRecord::svcb(name, svcb, /*https=*/true));
-  DnsMessage referral = response(RrType::kA);
-  referral.authorities.push_back(ResourceRecord::ns(zone, ns));
-  referral.additionals.push_back(ResourceRecord::a(ns, v4));
-  referral.additionals.push_back(ResourceRecord::aaaa(ns, v6));
-  return {a.encode(), aaaa.encode(), https.encode(), referral.encode()};
+/// A response whose one answer is a TXT record of `strings` empty
+/// character-strings: its rdata is `strings` zero bytes.
+std::vector<std::uint8_t> empty_strings_txt_wire(std::uint16_t strings) {
+  std::vector<std::uint8_t> wire;
+  for (const std::uint16_t field : {1, 0x8000, 0, 1, 0, 0}) {
+    wire::put_u16(wire, field);  // id, flags (QR), one answer
+  }
+  dns::DnsName::must_parse("txt.lab").encode(wire, nullptr);
+  wire::put_u16(wire, static_cast<std::uint16_t>(dns::RrType::kTxt));
+  wire::put_u16(wire, 1);  // class IN
+  wire::put_u32(wire, 60);
+  wire::put_u16(wire, strings);
+  wire.resize(wire.size() + strings, 0);
+  return wire;
 }
 
 /// The seeded malformed-DNS corpus: truncations and corruptions of every
-/// pristine response (the conformance injector's mutators and seeds) plus
-/// random garbage.
+/// lab-shaped response (the conformance injector's mutators and seeds),
+/// random garbage, and TXT answers whose every rdata byte is an empty
+/// character-string (a string object per string would cost up to 77 bytes
+/// per wire byte).
 std::vector<std::vector<std::uint8_t>> malformed_dns_corpus() {
   std::vector<std::vector<std::uint8_t>> corpus;
   SplitMix64 truncate{
       conformance::FaultPlan{conformance::FaultKind::kDnsTruncate}.rng_seed()};
   SplitMix64 corrupt{
       conformance::FaultPlan{conformance::FaultKind::kDnsCorrupt}.rng_seed()};
-  for (const auto& pristine : pristine_responses()) {
+  for (const auto& pristine : dns::fixtures::lab_responses()) {
     for (int i = 0; i < 100; ++i) {
       corpus.push_back(pristine);
       conformance::truncate_wire(corpus.back(), truncate);
@@ -232,6 +218,9 @@ std::vector<std::vector<std::uint8_t>> malformed_dns_corpus() {
   SplitMix64 garbage{12345};
   for (int i = 0; i < 400; ++i) {
     corpus.push_back(conformance::garbage_wire(garbage));
+  }
+  for (const std::uint16_t strings : {16, 64, 400}) {
+    corpus.push_back(empty_strings_txt_wire(strings));
   }
   return corpus;
 }
@@ -576,8 +565,7 @@ TEST(CellAllocTest, WarmCellWorldCopiesNamesAndDecodesResponsesOffTheHeap) {
   ASSERT_LE(qname.wire_length(), dns::DnsName::kInlineBytes + 1);
 
   const auto response = [&](dns::RrType type) {
-    dns::DnsMessage msg = dns::DnsMessage::make_response(
-        dns::DnsMessage::make_query(7, qname, type));
+    dns::DnsMessage msg = dns::fixtures::response(7, qname, type);
     msg.header.aa = true;
     msg.answers.push_back(
         type == dns::RrType::kA

@@ -243,7 +243,8 @@ TEST_F(DnsHookFixture, SpoofedExtraDatagramLosesToTheRealAnswer) {
   ASSERT_TRUE(spoofed);
   ASSERT_TRUE(outcome.ok);
   // The wrong-id spoof was ignored; the genuine answer won.
-  const auto addrs = outcome.response.addresses_for(name, dns::RrType::kA);
+  std::vector<IpAddress> addrs;
+  outcome.response.addresses_for_into(name, dns::RrType::kA, addrs);
   ASSERT_EQ(addrs.size(), 1u);
   EXPECT_EQ(addrs[0].to_string(), "10.0.0.2");
 }

@@ -9,6 +9,7 @@
 #include "dns/name.h"
 #include "dns/rr.h"
 #include "dns/test_params.h"
+#include "dns_fixtures.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/wire.h"
@@ -19,6 +20,13 @@ namespace {
 using simnet::IpAddress;
 using simnet::Ipv4Address;
 using simnet::Ipv6Address;
+
+/// The name at the reader's cursor (the root name on failure).
+DnsName decode_name(wire::Reader& r) {
+  DnsName name;
+  DnsName::decode_into(r, name);
+  return name;
+}
 
 // ---------------------------------------------------------------- names ----
 
@@ -65,7 +73,7 @@ DnsName binary_label_name() {
   wire::put_bytes(bytes, label);
   wire::put_u8(bytes, 0);
   wire::Reader r{bytes};
-  DnsName name = DnsName::decode(r);
+  DnsName name = decode_name(r);
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(name.label_count(), 1u);
   return name;
@@ -92,12 +100,9 @@ TEST(DnsNameTest, SubdomainRelation) {
   EXPECT_TRUE(binary.is_subdomain_of(DnsName{}));
 }
 
-TEST(DnsNameTest, ParentAndPrepend) {
-  const auto www = DnsName::must_parse("www.example.com");
-  EXPECT_EQ(www.parent().to_string(), "example.com");
-  EXPECT_EQ(DnsName::must_parse("com").parent(), DnsName{});
-  EXPECT_EQ(DnsName{}.parent(), DnsName{});
-  EXPECT_EQ(www.parent().prepend("api").to_string(), "api.example.com");
+TEST(DnsNameTest, PrependAndConcat) {
+  EXPECT_EQ(DnsName::must_parse("example.com").prepend("api").to_string(),
+            "api.example.com");
   EXPECT_EQ(DnsName::must_parse("a").concat(DnsName::must_parse("b.c")),
             DnsName::must_parse("a.b.c"));
 }
@@ -108,7 +113,7 @@ TEST(DnsNameTest, WireRoundTripNoCompression) {
   name.encode(out, nullptr);
   EXPECT_EQ(out.size(), name.wire_length());
   wire::Reader r{out};
-  EXPECT_EQ(DnsName::decode(r), name);
+  EXPECT_EQ(decode_name(r), name);
   EXPECT_TRUE(r.exhausted());
 }
 
@@ -125,8 +130,8 @@ TEST(DnsNameTest, CompressionProducesPointer) {
 
   // Both decode correctly from the shared buffer.
   wire::Reader r{out};
-  EXPECT_EQ(DnsName::decode(r), a);
-  EXPECT_EQ(DnsName::decode(r), b);
+  EXPECT_EQ(decode_name(r), a);
+  EXPECT_EQ(decode_name(r), b);
   EXPECT_TRUE(r.exhausted());
 }
 
@@ -148,13 +153,13 @@ TEST(DnsNameTest, DecodeLengthBoundCountsTheRootByte) {
   const auto too_long = name_wire({63, 63, 63, 62});
   ASSERT_EQ(too_long.size(), 256u);
   wire::Reader reject{too_long};
-  EXPECT_TRUE(DnsName::decode(reject).is_root());
+  EXPECT_TRUE(decode_name(reject).is_root());
   EXPECT_FALSE(reject.ok);
 
   for (std::size_t last = 1; last <= 61; ++last) {
     const auto bytes = name_wire({63, 63, 63, last});
     wire::Reader r{bytes};
-    const DnsName name = DnsName::decode(r);
+    const DnsName name = decode_name(r);
     ASSERT_TRUE(r.ok) << "last label " << last;
     EXPECT_EQ(name.wire_length(), bytes.size());
     // Everything decode accepts, the text parser accepts too.
@@ -183,9 +188,9 @@ TEST(DnsNameTest, CompressionReusesOnlyLabelAlignedSuffixes) {
   EXPECT_EQ(out[before + 5], binary.wire_length());
 
   wire::Reader r{out};
-  EXPECT_EQ(DnsName::decode(r), binary);
-  EXPECT_EQ(DnsName::decode(r), example);
-  EXPECT_EQ(DnsName::decode(r), www);
+  EXPECT_EQ(decode_name(r), binary);
+  EXPECT_EQ(decode_name(r), example);
+  EXPECT_EQ(decode_name(r), www);
   EXPECT_TRUE(r.exhausted());
 }
 
@@ -193,14 +198,14 @@ TEST(DnsNameTest, DecodeRejectsPointerLoop) {
   // A name that points to itself: 0xC000 at offset 0.
   const std::vector<std::uint8_t> bytes{0xC0, 0x00};
   wire::Reader r{bytes};
-  DnsName::decode(r);
+  decode_name(r);
   EXPECT_FALSE(r.ok);
 }
 
 TEST(DnsNameTest, DecodeRejectsTruncated) {
   const std::vector<std::uint8_t> bytes{0x05, 'a', 'b'};
   wire::Reader r{bytes};
-  DnsName::decode(r);
+  decode_name(r);
   EXPECT_FALSE(r.ok);
 }
 
@@ -223,23 +228,6 @@ TEST(RrTest, AddressAccessor) {
   EXPECT_FALSE(ns.address());
 }
 
-TEST(RrTest, SvcbParamHelpers) {
-  SvcbRdata svcb;
-  svcb.set_alpn({"h3", "h2"});
-  EXPECT_EQ(svcb.alpn(), (std::vector<std::string>{"h3", "h2"}));
-  svcb.set_port(8443);
-  EXPECT_EQ(svcb.port(), 8443);
-  svcb.set_ipv4_hints({*Ipv4Address::parse("192.0.2.1")});
-  ASSERT_EQ(svcb.ipv4_hints().size(), 1u);
-  EXPECT_EQ(svcb.ipv4_hints()[0].to_string(), "192.0.2.1");
-  svcb.set_ipv6_hints({*Ipv6Address::parse("2001:db8::1")});
-  ASSERT_EQ(svcb.ipv6_hints().size(), 1u);
-  EXPECT_EQ(svcb.ipv6_hints()[0].to_string(), "2001:db8::1");
-  EXPECT_FALSE(svcb.has_ech());
-  svcb.set_ech({1, 2, 3});
-  EXPECT_TRUE(svcb.has_ech());
-}
-
 // -------------------------------------------------------------- message ----
 
 DnsMessage sample_message() {
@@ -254,8 +242,8 @@ DnsMessage sample_message() {
   msg.questions.push_back({qname, RrType::kAaaa});
   msg.answers.push_back(
       ResourceRecord::aaaa(qname, *Ipv6Address::parse("2001:db8::10"), 300));
-  msg.answers.push_back(
-      ResourceRecord::cname(DnsName::must_parse("alias.he-test.lab"), qname));
+  msg.answers.push_back({DnsName::must_parse("alias.he-test.lab"),
+                         RrType::kCname, 60, CnameRdata{qname}});
   msg.authorities.push_back(ResourceRecord::ns(
       DnsName::must_parse("he-test.lab"), DnsName::must_parse("ns1.he-test.lab")));
   msg.additionals.push_back(ResourceRecord::a(
@@ -320,27 +308,15 @@ TEST(DnsMessageTest, CompressionShrinksMessage) {
   EXPECT_EQ(wire, expected);
 }
 
-TEST(DnsMessageTest, MakeQueryAndResponse) {
-  const auto q =
-      DnsMessage::make_query(9, DnsName::must_parse("a.lab"), RrType::kA, true);
-  EXPECT_FALSE(q.header.qr);
-  EXPECT_TRUE(q.header.rd);
-  const auto r = DnsMessage::make_response(q, Rcode::kNxDomain);
-  EXPECT_TRUE(r.header.qr);
-  EXPECT_EQ(r.header.id, 9);
-  EXPECT_EQ(r.header.rcode, Rcode::kNxDomain);
-  ASSERT_EQ(r.questions.size(), 1u);
-  EXPECT_EQ(r.questions[0].name.to_string(), "a.lab");
-}
-
 TEST(DnsMessageTest, AddressesForFollowsCname) {
   DnsMessage msg;
   const auto alias = DnsName::must_parse("alias.lab");
   const auto target = DnsName::must_parse("real.lab");
-  msg.answers.push_back(ResourceRecord::cname(alias, target));
+  msg.answers.push_back({alias, RrType::kCname, 60, CnameRdata{target}});
   msg.answers.push_back(
       ResourceRecord::a(target, *Ipv4Address::parse("10.0.0.5")));
-  const auto addrs = msg.addresses_for(alias, RrType::kA);
+  std::vector<IpAddress> addrs;
+  msg.addresses_for_into(alias, RrType::kA, addrs);
   ASSERT_EQ(addrs.size(), 1u);
   EXPECT_EQ(addrs[0].to_string(), "10.0.0.5");
 }
@@ -462,6 +438,20 @@ TEST(DnsMessageTest, TypedRdataOverrunningRdlengthIsRejected) {
   }
 }
 
+// A TXT rdata decodes to the bytes it carries, empty character-strings
+// included, and encodes back to them.
+TEST(DnsMessageTest, TxtRdataKeepsItsCharacterStrings) {
+  const std::vector<std::uint8_t> rdata{0, 2, 'h', 'i', 0, 0, 1, '!'};
+  const auto wire = answer_then_a_record(
+      static_cast<std::uint16_t>(RrType::kTxt), rdata);
+  DnsMessage scratch;
+  ASSERT_TRUE(DnsMessage::decode_into(wire, scratch));
+  const auto* txt = std::get_if<TxtRdata>(&scratch.answers[0].rdata);
+  ASSERT_NE(txt, nullptr);
+  EXPECT_EQ(txt->data, rdata);
+  EXPECT_EQ(DnsMessage::decode(scratch.encode()).value(), scratch);
+}
+
 // Property test: randomized messages round-trip bit-exact (structurally).
 TEST(DnsMessageTest, RandomisedRoundTripProperty) {
   Rng rng{2024};
@@ -489,20 +479,26 @@ TEST(DnsMessageTest, RandomisedRoundTripProperty) {
       case 2:
         return ResourceRecord::ns(name, random_name());
       case 3:
-        return ResourceRecord::cname(name, random_name());
+        return {name, RrType::kCname, 60, CnameRdata{random_name()}};
       case 4: {
+        // One character-string.
+        const std::string text = "p=" + std::to_string(rng.next_below(1000));
         TxtRdata txt;
-        txt.strings.push_back("p=" + std::to_string(rng.next_below(1000)));
-        return ResourceRecord::txt(name, txt.strings);
+        wire::put_u8(txt.data, static_cast<std::uint8_t>(text.size()));
+        wire::put_bytes(txt.data, text);
+        return {name, RrType::kTxt, 60, txt};
       }
       default: {
         SvcbRdata svcb;
         svcb.priority = static_cast<std::uint16_t>(rng.next_in_range(0, 3));
         svcb.target = random_name();
-        if (rng.chance(0.5)) svcb.set_alpn({"h3"});
-        if (rng.chance(0.5)) svcb.set_port(static_cast<std::uint16_t>(
-            rng.next_in_range(1, 65535)));
-        return ResourceRecord::svcb(name, svcb, rng.chance(0.5));
+        if (rng.chance(0.5)) svcb.params[1] = {2, 'h', '3'};  // alpn
+        if (rng.chance(0.5)) {
+          wire::put_u16(svcb.params[3],  // port
+                        static_cast<std::uint16_t>(rng.next_in_range(1, 65535)));
+        }
+        const RrType type = rng.chance(0.5) ? RrType::kHttps : RrType::kSvcb;
+        return {name, type, 60, svcb};
       }
     }
   };
@@ -589,8 +585,7 @@ TEST(TestParamsTest, NoParamsReturnsNullopt) {
 
 TEST(TestParamsTest, MakeTestNameRoundTrip) {
   const auto base = DnsName::must_parse("cad.he.lab");
-  const auto name =
-      make_test_name(base, "7f3", {{RrType::kAaaa, ms(300)}}, ms(0));
+  const auto name = make_test_name(base, "7f3", {{RrType::kAaaa, ms(300)}});
   EXPECT_TRUE(name.is_subdomain_of(base));
   const auto params = parse_test_params(name);
   ASSERT_TRUE(params);
@@ -668,9 +663,8 @@ TEST(DnsMessageTest, EncodeIntoBufferMatchesLegacyEncode) {
 
   // Reusing the same buffer + compressor for a different message must give
   // exactly what a fresh encode gives (scratch state fully resets).
-  const DnsMessage query =
-      DnsMessage::make_query(7, DnsName::must_parse("other.zone.lab"),
-                             RrType::kAaaa, true);
+  const DnsMessage query = fixtures::query(
+      7, DnsName::must_parse("other.zone.lab"), RrType::kAaaa, true);
   msg.encode_into(buffer, compressor);  // dirty the scratch
   query.encode_into(buffer, compressor);
   const std::vector<std::uint8_t> fresh = query.encode();
@@ -681,7 +675,7 @@ TEST(DnsMessageTest, EncodeIntoBufferMatchesLegacyEncode) {
 TEST(DnsMessageTest, DecodeIntoReusesTheScratchMessage) {
   const DnsMessage first = sample_referral();
   const DnsMessage second =
-      DnsMessage::make_query(42, DnsName::must_parse("q.lab"), RrType::kAaaa);
+      fixtures::query(42, DnsName::must_parse("q.lab"), RrType::kAaaa);
 
   DnsMessage scratch;
   ASSERT_TRUE(DnsMessage::decode_into(first.encode(), scratch));
@@ -788,38 +782,10 @@ TEST(DnsMessageTest, MutatorsAreSeedDeterministic) {
 // reader stops and the name it yields. A decoder rewrite must leave both
 // digests unchanged: same inputs accepted, same values decoded.
 
-/// Lab-shaped responses (the cell_alloc_test corpus's pristine set): an A
-/// answer, an AAAA answer, an HTTPS record with hints, and a referral.
-std::vector<std::vector<std::uint8_t>> lab_responses() {
-  const DnsName name = DnsName::must_parse("www.he-test.lab");
-  const auto v4 = *Ipv4Address::parse("192.0.2.80");
-  const auto v6 = *Ipv6Address::parse("2001:db8::80");
-  const auto response = [&](RrType type) {
-    return DnsMessage::make_response(DnsMessage::make_query(1, name, type));
-  };
-  DnsMessage a = response(RrType::kA);
-  a.answers.push_back(ResourceRecord::a(name, v4));
-  DnsMessage aaaa = response(RrType::kAaaa);
-  aaaa.answers.push_back(ResourceRecord::aaaa(name, v6));
-  DnsMessage https = response(RrType::kHttps);
-  SvcbRdata svcb;
-  svcb.set_alpn({"h3", "h2"});
-  svcb.set_ipv4_hints({v4});
-  svcb.set_ipv6_hints({v6});
-  https.answers.push_back(ResourceRecord::svcb(name, svcb, /*https=*/true));
-  DnsMessage referral = response(RrType::kA);
-  const DnsName ns = DnsName::must_parse("ns1.he-test.lab");
-  referral.authorities.push_back(
-      ResourceRecord::ns(DnsName::must_parse("he-test.lab"), ns));
-  referral.additionals.push_back(ResourceRecord::a(ns, v4));
-  referral.additionals.push_back(ResourceRecord::aaaa(ns, v6));
-  return {a.encode(), aaaa.encode(), https.encode(), referral.encode()};
-}
-
 /// Every pristine response, 100 seeded truncations and 100 seeded
 /// corruptions of each, and 500 garbage datagrams.
 std::vector<std::vector<std::uint8_t>> decoder_digest_corpus() {
-  std::vector<std::vector<std::uint8_t>> pristine = lab_responses();
+  std::vector<std::vector<std::uint8_t>> pristine = fixtures::lab_responses();
   pristine.push_back(sample_message().encode());
   pristine.push_back(sample_referral().encode());
   std::vector<std::vector<std::uint8_t>> corpus = pristine;
@@ -875,7 +841,7 @@ TEST(DnsMessageTest, DecoderBehaviourOnTheMalformedCorpusIsPinned) {
       record.clear();
       wire::Reader r{input};
       r.seek(offset);
-      const DnsName name = DnsName::decode(r);
+      const DnsName name = decode_name(r);
       wire::put_u8(record, r.ok ? 1 : 0);
       if (r.ok) {
         wire::put_u16(record, static_cast<std::uint16_t>(r.pos));
@@ -907,8 +873,8 @@ TEST(DnsNameTest, DecodePreservesCaseInsensitivity) {
   wire::put_bytes(out, std::string_view{"MaIl"});
   wire::put_u16(out, 0xC000 | 4);
   wire::Reader r{out};
-  const DnsName www = DnsName::decode(r);
-  const DnsName mail = DnsName::decode(r);
+  const DnsName www = decode_name(r);
+  const DnsName mail = decode_name(r);
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(www, DnsName::must_parse("www.example.lab"));
   EXPECT_EQ(mail, DnsName::must_parse("mail.example.lab"));

@@ -124,7 +124,8 @@ TEST_F(LabFixture, ResolvesThroughDelegationChain) {
   auto resolver = make_resolver(v4_only_profile());
   const auto out = run_query(resolver, N("www.z1.lab"));
   ASSERT_TRUE(out.ok) << out.error;
-  const auto addrs = out.response.addresses_for(N("www.z1.lab"), RrType::kA);
+  std::vector<IpAddress> addrs;
+  out.response.addresses_for_into(N("www.z1.lab"), RrType::kA, addrs);
   ASSERT_EQ(addrs.size(), 1u);
   EXPECT_EQ(addrs[0].to_string(), "10.0.1.80");
   // Root, TLD and auth each saw exactly one (main) query.
@@ -137,8 +138,8 @@ TEST_F(LabFixture, AaaaQueryType) {
   auto resolver = make_resolver(v4_only_profile());
   const auto out = run_query(resolver, N("www.z1.lab"), RrType::kAaaa);
   ASSERT_TRUE(out.ok);
-  const auto addrs =
-      out.response.addresses_for(N("www.z1.lab"), RrType::kAaaa);
+  std::vector<IpAddress> addrs;
+  out.response.addresses_for_into(N("www.z1.lab"), RrType::kAaaa, addrs);
   ASSERT_EQ(addrs.size(), 1u);
   EXPECT_EQ(addrs[0].to_string(), "2001:db8:1::80");
 }

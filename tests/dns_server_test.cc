@@ -7,6 +7,7 @@
 #include "dns/auth_server.h"
 #include "dns/stub_resolver.h"
 #include "dns/zone.h"
+#include "dns_fixtures.h"
 #include "simnet/network.h"
 
 namespace lazyeye::dns {
@@ -35,7 +36,8 @@ class ZoneTest : public ::testing::Test {
     zone_.add_a(N("www.he.lab"), V4("10.0.0.10"));
     zone_.add_a(N("www.he.lab"), V4("10.0.0.11"));
     zone_.add_aaaa(N("www.he.lab"), V6("2001:db8::10"));
-    zone_.add(ResourceRecord::cname(N("alias.he.lab"), N("www.he.lab")));
+    zone_.add(
+        {N("alias.he.lab"), RrType::kCname, 60, CnameRdata{N("www.he.lab")}});
     zone_.add_ns(N("sub.he.lab"), N("ns1.sub.he.lab"));
     zone_.add(ResourceRecord::a(N("ns1.sub.he.lab"), V4("10.0.9.1")));
     zone_.add(ResourceRecord::aaaa(N("ns1.sub.he.lab"), V6("2001:db8:9::1")));
@@ -154,7 +156,7 @@ struct AuthFixture : ::testing::Test {
       ASSERT_TRUE(decoded.ok());
       responses.emplace_back(net.loop().now(), std::move(decoded).value());
     });
-    const auto query = DnsMessage::make_query(next_id++, qname, type);
+    const auto query = fixtures::query(next_id++, qname, type);
     client_host.udp_send({src, port}, {dst, 53},
                          simnet::Buffer::adopt(query.encode()));
   }
@@ -232,14 +234,16 @@ TEST_F(AuthFixture, GarbagePayloadIgnored) {
 
 TEST_F(AuthFixture, CnameChasedWithinZone) {
   Zone& zone = auth->add_zone(N("alias.lab"));
-  zone.add(ResourceRecord::cname(N("www.alias.lab"), N("target.alias.lab")));
+  zone.add({N("www.alias.lab"), RrType::kCname, 60,
+            CnameRdata{N("target.alias.lab")}});
   zone.add_a(N("target.alias.lab"), V4("10.0.0.90"));
   send_query(N("www.alias.lab"), RrType::kA);
   net.loop().run();
   ASSERT_EQ(responses.size(), 1u);
   const auto& r = responses[0].second;
   EXPECT_EQ(r.answers.size(), 2u);  // CNAME + A
-  const auto addrs = r.addresses_for(N("www.alias.lab"), RrType::kA);
+  std::vector<IpAddress> addrs;
+  r.addresses_for_into(N("www.alias.lab"), RrType::kA, addrs);
   ASSERT_EQ(addrs.size(), 1u);
   EXPECT_EQ(addrs[0].to_string(), "10.0.0.90");
 }
@@ -264,8 +268,9 @@ TEST_F(AuthFixture, MostSpecificZoneWins) {
   send_query(N("www.sub.he.lab"), RrType::kA);
   net.loop().run();
   ASSERT_EQ(responses.size(), 1u);
-  const auto addrs =
-      responses[0].second.addresses_for(N("www.sub.he.lab"), RrType::kA);
+  std::vector<IpAddress> addrs;
+  responses[0].second.addresses_for_into(N("www.sub.he.lab"), RrType::kA,
+                                         addrs);
   ASSERT_EQ(addrs.size(), 1u);
   EXPECT_EQ(addrs[0].to_string(), "10.0.8.8");
 }

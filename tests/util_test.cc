@@ -573,11 +573,6 @@ TEST(IpTextTest, EndpointMatchesPrintf) {
   }
 }
 
-TEST(StringsTest, Join) {
-  EXPECT_EQ(join({"a", "b"}, ", "), "a, b");
-  EXPECT_EQ(join({}, ","), "");
-}
-
 // --------------------------------------------------------------- table ----
 
 TEST(TableTest, RendersAlignedColumns) {
