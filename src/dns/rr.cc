@@ -164,6 +164,12 @@ void decode_rdata(RrType type, std::uint16_t rdlength, wire::Reader& r,
       svcb.params.clear();
       while (r.ok && r.pos + 4 <= end) {
         const std::uint16_t key = r.u16();
+        // RFC 9460 §2.2: keys strictly increase; an out-of-order or
+        // repeated key fails the record instead of overwriting a value.
+        if (!svcb.params.empty() && key <= svcb.params.rbegin()->first) {
+          r.ok = false;
+          return;
+        }
         const std::string_view value = r.view(r.u16());
         svcb.params[key].assign(value.begin(), value.end());
       }

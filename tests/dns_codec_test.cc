@@ -438,6 +438,50 @@ TEST(DnsMessageTest, TypedRdataOverrunningRdlengthIsRejected) {
   }
 }
 
+// RFC 9460 §2.2: SvcParamKeys appear in strictly increasing order, and a
+// record that repeats a key or puts one out of order is malformed. Before
+// this check, keys 3 (port 443), 1, 3 (port 8443) decoded to two params: the
+// second port overwrote the first and the record re-encoded shorter.
+TEST(DnsMessageTest, SvcParamKeysOutOfOrderOrRepeatedFailTheRecord) {
+  using Params = std::vector<std::pair<std::uint16_t, std::vector<std::uint8_t>>>;
+  const std::vector<std::uint8_t> alpn_h2{2, 'h', '2'};
+  const std::vector<std::uint8_t> port_443{0x01, 0xbb};
+  const std::vector<std::uint8_t> port_8443{0x20, 0xfb};
+  const auto rdata = [](const Params& params) {
+    std::vector<std::uint8_t> out{0, 1, 0};  // priority 1, root target
+    for (const auto& [key, value] : params) {
+      wire::put_u16(out, key);
+      wire::put_u16(out, static_cast<std::uint16_t>(value.size()));
+      wire::put_bytes(out, value);
+    }
+    return out;
+  };
+  for (const RrType type : {RrType::kSvcb, RrType::kHttps}) {
+    const std::string label = rr_type_name(type);
+    const auto code = static_cast<std::uint16_t>(type);
+    DnsMessage scratch;
+    for (const Params& rejected :
+         {Params{{3, port_443}, {1, alpn_h2}, {3, port_8443}},
+          Params{{1, alpn_h2}, {3, port_443}, {3, port_8443}},
+          Params{{3, port_443}, {1, alpn_h2}}}) {
+      const auto wire = answer_then_a_record(code, rdata(rejected));
+      EXPECT_FALSE(DnsMessage::decode_into(wire, scratch)) << label;
+      EXPECT_EQ(DnsMessage::decode(wire).error(), "truncated answer section")
+          << label;
+    }
+
+    const auto ascending =
+        answer_then_a_record(code, rdata({{1, alpn_h2}, {3, port_443}}));
+    ASSERT_TRUE(DnsMessage::decode_into(ascending, scratch)) << label;
+    const auto* svcb = std::get_if<SvcbRdata>(&scratch.answers[0].rdata);
+    ASSERT_NE(svcb, nullptr) << label;
+    ASSERT_EQ(svcb->params.size(), 2u) << label;
+    EXPECT_EQ(svcb->params.at(1), alpn_h2) << label;
+    EXPECT_EQ(svcb->params.at(3), port_443) << label;
+    EXPECT_EQ(DnsMessage::decode(scratch.encode()).value(), scratch) << label;
+  }
+}
+
 // A TXT rdata decodes to the bytes it carries, empty character-strings
 // included, and encodes back to them.
 TEST(DnsMessageTest, TxtRdataKeepsItsCharacterStrings) {
@@ -855,8 +899,10 @@ TEST(DnsMessageTest, DecoderBehaviourOnTheMalformedCorpusIsPinned) {
       feed(names, record);
     }
   }
-  EXPECT_EQ(accepted, 187u);
-  EXPECT_EQ(util::crc32_final(messages), 0x75505ec9u);
+  // 181 since SVCB/HTTPS rdata with out-of-order or repeated SvcParam keys
+  // fails the record (RFC 9460 §2.2); 187 were accepted before.
+  EXPECT_EQ(accepted, 181u);
+  EXPECT_EQ(util::crc32_final(messages), 0x10bc1181u);
   EXPECT_EQ(util::crc32_final(names), 0x5fb2ca14u);
 }
 
