@@ -21,6 +21,7 @@ void Zone::add(ResourceRecord rr) {
     throw std::invalid_argument("record " + rr.name.to_string() +
                                 " outside zone " + origin_.to_string());
   }
+  if (rr.type == RrType::kNs && rr.name != origin_) ++cut_ns_records_;
   records_.emplace(rr.name, std::move(rr));
 }
 
@@ -53,6 +54,7 @@ const DnsName* Zone::find_zone_cut(const DnsName& qname) const {
   // RRset at an intermediate owner (a zone cut). The origin's own NS records
   // are apex records, not a cut. Each candidate is a label suffix of qname,
   // assigned into the reused scratch, so the walk copies no name.
+  if (cut_ns_records_ == 0) return nullptr;
   const std::size_t extra = qname.label_count() - origin_.label_count();
   for (std::size_t depth = 1; depth <= extra; ++depth) {
     // candidate = last (origin_labels + depth) labels of qname.

@@ -69,13 +69,18 @@ class Zone {
  private:
   bool name_exists(const DnsName& name) const;
   /// Topmost zone cut at/below `qname`, or nullptr. The returned name lives
-  /// in `cut_scratch_` (valid until the next call on this zone).
+  /// in `cut_scratch_` (valid until the next call on this zone). Returns at
+  /// once while the zone holds no NS record below its apex, the case of
+  /// every zone that delegates nothing.
   const DnsName* find_zone_cut(const DnsName& qname) const;
 
   DnsName origin_;
   // Keyed by wire-byte name order, which nothing may observe: the zone only
   // looks names up (equal_range/count) and scans for a yes/no answer.
   std::pmr::multimap<DnsName, ResourceRecord> records_;
+  // NS records owned by a name strictly below the origin: the only records
+  // that can make a zone cut. Counted by add(), the one insertion path.
+  std::size_t cut_ns_records_ = 0;
   // Candidate-name scratch for find_zone_cut: suffixes are assigned in
   // place instead of materialising a fresh DnsName per depth step (worlds
   // are single-threaded, so mutable scratch on a const path is safe).

@@ -6,21 +6,21 @@ namespace lazyeye::he {
 
 std::vector<simnet::IpAddress> select_addresses(const SelectionInput& input,
                                                 const HeOptions& options) {
-  std::vector<simnet::IpAddress> first =
+  std::span<const simnet::IpAddress> first =
       options.prefer_ipv6 ? input.ipv6 : input.ipv4;
-  std::vector<simnet::IpAddress> second =
+  std::span<const simnet::IpAddress> second =
       options.prefer_ipv6 ? input.ipv4 : input.ipv6;
 
   const auto cap = static_cast<std::size_t>(
       std::max(0, options.max_addresses_per_family));
-  if (first.size() > cap) first.resize(cap);
-  if (second.size() > cap) second.resize(cap);
+  if (first.size() > cap) first = first.first(cap);
+  if (second.size() > cap) second = second.first(cap);
 
   if (!options.fallback_enabled) {
     // No fallback: the non-preferred family is only used when the preferred
     // one has no addresses at all.
-    if (!first.empty()) return first;
-    return second;
+    const auto only = first.empty() ? second : first;
+    return {only.begin(), only.end()};
   }
 
   std::vector<simnet::IpAddress> out;

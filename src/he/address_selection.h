@@ -2,6 +2,7 @@
 // First Address Family Count, keeping DNS order within each family.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "he/options.h"
@@ -9,9 +10,11 @@
 
 namespace lazyeye::he {
 
+/// Views of each family's resolved addresses, in DNS order; the caller's
+/// storage outlives the select_addresses() call.
 struct SelectionInput {
-  std::vector<simnet::IpAddress> ipv6;
-  std::vector<simnet::IpAddress> ipv4;
+  std::span<const simnet::IpAddress> ipv6;
+  std::span<const simnet::IpAddress> ipv4;
 };
 
 /// Produces the ordered attempt list:

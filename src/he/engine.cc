@@ -39,7 +39,9 @@ std::uint64_t HappyEyeballsEngine::connect(const dns::DnsName& hostname,
                                            std::uint16_t port,
                                            CompletionHandler handler) {
   const std::uint64_t id = next_session_id_++;
-  Session& s = sessions_[id];
+  Session& s =
+      sessions_.try_emplace(id, sessions_.get_allocator().resource())
+          .first->second;
   s.id = id;
   s.host = hostname;
   s.port = port;
@@ -242,26 +244,19 @@ void HappyEyeballsEngine::reconsider(std::uint64_t session_id) {
 }
 
 void HappyEyeballsEngine::rebuild_plan(Session& s) {
-  SelectionInput input;
-  input.ipv6 = s.v6;
-  input.ipv4 = s.v4;
-  const auto selected = select_addresses(input, s.opts);
+  const auto selected = select_addresses({s.v6, s.v4}, s.opts);
 
   // Started entries keep their place (history can't be rewritten); the
   // not-yet-started tail is re-derived from the full selection so that
   // late-arriving records land at their proper interlaced position
   // (RFC 8305 §5: newly resolved addresses join the ordered list).
-  std::vector<AttemptPlan> rebuilt;
-  for (const AttemptPlan& p : s.plan) {
-    if (p.started) rebuilt.push_back(p);
-  }
+  std::erase_if(s.plan, [](const AttemptPlan& p) { return !p.started; });
   for (const auto& address : selected) {
     const bool planned = std::any_of(
-        rebuilt.begin(), rebuilt.end(),
+        s.plan.begin(), s.plan.end(),
         [&](const AttemptPlan& p) { return p.address == address; });
-    if (!planned) rebuilt.push_back(AttemptPlan{address});
+    if (!planned) s.plan.push_back(AttemptPlan{address});
   }
-  s.plan = std::move(rebuilt);
   s.next_attempt = 0;  // the skip loop advances past started entries
 }
 

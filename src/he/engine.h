@@ -9,6 +9,7 @@
 #include <map>
 #include <memory_resource>
 #include <optional>
+#include <vector>
 
 #include "dns/stub_resolver.h"
 #include "he/address_selection.h"
@@ -55,7 +56,12 @@ class HappyEyeballsEngine {
     bool started = false;
   };
 
+  /// Built in place in sessions_ with the map's resource, which its address
+  /// and attempt vectors share.
   struct Session {
+    explicit Session(std::pmr::memory_resource* memory)
+        : v6{memory}, v4{memory}, plan{memory}, attempt_ids{memory} {}
+
     std::uint64_t id = 0;
     dns::DnsName host;
     std::uint16_t port = 443;
@@ -70,18 +76,18 @@ class HappyEyeballsEngine {
     bool a_done = false;
     bool aaaa_failed = false;
     bool a_failed = false;
-    std::vector<simnet::IpAddress> v6;
-    std::vector<simnet::IpAddress> v4;
+    std::pmr::vector<simnet::IpAddress> v6;
+    std::pmr::vector<simnet::IpAddress> v4;
     simnet::TimerId rd_timer;
     bool rd_armed = false;
     bool rd_expired = false;
 
     // Connection state.
     bool connecting = false;
-    std::vector<AttemptPlan> plan;
+    std::pmr::vector<AttemptPlan> plan;
     std::size_t next_attempt = 0;
     int in_flight = 0;
-    std::vector<std::uint64_t> attempt_ids;
+    std::pmr::vector<std::uint64_t> attempt_ids;
     simnet::TimerId cad_timer;
     bool cad_armed = false;
     simnet::TimerId overall_timer;
@@ -121,8 +127,9 @@ class HappyEyeballsEngine {
   HeOptions options_;
   OutcomeCache cache_;
   std::optional<SimTime> srtt_;
-  // Session nodes from the world's arena; the Session's own vectors stay
-  // std:: (they cross API boundaries via HeResult/address selection).
+  // Session nodes and their address and attempt vectors come from the
+  // world's arena. Only the trace is std::, as it moves out into HeResult;
+  // address selection reads the address vectors through spans.
   std::pmr::map<std::uint64_t, Session> sessions_;
   std::uint64_t next_session_id_ = 1;
 };

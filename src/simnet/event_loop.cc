@@ -1,6 +1,7 @@
 #include "simnet/event_loop.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 namespace lazyeye::simnet {
@@ -13,7 +14,16 @@ constexpr std::uint64_t kRunawayCap = 200'000'000;
 }  // namespace
 
 EventLoop::EventLoop(std::pmr::memory_resource* memory)
-    : heap_{memory}, slots_{memory}, free_slots_{memory} {}
+    : heap_{memory}, memory_{memory}, chunks_{memory}, free_slots_{memory} {}
+
+EventLoop::~EventLoop() {
+  for (std::uint32_t slot = 0; slot < slot_count_; ++slot) {
+    std::destroy_at(&slot_at(slot));
+  }
+  for (Slot* chunk : chunks_) {
+    memory_->deallocate(chunk, kChunkSlots * sizeof(Slot), alignof(Slot));
+  }
+}
 
 // ------------------------------------------------------------------ slots --
 
@@ -26,7 +36,7 @@ void EventLoop::disarm(Slot& s) {
 }
 
 void EventLoop::release(std::uint32_t slot) {
-  slots_[slot].cb = nullptr;
+  slot_at(slot).cb = nullptr;
   free_slots_.push_back(slot);
 }
 
@@ -39,18 +49,27 @@ TimerId EventLoop::schedule_at(SimTime when, Callback cb) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    if (slots_.size() >= kSlotMask) {
+    if (slot_count_ >= kSlotMask) {
       // > 16M concurrently pending timers means something is leaking events.
       throw std::runtime_error("EventLoop: timer slot table exhausted");
     }
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-    // Room for every slot on the free list: release() never allocates.
-    if (free_slots_.capacity() < slots_.size()) {
-      free_slots_.reserve(2 * slots_.size());
+    if ((slot_count_ & (kChunkSlots - 1)) == 0) {
+      // Grow by one chunk, whose slots are built as they are handed out.
+      // Every allocation comes before the table changes, so a throw leaves
+      // it as it was; the free list gets room for every slot, so release()
+      // never allocates.
+      const std::size_t slots = std::size_t{slot_count_} + kChunkSlots;
+      if (free_slots_.capacity() < slots) free_slots_.reserve(2 * slots);
+      if (chunks_.size() == chunks_.capacity()) {
+        chunks_.reserve(2 * chunks_.size() + 1);
+      }
+      chunks_.push_back(static_cast<Slot*>(
+          memory_->allocate(kChunkSlots * sizeof(Slot), alignof(Slot))));
     }
+    slot = slot_count_++;
+    std::construct_at(&slot_at(slot));
   }
-  Slot& s = slots_[slot];
+  Slot& s = slot_at(slot);
   s.cb = std::move(cb);  // the callback's last move: the slot never relocates
   s.seq = next_seq_;
   heap_.push_back(Key{when, next_seq_++, slot});
@@ -66,8 +85,8 @@ TimerId EventLoop::schedule_after(SimTime delay, Callback cb) {
 
 bool EventLoop::cancel(TimerId id) {
   const std::uint64_t slot_plus1 = id.value & kSlotMask;
-  if (slot_plus1 == 0 || slot_plus1 > slots_.size()) return false;
-  Slot& s = slots_[slot_plus1 - 1];
+  if (slot_plus1 == 0 || slot_plus1 > slot_count_) return false;
+  Slot& s = slot_at(static_cast<std::uint32_t>(slot_plus1 - 1));
   if (s.seq == kIdle || s.generation != (id.value >> kSlotBits)) return false;
   // The callback is destroyed now; its heap key goes stale.
   disarm(s);
@@ -80,7 +99,7 @@ bool EventLoop::cancel(TimerId id) {
 bool EventLoop::pop_next(const SimTime* deadline) {
   while (!heap_.empty()) {
     const Key top = heap_.front();
-    Slot& s = slots_[top.slot];
+    Slot& s = slot_at(top.slot);
     const bool live = s.seq == top.seq;
     if (live && deadline != nullptr && top.when > *deadline) return false;
     std::pop_heap(heap_.begin(), heap_.end(), KeyLater{});

@@ -4,9 +4,12 @@
 // This is the substrate every other module schedules against (DNS timeouts,
 // TCP retransmissions, HE connection-attempt delays, netem delivery...).
 //
-// Pending callbacks never move. Each one is built into a slot of a deque
-// (whose elements never relocate), runs there in place and is destroyed
-// exactly once: after it has run, or inside cancel(). The binary min-heap
+// Pending callbacks never move. Each one is built into a slot, runs there in
+// place and is destroyed exactly once: after it has run, or inside cancel().
+// Slots live in fixed chunks of kChunkSlots drawn from the loop's memory
+// resource; slot i is chunks_[i / kChunkSlots][i % kChunkSlots], and a chunk
+// is never moved or freed before the loop is, so growing the table while a
+// callback runs leaves every slot where it is. The binary min-heap
 // holds only trivially copyable {when, seq, slot} keys in (when, seq) order.
 // A slot remembers the seq of the timer it holds, so the key of a cancelled
 // timer is recognised as stale and dropped when it reaches the top. Slots
@@ -20,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory_resource>
 #include <vector>
 
@@ -51,6 +53,8 @@ class EventLoop {
   /// allocation; the default is the global resource.
   explicit EventLoop(
       std::pmr::memory_resource* memory = std::pmr::get_default_resource());
+  /// Destroys the callbacks still pending and returns the slot chunks.
+  ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
@@ -101,6 +105,10 @@ class EventLoop {
   static constexpr std::uint64_t kGenMask = (~std::uint64_t{0}) >> kSlotBits;
   /// Slot::seq of a slot holding no pending timer (free, or running).
   static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
+  /// Slots per chunk: a power of two, so a slot index splits by shift and
+  /// mask. A cell holds at most a few dozen pending timers.
+  static constexpr std::uint32_t kChunkShift = 5;
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
 
   struct Key {
     SimTime when;
@@ -123,6 +131,9 @@ class EventLoop {
     std::uint64_t generation = 1;
   };
 
+  Slot& slot_at(std::uint32_t slot) {
+    return chunks_[slot >> kChunkShift][slot & (kChunkSlots - 1)];
+  }
   /// Ends the pending timer in `s`: its TimerId and heap key stop matching.
   void disarm(Slot& s);
   /// Destroys the slot's callback, then returns the slot to the free list.
@@ -134,7 +145,9 @@ class EventLoop {
   /// Binary min-heap over (when, seq); keys of cancelled timers stay until
   /// they surface at the top.
   std::pmr::vector<Key> heap_;
-  std::pmr::deque<Slot> slots_;
+  std::pmr::memory_resource* memory_;
+  std::pmr::vector<Slot*> chunks_;  // storage for kChunkSlots slots each
+  std::uint32_t slot_count_ = 0;    // slots built: [0, slot_count_)
   std::pmr::vector<std::uint32_t> free_slots_;
   std::size_t live_count_ = 0;  // scheduled, not yet run/cancelled
   SimTime now_{0};

@@ -183,19 +183,19 @@ std::string IpAddress::to_string() const {
 
 void IpAddress::append_to(std::string& out) const {
   if (is_v4()) {
-    v4().append_to(out);
+    v4_.append_to(out);
   } else {
-    v6().append_to(out);
+    v6_.append_to(out);
   }
 }
 
 std::size_t IpAddress::hash() const {
   std::uint64_t h = is_v4() ? 0x9e3779b97f4a7c15ULL : 0xc2b2ae3d27d4eb4fULL;
   if (is_v4()) {
-    h ^= v4().value;
+    h ^= v4_.value;
     h *= 0x100000001b3ULL;
   } else {
-    for (const std::uint8_t b : v6().bytes) {
+    for (const std::uint8_t b : v6_.bytes) {
       h ^= b;
       h *= 0x100000001b3ULL;
     }

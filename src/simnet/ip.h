@@ -1,5 +1,9 @@
 // IP address model: IPv4, IPv6, family-erased IpAddress, Endpoint.
 //
+// IpAddress is a family tag over a union of the two address types: it is
+// compared on every packet a host or netem rule matches, so equality and
+// order are a tag test and one integer or 16-byte compare.
+//
 // Parsing/formatting follow RFC 4291 text forms; IPv6 output uses the RFC 5952
 // canonical form (lowercase hex, longest zero run compressed to "::").
 // Text is written digit by digit without printf; every to_string() has an
@@ -9,11 +13,12 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <variant>
+#include <variant>  // std::bad_variant_access
 
 namespace lazyeye::simnet {
 
@@ -50,12 +55,15 @@ struct Ipv6Address {
   auto operator<=>(const Ipv6Address&) const = default;
 };
 
-/// Family-erased address.
+/// Family-erased address. Orders IPv4 before IPv6, then by value within a
+/// family: the order of the std::variant<Ipv4Address, Ipv6Address> it
+/// replaced, which sorted containers keyed by address still observe.
 class IpAddress {
  public:
-  IpAddress() : addr_{Ipv4Address{}} {}
-  IpAddress(Ipv4Address a) : addr_{a} {}  // NOLINT(google-explicit-constructor)
-  IpAddress(Ipv6Address a) : addr_{a} {}  // NOLINT(google-explicit-constructor)
+  IpAddress() : v4_{} {}
+  IpAddress(Ipv4Address a) : v4_{a} {}  // NOLINT(google-explicit-constructor)
+  IpAddress(Ipv6Address a)  // NOLINT(google-explicit-constructor)
+      : family_{Family::kIpv6}, v6_{a} {}
 
   /// Parses either family from text.
   static std::optional<IpAddress> parse(std::string_view text);
@@ -63,26 +71,48 @@ class IpAddress {
   /// Parses or throws std::invalid_argument — for literals in code/tests.
   static IpAddress must_parse(std::string_view text);
 
-  Family family() const {
-    return std::holds_alternative<Ipv4Address>(addr_) ? Family::kIpv4
-                                                      : Family::kIpv6;
-  }
-  bool is_v4() const { return family() == Family::kIpv4; }
-  bool is_v6() const { return family() == Family::kIpv6; }
+  Family family() const { return family_; }
+  bool is_v4() const { return family_ == Family::kIpv4; }
+  bool is_v6() const { return family_ == Family::kIpv6; }
 
-  const Ipv4Address& v4() const { return std::get<Ipv4Address>(addr_); }
-  const Ipv6Address& v6() const { return std::get<Ipv6Address>(addr_); }
+  /// The address of the named family; std::bad_variant_access on the other.
+  const Ipv4Address& v4() const {
+    if (!is_v4()) throw std::bad_variant_access{};
+    return v4_;
+  }
+  const Ipv6Address& v6() const {
+    if (!is_v6()) throw std::bad_variant_access{};
+    return v6_;
+  }
 
   std::string to_string() const;
   void append_to(std::string& out) const;
 
-  auto operator<=>(const IpAddress&) const = default;
+  friend bool operator==(const IpAddress& a, const IpAddress& b) {
+    if (a.family_ != b.family_) return false;
+    return a.is_v4() ? a.v4_ == b.v4_ : a.compare_v6(b) == 0;
+  }
+  friend std::strong_ordering operator<=>(const IpAddress& a,
+                                          const IpAddress& b) {
+    if (a.family_ != b.family_) return a.family_ <=> b.family_;
+    return a.is_v4() ? a.v4_ <=> b.v4_ : a.compare_v6(b) <=> 0;
+  }
 
   /// Stable hash for unordered containers.
   std::size_t hash() const;
 
  private:
-  std::variant<Ipv4Address, Ipv6Address> addr_;
+  /// memcmp of the two IPv6 byte strings: their lexicographic order.
+  int compare_v6(const IpAddress& other) const {
+    return std::memcmp(v6_.bytes.data(), other.v6_.bytes.data(),
+                       v6_.bytes.size());
+  }
+
+  Family family_ = Family::kIpv4;
+  union {
+    Ipv4Address v4_;
+    Ipv6Address v6_;
+  };
 };
 
 struct Endpoint {

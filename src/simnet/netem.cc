@@ -14,22 +14,64 @@ bool PacketFilter::matches(const Packet& p) const {
   return true;
 }
 
+namespace {
+
+bool destination_only(const PacketFilter& f) {
+  return f.dst_addr && !f.family && !f.proto && !f.src_addr && !f.src_port &&
+         !f.dst_port;
+}
+
+}  // namespace
+
+auto NetemQdisc::lower_dst(const IpAddress& addr) const
+    -> std::pmr::vector<DstEntry>::const_iterator {
+  return std::lower_bound(
+      by_dst_.begin(), by_dst_.end(), addr,
+      [](const DstEntry& e, const IpAddress& a) { return e.addr < a; });
+}
+
+void NetemQdisc::add_rule(NetemRule rule) {
+  const auto index = static_cast<std::uint32_t>(rules_.size());
+  if (destination_only(rule.filter)) {
+    const IpAddress& addr = *rule.filter.dst_addr;
+    const auto it = lower_dst(addr);
+    // A later rule for an indexed address can never be the first match.
+    if (it == by_dst_.end() || it->addr != addr) {
+      by_dst_.insert(it, DstEntry{addr, index});
+    }
+  } else {
+    scanned_.push_back(index);
+  }
+  rules_.push_back(std::move(rule));
+}
+
 NetemVerdict NetemQdisc::process(const Packet& p, Rng& rng) const {
-  for (const NetemRule& rule : rules_) {
-    if (!rule.filter.matches(p)) continue;
-    NetemVerdict verdict;
-    if (rule.spec.loss > 0.0 && rng.chance(rule.spec.loss)) {
-      verdict.dropped = true;
-      return verdict;
+  auto first = static_cast<std::uint32_t>(rules_.size());
+  if (const auto it = lower_dst(p.dst.addr);
+      it != by_dst_.end() && it->addr == p.dst.addr) {
+    first = it->rule;
+  }
+  for (const std::uint32_t index : scanned_) {
+    if (index >= first) break;
+    if (rules_[index].filter.matches(p)) {
+      first = index;
+      break;
     }
-    SimTime d = rule.spec.delay;
-    if (rule.spec.jitter.count() > 0) {
-      d += rng.next_duration(-rule.spec.jitter, rule.spec.jitter);
-    }
-    verdict.extra_delay = std::max(SimTime{0}, d);
+  }
+  if (first == rules_.size()) return {};
+
+  const NetemSpec& spec = rules_[first].spec;
+  NetemVerdict verdict;
+  if (spec.loss > 0.0 && rng.chance(spec.loss)) {
+    verdict.dropped = true;
     return verdict;
   }
-  return {};
+  SimTime d = spec.delay;
+  if (spec.jitter.count() > 0) {
+    d += rng.next_duration(-spec.jitter, spec.jitter);
+  }
+  verdict.extra_delay = std::max(SimTime{0}, d);
+  return verdict;
 }
 
 }  // namespace lazyeye::simnet

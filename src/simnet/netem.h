@@ -4,6 +4,13 @@
 // packets for CAD tests) and per measurement-address pairs (web tool). A
 // NetemQdisc holds an ordered rule list; the first matching rule's spec is
 // applied (extra delay, jitter, probabilistic loss).
+//
+// A rule whose filter names only a destination address (the web tool's one
+// rule per bucket address) is found by a binary search of an address index
+// instead of a scan; only the other rules are scanned, in order, and only
+// up to the index's hit. The lower rule index of the two wins, so the rule
+// applied, and with it every rng draw, is the one a plain in-order scan of
+// all rules picks.
 #pragma once
 
 #include <memory_resource>
@@ -68,19 +75,29 @@ class NetemQdisc {
   /// shaping an arena-built world allocates nothing on the global heap.
   explicit NetemQdisc(
       std::pmr::memory_resource* memory = std::pmr::get_default_resource())
-      : rules_{memory} {}
+      : rules_{memory}, scanned_{memory}, by_dst_{memory} {}
 
   /// Appends a rule; rules are evaluated in insertion order, first match wins.
-  void add_rule(NetemRule rule) { rules_.push_back(std::move(rule)); }
+  void add_rule(NetemRule rule);
   void add_rule(PacketFilter filter, NetemSpec spec, std::string label = {}) {
-    rules_.push_back({std::move(filter), spec, std::move(label)});
+    add_rule(NetemRule{std::move(filter), spec, std::move(label)});
   }
 
   /// Applies the first matching rule. `rng` supplies jitter/loss randomness.
   NetemVerdict process(const Packet& p, Rng& rng) const;
 
  private:
-  std::pmr::vector<NetemRule> rules_;
+  struct DstEntry {
+    IpAddress addr;
+    std::uint32_t rule;  // the first destination-only rule for `addr`
+  };
+  /// The first index entry whose address is not below `addr`.
+  std::pmr::vector<DstEntry>::const_iterator lower_dst(
+      const IpAddress& addr) const;
+
+  std::pmr::vector<NetemRule> rules_;        // insertion order
+  std::pmr::vector<std::uint32_t> scanned_;  // every other rule, ascending
+  std::pmr::vector<DstEntry> by_dst_;        // sorted by addr, unique
 };
 
 }  // namespace lazyeye::simnet

@@ -15,7 +15,8 @@ ConnectionTable::ConnectionTable(simnet::Host& host, TransportProtocol proto,
       proto_{proto},
       send_open_{std::move(send_open)},
       release_{std::move(release)},
-      connections_{host.network().memory()} {}
+      connections_{host.network().memory()},
+      by_tuple_{host.network().memory()} {}
 
 ConnectionTable::~ConnectionTable() {
   for (const auto& [id, conn] : connections_) {
@@ -35,10 +36,8 @@ Connection* ConnectionTable::open(const simnet::Endpoint& remote,
     handler(failed);
     return nullptr;
   }
-  const std::uint64_t id = next_id_++;
-  Connection& conn = connections_[id];
-  conn.id = id;
-  conn.tuple = FourTuple{{*local_addr, host_.ephemeral_port()}, remote};
+  Connection& conn =
+      insert(FourTuple{{*local_addr, host_.ephemeral_port()}, remote});
   conn.retransmit = retransmit;
   conn.started = host_.network().loop().now();
   conn.on_connect = std::move(handler);
@@ -96,12 +95,18 @@ void ConnectionTable::fail(std::uint64_t id, const std::string& error) {
   if (handler) handler(r);
 }
 
-Connection& ConnectionTable::accept(const FourTuple& tuple, ConnState state) {
+Connection& ConnectionTable::insert(const FourTuple& tuple) {
   const std::uint64_t id = next_id_++;
   Connection& conn = connections_[id];
   conn.id = id;
-  conn.state = state;
   conn.tuple = tuple;
+  by_tuple_.push_back(TupleEntry{tuple, &conn});
+  return conn;
+}
+
+Connection& ConnectionTable::accept(const FourTuple& tuple, ConnState state) {
+  Connection& conn = insert(tuple);
+  conn.state = state;
   conn.started = host_.network().loop().now();
   return conn;
 }
@@ -114,8 +119,8 @@ void ConnectionTable::accepted(const Connection& conn) {
 }
 
 Connection* ConnectionTable::find(const FourTuple& tuple) {
-  for (auto& [id, conn] : connections_) {
-    if (conn.tuple == tuple) return &conn;
+  for (const TupleEntry& entry : by_tuple_) {
+    if (entry.tuple == tuple) return entry.conn;
   }
   return nullptr;
 }
@@ -128,6 +133,8 @@ Connection* ConnectionTable::find(std::uint64_t id) {
 void ConnectionTable::remove(Connection& conn) {
   host_.network().loop().cancel(conn.rto_timer);
   if (release_) release_(conn);
+  std::erase_if(by_tuple_,
+                [&](const TupleEntry& entry) { return entry.conn == &conn; });
   connections_.erase(conn.id);
 }
 

@@ -5,15 +5,19 @@
 // runs exactly once), accept on a listening port, find, and remove.
 //
 // Connections live in an id-ordered, node-based map, so a Connection& stays
-// valid while handlers open and abort siblings. Tuple lookup scans it in id
-// order and returns the first match, the lowest id: a stack holds at most a
-// few dozen live connections (19 on the paper's grids).
+// valid while handlers open and abort siblings. Every packet looks its
+// connection up by tuple, through a flat side index of {tuple, connection}
+// entries appended in id order and erased by remove(): the scan reads
+// contiguous tuples instead of map nodes, and its first match is still the
+// lowest id. A stack holds at most a few dozen live connections (19 on the
+// paper's grids).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory_resource>
 #include <string>
+#include <vector>
 
 #include "simnet/network.h"
 #include "transport/connection.h"
@@ -103,14 +107,22 @@ class ConnectionTable {
   }
 
  private:
+  /// Adds a connection with the next id to the map and the tuple index.
+  Connection& insert(const FourTuple& tuple);
   void send_open(Connection& conn);
   ConnectResult result(const Connection& conn) const;
+
+  struct TupleEntry {
+    FourTuple tuple;
+    Connection* conn;  // a map node: stable until remove()
+  };
 
   simnet::Host& host_;
   TransportProtocol proto_;
   SendOpen send_open_;
   Release release_;
   std::pmr::map<std::uint64_t, Connection> connections_;
+  std::pmr::vector<TupleEntry> by_tuple_;  // ascending id
   std::map<std::uint16_t, AcceptHandler> listeners_;
   AcceptInterposer accept_interposer_;
   std::uint64_t next_id_ = 1;

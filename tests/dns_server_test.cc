@@ -114,6 +114,28 @@ TEST_F(ZoneTest, ApexNsIsNotDelegation) {
             Zone::RcodeKind::kAnswer);
 }
 
+TEST_F(ZoneTest, NsAddedBelowApexAfterLookupsMakesACut) {
+  // Lookups in a zone with only an apex NS find no cut; an NS added below
+  // the apex afterwards must still turn its subtree into a referral.
+  Zone z{N("he.lab")};
+  z.add_ns(N("he.lab"), N("ns1.he.lab"));
+  z.add_a(N("www.sub.he.lab"), V4("10.0.0.1"));
+  EXPECT_EQ(lookup(z, N("www.sub.he.lab"), RrType::kA).kind,
+            Zone::RcodeKind::kAnswer);
+  EXPECT_EQ(lookup(z, N("sub.he.lab"), RrType::kA).kind,
+            Zone::RcodeKind::kNoData);
+
+  z.add_ns(N("sub.he.lab"), N("ns1.sub.he.lab"));
+  for (const char* qname : {"www.sub.he.lab", "sub.he.lab"}) {
+    const auto r = lookup(z, N(qname), RrType::kA);
+    EXPECT_EQ(r.kind, Zone::RcodeKind::kDelegation) << qname;
+    ASSERT_EQ(r.records.size(), 1u) << qname;
+    EXPECT_EQ(r.records[0]->type, RrType::kNs) << qname;
+  }
+  EXPECT_EQ(lookup(z, N("he.lab"), RrType::kNs).kind,
+            Zone::RcodeKind::kAnswer);
+}
+
 TEST_F(ZoneTest, AddOutsideZoneThrows) {
   EXPECT_THROW(zone_.add_a(N("www.other.lab"), V4("10.0.0.1")),
                std::invalid_argument);

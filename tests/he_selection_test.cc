@@ -1,6 +1,8 @@
 // Address selection (RFC 8305 §4), outcome cache, and options presets.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "he/address_selection.h"
 #include "he/cache.h"
 #include "he/options.h"
@@ -26,9 +28,9 @@ std::vector<Family> families(const std::vector<IpAddress>& list) {
 }
 
 TEST(AddressSelectionTest, AlternateFafc1) {
-  SelectionInput input;
-  input.ipv6 = {v6(1), v6(2), v6(3)};
-  input.ipv4 = {v4(1), v4(2), v4(3)};
+  const std::vector<IpAddress> ipv6{v6(1), v6(2), v6(3)};
+  const std::vector<IpAddress> ipv4{v4(1), v4(2), v4(3)};
+  const SelectionInput input{ipv6, ipv4};
   HeOptions o = HeOptions::rfc8305();
   const auto out = select_addresses(input, o);
   EXPECT_EQ(families(out),
@@ -37,9 +39,9 @@ TEST(AddressSelectionTest, AlternateFafc1) {
 }
 
 TEST(AddressSelectionTest, AlternateFafc2) {
-  SelectionInput input;
-  input.ipv6 = {v6(1), v6(2), v6(3)};
-  input.ipv4 = {v4(1), v4(2)};
+  const std::vector<IpAddress> ipv6{v6(1), v6(2), v6(3)};
+  const std::vector<IpAddress> ipv4{v4(1), v4(2)};
+  const SelectionInput input{ipv6, ipv4};
   HeOptions o = HeOptions::rfc8305();
   o.first_address_family_count = 2;
   const auto out = select_addresses(input, o);
@@ -50,9 +52,11 @@ TEST(AddressSelectionTest, AlternateFafc2) {
 }
 
 TEST(AddressSelectionTest, SafariPattern10Plus10) {
-  SelectionInput input;
-  for (int i = 1; i <= 10; ++i) input.ipv6.push_back(v6(i));
-  for (int i = 1; i <= 10; ++i) input.ipv4.push_back(v4(i));
+  std::vector<IpAddress> ipv6;
+  std::vector<IpAddress> ipv4;
+  for (int i = 1; i <= 10; ++i) ipv6.push_back(v6(i));
+  for (int i = 1; i <= 10; ++i) ipv4.push_back(v4(i));
+  const SelectionInput input{ipv6, ipv4};
   HeOptions o;
   o.first_address_family_count = 2;
   o.interlace = InterlaceMode::kFirstOtherThenRest;
@@ -71,9 +75,9 @@ TEST(AddressSelectionTest, SafariPattern10Plus10) {
 }
 
 TEST(AddressSelectionTest, PreferIpv4WhenConfigured) {
-  SelectionInput input;
-  input.ipv6 = {v6(1)};
-  input.ipv4 = {v4(1)};
+  const std::vector<IpAddress> ipv6{v6(1)};
+  const std::vector<IpAddress> ipv4{v4(1)};
+  const SelectionInput input{ipv6, ipv4};
   HeOptions o = HeOptions::rfc8305();
   o.prefer_ipv6 = false;
   const auto out = select_addresses(input, o);
@@ -81,9 +85,11 @@ TEST(AddressSelectionTest, PreferIpv4WhenConfigured) {
 }
 
 TEST(AddressSelectionTest, TruncatesPerFamily) {
-  SelectionInput input;
-  for (int i = 1; i <= 5; ++i) input.ipv6.push_back(v6(i));
-  for (int i = 1; i <= 5; ++i) input.ipv4.push_back(v4(i));
+  std::vector<IpAddress> ipv6;
+  std::vector<IpAddress> ipv4;
+  for (int i = 1; i <= 5; ++i) ipv6.push_back(v6(i));
+  for (int i = 1; i <= 5; ++i) ipv4.push_back(v4(i));
+  const SelectionInput input{ipv6, ipv4};
   HeOptions o = HeOptions::rfc8305();
   o.max_addresses_per_family = 1;
   o.interlace = InterlaceMode::kNone;
@@ -94,9 +100,9 @@ TEST(AddressSelectionTest, TruncatesPerFamily) {
 }
 
 TEST(AddressSelectionTest, NoFallbackUsesPreferredOnly) {
-  SelectionInput input;
-  input.ipv6 = {v6(1), v6(2)};
-  input.ipv4 = {v4(1)};
+  const std::vector<IpAddress> ipv6{v6(1), v6(2)};
+  const std::vector<IpAddress> ipv4{v4(1)};
+  const SelectionInput input{ipv6, ipv4};
   HeOptions o = HeOptions::none();
   o.max_addresses_per_family = 10;
   const auto out = select_addresses(input, o);
@@ -107,8 +113,8 @@ TEST(AddressSelectionTest, NoFallbackUsesPreferredOnly) {
 }
 
 TEST(AddressSelectionTest, NoFallbackFallsToOtherFamilyOnlyWhenEmpty) {
-  SelectionInput input;
-  input.ipv4 = {v4(1)};
+  const std::vector<IpAddress> ipv4{v4(1)};
+  const SelectionInput input{{}, ipv4};
   HeOptions o = HeOptions::none();
   const auto out = select_addresses(input, o);
   ASSERT_EQ(out.size(), 1u);
@@ -124,11 +130,13 @@ TEST(AddressSelectionTest, EmptyInputsYieldEmptyPlan) {
 TEST(AddressSelectionTest, RandomisedInvariants) {
   Rng rng{99};
   for (int iteration = 0; iteration < 300; ++iteration) {
-    SelectionInput input;
     const int n6 = static_cast<int>(rng.next_below(6));
     const int n4 = static_cast<int>(rng.next_below(6));
-    for (int i = 1; i <= n6; ++i) input.ipv6.push_back(v6(i));
-    for (int i = 1; i <= n4; ++i) input.ipv4.push_back(v4(i));
+    std::vector<IpAddress> ipv6;
+    std::vector<IpAddress> ipv4;
+    for (int i = 1; i <= n6; ++i) ipv6.push_back(v6(i));
+    for (int i = 1; i <= n4; ++i) ipv4.push_back(v4(i));
+    const SelectionInput input{ipv6, ipv4};
 
     HeOptions o;
     o.first_address_family_count = static_cast<int>(rng.next_in_range(1, 3));

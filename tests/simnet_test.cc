@@ -6,10 +6,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <memory_resource>
 #include <new>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "simnet/buffer.h"
@@ -395,6 +397,60 @@ TEST(IpTest, ComparisonAndHash) {
   EXPECT_NE(a.hash(), v6.hash());
 }
 
+TEST(IpTest, OrderMatchesTheVariantItReplaced) {
+  // IPv4 before IPv6, then by value: the order of
+  // std::variant<Ipv4Address, Ipv6Address>, checked pair by pair against
+  // that variant, over addresses whose payload bytes collide across
+  // families.
+  using Reference = std::variant<Ipv4Address, Ipv6Address>;
+  std::vector<std::pair<IpAddress, Reference>> cases;
+  for (const char* text :
+       {"0.0.0.0", "0.0.0.1", "10.0.0.1", "10.0.0.2", "255.255.255.255", "::",
+        "::1", "::a00:1", "2001:db8::1", "2001:db8::2", "ffff::"}) {
+    const IpAddress a = IpAddress::must_parse(text);
+    cases.emplace_back(a, a.is_v4() ? Reference{a.v4()} : Reference{a.v6()});
+  }
+  for (const auto& [a, ra] : cases) {
+    for (const auto& [b, rb] : cases) {
+      EXPECT_EQ(a <=> b, ra <=> rb) << a.to_string() << " vs " << b.to_string();
+      EXPECT_EQ(a == b, ra == rb) << a.to_string() << " vs " << b.to_string();
+    }
+  }
+  EXPECT_LT(IpAddress::must_parse("255.255.255.255"), IpAddress::must_parse("::"));
+  EXPECT_NE(IpAddress{Ipv4Address{}}, IpAddress{Ipv6Address{}});
+  EXPECT_NE(IpAddress::must_parse("0.0.0.1"), IpAddress::must_parse("::1"));
+  EXPECT_EQ(IpAddress{}, IpAddress::must_parse("0.0.0.0"));
+  EXPECT_EQ(IpAddress{}.family(), Family::kIpv4);
+}
+
+TEST(IpTest, WrongFamilyAccessThrows) {
+  const IpAddress v4 = IpAddress::must_parse("10.0.0.1");
+  const IpAddress v6 = IpAddress::must_parse("2001:db8::1");
+  EXPECT_EQ(v4.v4().value, 0x0a000001u);
+  EXPECT_EQ(v6.v6().group(0), 0x2001);
+  EXPECT_THROW(static_cast<void>(v4.v6()), std::bad_variant_access);
+  EXPECT_THROW(static_cast<void>(v6.v4()), std::bad_variant_access);
+}
+
+TEST(IpTest, HashValuesArePinned) {
+  // Unordered containers keyed by address iterate in hash order, so a
+  // change here could reorder output.
+  const std::pair<const char*, std::uint64_t> pinned[] = {
+      {"0.0.0.0", 0x22bfeb334b90d7afULL},
+      {"10.0.0.1", 0x22bfea224d90d5fcULL},
+      {"192.0.2.80", 0x22c21ba00b948f3fULL},
+      {"::", 0x24b45be93d9a270fULL},
+      {"::ffff", 0x24eef0e93dcc9c85ULL},
+      {"2001:db8::1", 0x65aad03329d4acd6ULL},
+  };
+  for (const auto& [text, hash] : pinned) {
+    EXPECT_EQ(static_cast<std::uint64_t>(IpAddress::must_parse(text).hash()),
+              hash)
+        << text;
+  }
+  EXPECT_EQ(IpAddress{}.hash(), IpAddress::must_parse("0.0.0.0").hash());
+}
+
 // --------------------------------------------------------------- netem ----
 
 Packet make_packet(const std::string& src, const std::string& dst,
@@ -435,6 +491,110 @@ TEST(NetemTest, FirstMatchWins) {
             ms(50));
   EXPECT_EQ(q.process(make_packet("10.0.0.1", "10.0.0.8"), rng).extra_delay,
             ms(5));
+}
+
+TEST(NetemTest, FirstMatchSpansAddressRulesAndOtherRules) {
+  // Destination-only rules sit between other rules and repeat an address;
+  // the rule applied is still the first in insertion order.
+  NetemQdisc q;
+  PacketFilter v4_https;
+  v4_https.family = Family::kIpv4;
+  v4_https.dst_port = 443;
+  q.add_rule(v4_https, NetemSpec::delay_only(ms(10)));
+  q.add_rule(PacketFilter::to_address(IpAddress::must_parse("10.0.0.9")),
+             NetemSpec::delay_only(ms(50)));
+  q.add_rule(PacketFilter::to_address(IpAddress::must_parse("10.0.0.8")),
+             NetemSpec::delay_only(ms(60)));
+  q.add_rule(PacketFilter::to_address(IpAddress::must_parse("10.0.0.9")),
+             NetemSpec::delay_only(ms(70)));  // shadowed by the 50 ms rule
+  q.add_rule(PacketFilter::for_family(Family::kIpv4),
+             NetemSpec::delay_only(ms(5)));
+  q.add_rule(PacketFilter::to_address(IpAddress::must_parse("10.0.0.7")),
+             NetemSpec::delay_only(ms(90)));  // shadowed by the IPv4 rule
+  q.add_rule(PacketFilter::to_address(IpAddress::must_parse("2001:db8::9")),
+             NetemSpec::delay_only(ms(80)));
+  q.add_rule(PacketFilter::any(), NetemSpec::delay_only(ms(1)));
+  Rng rng{1};
+  const auto delay = [&](const char* dst, std::uint16_t dport) {
+    const Protocol proto = dport == 443 ? Protocol::kTcp : Protocol::kUdp;
+    const char* src = dst[0] == '2' ? "2001:db8::1" : "10.0.0.1";
+    return q.process(make_packet(src, dst, proto, dport), rng).extra_delay;
+  };
+  EXPECT_EQ(delay("10.0.0.9", 443), ms(10));
+  EXPECT_EQ(delay("10.0.0.9", 53), ms(50));
+  EXPECT_EQ(delay("10.0.0.8", 53), ms(60));
+  EXPECT_EQ(delay("10.0.0.7", 53), ms(5));
+  EXPECT_EQ(delay("10.0.0.6", 53), ms(5));
+  EXPECT_EQ(delay("2001:db8::9", 443), ms(80));
+  EXPECT_EQ(delay("2001:db8::8", 443), ms(1));
+}
+
+TEST(NetemTest, VerdictsAndDrawsMatchAnInOrderScan) {
+  // Random rule lists over a small address pool, with jitter and loss: every
+  // verdict, and the rng state after it, equals that of a plain scan of all
+  // rules in insertion order.
+  const std::vector<IpAddress> pool{
+      IpAddress::must_parse("10.0.0.1"), IpAddress::must_parse("10.0.0.2"),
+      IpAddress::must_parse("10.0.0.3"), IpAddress::must_parse("2001:db8::1"),
+      IpAddress::must_parse("2001:db8::2")};
+  Rng gen{2024};
+  const auto pick = [&] { return pool[gen.next_below(pool.size())]; };
+  for (int round = 0; round < 50; ++round) {
+    NetemQdisc q;
+    std::vector<NetemRule> rules;
+    const std::uint64_t count = gen.next_below(12);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      NetemRule rule;
+      switch (gen.next_below(4)) {
+        case 0:
+        case 1:  // half the rules are destination-only
+          rule.filter = PacketFilter::to_address(pick());
+          break;
+        case 2:
+          rule.filter.dst_addr = pick();
+          rule.filter.dst_port = 53;
+          break;
+        default:
+          if (gen.chance(0.5)) rule.filter.family = Family::kIpv6;
+          if (gen.chance(0.5)) rule.filter.src_addr = pick();
+      }
+      rule.spec.delay = ms(static_cast<std::int64_t>(1 + gen.next_below(100)));
+      rule.spec.jitter = ms(static_cast<std::int64_t>(gen.next_below(3)));
+      rule.spec.loss = gen.chance(0.3) ? 0.25 : 0.0;
+      rules.push_back(rule);
+      q.add_rule(rule);
+    }
+    Rng fast{static_cast<std::uint64_t>(round)};
+    Rng reference{static_cast<std::uint64_t>(round)};
+    for (int n = 0; n < 40; ++n) {
+      IpAddress src = pick();
+      IpAddress dst = pick();
+      while (dst.family() != src.family()) dst = pick();
+      Packet p;
+      p.proto = Protocol::kUdp;
+      p.src = {src, 10000};
+      p.dst = {dst, static_cast<std::uint16_t>(gen.chance(0.5) ? 53 : 443)};
+
+      NetemVerdict expected;
+      for (const NetemRule& rule : rules) {
+        if (!rule.filter.matches(p)) continue;
+        if (rule.spec.loss > 0.0 && reference.chance(rule.spec.loss)) {
+          expected.dropped = true;
+        } else {
+          SimTime d = rule.spec.delay;
+          if (rule.spec.jitter.count() > 0) {
+            d += reference.next_duration(-rule.spec.jitter, rule.spec.jitter);
+          }
+          expected.extra_delay = std::max(SimTime{0}, d);
+        }
+        break;
+      }
+      const NetemVerdict got = q.process(p, fast);
+      ASSERT_EQ(got.dropped, expected.dropped) << "round " << round;
+      ASSERT_EQ(got.extra_delay, expected.extra_delay) << "round " << round;
+      ASSERT_EQ(fast.next_u64(), reference.next_u64()) << "round " << round;
+    }
+  }
 }
 
 TEST(NetemTest, PortAndProtocolFilters) {
@@ -977,6 +1137,105 @@ TEST(EventLoopTest, CallbackMayGrowSlotTableAndCancelAroundItself) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(fired[i], expected[i].seq) << "at index " << i;
   }
+}
+
+/// Forwards to the global heap and tracks what is still outstanding.
+class CountingResource : public std::pmr::memory_resource {
+ public:
+  std::uint64_t allocations = 0;
+  std::int64_t outstanding_bytes = 0;
+
+ private:
+  void* do_allocate(std::size_t bytes, std::size_t align) override {
+    ++allocations;
+    outstanding_bytes += static_cast<std::int64_t>(bytes);
+    return std::pmr::new_delete_resource()->allocate(bytes, align);
+  }
+  void do_deallocate(void* p, std::size_t bytes, std::size_t align) override {
+    outstanding_bytes -= static_cast<std::int64_t>(bytes);
+    std::pmr::new_delete_resource()->deallocate(p, bytes, align);
+  }
+  bool do_is_equal(const memory_resource& other) const noexcept override {
+    return this == &other;
+  }
+};
+
+TEST(EventLoopTest, SlotChunksHoldTimersAcrossChunkBoundaries) {
+  // 100 pending timers span four slot chunks. A quarter are cancelled, and
+  // the earliest callback schedules 60 more from inside its run, reusing
+  // the freed slots and growing the table past them, then cancels a third
+  // of those. Every survivor fires once in (when, seq) order; a second
+  // round of the same shape draws nothing more from the resource, and the
+  // loop returns every byte it drew when it is destroyed.
+  CountingResource memory;
+  {
+    EventLoop loop{&memory};
+    struct Expected {
+      SimTime when;
+      std::uint64_t seq;
+    };
+    std::vector<Expected> expected;
+    std::vector<std::uint64_t> fired;
+    std::uint64_t next_seq = 0;
+    Rng rng{33};
+    const auto schedule = [&](SimTime when) {
+      const std::uint64_t seq = next_seq++;
+      expected.push_back(Expected{when, seq});
+      return loop.schedule_at(when, [&fired, seq] { fired.push_back(seq); });
+    };
+    const auto cancel = [&](TimerId id, std::uint64_t seq) {
+      EXPECT_TRUE(loop.cancel(id));
+      std::erase_if(expected, [seq](const Expected& e) { return e.seq == seq; });
+    };
+    const auto round = [&] {
+      const SimTime base = loop.now();
+      const std::uint64_t first_seq = next_seq;
+      std::vector<TimerId> ids;
+      for (int i = 0; i < 100; ++i) {
+        ids.push_back(schedule(
+            base + ms(1) + us(static_cast<std::int64_t>(rng.next_below(5000)))));
+      }
+      for (std::size_t i = 0; i < ids.size(); i += 4) {
+        cancel(ids[i], first_seq + i);
+      }
+      const std::uint64_t spawner_seq = next_seq++;
+      expected.push_back(Expected{base, spawner_seq});
+      loop.schedule_at(base, [&, spawner_seq] {
+        fired.push_back(spawner_seq);
+        const std::uint64_t spawned_seq = next_seq;
+        std::vector<TimerId> spawned;
+        for (int k = 0; k < 60; ++k) {
+          spawned.push_back(schedule(
+              loop.now() + us(static_cast<std::int64_t>(rng.next_below(6000)))));
+        }
+        for (std::size_t k = 0; k < spawned.size(); k += 3) {
+          cancel(spawned[k], spawned_seq + k);
+        }
+      });
+      loop.run();
+      EXPECT_EQ(loop.pending(), 0u);
+    };
+
+    round();
+    const std::uint64_t warm = memory.allocations;
+    round();
+    EXPECT_EQ(memory.allocations, warm)
+        << "a round within the high-water mark drew new slot storage";
+
+    std::sort(expected.begin(), expected.end(),
+              [](const Expected& a, const Expected& b) {
+                if (a.when != b.when) return a.when < b.when;
+                return a.seq < b.seq;
+              });
+    ASSERT_EQ(fired.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(fired[i], expected[i].seq) << "at index " << i;
+    }
+
+    // A timer left pending is destroyed with the loop.
+    loop.schedule_after(ms(1), [] {});
+  }
+  EXPECT_EQ(memory.outstanding_bytes, 0);
 }
 
 // ------------------------------------------------- flat dispatch safety ----

@@ -423,6 +423,33 @@ TEST_F(TransportFixture, TableDuplicateTuplesResolveToLowestId) {
   EXPECT_EQ(table.find(tuple_for(1000, 443)), &high);
 }
 
+TEST_F(TransportFixture, TableTupleLookupFollowsRemovalsInAnyOrder) {
+  // Three connections share one tuple around a fourth: removing from the
+  // middle, the front and the back of the id order always leaves find() on
+  // the lowest live id, and a later arrival with the tuple ranks last.
+  ConnectionTable table{client_host, TransportProtocol::kTcp,
+                        [](const FourTuple&) {}};
+  const FourTuple shared = tuple_for(1000, 443);
+  Connection& first = table.accept(shared, ConnState::kEstablished);
+  Connection& other = table.accept(tuple_for(1001, 443), ConnState::kHalfOpen);
+  Connection& second = table.accept(shared, ConnState::kEstablished);
+  Connection& third = table.accept(shared, ConnState::kEstablished);
+
+  table.remove(second);
+  EXPECT_EQ(table.find(shared), &first);
+  table.remove(first);
+  EXPECT_EQ(table.find(shared), &third);
+  EXPECT_EQ(table.find(tuple_for(1001, 443)), &other);
+  Connection& fourth = table.accept(shared, ConnState::kEstablished);
+  EXPECT_EQ(table.find(shared), &third);
+  table.remove(third);
+  EXPECT_EQ(table.find(shared), &fourth);
+  table.remove(fourth);
+  EXPECT_EQ(table.find(shared), nullptr);
+  EXPECT_EQ(table.find(tuple_for(1001, 443)), &other);
+  EXPECT_EQ(table.connections().size(), 1u);
+}
+
 TEST_F(TransportFixture, DestroyedStackLeavesNoRetransmitTimer) {
   // A pending SYN retransmit timer points at the stack; destroying the stack
   // mid-attempt must cancel it rather than let it fire into freed memory.
