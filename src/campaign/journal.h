@@ -16,8 +16,8 @@
 //
 // Record types:
 //   kCell        u64 index | encoded result bytes
-//   kSnapshot    u64 cells_delivered | opaque state blob (FaultHunt's
-//                search state; run_journaled writes none)
+//   kSnapshot    u64 cells_delivered | opaque state blob (no src writer;
+//                perfbench's probe and old journals)
 //   kComplete    u64 cells_delivered       (the range finished cleanly)
 //
 // Type 2 is retired and never reassigned: like any unknown type, a record
@@ -74,7 +74,8 @@ struct JournalLoad {
   /// In journal order == spec order; indices are contiguous from cell_begin.
   std::vector<Cell> cells;
 
-  /// Latest snapshot record, if any.
+  /// Latest snapshot record, if any. Nothing in src reads it: the hunt
+  /// resumes from its cell records.
   std::string snapshot_state;
   std::uint64_t snapshot_cells = 0;
 

@@ -30,7 +30,6 @@ ClientProfile chromium_profile(const std::string& name,
   // Chromium's TransportConnectJob uses a 300 ms fallback delay [paper §5.1,
   // chromium net/socket/transport_connect_job.h].
   o.connection_attempt_delay = lazyeye::ms(300);
-  o.query_aaaa_first = true;  // own stub resolver, AAAA first
   if (hev3_flag) {
     // The EnableHappyEyeballsV3 feature flag adds a Resolution Delay and
     // removes the wait-for-A behaviour (§5.2).
@@ -45,7 +44,6 @@ ClientProfile chromium_profile(const std::string& name,
   // Table 2: one address per family used, no visible address selection.
   o.max_addresses_per_family = 1;
   o.interlace = he::InterlaceMode::kNone;
-  o.prefer_ipv6 = true;
   p.options = o;
   return p;
 }
@@ -82,7 +80,6 @@ ClientProfile safari_profile(const std::string& version) {
 
   he::HeOptions o;
   // The only client implementing HEv2's DNS handling (Table 2).
-  o.query_aaaa_first = true;
   o.resolution_delay = lazyeye::ms(50);  // RFC recommendation (§5.2)
   o.wait_for_a_record = false;
   // Dynamic CAD: 2 s without history (local testbed), RTT-driven on the web

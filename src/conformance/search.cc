@@ -2,7 +2,6 @@
 
 #include <array>
 #include <bitset>
-#include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <stdexcept>
@@ -28,10 +27,6 @@ constexpr std::uint32_t kHuntStream = 0xFA;
 /// slots allow 16; see FaultSchedule::generate).
 constexpr std::size_t kMaxMutatedEntries = 8;
 
-/// Smallest encoded corpus entry in a hunt snapshot: an empty schedule
-/// string (4) + violations (4) + minimized flag (1) + novelty (8).
-constexpr std::size_t kMinCorpusEntryBytes = 4 + 4 + 1 + 8;
-
 // Coverage element layout (search.h): the tag in the top two bits; verdict
 // and fetch elements put the profile index at bit 32; a diff element puts
 // its rule at bit 56 and profile p's symbol at bits 2p and 2p+1.
@@ -44,8 +39,8 @@ constexpr unsigned kDiffRuleShift = 56;
 static_assert(2 * kMaxHuntProfiles <= kDiffRuleShift);
 static_assert(kRuleCount <= 1u << (kTagShift - kDiffRuleShift));
 
-/// A diff element's symbol codes: RuleOutcome's values, then "no verdict".
-constexpr char kDiffSymbols[] = "PV-?";
+/// A diff element's code for a profile with no verdict on the rule; the
+/// other codes are RuleOutcome's values.
 constexpr std::uint64_t kNoVerdictCode = 3;
 
 std::uint64_t verdict_element(std::size_t profile, const Verdict& v) {
@@ -61,21 +56,6 @@ std::uint64_t verdict_element(std::size_t profile, const Verdict& v) {
          static_cast<std::uint64_t>(v.outcome) << 16 |
          static_cast<std::uint64_t>(e.kind) << 8 | bound_shape << 4 |
          time_shape;
-}
-
-/// A duration of the given duration_shape(): what a verdict element's
-/// evidence is rendered with when its text is asked for.
-SimTime shape_example(std::uint64_t shape) {
-  // Per unit (s, ms, us, ns): a whole and a fractional example. "1.5s"
-  // would print as "1500ms", so the fractional second is 12.5 s.
-  static constexpr std::int64_t kExamples[4][2] = {
-      {1'000'000'000, 12'500'000'000},
-      {2'000'000, 1'500'000},
-      {2'000, 1'500},
-      {5, 5},
-  };
-  const std::int64_t v = kExamples[shape >> 2 & 3][shape >> 1 & 1];
-  return SimTime{(shape & 1) != 0 ? -v : v};
 }
 
 int total_violations(const std::vector<ConformanceRecord>& records) {
@@ -158,22 +138,6 @@ bool parse_field(std::string_view token, std::string_view prefix, int& out) {
 
 // ---- Coverage signature ---------------------------------------------------
 
-std::string evidence_bucket(std::string_view evidence) {
-  std::string out;
-  out.reserve(evidence.size());
-  bool in_digits = false;
-  for (const char c : evidence) {
-    if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-      if (!in_digits) out.push_back('#');
-      in_digits = true;
-    } else {
-      out.push_back(c);
-      in_digits = false;
-    }
-  }
-  return out;
-}
-
 std::vector<std::uint64_t> coverage_signature(
     const std::vector<ConformanceRecord>& records) {
   if (records.size() > kMaxHuntProfiles) {
@@ -218,50 +182,6 @@ std::vector<std::uint64_t> coverage_signature(
   return sig;
 }
 
-std::string coverage_element_text(
-    std::uint64_t element,
-    const std::vector<clients::ClientProfile>& profiles) {
-  const auto field = [element](unsigned shift, unsigned bits) {
-    return (element >> shift) & ((std::uint64_t{1} << bits) - 1);
-  };
-  const std::uint64_t tag = element >> kTagShift;
-  if (tag == kDiffTag) {
-    const std::uint64_t rule = field(kDiffRuleShift, 6);
-    if (rule >= kRuleCount) {
-      throw std::out_of_range("coverage_element_text: not a rule");
-    }
-    std::string out =
-        lazyeye::str_cat("diff|", rule_name(static_cast<RuleId>(rule)), '|');
-    for (std::size_t p = 0; p < profiles.size(); ++p) {
-      out.push_back(kDiffSymbols[field(static_cast<unsigned>(2 * p), 2)]);
-    }
-    return out;
-  }
-  const std::string client =
-      profiles.at(field(kProfileShift, 16)).display_name();
-  if (tag == kFetchTag) {
-    return lazyeye::str_cat("fetch|", client, '|', field(1, 1) ? "ok" : "fail",
-                            '/', field(0, 1) ? "ok" : "fail");
-  }
-  const std::uint64_t rule = field(24, 8);
-  const std::uint64_t outcome = field(16, 8);
-  const std::uint64_t kind = field(8, 8);
-  if (tag != kVerdictTag || rule >= kRuleCount ||
-      outcome > static_cast<std::uint64_t>(RuleOutcome::kInapplicable) ||
-      kind >= kEvidenceKindCount) {
-    throw std::out_of_range("coverage_element_text: not a coverage element");
-  }
-  // Counts and families print no differently in a bucket, so any will do.
-  const Verdict v{static_cast<RuleId>(rule), static_cast<RuleOutcome>(outcome),
-                  {.kind = static_cast<EvidenceKind>(kind),
-                   .count = 1,
-                   .time = shape_example(field(0, 4)),
-                   .bound = shape_example(field(4, 4))}};
-  return lazyeye::str_cat(client, '|', rule_name(v.rule), '|',
-                          rule_outcome_symbol(v.outcome), '|',
-                          evidence_bucket(render_evidence(v)));
-}
-
 // ---- Hunt internals -------------------------------------------------------
 
 struct FaultHunt::State {
@@ -300,7 +220,6 @@ FaultHunt::FaultHunt(HuntOptions options,
     throw std::invalid_argument(
         "FaultHunt: conformance.seed must equal the hunt seed");
   }
-  if (options_.snapshot_every < 1) options_.snapshot_every = 1;
 }
 
 FaultSchedule FaultHunt::propose(State& state, std::uint32_t index) const {
@@ -395,86 +314,23 @@ FaultSchedule FaultHunt::minimize(
 }
 
 void FaultHunt::apply(State& state, const Candidate& candidate) const {
-  // The first element that was not covered before this candidate; the
-  // signature holds no element twice.
-  std::optional<std::uint64_t> first_novel;
+  bool novel = false;
   for (const std::uint64_t element : coverage_signature(candidate.records)) {
-    if (state.coverage.insert(element).second && !first_novel) {
-      first_novel = element;
-    }
+    novel |= state.coverage.insert(element).second;
   }
   const int violations = total_violations(candidate.records);
   if (violations > 0) ++state.violating;
-  if (first_novel) {
+  if (novel) {
     CorpusEntry entry;
     entry.schedule =
         candidate.minimized ? *candidate.minimized : candidate.schedule;
     entry.violations = violations;
     entry.minimized = candidate.minimized.has_value();
-    entry.novelty = *first_novel;
     state.corpus.push_back(std::move(entry));
   }
 }
 
-// ---- State / candidate codecs (journal payloads) --------------------------
-
-std::string FaultHunt::encode_state(const State& state) const {
-  std::string out;
-  wire::put_u64(out, state.rng.state());
-  wire::put_u32(out, static_cast<std::uint32_t>(state.violating));
-  wire::put_u32(out, static_cast<std::uint32_t>(state.coverage.size()));
-  for (const std::uint64_t element : state.coverage) {
-    wire::put_u64(out, element);
-  }
-  wire::put_u32(out, static_cast<std::uint32_t>(state.corpus.size()));
-  for (const CorpusEntry& entry : state.corpus) {
-    wire::put_str(out, encode_schedule(entry.schedule));
-    wire::put_u32(out, static_cast<std::uint32_t>(entry.violations));
-    wire::put_u8(out, entry.minimized ? 1 : 0);
-    wire::put_u64(out, entry.novelty);
-  }
-  return out;
-}
-
-FaultHunt::State FaultHunt::decode_state(std::string_view bytes) const {
-  wire::Reader in{bytes};
-  State state;
-  state.rng = SplitMix64{in.u64()};
-  state.violating = static_cast<int>(in.u32());
-  // Every coverage element is a u64 and every corpus entry takes at least
-  // kMinCorpusEntryBytes, so the bytes left bound each count before its
-  // loop runs.
-  const std::uint32_t coverage_count = in.u32();
-  if (!in.ok || coverage_count > 1u << 24 ||
-      coverage_count > in.remaining() / 8) {
-    throw campaign::JournalError("hunt snapshot: malformed coverage set");
-  }
-  for (std::uint32_t i = 0; i < coverage_count; ++i) {
-    // Written in set order: each element goes in at the end.
-    state.coverage.insert(state.coverage.end(), in.u64());
-  }
-  const std::uint32_t corpus_count = in.u32();
-  if (!in.ok || corpus_count > 1u << 20 ||
-      corpus_count > in.remaining() / kMinCorpusEntryBytes) {
-    throw campaign::JournalError("hunt snapshot: malformed corpus");
-  }
-  for (std::uint32_t i = 0; i < corpus_count; ++i) {
-    CorpusEntry entry;
-    auto schedule = decode_schedule(in.str_view());
-    entry.violations = static_cast<int>(in.u32());
-    entry.minimized = in.u8() != 0;
-    entry.novelty = in.u64();
-    if (!schedule) {
-      throw campaign::JournalError("hunt snapshot: malformed schedule");
-    }
-    entry.schedule = std::move(*schedule);
-    state.corpus.push_back(std::move(entry));
-  }
-  if (!in.exhausted()) {
-    throw campaign::JournalError("hunt snapshot: trailing bytes");
-  }
-  return state;
-}
+// ---- Candidate codec (journal payload) ------------------------------------
 
 std::string FaultHunt::encode_candidate(const Candidate& candidate) const {
   std::string out;
@@ -512,13 +368,14 @@ FaultHunt::Candidate FaultHunt::decode_candidate(
   if (!in.ok || record_count > kMaxHuntProfiles) {
     throw campaign::JournalError("hunt cell: malformed record list");
   }
+  // Records are journaled without the schedule they share with the
+  // candidate, and the hunt reads none back: replay folds in verdicts and
+  // fetch outcomes only.
   candidate.records.resize(record_count);
   for (ConformanceRecord& record : candidate.records) {
     if (!decode_record(in, record)) {
       throw campaign::JournalError("hunt cell: malformed record");
     }
-    // Written without it: every record ran the candidate's schedule.
-    record.schedule = candidate.schedule;
   }
   if (!in.exhausted()) {
     throw campaign::JournalError("hunt cell: trailing bytes");
@@ -540,13 +397,10 @@ HuntResult FaultHunt::run() {
   state.rng = SplitMix64{mix.next()};
 
   HuntResult result;
-  std::uint64_t start_index = 0;
-  bool complete = false;
+  campaign::JournalLoad load;
   std::optional<campaign::JournalWriter> writer;
-
   if (!options_.journal_path.empty()) {
-    const campaign::JournalLoad load =
-        campaign::load_journal(options_.journal_path);
+    load = campaign::load_journal(options_.journal_path);
     if (load.exists) {
       if (load.identity != identity) {
         throw campaign::JournalError(
@@ -567,39 +421,11 @@ HuntResult FaultHunt::run() {
               "hunt journal was written for other profiles or fetches");
         }
       }
-      std::uint64_t replay_from = 0;
-      if (!load.snapshot_state.empty()) {
-        state = decode_state(load.snapshot_state);
-        replay_from = load.snapshot_cells;
-      }
-      // Tail replay: re-derive each journaled candidate's proposal (the
-      // RNG draws are part of the state transition) and fold its recorded
-      // outcome in — no world re-runs.
-      for (std::uint64_t i = replay_from; i < load.cells.size(); ++i) {
-        const Candidate candidate = decode_candidate(load.cells[i].payload);
-        const FaultSchedule proposed =
-            propose(state, static_cast<std::uint32_t>(i));
-        if (!(proposed == candidate.schedule)) {
-          throw campaign::JournalError(
-              "hunt journal diverges from the deterministic proposal stream");
-        }
-        apply(state, candidate);
-      }
-      start_index = load.resume_index();
-      result.resumed = start_index > 0 || !load.snapshot_state.empty();
-      complete = load.complete;
-      if (!complete) {
+      result.resumed = !load.cells.empty();
+      // A complete journal holds every candidate (load_journal checks).
+      if (!load.complete) {
         writer.emplace(campaign::JournalWriter::append(options_.journal_path,
                                                        load.valid_bytes));
-        // A crash can land between a cell append and the snapshot that
-        // cadence says follows it; re-emit the missing snapshot so the
-        // resumed journal is byte-identical to an uninterrupted one.
-        const auto every =
-            static_cast<std::uint64_t>(options_.snapshot_every);
-        if (start_index > 0 && start_index % every == 0 &&
-            load.snapshot_cells < start_index) {
-          writer->append_snapshot(start_index, encode_state(state));
-        }
       }
     } else {
       writer.emplace(campaign::JournalWriter::create(
@@ -607,25 +433,33 @@ HuntResult FaultHunt::run() {
     }
   }
 
-  if (!complete) {
-    for (std::uint64_t i = start_index; i < budget; ++i) {
-      Candidate candidate;
-      candidate.schedule = propose(state, static_cast<std::uint32_t>(i));
+  // A journaled candidate is replayed: its proposal is re-derived (the RNG
+  // draws are part of the state transition) and its recorded outcome folded
+  // in, with no world re-run. Every later candidate is evaluated, folded in
+  // and journaled.
+  for (std::uint64_t i = 0; i < budget; ++i) {
+    const auto index = static_cast<std::uint32_t>(i);
+    const bool journaled = i < load.cells.size();
+    Candidate candidate;
+    if (journaled) {
+      candidate = decode_candidate(load.cells[i].payload);
+      if (!(propose(state, index) == candidate.schedule)) {
+        throw campaign::JournalError(
+            "hunt journal diverges from the deterministic proposal stream");
+      }
+    } else {
+      candidate.schedule = propose(state, index);
       candidate.records = evaluate(candidate.schedule);
       if (total_violations(candidate.records) > 0) {
         candidate.minimized = minimize(candidate.schedule, candidate.records);
       }
-      apply(state, candidate);
-      if (writer) writer->append_cell(i, encode_candidate(candidate));
-      if (options_.after_cell) options_.after_cell(static_cast<int>(i));
-      if (writer && (i + 1) % static_cast<std::uint64_t>(
-                                  options_.snapshot_every) ==
-                        0) {
-        writer->append_snapshot(i + 1, encode_state(state));
-      }
     }
-    if (writer) writer->append_complete(budget);
+    apply(state, candidate);
+    if (journaled) continue;
+    if (writer) writer->append_cell(i, encode_candidate(candidate));
+    if (options_.after_cell) options_.after_cell(static_cast<int>(i));
   }
+  if (writer) writer->append_complete(budget);
 
   result.corpus = std::move(state.corpus);
   result.coverage = std::move(state.coverage);

@@ -24,18 +24,18 @@
 //   diff     tag 2 | rule | 2 bits per profile: the verdict symbol
 //
 // The diff element is why a hunt takes at most kMaxHuntProfiles profiles.
-// coverage_element_text() writes the string back when a person asks.
 //
 // Crash safety: with journal_path set the hunt is a journaled campaign over
 // its candidate indices (campaign/journal.h). One kCell record per
 // candidate carries the proposed schedule, the minimized schedule and every
 // per-profile record (record_codec.h, without the schedule each of them
 // shares with the candidate) — enough to replay the hunt's state
-// transitions WITHOUT re-running any world. Periodic kSnapshot records
-// checkpoint the whole search state (mutation RNG state, coverage set,
-// corpus), so resume is snapshot + short tail replay. A SIGKILL at any
-// instant resumes to a byte-identical journal and corpus
-// (tests/fault_search_test.cc).
+// transitions WITHOUT re-running any world. The cell records are the whole
+// search state: resume re-derives each journaled candidate's proposal,
+// checks it against the record and folds the recorded outcome in, then
+// evaluates the rest. The hunt writes no kSnapshot records and skips those
+// an older build wrote. A SIGKILL at any instant resumes to a
+// byte-identical journal and corpus (tests/fault_search_test.cc).
 //
 // Everything the hunt derives — proposals, worlds, verdicts, minimization —
 // is a pure function of (seed, budget, profiles), so two hunts with equal
@@ -65,7 +65,9 @@ struct HuntOptions {
   std::uint64_t seed = 1;
   /// Candidate schedules to evaluate.
   int budget = 64;
-  /// kSnapshot cadence, in candidates (journaled hunts only).
+  /// Read by nothing in the library: the hunt writes no snapshots. Kept
+  /// for the benchmark's journal probe, which times snapshot appends at
+  /// this cadence.
   int snapshot_every = 16;
   /// Fetches per cell (2 exercises the restart-cache rule, like the
   /// differential matrix).
@@ -75,10 +77,10 @@ struct HuntOptions {
   int workers = 1;
   /// Journal file ("" = in-memory hunt, no crash safety).
   std::string journal_path;
-  /// Progress hook: called after candidate `index` is folded into the state
-  /// (and its cell record journaled) but BEFORE any snapshot it is due —
-  /// the kill-9 harness uses it to die at deterministic spots, including
-  /// the gap between a cell and its cadence snapshot.
+  /// Progress hook: called after candidate `index` is evaluated, folded
+  /// into the state and its cell record journaled (not for candidates
+  /// replayed from the journal) — the kill-9 harness uses it to die at
+  /// deterministic spots.
   std::function<void(int index)> after_cell;
   /// World options for every candidate cell. `conformance.seed` must equal
   /// `seed`: a corpus entry replays under its schedule's seed, which is the
@@ -93,10 +95,6 @@ struct CorpusEntry {
   /// Rule violations across the candidate's per-profile records.
   int violations = 0;
   bool minimized = false;
-  /// The first novel signature element that admitted it (diagnostic; see
-  /// coverage_element_text). 0 for entries read from a corpus file, which
-  /// does not carry it.
-  std::uint64_t novelty = 0;
 
   bool operator==(const CorpusEntry&) const = default;
 };
@@ -113,23 +111,12 @@ struct HuntResult {
 
 // ---- Coverage signature (unit-tested building blocks) ---------------------
 
-/// Digit runs collapsed to '#': "waited 43 ms (< 250 ms)" and
-/// "waited 57 ms (< 250 ms)" bucket identically.
-std::string evidence_bucket(std::string_view evidence);
-
 /// The candidate's full coverage signature over its per-profile records
 /// (record i ran profile i): per-verdict and per-record fetch elements,
 /// then one cross-client diff element per rule. Pure function of the
 /// records; throws std::invalid_argument on more than kMaxHuntProfiles.
 std::vector<std::uint64_t> coverage_signature(
     const std::vector<ConformanceRecord>& records);
-
-/// The string `element` stands for, e.g. "fetch|curl 7.88.1|ok/fail";
-/// `profiles` are the hunt's, in order. Throws std::out_of_range on a
-/// profile index past them.
-std::string coverage_element_text(
-    std::uint64_t element,
-    const std::vector<clients::ClientProfile>& profiles);
 
 class FaultHunt {
  public:
@@ -144,8 +131,8 @@ class FaultHunt {
   /// identity names another seed or budget, whose first candidate's records
   /// name other profiles (by display name, in order) or another fetch
   /// count, or which diverges from the deterministic proposal stream — all
-  /// throw campaign::JournalError. Other options (workers, snapshot cadence,
-  /// conformance world options) are not checked.
+  /// throw campaign::JournalError. Other options (workers, conformance world
+  /// options) are not checked.
   HuntResult run();
 
   /// Deterministic text form of a corpus ("# lazyeye-hunt corpus v1" header
@@ -172,8 +159,6 @@ class FaultHunt {
                          const std::vector<ConformanceRecord>& baseline) const;
   void apply(State& state, const Candidate& candidate) const;
 
-  std::string encode_state(const State& state) const;
-  State decode_state(std::string_view bytes) const;
   std::string encode_candidate(const Candidate& candidate) const;
   Candidate decode_candidate(std::string_view bytes) const;
 

@@ -101,18 +101,15 @@ void StubResolver::deliver(std::uint64_t handle, RrType type,
 }
 
 std::uint64_t StubResolver::resolve_dual(const DnsName& name,
-                                         DualHandlers handlers,
-                                         bool aaaa_first) {
+                                         DualHandlers handlers) {
   const std::uint64_t handle = next_handle_++;
   Request& req = requests_[handle];
   req.name = name;
   req.dual = std::move(handlers);
 
-  const RrType first = aaaa_first ? RrType::kAaaa : RrType::kA;
-  const RrType second = aaaa_first ? RrType::kA : RrType::kAaaa;
   // RFC 8305: AAAA first, A immediately after (same instant, ordered sends).
-  start_query(handle, first);
-  start_query(handle, second);
+  start_query(handle, RrType::kAaaa);
+  start_query(handle, RrType::kA);
   return handle;
 }
 

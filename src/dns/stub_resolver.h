@@ -43,10 +43,9 @@ class StubResolver {
     std::function<void(RrType, const std::string& error)> on_error;
   };
 
-  /// AAAA + A resolution for Happy Eyeballs, with server failover per
-  /// record type. Returns a request handle.
-  std::uint64_t resolve_dual(const DnsName& name, DualHandlers handlers,
-                             bool aaaa_first = true);
+  /// AAAA + A resolution for Happy Eyeballs, AAAA sent first, with server
+  /// failover per record type. Returns a request handle.
+  std::uint64_t resolve_dual(const DnsName& name, DualHandlers handlers);
 
   void cancel(std::uint64_t handle);
 

@@ -6,10 +6,9 @@ namespace lazyeye::he {
 
 std::vector<simnet::IpAddress> select_addresses(const SelectionInput& input,
                                                 const HeOptions& options) {
-  std::span<const simnet::IpAddress> first =
-      options.prefer_ipv6 ? input.ipv6 : input.ipv4;
-  std::span<const simnet::IpAddress> second =
-      options.prefer_ipv6 ? input.ipv4 : input.ipv6;
+  // IPv6 is the preferred family (RFC 8305 §4, and every measured client).
+  std::span<const simnet::IpAddress> first = input.ipv6;
+  std::span<const simnet::IpAddress> second = input.ipv4;
 
   const auto cap = static_cast<std::size_t>(
       std::max(0, options.max_addresses_per_family));

@@ -20,7 +20,7 @@ struct SelectionInput {
 /// Produces the ordered attempt list:
 ///  1. truncates each family to `max_addresses_per_family`,
 ///  2. interlaces per `interlace`/`first_address_family_count` with the
-///     preferred family first.
+///     preferred family, IPv6, first.
 std::vector<simnet::IpAddress> select_addresses(const SelectionInput& input,
                                                 const HeOptions& options);
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <map>
+#include <memory_resource>
 #include <optional>
 
 #include "dns/name.h"
@@ -13,6 +14,11 @@ namespace lazyeye::he {
 
 class OutcomeCache {
  public:
+  /// Entries are nodes drawn from `memory` (the engine passes its world's).
+  explicit OutcomeCache(
+      std::pmr::memory_resource* memory = std::pmr::get_default_resource())
+      : entries_{memory} {}
+
   /// Returns the cached winner if present and not expired at `now`.
   std::optional<simnet::IpAddress> lookup(const dns::DnsName& host,
                                           SimTime now) const;
@@ -29,7 +35,7 @@ class OutcomeCache {
     simnet::IpAddress address;
     SimTime expiry{0};
   };
-  std::map<dns::DnsName, Entry> entries_;
+  std::pmr::map<dns::DnsName, Entry> entries_;
 };
 
 }  // namespace lazyeye::he

@@ -26,7 +26,11 @@ const char* he_event_type_name(HeEvent::Type type) {
 HappyEyeballsEngine::HappyEyeballsEngine(simnet::Host& host,
                                          dns::StubResolver& stub,
                                          transport::TcpStack& tcp)
-    : host_{host}, stub_{stub}, tcp_{tcp}, sessions_{host.network().memory()} {}
+    : host_{host},
+      stub_{stub},
+      tcp_{tcp},
+      cache_{host.network().memory()},
+      sessions_{host.network().memory()} {}
 
 void HappyEyeballsEngine::trace_event(Session& s, HeEvent::Type type,
                                       std::string detail,
@@ -96,8 +100,7 @@ void HappyEyeballsEngine::start_dns(std::uint64_t session_id) {
   if (it == sessions_.end() || it->second.finished) return;
   Session& s = it->second;
 
-  trace_event(s, HeEvent::Type::kDnsQuerySent,
-              s.opts.query_aaaa_first ? "AAAA then A" : "A then AAAA");
+  trace_event(s, HeEvent::Type::kDnsQuerySent, "AAAA then A");
 
   dns::StubResolver::DualHandlers handlers;
   handlers.on_records = [this, session_id](
@@ -110,8 +113,7 @@ void HappyEyeballsEngine::start_dns(std::uint64_t session_id) {
                                          const std::string& error) {
     on_dns_error(session_id, type, error);
   };
-  s.dns_handle =
-      stub_.resolve_dual(s.host, handlers, s.opts.query_aaaa_first);
+  s.dns_handle = stub_.resolve_dual(s.host, handlers);
 }
 
 void HappyEyeballsEngine::on_dns_records(

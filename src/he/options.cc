@@ -62,7 +62,6 @@ HeOptions HeOptions::rfc6555() {
 
 HeOptions HeOptions::rfc8305() {
   HeOptions o;
-  o.query_aaaa_first = true;
   o.resolution_delay = lazyeye::ms(50);
   o.first_address_family_count = 1;
   o.interlace = InterlaceMode::kAlternate;

@@ -5,7 +5,9 @@
 // preference are implemented by none of the measured clients, so they are
 // not options (Chrome's HEv3 flag changes only its DNS handling, §5.2).
 // Settings no client, preset or bench varies are not options either:
-// address selection keeps DNS order (no client sorts by RTT history).
+// address selection keeps DNS order (no client sorts by RTT history), and
+// every client sends its AAAA query first, immediately followed by A
+// (RFC 8305 §3), and prefers IPv6.
 #pragma once
 
 #include <optional>
@@ -49,8 +51,6 @@ struct DynamicCad {
 
 struct HeOptions {
   // ---- DNS phase -----------------------------------------------------------
-  /// Issue the AAAA query first, immediately followed by A (RFC 8305 §3).
-  bool query_aaaa_first = true;
   /// Resolution Delay: wait this long for AAAA after an A-first response.
   /// nullopt = no RD — the client waits for the resolver's own timeout
   /// (the Chromium/Firefox behaviour in §5.2).
@@ -64,7 +64,6 @@ struct HeOptions {
   bool fail_on_a_timeout = false;
 
   // ---- Address selection ---------------------------------------------------
-  bool prefer_ipv6 = true;
   /// First Address Family Count (RFC 8305 §4: 1, or 2 when favouring the
   /// first family aggressively).
   int first_address_family_count = 1;

@@ -25,11 +25,6 @@ class SplitMix64 {
     return z ^ (z >> 31);
   }
 
-  /// Current internal state. Re-seeding another SplitMix64 with this value
-  /// continues the stream exactly — the property checkpoint/resume code
-  /// (conformance fault hunt snapshots) relies on.
-  constexpr std::uint64_t state() const { return state_; }
-
  private:
   std::uint64_t state_;
 };

@@ -111,10 +111,10 @@ constexpr std::uint64_t kResolverCellBudget = 33 + kSlack;
 
 // A web-tool repetition (paper-default CAD test on Chrome: 18 delay
 // buckets, one persistent client, 18 fetches in one two-node world)
-// measures 145 warm (Release and ASan+UBSan) on GCC 12.2 / libstdc++: the
-// HE sessions' vectors draw from the world's arena, and a rebuilt attempt
-// plan is edited in place.
-constexpr std::uint64_t kWebToolRepetitionBudget = 145 + kSlack;
+// measures 127 warm (Release and ASan+UBSan) on GCC 12.2 / libstdc++: the
+// HE sessions' vectors and the outcome cache's nodes draw from the world's
+// arena, and a rebuilt attempt plan is edited in place.
+constexpr std::uint64_t kWebToolRepetitionBudget = 127 + kSlack;
 
 // Decoding one malformed wire into a fresh DnsMessage may allocate at most
 // this many bytes per wire byte; the seeded corpus below peaks at 10.2

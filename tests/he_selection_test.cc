@@ -74,16 +74,6 @@ TEST(AddressSelectionTest, SafariPattern10Plus10) {
   EXPECT_EQ(families(out), expected);
 }
 
-TEST(AddressSelectionTest, PreferIpv4WhenConfigured) {
-  const std::vector<IpAddress> ipv6{v6(1)};
-  const std::vector<IpAddress> ipv4{v4(1)};
-  const SelectionInput input{ipv6, ipv4};
-  HeOptions o = HeOptions::rfc8305();
-  o.prefer_ipv6 = false;
-  const auto out = select_addresses(input, o);
-  EXPECT_EQ(out.front().family(), Family::kIpv4);
-}
-
 TEST(AddressSelectionTest, TruncatesPerFamily) {
   std::vector<IpAddress> ipv6;
   std::vector<IpAddress> ipv4;
@@ -141,7 +131,6 @@ TEST(AddressSelectionTest, RandomisedInvariants) {
     HeOptions o;
     o.first_address_family_count = static_cast<int>(rng.next_in_range(1, 3));
     o.interlace = static_cast<InterlaceMode>(rng.next_below(3));
-    o.prefer_ipv6 = rng.chance(0.5);
     o.max_addresses_per_family = static_cast<int>(rng.next_in_range(1, 6));
 
     const auto out = select_addresses(input, o);
@@ -158,15 +147,10 @@ TEST(AddressSelectionTest, RandomisedInvariants) {
     }
     EXPECT_EQ(got6, expect6);
 
-    if (!out.empty()) {
-      const Family preferred =
-          o.prefer_ipv6 ? Family::kIpv6 : Family::kIpv4;
-      const bool preferred_available =
-          (preferred == Family::kIpv6 ? expect6 : expect4) > 0;
-      if (preferred_available) {
-        EXPECT_EQ(out.front().family(), preferred)
-            << "iteration " << iteration;
-      }
+    // IPv6, the preferred family, leads whenever it has an address.
+    if (expect6 > 0) {
+      EXPECT_EQ(out.front().family(), Family::kIpv6)
+          << "iteration " << iteration;
     }
     // No duplicates.
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -237,7 +221,6 @@ TEST(HeOptionsTest, Rfc8305Preset) {
   ASSERT_TRUE(o.resolution_delay);
   EXPECT_EQ(*o.resolution_delay, ms(50));
   EXPECT_EQ(o.connection_attempt_delay, ms(250));
-  EXPECT_TRUE(o.query_aaaa_first);
   EXPECT_EQ(o.first_address_family_count, 1);
   // Dynamic CAD bounds (Table 1): 10 ms / 100 ms / 2 s.
   EXPECT_EQ(o.dynamic_cad.minimum, ms(10));

@@ -5,10 +5,11 @@
 //
 //   hunt --journal J [--corpus C]     run (or resume) a journaled hunt. The
 //        [--budget N] [--seed S]      journal makes SIGKILL at any instant
-//        [--snapshot-every K]         recoverable: re-running the same
-//        [--workers W] [--fetches F]  command resumes from the last snapshot
-//        [--smoke]                    and finishes to a byte-identical
-//                                     corpus (tests/fault_search_test.cc).
+//        [--workers W] [--fetches F]  recoverable: re-running the same
+//        [--smoke]                    command replays the journaled
+//                                     candidates and finishes to a
+//                                     byte-identical journal and corpus
+//                                     (tests/fault_search_test.cc).
 //   show --corpus C                   print a corpus file with one replay
 //                                     command per entry.
 //
@@ -33,7 +34,7 @@ using namespace lazyeye;
 namespace {
 
 // Fixed ceilings of the counts: --workers starts that many threads, and
-// --budget and --snapshot-every size the journal.
+// --budget sizes the journal.
 constexpr int kMaxBudget = 1 << 20;
 constexpr int kMaxWorkers = 256;
 constexpr int kMaxFetches = 16;
@@ -42,10 +43,9 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: lazyeye_hunt hunt --journal <path> [--corpus <path>]\n"
-      "         [--budget N] [--seed S] [--snapshot-every K] [--workers W]\n"
-      "         [--fetches F] [--smoke]\n"
+      "         [--budget N] [--seed S] [--workers W] [--fetches F] [--smoke]\n"
       "       lazyeye_hunt show --corpus <path>\n"
-      "  N and K in [1, %d], W in [1, %d], F in [1, %d]\n",
+      "  N in [1, %d], W in [1, %d], F in [1, %d]\n",
       kMaxBudget, kMaxWorkers, kMaxFetches);
   return 2;
 }
@@ -56,7 +56,6 @@ struct Args {
   std::string corpus;
   std::uint64_t seed = 1;
   int budget = 64;
-  int snapshot_every = 16;
   int workers = 1;
   int fetches = 2;
   bool smoke = false;
@@ -82,12 +81,6 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (std::strcmp(argv[a], "--budget") == 0 && (value = next())) {
       if (!parse_bounded(value, 1, kMaxBudget, args.budget)) {
         std::fprintf(stderr, "bad --budget: %s\n", value);
-        return false;
-      }
-    } else if (std::strcmp(argv[a], "--snapshot-every") == 0 &&
-               (value = next())) {
-      if (!parse_bounded(value, 1, kMaxBudget, args.snapshot_every)) {
-        std::fprintf(stderr, "bad --snapshot-every: %s\n", value);
         return false;
       }
     } else if (std::strcmp(argv[a], "--workers") == 0 && (value = next())) {
@@ -126,7 +119,6 @@ int hunt(const Args& args) {
   conformance::HuntOptions options;
   options.seed = args.seed;
   options.budget = args.budget;
-  options.snapshot_every = args.snapshot_every;
   options.workers = args.workers;
   options.fetches = args.fetches;
   options.journal_path = args.journal;
