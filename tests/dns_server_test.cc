@@ -297,6 +297,55 @@ TEST_F(AuthFixture, MostSpecificZoneWins) {
   EXPECT_EQ(addrs[0].to_string(), "10.0.8.8");
 }
 
+/// Lower-case hex of each response payload the server sent, in send order.
+std::vector<std::string> response_wire_hex(
+    const capture::PacketCapture& server_wire) {
+  std::vector<std::string> out;
+  for (const auto& cp : server_wire.packets()) {
+    if (!cp.egress()) continue;
+    std::string hex;
+    for (const std::uint8_t b : cp.packet.payload) {
+      hex += "0123456789abcdef"[b >> 4];
+      hex += "0123456789abcdef"[b & 0xf];
+    }
+    out.push_back(std::move(hex));
+  }
+  return out;
+}
+
+TEST_F(AuthFixture, SoaAnswersAndNegativeAuthoritiesArePinnedOnTheWire) {
+  // The zone SOA is the answer to an apex SOA query and the authority of
+  // every negative answer. An empty zone's apex exists: NODATA, not
+  // NXDOMAIN.
+  auth->add_zone(N("empty.lab"));
+  capture::PacketCapture server_wire{server_host};
+  send_query(N("he.lab"), RrType::kSoa);           // apex SOA answer
+  send_query(N("he.lab"), RrType::kA);             // apex NODATA
+  send_query(N("missing.he.lab"), RrType::kAaaa);  // NXDOMAIN below the apex
+  send_query(N("empty.lab"), RrType::kA);          // empty zone's apex NODATA
+  net.loop().run();
+  ASSERT_EQ(responses.size(), 4u);
+  EXPECT_EQ(responses[0].second.answers.size(), 1u);
+  EXPECT_EQ(responses[1].second.header.rcode, Rcode::kNoError);
+  EXPECT_EQ(responses[2].second.header.rcode, Rcode::kNxDomain);
+  EXPECT_EQ(responses[3].second.header.rcode, Rcode::kNoError);
+  const std::vector<std::string> expected{
+      "006484000001000100000000026865036c61620000060001c00c000600010000"
+      "003c0027036e7331c00c0a686f73746d6173746572c00c0000000100001c2000"
+      "000384001275000000003c",
+      "006584000001000000010000026865036c61620000010001c00c000600010000"
+      "003c0027036e7331c00c0a686f73746d6173746572c00c0000000100001c2000"
+      "000384001275000000003c",
+      "006684030001000000010000076d697373696e67026865036c616200001c0001"
+      "c014000600010000003c0027036e7331c0140a686f73746d6173746572c01400"
+      "00000100001c2000000384001275000000003c",
+      "00678400000100000001000005656d707479036c61620000010001c00c000600"
+      "010000003c0027036e7331c00c0a686f73746d6173746572c00c000000010000"
+      "1c2000000384001275000000003c",
+  };
+  EXPECT_EQ(response_wire_hex(server_wire), expected);
+}
+
 // ---------------------------------------------------------- stub resolver --
 
 struct StubFixture : AuthFixture {

@@ -459,6 +459,142 @@ TEST_F(EngineFixture, TraceEventNamesAreStable) {
   EXPECT_STREQ(he_event_type_name(HeEvent::Type::kFailed), "failed");
 }
 
+using HeEngineTest = EngineFixture;
+
+/// "<event name> <detail>" per trace event.
+std::vector<std::string> rendered(const HeResult& result) {
+  std::vector<std::string> out;
+  for (const auto& ev : result.trace) {
+    out.push_back(std::string{he_event_type_name(ev.type)} + " " + ev.detail);
+  }
+  return out;
+}
+
+TEST_F(HeEngineTest, TraceDetailsRenderTheParentsText) {
+  using Lines = std::vector<std::string>;
+  engine->set_options(HeOptions::rfc8305());
+
+  // Happy path, then a cache hit on the remembered IPv6 winner.
+  EXPECT_EQ(rendered(run_connect(N("www.he.lab"))),
+            (Lines{"dns-query AAAA then A",
+                   "dns-response AAAA: 1 records",
+                   "address-selection 1 attempts planned",
+                   "attempt-start [2001:db8::80]:443",
+                   "dns-response A: 1 records",
+                   "established [2001:db8::80]:443"}));
+  EXPECT_EQ(rendered(run_connect(N("www.he.lab"))),
+            (Lines{"cache-hit 2001:db8::80",
+                   "attempt-start [2001:db8::80]:443",
+                   "established [2001:db8::80]:443"}));
+
+  // Neither family resolves: no usable addresses.
+  EXPECT_EQ(rendered(run_connect(N("missing.he.lab"))),
+            (Lines{"dns-query AAAA then A",
+                   "dns-response AAAA: 0 records",
+                   "dns-response A: 0 records",
+                   "address-selection 0 attempts planned",
+                   "failed no usable addresses"}));
+
+  // Cancelled before anything ran.
+  HeResult cancelled;
+  engine->cancel(engine->connect(N("www.he.lab"), 443,
+                                 [&](const HeResult& r) { cancelled = r; }));
+  net.loop().run();
+  EXPECT_EQ(rendered(cancelled),
+            (Lines{"cache-hit 2001:db8::80",
+                   "attempt-start [2001:db8::80]:443",
+                   "failed cancelled"}));
+
+  // A first: the resolution delay starts and expires.
+  const auto rd = N("d200-aaaa.rd.he.lab");
+  add_records(rd);
+  EXPECT_EQ(rendered(run_connect(rd)),
+            (Lines{"dns-query AAAA then A",
+                   "dns-response A: 1 records",
+                   "rd-start 50ms",
+                   "rd-expired ",
+                   "address-selection 1 attempts planned",
+                   "attempt-start 10.0.0.80:443",
+                   "established 10.0.0.80:443"}));
+
+  // The first address refuses: an attempt fails, the next one wins.
+  const auto refuse = N("refuse.he.lab");
+  simnet::Host& refuser = net.add_host("refuser");
+  refuser.add_address(IpAddress::must_parse("2001:db8::81"));
+  transport::TcpStack refuser_tcp{refuser};
+  zone->add_aaaa(refuse, *Ipv6Address::parse("2001:db8::81"));
+  zone->add_a(refuse, *Ipv4Address::parse("10.0.0.80"));
+  EXPECT_EQ(rendered(run_connect(refuse)),
+            (Lines{"dns-query AAAA then A",
+                   "dns-response AAAA: 1 records",
+                   "address-selection 1 attempts planned",
+                   "attempt-start [2001:db8::81]:443",
+                   "dns-response A: 1 records",
+                   "attempt-failed [2001:db8::81]:443: refused",
+                   "attempt-start 10.0.0.80:443",
+                   "established 10.0.0.80:443"}));
+
+  // The only address refuses: every attempt failed.
+  const auto refuse_only = N("refuse-only.he.lab");
+  zone->add_aaaa(refuse_only, *Ipv6Address::parse("2001:db8::81"));
+  EXPECT_EQ(rendered(run_connect(refuse_only)),
+            (Lines{"dns-query AAAA then A",
+                   "dns-response AAAA: 1 records",
+                   "address-selection 1 attempts planned",
+                   "attempt-start [2001:db8::81]:443",
+                   "dns-response A: 0 records",
+                   "attempt-failed [2001:db8::81]:443: refused",
+                   "failed all connection attempts failed"}));
+
+  // Nothing answers in time: overall timeout.
+  const auto dark = N("dark.he.lab");
+  add_records(dark, 1, 1, /*responsive=*/false);
+  HeOptions slow = HeOptions::rfc8305();
+  slow.tcp.syn_rto = sec(60);
+  slow.overall_timeout = sec(3);
+  engine->set_options(slow);
+  EXPECT_EQ(rendered(run_connect(dark)),
+            (Lines{"dns-query AAAA then A",
+                   "dns-response AAAA: 1 records",
+                   "address-selection 1 attempts planned",
+                   "attempt-start [2001:db8:dead::1]:443",
+                   "dns-response A: 1 records",
+                   "attempt-start 10.9.9.1:443",
+                   "failed overall timeout"}));
+
+  // A configuration error fails the session at its start.
+  HeOptions invalid = HeOptions::rfc8305();
+  invalid.first_address_family_count = 0;
+  engine->set_options(invalid);
+  EXPECT_EQ(
+      rendered(run_connect(N("www.he.lab"))),
+      Lines{"failed configuration: first_address_family_count must be >= 1 "
+            "(got 0)"});
+
+  // The A lookup times out: a DNS error, then "A lookup failed".
+  const auto late_a = N("d9000-a.fail.he.lab");
+  add_records(late_a);
+  dns::StubOptions fast;
+  fast.servers = {{IpAddress::must_parse("10.0.0.53"), 53}};
+  fast.timeout = sec(1);
+  fast.attempts_per_server = 1;
+  dns::StubResolver fast_stub{client_host, fast};
+  HappyEyeballsEngine chrome{client_host, fast_stub, *client_tcp};
+  HeOptions o = HeOptions::rfc8305();
+  o.resolution_delay = std::nullopt;
+  o.wait_for_a_record = true;
+  o.fail_on_a_timeout = true;
+  chrome.set_options(o);
+  HeResult failed;
+  chrome.connect(late_a, 443, [&](const HeResult& r) { failed = r; });
+  net.loop().run();
+  EXPECT_EQ(rendered(failed),
+            (Lines{"dns-query AAAA then A",
+                   "dns-response AAAA: 1 records",
+                   "dns-error A: all servers failed",
+                   "failed A lookup failed"}));
+}
+
 TEST(HeOptionsValidateTest, AcceptsAllPresets) {
   EXPECT_TRUE(HeOptions::rfc6555().validate().ok());
   EXPECT_TRUE(HeOptions::rfc8305().validate().ok());
