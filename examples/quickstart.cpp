@@ -51,7 +51,8 @@ int main() {
     std::printf("%-12s %-18s %s\n", "time", "event", "detail");
     for (const auto& event : result.trace) {
       std::printf("%-12s %-18s %s\n", format_duration(event.time).c_str(),
-                  he::he_event_type_name(event.type), event.detail.c_str());
+                  he::he_event_type_name(event.type),
+                  event.detail.text().c_str());
     }
   });
 

@@ -23,6 +23,7 @@ SimulatedClient::SimulatedClient(simnet::Host& host, ClientProfile profile,
       tcp_{host},
       stub_{host, apply_profile(std::move(resolver), profile_)},
       engine_{host, stub_, tcp_},
+      connecting_{host.network().memory()},
       pending_{host.network().memory()} {
   engine_.set_options(profile_.options);
 
@@ -74,39 +75,47 @@ void SimulatedClient::configure_session_options() {
 void SimulatedClient::fetch(const dns::DnsName& hostname, std::uint16_t port,
                             FetchHandler handler) {
   configure_session_options();
-  engine_.connect(
-      hostname, port,
-      [this, handler = std::move(handler)](he::HeResult result) {
-        if (!result.ok) {
-          FetchResult out;
-          out.connection = std::move(result);
-          handler(std::move(out));
-          return;
-        }
-        // Issue the request over the winning connection; the response comes
-        // back through the TCP stack's data handler.
-        const std::uint64_t conn_id = result.connection_id;
-        PendingFetch fetch;
-        fetch.handler = handler;
-        fetch.connection = std::move(result);
-        fetch.response_timer = host_.network().loop().schedule_after(
-            lazyeye::sec(10), [this, conn_id] {
-              const auto it = pending_.find(conn_id);
-              if (it == pending_.end()) return;
-              PendingFetch timed_out = std::move(it->second);
-              pending_.erase(it);
-              FetchResult out;
-              out.connection = std::move(timed_out.connection);
-              out.response_received = false;
-              timed_out.handler(std::move(out));
-            });
-        pending_.emplace(conn_id, std::move(fetch));
+  const std::uint64_t fetch_id = next_fetch_id_++;
+  connecting_.emplace(fetch_id, std::move(handler));
+  engine_.connect(hostname, port, [this, fetch_id](he::HeResult result) {
+    on_connected(fetch_id, std::move(result));
+  });
+}
 
-        constexpr std::string_view kRequest = "GET /";
-        simnet::Buffer payload;  // inline: no allocation per request
-        payload.append(kRequest.data(), kRequest.size());
-        tcp_.send_data(conn_id, std::move(payload));
+void SimulatedClient::on_connected(std::uint64_t fetch_id,
+                                   he::HeResult result) {
+  const auto it = connecting_.find(fetch_id);
+  FetchHandler handler = std::move(it->second);
+  connecting_.erase(it);
+  if (!result.ok) {
+    FetchResult out;
+    out.connection = std::move(result);
+    handler(std::move(out));
+    return;
+  }
+  // Issue the request over the winning connection; the response comes back
+  // through the TCP stack's data handler.
+  const std::uint64_t conn_id = result.connection_id;
+  PendingFetch fetch;
+  fetch.handler = std::move(handler);
+  fetch.connection = std::move(result);
+  fetch.response_timer = host_.network().loop().schedule_after(
+      lazyeye::sec(10), [this, conn_id] {
+        const auto pit = pending_.find(conn_id);
+        if (pit == pending_.end()) return;
+        PendingFetch timed_out = std::move(pit->second);
+        pending_.erase(pit);
+        FetchResult out;
+        out.connection = std::move(timed_out.connection);
+        out.response_received = false;
+        timed_out.handler(std::move(out));
       });
+  pending_.emplace(conn_id, std::move(fetch));
+
+  constexpr std::string_view kRequest = "GET /";
+  simnet::Buffer payload;  // inline: no allocation per request
+  payload.append(kRequest.data(), kRequest.size());
+  tcp_.send_data(conn_id, std::move(payload));
 }
 
 }  // namespace lazyeye::clients

@@ -54,6 +54,9 @@ class SimulatedClient {
 
  private:
   void configure_session_options();
+  /// The HE outcome of fetch `fetch_id`: fails the fetch or sends its
+  /// request.
+  void on_connected(std::uint64_t fetch_id, he::HeResult result);
 
   simnet::Host& host_;
   ClientProfile profile_;
@@ -71,6 +74,11 @@ class SimulatedClient {
     he::HeResult connection;
     simnet::TimerId response_timer;
   };
+  // Handlers of fetches still connecting, by fetch id; the engine's
+  // completion callable carries only the id, so it fits std::function's
+  // small buffer. Nodes from the world's arena.
+  std::pmr::map<std::uint64_t, FetchHandler> connecting_;
+  std::uint64_t next_fetch_id_ = 1;
   // by connection id; nodes from the world's arena
   std::pmr::map<std::uint64_t, PendingFetch> pending_;
 };

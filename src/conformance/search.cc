@@ -398,6 +398,9 @@ HuntResult FaultHunt::run() {
 
   HuntResult result;
   campaign::JournalLoad load;
+  // Journaled candidate 0, decoded once: for the profiles check here and
+  // for its replay in the loop.
+  Candidate first_journaled;
   std::optional<campaign::JournalWriter> writer;
   if (!options_.journal_path.empty()) {
     load = campaign::load_journal(options_.journal_path);
@@ -409,8 +412,9 @@ HuntResult FaultHunt::run() {
       // The identity covers only seed and budget; the first candidate's
       // records name the profiles and fetch count the journal was run with.
       if (!load.cells.empty()) {
-        const std::vector<ConformanceRecord> records =
-            decode_candidate(load.cells.front().payload).records;
+        first_journaled = decode_candidate(load.cells.front().payload);
+        const std::vector<ConformanceRecord>& records =
+            first_journaled.records;
         bool same = records.size() == profiles_.size();
         for (std::size_t i = 0; same && i < records.size(); ++i) {
           same = records[i].client == profiles_[i].display_name() &&
@@ -437,12 +441,16 @@ HuntResult FaultHunt::run() {
   // draws are part of the state transition) and its recorded outcome folded
   // in, with no world re-run. Every later candidate is evaluated, folded in
   // and journaled.
+  const std::size_t journaled_count = load.cells.size();
   for (std::uint64_t i = 0; i < budget; ++i) {
     const auto index = static_cast<std::uint32_t>(i);
-    const bool journaled = i < load.cells.size();
+    const bool journaled = i < journaled_count;
     Candidate candidate;
     if (journaled) {
-      candidate = decode_candidate(load.cells[i].payload);
+      candidate = i == 0 ? std::move(first_journaled)
+                         : decode_candidate(load.cells[i].payload);
+      // Fresh candidates do not run beside the replayed payloads.
+      if (i + 1 == journaled_count) load = {};
       if (!(propose(state, index) == candidate.schedule)) {
         throw campaign::JournalError(
             "hunt journal diverges from the deterministic proposal stream");

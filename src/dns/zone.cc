@@ -5,15 +5,20 @@
 namespace lazyeye::dns {
 
 Zone::Zone(DnsName origin, std::pmr::memory_resource* mem)
-    : origin_{std::move(origin)}, records_{mem} {
-  // The relative SOA name stems are process-wide constants; only the
-  // concat with this zone's origin is per-zone work.
-  static const DnsName ns1 = DnsName::must_parse("ns1");
-  static const DnsName hostmaster = DnsName::must_parse("hostmaster");
-  SoaRdata soa;
-  soa.mname = ns1.concat(origin_);
-  soa.rname = hostmaster.concat(origin_);
-  records_.emplace(origin_, ResourceRecord::soa(origin_, soa));
+    : origin_{std::move(origin)}, records_{mem} {}
+
+const ResourceRecord& Zone::soa() const {
+  if (!soa_) {
+    // The relative SOA name stems are process-wide constants; only the
+    // concat with this zone's origin is per-zone work.
+    static const DnsName ns1 = DnsName::must_parse("ns1");
+    static const DnsName hostmaster = DnsName::must_parse("hostmaster");
+    SoaRdata soa;
+    soa.mname = ns1.concat(origin_);
+    soa.rname = hostmaster.concat(origin_);
+    soa_.emplace(ResourceRecord::soa(origin_, std::move(soa)));
+  }
+  return *soa_;
 }
 
 void Zone::add(ResourceRecord rr) {
@@ -95,16 +100,10 @@ void Zone::lookup_into(const DnsName& qname, RrType qtype,
     return;
   }
 
-  auto soa_record = [&]() -> const ResourceRecord* {
-    const auto range = records_.equal_range(origin_);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second.type == RrType::kSoa) return &it->second;
-    }
-    return nullptr;
-  };
-
   const auto range = records_.equal_range(qname);
-  const bool name_has_records = range.first != range.second;
+  const bool apex = qname == origin_;
+  // The apex owns the zone SOA, so it exists even in an empty zone.
+  const bool name_has_records = apex || range.first != range.second;
 
   // CNAME handling (only when the query is not for the CNAME itself).
   if (qtype != RrType::kCname) {
@@ -117,6 +116,7 @@ void Zone::lookup_into(const DnsName& qname, RrType qtype,
     }
   }
 
+  if (apex && qtype == RrType::kSoa) out.records.push_back(&soa());
   for (auto it = range.first; it != range.second; ++it) {
     if (it->second.type == qtype) out.records.push_back(&it->second);
   }
@@ -130,7 +130,7 @@ void Zone::lookup_into(const DnsName& qname, RrType qtype,
   } else {
     out.kind = RcodeKind::kNxDomain;
   }
-  out.soa = soa_record();
+  out.soa = &soa();
 }
 
 }  // namespace lazyeye::dns

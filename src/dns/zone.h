@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory_resource>
+#include <optional>
 #include <vector>
 
 #include "dns/rr.h"
@@ -67,6 +68,9 @@ class Zone {
   void lookup_into(const DnsName& qname, RrType qtype, LookupRefs& out) const;
 
  private:
+  /// The apex SOA, built on first use: only an apex SOA query and negative
+  /// answers read it.
+  const ResourceRecord& soa() const;
   bool name_exists(const DnsName& name) const;
   /// Topmost zone cut at/below `qname`, or nullptr. The returned name lives
   /// in `cut_scratch_` (valid until the next call on this zone). Returns at
@@ -78,6 +82,8 @@ class Zone {
   // Keyed by wire-byte name order, which nothing may observe: the zone only
   // looks names up (equal_range/count) and scans for a yes/no answer.
   std::pmr::multimap<DnsName, ResourceRecord> records_;
+  // The SOA the apex owns, outside records_ (see soa()).
+  mutable std::optional<ResourceRecord> soa_;
   // NS records owned by a name strictly below the origin: the only records
   // that can make a zone cut. Counted by add(), the one insertion path.
   std::size_t cut_ns_records_ = 0;

@@ -4,8 +4,9 @@
 
 namespace lazyeye::he {
 
-std::vector<simnet::IpAddress> select_addresses(const SelectionInput& input,
-                                                const HeOptions& options) {
+void select_addresses(const SelectionInput& input, const HeOptions& options,
+                      std::pmr::vector<simnet::IpAddress>& out) {
+  out.clear();
   // IPv6 is the preferred family (RFC 8305 §4, and every measured client).
   std::span<const simnet::IpAddress> first = input.ipv6;
   std::span<const simnet::IpAddress> second = input.ipv4;
@@ -19,10 +20,10 @@ std::vector<simnet::IpAddress> select_addresses(const SelectionInput& input,
     // No fallback: the non-preferred family is only used when the preferred
     // one has no addresses at all.
     const auto only = first.empty() ? second : first;
-    return {only.begin(), only.end()};
+    out.assign(only.begin(), only.end());
+    return;
   }
 
-  std::vector<simnet::IpAddress> out;
   out.reserve(first.size() + second.size());
 
   const std::size_t fafc = static_cast<std::size_t>(
@@ -32,7 +33,7 @@ std::vector<simnet::IpAddress> select_addresses(const SelectionInput& input,
     case InterlaceMode::kNone: {
       out.insert(out.end(), first.begin(), first.end());
       out.insert(out.end(), second.begin(), second.end());
-      return out;
+      return;
     }
     case InterlaceMode::kAlternate: {
       // RFC 8305 §4: start with `fafc` addresses of the preferred family,
@@ -52,7 +53,7 @@ std::vector<simnet::IpAddress> select_addresses(const SelectionInput& input,
         }
         take_second = !take_second;
       }
-      return out;
+      return;
     }
     case InterlaceMode::kFirstOtherThenRest: {
       // Safari (paper App. D): fafc preferred, one other, all remaining
@@ -66,10 +67,9 @@ std::vector<simnet::IpAddress> select_addresses(const SelectionInput& input,
                  first.end());
       out.insert(out.end(), second.begin() + static_cast<std::ptrdiff_t>(j),
                  second.end());
-      return out;
+      return;
     }
   }
-  return out;
 }
 
 }  // namespace lazyeye::he

@@ -2,6 +2,7 @@
 // First Address Family Count, keeping DNS order within each family.
 #pragma once
 
+#include <memory_resource>
 #include <span>
 #include <vector>
 
@@ -17,11 +18,12 @@ struct SelectionInput {
   std::span<const simnet::IpAddress> ipv4;
 };
 
-/// Produces the ordered attempt list:
+/// Replaces `out` (caller-owned scratch, reused across calls) with the
+/// ordered attempt list:
 ///  1. truncates each family to `max_addresses_per_family`,
 ///  2. interlaces per `interlace`/`first_address_family_count` with the
 ///     preferred family, IPv6, first.
-std::vector<simnet::IpAddress> select_addresses(const SelectionInput& input,
-                                                const HeOptions& options);
+void select_addresses(const SelectionInput& input, const HeOptions& options,
+                      std::pmr::vector<simnet::IpAddress>& out);
 
 }  // namespace lazyeye::he

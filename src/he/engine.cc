@@ -2,26 +2,7 @@
 
 #include <algorithm>
 
-#include "util/strings.h"
-
 namespace lazyeye::he {
-
-const char* he_event_type_name(HeEvent::Type type) {
-  switch (type) {
-    case HeEvent::Type::kCacheHit: return "cache-hit";
-    case HeEvent::Type::kDnsQuerySent: return "dns-query";
-    case HeEvent::Type::kDnsResponse: return "dns-response";
-    case HeEvent::Type::kDnsError: return "dns-error";
-    case HeEvent::Type::kResolutionDelayStarted: return "rd-start";
-    case HeEvent::Type::kResolutionDelayExpired: return "rd-expired";
-    case HeEvent::Type::kAddressSelectionDone: return "address-selection";
-    case HeEvent::Type::kAttemptStarted: return "attempt-start";
-    case HeEvent::Type::kAttemptFailed: return "attempt-failed";
-    case HeEvent::Type::kConnectionEstablished: return "established";
-    case HeEvent::Type::kFailed: return "failed";
-  }
-  return "?";
-}
 
 HappyEyeballsEngine::HappyEyeballsEngine(simnet::Host& host,
                                          dns::StubResolver& stub,
@@ -32,11 +13,14 @@ HappyEyeballsEngine::HappyEyeballsEngine(simnet::Host& host,
       cache_{host.network().memory()},
       sessions_{host.network().memory()} {}
 
-void HappyEyeballsEngine::trace_event(Session& s, HeEvent::Type type,
-                                      std::string detail,
-                                      simnet::IpAddress address) {
-  s.trace.push_back(HeEvent{type, host_.network().loop().now(),
-                            std::move(detail), address});
+HeDetail& HappyEyeballsEngine::trace_event(Session& s, HeEvent::Type type,
+                                           simnet::IpAddress address) {
+  HeEvent& event = s.trace.emplace_back();
+  event.type = type;
+  event.time = host_.network().loop().now();
+  event.detail.type = type;
+  event.address = address;
+  return event.detail;
 }
 
 std::uint64_t HappyEyeballsEngine::connect(const dns::DnsName& hostname,
@@ -58,6 +42,7 @@ std::uint64_t HappyEyeballsEngine::connect(const dns::DnsName& hostname,
   s.trace.reserve(12);
   s.v6.reserve(4);
   s.v4.reserve(4);
+  s.selected.reserve(4);
   s.plan.reserve(4);
   s.attempt_ids.reserve(4);
 
@@ -79,7 +64,8 @@ std::uint64_t HappyEyeballsEngine::connect(const dns::DnsName& hostname,
 
   // RFC 6555 §4.1 cache: go straight to the remembered winner.
   if (const auto cached = cache_.lookup(hostname, s.started)) {
-    trace_event(s, HeEvent::Type::kCacheHit, cached->to_string(), *cached);
+    HeDetail& detail = trace_event(s, HeEvent::Type::kCacheHit, *cached);
+    detail.endpoint = {*cached, port};
     s.cache_attempt_active = true;
     s.connecting = true;
     s.plan.push_back(AttemptPlan{*cached});
@@ -100,7 +86,7 @@ void HappyEyeballsEngine::start_dns(std::uint64_t session_id) {
   if (it == sessions_.end() || it->second.finished) return;
   Session& s = it->second;
 
-  trace_event(s, HeEvent::Type::kDnsQuerySent, "AAAA then A");
+  trace_event(s, HeEvent::Type::kDnsQuerySent);
 
   dns::StubResolver::DualHandlers handlers;
   handlers.on_records = [this, session_id](
@@ -134,9 +120,9 @@ void HappyEyeballsEngine::on_dns_records(
   } else {
     s.a_done = true;
   }
-  trace_event(s, HeEvent::Type::kDnsResponse,
-              lazyeye::str_cat(rr_type_name(type), ": ", addrs.size(),
-                               " records"));
+  HeDetail& detail = trace_event(s, HeEvent::Type::kDnsResponse);
+  detail.rr_type = type;
+  detail.count = addrs.size();
   reconsider(session_id);
 }
 
@@ -153,8 +139,9 @@ void HappyEyeballsEngine::on_dns_error(std::uint64_t session_id,
     s.a_done = true;
     s.a_failed = true;
   }
-  trace_event(s, HeEvent::Type::kDnsError,
-              std::string{rr_type_name(type)} + ": " + error);
+  HeDetail& detail = trace_event(s, HeEvent::Type::kDnsError);
+  detail.rr_type = type;
+  detail.error = error;
   reconsider(session_id);
 }
 
@@ -220,8 +207,8 @@ void HappyEyeballsEngine::reconsider(std::uint64_t session_id) {
     // waiting for the AAAA answer or its resolver timeout (§5.2 behaviour).
     if (s.opts.resolution_delay && !s.rd_armed && !s.rd_expired) {
       s.rd_armed = true;
-      trace_event(s, HeEvent::Type::kResolutionDelayStarted,
-                  format_duration(*s.opts.resolution_delay));
+      trace_event(s, HeEvent::Type::kResolutionDelayStarted).duration =
+          *s.opts.resolution_delay;
       s.rd_timer = host_.network().loop().schedule_after(
           *s.opts.resolution_delay, [this, session_id] {
             auto sit = sessions_.find(session_id);
@@ -246,14 +233,14 @@ void HappyEyeballsEngine::reconsider(std::uint64_t session_id) {
 }
 
 void HappyEyeballsEngine::rebuild_plan(Session& s) {
-  const auto selected = select_addresses({s.v6, s.v4}, s.opts);
+  select_addresses({s.v6, s.v4}, s.opts, s.selected);
 
   // Started entries keep their place (history can't be rewritten); the
   // not-yet-started tail is re-derived from the full selection so that
   // late-arriving records land at their proper interlaced position
   // (RFC 8305 §5: newly resolved addresses join the ordered list).
   std::erase_if(s.plan, [](const AttemptPlan& p) { return !p.started; });
-  for (const auto& address : selected) {
+  for (const auto& address : s.selected) {
     const bool planned = std::any_of(
         s.plan.begin(), s.plan.end(),
         [&](const AttemptPlan& p) { return p.address == address; });
@@ -273,8 +260,7 @@ void HappyEyeballsEngine::start_connecting(std::uint64_t session_id) {
     s.rd_armed = false;
   }
   rebuild_plan(s);
-  trace_event(s, HeEvent::Type::kAddressSelectionDone,
-              lazyeye::str_cat(s.plan.size(), " attempts planned"));
+  trace_event(s, HeEvent::Type::kAddressSelectionDone).count = s.plan.size();
   if (s.plan.empty()) {
     if (dns_settled(s)) {
       fail(session_id, "no usable addresses");
@@ -306,8 +292,8 @@ void HappyEyeballsEngine::launch_next_attempt(std::uint64_t session_id) {
   ++s.next_attempt;
   ++s.in_flight;
   const simnet::Endpoint remote{attempt.address, s.port};
-  trace_event(s, HeEvent::Type::kAttemptStarted, remote.to_string(),
-              attempt.address);
+  trace_event(s, HeEvent::Type::kAttemptStarted, attempt.address).endpoint =
+      remote;
 
   const std::uint64_t attempt_id = tcp_.connect(
       remote, s.opts.tcp,
@@ -358,9 +344,10 @@ void HappyEyeballsEngine::on_attempt_result(
   if (result.error == "cancelled") return;  // engine-initiated abort
 
   --s.in_flight;
-  trace_event(s, HeEvent::Type::kAttemptFailed,
-              result.remote.to_string() + ": " + result.error,
-              result.remote.addr);
+  HeDetail& detail =
+      trace_event(s, HeEvent::Type::kAttemptFailed, result.remote.addr);
+  detail.endpoint = result.remote;
+  detail.error = result.error;
 
   if (s.cache_attempt_active) {
     // The cached winner is stale: forget it and run the full algorithm.
@@ -404,8 +391,8 @@ void HappyEyeballsEngine::succeed(std::uint64_t session_id,
   // The winner must survive teardown's abort sweep.
   std::erase(s.attempt_ids, result.connection_id);
 
-  trace_event(s, HeEvent::Type::kConnectionEstablished,
-              result.remote.to_string(), result.remote.addr);
+  trace_event(s, HeEvent::Type::kConnectionEstablished, result.remote.addr)
+      .endpoint = result.remote;
 
   // Update the smoothed RTT estimate (feeds dynamic CAD).
   const SimTime sample = result.handshake_time();
@@ -433,7 +420,7 @@ void HappyEyeballsEngine::fail(std::uint64_t session_id,
   if (it == sessions_.end() || it->second.finished) return;
   Session& s = it->second;
   s.finished = true;
-  trace_event(s, HeEvent::Type::kFailed, error);
+  trace_event(s, HeEvent::Type::kFailed).error = error;
 
   HeResult out;
   out.ok = false;

@@ -60,7 +60,11 @@ class HappyEyeballsEngine {
   /// and attempt vectors share.
   struct Session {
     explicit Session(std::pmr::memory_resource* memory)
-        : v6{memory}, v4{memory}, plan{memory}, attempt_ids{memory} {}
+        : v6{memory},
+          v4{memory},
+          selected{memory},
+          plan{memory},
+          attempt_ids{memory} {}
 
     std::uint64_t id = 0;
     dns::DnsName host;
@@ -78,6 +82,8 @@ class HappyEyeballsEngine {
     bool a_failed = false;
     std::pmr::vector<simnet::IpAddress> v6;
     std::pmr::vector<simnet::IpAddress> v4;
+    // select_addresses' output, rebuilt in place by rebuild_plan.
+    std::pmr::vector<simnet::IpAddress> selected;
     simnet::TimerId rd_timer;
     bool rd_armed = false;
     bool rd_expired = false;
@@ -98,8 +104,10 @@ class HappyEyeballsEngine {
     bool finished = false;
   };
 
-  void trace_event(Session& s, HeEvent::Type type, std::string detail = {},
-                   simnet::IpAddress address = {});
+  /// Appends an event of `type` and returns its detail, which the caller
+  /// fills with the values the type's sentence reads (trace.h).
+  HeDetail& trace_event(Session& s, HeEvent::Type type,
+                        simnet::IpAddress address = {});
 
   void start_dns(std::uint64_t session_id);
   void on_dns_records(std::uint64_t session_id, dns::RrType type,
@@ -127,9 +135,9 @@ class HappyEyeballsEngine {
   HeOptions options_;
   OutcomeCache cache_;
   std::optional<SimTime> srtt_;
-  // Session nodes and their address and attempt vectors come from the
-  // world's arena. Only the trace is std::, as it moves out into HeResult;
-  // address selection reads the address vectors through spans.
+  // Session nodes and their address, selection and attempt vectors come
+  // from the world's arena. Only the trace is std::, as it moves out into
+  // HeResult; address selection reads the address vectors through spans.
   std::pmr::map<std::uint64_t, Session> sessions_;
   std::uint64_t next_session_id_ = 1;
 };

@@ -1,5 +1,6 @@
 #include "simnet/ip.h"
 
+#include <charconv>
 #include <stdexcept>
 
 #include "util/strings.h"
@@ -29,10 +30,16 @@ std::string Ipv4Address::to_string() const {
 }
 
 void Ipv4Address::append_to(std::string& out) const {
+  char text[kMaxText];
+  out.append(text, write(text));
+}
+
+char* Ipv4Address::write(char* out) const {
   for (int shift = 24; shift >= 0; shift -= 8) {
-    lazyeye::append_decimal(out, (value >> shift) & 0xffu);
-    if (shift > 0) out += '.';
+    out = std::to_chars(out, out + 3, (value >> shift) & 0xffu).ptr;
+    if (shift > 0) *out++ = '.';
   }
+  return out;
 }
 
 // ---------------------------------------------------------------- IPv6 ----
@@ -128,6 +135,11 @@ std::string Ipv6Address::to_string() const {
 }
 
 void Ipv6Address::append_to(std::string& out) const {
+  char text[kMaxText];
+  out.append(text, write(text));
+}
+
+char* Ipv6Address::write(char* out) const {
   // RFC 5952: compress the longest run of zero groups (>= 2) with "::"; the
   // leftmost run wins a tie.
   int best_start = -1;
@@ -149,13 +161,15 @@ void Ipv6Address::append_to(std::string& out) const {
 
   for (int i = 0; i < 8; ++i) {
     if (i == best_start) {
-      out += "::";
+      *out++ = ':';
+      *out++ = ':';
       i += best_len - 1;
       continue;
     }
-    if (i > 0 && i != best_start + best_len) out += ':';
-    lazyeye::append_hex(out, group(i));
+    if (i > 0 && i != best_start + best_len) *out++ = ':';
+    out = std::to_chars(out, out + 4, group(i), 16).ptr;
   }
+  return out;
 }
 
 // ----------------------------------------------------------- IpAddress ----
@@ -182,11 +196,12 @@ std::string IpAddress::to_string() const {
 }
 
 void IpAddress::append_to(std::string& out) const {
-  if (is_v4()) {
-    v4_.append_to(out);
-  } else {
-    v6_.append_to(out);
-  }
+  char text[kMaxText];
+  out.append(text, write(text));
+}
+
+char* IpAddress::write(char* out) const {
+  return is_v4() ? v4_.write(out) : v6_.write(out);
 }
 
 std::size_t IpAddress::hash() const {
@@ -210,15 +225,20 @@ std::string Endpoint::to_string() const {
 }
 
 void Endpoint::append_to(std::string& out) const {
+  char text[kMaxText];
+  out.append(text, write(text));
+}
+
+char* Endpoint::write(char* out) const {
   if (addr.is_v6()) {
-    out += '[';
-    addr.append_to(out);
-    out += "]:";
+    *out++ = '[';
+    out = addr.write(out);
+    *out++ = ']';
   } else {
-    addr.append_to(out);
-    out += ':';
+    out = addr.write(out);
   }
-  lazyeye::append_decimal(out, port);
+  *out++ = ':';
+  return std::to_chars(out, out + 5, port).ptr;
 }
 
 }  // namespace lazyeye::simnet

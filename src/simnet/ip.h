@@ -7,7 +7,8 @@
 // Parsing/formatting follow RFC 4291 text forms; IPv6 output uses the RFC 5952
 // canonical form (lowercase hex, longest zero run compressed to "::").
 // Text is written digit by digit without printf; every to_string() has an
-// append_to() twin that writes into an existing string.
+// append_to() twin that writes into an existing string, and a write() twin
+// that writes into a caller's char buffer of the type's kMaxText bytes.
 #pragma once
 
 #include <array>
@@ -34,9 +35,14 @@ constexpr Family other_family(Family f) {
 struct Ipv4Address {
   std::uint32_t value = 0;  // host order; 0x01020304 == 1.2.3.4
 
+  /// "255.255.255.255".
+  static constexpr std::size_t kMaxText = 15;
+
   static std::optional<Ipv4Address> parse(std::string_view text);
   std::string to_string() const;
   void append_to(std::string& out) const;
+  /// Writes the text at `out` (room for kMaxText bytes); returns its end.
+  char* write(char* out) const;
 
   auto operator<=>(const Ipv4Address&) const = default;
 };
@@ -44,9 +50,14 @@ struct Ipv4Address {
 struct Ipv6Address {
   std::array<std::uint8_t, 16> bytes{};
 
+  /// Eight four-digit groups and seven colons.
+  static constexpr std::size_t kMaxText = 39;
+
   static std::optional<Ipv6Address> parse(std::string_view text);
   std::string to_string() const;
   void append_to(std::string& out) const;
+  /// Writes the text at `out` (room for kMaxText bytes); returns its end.
+  char* write(char* out) const;
 
   /// Hextet accessors (group i of 8, big-endian).
   std::uint16_t group(int i) const;
@@ -85,8 +96,12 @@ class IpAddress {
     return v6_;
   }
 
+  static constexpr std::size_t kMaxText = Ipv6Address::kMaxText;
+
   std::string to_string() const;
   void append_to(std::string& out) const;
+  /// Writes the text at `out` (room for kMaxText bytes); returns its end.
+  char* write(char* out) const;
 
   friend bool operator==(const IpAddress& a, const IpAddress& b) {
     if (a.family_ != b.family_) return false;
@@ -119,8 +134,13 @@ struct Endpoint {
   IpAddress addr;
   std::uint16_t port = 0;
 
+  /// "[", the address, "]:" and five port digits.
+  static constexpr std::size_t kMaxText = IpAddress::kMaxText + 8;
+
   std::string to_string() const;  // "1.2.3.4:80" / "[2001:db8::1]:80"
   void append_to(std::string& out) const;
+  /// Writes the text at `out` (room for kMaxText bytes); returns its end.
+  char* write(char* out) const;
   auto operator<=>(const Endpoint&) const = default;
 };
 

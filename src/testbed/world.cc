@@ -1,6 +1,5 @@
 #include "testbed/world.h"
 
-#include <string>
 #include <string_view>
 #include <utility>
 
@@ -48,9 +47,9 @@ TwoNodeWorld::TwoNodeWorld(clients::ClientProfile profile,
                      });
   server_tcp->set_data_handler(
       [this](std::uint64_t conn_id, std::span<const std::uint8_t>) {
-        std::string text;  // an address fits the short-string buffer
-        last_peer.addr.append_to(text);
-        server_tcp->send_data(conn_id, body(text));
+        char text[simnet::IpAddress::kMaxText];
+        server_tcp->send_data(conn_id,
+                              body({text, last_peer.addr.write(text)}));
       });
   server_quic = arena.create<transport::QuicStack>(*server_host);
   server_quic->listen(443);

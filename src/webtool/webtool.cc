@@ -1,6 +1,8 @@
 #include "webtool/webtool.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 #include "campaign/runner.h"
 #include "campaign/sink.h"
@@ -177,8 +179,10 @@ RepetitionOutcome WebTool::run_repetition(const clients::ClientProfile& profile,
     });
     world.net->loop().run();
     if (!done || !fetch.connection.ok || !fetch.response_received) continue;
-    // Client-side family determination from the echoed source address.
-    outcome.families[i] = fetch.response_text() == "2001:db8::2"
+    // Client-side family determination from the echoed source address,
+    // compared byte for byte.
+    constexpr std::string_view kClientV6 = "2001:db8::2";
+    outcome.families[i] = std::ranges::equal(fetch.response, kClientV6)
                               ? Family::kIpv6
                               : Family::kIpv4;
   }

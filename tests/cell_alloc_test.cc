@@ -80,28 +80,28 @@ namespace {
 // variation, without letting a per-cell cost creep back in.
 constexpr std::uint64_t kSlack = 1;
 
-// 20x under the ~406-allocation baseline the overhaul started from. A warm
-// CAD cell measures 19 (Release and ASan+UBSan) on GCC 12.2; its "delay v6"
+// 30x under the ~406-allocation baseline the overhaul started from. A warm
+// CAD cell measures 13 (Release and ASan+UBSan) on GCC 12.2; its "delay v6"
 // netem rule is stored in the world's arena, the two-node world itself sits
-// on the executor's stack, and the HE session's address and attempt vectors
-// are arena-backed.
-constexpr std::uint64_t kCadCellBudget = 19 + kSlack;
+// on the executor's stack, the HE session's address, selection and attempt
+// vectors are arena-backed, and its trace records typed details, not text.
+constexpr std::uint64_t kCadCellBudget = 13 + kSlack;
 
 // A single-fault conformance cell (kTcpReset on Chrome, two fetches)
-// measures 27 warm (Release and ASan+UBSan) on GCC 12.2 / libstdc++:
+// measures 19 warm (Release and ASan+UBSan) on GCC 12.2 / libstdc++:
 // its verdicts are fixed-width values, and it keeps the first fetch's
 // outcome as one flag instead of a copy of the whole result.
-constexpr std::uint64_t kFaultCellBudget = 27 + kSlack;
+constexpr std::uint64_t kFaultCellBudget = 19 + kSlack;
 
 // A compound-schedule cell (generated schedules without malformed-DNS
-// entries, two fetches on Chrome) measures 33 warm (Release and ASan+UBSan)
+// entries, two fetches on Chrome) measures 23 warm (Release and ASan+UBSan)
 // on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kScheduleCellBudget = 33 + kSlack;
+constexpr std::uint64_t kScheduleCellBudget = 23 + kSlack;
 
 // A compound-schedule cell whose schedule truncates or corrupts DNS wire
-// (same generator, same client) measures 32 warm (Release and ASan+UBSan)
+// (same generator, same client) measures 24 warm (Release and ASan+UBSan)
 // on GCC 12.2 / libstdc++.
-constexpr std::uint64_t kMalformedDnsCellBudget = 32 + kSlack;
+constexpr std::uint64_t kMalformedDnsCellBudget = 24 + kSlack;
 
 // A resolver-lab cell (BIND over the paper grid: root, TLD and auth
 // servers, the recursive engine, one resolution) measures 33 warm (Release
@@ -111,10 +111,13 @@ constexpr std::uint64_t kResolverCellBudget = 33 + kSlack;
 
 // A web-tool repetition (paper-default CAD test on Chrome: 18 delay
 // buckets, one persistent client, 18 fetches in one two-node world)
-// measures 127 warm (Release and ASan+UBSan) on GCC 12.2 / libstdc++: the
+// measures 47 warm (Release and ASan+UBSan) on GCC 12.2 / libstdc++: the
 // HE sessions' vectors and the outcome cache's nodes draw from the world's
-// arena, and a rebuilt attempt plan is edited in place.
-constexpr std::uint64_t kWebToolRepetitionBudget = 127 + kSlack;
+// arena, a rebuilt attempt plan is edited in place from the session's
+// selection scratch, the trace formats no text, the fetch's completion
+// callable fits std::function's small buffer, and the echoed address is
+// compared as bytes.
+constexpr std::uint64_t kWebToolRepetitionBudget = 47 + kSlack;
 
 // Decoding one malformed wire into a fresh DnsMessage may allocate at most
 // this many bytes per wire byte; the seeded corpus below peaks at 10.2

@@ -1,9 +1,10 @@
 // Printf-free cell regression test.
 //
-// Per-cell text (DNS nonces and test names, world addresses, HE trace
-// details, rule evidence, verdict table rows) is written with
-// std::to_chars-based appenders, never through the printf family: glibc's
-// printf machinery cost about 12% of a warm CAD cell. This test holds that
+// Per-cell text (DNS nonces and test names, world addresses, rule
+// evidence, verdict table rows) is written with std::to_chars-based
+// appenders, never through the printf family: glibc's printf machinery cost
+// about 12% of a warm CAD cell. HE trace details are typed values that a
+// cell never renders; HeDetail::text() formats them at the edge. This test holds that
 // with a count-based gate. It interposes snprintf, vsnprintf and their
 // _FORTIFY_SOURCE twins, forwarding each call to the C library through
 // dlsym(RTLD_NEXT), and asserts that warm cells of every kind make no call.

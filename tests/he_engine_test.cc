@@ -465,7 +465,8 @@ using HeEngineTest = EngineFixture;
 std::vector<std::string> rendered(const HeResult& result) {
   std::vector<std::string> out;
   for (const auto& ev : result.trace) {
-    out.push_back(std::string{he_event_type_name(ev.type)} + " " + ev.detail);
+    out.push_back(std::string{he_event_type_name(ev.type)} + " " +
+                  ev.detail.text());
   }
   return out;
 }

@@ -1,6 +1,7 @@
 // Address selection (RFC 8305 §4), outcome cache, and options presets.
 #include <gtest/gtest.h>
 
+#include <memory_resource>
 #include <vector>
 
 #include "he/address_selection.h"
@@ -21,7 +22,15 @@ IpAddress v4(int i) {
   return IpAddress::must_parse("10.0.0." + std::to_string(i));
 }
 
-std::vector<Family> families(const std::vector<IpAddress>& list) {
+/// select_addresses into a fresh scratch.
+std::pmr::vector<IpAddress> select(const SelectionInput& input,
+                                   const HeOptions& options) {
+  std::pmr::vector<IpAddress> out;
+  select_addresses(input, options, out);
+  return out;
+}
+
+std::vector<Family> families(const std::pmr::vector<IpAddress>& list) {
   std::vector<Family> out;
   for (const auto& address : list) out.push_back(address.family());
   return out;
@@ -32,7 +41,7 @@ TEST(AddressSelectionTest, AlternateFafc1) {
   const std::vector<IpAddress> ipv4{v4(1), v4(2), v4(3)};
   const SelectionInput input{ipv6, ipv4};
   HeOptions o = HeOptions::rfc8305();
-  const auto out = select_addresses(input, o);
+  const auto out = select(input, o);
   EXPECT_EQ(families(out),
             (std::vector<Family>{Family::kIpv6, Family::kIpv4, Family::kIpv6,
                                  Family::kIpv4, Family::kIpv6, Family::kIpv4}));
@@ -44,7 +53,7 @@ TEST(AddressSelectionTest, AlternateFafc2) {
   const SelectionInput input{ipv6, ipv4};
   HeOptions o = HeOptions::rfc8305();
   o.first_address_family_count = 2;
-  const auto out = select_addresses(input, o);
+  const auto out = select(input, o);
   // v6 v6 | v4 v6 v4
   EXPECT_EQ(families(out),
             (std::vector<Family>{Family::kIpv6, Family::kIpv6, Family::kIpv4,
@@ -61,7 +70,7 @@ TEST(AddressSelectionTest, SafariPattern10Plus10) {
   o.first_address_family_count = 2;
   o.interlace = InterlaceMode::kFirstOtherThenRest;
   o.max_addresses_per_family = 10;
-  const auto out = select_addresses(input, o);
+  const auto out = select(input, o);
   ASSERT_EQ(out.size(), 20u);
   // Paper App. D: two IPv6, one IPv4, remaining eight IPv6, remaining nine
   // IPv4.
@@ -83,7 +92,7 @@ TEST(AddressSelectionTest, TruncatesPerFamily) {
   HeOptions o = HeOptions::rfc8305();
   o.max_addresses_per_family = 1;
   o.interlace = InterlaceMode::kNone;
-  const auto out = select_addresses(input, o);
+  const auto out = select(input, o);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].family(), Family::kIpv6);
   EXPECT_EQ(out[1].family(), Family::kIpv4);
@@ -95,7 +104,7 @@ TEST(AddressSelectionTest, NoFallbackUsesPreferredOnly) {
   const SelectionInput input{ipv6, ipv4};
   HeOptions o = HeOptions::none();
   o.max_addresses_per_family = 10;
-  const auto out = select_addresses(input, o);
+  const auto out = select(input, o);
   ASSERT_EQ(out.size(), 2u);
   for (const auto& address : out) {
     EXPECT_EQ(address.family(), Family::kIpv6);
@@ -106,19 +115,22 @@ TEST(AddressSelectionTest, NoFallbackFallsToOtherFamilyOnlyWhenEmpty) {
   const std::vector<IpAddress> ipv4{v4(1)};
   const SelectionInput input{{}, ipv4};
   HeOptions o = HeOptions::none();
-  const auto out = select_addresses(input, o);
+  const auto out = select(input, o);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].family(), Family::kIpv4);
 }
 
 TEST(AddressSelectionTest, EmptyInputsYieldEmptyPlan) {
-  EXPECT_TRUE(select_addresses({}, HeOptions::rfc8305()).empty());
+  EXPECT_TRUE(select({}, HeOptions::rfc8305()).empty());
 }
 
 // Property: output is a permutation of the (truncated) inputs; the first
 // element is from the preferred family whenever that family is non-empty.
 TEST(AddressSelectionTest, RandomisedInvariants) {
   Rng rng{99};
+  // One scratch for every draw, as a session reuses its own: each call
+  // replaces what the previous one left.
+  std::pmr::vector<IpAddress> out;
   for (int iteration = 0; iteration < 300; ++iteration) {
     const int n6 = static_cast<int>(rng.next_below(6));
     const int n4 = static_cast<int>(rng.next_below(6));
@@ -133,7 +145,7 @@ TEST(AddressSelectionTest, RandomisedInvariants) {
     o.interlace = static_cast<InterlaceMode>(rng.next_below(3));
     o.max_addresses_per_family = static_cast<int>(rng.next_in_range(1, 6));
 
-    const auto out = select_addresses(input, o);
+    select_addresses(input, o, out);
 
     const std::size_t expect6 = std::min<std::size_t>(
         input.ipv6.size(), static_cast<std::size_t>(o.max_addresses_per_family));
