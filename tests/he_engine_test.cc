@@ -596,6 +596,23 @@ TEST_F(HeEngineTest, TraceDetailsRenderTheParentsText) {
                    "failed A lookup failed"}));
 }
 
+TEST(HeDetailTest, SizeIsTheRenderedLength) {
+  const simnet::Endpoint longest{
+      IpAddress::must_parse("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"),
+      65535};
+  for (int t = 0; t <= static_cast<int>(HeEventType::kFailed); ++t) {
+    HeDetail detail;
+    detail.type = static_cast<HeEventType>(t);
+    detail.rr_type = dns::RrType::kAaaa;
+    detail.count = UINT64_MAX;
+    detail.duration = ms(1500);
+    detail.endpoint = longest;
+    detail.error = "all servers failed";
+    EXPECT_EQ(detail.size(), detail.text().size())
+        << he_event_type_name(detail.type);
+  }
+}
+
 TEST(HeOptionsValidateTest, AcceptsAllPresets) {
   EXPECT_TRUE(HeOptions::rfc6555().validate().ok());
   EXPECT_TRUE(HeOptions::rfc8305().validate().ok());

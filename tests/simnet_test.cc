@@ -387,6 +387,16 @@ TEST(IpTest, EndpointFormatting) {
   EXPECT_EQ(v6.to_string(), "[2001:db8::1]:443");
 }
 
+TEST(IpTest, LongestTextsFillTheirWriteBuffers) {
+  const Endpoint v6{
+      IpAddress::must_parse("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"),
+      65535};
+  EXPECT_EQ(v6.to_string().size(), Endpoint::kMaxText);
+  EXPECT_EQ(v6.addr.to_string().size(), IpAddress::kMaxText);
+  EXPECT_EQ(IpAddress::must_parse("255.255.255.255").to_string().size(),
+            Ipv4Address::kMaxText);
+}
+
 TEST(IpTest, ComparisonAndHash) {
   const auto a = IpAddress::must_parse("10.0.0.1");
   const auto b = IpAddress::must_parse("10.0.0.2");
