@@ -24,14 +24,8 @@ std::optional<Ipv4Address> Ipv4Address::parse(std::string_view text) {
 }
 
 std::string Ipv4Address::to_string() const {
-  std::string out;
-  append_to(out);
-  return out;
-}
-
-void Ipv4Address::append_to(std::string& out) const {
   char text[kMaxText];
-  out.append(text, write(text));
+  return {text, write(text)};
 }
 
 char* Ipv4Address::write(char* out) const {
@@ -129,14 +123,8 @@ std::optional<Ipv6Address> Ipv6Address::parse(std::string_view text) {
 }
 
 std::string Ipv6Address::to_string() const {
-  std::string out;
-  append_to(out);
-  return out;
-}
-
-void Ipv6Address::append_to(std::string& out) const {
   char text[kMaxText];
-  out.append(text, write(text));
+  return {text, write(text)};
 }
 
 char* Ipv6Address::write(char* out) const {

@@ -6,9 +6,10 @@
 //
 // Parsing/formatting follow RFC 4291 text forms; IPv6 output uses the RFC 5952
 // canonical form (lowercase hex, longest zero run compressed to "::").
-// Text is written digit by digit without printf; every to_string() has an
-// append_to() twin that writes into an existing string, and a write() twin
-// that writes into a caller's char buffer of the type's kMaxText bytes.
+// Text is written digit by digit without printf: write() puts it into a
+// caller's char buffer of the type's kMaxText bytes, and to_string() (and,
+// on IpAddress and Endpoint, append_to() into an existing string) build on
+// it.
 #pragma once
 
 #include <array>
@@ -40,7 +41,6 @@ struct Ipv4Address {
 
   static std::optional<Ipv4Address> parse(std::string_view text);
   std::string to_string() const;
-  void append_to(std::string& out) const;
   /// Writes the text at `out` (room for kMaxText bytes); returns its end.
   char* write(char* out) const;
 
@@ -55,7 +55,6 @@ struct Ipv6Address {
 
   static std::optional<Ipv6Address> parse(std::string_view text);
   std::string to_string() const;
-  void append_to(std::string& out) const;
   /// Writes the text at `out` (room for kMaxText bytes); returns its end.
   char* write(char* out) const;
 

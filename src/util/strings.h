@@ -66,15 +66,6 @@ void append_decimal(std::string& out, T v) {
   out.append(buf, r.ptr);
 }
 
-/// Appends the lower-case hex form of `v` without leading zeros (printf
-/// "%x").
-template <std::unsigned_integral T>
-void append_hex(std::string& out, T v) {
-  char buf[16];
-  const auto r = std::to_chars(buf, buf + sizeof buf, v, 16);
-  out.append(buf, r.ptr);
-}
-
 /// The number whose hex digits are `v`'s decimal digits (12 -> 0x12): the
 /// value an IPv6 group written as the decimal text of `v` parses to. Exact
 /// for v <= 9999, the values whose text fits one group.

@@ -446,10 +446,6 @@ TEST(StringsTest, AppendersMatchPrintf) {
     append_decimal(out, s);
     std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(s));
     ASSERT_EQ(out, buf);
-    out.clear();
-    append_hex(out, static_cast<std::uint16_t>(u));
-    std::snprintf(buf, sizeof buf, "%x", static_cast<unsigned>(u & 0xffff));
-    ASSERT_EQ(out, buf);
   }
   std::string row;
   append_padded(row, "client", 10);
