@@ -1,10 +1,10 @@
 #include "conformance/checker.h"
 
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "capture/analysis.h"
-#include "conformance/injector.h"
 #include "dns/test_params.h"
 #include "testbed/world.h"
 #include "util/strings.h"
@@ -90,14 +90,18 @@ std::vector<campaign::ScenarioSpec> ConformanceHarness::differential_specs(
 ConformanceRecord ConformanceHarness::run_spec(
     const clients::ClientProfile& profile,
     const campaign::ScenarioSpec& spec) const {
-  const FaultPlan* plan = nullptr;
+  // A plan runs as a one-entry always-on schedule; a schedule cell's
+  // entries stay in its spec, which outlives the world.
+  TimedFault single;
+  std::span<const TimedFault> entries{&single, 1};
   const FaultSchedule* schedule = nullptr;
   int fetches = 1;
   if (const auto* cell = spec.get_if<campaign::ConformanceCase>()) {
-    plan = &cell->fault;
+    single.plan = cell->fault;
     fetches = cell->fetches;
   } else if (const auto* cell2 = spec.get_if<campaign::ScheduleCase>()) {
     schedule = &cell2->schedule;
+    entries = schedule->entries;
     fetches = cell2->fetches;
   } else {
     throw std::invalid_argument(
@@ -124,19 +128,12 @@ ConformanceRecord ConformanceHarness::run_spec(
           world.zone->add_a(name, dns::decoy_v4(i));
           world.zone->add_aaaa(name, dns::decoy_v6(i));
         }
-        // The cell's fault source interposes on the server's DNS and
-        // transport stacks.
-        const auto hook = [&world](auto& injector) {
-          injector.attach(*world.auth);
-          injector.attach(*world.server_tcp);
-          injector.attach(*world.server_quic);
-        };
+        // The cell's faults interpose on the server's DNS and TCP stacks.
         simnet::Arena& arena = world.lease.arena();
-        if (plan != nullptr) {
-          hook(*arena.create<FaultInjector>(*plan));
-        } else {
-          hook(*arena.create<ScheduleInjector>(*schedule, world.net->loop()));
-        }
+        auto* injector = arena.create<ScheduleInjector>(
+            entries, &world.net->loop(), &arena);
+        injector->attach(*world.auth);
+        injector->attach(*world.server_tcp);
       }};
   const auto* cap =
       w.lease.arena().create<capture::PacketCapture>(*w.client_host);
@@ -179,7 +176,7 @@ ConformanceRecord ConformanceHarness::run_spec(
 
   ConformanceRecord record;
   record.client = profile.display_name();
-  if (plan != nullptr) record.fault = *plan;
+  record.fault = single.plan;  // the default plan in a schedule cell
   if (schedule != nullptr) record.schedule = *schedule;
   record.fetches = fetches;
   record.fetch_ok = last_fetch.connection.ok && last_fetch.response_received;

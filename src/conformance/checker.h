@@ -1,11 +1,12 @@
 // ConformanceHarness: differential RFC 8305 conformance campaigns.
 //
 // Each cell builds the testbed's two-node world (testbed::TwoNodeWorld,
-// zone "conf.lab"); its attach hook adds the cell's
-// name and decoy records and a FaultInjector (seeded FaultPlan) or
-// ScheduleInjector (compound schedule) on the server's DNS and transport
-// stacks. The cell runs the client's fetch(es) and evaluates the RFC 8305
-// rule set over the client-side capture. Cells ride the campaign
+// zone "conf.lab"); its attach hook adds the cell's name and decoy records
+// and one ScheduleInjector on the server's DNS and TCP stacks. A compound
+// schedule cell injects its entries; a single-fault cell runs its seeded
+// FaultPlan as a one-entry always-on schedule. The cell runs the client's
+// fetch(es) and evaluates the RFC 8305 rule set over the client-side
+// capture. Cells ride the campaign
 // engine as ConformanceCase payloads, so a differential matrix — the same
 // fault against every client profile — shards across the CampaignRunner
 // worker pool with byte-identical verdict tables at any worker count.

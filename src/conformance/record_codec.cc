@@ -12,13 +12,12 @@ constexpr std::size_t kVerdictBytes = 4 + 4 + 8 + 8;
 
 }  // namespace
 
-void encode_record(const ConformanceRecord& record, std::string& out,
-                   bool with_schedule) {
+void encode_record(const ConformanceRecord& record, std::string& out) {
   wire::put_str(out, record.client);
   encode_plan(record.fault, out);
   // Compound-schedule cells carry the schedule inline (length-prefixed so
   // the record decoder can delegate to the schedule codec).
-  if (with_schedule && record.schedule) {
+  if (record.schedule) {
     wire::put_u8(out, 1);
     wire::put_str(out, encode_schedule(*record.schedule));
   } else {

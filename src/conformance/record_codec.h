@@ -28,11 +28,8 @@
 
 namespace lazyeye::conformance {
 
-/// Serialises `record` (appends to `out`). With `with_schedule` false the
-/// record is written as if it had no schedule: a hunt candidate's records
-/// all carry the candidate's schedule, which its decoder restores.
-void encode_record(const ConformanceRecord& record, std::string& out,
-                   bool with_schedule = true);
+/// Serialises `record` (appends to `out`).
+void encode_record(const ConformanceRecord& record, std::string& out);
 
 inline std::string encode_record(const ConformanceRecord& record) {
   std::string out;

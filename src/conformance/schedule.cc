@@ -1,8 +1,10 @@
 #include "conformance/schedule.h"
 
+#include <algorithm>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
-#include "conformance/injector.h"
 #include "dns/auth_server.h"
 #include "simnet/event_loop.h"
 #include "transport/quic.h"
@@ -210,17 +212,150 @@ std::optional<FaultSchedule> schedule_from_hex(std::string_view hex) {
 
 // ---- ScheduleInjector -----------------------------------------------------
 
-ScheduleInjector::ScheduleInjector(FaultSchedule schedule,
-                                   const simnet::EventLoop& loop)
-    : schedule_{std::move(schedule)}, loop_{&loop} {
-  rngs_.reserve(schedule_.entries.size());
-  for (const TimedFault& entry : schedule_.entries) {
+namespace {
+
+using dns::DnsMessage;
+using dns::RrType;
+using simnet::Family;
+
+/// Family a query type resolves addresses for (non-address types count as
+/// IPv4 only so the family-selective kinds leave them alone by default).
+Family qtype_family(RrType qtype) {
+  return qtype == RrType::kAaaa ? Family::kIpv6 : Family::kIpv4;
+}
+
+bool address_qtype(RrType qtype) {
+  return qtype == RrType::kA || qtype == RrType::kAaaa;
+}
+
+bool dns_fault_kind(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kDnsTruncate:
+    case FaultKind::kDnsCorrupt:
+    case FaultKind::kDnsSpoof:
+    case FaultKind::kDnsReorder:
+    case FaultKind::kDnsStarveFamily:
+    case FaultKind::kDnsDelaySpike:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool tcp_fault_kind(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kTcpReset:
+    case FaultKind::kTcpAcceptReset:
+    case FaultKind::kTcpBlackhole:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Applies `plan`'s DNS-side fault to one outgoing response (message edits,
+/// delay stretch, wire mutation, extra spoof datagrams). The mutate_wire
+/// closure it may install captures `rng` (the entry's mutation stream) by
+/// reference. Overwrites out.mutate_wire when it installs one.
+void apply_dns_fault(const FaultPlan& plan, SplitMix64& rng,
+                     const DnsMessage& query, DnsMessage& response,
+                     SimTime& delay, dns::ResponseDirectives& out) {
+  const RrType qtype =
+      query.questions.empty() ? RrType::kA : query.questions.front().type;
+  const bool targeted =
+      address_qtype(qtype) && qtype_family(qtype) == plan.target_family;
+  switch (plan.kind) {
+    case FaultKind::kDnsTruncate:
+      out.mutate_wire = [&rng](std::vector<std::uint8_t>& wire) {
+        truncate_wire(wire, rng);
+      };
+      break;
+    case FaultKind::kDnsCorrupt:
+      out.mutate_wire = [&rng](std::vector<std::uint8_t>& wire) {
+        corrupt_wire(wire, rng);
+      };
+      break;
+    case FaultKind::kDnsSpoof: {
+      if (!address_qtype(qtype)) break;
+      // Off-path race: wrong transaction id, bogus address, sent with zero
+      // extra delay so it reaches the client ahead of the real answer. A
+      // compliant resolver/client drops it on the id mismatch.
+      DnsMessage spoof = response;
+      spoof.header.id ^= static_cast<std::uint16_t>(1 + rng.next() % 0xffff);
+      spoof.answers.clear();
+      spoof.authorities.clear();
+      spoof.additionals.clear();
+      const dns::DnsName& qname = query.questions.front().name;
+      if (qtype == RrType::kA) {
+        spoof.answers.push_back(dns::ResourceRecord::a(
+            qname, simnet::IpAddress::must_parse("192.0.2.66").v4()));
+      } else {
+        spoof.answers.push_back(dns::ResourceRecord::aaaa(
+            qname, simnet::IpAddress::must_parse("2001:db8:bad::66").v6()));
+      }
+      out.extra.push_back({spoof.encode(), SimTime{0}});
+      break;
+    }
+    case FaultKind::kDnsReorder:
+      // Hold the targeted family's answer back past the spike so the other
+      // family's answer overtakes it, and scramble in-message record order.
+      if (targeted) {
+        delay = delay + plan.spike;
+        std::reverse(response.answers.begin(), response.answers.end());
+      }
+      break;
+    case FaultKind::kDnsStarveFamily:
+      if (targeted) response.answers.clear();  // NODATA-like starvation
+      break;
+    case FaultKind::kDnsDelaySpike:
+      if (targeted) delay = delay + plan.spike;
+      break;
+    default:
+      break;
+  }
+}
+
+/// What `plan` does to an inbound handshake from `peer`: kReset/kDrop/
+/// kAcceptThenReset for the transport kinds when the peer matches the
+/// target family, kAccept otherwise.
+AcceptAction fault_accept_action(const FaultPlan& plan,
+                                 const simnet::Endpoint& peer) {
+  if (peer.addr.family() != plan.target_family) return AcceptAction::kAccept;
+  switch (plan.kind) {
+    case FaultKind::kTcpReset: return AcceptAction::kReset;
+    case FaultKind::kTcpAcceptReset: return AcceptAction::kAcceptThenReset;
+    case FaultKind::kTcpBlackhole:
+    case FaultKind::kQuicDrop: return AcceptAction::kDrop;
+    default: return AcceptAction::kAccept;
+  }
+}
+
+/// Active for the whole run: no trigger, no start offset, open window.
+bool always_on(const TimedFault& entry) {
+  return entry.trigger == TriggerKind::kNone && entry.start <= SimTime{0} &&
+         entry.duration <= SimTime{0};
+}
+
+}  // namespace
+
+ScheduleInjector::ScheduleInjector(std::span<const TimedFault> entries,
+                                   const simnet::EventLoop* clock,
+                                   std::pmr::memory_resource* memory)
+    : entries_{entries}, loop_{nullptr}, rngs_{memory} {
+  rngs_.reserve(entries_.size());
+  for (const TimedFault& entry : entries_) {
     rngs_.emplace_back(entry.plan.rng_seed());
+    if (always_on(entry)) continue;
+    if (clock == nullptr) {
+      throw std::invalid_argument(
+          "ScheduleInjector: a windowed or triggered entry needs a clock");
+    }
+    loop_ = clock;
   }
 }
 
 bool ScheduleInjector::needs_dns_hook() const {
-  for (const TimedFault& entry : schedule_.entries) {
+  for (const TimedFault& entry : entries_) {
     if (dns_fault_kind(entry.plan.kind)) return true;
     // DNS-side triggers are observed from the same hook even when every
     // fault in the schedule lives elsewhere.
@@ -233,7 +368,7 @@ bool ScheduleInjector::needs_dns_hook() const {
 }
 
 bool ScheduleInjector::needs_tcp_hook() const {
-  for (const TimedFault& entry : schedule_.entries) {
+  for (const TimedFault& entry : entries_) {
     if (tcp_fault_kind(entry.plan.kind)) return true;
     if (entry.trigger == TriggerKind::kAfterFirstSyn) return true;
   }
@@ -241,7 +376,7 @@ bool ScheduleInjector::needs_tcp_hook() const {
 }
 
 bool ScheduleInjector::needs_quic_hook() const {
-  for (const TimedFault& entry : schedule_.entries) {
+  for (const TimedFault& entry : entries_) {
     if (entry.plan.kind == FaultKind::kQuicDrop) return true;
   }
   return false;
@@ -273,7 +408,8 @@ void ScheduleInjector::attach(transport::QuicStack& quic) {
 }
 
 bool ScheduleInjector::entry_active(std::size_t i) const {
-  const TimedFault& entry = schedule_.entries[i];
+  const TimedFault& entry = entries_[i];
+  if (always_on(entry)) return true;
   std::optional<SimTime> anchor;
   switch (entry.trigger) {
     case TriggerKind::kNone: anchor = SimTime{0}; break;
@@ -297,8 +433,8 @@ void ScheduleInjector::on_dns_response(const dns::DnsMessage& query,
                                        dns::DnsMessage& response,
                                        SimTime& delay,
                                        dns::ResponseDirectives& out) {
-  for (std::size_t i = 0; i < schedule_.entries.size(); ++i) {
-    const TimedFault& entry = schedule_.entries[i];
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const TimedFault& entry = entries_[i];
     if (!dns_fault_kind(entry.plan.kind) || !entry_active(i)) continue;
     // apply_dns_fault overwrites out.mutate_wire; chain so every active
     // wire-mutating entry runs, in schedule order.
@@ -322,7 +458,8 @@ void ScheduleInjector::on_dns_response(const dns::DnsMessage& query,
   // under pre-trigger windows, and "after-first-X" entries only shape what
   // follows it. The response anchor is the emission instant (post any delay
   // the active entries just added), i.e. when the answer actually hits the
-  // wire.
+  // wire. Without a windowed or triggered entry nothing reads them.
+  if (loop_ == nullptr) return;
   const SimTime now = loop_->now();
   if (!first_dns_query_) first_dns_query_ = now;
   if (!first_dns_response_) first_dns_response_ = now + delay;
@@ -331,8 +468,8 @@ void ScheduleInjector::on_dns_response(const dns::DnsMessage& query,
 AcceptAction ScheduleInjector::on_accept(bool quic,
                                          const simnet::Endpoint& peer) {
   AcceptAction action = AcceptAction::kAccept;
-  for (std::size_t i = 0; i < schedule_.entries.size(); ++i) {
-    const TimedFault& entry = schedule_.entries[i];
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const TimedFault& entry = entries_[i];
     const bool layer_match = quic ? entry.plan.kind == FaultKind::kQuicDrop
                                   : tcp_fault_kind(entry.plan.kind);
     if (!layer_match || !entry_active(i)) continue;
@@ -343,7 +480,7 @@ AcceptAction ScheduleInjector::on_accept(bool quic,
     }
   }
   // The triggering SYN itself is evaluated above with the anchor unset.
-  if (!quic && !first_syn_) first_syn_ = loop_->now();
+  if (!quic && !first_syn_ && loop_ != nullptr) first_syn_ = loop_->now();
   return action;
 }
 

@@ -1,7 +1,7 @@
 // Compound fault schedules: several seeded faults with activation windows
-// and event triggers, multiplexed through the same interposing hooks a
-// single FaultPlan uses (ROADMAP "compound fault plans (multiple concurrent
-// seeded faults), coverage-guided fault search").
+// and event triggers, multiplexed through the stacks' interposing hooks
+// (ROADMAP "compound fault plans (multiple concurrent seeded faults),
+// coverage-guided fault search").
 //
 // A FaultSchedule is an ordered list of TimedFault entries. Each entry is a
 // plain FaultPlan plus a window: the fault acts only while sim time sits in
@@ -19,14 +19,18 @@
 //     round-trip through encode_schedule()/decode_schedule() and replay via
 //       ./build/example_conformance_probe "<client>" --schedule-hex <hex>
 //
-// ScheduleInjector multiplexes the entries through one ResponseInterposer /
-// AcceptInterposer per layer. Hooks are installed only on layers some entry
-// targets (or must be watched for a trigger); untouched layers keep their
-// null hook and the zero-cost fast path.
+// ScheduleInjector, the only code that installs fault hooks, multiplexes the
+// entries through one ResponseInterposer / AcceptInterposer per layer; a
+// single-fault cell runs its plan as a one-entry schedule. Hooks are
+// installed only on layers some entry targets (or must be watched for a
+// trigger); untouched layers keep their null hook and the zero-cost fast
+// path.
 #pragma once
 
 #include <cstdint>
+#include <memory_resource>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -153,18 +157,30 @@ TimedFault seeded_entry(SplitMix64& rng, std::uint64_t seed,
 
 // ---- Injection ------------------------------------------------------------
 
-/// Multiplexes a schedule's entries through per-layer hooks. Entries are
-/// consulted in schedule order; for DNS every active entry applies (wire
-/// mutators chain), for transport the first non-accept action wins. The
-/// injector reads the event loop's clock to evaluate windows and must
-/// outlive the stacks it attaches to, like FaultInjector.
+/// The one fault injector: multiplexes entries through per-layer hooks. A
+/// single FaultPlan runs as a one-entry always-on schedule (TimedFault{plan}:
+/// trigger kNone, start 0, open window). Entries are consulted in order; for
+/// DNS every active entry applies (wire mutators chain), for transport the
+/// first non-accept action wins. Hooks capture `this`, so the injector must
+/// outlive the stacks it attaches to.
 class ScheduleInjector {
  public:
-  ScheduleInjector(FaultSchedule schedule, const simnet::EventLoop& loop);
+  /// Borrows `entries`, which must outlive the injector (a cell's spec keeps
+  /// them). Keeps one mutation stream per entry, drawn from `memory` (a cell
+  /// passes its world's arena). Windowed or triggered entries read `clock`;
+  /// a null clock with any such entry throws std::invalid_argument.
+  ScheduleInjector(
+      std::span<const TimedFault> entries, const simnet::EventLoop* clock,
+      std::pmr::memory_resource* memory = std::pmr::get_default_resource());
+  /// Over `schedule`'s entries (perfbench's mirror builds it this way).
+  ScheduleInjector(const FaultSchedule& schedule,
+                   const simnet::EventLoop& loop)
+      : ScheduleInjector{schedule.entries, &loop} {}
+  ScheduleInjector(FaultSchedule&&, const simnet::EventLoop&) = delete;
+  ScheduleInjector(const ScheduleInjector&) = delete;
+  ScheduleInjector& operator=(const ScheduleInjector&) = delete;
 
-  const FaultSchedule& schedule() const { return schedule_; }
-
-  /// Install hooks on layers the schedule targets or must observe for a
+  /// Install hooks on layers the entries target or must observe for a
   /// trigger. No-ops elsewhere (null-hook fast path untouched).
   void attach(dns::AuthServer& server);
   void attach(transport::TcpStack& tcp);
@@ -183,12 +199,13 @@ class ScheduleInjector {
                        dns::ResponseDirectives& out);
   transport::AcceptAction on_accept(bool quic, const simnet::Endpoint& peer);
 
-  FaultSchedule schedule_;
+  std::span<const TimedFault> entries_;
+  /// Null when every entry is always-on: then nothing reads the clock.
   const simnet::EventLoop* loop_;
   /// One mutation stream per entry, seeded from the entry plan's rng_seed()
   /// — entry k of a schedule draws identically no matter which other
   /// entries are active (what keeps delta-minimization replayable).
-  std::vector<SplitMix64> rngs_;
+  std::pmr::vector<SplitMix64> rngs_;
 
   // Trigger anchors: set after the first matching event is evaluated.
   std::optional<SimTime> first_dns_query_;

@@ -248,6 +248,8 @@ std::vector<ConformanceRecord> FaultHunt::evaluate(
   records.reserve(specs.size());
   campaign::CallbackSink<ConformanceRecord> sink{
       [&records](const campaign::ScenarioSpec&, ConformanceRecord record) {
+        // The candidate holds the schedule every record would repeat.
+        record.schedule.reset();
         records.push_back(std::move(record));
       }};
   campaign::CampaignRunner{runner_options}.run_streaming<ConformanceRecord>(
@@ -341,7 +343,7 @@ std::string FaultHunt::encode_candidate(const Candidate& candidate) const {
   }
   wire::put_u32(out, static_cast<std::uint32_t>(candidate.records.size()));
   for (const ConformanceRecord& record : candidate.records) {
-    encode_record(record, out, /*with_schedule=*/false);
+    encode_record(record, out);
   }
   return out;
 }

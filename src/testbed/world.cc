@@ -51,12 +51,6 @@ TwoNodeWorld::TwoNodeWorld(clients::ClientProfile profile,
         server_tcp->send_data(conn_id,
                               body({text, last_peer.addr.write(text)}));
       });
-  server_quic = arena.create<transport::QuicStack>(*server_host);
-  server_quic->listen(443);
-  server_quic->set_data_handler(
-      [this](std::uint64_t conn_id, std::span<const std::uint8_t>) {
-        server_quic->send_data(conn_id, body("quic"));
-      });
 
   // The client asks over IPv4, so DNS itself is unaffected by IPv6 shaping.
   auth = arena.create<dns::AuthServer>(*server_host);

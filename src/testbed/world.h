@@ -1,14 +1,14 @@
 // The two-node world every cell runs in (paper §4.3 (i) and (ii), App. B):
 // two directly connected dual-stack nodes. The server runs the web server
-// on port 443 (TCP answers with the client's source address, as the paper's
-// does; a QUIC listener, which no client dials, answers "quic" and is the
-// target of the quic-drop fault) and the authoritative DNS server; the client
-// node carries the client. Testbed, conformance and web-tool cells and the
-// HE ablation bench all construct this one world in their own storage; they
-// differ only in the zone origin, the seeds and what `attach` adds before
-// the client exists. The testbed and the conformance checker, which analyse
-// the client's packets, arena-create a capture::PacketCapture on
-// `client_host` right after construction.
+// on TCP port 443 (it answers with the client's source address, as the
+// paper's does; there is no QUIC listener, since no client dials one) and
+// the authoritative DNS server; the client node carries the client.
+// Testbed, conformance and web-tool cells and the HE ablation bench all
+// construct this one world in their own storage; they differ only in the
+// zone origin, the seeds and what `attach` adds before the client exists.
+// The testbed and the conformance checker, which analyse the client's
+// packets, arena-create a capture::PacketCapture on `client_host` right
+// after construction.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include "simnet/inline_callback.h"
 #include "simnet/network.h"
 #include "simnet/scenario_pool.h"
-#include "transport/quic.h"
 #include "transport/tcp.h"
 
 namespace lazyeye::testbed {
@@ -61,7 +60,6 @@ struct TwoNodeWorld {
   simnet::Host* client_host = nullptr;
   simnet::Host* server_host = nullptr;
   transport::TcpStack* server_tcp = nullptr;
-  transport::QuicStack* server_quic = nullptr;
   dns::AuthServer* auth = nullptr;
   dns::Zone* zone = nullptr;
   clients::SimulatedClient* client = nullptr;

@@ -1,7 +1,7 @@
-// Minimal QUIC-like handshake over UDP. The two-node world's server listens
-// on it so the conformance layer's quic-drop fault has a target; no
-// simulated client dials it (every client connects over TCP), so only the
-// transport tests exercise connect().
+// Minimal QUIC-like handshake over UDP. No simulated client dials it (every
+// client connects over TCP) and the two-node world runs no QUIC listener;
+// perfbench's mirror world still builds one, and only the transport tests
+// exercise connect().
 //
 // Wire model: UDP datagrams whose payload starts with a one-byte packet type
 // ('I' = client Initial, 'H' = server handshake reply, 'D' = app data,

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <stdexcept>
 
 #include "campaign/registry.h"
 #include "campaign/runner.h"
@@ -14,6 +15,7 @@
 #include "conformance/fault.h"
 #include "conformance/injector.h"
 #include "conformance/rules.h"
+#include "conformance/schedule.h"
 #include "dns/auth_server.h"
 #include "dns/client.h"
 #include "simnet/network.h"
@@ -663,6 +665,49 @@ TEST(HarnessTest, QuicDropCellsMatchTheControlCells) {
     ++compared;
   }
   EXPECT_EQ(compared, profiles.size());
+}
+
+TEST(HarnessTest, PlanCellEqualsItsOneEntrySchedule) {
+  // A single-fault cell runs its plan as a one-entry always-on schedule, so
+  // the same spec (same seed) carrying that schedule instead of the plan
+  // reads the same, for every fault kind on every local-testbed profile.
+  const ConformanceHarness harness{{.seed = 1}};
+  const auto profiles = clients::local_testbed_profiles();
+  ASSERT_GE(profiles.size(), 3u);
+  for (const clients::ClientProfile& profile : profiles) {
+    for (const FaultKind kind : all_fault_kinds()) {
+      const FaultPlan plan{kind, 1, static_cast<std::uint32_t>(kind), 5};
+      const campaign::ScenarioSpec plan_spec =
+          harness.case_spec(profile, plan, /*fetches=*/2);
+      campaign::ScenarioSpec schedule_spec = plan_spec;
+      schedule_spec.payload = campaign::ScheduleCase{
+          {.entries = {TimedFault{plan}}}, /*fetches=*/2};
+      const ConformanceRecord single = harness.run_spec(profile, plan_spec);
+      const ConformanceRecord entry = harness.run_spec(profile, schedule_spec);
+      const std::string where =
+          lazyeye::str_cat(profile.display_name(), ' ', plan.repro());
+      EXPECT_EQ(single.verdicts, entry.verdicts) << where;
+      EXPECT_EQ(single.fetch_ok, entry.fetch_ok) << where;
+      EXPECT_EQ(single.first_fetch_ok, entry.first_fetch_ok) << where;
+    }
+  }
+}
+
+TEST(ScheduleInjectorTest, WindowedOrTriggeredEntryWithoutAClockThrows) {
+  const FaultPlan plan{FaultKind::kTcpReset};
+  const TimedFault always_on{plan};
+  EXPECT_NO_THROW((ScheduleInjector{{&always_on, 1}, nullptr}));
+
+  const TimedFault late{plan, ms(10)};
+  const TimedFault bounded{plan, SimTime{0}, ms(50)};
+  const TimedFault triggered{plan, SimTime{0}, SimTime{0},
+                             TriggerKind::kAfterFirstSyn};
+  for (const TimedFault& entry : {late, bounded, triggered}) {
+    EXPECT_THROW((ScheduleInjector{{&entry, 1}, nullptr}),
+                 std::invalid_argument);
+  }
+  const TimedFault mixed[] = {always_on, triggered};
+  EXPECT_THROW((ScheduleInjector{mixed, nullptr}), std::invalid_argument);
 }
 
 }  // namespace

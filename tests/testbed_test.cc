@@ -304,7 +304,6 @@ TEST(TwoNodeWorldTest, AttachSeesTheServerButNoClientYet) {
         EXPECT_NE(w.net, nullptr);
         EXPECT_NE(w.server_host, nullptr);
         EXPECT_NE(w.server_tcp, nullptr);
-        EXPECT_NE(w.server_quic, nullptr);
         EXPECT_NE(w.auth, nullptr);
         EXPECT_NE(w.zone, nullptr);
         EXPECT_EQ(w.client, nullptr);
